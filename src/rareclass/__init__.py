@@ -38,6 +38,7 @@ from .evaluation import (
 )
 from .features import (
     ClusterMap,
+    CsrMatrix,
     Scaler,
     SparseVector,
     Vocabulary,

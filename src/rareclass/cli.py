@@ -35,7 +35,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError
 from .evaluation import error_report
-from .features import information_gain, load_clusters
+from .features import CsrMatrix, information_gain, load_clusters
 from .lexicon import (
     compile_matchers,
     load_lexicon,
@@ -381,7 +381,7 @@ def _cmd_rank_features(args) -> int:
             corpus, names, clusters, cfg.normalization(), settings
         )
         labels = corpus.labels()
-    ranked = information_gain(vectors, labels, vocab)
+    ranked = information_gain(CsrMatrix.from_rows(vectors, vocab.dim), labels, vocab)
     if args.top:
         ranked = ranked[: args.top]
     lines = ["feature\tkind\tinfo_gain_bits"]

@@ -185,14 +185,12 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def load_corpus(path: str | Path, format: str = "tsv") -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus file (see `TSV_HEADER` for the column layout).
 
     Span columns may be empty; when present they must form a valid byte
     span of the (unescaped) text.  Errors name the offending line.
     """
-    if format != "tsv":
-        raise ValueError(f"unknown corpus format {format!r}")
     path = Path(path)
     # split on newline only: escaped text may contain other control
     # characters that str.splitlines() would treat as row boundaries

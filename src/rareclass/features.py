@@ -2,6 +2,11 @@
 features, vocabulary construction, min-max scaling, and information-gain
 ranking.
 
+One document vectorizes to a `SparseVector` row.  A corpus is then held
+as one `CsrMatrix` (numpy ``indptr``/``indices``/``data`` arrays over a
+fixed dimension), built once from its rows; scaling, information gain
+and the classifiers' training and prediction work on that matrix.
+
 Vocabularies and scalers are immutable once fitted and are built from
 training data only.  Feature names are namespaced by kind: raw n-gram
 strings, ``cluster:<path>`` for word-cluster features, and ``struct:*``
@@ -14,8 +19,11 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Label, LABELS
 from .errors import DataError
@@ -102,6 +110,132 @@ class SparseVector:
 
     def squared_distance(self, other: "SparseVector") -> float:
         return self.squared_norm() + other.squared_norm() - 2.0 * self.dot(other)
+
+
+def _indptr(lengths: np.ndarray) -> np.ndarray:
+    """Row pointers of rows with the given entry counts."""
+    return np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + n)`` for every (s, n) pair."""
+    ends = np.cumsum(lengths)
+    out = np.repeat(starts - ends + lengths, lengths)
+    out += np.arange(len(out))
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """Compressed sparse rows over a fixed dimension (numpy arrays only).
+
+    Row r holds columns ``indices[indptr[r]:indptr[r + 1]]``, strictly
+    increasing, with values ``data[...]`` at the same positions.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dim: int
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[SparseVector], dim: int | None = None) -> "CsrMatrix":
+        if dim is None:
+            if not rows:
+                raise ValueError("the dimension of zero rows must be given")
+            dim = rows[0].dim
+        if any(row.dim != dim for row in rows):
+            raise ValueError("dimension mismatch")
+        indptr = _indptr([len(row.indices) for row in rows])
+        indices = np.fromiter(chain.from_iterable(row.indices for row in rows), np.intp, indptr[-1])
+        data = np.fromiter(chain.from_iterable(row.values for row in rows), float, indptr[-1])
+        return cls(indptr, indices, data, dim)
+
+    @classmethod
+    def from_arrays(cls, indptr, indices, data, dim: int) -> "CsrMatrix":
+        """Validated matrix from untrusted arrays; raises ValueError."""
+        x = cls(
+            np.asarray(indptr, np.intp), np.asarray(indices, np.intp), np.asarray(data, float), dim
+        )
+        lengths = np.diff(x.indptr)
+        if not (len(x.indptr) and x.indptr[0] == 0 and (lengths >= 0).all()
+                and x.indptr[-1] == len(x.indices) == len(x.data)):
+            raise ValueError("row pointers do not match the entries")
+        # a column may not exceed the next one in its row; a row's first may not be < 0
+        bound = np.append(x.indices[1:], dim)
+        bound[x.indptr[1:][lengths > 0] - 1] = dim
+        first = x.indices[x.indptr[:-1][lengths > 0]]
+        if (x.indices >= bound).any() or (first < 0).any() or not np.isfinite(x.data).all():
+            raise ValueError("column indices out of order or range, or values not finite")
+        return x
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CsrMatrix):
+            return NotImplemented
+        arrays = ("indptr", "indices", "data")
+        return self.dim == other.dim and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays
+        )
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    def rows(self, start: int, stop: int) -> "CsrMatrix":
+        """Rows start..stop-1 as a matrix sharing this one's arrays."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return CsrMatrix(
+            self.indptr[start : stop + 1] - lo, self.indices[lo:hi], self.data[lo:hi], self.dim
+        )
+
+    def take(self, rows: np.ndarray) -> "CsrMatrix":
+        """The given rows, in the given order."""
+        lengths = np.diff(self.indptr)[rows]
+        pos = _ranges(self.indptr[rows], lengths)
+        return CsrMatrix(_indptr(lengths), self.indices[pos], self.data[pos], self.dim)
+
+    def transpose(self) -> "CsrMatrix":
+        """The transpose, whose rows list their entries in increasing row order."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = _indptr(np.bincount(self.indices, minlength=self.dim))
+        return CsrMatrix(indptr, self.row_ids()[order], self.data[order], self.n_rows)
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per row, the sum of `values` (one per stored entry) in column order."""
+        return np.bincount(self.row_ids(), values, minlength=self.n_rows)
+
+    def squared_norms(self) -> np.ndarray:
+        return self.row_sums(self.data * self.data)
+
+    def dot(self, dense: np.ndarray) -> np.ndarray:
+        """Dense ``self @ dense`` for a (dim, k) array."""
+        products = self.data * dense[self.indices].T
+        return np.column_stack([self.row_sums(column) for column in products])
+
+    def matmul(self, other: "CsrMatrix") -> np.ndarray:
+        """Dense ``self @ other`` for a sparse `other` with `dim` rows.
+
+        Pass ``y.transpose()`` as `other` for the dot products of every
+        row of self with every row of y.  Each entry is summed term by
+        term in increasing order of the shared index, so the result does
+        not depend on how many rows are multiplied at once.
+        """
+        if other.n_rows != self.dim:
+            raise ValueError("dimension mismatch")
+        starts = other.indptr[self.indices]
+        lengths = other.indptr[self.indices + 1] - starts
+        pos = _ranges(starts, lengths)
+        cells = other.indices[pos]
+        if self.n_rows > 1:
+            cells += np.repeat(self.row_ids() * other.dim, lengths)
+        products = np.repeat(self.data, lengths)
+        products *= other.data[pos]
+        size = self.n_rows * other.dim
+        return np.bincount(cells, products, minlength=size).reshape(self.n_rows, other.dim)
 
 
 def interpolate(a: SparseVector, b: SparseVector, fraction: float) -> SparseVector:
@@ -271,53 +405,45 @@ class Scaler:
         return len(self.mins)
 
 
-def fit_scaler(train_vectors: Sequence[SparseVector]) -> Scaler:
-    """Column ranges over the training vectors, implicit zeros included."""
-    if not train_vectors:
+def fit_scaler(train: CsrMatrix) -> Scaler:
+    """Column ranges over the training rows, implicit zeros included."""
+    if not train.n_rows:
         raise ValueError("cannot fit a scaler on zero vectors")
-    dim = train_vectors[0].dim
-    mins = [math.inf] * dim
-    maxs = [-math.inf] * dim
-    seen = [0] * dim
-    for vec in train_vectors:
-        if vec.dim != dim:
-            raise ValueError("dimension mismatch")
-        for i, v in zip(vec.indices, vec.values):
-            seen[i] += 1
-            if v < mins[i]:
-                mins[i] = v
-            if v > maxs[i]:
-                maxs[i] = v
-    n = len(train_vectors)
-    for i in range(dim):
-        if seen[i] < n:  # at least one implicit zero in this column
-            mins[i] = min(mins[i], 0.0)
-            maxs[i] = max(maxs[i], 0.0)
-    return Scaler(tuple(mins), tuple(maxs))
+    mins = np.full(train.dim, math.inf)
+    maxs = np.full(train.dim, -math.inf)
+    np.minimum.at(mins, train.indices, train.data)
+    np.maximum.at(maxs, train.indices, train.data)
+    # columns with at least one implicit zero
+    implicit = np.bincount(train.indices, minlength=train.dim) < train.n_rows
+    mins[implicit] = np.minimum(mins[implicit], 0.0)
+    maxs[implicit] = np.maximum(maxs[implicit], 0.0)
+    return Scaler(tuple(mins.tolist()), tuple(maxs.tolist()))
 
 
-def apply_scaler(scaler: Scaler, vec: SparseVector) -> SparseVector:
-    """Map column value x to (x - min) / (max - min); constant columns to 0.
+def apply_scaler(scaler: Scaler, x: CsrMatrix) -> CsrMatrix:
+    """Map column value v to (v - min) / (max - min); constant columns to 0.
 
     Values outside the training range are not clamped.  Columns whose
     training minimum is non-zero produce entries even where the input had
-    an implicit zero.
+    an implicit zero.  Entries that scale to zero are dropped.
     """
-    if vec.dim != scaler.dim:
+    if x.dim != scaler.dim:
         raise ValueError("dimension mismatch")
-    explicit = vec.to_dict()
-    columns = set(explicit)
-    columns.update(
-        i
-        for i in range(scaler.dim)
-        if scaler.mins[i] != 0.0 and scaler.maxs[i] > scaler.mins[i]
-    )
-    pairs = []
-    for i in columns:
-        lo, hi = scaler.mins[i], scaler.maxs[i]
-        if hi > lo:
-            pairs.append((i, (explicit.get(i, 0.0) - lo) / (hi - lo)))
-    return SparseVector.from_pairs(pairs, vec.dim)
+    lo = np.asarray(scaler.mins)
+    span = np.asarray(scaler.maxs) - lo
+    active = span > 0.0
+    filled = np.flatnonzero(active & (lo != 0.0))
+    keep = active[x.indices]
+    # entry keys row * dim + column; an explicit entry wins over a filled zero
+    keys = (x.row_ids() * x.dim + x.indices)[keep]
+    zeros = (np.arange(x.n_rows)[:, None] * x.dim + filled).ravel()
+    keys, first = np.unique(np.concatenate([keys, zeros]), return_index=True)
+    values = np.concatenate([x.data[keep], np.zeros(len(zeros))])[first]
+    cols = keys % x.dim
+    scaled = (values - lo[cols]) / span[cols]
+    nonzero = scaled != 0.0
+    indptr = _indptr(np.bincount(keys[nonzero] // x.dim, minlength=x.n_rows))
+    return CsrMatrix(indptr, cols[nonzero], scaled[nonzero], x.dim)
 
 
 def _entropy(counts: Sequence[int]) -> float:
@@ -333,7 +459,7 @@ def _entropy(counts: Sequence[int]) -> float:
 
 
 def information_gain(
-    vectors: Sequence[SparseVector],
+    x: CsrMatrix,
     labels: Sequence[Label],
     vocab: Vocabulary,
 ) -> list[tuple[str, float]]:
@@ -342,21 +468,18 @@ def information_gain(
     IG(f) = H(Y) - P(f) H(Y | f present) - (1 - P(f)) H(Y | f absent),
     in bits; ties are broken by feature name.
     """
-    if len(vectors) != len(labels):
+    if x.n_rows != len(labels):
         raise ValueError("vectors and labels must align")
-    n = len(vectors)
+    n = x.n_rows
     label_counts = Counter(labels)
     total_counts = [label_counts.get(lbl, 0) for lbl in LABELS]
     h_y = _entropy(total_counts)
-    present: dict[int, list[int]] = {}
-    for vec, label in zip(vectors, labels):
-        li = LABELS.index(label)
-        for col, value in zip(vec.indices, vec.values):
-            if value != 0.0:
-                present.setdefault(col, [0] * len(LABELS))[li] += 1
+    label_ids = np.array([LABELS.index(label) for label in labels], dtype=np.intp)
+    nonzero = x.data != 0.0
+    cells = x.indices[nonzero] * len(LABELS) + label_ids[x.row_ids()[nonzero]]
+    present = np.bincount(cells, minlength=vocab.dim * len(LABELS)).reshape(vocab.dim, -1)
     ranked: list[tuple[str, float]] = []
-    for col, name in enumerate(vocab.names):
-        with_f = present.get(col, [0] * len(LABELS))
+    for name, with_f in zip(vocab.names, present.tolist()):
         n_with = sum(with_f)
         without_f = [t - w for t, w in zip(total_counts, with_f)]
         p = n_with / n if n else 0.0

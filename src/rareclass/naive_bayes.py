@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Label, LABELS, label_index
-from .features import SparseVector
+from .corpus import Label, LABELS
+from .features import CsrMatrix
 
 MULTINOMIAL = "multinomial"
 GAUSSIAN = "gaussian"
@@ -28,10 +28,11 @@ _VAR_FLOOR = 1e-9
 class NbModel:
     """Trained Naive Bayes parameters; immutable and prediction-ready.
 
-    `log_likelihood` rows hold log theta per class (multinomial); the
-    Gaussian model stores per-class means/variances plus the precomputed
-    log-density of zero for every column, so sparse vectors only pay for
-    their non-zero entries at prediction time.
+    `log_likelihood` rows hold log theta per class (multinomial).  The
+    Gaussian model stores only per-class means and variances; each call
+    of `predict_nb` derives from them, once, every class's summed
+    log-density of the all-zero vector, so a row then pays only for its
+    non-zero entries.
     """
 
     labels: tuple[Label, ...]
@@ -48,86 +49,75 @@ class NbModel:
 
 
 def train_nb(
-    vectors: Sequence[SparseVector],
+    x: CsrMatrix,
     labels: Sequence[Label],
     event_model: str = MULTINOMIAL,
 ) -> NbModel:
     """Fit class priors and per-class feature distributions."""
-    if not vectors:
+    if not x.n_rows:
         raise ValueError("training set is empty")
-    if len(vectors) != len(labels):
+    if x.n_rows != len(labels):
         raise ValueError("vectors and labels must align")
-    dim = vectors[0].dim
+    if event_model not in (MULTINOMIAL, GAUSSIAN):
+        raise ValueError(f"unknown event model {event_model!r}")
     present = tuple(lbl for lbl in LABELS if lbl in set(labels))
-    class_rows = {lbl: [] for lbl in present}
-    for vec, lbl in zip(vectors, labels):
-        if vec.dim != dim:
-            raise ValueError("dimension mismatch in training vectors")
-        class_rows[lbl].append(vec)
-    n = len(vectors)
-    log_priors = tuple(math.log(len(class_rows[lbl]) / n) for lbl in present)
+    row_class = np.array([present.index(lbl) for lbl in labels])
+    sizes = np.bincount(row_class, minlength=len(present))
+    log_priors = tuple(math.log(int(size) / x.n_rows) for size in sizes)
+    entry_class = row_class[x.row_ids()]
+
+    def column_sums(values: np.ndarray) -> list[np.ndarray]:
+        """Per class, the sum of `values` (one per entry) in every column."""
+        return [
+            np.bincount(x.indices[entry_class == c], values[entry_class == c], minlength=x.dim)
+            for c in range(len(present))
+        ]
+
+    def as_tuples(rows: list[np.ndarray]) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(row.tolist()) for row in rows)
 
     if event_model == MULTINOMIAL:
-        rows = []
-        for lbl in present:
-            counts = np.zeros(dim)
-            for vec in class_rows[lbl]:
-                if any(v < 0.0 for v in vec.values):
-                    raise ValueError(
-                        "multinomial event model requires non-negative feature values"
-                    )
-                counts[list(vec.indices)] += np.asarray(vec.values)
-            theta = (counts + 1.0) / (counts.sum() + dim)
-            rows.append(tuple(np.log(theta).tolist()))
-        return NbModel(present, log_priors, MULTINOMIAL, dim, log_likelihood=tuple(rows))
-
-    if event_model == GAUSSIAN:
-        means, variances = [], []
-        for lbl in present:
-            total = np.zeros(dim)
-            total_sq = np.zeros(dim)
-            for vec in class_rows[lbl]:
-                idx = list(vec.indices)
-                vals = np.asarray(vec.values)
-                total[idx] += vals
-                total_sq[idx] += vals * vals
-            m = len(class_rows[lbl])
-            mean = total / m
-            var = np.maximum(total_sq / m - mean * mean, _VAR_FLOOR)
-            means.append(tuple(mean.tolist()))
-            variances.append(tuple(var.tolist()))
+        if (x.data < 0.0).any():
+            raise ValueError("multinomial event model requires non-negative feature values")
+        theta = [(counts + 1.0) / (counts.sum() + x.dim) for counts in column_sums(x.data)]
         return NbModel(
-            present, log_priors, GAUSSIAN, dim,
-            means=tuple(means), variances=tuple(variances),
+            present, log_priors, MULTINOMIAL, x.dim, log_likelihood=as_tuples(np.log(theta))
         )
+    means = [total / size for total, size in zip(column_sums(x.data), sizes)]
+    variances = [
+        np.maximum(total_sq / size - mean * mean, _VAR_FLOOR)
+        for total_sq, mean, size in zip(column_sums(x.data * x.data), means, sizes)
+    ]
+    return NbModel(
+        present, log_priors, GAUSSIAN, x.dim,
+        means=as_tuples(means), variances=as_tuples(variances),
+    )
 
-    raise ValueError(f"unknown event model {event_model!r}")
 
-
-def _log_normal_pdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * (math.log(2.0 * math.pi * var) + (x - mean) ** 2 / var)
-
-
-def predict_nb(model: NbModel, vec: SparseVector) -> tuple[Label, dict[Label, float]]:
-    """Most probable class plus the per-class log scores."""
-    if vec.dim != model.dim:
+def predict_nb(model: NbModel, x: CsrMatrix) -> tuple[list[Label], dict[Label, np.ndarray]]:
+    """Most probable class of every row plus the per-class log scores."""
+    if x.dim != model.dim:
         raise ValueError("vector dimension does not match the model")
-    scores: dict[Label, float] = {}
-    for ci, lbl in enumerate(model.labels):
-        score = model.log_priors[ci]
-        if model.event_model == MULTINOMIAL:
-            row = model.log_likelihood[ci]
-            score += sum(v * row[i] for i, v in zip(vec.indices, vec.values))
-        else:
-            mean = model.means[ci]
-            var = model.variances[ci]
-            base = sum(_log_normal_pdf(0.0, mean[j], var[j]) for j in range(model.dim))
-            adjust = sum(
-                _log_normal_pdf(v, mean[i], var[i])
-                - _log_normal_pdf(0.0, mean[i], var[i])
-                for i, v in zip(vec.indices, vec.values)
-            )
-            score += base + adjust
-        scores[lbl] = score
-    best = max(model.labels, key=lambda lbl: (scores[lbl], -label_index(lbl)))
-    return best, scores
+    if model.event_model == MULTINOMIAL:
+        scores = x.dot(np.asarray(model.log_likelihood).T) + np.asarray(model.log_priors)
+    else:
+        # log N(v; m, var) = -0.5 (log(2 pi var) + (v - m)^2 / var), per class and column
+        mean, var = np.asarray(model.means), np.asarray(model.variances)
+        log_norm = np.log(2.0 * math.pi * var)
+        at_zero = -0.5 * (log_norm + mean**2 / var)
+        base = np.array([sum(row) for row in at_zero.tolist()])  # summed in column order
+        cols = x.indices
+        adjust = []  # per class and row: its entries' log-density minus that of zeros
+        for m, v, norm, zero in zip(mean, var, log_norm, at_zero):
+            gain = x.data - m[cols]  # in place below: one array per entry at a time
+            gain *= gain
+            gain /= v[cols]
+            gain += norm[cols]
+            gain *= -0.5
+            adjust.append(x.row_sums(gain - zero[cols]))
+        scores = np.asarray(model.log_priors) + (base + np.column_stack(adjust))
+    # ties break toward the lowest class index: argmax takes the first maximum
+    best = np.argmax(scores, axis=1)
+    return [model.labels[c] for c in best], {
+        lbl: scores[:, c] for c, lbl in enumerate(model.labels)
+    }

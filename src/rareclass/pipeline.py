@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -23,6 +23,7 @@ from .errors import ConfigError, DataError
 from .evaluation import EvalReport, evaluate_predictions
 from .features import (
     ClusterMap,
+    CsrMatrix,
     Scaler,
     SparseVector,
     Vocabulary,
@@ -34,7 +35,14 @@ from .features import (
     structural_features,
     vectorize,
 )
-from .model_store import StoredModel
+from .model_store import (
+    StoredModel,
+    VOCABULARY_SCHEMA,
+    check_json,
+    read_versioned_json,
+    vocabulary_from_json,
+    vocabulary_to_json,
+)
 from .naive_bayes import NbModel, predict_nb, train_nb
 from .normalize import NameLexicon, NormalizationConfig, classic_normalize
 from .sampling import (
@@ -69,18 +77,13 @@ class FeatureSettings:
         )
 
     def to_json(self) -> dict:
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "min_df": self.min_df,
-            "binary": self.binary,
-            "use_clusters": self.use_clusters,
-            "use_structural": self.use_structural,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "FeatureSettings":
-        return cls(**obj)
+        schema = {key: type(value) for key, value in cls().to_json().items()}
+        check_json(obj, schema, "feature settings")
+        return cls(**{key: obj[key] for key in schema})
 
 
 def normalization_to_json(cfg: NormalizationConfig) -> dict:
@@ -92,11 +95,9 @@ def normalization_to_json(cfg: NormalizationConfig) -> dict:
 
 
 def normalization_from_json(obj: dict) -> NormalizationConfig:
-    return NormalizationConfig(
-        possessive_pronouns=frozenset(obj["possessive_pronouns"]),
-        child_terms=frozenset(obj["child_terms"]),
-        third_person_pronouns=frozenset(obj["third_person_pronouns"]),
-    )
+    keys = ("possessive_pronouns", "child_terms", "third_person_pronouns")
+    check_json(obj, dict.fromkeys(keys, [str]), "normalization settings")
+    return NormalizationConfig(**{key: frozenset(obj[key]) for key in keys})
 
 
 def document_features(
@@ -194,12 +195,8 @@ def train_from_corpus(
         augmented, report = smote(
             per_class, k_neighbors=cfg.sampler_k_neighbors, seed=cfg.sampler_seed
         )
-        vectors = []
-        labels = []
-        for label in LABELS:
-            for vec in augmented.get(label, []):
-                vectors.append(vec)
-                labels.append(label)
+        vectors = [vec for label in LABELS for vec in augmented.get(label, [])]
+        labels = [label for label in LABELS for _ in augmented.get(label, [])]
 
     extras = {
         "features": settings.to_json(),
@@ -211,13 +208,15 @@ def train_from_corpus(
             {k: v for k, v in report.parameters.items() if k != "majority"}
         )
 
+    x = CsrMatrix.from_rows(vectors, vocab.dim)
     if cfg.classifier_kind == "svm":
-        scaler = fit_scaler(vectors)
-        scaled = [apply_scaler(scaler, v) for v in vectors]
-        classifier: SvmModel | NbModel = train_svm(scaled, labels, cfg.svm_params())
+        scaler = fit_scaler(x)
+        classifier: SvmModel | NbModel = train_svm(
+            apply_scaler(scaler, x), labels, cfg.svm_params()
+        )
         return TrainResult(classifier, vocab, scaler, report, extras)
 
-    classifier = train_nb(vectors, labels, event_model=cfg.nb_event_model)
+    classifier = train_nb(x, labels, event_model=cfg.nb_event_model)
     return TrainResult(classifier, vocab, None, report, extras)
 
 
@@ -231,23 +230,21 @@ def predict_corpus(
     try:
         settings = FeatureSettings.from_json(stored.extras["features"])
         norm_config = normalization_from_json(stored.extras["normalize"])
-    except (KeyError, TypeError):
+    except KeyError:
         raise DataError(
             "model file lacks featurization settings "
             "(extras.features / extras.normalize)"
         ) from None
-    vectors, _ = featurize_corpus(
+    vectors, vocab = featurize_corpus(
         corpus, names, clusters, norm_config, settings, vocab=stored.vocabulary
     )
-    predictions: list[Label] = []
-    for vec in vectors:
-        if stored.scaler is not None:
-            vec = apply_scaler(stored.scaler, vec)
-        if isinstance(stored.classifier, SvmModel):
-            label, _ = predict_svm(stored.classifier, vec)
-        else:
-            label, _ = predict_nb(stored.classifier, vec)
-        predictions.append(label)
+    x = CsrMatrix.from_rows(vectors, vocab.dim)
+    if stored.scaler is not None:
+        x = apply_scaler(stored.scaler, x)
+    if isinstance(stored.classifier, SvmModel):
+        predictions, _ = predict_svm(stored.classifier, x)
+    else:
+        predictions, _ = predict_nb(stored.classifier, x)
     return predictions
 
 
@@ -314,11 +311,7 @@ def save_features(
         "format": FEATURES_FORMAT,
         "version": FEATURES_VERSION,
         "settings": settings.to_json(),
-        "vocabulary": {
-            "names": list(vocabulary.names),
-            "kinds": list(vocabulary.kinds),
-            "min_df": vocabulary.min_df,
-        },
+        "vocabulary": vocabulary_to_json(vocabulary),
         "docs": [
             {
                 "id": doc_id,
@@ -338,25 +331,21 @@ def load_features(
     path: str | Path,
 ) -> tuple[Vocabulary, list[SparseVector], list[str], list[Label], FeatureSettings]:
     path = Path(path)
+    doc = read_versioned_json(path, FEATURES_FORMAT, FEATURES_VERSION, "features")
+    schema = {
+        "settings": dict,
+        "vocabulary": VOCABULARY_SCHEMA,
+        "docs": [{"id": str, "label": str, "indices": [int], "values": [float]}],
+    }
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("format") != FEATURES_FORMAT:
-        raise DataError(f"{path}: not a rareclass features file")
-    if doc.get("version") != FEATURES_VERSION:
-        raise DataError(f"{path}: unsupported features version {doc.get('version')!r}")
-    vocab_obj = doc["vocabulary"]
-    vocabulary = Vocabulary(
-        tuple(vocab_obj["names"]), tuple(vocab_obj["kinds"]), vocab_obj["min_df"]
-    )
-    vectors: list[SparseVector] = []
-    ids: list[str] = []
-    labels: list[Label] = []
-    for entry in doc["docs"]:
-        vectors.append(
-            SparseVector(tuple(entry["indices"]), tuple(entry["values"]), vocabulary.dim)
-        )
-        ids.append(entry["id"])
-        labels.append(Label(entry["label"]))
-    return vocabulary, vectors, ids, labels, FeatureSettings.from_json(doc["settings"])
+        check_json(doc, schema, "features")
+        vocabulary = vocabulary_from_json(doc["vocabulary"])
+        vectors = [
+            SparseVector(tuple(d["indices"]), tuple(map(float, d["values"])), vocabulary.dim)
+            for d in doc["docs"]
+        ]
+        labels = [Label(d["label"]) for d in doc["docs"]]
+        settings = FeatureSettings.from_json(doc["settings"])
+    except (DataError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return vocabulary, vectors, [d["id"] for d in doc["docs"]], labels, settings

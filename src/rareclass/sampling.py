@@ -19,8 +19,10 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .corpus import Corpus, Label, LABELS, Tweet
-from .features import SparseVector, interpolate
+from .features import CsrMatrix, SparseVector, interpolate
 from .rng import SplitMix64, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -361,56 +363,11 @@ def smote(
 def _nearest_neighbors(vectors: Sequence[SparseVector], k: int) -> list[list[int]]:
     """Indices of each vector's k nearest same-class neighbors (self excluded).
 
-    Distance ties break by index order, keeping the result deterministic.
+    Squared distances come from one Gram matrix; ties break by index
+    order, keeping the result deterministic.
     """
-    norms = [v.squared_norm() for v in vectors]
-    n = len(vectors)
-    out: list[list[int]] = []
-    for i in range(n):
-        dists = []
-        for j in range(n):
-            if j == i:
-                continue
-            d = norms[i] + norms[j] - 2.0 * vectors[i].dot(vectors[j])
-            dists.append((d, j))
-        dists.sort()
-        out.append([j for _, j in dists[:k]])
-    return out
-
-
-def choose_threshold_for_size(
-    train: Corpus,
-    target_total: int,
-    fn_minority: Sequence[Tweet] | None = None,
-    iterations: int = 30,
-    majority_label: Label = Label.NON_DEFECT,
-) -> tuple[float, Corpus, SamplingReport]:
-    """Search for a threshold k whose under-sampled size is closest to
-    `target_total`.
-
-    Uses bisection on k, assuming output size grows with k (exact for the
-    false-negative method; a close heuristic for the greedy similarity
-    method).  Returns the best threshold found with its sampled corpus.
-    """
-
-    def run(k: float) -> tuple[Corpus, SamplingReport]:
-        if fn_minority is None:
-            return undersample_similar_majority(train, k, majority_label)
-        return undersample_near_fn(train, fn_minority, k, majority_label)
-
-    lo, hi = 1e-9, 1.0
-    best: tuple[int, float, Corpus, SamplingReport] | None = None
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        sampled, report = run(mid)
-        gap = abs(len(sampled) - target_total)
-        if best is None or gap < best[0]:
-            best = (gap, mid, sampled, report)
-        if len(sampled) < target_total:
-            lo = mid
-        elif len(sampled) > target_total:
-            hi = mid
-        else:
-            break
-    assert best is not None
-    return best[1], best[2], best[3]
+    x = CsrMatrix.from_rows(vectors)
+    norms = x.squared_norms()
+    dists = norms[:, None] + norms[None, :] - 2.0 * x.matmul(x.transpose())
+    np.fill_diagonal(dists, np.inf)
+    return np.argsort(dists, axis=1, kind="stable")[:, :k].tolist()

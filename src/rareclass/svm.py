@@ -14,25 +14,32 @@ every KKT violation by the tolerance.  The two-variable subproblem is
 solved analytically and clipped to its feasible segment, so the equality
 constraint is preserved exactly.
 
+Training runs SMO on the rows of one `CsrMatrix`, one class pair at a
+time.  A trained model keeps every support vector once, in a pool shared
+by all pairs (the LIBSVM layout); each pair refers to its support
+vectors by pool index and carries its own dual coefficients and bias.
+
 Multi-class prediction is one-vs-one: each pair votes via the sign of
 its decision value; vote ties break by the larger sum of winning
-|decision values|, then by class order.  Training is deterministic given
-the instance order, and trained models are immutable.
+|decision values|, then by class order.  Prediction evaluates one kernel
+block per fixed-size block of query rows against the pool, shared by
+all pairs.  Training is deterministic given the instance order, and
+trained models are immutable.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Label, LABELS, label_index
-from .features import SparseVector
+from .corpus import Label, LABELS
+from .features import CsrMatrix, SparseVector
 
 logger = logging.getLogger(__name__)
 
@@ -49,10 +56,6 @@ def rbf_kernel(x: SparseVector, y: SparseVector, gamma: float) -> float:
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     return math.exp(-gamma * x.squared_distance(y))
-
-
-def linear_kernel(x: SparseVector, y: SparseVector) -> float:
-    return x.dot(y)
 
 
 @dataclass(frozen=True)
@@ -82,111 +85,72 @@ class SvmParams:
                     raise ValueError(f"weight for {label.value} must be positive")
 
 
-class _PackedVectors:
-    """Column-sliced view of a vector list for fast kernel-row evaluation."""
-
-    def __init__(self, vectors: Sequence[SparseVector]):
-        self.vectors = list(vectors)
-        self.n = len(self.vectors)
-        dim = self.vectors[0].dim if self.vectors else 0
-        self.dim = dim
-        entries: list[tuple[int, int, float]] = []
-        for row, vec in enumerate(self.vectors):
-            for col, val in zip(vec.indices, vec.values):
-                entries.append((col, row, val))
-        entries.sort(key=lambda e: e[0])
-        self._col_rows: dict[int, np.ndarray] = {}
-        self._col_vals: dict[int, np.ndarray] = {}
-        start = 0
-        for pos in range(len(entries) + 1):
-            if pos == len(entries) or (pos > start and entries[pos][0] != entries[start][0]):
-                col = entries[start][0]
-                block = entries[start:pos]
-                self._col_rows[col] = np.array([r for _, r, _ in block], dtype=np.intp)
-                self._col_vals[col] = np.array([v for _, _, v in block])
-                start = pos
-        self.sq_norms = np.array([v.squared_norm() for v in self.vectors])
-
-    def dots(self, vec: SparseVector) -> np.ndarray:
-        """Dot product of `vec` against every packed row."""
-        out = np.zeros(self.n)
-        for col, val in zip(vec.indices, vec.values):
-            rows = self._col_rows.get(col)
-            if rows is not None:
-                out[rows] += val * self._col_vals[col]
-        return out
-
-    def kernel_row(self, i: int, kernel: str, gamma: float) -> np.ndarray:
-        vec = self.vectors[i]
-        dots = self.dots(vec)
-        if kernel == KERNEL_LINEAR:
-            return dots
-        sq = self.sq_norms[i] + self.sq_norms - 2.0 * dots
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-gamma * sq)
-
-    def kernel_against(self, vec: SparseVector, kernel: str, gamma: float) -> np.ndarray:
-        dots = self.dots(vec)
-        if kernel == KERNEL_LINEAR:
-            return dots
-        sq = vec.squared_norm() + self.sq_norms - 2.0 * dots
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-gamma * sq)
+# query rows per kernel block in `predict_svm`; bounds its memory
+PREDICT_BLOCK_ROWS = 16
 
 
-class _RowCache:
-    """Least-recently-used cache of kernel rows keyed by instance index."""
-
-    def __init__(self, packed: _PackedVectors, kernel: str, gamma: float, capacity: int = 512):
-        self._packed = packed
-        self._kernel = kernel
-        self._gamma = gamma
-        self._capacity = capacity
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def row(self, i: int) -> np.ndarray:
-        cached = self._rows.get(i)
-        if cached is not None:
-            self._rows.move_to_end(i)
-            return cached
-        row = self._packed.kernel_row(i, self._kernel, self._gamma)
-        self._rows[i] = row
-        if len(self._rows) > self._capacity:
-            self._rows.popitem(last=False)
-        return row
+def _kernel_block(
+    dots: np.ndarray, sq_left: np.ndarray, sq_right: np.ndarray, kernel: str, gamma: float
+) -> np.ndarray:
+    """Kernel values from dot products and the rows' squared norms."""
+    if kernel == KERNEL_LINEAR:
+        return dots
+    sq = sq_left[:, None] + sq_right[None, :] - 2.0 * dots
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
 
 
-def _smo_solve(
-    packed: _PackedVectors,
-    y: np.ndarray,
-    box: np.ndarray,
-    kernel: str,
-    gamma: float,
-    tolerance: float,
-    max_iterations: int,
+def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, capacity: int = 512):
+    """Row i of the kernel matrix of `x`, with the last `capacity` rows cached."""
+    columns = x.transpose()
+    sq = x.squared_norms()
+
+    @lru_cache(maxsize=capacity)
+    def row(i: int) -> np.ndarray:
+        dots = x.rows(i, i + 1).matmul(columns)
+        return _kernel_block(dots, sq[i : i + 1], sq, kernel, gamma)[0]
+
+    return row
+
+
+def solve_binary(
+    x: CsrMatrix,
+    y_pm: Sequence[int],
+    box: Sequence[float],
+    kernel: str = KERNEL_RBF,
+    gamma: float = 1.0,
+    tolerance: float = 1e-3,
+    max_iterations: int = 10_000_000,
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Run SMO on one binary subproblem; returns (alpha, bias, iters, converged)."""
+    """Run SMO on one binary subproblem; `y_pm` holds +1/-1 labels.
+
+    Returns (alpha, bias, iterations, converged) with alpha over every
+    training row, support vector or not.
+    """
+    y = np.asarray(y_pm, dtype=float)
+    box = np.asarray(box, dtype=float)
     n = len(y)
     alpha = np.zeros(n)
     u = np.zeros(n)  # bias-free decision values at the training points
-    cache = _RowCache(packed, kernel, gamma)
+    kernel_row = _kernel_rows(x, kernel, gamma)
     pos = y > 0
+    # the "up" and "down" sets, kept current where alpha changes
+    up = np.where(pos, alpha < box, alpha > 0.0)
+    down = np.where(pos, alpha > 0.0, alpha < box)
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         g = y - u
-        up = (pos & (alpha < box)) | (~pos & (alpha > 0.0))
-        down = (~pos & (alpha < box)) | (pos & (alpha > 0.0))
         if not up.any() or not down.any():
             converged = True
             break
-        i = int(np.flatnonzero(up)[np.argmax(g[up])])
-        j = int(np.flatnonzero(down)[np.argmin(g[down])])
+        i = int(np.argmax(np.where(up, g, -np.inf)))
+        j = int(np.argmin(np.where(down, g, np.inf)))
         if g[i] - g[j] <= tolerance:
             converged = True
             break
-        row_i = cache.row(i)
-        row_j = cache.row(j)
+        row_i = kernel_row(i)
+        row_j = kernel_row(j)
         eta = row_i[i] + row_j[j] - 2.0 * row_i[j]
         if eta <= 0.0:
             eta = 1e-12
@@ -213,6 +177,9 @@ def _smo_solve(
         delta_j = (a_j_new - a_j) * y[j]
         alpha[i] = a_i_new
         alpha[j] = a_j_new
+        for t in (i, j):
+            up[t] = alpha[t] < box[t] if pos[t] else alpha[t] > 0.0
+            down[t] = alpha[t] > 0.0 if pos[t] else alpha[t] < box[t]
         u += delta_i * row_i + delta_j * row_j
     else:
         logger.warning(
@@ -224,79 +191,40 @@ def _smo_solve(
     free = (alpha > 0.0) & (alpha < box)
     if free.any():
         bias = float(np.mean(g[free]))
+    elif up.any() and down.any():
+        bias = float((g[up].max() + g[down].min()) / 2.0)
     else:
-        up = (pos & (alpha < box)) | (~pos & (alpha > 0.0))
-        down = (~pos & (alpha < box)) | (pos & (alpha > 0.0))
-        if up.any() and down.any():
-            bias = float((g[up].max() + g[down].min()) / 2.0)
-        else:
-            bias = float(np.mean(g))
+        bias = float(np.mean(g))
     return alpha, bias, iterations, converged
-
-
-def solve_binary(
-    vectors: Sequence[SparseVector],
-    y_pm: Sequence[int],
-    box: Sequence[float],
-    kernel: str = KERNEL_RBF,
-    gamma: float = 1.0,
-    tolerance: float = 1e-3,
-    max_iterations: int = 10_000_000,
-) -> tuple[list[float], float, int, bool]:
-    """Solve one binary subproblem directly; `y_pm` holds +1/-1 labels.
-
-    Returns (alpha, bias, iterations, converged) with alpha over every
-    training instance, support vectors or not.
-    """
-    packed = _PackedVectors(list(vectors))
-    alpha, bias, iterations, converged = _smo_solve(
-        packed,
-        np.asarray(y_pm, dtype=float),
-        np.asarray(box, dtype=float),
-        kernel,
-        gamma,
-        tolerance,
-        max_iterations,
-    )
-    return [float(a) for a in alpha], bias, iterations, converged
 
 
 @dataclass(frozen=True)
 class PairModel:
-    """One binary subproblem: support vectors with their dual weights.
+    """One binary subproblem: its support vectors' pool indices and weights.
 
     `y` holds +1 for `positive_label` instances and -1 for
     `negative_label` instances; the decision value for a query q is
-    sum_i alpha_i y_i K(sv_i, q) + bias, voting positive when > 0.
+    sum_i alpha_i y_i K(pool[support_i], q) + bias, voting positive when
+    > 0.
     """
 
     positive_label: Label
     negative_label: Label
-    support: tuple[SparseVector, ...]
+    support: tuple[int, ...]
     alpha: tuple[float, ...]
     y: tuple[int, ...]
     bias: float
     iterations: int
     converged: bool
 
-    def _packed_support(self) -> _PackedVectors:
-        packed = getattr(self, "_packed", None)
-        if packed is None:
-            packed = _PackedVectors(self.support)
-            object.__setattr__(self, "_packed", packed)
-        return packed
-
-    def decision_value(self, vec: SparseVector, kernel: str, gamma: float) -> float:
-        if not self.support:
-            return self.bias
-        k = self._packed_support().kernel_against(vec, kernel, gamma)
-        coef = np.asarray(self.alpha) * np.asarray(self.y, dtype=float)
-        return float(coef @ k + self.bias)
-
 
 @dataclass(frozen=True)
 class SvmModel:
-    """One-vs-one multi-class model over scaled sparse vectors."""
+    """One-vs-one multi-class model over scaled sparse vectors.
+
+    `support_vectors` is the pool of every pair's support vectors, each
+    stored once, in training-row order.
+    """
 
     labels: tuple[Label, ...]
     pairs: tuple[PairModel, ...]
@@ -304,6 +232,7 @@ class SvmModel:
     gamma: float
     class_weights: dict[Label, float]
     dim: int
+    support_vectors: CsrMatrix
 
 
 def inverse_frequency_weights(labels: Sequence[Label]) -> dict[Label, float]:
@@ -317,159 +246,88 @@ def inverse_frequency_weights(labels: Sequence[Label]) -> dict[Label, float]:
 
 
 def train_svm(
-    vectors: Sequence[SparseVector],
+    x: CsrMatrix,
     labels: Sequence[Label],
     params: SvmParams | None = None,
 ) -> SvmModel:
-    """Train a one-vs-one SVM; deterministic given instance order."""
+    """Train a one-vs-one SVM; deterministic given row order."""
     params = params or SvmParams()
-    if not vectors:
+    if not x.n_rows:
         raise ValueError("training set is empty")
-    if len(vectors) != len(labels):
+    if x.n_rows != len(labels):
         raise ValueError("vectors and labels must align")
-    dim = vectors[0].dim
-    for vec in vectors:
-        if vec.dim != dim:
-            raise ValueError("dimension mismatch in training vectors")
     present = tuple(lbl for lbl in LABELS if lbl in set(labels))
     if len(present) < 2:
         raise ValueError("need at least two classes to train")
-    gamma = params.gamma if params.gamma is not None else 1.0 / max(dim, 1)
+    gamma = params.gamma if params.gamma is not None else 1.0 / max(x.dim, 1)
     weights = params.class_weights or inverse_frequency_weights(labels)
     for lbl in present:
         if lbl not in weights:
             raise ValueError(f"missing class weight for {lbl.value}")
-    pair_models = []
+    label_ids = np.array([LABELS.index(lbl) for lbl in labels])
+    pairs = []  # support holds training rows until the pool is known
     for pos_label, neg_label in combinations(present, 2):
-        indices = [
-            i for i, lbl in enumerate(labels) if lbl == pos_label or lbl == neg_label
-        ]
-        sub_vectors = [vectors[i] for i in indices]
-        y = np.array(
-            [1.0 if labels[i] == pos_label else -1.0 for i in indices]
+        is_pos = label_ids == LABELS.index(pos_label)
+        rows = np.flatnonzero(is_pos | (label_ids == LABELS.index(neg_label)))
+        y = np.where(is_pos[rows], 1.0, -1.0)
+        box = np.where(y > 0, params.c * weights[pos_label], params.c * weights[neg_label])
+        alpha, bias, iterations, converged = solve_binary(
+            x.take(rows), y, box, params.kernel, gamma, params.tolerance, params.max_iterations
         )
-        if not (y > 0).any() or not (y < 0).any():
-            raise ValueError(
-                f"degenerate pair {pos_label.value}/{neg_label.value}: one side empty"
-            )
-        box = np.array(
-            [
-                params.c * weights[pos_label if yy > 0 else neg_label]
-                for yy in y
-            ]
-        )
-        packed = _PackedVectors(sub_vectors)
-        alpha, bias, iterations, converged = _smo_solve(
-            packed, y, box, params.kernel, gamma, params.tolerance, params.max_iterations
-        )
-        sv_mask = alpha > 0.0
-        pair_models.append(
-            PairModel(
-                positive_label=pos_label,
-                negative_label=neg_label,
-                support=tuple(v for v, keep in zip(sub_vectors, sv_mask) if keep),
-                alpha=tuple(float(a) for a in alpha[sv_mask]),
-                y=tuple(int(v) for v in y[sv_mask]),
-                bias=bias,
-                iterations=iterations,
-                converged=converged,
-            )
-        )
+        sv = alpha > 0.0
+        pairs.append(PairModel(
+            pos_label, neg_label, tuple(rows[sv].tolist()), tuple(alpha[sv].tolist()),
+            tuple(int(v) for v in y[sv]), bias, iterations, converged,
+        ))
+    pool = sorted(set().union(*(pair.support for pair in pairs)))
+    position = {row: i for i, row in enumerate(pool)}
     return SvmModel(
         labels=present,
-        pairs=tuple(pair_models),
+        pairs=tuple(replace(p, support=tuple(position[r] for r in p.support)) for p in pairs),
         params=params,
         gamma=gamma,
         class_weights={lbl: float(weights[lbl]) for lbl in present},
-        dim=dim,
+        dim=x.dim,
+        support_vectors=x.take(np.array(pool, dtype=np.intp)),
     )
 
 
 def predict_svm(
-    model: SvmModel, vec: SparseVector
-) -> tuple[Label, dict[tuple[Label, Label], float]]:
-    """Winning class plus every pairwise decision value.
+    model: SvmModel, x: CsrMatrix
+) -> tuple[list[Label], dict[tuple[Label, Label], np.ndarray]]:
+    """Winning class of every row plus every pair's decision values.
 
     Each pair votes by sign (strictly positive favors the pair's positive
     label).  Vote ties break by the larger sum of |decision value| over
     the pairs a class won, then by class order.
     """
-    if vec.dim != model.dim:
+    if x.dim != model.dim:
         raise ValueError("vector dimension does not match the model")
-    votes = {lbl: 0 for lbl in model.labels}
-    margins = {lbl: 0.0 for lbl in model.labels}
-    decisions: dict[tuple[Label, Label], float] = {}
-    for pair in model.pairs:
-        value = pair.decision_value(vec, model.params.kernel, model.gamma)
-        decisions[(pair.positive_label, pair.negative_label)] = value
-        winner = pair.positive_label if value > 0.0 else pair.negative_label
-        votes[winner] += 1
-        margins[winner] += abs(value)
-    best = max(
-        model.labels,
-        key=lambda lbl: (votes[lbl], margins[lbl], -label_index(lbl)),
-    )
-    return best, decisions
-
-
-def dual_objective(
-    vectors: Sequence[SparseVector],
-    labels_pm: Sequence[int],
-    alpha: Sequence[float],
-    kernel: str,
-    gamma: float,
-) -> float:
-    """W(a) = sum a_i - 1/2 sum_ij a_i a_j y_i y_j K_ij (for diagnostics/tests)."""
-    n = len(vectors)
-    total = float(sum(alpha))
-    quad = 0.0
-    for i in range(n):
-        if alpha[i] == 0.0:
-            continue
-        for j in range(n):
-            if alpha[j] == 0.0:
-                continue
-            if kernel == KERNEL_LINEAR:
-                k = vectors[i].dot(vectors[j])
-            else:
-                k = math.exp(-gamma * vectors[i].squared_distance(vectors[j]))
-            quad += alpha[i] * alpha[j] * labels_pm[i] * labels_pm[j] * k
-    return total - 0.5 * quad
-
-
-def kkt_violation(
-    vectors: Sequence[SparseVector],
-    labels_pm: Sequence[int],
-    alpha: Sequence[float],
-    box: Sequence[float],
-    bias: float,
-    kernel: str,
-    gamma: float,
-    boundary_eps: float = 1e-8,
-) -> float:
-    """Largest KKT violation of a candidate dual solution (for tests).
-
-    For each i with margin m_i = y_i (f(x_i)): alpha at 0 requires
-    m_i >= 1, interior alpha requires m_i == 1, alpha at the box requires
-    m_i <= 1; the violation is how far the relevant inequality fails.
-    """
-    n = len(vectors)
-    worst = 0.0
-    for i in range(n):
-        f = bias
-        for j in range(n):
-            if alpha[j] == 0.0:
-                continue
-            if kernel == KERNEL_LINEAR:
-                k = vectors[j].dot(vectors[i])
-            else:
-                k = math.exp(-gamma * vectors[j].squared_distance(vectors[i]))
-            f += alpha[j] * labels_pm[j] * k
-        margin = labels_pm[i] * f
-        if alpha[i] <= boundary_eps:
-            worst = max(worst, 1.0 - margin)
-        elif alpha[i] >= box[i] - boundary_eps:
-            worst = max(worst, margin - 1.0)
-        else:
-            worst = max(worst, abs(margin - 1.0))
-    return worst
+    pool = model.support_vectors
+    pool_columns = pool.transpose()
+    pool_sq = pool.squared_norms()
+    supports = [np.asarray(pair.support, dtype=np.intp) for pair in model.pairs]
+    coefs = [np.asarray(pair.alpha) * np.asarray(pair.y, dtype=float) for pair in model.pairs]
+    values = np.empty((len(model.pairs), x.n_rows))
+    for start in range(0, x.n_rows, PREDICT_BLOCK_ROWS):
+        stop = min(start + PREDICT_BLOCK_ROWS, x.n_rows)
+        block = x.rows(start, stop)
+        k = _kernel_block(
+            block.matmul(pool_columns), block.squared_norms(), pool_sq,
+            model.params.kernel, model.gamma,
+        )
+        for p, pair in enumerate(model.pairs):
+            values[p, start:stop] = k[:, supports[p]] @ coefs[p] + pair.bias
+    votes = np.zeros((x.n_rows, len(model.labels)))
+    margins = np.zeros((x.n_rows, len(model.labels)))
+    for pair, value in zip(model.pairs, values):
+        pos_wins = value > 0.0
+        for label, wins in ((pair.positive_label, pos_wins), (pair.negative_label, ~pos_wins)):
+            c = model.labels.index(label)
+            votes[:, c] += wins
+            margins[:, c] += np.where(wins, np.abs(value), 0.0)
+    # most votes, then largest winning margin, then first in class order
+    top = votes == votes.max(axis=1, keepdims=True)
+    best = np.argmax(np.where(top, margins, -np.inf), axis=1)
+    decisions = {(p.positive_label, p.negative_label): v for p, v in zip(model.pairs, values)}
+    return [model.labels[c] for c in best], decisions

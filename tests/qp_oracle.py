@@ -27,6 +27,30 @@ def dual_value(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
     return float(alpha.sum() - 0.5 * q)
 
 
+def kkt_violation(
+    alpha: np.ndarray,
+    y: np.ndarray,
+    box: np.ndarray,
+    bias: float,
+    K: np.ndarray,
+    boundary_eps: float = 1e-8,
+) -> float:
+    """Largest KKT violation of a candidate dual solution.
+
+    For each i with margin m_i = y_i f(x_i): alpha at 0 requires
+    m_i >= 1, interior alpha requires m_i == 1, alpha at the box requires
+    m_i <= 1; the violation is how far the relevant inequality fails.
+    """
+    alpha, y, box = (np.asarray(v, dtype=float) for v in (alpha, y, box))
+    margin = y * (K @ (alpha * y) + bias)
+    at_zero = alpha <= boundary_eps
+    at_box = ~at_zero & (alpha >= box - boundary_eps)
+    violation = np.where(
+        at_zero, 1.0 - margin, np.where(at_box, margin - 1.0, np.abs(margin - 1.0))
+    )
+    return float(max(0.0, violation.max()))
+
+
 def solve_reference(K: np.ndarray, y: np.ndarray, box: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize sum(a) - 1/2 (ay)'K(ay) over 0 <= a <= box, y'a = 0."""
     n = len(y)

@@ -17,7 +17,7 @@ from rareclass.cli import main
 from rareclass.corpus import Label, cohens_kappa, load_corpus, stratified_split
 from rareclass.demo import packaged_data_path
 from rareclass.evaluation import evaluate_predictions, overall_f1, paired_t_test
-from rareclass.features import SparseVector, Vocabulary, fit_scaler
+from rareclass.features import CsrMatrix, SparseVector, Vocabulary, fit_scaler
 from rareclass.model_store import load_model, save_model
 from rareclass.sampling import levenshtein_ratio, oversample_replacement, smote
 from rareclass.stats import student_t_two_sided_p
@@ -25,14 +25,19 @@ from rareclass.svm import (
     KERNEL_LINEAR,
     KERNEL_RBF,
     SvmParams,
-    kkt_violation,
     predict_svm,
     solve_binary,
     train_svm,
 )
 
 from conftest import counted_corpus
-from qp_oracle import dual_value, kernel_matrix, random_dataset, solve_reference
+from qp_oracle import (
+    dual_value,
+    kernel_matrix,
+    kkt_violation,
+    random_dataset,
+    solve_reference,
+)
 from test_normalize import (
     CLASSIC_GOLDEN,
     EMBEDDING_GOLDEN,
@@ -110,14 +115,15 @@ def test_c04_smo_vs_reference_qp():
         vectors = [SparseVector.from_pairs(enumerate(p), points.shape[1]) for p in points]
         labels_pm = [int(v) for v in y]
         alpha, bias, _, converged = solve_binary(
-            vectors, labels_pm, box, kernel=kernel, gamma=gamma, tolerance=1e-8
+            CsrMatrix.from_rows(vectors), labels_pm, box, kernel=kernel, gamma=gamma,
+            tolerance=1e-8,
         )
         assert converged
         smo_value = dual_value(
             np.asarray(alpha), y, kernel_matrix(points, kernel, gamma)
         )
         assert abs(smo_value - reference_value) <= 1e-4
-        assert kkt_violation(vectors, labels_pm, alpha, box, bias, kernel, gamma) <= 1e-3
+        assert kkt_violation(alpha, y, box, bias, kernel_matrix(points, kernel, gamma)) <= 1e-3
         assert abs(sum(a * v for a, v in zip(alpha, labels_pm))) <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"reference sweep took {elapsed:.1f}s"
@@ -292,15 +298,15 @@ def test_c11_model_serialization_round_trip(tmp_path):
         (Label.DEFECT, Label.POSSIBLE_DEFECT, Label.NON_DEFECT)[i % 3]
         for i in range(60)
     ]
-    model = train_svm(vectors, labels, SvmParams(c=10.0, gamma=0.4))
+    model = train_svm(CsrMatrix.from_rows(vectors), labels, SvmParams(c=10.0, gamma=0.4))
     vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)), ("ngram",) * dim, 1)
     path = tmp_path / "model.json"
-    save_model(path, model, vocab, fit_scaler(vectors), extras={})
+    save_model(path, model, vocab, fit_scaler(CsrMatrix.from_rows(vectors)), extras={})
     stored = load_model(path)
     for _ in range(1000):
-        probe = random_vector()
-        live_label, live_decisions = predict_svm(model, probe)
-        disk_label, disk_decisions = predict_svm(stored.classifier, probe)
+        probe = CsrMatrix.from_rows([random_vector()])
+        [live_label], live_decisions = predict_svm(model, probe)
+        [disk_label], disk_decisions = predict_svm(stored.classifier, probe)
         assert live_label is disk_label
         assert live_decisions == disk_decisions
     report("C11", "model-serialization-round-trip")

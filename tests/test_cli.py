@@ -310,13 +310,13 @@ class TestExitCodes:
         )
         assert rc == 2
 
-    def test_unknown_model_version_is_data_error(self, workspace, tmp_path):
+    def _evaluate_mutated(self, workspace, tmp_path, mutate):
         root, cfg, _ = workspace
         doc = json.loads((root / "model.json").read_text())
-        doc["version"] = 42
-        bad = tmp_path / "future.json"
+        mutate(doc)
+        bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        rc = main(
+        return main(
             [
                 "evaluate",
                 "--config", str(cfg),
@@ -324,7 +324,24 @@ class TestExitCodes:
                 "--model", str(bad),
             ]
         )
+
+    def test_unknown_model_version_is_data_error(self, workspace, tmp_path):
+        for version in (42, 1):
+            rc = self._evaluate_mutated(workspace, tmp_path, lambda d: d.update(version=version))
+            assert rc == 2
+
+    def test_model_without_vocabulary_is_data_error(self, workspace, tmp_path, capsys):
+        rc = self._evaluate_mutated(workspace, tmp_path, lambda d: d.pop("vocabulary"))
         assert rc == 2
+        assert "missing key 'vocabulary'" in capsys.readouterr().err
+
+    def test_pool_index_out_of_range_is_data_error(self, workspace, tmp_path, capsys):
+        def mutate(doc):
+            pool_size = len(doc["svm"]["support_vectors"]["indptr"]) - 1
+            doc["svm"]["pairs"][0]["support"][0] = pool_size
+        rc = self._evaluate_mutated(workspace, tmp_path, mutate)
+        assert rc == 2
+        assert "out of range" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

@@ -70,10 +70,6 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="columns at line 2"):
             load_corpus(path)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            load_corpus(tmp_path / "x.csv", format="csv")
-
     def test_span_must_be_on_character_boundary(self, tmp_path):
         # "héllo": é occupies bytes 1-2, so a span starting at byte 2 splits it
         path = write_tsv(tmp_path, ["t1\tu1\tdefect\théllo\t2\t4"])

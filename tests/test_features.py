@@ -1,8 +1,10 @@
 """Feature engineering: n-grams, clusters, vocabulary, scaling, info gain."""
 
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from rareclass.corpus import Label
 from rareclass.errors import DataError
 from rareclass.features import (
     ClusterMap,
+    CsrMatrix,
     SparseVector,
     apply_scaler,
     build_vocabulary,
@@ -60,6 +63,72 @@ class TestSparseVector:
         b = SparseVector.from_pairs([(1, 4.0)], 2)
         assert interpolate(a, b, 0.0).to_dict() == a.to_dict()
         assert interpolate(a, b, 1.0).to_dict() == b.to_dict()
+
+
+def random_rows(rnd, n, dim):
+    return [
+        SparseVector.from_pairs(
+            [(j, rnd.choice((1.0, rnd.uniform(-2, 2)))) for j in range(dim) if rnd.random() < 0.4],
+            dim,
+        )
+        for _ in range(n)
+    ]
+
+
+class TestCsrMatrix:
+    def test_products_equal_the_row_loops(self):
+        # same terms summed in the same column order: equal, not just close
+        rnd = random.Random(3)
+        left, right = random_rows(rnd, 7, 6), random_rows(rnd, 5, 6)
+        x, y = CsrMatrix.from_rows(left), CsrMatrix.from_rows(right)
+        assert x.matmul(y.transpose()).tolist() == [[a.dot(b) for b in right] for a in left]
+        assert x.squared_norms().tolist() == [a.squared_norm() for a in left]
+        dense = [[rnd.uniform(-1, 1) for _ in range(2)] for _ in range(6)]
+        assert x.dot(np.array(dense)).tolist() == [
+            [sum(v * dense[i][k] for i, v in zip(a.indices, a.values)) for k in range(2)]
+            for a in left
+        ]
+
+    def test_row_selection_and_transpose(self):
+        rows = random_rows(random.Random(4), 6, 5)
+        x = CsrMatrix.from_rows(rows)
+        assert x.take(np.array([4, 0, 4])) == CsrMatrix.from_rows([rows[4], rows[0], rows[4]])
+        assert x.rows(2, 5) == CsrMatrix.from_rows(rows[2:5])
+        assert x.transpose().transpose() == x
+        assert CsrMatrix.from_rows([], 5).transpose().transpose() == CsrMatrix.from_rows([], 5)
+
+    def test_batch_scaling_equals_one_row_at_a_time(self):
+        rows = random_rows(random.Random(5), 8, 4)
+        scaler = fit_scaler(CsrMatrix.from_rows(rows[:5]))
+        batch = apply_scaler(scaler, CsrMatrix.from_rows(rows))
+        singles = [apply_scaler(scaler, CsrMatrix.from_rows([row])) for row in rows]
+        assert batch.indptr.tolist() == [0] + np.cumsum([len(s.data) for s in singles]).tolist()
+        assert batch.indices.tolist() == [i for s in singles for i in s.indices.tolist()]
+        assert batch.data.tolist() == [v for s in singles for v in s.data.tolist()]
+
+    @pytest.mark.parametrize(
+        "indptr, indices, data",
+        [
+            ([1, 2], [0, 1], [1.0, 1.0]),  # does not start at 0
+            ([0, 2, 1], [0, 1], [1.0, 1.0]),  # decreasing
+            ([0, 3], [0, 1], [1.0, 1.0]),  # past the entries
+            ([0, 2], [1, 1], [1.0, 1.0]),  # repeated column
+            ([0, 2], [2, 1], [1.0, 1.0]),  # unsorted
+            ([0, 1], [3], [1.0]),  # column out of range
+            ([0, 1], [-1], [1.0]),  # negative column
+            ([0, 1], [0], [float("nan")]),
+        ],
+    )
+    def test_from_arrays_rejects_malformed(self, indptr, indices, data):
+        with pytest.raises(ValueError):
+            CsrMatrix.from_arrays(indptr, indices, data, 3)
+
+    def test_from_arrays_accepts_empty_rows(self):
+        x = CsrMatrix.from_arrays([0, 0, 2, 2], [0, 2], [1.0, -1.0], 3)
+        assert x == CsrMatrix.from_rows(
+            [SparseVector.from_pairs([], 3), SparseVector.from_pairs([(0, 1.0), (2, -1.0)], 3),
+             SparseVector.from_pairs([], 3)]
+        )
 
 
 class TestNgrams:
@@ -197,34 +266,40 @@ class TestVectorize:
         assert vectorize(doc, None, vocab) == vectorize(doc, None, vocab)
 
 
+def scale_one(scaler, vec):
+    """`vec` scaled, as a column-to-value dict."""
+    scaled = apply_scaler(scaler, CsrMatrix.from_rows([vec]))
+    return dict(zip(scaled.indices.tolist(), scaled.data.tolist()))
+
+
 class TestScaler:
     def test_endpoint_mapping(self):
         vecs = [SparseVector.from_pairs([(0, 2.0)], 1), SparseVector.from_pairs([(0, 4.0)], 1)]
-        scaler = fit_scaler(vecs)
-        assert apply_scaler(scaler, vecs[0]).to_dict() == {}  # scaled 0 is dropped
-        assert apply_scaler(scaler, vecs[1]).to_dict() == {0: 1.0}
+        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
+        assert scale_one(scaler, vecs[0]) == {}  # scaled 0 is dropped
+        assert scale_one(scaler, vecs[1]) == {0: 1.0}
 
     def test_midpoint_and_no_clamping(self):
         vecs = [SparseVector.from_pairs([(0, 2.0)], 1), SparseVector.from_pairs([(0, 4.0)], 1)]
-        scaler = fit_scaler(vecs)
-        mid = apply_scaler(scaler, SparseVector.from_pairs([(0, 3.0)], 1))
-        assert mid.to_dict() == {0: 0.5}
-        outside = apply_scaler(scaler, SparseVector.from_pairs([(0, 6.0)], 1))
-        assert outside.to_dict() == {0: 2.0}
+        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
+        mid = scale_one(scaler, SparseVector.from_pairs([(0, 3.0)], 1))
+        assert mid == {0: 0.5}
+        outside = scale_one(scaler, SparseVector.from_pairs([(0, 6.0)], 1))
+        assert outside == {0: 2.0}
 
     def test_constant_column_maps_to_zero(self):
         vecs = [SparseVector.from_pairs([(0, 5.0)], 1)] * 3
-        scaler = fit_scaler(vecs)
-        assert apply_scaler(scaler, SparseVector.from_pairs([(0, 9.0)], 1)).to_dict() == {}
+        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
+        assert scale_one(scaler, SparseVector.from_pairs([(0, 9.0)], 1)) == {}
 
     def test_implicit_zero_extends_range(self):
         vecs = [
             SparseVector.from_pairs([(0, 4.0)], 1),
             SparseVector.from_pairs([], 1),
         ]
-        scaler = fit_scaler(vecs)
+        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
         assert scaler.mins == (0.0,) and scaler.maxs == (4.0,)
-        assert apply_scaler(scaler, vecs[0]).to_dict() == {0: 1.0}
+        assert scale_one(scaler, vecs[0]) == {0: 1.0}
 
     def test_binary_and_structural_ranges(self):
         # binary columns stay in {0, 1}; structural training values land in [0, 1]
@@ -232,9 +307,9 @@ class TestScaler:
             SparseVector.from_pairs([(0, 1.0), (1, 10.0)], 2),
             SparseVector.from_pairs([(1, 30.0)], 2),
         ]
-        scaler = fit_scaler(vecs)
+        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
         for vec in vecs:
-            scaled = apply_scaler(scaler, vec).to_dict()
+            scaled = scale_one(scaler, vec)
             assert scaled.get(0, 0.0) in (0.0, 1.0)
             assert 0.0 <= scaled.get(1, 0.0) <= 1.0
 
@@ -252,14 +327,14 @@ class TestInformationGain:
             SparseVector.from_pairs([], 1),
         ]
         labels = [Label.DEFECT, Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        ranked = information_gain(vectors, labels, vocab)
+        ranked = information_gain(CsrMatrix.from_rows(vectors), labels, vocab)
         assert ranked == [("f", pytest.approx(1.0))]
 
     def test_constant_feature_is_zero(self):
         vocab = self._vocab(["f"])
         vectors = [SparseVector.from_pairs([(0, 1.0)], 1)] * 4
         labels = [Label.DEFECT, Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        assert information_gain(vectors, labels, vocab)[0][1] == 0.0
+        assert information_gain(CsrMatrix.from_rows(vectors), labels, vocab)[0][1] == 0.0
 
     def test_pure_split_on_four_docs(self):
         vocab = self._vocab(["f", "g"])
@@ -271,7 +346,7 @@ class TestInformationGain:
             SparseVector.from_pairs([(gi, 1.0)], 2),
         ]
         labels = [Label.DEFECT, Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        ranked = dict(information_gain(vectors, labels, vocab))
+        ranked = dict(information_gain(CsrMatrix.from_rows(vectors), labels, vocab))
         assert ranked["f"] == pytest.approx(1.0)
         # g is present in one doc of each class: knowing it gains nothing
         assert ranked["g"] == pytest.approx(0.0, abs=1e-12)
@@ -280,7 +355,7 @@ class TestInformationGain:
         vocab = self._vocab(["b", "a"])
         vectors = [SparseVector.from_pairs([], 2)] * 3
         labels = [Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        ranked = information_gain(vectors, labels, vocab)
+        ranked = information_gain(CsrMatrix.from_rows(vectors), labels, vocab)
         assert [name for name, _ in ranked] == ["a", "b"]
 
     def test_bounded_by_label_entropy_and_relabel_invariant(self):
@@ -293,7 +368,7 @@ class TestInformationGain:
         labels = [Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
         swapped = [Label.NON_DEFECT, Label.DEFECT, Label.DEFECT]
         h_y = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
-        ig = information_gain(vectors, labels, vocab)[0][1]
-        ig_swapped = information_gain(vectors, swapped, vocab)[0][1]
+        ig = information_gain(CsrMatrix.from_rows(vectors), labels, vocab)[0][1]
+        ig_swapped = information_gain(CsrMatrix.from_rows(vectors), swapped, vocab)[0][1]
         assert 0.0 <= ig <= h_y + 1e-12
         assert ig == pytest.approx(ig_swapped)

@@ -7,7 +7,7 @@ import pytest
 
 from rareclass.corpus import Label
 from rareclass.errors import DataError
-from rareclass.features import SparseVector, Vocabulary, fit_scaler
+from rareclass.features import CsrMatrix, SparseVector, Vocabulary, fit_scaler
 from rareclass.model_store import load_model, save_model
 from rareclass.naive_bayes import predict_nb, train_nb
 from rareclass.svm import SvmParams, predict_svm, train_svm
@@ -35,9 +35,9 @@ def trained_svm():
         for i in range(40)
     ]
     params = SvmParams(c=10.0, gamma=0.5)
-    model = train_svm(vectors, labels, params)
+    model = train_svm(CsrMatrix.from_rows(vectors), labels, params)
     vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)), ("ngram",) * dim, 1)
-    scaler = fit_scaler(vectors)
+    scaler = fit_scaler(CsrMatrix.from_rows(vectors))
     return model, vocab, scaler
 
 
@@ -52,10 +52,26 @@ class TestSvmRoundTrip:
         assert stored.scaler == scaler
         rng = np.random.default_rng(7)
         for probe in random_vectors(rng, 200, model.dim):
-            before = predict_svm(model, probe)
-            after = predict_svm(stored.classifier, probe)
-            assert before[0] is after[0]
+            before = predict_svm(model, CsrMatrix.from_rows([probe]))
+            after = predict_svm(stored.classifier, CsrMatrix.from_rows([probe]))
+            assert before[0][0] is after[0][0]
             assert before[1] == after[1]
+
+    def test_each_support_vector_stored_once(self, trained_svm, tmp_path):
+        model, vocab, scaler = trained_svm
+        path = tmp_path / "model.json"
+        save_model(path, model, vocab, scaler)
+        svm = json.loads(path.read_text())["svm"]
+        pool = svm["support_vectors"]
+        rows = {
+            (tuple(pool["indices"][a:b]), tuple(pool["values"][a:b]))
+            for a, b in zip(pool["indptr"], pool["indptr"][1:])
+        }
+        assert len(rows) == len(pool["indptr"]) - 1
+        used = {i for pair in svm["pairs"] for i in pair["support"]}
+        assert used == set(range(len(rows)))
+        assert all(len(pair["support"]) == len(pair["alpha"]) for pair in svm["pairs"])
+        assert sum(len(pair["support"]) for pair in svm["pairs"]) > len(rows)
 
     def test_saved_bytes_deterministic(self, trained_svm, tmp_path):
         model, vocab, scaler = trained_svm
@@ -73,13 +89,14 @@ class TestNbRoundTrip:
             for _ in range(12)
         ]
         labels = [(Label.DEFECT, Label.NON_DEFECT)[i % 2] for i in range(12)]
-        model = train_nb(vectors, labels)
+        model = train_nb(CsrMatrix.from_rows(vectors), labels)
         vocab = Vocabulary(tuple(f"f{i}" for i in range(4)), ("ngram",) * 4, 1)
         path = tmp_path / "nb.json"
         save_model(path, model, vocab)
         stored = load_model(path)
         assert stored.kind == "nb" and stored.scaler is None
         for probe in vectors:
+            probe = CsrMatrix.from_rows([probe])
             assert predict_nb(model, probe) == predict_nb(stored.classifier, probe)
 
 
@@ -93,16 +110,17 @@ class TestFormatGating:
         ]
         labels = [(Label.DEFECT, Label.NON_DEFECT)[i % 2] for i in range(8)]
         vocab = Vocabulary(("a", "b", "c"), ("ngram",) * 3, 1)
-        save_model(model_path, train_nb(vectors, labels), vocab)
+        save_model(model_path, train_nb(CsrMatrix.from_rows(vectors), labels), vocab)
         doc = json.loads(model_path.read_text())
         mutate(doc)
         model_path.write_text(json.dumps(doc))
         return model_path
 
     def test_unknown_version_rejected(self, tmp_path):
-        path = self._minimal(tmp_path, lambda d: d.update(version=99))
-        with pytest.raises(DataError, match="version"):
-            load_model(path)
+        for version in (99, 1):
+            path = self._minimal(tmp_path, lambda d: d.update(version=version))
+            with pytest.raises(DataError, match="version"):
+                load_model(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = self._minimal(tmp_path, lambda d: d.update(format="other.model"))

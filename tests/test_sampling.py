@@ -10,7 +10,6 @@ from rareclass.corpus import Label, Tweet
 from rareclass.features import SparseVector
 from rareclass.sampling import (
     SimilarityThreshold,
-    choose_threshold_for_size,
     levenshtein_distance,
     levenshtein_ratio,
     levenshtein_ratio_bound,
@@ -361,13 +360,3 @@ class TestSmote:
         assert report.input_counts[Label.DEFECT] == 4
         assert report.output_counts[Label.DEFECT] == len(augmented[Label.DEFECT])
 
-
-class TestThresholdSweep:
-    def test_hits_reachable_target(self):
-        texts = [f"news item number {i}" for i in range(10)]
-        texts += [f"news item number {i}!" for i in range(10)]  # near-duplicates
-        corpus = majority_corpus(texts, ["minority one", "minority two"])
-        k, sampled, report = choose_threshold_for_size(corpus, 12)
-        assert 0.0 < k <= 1.0
-        assert abs(len(sampled) - 12) <= len(corpus) - 12
-        assert report.method == "similar_majority_undersample"

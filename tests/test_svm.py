@@ -6,29 +6,37 @@ import numpy as np
 import pytest
 
 from rareclass.corpus import Label
-from rareclass.features import SparseVector
+from rareclass.features import CsrMatrix, SparseVector
 from rareclass.svm import (
     KERNEL_LINEAR,
     KERNEL_RBF,
     PairModel,
     SvmModel,
     SvmParams,
-    dual_objective,
     inverse_frequency_weights,
-    kkt_violation,
     predict_svm,
     rbf_kernel,
     solve_binary,
     train_svm,
 )
 
-from qp_oracle import dual_value, kernel_matrix, random_dataset, solve_reference
+from qp_oracle import (
+    dual_value,
+    kernel_matrix,
+    kkt_violation,
+    random_dataset,
+    solve_reference,
+)
 
 
 def vec(values, dim=None):
     values = list(values)
     dim = dim or len(values)
     return SparseVector.from_pairs(enumerate(values), dim)
+
+
+def one(v):
+    return CsrMatrix.from_rows([v])
 
 
 class TestRbfKernel:
@@ -57,7 +65,8 @@ class TestBinarySolver:
         # bias 0, decision crosses zero at the midpoint
         vectors = [vec([-1.0]), vec([1.0])]
         alpha, bias, _, converged = solve_binary(
-            vectors, [1, -1], [100.0, 100.0], kernel=KERNEL_LINEAR, tolerance=1e-9
+            CsrMatrix.from_rows(vectors), [1, -1], [100.0, 100.0], kernel=KERNEL_LINEAR,
+            tolerance=1e-9,
         )
         assert converged
         assert alpha == pytest.approx([0.5, 0.5], abs=1e-9)
@@ -66,19 +75,19 @@ class TestBinarySolver:
     def test_two_point_decision_signs(self):
         vectors = [vec([-1.0]), vec([1.0])]
         model = train_svm(
-            vectors,
+            CsrMatrix.from_rows(vectors),
             [Label.DEFECT, Label.POSSIBLE_DEFECT],
             SvmParams(c=100.0, kernel=KERNEL_LINEAR, class_weights={
                 Label.DEFECT: 1.0, Label.POSSIBLE_DEFECT: 1.0,
             }),
         )
-        label_neg, decisions_neg = predict_svm(model, vec([-1.0]))
-        label_pos, decisions_pos = predict_svm(model, vec([1.0]))
+        [label_neg], decisions_neg = predict_svm(model, one(vec([-1.0])))
+        [label_pos], decisions_pos = predict_svm(model, one(vec([1.0])))
         (value_neg,) = decisions_neg.values()
         (value_pos,) = decisions_pos.values()
         assert label_neg is Label.DEFECT and label_pos is Label.POSSIBLE_DEFECT
         assert value_neg > 0 > value_pos
-        _, decisions_mid = predict_svm(model, vec([0.0]))
+        _, decisions_mid = predict_svm(model, one(vec([0.0])))
         assert abs(next(iter(decisions_mid.values()))) < 1e-9
 
     def test_xor_separated_by_rbf(self):
@@ -88,17 +97,17 @@ class TestBinarySolver:
             c=100.0, kernel=KERNEL_RBF, gamma=1.0,
             class_weights={Label.DEFECT: 1.0, Label.POSSIBLE_DEFECT: 1.0},
         )
-        model = train_svm(vectors, labels, params)
+        model = train_svm(CsrMatrix.from_rows(vectors), labels, params)
         for v, expected in zip(vectors, labels):
-            assert predict_svm(model, v)[0] is expected
+            assert predict_svm(model, one(v))[0][0] is expected
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(11)
         vectors = [vec(rng.uniform(-1, 1, size=3), 3) for _ in range(20)]
         labels = [Label.DEFECT if i % 3 == 0 else Label.NON_DEFECT for i in range(20)]
         params = SvmParams(c=10.0, gamma=0.8)
-        first = train_svm(vectors, labels, params)
-        second = train_svm(vectors, labels, params)
+        first = train_svm(CsrMatrix.from_rows(vectors), labels, params)
+        second = train_svm(CsrMatrix.from_rows(vectors), labels, params)
         assert first == second
 
     def test_equality_constraint_and_box(self):
@@ -109,7 +118,8 @@ class TestBinarySolver:
             vectors = [vec(p, points.shape[1]) for p in points]
             box = [c] * len(y)
             alpha, _, _, _ = solve_binary(
-                vectors, [int(v) for v in y], box, kernel=KERNEL_LINEAR, tolerance=1e-6
+                CsrMatrix.from_rows(vectors), [int(v) for v in y], box, kernel=KERNEL_LINEAR,
+                tolerance=1e-6,
             )
             assert abs(sum(a * v for a, v in zip(alpha, y))) < 1e-6
             assert all(-1e-12 <= a <= c + 1e-12 for a in alpha)
@@ -126,15 +136,13 @@ class TestBinarySolver:
             ref_value, _ = solve_reference(K, y, box)
             vectors = [vec(p, points.shape[1]) for p in points]
             alpha, bias, _, converged = solve_binary(
-                vectors, [int(v) for v in y], box, kernel=kernel, gamma=gamma,
-                tolerance=1e-8,
+                CsrMatrix.from_rows(vectors), [int(v) for v in y], box, kernel=kernel,
+                gamma=gamma, tolerance=1e-8,
             )
             assert converged
             smo_value = dual_value(np.asarray(alpha), y, K)
             assert smo_value == pytest.approx(ref_value, abs=1e-4)
-            violation = kkt_violation(
-                vectors, [int(v) for v in y], alpha, box, bias, kernel, gamma
-            )
+            violation = kkt_violation(alpha, y, box, bias, K)
             assert violation <= 1e-3
 
     def test_default_tolerance_bounds_kkt_violations(self):
@@ -143,12 +151,12 @@ class TestBinarySolver:
         vectors = [vec(p, points.shape[1]) for p in points]
         box = [100.0] * len(y)
         alpha, bias, _, converged = solve_binary(
-            vectors, [int(v) for v in y], box, kernel=KERNEL_RBF, gamma=0.7,
-            tolerance=1e-3,
+            CsrMatrix.from_rows(vectors), [int(v) for v in y], box, kernel=KERNEL_RBF,
+            gamma=0.7, tolerance=1e-3,
         )
         assert converged
         assert kkt_violation(
-            vectors, [int(v) for v in y], alpha, box, bias, KERNEL_RBF, 0.7
+            alpha, y, box, bias, kernel_matrix(points, KERNEL_RBF, 0.7)
         ) <= 1e-3
 
     def test_iteration_cap_reported(self, caplog):
@@ -157,7 +165,8 @@ class TestBinarySolver:
         vectors = [vec(p, points.shape[1]) for p in points]
         with caplog.at_level("WARNING"):
             _, _, iterations, converged = solve_binary(
-                vectors, [int(v) for v in y], [100.0] * len(y), max_iterations=2
+                CsrMatrix.from_rows(vectors), [int(v) for v in y], [100.0] * len(y),
+                max_iterations=2,
             )
         assert iterations == 2 and not converged
         assert any("iteration cap" in rec.message for rec in caplog.records)
@@ -185,9 +194,9 @@ class TestClassWeights:
                 gamma=2.0,
                 class_weights={Label.DEFECT: w, Label.NON_DEFECT: 1.0},
             )
-            model = train_svm(vectors, labels, params)
+            model = train_svm(CsrMatrix.from_rows(vectors), labels, params)
             hits = sum(
-                predict_svm(model, v)[0] is Label.DEFECT
+                predict_svm(model, one(v))[0][0] is Label.DEFECT
                 for v in vectors[: len(minority)]
             )
             recalls.append(hits / len(minority))
@@ -200,7 +209,7 @@ class TestClassWeights:
             c=2.0, kernel=KERNEL_LINEAR,
             class_weights={Label.DEFECT: 1.0, Label.NON_DEFECT: 3.0},
         )
-        model = train_svm(vectors, labels, params)
+        model = train_svm(CsrMatrix.from_rows(vectors), labels, params)
         pair = model.pairs[0]
         for a, y in zip(pair.alpha, pair.y):
             limit = 2.0 * (1.0 if y > 0 else 3.0)
@@ -230,11 +239,12 @@ class TestMulticlassPrediction:
             gamma=1.0,
             class_weights={l: 1.0 for l in Label},
             dim=1,
+            support_vectors=CsrMatrix.from_rows([], 1),
         )
 
     def test_unanimous_votes(self):
         model = self._three_class_model((1.0, 1.0, 1.0))
-        label, decisions = predict_svm(model, vec([0.0]))
+        [label], decisions = predict_svm(model, one(vec([0.0])))
         assert label is Label.DEFECT
         assert len(decisions) == 3
 
@@ -242,24 +252,24 @@ class TestMulticlassPrediction:
         # DEFECT beats POSSIBLE (+1), NON beats DEFECT (-2), POSSIBLE beats
         # NON (+1.5): one vote each; NON's winning margin 2 is largest
         model = self._three_class_model((1.0, -2.0, 1.5))
-        label, _ = predict_svm(model, vec([0.0]))
+        [label], _ = predict_svm(model, one(vec([0.0])))
         assert label is Label.NON_DEFECT
 
     def test_cycle_margin_tie_breaks_by_class_order(self):
         model = self._three_class_model((1.0, -1.0, 1.0))
-        label, _ = predict_svm(model, vec([0.0]))
+        [label], _ = predict_svm(model, one(vec([0.0])))
         assert label is Label.DEFECT
 
     def test_dimension_mismatch(self):
         model = self._three_class_model((1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
-            predict_svm(model, vec([0.0, 0.0], 2))
+            predict_svm(model, one(vec([0.0, 0.0], 2)))
 
 
 class TestTrainValidation:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            train_svm([vec([1.0])], [Label.DEFECT])
+            train_svm(one(vec([1.0])), [Label.DEFECT])
 
     def test_non_finite_vector_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -274,13 +284,3 @@ class TestTrainValidation:
             SvmParams(gamma=-1.0)
         with pytest.raises(ValueError):
             SvmParams(class_weights={Label.DEFECT: 0.0})
-
-    def test_objective_helper_matches_oracle_formula(self):
-        rng = np.random.default_rng(31)
-        points, y = random_dataset(rng)
-        vectors = [vec(p, points.shape[1]) for p in points]
-        alpha = rng.uniform(0, 1, size=len(y))
-        K = kernel_matrix(points, "rbf", 0.7)
-        assert dual_objective(
-            vectors, [int(v) for v in y], alpha, KERNEL_RBF, 0.7
-        ) == pytest.approx(dual_value(alpha, y, K))

@@ -47,6 +47,7 @@ from .model_store import load_model, save_model
 from .normalize import classic_normalize, embedding_normalize, load_name_lexicon
 from .pipeline import (
     FeatureSettings,
+    apply_text_sampler,
     evaluate_corpus,
     featurize_corpus,
     load_features,
@@ -55,12 +56,8 @@ from .pipeline import (
     save_normalized,
     train_from_corpus,
 )
-from .sampling import (
-    oversample_replacement,
-    undersample_near_fn,
-    undersample_random,
-    undersample_similar_majority,
-)
+# not called here: perfbench/tracer.py wraps this name in this module
+from .sampling import undersample_similar_majority  # noqa: F401
 
 logger = logging.getLogger("rareclass")
 
@@ -275,28 +272,20 @@ def _cmd_featurize(args) -> int:
     return EXIT_OK
 
 
+def _fn_tweets(cfg: PipelineConfig):
+    """The near_fn sampler's false negatives; None for any other sampler."""
+    if cfg.sampler_method != "near_fn":
+        return None
+    fn_path = cfg.path("sampler.fn_corpus", required=True)
+    _log_input("false negatives", fn_path)
+    return load_corpus(fn_path).tweets()
+
+
 def _cmd_sample(args) -> int:
     cfg = _config(args)
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
-    method = args.method or cfg.sampler_method
-    if method == "similar":
-        sampled, report = undersample_similar_majority(corpus, cfg.sampler_k)
-    elif method == "near_fn":
-        fn_path = cfg.path("sampler.fn_corpus", required=True)
-        _log_input("false negatives", fn_path)
-        fn_corpus = load_corpus(fn_path)
-        sampled, report = undersample_near_fn(
-            corpus, fn_corpus.tweets(), cfg.sampler_k
-        )
-    elif method == "random":
-        if cfg.sampler_target_total <= 0:
-            raise ConfigError("sampler.target_total must be positive for random sampling")
-        sampled, report = undersample_random(
-            corpus, cfg.sampler_target_total, cfg.sampler_seed
-        )
-    elif method == "replacement":
-        sampled, report = oversample_replacement(corpus, cfg.sampler_seed)
-    else:
+    sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(cfg))
+    if report is None:
         raise ConfigError(
             "sample requires a text-level method: similar, near_fn, random, or "
             "replacement (smote operates on vectors inside `train`)"
@@ -314,12 +303,7 @@ def _cmd_train(args) -> int:
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus = _load_corpus_logged(corpus_path)
     names, clusters = _names_and_clusters(cfg, need_clusters=cfg.use_clusters)
-    fn_tweets = None
-    if cfg.sampler_method == "near_fn":
-        fn_path = cfg.path("sampler.fn_corpus", required=True)
-        _log_input("false negatives", fn_path)
-        fn_tweets = load_corpus(fn_path).tweets()
-    result = train_from_corpus(corpus, cfg, names, clusters, fn_tweets)
+    result = train_from_corpus(corpus, cfg, names, clusters, _fn_tweets(cfg))
     model_path = Path(cfg.get("paths.model"))
     extras = dict(result.extras)
     # digest only: embedding the path would break byte-reproducibility of
@@ -460,7 +444,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_featurize)
 
     p = sub.add_parser("sample", parents=[common], help="rebalance a corpus at the text level")
-    p.add_argument("--method", choices=("similar", "near_fn", "random", "replacement"),
+    p.add_argument("--method", dest="sampler",
+                   choices=("similar", "near_fn", "random", "replacement"),
                    help="override sampler.method")
     p.add_argument("--out", default="sampled.tsv")
     p.add_argument("--report", help="sampling report path (default: <out>.report.txt)")

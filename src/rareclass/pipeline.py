@@ -152,9 +152,14 @@ class TrainResult:
     extras: dict
 
 
-def _apply_text_sampler(
+def apply_text_sampler(
     corpus: Corpus, cfg: PipelineConfig, fn_tweets: Sequence[Tweet] | None
 ) -> tuple[Corpus, SamplingReport | None]:
+    """Run the text-level sampler `sampler.method` names.
+
+    ``none`` and ``smote`` (which works on vectors) return the corpus
+    unchanged and no report.
+    """
     method = cfg.sampler_method
     if method in ("none", "smote"):
         return corpus, None
@@ -184,7 +189,7 @@ def train_from_corpus(
     """Run sampling, featurization, scaling, and classifier training."""
     norm_config = cfg.normalization()
     settings = FeatureSettings.from_config(cfg)
-    sampled, report = _apply_text_sampler(corpus, cfg, fn_tweets)
+    sampled, report = apply_text_sampler(corpus, cfg, fn_tweets)
     vectors, vocab = featurize_corpus(sampled, names, clusters, norm_config, settings)
     labels = sampled.labels()
 

@@ -9,8 +9,15 @@ feature vectors after vectorization.
 
 Lexical similarity uses the Levenshtein ratio
 LR = (lensum - lendist) / lensum over Unicode scalars, in [0, 1].
-Every sampler is deterministic given its inputs and seed and returns a
-`SamplingReport` describing what it did.
+The edit distance is exact and bit-parallel (Myers 1999, in Hyyrö's
+2001 form for edit distance), one pass over one string with the other
+held as per-character bitmasks.  The two similarity samplers build those
+masks once per retained or false-negative text, skip pairs whose length
+difference alone rules out LR > k, and stop a comparison as soon as the
+distance is sure to be too large for LR > k; their decisions equal
+``levenshtein_ratio(a, b) > k`` pair for pair.  Each logs its pair
+counts at INFO.  Every sampler is deterministic given its inputs and
+seed and returns a `SamplingReport` describing what it did.
 """
 
 from __future__ import annotations
@@ -72,24 +79,72 @@ class SamplingReport:
 
 
 def levenshtein_distance(a: str, b: str) -> int:
-    """Unit-cost edit distance over Unicode scalars (two-row dynamic program)."""
+    """Unit-cost edit distance over Unicode scalars.
+
+    Exact, computed by the bit-parallel kernel `_distance` with the
+    longer string as the pattern and one pass over the shorter one.  The
+    similarity samplers call the same kernel with a threshold cutoff.
+    """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        current = [i] + [0] * len(b)
-        for j, cb in enumerate(b, 1):
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            )
-        previous = current
-    return previous[-1]
+    return _distance(_char_masks(a), len(a), b)
+
+
+def _char_masks(pattern: str) -> dict[str, int]:
+    """Bit i of ``masks[c]`` is set where ``pattern[i] == c``."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for ch in pattern:
+        masks[ch] = masks.get(ch, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _distance(
+    masks: dict[str, int], m: int, text: str, give_up_at: int | None = None
+) -> int | None:
+    """Edit distance between a pattern of length m and `text`, or None.
+
+    Bit-parallel dynamic program of Myers (JACM 46(3), 1999) in Hyyrö's
+    (2001) form for edit distance: one column of the table is kept as
+    bit vectors of vertical +1/-1 steps on Python ints, and the bottom
+    cell's value is tracked as the columns advance.  Exact for any m.
+
+    The bottom row changes by at most 1 per column, so after column j
+    the final distance is at least ``score - (len(text) - j)``.  Once
+    that lower bound reaches `give_up_at`, the scan stops and returns
+    None.  A returned distance is always computed in full.
+    """
+    n = len(text)
+    if m == 0:
+        return n
+    if give_up_at is None:
+        give_up_at = m + n + 1  # above any lower bound: never stops
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    # j = -(columns after this one), so before this column the final
+    # distance is at least score + j - 1
+    for j, ch in enumerate(text, 1 - n):
+        if score + j > give_up_at:
+            return None
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def levenshtein_ratio(a: str, b: str) -> float:
@@ -122,6 +177,70 @@ def _counts(corpus: Corpus) -> dict[Label, int]:
     return counts
 
 
+def _cutoff_distance(lensum: int, k: float) -> int:
+    """Smallest distance d with ``(lensum - d) / lensum <= k``.
+
+    The ratio falls as d grows, so a pair is similar (LR > k) exactly
+    when its distance is below this value: the integer test decides
+    every pair as ``levenshtein_ratio(a, b) > k`` does.
+    """
+    if lensum == 0:
+        return 0 if k >= 1.0 else 1  # two empty strings have LR 1.0
+    # the rounding error of the product is far below 1, so the search
+    # starts at or below the answer
+    d = max(0, int(lensum * (1.0 - k)) - 1)
+    while (lensum - d) / lensum > k:
+        d += 1
+    return d
+
+
+class _PairScan:
+    """Greedy LR > k tests of texts against growing lists of patterns.
+
+    Each pattern's character masks are built once.  A pair is skipped
+    when `levenshtein_ratio_bound` rules it out, stopped early when the
+    distance kernel's lower bound does, and otherwise computed in full;
+    `log` reports the three counts.
+    """
+
+    def __init__(self, k: float):
+        self.k = k
+        self.patterns: list[tuple[int, dict[str, int]]] = []
+        self.skipped = self.stopped = self.computed = 0
+
+    def add(self, pattern: str) -> None:
+        self.patterns.append((len(pattern), _char_masks(pattern)))
+
+    def near_any(self, text: str) -> bool:
+        """Whether LR(text, p) > k for some pattern p, tried in order."""
+        n = len(text)
+        for m, masks in self.patterns:
+            if levenshtein_ratio_bound(n, m) <= self.k:
+                self.skipped += 1
+                continue
+            give_up_at = _cutoff_distance(n + m, self.k)
+            distance = _distance(masks, m, text, give_up_at)
+            if distance is None:
+                self.stopped += 1
+                continue
+            self.computed += 1
+            if distance < give_up_at:
+                return True
+        return False
+
+    def log(self, report: SamplingReport, majority: Label) -> None:
+        logger.info(
+            "%s: majority %d in, %d kept; pairs %d skipped by length bound, "
+            "%d stopped early, %d computed in full",
+            report.method,
+            report.input_counts[majority],
+            report.output_counts[majority],
+            self.skipped,
+            self.stopped,
+            self.computed,
+        )
+
+
 def undersample_similar_majority(
     train: Corpus,
     k: "SimilarityThreshold | float",
@@ -135,23 +254,16 @@ def undersample_similar_majority(
     Minority items are never touched.
     """
     threshold = _as_threshold(k)
-    kept_texts: list[str] = []
+    scan = _PairScan(threshold)
     keep: list[int] = []
     for i, item in enumerate(train):
         if item.label != majority_label:
             keep.append(i)
             continue
         text = item.tweet.text
-        duplicate = False
-        for earlier in kept_texts:
-            if levenshtein_ratio_bound(len(text), len(earlier)) <= threshold:
-                continue
-            if levenshtein_ratio(text, earlier) > threshold:
-                duplicate = True
-                break
-        if not duplicate:
+        if not scan.near_any(text):
             keep.append(i)
-            kept_texts.append(text)
+            scan.add(text)
     sampled = train.subset(keep)
     report = SamplingReport(
         "similar_majority_undersample",
@@ -159,6 +271,7 @@ def undersample_similar_majority(
         _counts(sampled),
         {"k": threshold, "majority": majority_label.value},
     )
+    scan.log(report, majority_label)
     return sampled, report
 
 
@@ -185,27 +298,22 @@ def undersample_near_fn(
             {"k": threshold, "fn_count": 0, "majority": majority_label.value},
         )
         return train, report
-    fn_texts = [tweet.text for tweet in fn_minority]
-    keep: list[int] = []
-    for i, item in enumerate(train):
-        if item.label != majority_label:
-            keep.append(i)
-            continue
-        text = item.tweet.text
-        near = any(
-            levenshtein_ratio_bound(len(text), len(fn)) > threshold
-            and levenshtein_ratio(text, fn) > threshold
-            for fn in fn_texts
-        )
-        if not near:
-            keep.append(i)
+    scan = _PairScan(threshold)
+    for tweet in fn_minority:
+        scan.add(tweet.text)
+    keep = [
+        i
+        for i, item in enumerate(train)
+        if item.label != majority_label or not scan.near_any(item.tweet.text)
+    ]
     sampled = train.subset(keep)
     report = SamplingReport(
         "near_fn_undersample",
         _counts(train),
         _counts(sampled),
-        {"k": threshold, "fn_count": len(fn_texts), "majority": majority_label.value},
+        {"k": threshold, "fn_count": len(fn_minority), "majority": majority_label.value},
     )
+    scan.log(report, majority_label)
     return sampled, report
 
 

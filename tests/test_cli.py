@@ -10,7 +10,7 @@ import shutil
 import pytest
 
 from rareclass.cli import main
-from rareclass.corpus import Label, load_corpus
+from rareclass.corpus import Label, load_corpus, save_corpus
 from rareclass.demo import packaged_data_path
 
 
@@ -177,6 +177,59 @@ class TestSample:
             ]
         )
         assert rc == 1
+
+
+    def test_none_rejected_at_text_level(self, workspace, tmp_path):
+        _, cfg, _ = workspace
+        rc = main(
+            [
+                "sample",
+                "--config", str(cfg),
+                "--set", "sampler.method=none",
+                "--out", str(tmp_path / "x.tsv"),
+            ]
+        )
+        assert rc == 1
+        assert not (tmp_path / "x.tsv").exists()
+
+    def test_method_flag_overrides_config(self, workspace, tmp_path):
+        _, cfg, _ = workspace
+        out = tmp_path / "sampled.tsv"
+        rc = main(
+            [
+                "sample",
+                "--config", str(cfg),
+                "--set", "sampler.method=smote",
+                "--method", "replacement",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert (tmp_path / "sampled.report.txt").read_text().startswith(
+            "method: replacement_oversample"
+        )
+
+    def test_near_fn_reads_fn_corpus(self, workspace, tmp_path):
+        root, cfg, _ = workspace
+        train = load_corpus(root / "splits" / "train.tsv")
+        fn_path = tmp_path / "fn.tsv"
+        save_corpus(train.subset(range(10)), fn_path)
+        out = tmp_path / "sampled.tsv"
+        rc = main(
+            [
+                "sample",
+                "--config", str(cfg),
+                "--corpus", str(root / "splits" / "train.tsv"),
+                "--method", "near_fn",
+                "--set", f"sampler.fn_corpus={fn_path}",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert len(load_corpus(out)) < len(train)
+        report = (tmp_path / "sampled.report.txt").read_text()
+        assert "method: near_fn_undersample" in report
+        assert "parameter fn_count: 10" in report
 
 
 class TestTrainEvaluate:

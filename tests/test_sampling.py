@@ -1,15 +1,21 @@
 """Imbalance samplers: Levenshtein ratio, under/over-sampling, synthesis."""
 
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rareclass.corpus import Label, Tweet
+from rareclass.corpus import Label, Tweet, three_way_split
+from rareclass.demo import build_demo_corpus
 from rareclass.features import SparseVector
 from rareclass.sampling import (
     SimilarityThreshold,
+    _char_masks,
+    _cutoff_distance,
+    _distance,
     levenshtein_distance,
     levenshtein_ratio,
     levenshtein_ratio_bound,
@@ -79,6 +85,88 @@ class TestLevenshteinRatio:
         with pytest.raises(ValueError):
             SimilarityThreshold(1.1)
         assert SimilarityThreshold(1.0).value == 1.0
+
+
+ALPHABET = "ab \U0001f60a\u00e9"
+
+
+@st.composite
+def text_pairs(draw):
+    """A text up to 200 scalars and either another text or a few edits of it."""
+    a = draw(st.integers(0, 200).flatmap(lambda n: st.text(ALPHABET, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return a, draw(st.text(ALPHABET, max_size=200))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 8))):
+        position = draw(st.integers(0, len(b)))
+        op = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if op == "insert":
+            b.insert(position, draw(st.sampled_from(ALPHABET)))
+        elif position < len(b):
+            if op == "delete":
+                del b[position]
+            else:
+                b[position] = draw(st.sampled_from(ALPHABET))
+    return a, "".join(b)
+
+
+class TestBitParallelKernel:
+    @given(pair=text_pairs(), give_up_at=st.integers(0, 210))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_oracle_with_and_without_cutoff(self, pair, give_up_at):
+        a, b = pair
+        expected = oracle_distance(a, b)
+        assert levenshtein_distance(a, b) == expected
+        for pattern, text in ((a, b), (b, a)):
+            masks = _char_masks(pattern)
+            assert _distance(masks, len(pattern), text) == expected
+            stopped = _distance(masks, len(pattern), text, give_up_at)
+            assert stopped == expected or (stopped is None and expected >= give_up_at)
+
+    def test_empty_pattern_and_empty_text(self):
+        assert _distance(_char_masks(""), 0, "ab\U0001f60a") == 3
+        assert _distance(_char_masks(""), 0, "") == 0
+        assert _distance(_char_masks("ab\U0001f60a"), 3, "") == 3
+        assert _distance(_char_masks("ab\U0001f60a"), 3, "", give_up_at=0) == 3
+        assert levenshtein_distance("", "\u00e9\U0001f60a") == 2
+        assert levenshtein_distance("", "") == 0
+
+    def test_pattern_longer_than_a_machine_word(self):
+        a = "ab" * 100
+        b = a[:70] + "\U0001f60a" + a[71:150] + a[151:]
+        assert levenshtein_distance(a, b) == oracle_distance(a, b) == 2
+        assert _distance(_char_masks(b), len(b), a) == 2
+
+    def test_cutoff_distance_matches_ratio_expression(self):
+        ks = [0.5, 0.7, 0.85, 0.9, 0.95, 19 / 20, 17 / 20, 1.0, 1e-9]
+        ks += [math.nextafter(k, 0.0) for k in ks]
+        for k in ks:
+            for lensum in range(1, 301):
+                expected = next(
+                    d for d in range(lensum + 1) if (lensum - d) / lensum <= k
+                )
+                assert _cutoff_distance(lensum, k) == expected, (lensum, k)
+            assert _cutoff_distance(0, k) == (0 if k >= 1.0 else 1)
+
+    @given(pair=text_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_cutoff_decision_at_and_below_exact_ratio(self, pair):
+        a, b = pair
+        ratio = levenshtein_ratio(a, b)
+        if ratio == 0.0:
+            return
+        for k in (ratio, math.nextafter(ratio, 0.0)):
+            sampled, _ = undersample_similar_majority(majority_corpus([b, a]), k)
+            assert (len(sampled) == 1) == (ratio > k)
+
+    def test_cutoff_decision_at_nineteen_twentieths(self):
+        a, b = "abcdefghij", "abcdefghix"
+        assert levenshtein_ratio(a, b) == 19 / 20 == 0.95
+        for k, similar in ((0.95, False), (math.nextafter(0.95, 0.0), True)):
+            give_up_at = _cutoff_distance(len(a) + len(b), k)
+            assert (levenshtein_distance(a, b) < give_up_at) is similar
+            sampled, _ = undersample_similar_majority(majority_corpus([a, b]), k)
+            assert len(sampled) == (1 if similar else 2)
 
 
 def majority_corpus(majority_texts, minority_texts=()):
@@ -172,6 +260,105 @@ class TestUndersampleNearFn:
             sampled, _ = undersample_near_fn(corpus, [], 0.9)
         assert sampled is corpus
         assert any("false-negative" in rec.message for rec in caplog.records)
+
+
+def oracle_ratio(a, b):
+    lensum = len(a) + len(b)
+    return 1.0 if lensum == 0 else (lensum - oracle_distance(a, b)) / lensum
+
+
+def reference_scan(texts, k, fn_texts=None):
+    """Greedy scan by the full-matrix oracle: kept indices and pairs compared.
+
+    Each text is compared, in order, with every earlier kept text (or
+    with every false-negative text) until one has LR > k.
+    """
+    kept, kept_texts, pairs = [], [], 0
+    for i, text in enumerate(texts):
+        near = False
+        for other in kept_texts if fn_texts is None else fn_texts:
+            pairs += 1
+            if oracle_ratio(text, other) > k:
+                near = True
+                break
+        if not near:
+            kept.append(i)
+            kept_texts.append(text)
+    return kept, pairs
+
+
+SCAN_LOG = re.compile(
+    r"majority (\d+) in, (\d+) kept; pairs (\d+) skipped by length bound, "
+    r"(\d+) stopped early, (\d+) computed in full"
+)
+
+
+def scan_counts(caplog, method):
+    lines = [
+        rec.getMessage()
+        for rec in caplog.records
+        if rec.levelname == "INFO" and rec.getMessage().startswith(method + ":")
+    ]
+    assert len(lines) == 1
+    return [int(v) for v in SCAN_LOG.search(lines[0]).groups()]
+
+
+@pytest.fixture(scope="module")
+def demo_split():
+    return three_way_split(build_demo_corpus(size=160), 0.2, 0.2, 1)
+
+
+class TestSamplerEquivalence:
+    """Both Levenshtein samplers keep what the oracle's greedy scan keeps."""
+
+    @pytest.mark.parametrize("k", [0.85, 0.7])
+    def test_similar_majority(self, demo_split, k, caplog):
+        train = demo_split.train
+        majority = [item for item in train if item.label == Label.NON_DEFECT]
+        kept, pairs = reference_scan([item.tweet.text for item in majority], k)
+        with caplog.at_level("INFO", logger="rareclass.sampling"):
+            sampled, report = undersample_similar_majority(train, k)
+        expected = {majority[i].tweet.id for i in kept}
+        expected |= {item.tweet.id for item in train if item.label != Label.NON_DEFECT}
+        assert [item.tweet.id for item in sampled] == [
+            item.tweet.id for item in train if item.tweet.id in expected
+        ]
+        majority_in, majority_kept, skipped, stopped, computed = scan_counts(
+            caplog, "similar_majority_undersample"
+        )
+        assert (majority_in, majority_kept) == (len(majority), len(kept))
+        assert skipped + stopped + computed == pairs
+        assert stopped > 0 and computed > 0
+        assert report.output_counts[Label.NON_DEFECT] == len(kept)
+
+    def test_near_fn(self, demo_split, caplog):
+        k = 0.85
+        train = demo_split.train
+        fn = [item.tweet for item in demo_split.validation][:8]
+        majority = [item for item in train if item.label == Label.NON_DEFECT]
+        kept, pairs = reference_scan(
+            [item.tweet.text for item in majority], k, [t.text for t in fn]
+        )
+        with caplog.at_level("INFO", logger="rareclass.sampling"):
+            sampled, _ = undersample_near_fn(train, fn, k)
+        kept_ids = {majority[i].tweet.id for i in kept}
+        assert [item.tweet.id for item in sampled] == [
+            item.tweet.id
+            for item in train
+            if item.label != Label.NON_DEFECT or item.tweet.id in kept_ids
+        ]
+        assert 0 < len(kept) < len(majority)
+        majority_in, majority_kept, skipped, stopped, computed = scan_counts(
+            caplog, "near_fn_undersample"
+        )
+        assert (majority_in, majority_kept) == (len(majority), len(kept))
+        assert skipped + stopped + computed == pairs
+
+    def test_empty_texts_are_duplicates_below_one(self):
+        sampled, _ = undersample_similar_majority(majority_corpus(["", "", "x"]), 0.9)
+        assert [item.tweet.id for item in sampled] == ["m0", "m2"]
+        sampled, _ = undersample_similar_majority(majority_corpus(["", ""]), 1.0)
+        assert len(sampled) == 2
 
 
 class TestUndersampleRandom:

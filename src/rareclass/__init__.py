@@ -91,7 +91,6 @@ from .svm import (
     SvmParams,
     inverse_frequency_weights,
     predict_svm,
-    rbf_kernel,
     train_svm,
 )
 

@@ -15,6 +15,8 @@ empty string).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
 
 
@@ -190,11 +192,14 @@ def _step5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=None)
 def porter_stem(word: str) -> str:
     """Stem a lowercase ASCII word.
 
     The caller guarantees lowercase alphabetic input (the classic
-    normalizer strips everything else first).
+    normalizer strips everything else first).  Results are memoized for
+    the life of the process: a corpus repeats a few thousand distinct
+    words across tens of thousands of tokens.
     """
     if len(word) <= 2:
         return word

@@ -1,7 +1,10 @@
 """Stemmer behavior, pinned rule by rule against the published algorithm."""
 
+import re
+
 import pytest
 
+from rareclass.demo import build_demo_corpus
 from rareclass.porter import porter_stem
 
 # Step-by-step vocabulary: each pair was worked through the rule tables by
@@ -127,3 +130,15 @@ def test_output_stays_lowercase_alpha():
     for word, _ in CASES:
         stem = porter_stem(word)
         assert stem and stem == stem.lower() and stem.isalpha()
+
+
+def test_memoized_stems_equal_uncached_stemmer():
+    words = {
+        word
+        for item in build_demo_corpus().items
+        for word in re.findall("[a-z]+", item.tweet.text.lower())
+    }
+    assert len(words) > 100
+    for word in sorted(words):
+        first = porter_stem(word)
+        assert porter_stem(word) == first == porter_stem.__wrapped__(word)

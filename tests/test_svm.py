@@ -1,5 +1,6 @@
 """SVM/SMO: analytic cases, reference-solver agreement, KKT, voting."""
 
+import logging
 import math
 
 import numpy as np
@@ -14,8 +15,8 @@ from rareclass.svm import (
     SvmModel,
     SvmParams,
     inverse_frequency_weights,
+    _kernel_block,
     predict_svm,
-    rbf_kernel,
     solve_binary,
     train_svm,
 )
@@ -37,6 +38,14 @@ def vec(values, dim=None):
 
 def one(v):
     return CsrMatrix.from_rows([v])
+
+
+def rbf_kernel(x, y, gamma):
+    """K(x, y) through the solver's own kernel code, on one-row matrices."""
+    left, right = one(x), one(y)
+    dots = left.matmul(right.transpose())
+    block = _kernel_block(dots, left.squared_norms(), right.squared_norms(), KERNEL_RBF, gamma)
+    return float(block[0, 0])
 
 
 class TestRbfKernel:
@@ -170,6 +179,99 @@ class TestBinarySolver:
             )
         assert iterations == 2 and not converged
         assert any("iteration cap" in rec.message for rec in caplog.records)
+
+    def test_linear_reference_trials_need_few_iterations(self):
+        # the 30 trials of test_matches_reference_solver[linear]; the
+        # first-order pair rule zig-zagged through 1,467,147 iterations
+        rng = np.random.default_rng(17)
+        total = 0
+        for trial in range(30):
+            points, y = random_dataset(rng)
+            c = 100.0 if trial % 2 else 1.0
+            vectors = [vec(p, points.shape[1]) for p in points]
+            _, _, iterations, converged = solve_binary(
+                CsrMatrix.from_rows(vectors), [int(v) for v in y], np.full(len(y), c),
+                kernel=KERNEL_LINEAR, gamma=0.7, tolerance=1e-8,
+            )
+            assert converged
+            total += iterations
+        assert total < 5_000
+
+
+class TestDegenerateInputs:
+    """Rank-deficient kernels, duplicate points and a tiny class converge
+    well inside a small iteration cap, to a point within the tolerance."""
+
+    def _check(self, points, y, box, kernel, gamma=0.7, tolerance=1e-6):
+        points = np.asarray(points, dtype=float)
+        y = np.asarray(y, dtype=float)
+        box = np.asarray(box, dtype=float)
+        vectors = [vec(p, points.shape[1]) for p in points]
+        alpha, bias, _, converged = solve_binary(
+            CsrMatrix.from_rows(vectors), [int(v) for v in y], box, kernel=kernel,
+            gamma=gamma, tolerance=tolerance, max_iterations=10_000,
+        )
+        assert converged
+        K = kernel_matrix(points, kernel, gamma)
+        assert kkt_violation(alpha, y, box, bias, K) <= tolerance
+        assert abs(float(np.dot(alpha, y))) < 1e-9
+
+    def test_duplicate_points_with_opposite_labels(self):
+        rng = np.random.default_rng(31)
+        points = rng.uniform(-1.0, 1.0, size=(10, 2))
+        points[1] = points[0]
+        points[5] = points[4]
+        y = [1, -1, 1, -1, 1, -1, 1, -1, 1, -1]
+        self._check(points, y, [100.0] * 10, KERNEL_RBF)
+
+    def test_collinear_points_linear_kernel(self):
+        t = np.linspace(-1.0, 1.0, 16)
+        points = np.outer(t, [1.0, -2.0, 0.5])
+        y = np.where(t > 0.0, 1, -1)
+        y[[6, 9]] *= -1  # overlap, so some multipliers reach the box
+        self._check(points, y, [100.0] * 16, KERNEL_LINEAR)
+
+    def test_one_against_fifty_nine(self):
+        rng = np.random.default_rng(37)
+        points = rng.uniform(-1.0, 1.0, size=(60, 3))
+        y = np.full(60, -1)
+        y[17] = 1
+        # inverse-frequency weights N / (2 N_c)
+        box = np.where(y > 0, 100.0 * 60 / 2, 100.0 * 60 / (2 * 59))
+        self._check(points, y, box, KERNEL_RBF)
+
+
+class TestTrainingLog:
+    def _data(self):
+        vectors = [vec([-1.0]), vec([-0.9]), vec([1.0]), vec([0.9]), vec([3.0])]
+        labels = [Label.DEFECT, Label.DEFECT, Label.POSSIBLE_DEFECT, Label.POSSIBLE_DEFECT,
+                  Label.NON_DEFECT]
+        return CsrMatrix.from_rows(vectors), labels
+
+    def test_one_info_line_per_pair(self, caplog):
+        x, labels = self._data()
+        with caplog.at_level(logging.INFO, logger="rareclass.svm"):
+            model = train_svm(x, labels, SvmParams(c=10.0, gamma=1.0))
+        lines = [r for r in caplog.records if r.name == "rareclass.svm"]
+        assert len(lines) == len(model.pairs) == 3
+        for record, pair in zip(lines, model.pairs):
+            assert record.levelno == logging.INFO
+            message = record.getMessage()
+            assert f"{pair.positive_label.value}/{pair.negative_label.value}" in message
+            assert f"{pair.iterations} iterations" in message
+            assert f"{len(pair.support)} support vectors" in message
+            assert "converged=True" in message
+
+    def test_unconverged_pair_is_a_warning(self, caplog):
+        x, labels = self._data()
+        with caplog.at_level(logging.INFO, logger="rareclass.svm"):
+            model = train_svm(x, labels, SvmParams(c=10.0, gamma=1.0, max_iterations=1))
+        pair_lines = [r for r in caplog.records if "svm pair" in r.getMessage()]
+        assert len(pair_lines) == 3
+        for record, pair in zip(pair_lines, model.pairs):
+            assert not pair.converged
+            assert record.levelno == logging.WARNING
+            assert "converged=False" in record.getMessage()
 
 
 class TestClassWeights:

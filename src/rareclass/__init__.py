@@ -55,6 +55,7 @@ from .features import (
 )
 from .lexicon import (
     Lexicon,
+    MatchCounts,
     MatchResult,
     MatcherSet,
     compile_matchers,

@@ -37,6 +37,7 @@ from .errors import ConfigError, DataError
 from .evaluation import error_report
 from .features import CsrMatrix, information_gain, load_clusters
 from .lexicon import (
+    MatchCounts,
     compile_matchers,
     load_lexicon,
     match_corpus,
@@ -195,9 +196,15 @@ def _cmd_match(args) -> int:
     lexicon = load_lexicon(lexicon_path)
     matchers = compile_matchers(lexicon)
     tweets = corpus.tweets()
-    matches = match_corpus(tweets, matchers)
-    if not args.no_post_filter:
-        matches = post_filter(tweets, matches)
+    tally = MatchCounts()
+    found = match_corpus(tweets, matchers, tally)
+    matches = found if args.no_post_filter else post_filter(tweets, found, tally)
+    logger.info(
+        "match: %d tweets, %d pattern scans run, %d skipped by the literal check, "
+        "%d matches found, %d dropped in retweets, %d dropped inside @user/URL tokens",
+        tally.tweets, tally.scans_run, tally.scans_skipped, tally.matches,
+        tally.dropped_retweets, tally.dropped_in_tokens,
+    )
     lines = ["id\tterm\tspan_start\tspan_end\tsurface"]
     lines.extend(
         f"{m.tweet_id}\t{m.term}\t{m.span[0]}\t{m.span[1]}\t{m.surface}"
@@ -206,7 +213,7 @@ def _cmd_match(args) -> int:
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"matches\t{len(matches)}\t{args.out}")
     if args.term_report:
-        report = term_class_frequency_report(corpus, lexicon)
+        report = term_class_frequency_report(corpus, lexicon, found)
         rows = ["term\t" + "\t".join(l.value for l in LABELS)]
         rows.extend(
             term + "\t" + "\t".join(str(counts[l]) for l in LABELS)

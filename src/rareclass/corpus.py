@@ -52,10 +52,15 @@ def byte_span_to_chars(text: str, span: tuple[int, int]) -> tuple[int, int]:
     """Convert a UTF-8 byte span to character offsets, validating bounds.
 
     Raises ValueError when the span is empty, out of range, or cuts a
-    multi-byte character.
+    multi-byte character.  In ASCII text bytes are characters, so the
+    validated span is returned as it is.
     """
-    raw = text.encode("utf-8")
     start, end = span
+    if text.isascii():
+        if not (0 <= start < end <= len(text)):
+            raise ValueError(f"invalid span {span!r} for text of {len(text)} bytes")
+        return start, end
+    raw = text.encode("utf-8")
     if not (0 <= start < end <= len(raw)):
         raise ValueError(f"invalid span {span!r} for text of {len(raw)} bytes")
     if not (_is_utf8_boundary(raw, start) and _is_utf8_boundary(raw, end)):
@@ -64,8 +69,14 @@ def byte_span_to_chars(text: str, span: tuple[int, int]) -> tuple[int, int]:
 
 
 def char_span_to_bytes(text: str, span: tuple[int, int]) -> tuple[int, int]:
-    """Convert character offsets into `text` to UTF-8 byte offsets."""
+    """Convert character offsets into `text` to UTF-8 byte offsets.
+
+    Offsets are read as slice bounds (``text[:start]``).  In ASCII text,
+    offsets within the text are already byte offsets.
+    """
     start, end = span
+    if 0 <= start <= end <= len(text) and text.isascii():
+        return start, end
     return len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8"))
 
 

@@ -296,8 +296,7 @@ def extract_ngrams(tokens: Sequence[str], n_min: int = 1, n_max: int = 3) -> Cou
         raise ValueError("need 1 <= n_min <= n_max")
     grams: Counter = Counter()
     for n in range(n_min, n_max + 1):
-        for i in range(len(tokens) - n + 1):
-            grams[" ".join(tokens[i : i + n])] += 1
+        grams.update([" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)])
     return grams
 
 

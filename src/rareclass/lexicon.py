@@ -8,6 +8,14 @@ whitespace and hyphens, so ``club foot`` also matches ``Club-Foot``.
 
 Matching always runs over the raw tweet text, because the resulting
 spans index the original bytes (span normalization needs them).
+
+Each compiled pattern carries one required literal: the lowercased
+longest chunk of its surface between separators.  On an ASCII tweet, a
+pattern runs only when its literal occurs in the lowercased text, which
+it must for the pattern to match.  The check is skipped, and the pattern
+always runs, when the surface or the tweet is not ASCII: under
+``re.IGNORECASE`` ASCII letters also match ``K`` (U+212A), ``ſ`` (U+017F)
+and ``İ`` (U+0130), which lowercasing does not map to them.
 """
 
 from __future__ import annotations
@@ -40,9 +48,33 @@ class Lexicon:
 
 @dataclass(frozen=True)
 class MatcherSet:
-    """Compiled surface patterns, each mapped back to its canonical term."""
+    """Compiled surface patterns, each mapped back to its canonical term.
 
-    patterns: tuple[tuple[re.Pattern, str], ...]
+    Each entry is ``(pattern, canonical, literal)``.  `literal` is the
+    lowercase text every match must contain on an ASCII tweet, or None
+    when the surface is not ASCII and the pattern must always run.
+    """
+
+    patterns: tuple[tuple[re.Pattern, str, str | None], ...]
+
+    def __post_init__(self):
+        for entry in self.patterns:
+            if len(entry) != 3:
+                raise ValueError(
+                    f"matcher entry {entry!r} is not a (pattern, canonical, literal) triple"
+                )
+
+
+@dataclass
+class MatchCounts:
+    """What one scan did; `match_corpus` and `post_filter` add to it."""
+
+    tweets: int = 0
+    scans_run: int = 0
+    scans_skipped: int = 0
+    matches: int = 0
+    dropped_retweets: int = 0
+    dropped_in_tokens: int = 0
 
 
 @dataclass(frozen=True)
@@ -80,25 +112,52 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(tuple(terms))
 
 
-def _surface_pattern(surface: str) -> str:
+def _surface_pattern(surface: str) -> tuple[str, str | None]:
+    """The anchored pattern of `surface`, and its required literal."""
     chunks = [c for c in _SEPARATOR_RE.split(surface) if c]
     if not chunks:
         raise ValueError(f"term {surface!r} compiles to an empty pattern")
     body = r"[\s\-]+".join(re.escape(chunk) for chunk in chunks)
-    return f"(?<!{_BOUNDARY_CLASS})(?:{body})(?!{_BOUNDARY_CLASS})"
+    literal = max(chunks, key=len).lower() if surface.isascii() else None
+    return f"(?<!{_BOUNDARY_CLASS})(?:{body})(?!{_BOUNDARY_CLASS})", literal
 
 
 def compile_matchers(lexicon: Lexicon) -> MatcherSet:
     """Compile every canonical term and variant into an anchored pattern."""
     if not len(lexicon):
         raise ValueError("empty lexicon")
-    patterns: list[tuple[re.Pattern, str]] = []
+    patterns: list[tuple[re.Pattern, str, str | None]] = []
     for canonical, variants in lexicon.terms:
         for surface in (canonical, *variants):
-            patterns.append(
-                (re.compile(_surface_pattern(surface), re.IGNORECASE), canonical)
-            )
+            pattern, literal = _surface_pattern(surface)
+            patterns.append((re.compile(pattern, re.IGNORECASE), canonical, literal))
     return MatcherSet(tuple(patterns))
+
+
+def _match(tweet: Tweet, matchers: MatcherSet) -> tuple[list[MatchResult], int]:
+    """`match_text`'s result, and the number of patterns that ran."""
+    text = tweet.text
+    patterns = matchers.patterns
+    if text.isascii():
+        lowered = text.lower()
+        patterns = [e for e in patterns if e[2] is None or e[2] in lowered]
+    # (start, -length, canonical, end); the stable sort keeps pattern order
+    # among equal candidates
+    candidates: list[tuple[int, int, str, int]] = []
+    for pattern, canonical, _literal in patterns:
+        for m in pattern.finditer(text):
+            start, end = m.span()
+            candidates.append((start, start - end, canonical, end))
+    candidates.sort()
+    results: list[MatchResult] = []
+    last_end = 0
+    for start, _neg_len, canonical, end in candidates:
+        if start < last_end:
+            continue
+        span = char_span_to_bytes(text, (start, end))
+        results.append(MatchResult(tweet.id, canonical, span, text[start:end]))
+        last_end = end
+    return results, len(patterns)
 
 
 def match_text(tweet: Tweet, matchers: MatcherSet) -> list[MatchResult]:
@@ -106,29 +165,34 @@ def match_text(tweet: Tweet, matchers: MatcherSet) -> list[MatchResult]:
 
     Candidates from all patterns are pooled; at each position the longest
     match wins (ties broken by canonical term, then pattern order), and
-    overlapping later candidates are discarded.
+    overlapping later candidates are discarded.  On an ASCII tweet a
+    pattern whose required literal (see `MatcherSet`) does not occur in
+    the lowercased text is not run, since it cannot match there; on any
+    other tweet every pattern runs.  The result equals a scan with every
+    pattern.
     """
-    candidates: list[tuple[int, int, int, str, int]] = []
-    for order, (pattern, canonical) in enumerate(matchers.patterns):
-        for m in pattern.finditer(tweet.text):
-            candidates.append((m.start(), -(m.end() - m.start()), order, canonical, m.end()))
-    candidates.sort(key=lambda c: (c[0], c[1], c[3], c[2]))
-    results: list[MatchResult] = []
-    last_end = 0
-    for start, _neg_len, _order, canonical, end in candidates:
-        if start < last_end:
-            continue
-        span = char_span_to_bytes(tweet.text, (start, end))
-        results.append(MatchResult(tweet.id, canonical, span, tweet.text[start:end]))
-        last_end = end
-    return results
+    return _match(tweet, matchers)[0]
 
 
-def match_corpus(tweets: Sequence[Tweet], matchers: MatcherSet) -> list[MatchResult]:
-    """Scan tweets in order; tweets without matches contribute nothing."""
+def match_corpus(
+    tweets: Sequence[Tweet], matchers: MatcherSet, counts: MatchCounts | None = None
+) -> list[MatchResult]:
+    """Scan tweets in order; tweets without matches contribute nothing.
+
+    When `counts` is given, the tweets, pattern scans run and skipped, and
+    matches found are added to it.
+    """
     results: list[MatchResult] = []
+    scans = 0
     for tweet in tweets:
-        results.extend(match_text(tweet, matchers))
+        found, run = _match(tweet, matchers)
+        results.extend(found)
+        scans += run
+    if counts is not None:
+        counts.tweets += len(tweets)
+        counts.scans_run += scans
+        counts.scans_skipped += len(tweets) * len(matchers.patterns) - scans
+        counts.matches += len(results)
     return results
 
 
@@ -141,42 +205,57 @@ def _token_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def post_filter(tweets: Sequence[Tweet], matches: Sequence[MatchResult]) -> list[MatchResult]:
+def post_filter(
+    tweets: Sequence[Tweet],
+    matches: Sequence[MatchResult],
+    counts: MatchCounts | None = None,
+) -> list[MatchResult]:
     """Drop matches in retweets and matches inside username or URL tokens.
 
     A retweet is any tweet whose text starts with ``RT @``.  A match is
     dropped when its span lies entirely inside an ``@name`` or http(s) URL
-    token.  The output is always a subset of the input, in input order.
+    token; only tweets containing ``@`` or ``http`` can hold one, so only
+    their matches are checked.  The output is always a subset of the
+    input, in input order.  When `counts` is given, the matches dropped as
+    retweets and inside tokens are added to it.
     """
     by_id = {tweet.id: tweet for tweet in tweets}
     kept: list[MatchResult] = []
+    retweets = in_tokens = 0
     for match in matches:
         tweet = by_id.get(match.tweet_id)
         if tweet is None:
             continue
-        if tweet.text.startswith(RETWEET_PREFIX):
+        text = tweet.text
+        if text.startswith(RETWEET_PREFIX):
+            retweets += 1
             continue
-        start, end = byte_span_to_chars(tweet.text, match.span)
-        inside = any(ts <= start and end <= te for ts, te in _token_spans(tweet.text))
-        if not inside:
-            kept.append(match)
+        if "@" in text or "http" in text:
+            start, end = byte_span_to_chars(text, match.span)
+            if any(ts <= start and end <= te for ts, te in _token_spans(text)):
+                in_tokens += 1
+                continue
+        kept.append(match)
+    if counts is not None:
+        counts.dropped_retweets += retweets
+        counts.dropped_in_tokens += in_tokens
     return kept
 
 
 def term_class_frequency_report(
-    corpus: Corpus, lexicon: Lexicon
+    corpus: Corpus, lexicon: Lexicon, matches: Sequence[MatchResult]
 ) -> list[tuple[str, dict[Label, int]]]:
     """Tweets per class mentioning each canonical term (once per term).
 
-    Rows follow lexicon order; every canonical term gets a row even when
-    all its counts are zero.
+    `matches` are the lexicon's matches over the corpus tweets, before any
+    post-filter, as `match_corpus` returns them.  Rows follow lexicon
+    order; every canonical term gets a row even when all its counts are
+    zero.
     """
-    matchers = compile_matchers(lexicon)
     counts: dict[str, dict[Label, int]] = {
         term: {label: 0 for label in LABELS} for term in lexicon.canonical_terms()
     }
-    for item in corpus:
-        hit_terms = {m.term for m in match_text(item.tweet, matchers)}
-        for term in hit_terms:
-            counts[term][item.label] += 1
+    labels = {item.tweet.id: item.label for item in corpus}
+    for tweet_id, term in dict.fromkeys((m.tweet_id, m.term) for m in matches):
+        counts[term][labels[tweet_id]] += 1
     return [(term, counts[term]) for term in lexicon.canonical_terms()]

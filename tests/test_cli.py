@@ -5,6 +5,7 @@ the documented contract (0 ok, 1 usage/config, 2 data, 3 internal).
 """
 
 import json
+import re
 import shutil
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from rareclass.cli import main
 from rareclass.corpus import Label, load_corpus, save_corpus
 from rareclass.demo import packaged_data_path
+from rareclass.lexicon import compile_matchers, load_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,24 @@ class TestMatch:
         corpus = load_corpus(annotated)
         spanned = sum(1 for item in corpus if item.match_span is not None)
         assert spanned > 450
+
+    def test_logs_scan_counts(self, workspace, tmp_path, caplog):
+        _, cfg, _ = workspace
+        out = tmp_path / "m.tsv"
+        with caplog.at_level("INFO", logger="rareclass"):
+            assert main(["match", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("match:")]
+        assert len(lines) == 1
+        tweets, run, skipped, found, retweets, in_tokens = map(
+            int, re.findall(r"\d+", lines[0])
+        )
+        corpus = load_corpus(packaged_data_path("demo_corpus.tsv"))
+        patterns = len(compile_matchers(load_lexicon(packaged_data_path("demo_lexicon.txt"))).patterns)
+        assert tweets == len(corpus)
+        assert run + skipped == tweets * patterns
+        assert 0 < run < skipped
+        written = len(out.read_text().strip().split("\n")) - 1
+        assert found - retweets - in_tokens == written
 
 
 class TestPreprocess:

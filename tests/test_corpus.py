@@ -12,6 +12,8 @@ from rareclass.corpus import (
     Label,
     LABELS,
     Tweet,
+    byte_span_to_chars,
+    char_span_to_bytes,
     class_distribution,
     cohens_kappa,
     filter_disagreements,
@@ -285,3 +287,71 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             AnnotatedTweet(t, Label.DEFECT, (0, 99))
         assert AnnotatedTweet(t, Label.DEFECT, (0, 3)).match_span == (0, 3)
+
+
+def reference_byte_span_to_chars(text, span):
+    """The encode-based conversion, for every text: the oracle."""
+    raw = text.encode("utf-8")
+    start, end = span
+    if not (0 <= start < end <= len(raw)):
+        raise ValueError(f"invalid span {span!r} for text of {len(raw)} bytes")
+    for offset in (start, end):
+        if offset < len(raw) and (raw[offset] & 0xC0) == 0x80:
+            raise ValueError(f"span {span!r} does not fall on character boundaries")
+    return len(raw[:start].decode("utf-8")), len(raw[:end].decode("utf-8"))
+
+
+def reference_char_span_to_bytes(text, span):
+    start, end = span
+    return len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8"))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+ascii_texts = st.text(alphabet=st.characters(max_codepoint=127), max_size=12)
+any_texts = st.text(alphabet=st.sampled_from("ab \t\u00e9\u212a\u0130\U0001f60a"), max_size=8)
+
+
+class TestSpanConversion:
+    """The ASCII fast paths equal the encode-based conversion, errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(ascii_texts, any_texts), st.integers(-3, 40), st.integers(-3, 40))
+    def test_byte_span_to_chars(self, text, start, end):
+        assert outcome(byte_span_to_chars, text, (start, end)) == outcome(
+            reference_byte_span_to_chars, text, (start, end)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(ascii_texts, any_texts), st.integers(-20, 40), st.integers(-20, 40))
+    def test_char_span_to_bytes(self, text, start, end):
+        assert char_span_to_bytes(text, (start, end)) == reference_char_span_to_bytes(
+            text, (start, end)
+        )
+
+    @pytest.mark.parametrize(
+        "text, span, message",
+        [
+            ("abc", (2, 2), "invalid span (2, 2) for text of 3 bytes"),
+            ("abc", (0, 4), "invalid span (0, 4) for text of 3 bytes"),
+            ("abc", (-1, 2), "invalid span (-1, 2) for text of 3 bytes"),
+            ("", (0, 1), "invalid span (0, 1) for text of 0 bytes"),
+            ("\u00e9c", (0, 4), "invalid span (0, 4) for text of 3 bytes"),
+            ("\u00e9c", (1, 3), "span (1, 3) does not fall on character boundaries"),
+        ],
+    )
+    def test_error_messages(self, text, span, message):
+        with pytest.raises(ValueError) as info:
+            byte_span_to_chars(text, span)
+        assert str(info.value) == message
+
+    def test_ascii_and_multibyte_spans(self):
+        assert byte_span_to_chars("my CHD", (3, 6)) == (3, 6)
+        assert char_span_to_bytes("my CHD", (3, 6)) == (3, 6)
+        assert byte_span_to_chars("\u00e9\u00e9 CHD", (5, 8)) == (3, 6)
+        assert char_span_to_bytes("\u00e9\u00e9 CHD", (3, 6)) == (5, 8)

@@ -146,6 +146,21 @@ class TestNgrams:
     def test_empty_document(self):
         assert extract_ngrams([], 1, 3) == Counter()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["a", "b", "my baby", ""]), max_size=12).map(tuple),
+        st.integers(1, 4),
+        st.integers(0, 3),
+    )
+    def test_equals_index_loop(self, tokens, n_min, extra):
+        n_max = n_min + extra
+        expected = Counter()
+        for n in range(n_min, n_max + 1):
+            for i in range(len(tokens) - n + 1):
+                expected[" ".join(tokens[i : i + n])] += 1
+        grams = extract_ngrams(tokens, n_min, n_max)
+        assert list(grams.items()) == list(expected.items())
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             extract_ngrams(["a"], 0, 2)

@@ -21,6 +21,7 @@ import hashlib
 import logging
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .config import PipelineConfig
@@ -28,14 +29,13 @@ from .corpus import (
     Corpus,
     Label,
     LABELS,
+    Tweet,
     cohens_kappa,
     load_corpus,
     save_corpus,
     three_way_split,
 )
 from .errors import ConfigError, DataError
-from .evaluation import error_report
-from .features import CsrMatrix, information_gain, load_clusters
 from .lexicon import (
     MatchCounts,
     compile_matchers,
@@ -44,21 +44,23 @@ from .lexicon import (
     post_filter,
     term_class_frequency_report,
 )
-from .model_store import load_model, save_model
-from .normalize import classic_normalize, embedding_normalize, load_name_lexicon
-from .pipeline import (
-    FeatureSettings,
-    apply_text_sampler,
-    evaluate_corpus,
-    featurize_corpus,
-    load_features,
-    predict_corpus,
-    save_features,
+from .normalize import (
+    classic_normalize,
+    embedding_normalize,
+    load_name_lexicon,
     save_normalized,
-    train_from_corpus,
 )
-# not called here: perfbench/tracer.py wraps this name in this module
-from .sampling import undersample_similar_majority  # noqa: F401
+from .sampling import (
+    SamplingReport,
+    oversample_replacement,
+    undersample_near_fn,
+    undersample_random,
+    undersample_similar_majority,
+)
+
+# Modules that need numpy (features, model_store, pipeline) and evaluation
+# are imported inside the handlers that run them, so that split, kappa,
+# match, preprocess and the text samplers start without numpy.
 
 logger = logging.getLogger("rareclass")
 
@@ -103,6 +105,20 @@ def _config(args) -> PipelineConfig:
     return PipelineConfig.from_sources(args.config, overrides)
 
 
+# model_store needs numpy, so these two import it on call; they stay names
+# of this module because perfbench/tracer.py wraps them here
+def load_model(path: str | Path):
+    from . import model_store
+
+    return model_store.load_model(path)
+
+
+def save_model(path: str | Path, classifier, vocabulary, scaler=None, extras=None) -> None:
+    from . import model_store
+
+    model_store.save_model(path, classifier, vocabulary, scaler, extras)
+
+
 def _names_and_clusters(cfg: PipelineConfig, need_clusters: bool):
     names_path = cfg.path("paths.name_lexicon", required=True)
     _log_input("name lexicon", names_path)
@@ -114,6 +130,8 @@ def _names_and_clusters(cfg: PipelineConfig, need_clusters: bool):
             if not clusters_path.exists():
                 raise ConfigError(f"paths.clusters: no such file {clusters_path}")
             _log_input("clusters", clusters_path)
+            from .features import load_clusters
+
             clusters = load_clusters(clusters_path)
     return names, clusters
 
@@ -225,15 +243,9 @@ def _cmd_match(args) -> int:
         first = {}
         for m in matches:
             first.setdefault(m.tweet_id, m.span)
-        annotated = Corpus(
-            tuple(
-                type(item)(item.tweet, item.label, first.get(item.tweet.id))
-                for item in corpus
-            ),
-            corpus.provenance,
-        )
-        save_corpus(annotated, args.annotate_spans)
-        print(f"annotated\t{len(annotated)}\t{args.annotate_spans}")
+        # the spans come from match_text, which only emits valid ones
+        save_corpus(corpus, args.annotate_spans, spans=first)
+        print(f"annotated\t{len(corpus)}\t{args.annotate_spans}")
     return EXIT_OK
 
 
@@ -260,6 +272,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
+    from .pipeline import FeatureSettings, featurize_corpus, save_features
+
     cfg = _config(args)
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     names, clusters = _names_and_clusters(cfg, need_clusters=cfg.use_clusters)
@@ -288,6 +302,34 @@ def _fn_tweets(cfg: PipelineConfig):
     return load_corpus(fn_path).tweets()
 
 
+def apply_text_sampler(
+    corpus: Corpus, cfg: PipelineConfig, fn_tweets: Sequence[Tweet] | None
+) -> tuple[Corpus, SamplingReport | None]:
+    """Run the text-level sampler `sampler.method` names.
+
+    ``none`` and ``smote`` (which works on vectors) return the corpus
+    unchanged and no report.  The samplers are called through this
+    module's names, which perfbench/tracer.py wraps.
+    """
+    method = cfg.sampler_method
+    if method in ("none", "smote"):
+        return corpus, None
+    if method == "similar":
+        return undersample_similar_majority(corpus, cfg.sampler_k)
+    if method == "near_fn":
+        if fn_tweets is None:
+            raise ConfigError("sampler.fn_corpus must be set for the near_fn sampler")
+        return undersample_near_fn(corpus, fn_tweets, cfg.sampler_k)
+    if method == "random":
+        target = cfg.sampler_target_total
+        if target <= 0:
+            raise ConfigError("sampler.target_total must be positive for random sampling")
+        return undersample_random(corpus, target, cfg.sampler_seed)
+    if method == "replacement":
+        return oversample_replacement(corpus, cfg.sampler_seed)
+    raise ConfigError(f"unknown sampler method {method!r}")
+
+
 def _cmd_sample(args) -> int:
     cfg = _config(args)
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
@@ -306,11 +348,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .pipeline import train_from_corpus
+
     cfg = _config(args)
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus = _load_corpus_logged(corpus_path)
     names, clusters = _names_and_clusters(cfg, need_clusters=cfg.use_clusters)
-    result = train_from_corpus(corpus, cfg, names, clusters, _fn_tweets(cfg))
+    sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(cfg))
+    result = train_from_corpus(sampled, cfg, names, clusters, report)
     model_path = Path(cfg.get("paths.model"))
     extras = dict(result.extras)
     # digest only: embedding the path would break byte-reproducibility of
@@ -335,6 +380,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .pipeline import evaluate_corpus
+
     cfg = _config(args)
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus = _load_corpus_logged(corpus_path)
@@ -359,6 +406,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_rank_features(args) -> int:
+    from .features import CsrMatrix, information_gain
+    from .pipeline import FeatureSettings, featurize_corpus, load_features
+
     cfg = _config(args)
     if args.features:
         features_path = Path(args.features)
@@ -386,6 +436,9 @@ def _cmd_rank_features(args) -> int:
 
 
 def _cmd_report_errors(args) -> int:
+    from .evaluation import error_report
+    from .pipeline import predict_corpus
+
     cfg = _config(args)
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus = _load_corpus_logged(corpus_path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import Label
 from .errors import ConfigError
@@ -20,7 +21,13 @@ from .normalize import (
     DEFAULT_THIRD_PERSON,
     NormalizationConfig,
 )
-from .svm import KERNEL_LINEAR, KERNEL_RBF, SvmParams
+
+if TYPE_CHECKING:
+    from .svm import SvmParams
+
+# the SVM kernels; defined here so that reading a config needs no numpy
+KERNEL_RBF = "rbf"
+KERNEL_LINEAR = "linear"
 
 _DEFAULTS: dict[str, str] = {
     "paths.corpus": "",
@@ -268,6 +275,8 @@ class PipelineConfig:
         )
 
     def svm_params(self) -> SvmParams:
+        from .svm import SvmParams
+
         gamma_raw = self.raw["svm.gamma"]
         gamma = None if gamma_raw in ("auto", "", "0") else _parse_float("svm.gamma", gamma_raw)
         try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError
 from .rng import SplitMix64, derive_seed
@@ -245,11 +245,19 @@ def load_corpus(path: str | Path) -> Corpus:
     return Corpus(tuple(items), provenance=str(path))
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
+def save_corpus(
+    corpus: Corpus, path: str | Path, spans: Mapping[str, tuple[int, int]] | None = None
+) -> None:
+    """Write a corpus file (see `TSV_HEADER`).
+
+    With `spans`, each row's span is ``spans.get(tweet id)`` instead of
+    the item's own match span, written as given: the caller vouches that
+    every span is valid for its text.
+    """
     path = Path(path)
     rows = ["\t".join(TSV_HEADER)]
     for item in corpus:
-        span = item.match_span
+        span = item.match_span if spans is None else spans.get(item.tweet.id)
         rows.append(
             "\t".join(
                 (

@@ -166,6 +166,8 @@ def _svm_to_json(model: SvmModel) -> dict:
 
 
 def _svm_from_json(obj: dict) -> SvmModel:
+    if not 0.0 < obj["gamma"] < math.inf:
+        raise DataError("svm.gamma must be positive and finite")
     labels = tuple(Label(v) for v in obj["labels"])
     class_weights = {Label(k): float(w) for k, w in obj["class_weights"].items()}
     params = SvmParams(

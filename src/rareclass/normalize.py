@@ -19,7 +19,9 @@ Two normalizers are provided:
   (emoji and the like) are padded into their own tokens; non-ASCII
   letters stay inside words.
 
-Both functions are pure and deterministic.
+Both functions are pure and deterministic.  `save_normalized` and
+`load_normalized` write and read their token rows, the ``preprocess``
+subcommand's output.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ import string
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
-from .corpus import Tweet, byte_span_to_chars
+from .corpus import Label, Tweet, byte_span_to_chars
 from .errors import DataError
 from .porter import porter_stem
 
@@ -278,3 +281,35 @@ def embedding_normalize(tweet: Tweet) -> NormalizedText:
             words.append(word)
     text = " ".join(words).replace("#", " <hashtag> ")
     return NormalizedText(tuple(tok.lower() for tok in text.split()), tweet.id)
+
+
+NORMALIZED_HEADER = ("id", "label", "tokens")
+
+
+def save_normalized(rows: Sequence[tuple[str, Label, Sequence[str]]], path: str | Path) -> None:
+    """Write one ``id<TAB>label<TAB>space-joined-tokens`` row per document."""
+    lines = ["\t".join(NORMALIZED_HEADER)]
+    for doc_id, label, tokens in rows:
+        lines.append(f"{doc_id}\t{label.value}\t{' '.join(tokens)}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_normalized(path: str | Path) -> list[tuple[str, Label, tuple[str, ...]]]:
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or tuple(lines[0].split("\t")) != NORMALIZED_HEADER:
+        raise DataError(f"{path}: missing or malformed header line")
+    rows: list[tuple[str, Label, tuple[str, ...]]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{path}: expected 3 columns at line {lineno}")
+        doc_id, label_s, tokens = fields
+        try:
+            label = Label.parse(label_s)
+        except ValueError:
+            raise DataError(f"{path}: unknown label {label_s!r} at line {lineno}") from None
+        rows.append((doc_id, label, tuple(tokens.split())))
+    return rows

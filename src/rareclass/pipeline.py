@@ -4,9 +4,11 @@ The classifier path always consumes the classic normalizer (the
 embedding-style normalizer is exposed through the ``preprocess``
 subcommand for corpora destined for sequence models, which are out of
 this toolkit's training scope).  Text-level samplers run before
-featurization; synthetic vector over-sampling runs after vectorization
-and before the scaler is fitted, so the scaler sees the training set the
-classifier will see.
+training, in the CLI (``rareclass.cli.apply_text_sampler``), so
+`train_from_corpus` receives the corpus they produced together with
+their report.  Synthetic vector over-sampling runs here, after
+vectorization and before the scaler is fitted, so the scaler sees the
+training set the classifier will see.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import PipelineConfig
-from .corpus import Corpus, Label, LABELS, Tweet
-from .errors import ConfigError, DataError
+from .corpus import Corpus, Label, LABELS
+from .errors import DataError
 from .evaluation import EvalReport, evaluate_predictions
 from .features import (
     ClusterMap,
@@ -45,14 +47,9 @@ from .model_store import (
 )
 from .naive_bayes import NbModel, predict_nb, train_nb
 from .normalize import NameLexicon, NormalizationConfig, classic_normalize
-from .sampling import (
-    SamplingReport,
-    oversample_replacement,
-    smote,
-    undersample_near_fn,
-    undersample_random,
-    undersample_similar_majority,
-)
+from .sampling import SamplingReport, smote
+# not called here: perfbench/tracer.py wraps this name in this module
+from .sampling import undersample_similar_majority  # noqa: F401
 from .svm import SvmModel, predict_svm, train_svm
 
 
@@ -152,46 +149,29 @@ class TrainResult:
     extras: dict
 
 
-def apply_text_sampler(
-    corpus: Corpus, cfg: PipelineConfig, fn_tweets: Sequence[Tweet] | None
-) -> tuple[Corpus, SamplingReport | None]:
-    """Run the text-level sampler `sampler.method` names.
-
-    ``none`` and ``smote`` (which works on vectors) return the corpus
-    unchanged and no report.
-    """
-    method = cfg.sampler_method
-    if method in ("none", "smote"):
-        return corpus, None
-    if method == "similar":
-        return undersample_similar_majority(corpus, cfg.sampler_k)
-    if method == "near_fn":
-        if fn_tweets is None:
-            raise ConfigError("sampler.fn_corpus must be set for the near_fn sampler")
-        return undersample_near_fn(corpus, fn_tweets, cfg.sampler_k)
-    if method == "random":
-        target = cfg.sampler_target_total
-        if target <= 0:
-            raise ConfigError("sampler.target_total must be positive for random sampling")
-        return undersample_random(corpus, target, cfg.sampler_seed)
-    if method == "replacement":
-        return oversample_replacement(corpus, cfg.sampler_seed)
-    raise ConfigError(f"unknown sampler method {method!r}")
-
-
 def train_from_corpus(
     corpus: Corpus,
     cfg: PipelineConfig,
     names: NameLexicon,
     clusters: ClusterMap | None,
-    fn_tweets: Sequence[Tweet] | None = None,
+    report: SamplingReport | None = None,
 ) -> TrainResult:
-    """Run sampling, featurization, scaling, and classifier training."""
+    """Run featurization, SMOTE, scaling, and classifier training.
+
+    A text-level `sampler.method` must already have run: `corpus` is its
+    output and `report` its report.  For ``none`` and ``smote`` the
+    report is None.
+    """
+    text_level = cfg.sampler_method not in ("none", "smote")
+    if text_level != (report is not None):
+        raise ValueError(
+            f"sampler.method {cfg.sampler_method!r} "
+            f"{'needs' if text_level else 'takes no'} text-sampler report"
+        )
     norm_config = cfg.normalization()
     settings = FeatureSettings.from_config(cfg)
-    sampled, report = apply_text_sampler(corpus, cfg, fn_tweets)
-    vectors, vocab = featurize_corpus(sampled, names, clusters, norm_config, settings)
-    labels = sampled.labels()
+    vectors, vocab = featurize_corpus(corpus, names, clusters, norm_config, settings)
+    labels = corpus.labels()
 
     if cfg.sampler_method == "smote":
         per_class: dict[Label, list[SparseVector]] = {}
@@ -266,38 +246,6 @@ def evaluate_corpus(
         corpus.labels(), predictions, model_id=model_id, corpus_id=corpus_id
     )
     return report, predictions
-
-
-NORMALIZED_HEADER = ("id", "label", "tokens")
-
-
-def save_normalized(rows: Sequence[tuple[str, Label, Sequence[str]]], path: str | Path) -> None:
-    """Write one ``id<TAB>label<TAB>space-joined-tokens`` row per document."""
-    lines = ["\t".join(NORMALIZED_HEADER)]
-    for doc_id, label, tokens in rows:
-        lines.append(f"{doc_id}\t{label.value}\t{' '.join(tokens)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_normalized(path: str | Path) -> list[tuple[str, Label, tuple[str, ...]]]:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or tuple(lines[0].split("\t")) != NORMALIZED_HEADER:
-        raise DataError(f"{path}: missing or malformed header line")
-    rows: list[tuple[str, Label, tuple[str, ...]]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}: expected 3 columns at line {lineno}")
-        doc_id, label_s, tokens = fields
-        try:
-            label = Label.parse(label_s)
-        except ValueError:
-            raise DataError(f"{path}: unknown label {label_s!r} at line {lineno}") from None
-        rows.append((doc_id, label, tuple(tokens.split())))
-    return rows
 
 
 FEATURES_FORMAT = "rareclass.features"

@@ -18,19 +18,22 @@ distance is sure to be too large for LR > k; their decisions equal
 ``levenshtein_ratio(a, b) > k`` pair for pair.  Each logs its pair
 counts at INFO.  Every sampler is deterministic given its inputs and
 seed and returns a `SamplingReport` describing what it did.
+
+Only `smote` uses numpy and the feature vectors; it imports them when it
+runs, so the text samplers load without numpy.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .corpus import Corpus, Label, LABELS, Tweet
-from .features import CsrMatrix, SparseVector, interpolate
 from .rng import SplitMix64, derive_seed
+
+if TYPE_CHECKING:
+    from .features import SparseVector
 
 logger = logging.getLogger(__name__)
 
@@ -417,6 +420,8 @@ def smote(
     majority count.  Randomness is partitioned per class so classes can
     be synthesized independently yet reproducibly.
     """
+    from .features import interpolate
+
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
     class_sizes = {label: len(vectors) for label, vectors in per_class.items()}
@@ -474,6 +479,10 @@ def _nearest_neighbors(vectors: Sequence[SparseVector], k: int) -> list[list[int
     Squared distances come from one Gram matrix; ties break by index
     order, keeping the result deterministic.
     """
+    import numpy as np
+
+    from .features import CsrMatrix
+
     x = CsrMatrix.from_rows(vectors)
     norms = x.squared_norms()
     dists = norms[:, None] + norms[None, :] - 2.0 * x.matmul(x.transpose())

@@ -41,13 +41,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import KERNEL_LINEAR, KERNEL_RBF
 from .corpus import Label, LABELS
 from .features import CsrMatrix
 
 logger = logging.getLogger(__name__)
-
-KERNEL_RBF = "rbf"
-KERNEL_LINEAR = "linear"
 
 _BOUND_SNAP = 1e-12
 

@@ -52,44 +52,41 @@ def kkt_violation(
 
 
 def solve_reference(K: np.ndarray, y: np.ndarray, box: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize sum(a) - 1/2 (ay)'K(ay) over 0 <= a <= box, y'a = 0."""
+    """Maximize sum(a) - 1/2 (ay)'K(ay) over 0 <= a <= box, y'a = 0.
+
+    The stationarity systems of all configurations with the same number
+    of free variables are solved together, as one stack; candidates are
+    then compared in enumeration order, the first best one winning.
+    """
     n = len(y)
     Q = np.outer(y, y) * K
+    states = np.array(list(product((0, 1, 2), repeat=n)))
+    is_free = states == 1
+    n_free = is_free.sum(axis=1)
+    alphas = np.where(states == 2, box, 0.0)
+    # alpha is 0 on the free variables, so Q[free] @ alpha = Q[free, fixed] @ alpha[fixed]
+    pulled = alphas @ Q
+    solved = np.ones(len(states), dtype=bool)
+    for nf in range(1, n + 1):
+        rows = np.flatnonzero(n_free == nf)
+        free = np.nonzero(is_free[rows])[1].reshape(len(rows), nf)
+        system = np.zeros((len(rows), nf + 1, nf + 1))
+        system[:, :nf, :nf] = Q[free[:, :, None], free[:, None, :]]
+        system[:, :nf, nf] = y[free]
+        system[:, nf, :nf] = y[free]
+        rhs = np.empty((len(rows), nf + 1))
+        rhs[:, :nf] = 1.0 - np.take_along_axis(pulled[rows], free, axis=1)
+        rhs[:, nf] = -(alphas[rows] @ y)
+        solution, ok = _solve_stack(system, rhs)
+        alphas[rows[:, None], free] = solution[:, :nf]
+        solved[rows] = ok
+    in_box = ~((alphas < -1e-9) | (alphas > box + 1e-9)).any(axis=1)
     best_value = None
     best_alpha = None
-    for states_tuple in product((0, 1, 2), repeat=n):
-        states = np.array(states_tuple)
-        alpha = np.where(states == 2, box, 0.0)
-        free = np.flatnonzero(states == 1)
-        nf = len(free)
-        if nf == 0:
-            if abs(y @ alpha) > 1e-9:
-                continue
-        else:
-            fixed = np.flatnonzero(states != 1)
-            system = np.empty((nf + 1, nf + 1))
-            system[:nf, :nf] = Q[np.ix_(free, free)]
-            system[:nf, nf] = y[free]
-            system[nf, :nf] = y[free]
-            system[nf, nf] = 0.0
-            rhs = np.empty(nf + 1)
-            if len(fixed):
-                rhs[:nf] = 1.0 - Q[np.ix_(free, fixed)] @ alpha[fixed]
-                rhs[nf] = -(y[fixed] @ alpha[fixed])
-            else:
-                rhs[:nf] = 1.0
-                rhs[nf] = 0.0
-            try:
-                solution = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:
-                solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-                if not np.allclose(system @ solution, rhs, atol=1e-8):
-                    continue
-            alpha[free] = solution[:nf]
-            if np.any(alpha < -1e-9) or np.any(alpha > box + 1e-9):
-                continue
-            if abs(y @ alpha) > 1e-8:
-                continue
+    for row in np.flatnonzero(solved & in_box):
+        alpha = alphas[row]
+        if abs(y @ alpha) > (1e-8 if n_free[row] else 1e-9):
+            continue
         alpha = np.clip(alpha, 0.0, box)
         value = dual_value(alpha, y, K)
         if best_value is None or value > best_value:
@@ -97,6 +94,25 @@ def solve_reference(K: np.ndarray, y: np.ndarray, box: np.ndarray) -> tuple[floa
             best_alpha = alpha
     assert best_value is not None, "reference solver found no feasible point"
     return best_value, best_alpha
+
+
+def _solve_stack(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of a stack of square systems, and which ones have one.
+
+    A singular stack is halved until the singular systems stand alone;
+    each of those takes the least-squares solution when it satisfies the
+    system to 1e-8, and is dropped otherwise.
+    """
+    try:
+        return np.linalg.solve(system, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    if len(rhs) > 1:
+        half = len(rhs) // 2
+        head, tail = _solve_stack(system[:half], rhs[:half]), _solve_stack(system[half:], rhs[half:])
+        return np.concatenate([head[0], tail[0]]), np.concatenate([head[1], tail[1]])
+    solution, *_ = np.linalg.lstsq(system[0], rhs[0], rcond=None)
+    return solution[None], np.array([np.allclose(system[0] @ solution, rhs[0], atol=1e-8)])
 
 
 def random_dataset(rng: np.random.Generator, max_points: int = 8, max_dim: int = 3):

@@ -11,7 +11,7 @@ import shutil
 import pytest
 
 from rareclass.cli import main
-from rareclass.corpus import Label, load_corpus, save_corpus
+from rareclass.corpus import AnnotatedTweet, Corpus, Label, load_corpus, save_corpus
 from rareclass.demo import packaged_data_path
 from rareclass.lexicon import compile_matchers, load_lexicon
 
@@ -123,6 +123,33 @@ class TestMatch:
         corpus = load_corpus(annotated)
         spanned = sum(1 for item in corpus if item.match_span is not None)
         assert spanned > 450
+
+    def test_annotate_spans_equals_rebuilt_corpus(self, workspace, tmp_path):
+        _, cfg, paths = workspace
+        annotated, matches = tmp_path / "annotated.tsv", tmp_path / "m.tsv"
+        rc = main(
+            [
+                "match",
+                "--config", str(cfg),
+                "--out", str(matches),
+                "--annotate-spans", str(annotated),
+            ]
+        )
+        assert rc == 0
+        first = {}
+        for line in matches.read_text(encoding="utf-8").splitlines()[1:]:
+            tweet_id, _, start, end, _ = line.split("\t")
+            first.setdefault(tweet_id, (int(start), int(end)))
+        corpus = load_corpus(paths["demo_corpus.tsv"])
+        rebuilt = Corpus(
+            tuple(
+                AnnotatedTweet(item.tweet, item.label, first.get(item.tweet.id))
+                for item in corpus
+            )
+        )
+        expected = tmp_path / "rebuilt.tsv"
+        save_corpus(rebuilt, expected)
+        assert annotated.read_bytes() == expected.read_bytes()
 
     def test_logs_scan_counts(self, workspace, tmp_path, caplog):
         _, cfg, _ = workspace
@@ -415,6 +442,14 @@ class TestExitCodes:
         rc = self._evaluate_mutated(workspace, tmp_path, mutate)
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("inf")])
+    def test_svm_gamma_not_positive_and_finite_is_data_error(
+        self, workspace, tmp_path, capsys, gamma
+    ):
+        rc = self._evaluate_mutated(workspace, tmp_path, lambda d: d["svm"].update(gamma=gamma))
+        assert rc == 2
+        assert "svm.gamma must be" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

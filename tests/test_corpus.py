@@ -114,6 +114,20 @@ class TestLoadCorpus:
         loaded = load_corpus(path)
         assert loaded.items == corpus.items
 
+    def test_spans_argument_replaces_every_span(self, tmp_path):
+        corpus = make_corpus(
+            [
+                ("t1", "my baby has chd today", Label.DEFECT, (12, 15)),
+                ("t2", "café chd", Label.NON_DEFECT),
+                ("t3", "no span", Label.POSSIBLE_DEFECT),
+            ]
+        )
+        path = tmp_path / "c.tsv"
+        save_corpus(corpus, path, spans={"t2": (6, 9), "t3": None})
+        loaded = load_corpus(path)
+        assert [item.match_span for item in loaded] == [None, (6, 9), None]
+        assert [item.tweet for item in loaded] == corpus.tweets()
+
 
 class TestClassDistribution:
     def test_reference_corpus_proportions(self):

@@ -2,21 +2,20 @@
 
 import pytest
 
+from rareclass.cli import apply_text_sampler
 from rareclass.config import PipelineConfig, render_default_config
 from rareclass.corpus import Label, load_corpus, three_way_split
 from rareclass.errors import ConfigError
 from rareclass.features import load_clusters
 from rareclass.model_store import StoredModel, load_model, save_model
-from rareclass.normalize import load_name_lexicon
+from rareclass.normalize import load_name_lexicon, load_normalized, save_normalized
 from rareclass.pipeline import (
     FeatureSettings,
     evaluate_corpus,
     featurize_corpus,
     load_features,
-    load_normalized,
     predict_corpus,
     save_features,
-    save_normalized,
     train_from_corpus,
 )
 
@@ -114,7 +113,8 @@ class TestTraining:
     def test_samplers_produce_reports(self, demo, overrides):
         _, names, clusters, split = demo
         cfg = config(*overrides)
-        result = train_from_corpus(split.train, cfg, names, clusters)
+        sampled, report = apply_text_sampler(split.train, cfg, None)
+        result = train_from_corpus(sampled, cfg, names, clusters, report)
         assert result.sampling_report is not None
         assert result.sampling_report.to_text().startswith("method:")
 
@@ -122,13 +122,23 @@ class TestTraining:
         _, names, clusters, split = demo
         cfg = config("sampler.method=near_fn")
         with pytest.raises(ConfigError):
-            train_from_corpus(split.train, cfg, names, clusters)
+            apply_text_sampler(split.train, cfg, None)
+
+    def test_sampler_report_must_match_the_method(self, demo):
+        _, names, clusters, split = demo
+        with pytest.raises(ValueError, match="needs text-sampler report"):
+            train_from_corpus(split.train, config("sampler.method=random"), names, clusters)
+        cfg = config("sampler.method=replacement")
+        _, report = apply_text_sampler(split.train, cfg, None)
+        with pytest.raises(ValueError, match="takes no text-sampler report"):
+            train_from_corpus(split.train, config("sampler.method=smote"), names, clusters, report)
 
     def test_near_fn_with_tweets(self, demo):
         _, names, clusters, split = demo
         fn = [item.tweet for item in split.validation if item.label is Label.DEFECT][:5]
         cfg = config("sampler.method=near_fn", "sampler.k=0.7")
-        result = train_from_corpus(split.train, cfg, names, clusters, fn_tweets=fn)
+        sampled, report = apply_text_sampler(split.train, cfg, fn)
+        result = train_from_corpus(sampled, cfg, names, clusters, report)
         assert result.sampling_report.method == "near_fn_undersample"
 
     def test_training_is_reproducible(self, demo, tmp_path):

@@ -49,7 +49,6 @@ _EXPORTS_BY_MODULE = {
         "ClusterMap",
         "CsrMatrix",
         "Scaler",
-        "SparseVector",
         "Vocabulary",
         "apply_scaler",
         "build_vocabulary",
@@ -57,7 +56,6 @@ _EXPORTS_BY_MODULE = {
         "extract_ngrams",
         "fit_scaler",
         "information_gain",
-        "interpolate",
         "load_clusters",
         "structural_features",
         "vectorize",

@@ -127,7 +127,7 @@ def _names_and_clusters(cfg: PipelineConfig, need_clusters: bool):
     if need_clusters:
         clusters_path = cfg.path("paths.clusters")
         if clusters_path is not None:
-            if not clusters_path.exists():
+            if not clusters_path.is_file():
                 raise ConfigError(f"paths.clusters: no such file {clusters_path}")
             _log_input("clusters", clusters_path)
             from .features import load_clusters
@@ -278,18 +278,16 @@ def _cmd_featurize(args) -> int:
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     names, clusters = _names_and_clusters(cfg, need_clusters=cfg.use_clusters)
     settings = FeatureSettings.from_config(cfg)
-    vectors, vocab = featurize_corpus(
-        corpus, names, clusters, cfg.normalization(), settings
-    )
+    x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
     save_features(
         args.out,
         vocab,
-        vectors,
+        x,
         [item.tweet.id for item in corpus],
         corpus.labels(),
         settings,
     )
-    print(f"features\t{len(vectors)}x{vocab.dim}\t{args.out}")
+    print(f"features\t{x.n_rows}x{vocab.dim}\t{args.out}")
     return EXIT_OK
 
 
@@ -406,23 +404,21 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_rank_features(args) -> int:
-    from .features import CsrMatrix, information_gain
+    from .features import information_gain
     from .pipeline import FeatureSettings, featurize_corpus, load_features
 
     cfg = _config(args)
     if args.features:
         features_path = Path(args.features)
         _log_input("features", features_path)
-        vocab, vectors, _ids, labels, _settings = load_features(features_path)
+        vocab, x, _ids, labels, _settings = load_features(features_path)
     else:
         corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
         names, clusters = _names_and_clusters(cfg, need_clusters=cfg.use_clusters)
         settings = FeatureSettings.from_config(cfg)
-        vectors, vocab = featurize_corpus(
-            corpus, names, clusters, cfg.normalization(), settings
-        )
+        x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
         labels = corpus.labels()
-    ranked = information_gain(CsrMatrix.from_rows(vectors, vocab.dim), labels, vocab)
+    ranked = information_gain(x, labels, vocab)
     if args.top:
         ranked = ranked[: args.top]
     lines = ["feature\tkind\tinfo_gain_bits"]
@@ -571,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, ValueError) as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SystemExit:

@@ -188,7 +188,7 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be set for this subcommand")
             return None
         path = Path(raw)
-        if required and not path.exists():
+        if required and not path.is_file():
             raise ConfigError(f"{key}: no such file {path}")
         return path
 

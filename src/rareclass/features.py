@@ -2,10 +2,11 @@
 features, vocabulary construction, min-max scaling, and information-gain
 ranking.
 
-One document vectorizes to a `SparseVector` row.  A corpus is then held
-as one `CsrMatrix` (numpy ``indptr``/``indices``/``data`` arrays over a
-fixed dimension), built once from its rows; scaling, information gain
-and the classifiers' training and prediction work on that matrix.
+Every sparse vector is a `CsrMatrix`: numpy ``indptr``/``indices``/``data``
+arrays over a fixed dimension.  One document vectorizes to a one-row
+matrix, and `CsrMatrix.stack` joins a corpus's rows into one matrix,
+validated once.  SMOTE, scaling, information gain and the classifiers'
+training and prediction work on that matrix.
 
 Vocabularies and scalers are immutable once fitted and are built from
 training data only.  Feature names are namespaced by kind: raw n-gram
@@ -19,7 +20,6 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -46,70 +46,6 @@ def feature_kind(name: str) -> str:
     if name in STRUCTURAL_FEATURES:
         return KIND_STRUCTURAL
     return KIND_NGRAM
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted (index, value) pairs over a fixed dimension.
-
-    Indices are strictly increasing and in range; values are finite and
-    non-zero (zeros are dropped at construction via `from_pairs`).
-    """
-
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-    dim: int
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have equal length")
-        prev = -1
-        for i in self.indices:
-            if i <= prev:
-                raise ValueError("indices must be strictly increasing")
-            prev = i
-        if prev >= self.dim:
-            raise ValueError("index out of range for dimension")
-        if self.indices and self.indices[0] < 0:
-            raise ValueError("negative index")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError("values must be finite")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]], dim: int) -> "SparseVector":
-        kept = sorted((i, float(v)) for i, v in pairs if v != 0.0)
-        return cls(
-            tuple(i for i, _ in kept), tuple(v for _, v in kept), dim
-        )
-
-    def to_dict(self) -> dict[int, float]:
-        return dict(zip(self.indices, self.values))
-
-    def dot(self, other: "SparseVector") -> float:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        total = 0.0
-        i = j = 0
-        a_idx, a_val = self.indices, self.values
-        b_idx, b_val = other.indices, other.values
-        while i < len(a_idx) and j < len(b_idx):
-            ai, bj = a_idx[i], b_idx[j]
-            if ai == bj:
-                total += a_val[i] * b_val[j]
-                i += 1
-                j += 1
-            elif ai < bj:
-                i += 1
-            else:
-                j += 1
-        return total
-
-    def squared_norm(self) -> float:
-        return sum(v * v for v in self.values)
-
-    def squared_distance(self, other: "SparseVector") -> float:
-        return self.squared_norm() + other.squared_norm() - 2.0 * self.dot(other)
 
 
 def _indptr(lengths: np.ndarray) -> np.ndarray:
@@ -139,19 +75,6 @@ class CsrMatrix:
     dim: int
 
     @classmethod
-    def from_rows(cls, rows: Sequence[SparseVector], dim: int | None = None) -> "CsrMatrix":
-        if dim is None:
-            if not rows:
-                raise ValueError("the dimension of zero rows must be given")
-            dim = rows[0].dim
-        if any(row.dim != dim for row in rows):
-            raise ValueError("dimension mismatch")
-        indptr = _indptr([len(row.indices) for row in rows])
-        indices = np.fromiter(chain.from_iterable(row.indices for row in rows), np.intp, indptr[-1])
-        data = np.fromiter(chain.from_iterable(row.values for row in rows), float, indptr[-1])
-        return cls(indptr, indices, data, dim)
-
-    @classmethod
     def from_arrays(cls, indptr, indices, data, dim: int) -> "CsrMatrix":
         """Validated matrix from untrusted arrays; raises ValueError."""
         x = cls(
@@ -168,6 +91,24 @@ class CsrMatrix:
         if (x.indices >= bound).any() or (first < 0).any() or not np.isfinite(x.data).all():
             raise ValueError("column indices out of order or range, or values not finite")
         return x
+
+    @classmethod
+    def stack(cls, blocks: Sequence["CsrMatrix"], dim: int) -> "CsrMatrix":
+        """The rows of `blocks`, one block after another, validated as
+        `from_arrays` validates them."""
+        if any(block.dim != dim for block in blocks):
+            raise ValueError("dimension mismatch")
+        none = np.zeros(0, np.intp)  # so that zero blocks concatenate
+        # each block's row ends, shifted by the entries of the blocks before it
+        ends = np.concatenate([none] + [block.indptr[1:] for block in blocks])
+        shifts = np.cumsum([0] + [len(block.indices) for block in blocks])[:-1]
+        ends += np.repeat(shifts, [block.n_rows for block in blocks])
+        return cls.from_arrays(
+            np.concatenate(([0], ends)),
+            np.concatenate([none] + [block.indices for block in blocks]),
+            np.concatenate([none] + [block.data for block in blocks]),
+            dim,
+        )
 
     @property
     def n_rows(self) -> int:
@@ -238,18 +179,6 @@ class CsrMatrix:
         return np.bincount(cells, products, minlength=size).reshape(self.n_rows, other.dim)
 
 
-def interpolate(a: SparseVector, b: SparseVector, fraction: float) -> SparseVector:
-    """Point on the segment from `a` to `b`: a + fraction * (b - a)."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    merged = a.to_dict()
-    for i, v in zip(b.indices, b.values):
-        merged[i] = merged.get(i, 0.0) + fraction * v
-    for i, v in zip(a.indices, a.values):
-        merged[i] = merged.get(i, 0.0) - fraction * v
-    return SparseVector.from_pairs(merged.items(), a.dim)
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     """Feature-name-to-column map with per-feature kinds."""
@@ -295,7 +224,7 @@ def extract_ngrams(tokens: Sequence[str], n_min: int = 1, n_max: int = 3) -> Cou
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
     grams: Counter = Counter()
-    for n in range(n_min, n_max + 1):
+    for n in range(n_min, min(n_max, len(tokens)) + 1):  # longer n-grams do not fit
         grams.update([" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)])
     return grams
 
@@ -371,12 +300,13 @@ def vectorize(
     structural: tuple[int, int] | None,
     vocab: Vocabulary,
     binary: bool = True,
-) -> SparseVector:
-    """Map one document's features into the vocabulary's column space.
+) -> CsrMatrix:
+    """Map one document's features into a one-row matrix over the vocabulary.
 
     N-gram and cluster columns get 1.0 (binary mode, the default) or the
     occurrence count; structural columns always carry their raw counts.
-    Features absent from the vocabulary are ignored.
+    Features absent from the vocabulary and zero values are dropped.  The
+    row is not validated here; `CsrMatrix.stack` validates a corpus's rows.
     """
     pairs: list[tuple[int, float]] = []
     for name, count in doc_features.items():
@@ -389,7 +319,13 @@ def vectorize(
             col = vocab.index_of(name)
             if col is not None:
                 pairs.append((col, float(value)))
-    return SparseVector.from_pairs(pairs, vocab.dim)
+    pairs = sorted(pair for pair in pairs if pair[1] != 0.0)
+    return CsrMatrix(
+        np.array((0, len(pairs)), np.intp),
+        np.array([col for col, _ in pairs], np.intp),
+        np.array([value for _, value in pairs], float),
+        vocab.dim,
+    )
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import Label
 from .errors import DataError
-from .features import CsrMatrix, Scaler, Vocabulary
+from .features import KIND_CLUSTER, KIND_NGRAM, KIND_STRUCTURAL, CsrMatrix, Scaler, Vocabulary
 from .naive_bayes import GAUSSIAN, NbModel
 from .svm import PairModel, SvmModel, SvmParams
 
@@ -130,10 +130,16 @@ def vocabulary_to_json(vocabulary: Vocabulary) -> dict:
 
 
 def vocabulary_from_json(obj: dict) -> Vocabulary:
-    """A vocabulary from an object that fits `VOCABULARY_SCHEMA`."""
-    if len(obj["names"]) != len(obj["kinds"]):
+    """A vocabulary from an object that fits `VOCABULARY_SCHEMA`, with
+    sorted unique names (as `build_vocabulary` makes them) and known kinds."""
+    names, kinds = obj["names"], obj["kinds"]
+    if len(names) != len(kinds):
         raise DataError("vocabulary: names and kinds differ in length")
-    return Vocabulary(tuple(obj["names"]), tuple(obj["kinds"]), obj["min_df"])
+    if any(a >= b for a, b in zip(names, names[1:])):
+        raise DataError("vocabulary: names must be sorted and unique")
+    if not set(kinds) <= {KIND_NGRAM, KIND_CLUSTER, KIND_STRUCTURAL}:
+        raise DataError("vocabulary: unknown feature kind")
+    return Vocabulary(tuple(names), tuple(kinds), obj["min_df"])
 
 
 def _svm_to_json(model: SvmModel) -> dict:
@@ -218,6 +224,8 @@ def _nb_from_json(obj: dict) -> NbModel:
         raise DataError("nb: the tables do not match the labels and dimension")
     if "variances" in tables and not (tables["variances"] > 0.0).all():
         raise DataError("nb: variances must be positive")
+    if any(p > 0.0 for p in obj["log_priors"]):
+        raise DataError("nb: log priors must not be above 0")
     return NbModel(
         labels,
         tuple(float(v) for v in obj["log_priors"]),
@@ -276,9 +284,12 @@ def load_model(path: str | Path) -> StoredModel:
         vocabulary = vocabulary_from_json(doc["vocabulary"])
         scaler = None
         if doc["scaler"] is not None:
-            scaler = Scaler(tuple(doc["scaler"]["mins"]), tuple(doc["scaler"]["maxs"]))
+            mins, maxs = (tuple(map(float, doc["scaler"][key])) for key in ("mins", "maxs"))
+            scaler = Scaler(mins, maxs)
             if scaler.dim != vocabulary.dim or len(scaler.maxs) != scaler.dim:
                 raise DataError("scaler: dimension differs from the vocabulary's")
+            if any(lo > hi for lo, hi in zip(scaler.mins, scaler.maxs)):
+                raise DataError("scaler: a column's min is above its max")
         classifier = _svm_from_json(doc[kind]) if kind == "svm" else _nb_from_json(doc[kind])
         if classifier.dim != vocabulary.dim:
             raise DataError(f"{kind}: dimension differs from the vocabulary's")

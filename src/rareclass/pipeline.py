@@ -17,17 +17,18 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .config import PipelineConfig
-from .corpus import Corpus, Label, LABELS
+from .corpus import Corpus, Label
 from .errors import DataError
 from .evaluation import EvalReport, evaluate_predictions
 from .features import (
     ClusterMap,
     CsrMatrix,
     Scaler,
-    SparseVector,
     Vocabulary,
     apply_scaler,
     build_vocabulary,
@@ -80,6 +81,8 @@ class FeatureSettings:
     def from_json(cls, obj: dict) -> "FeatureSettings":
         schema = {key: type(value) for key, value in cls().to_json().items()}
         check_json(obj, schema, "feature settings")
+        if obj["min_df"] < 1:
+            raise DataError("feature settings: min_df must be >= 1")
         return cls(**{key: obj[key] for key in schema})
 
 
@@ -103,20 +106,15 @@ def document_features(
     clusters: ClusterMap | None,
     norm_config: NormalizationConfig,
     settings: FeatureSettings,
-) -> tuple[list[Counter], list[tuple[int, int] | None]]:
-    """Per-document feature multisets plus structural counts."""
-    docs: list[Counter] = []
-    structurals: list[tuple[int, int] | None] = []
+) -> Iterator[tuple[Counter, tuple[int, int] | None]]:
+    """Per document, its feature multiset and structural counts, made as
+    they are asked for."""
     for item in corpus:
         normalized = classic_normalize(item.tweet, item.match_span, names, norm_config)
         feats = extract_ngrams(normalized.tokens, settings.n_min, settings.n_max)
         if settings.use_clusters and clusters is not None:
             feats.update(cluster_features(normalized.tokens, clusters))
-        docs.append(feats)
-        structurals.append(
-            structural_features(item.tweet.text) if settings.use_structural else None
-        )
-    return docs, structurals
+        yield feats, structural_features(item.tweet.text) if settings.use_structural else None
 
 
 def featurize_corpus(
@@ -126,18 +124,25 @@ def featurize_corpus(
     norm_config: NormalizationConfig,
     settings: FeatureSettings,
     vocab: Vocabulary | None = None,
-) -> tuple[list[SparseVector], Vocabulary]:
-    """Vectorize a corpus; builds the vocabulary when none is supplied."""
-    docs, structurals = document_features(corpus, names, clusters, norm_config, settings)
+) -> tuple[CsrMatrix, Vocabulary]:
+    """Vectorize a corpus, one `vectorize` row per document, into one matrix
+    validated once; builds the vocabulary when none is supplied.
+
+    With a vocabulary given, each document's features are dropped once
+    its row is made, so they are never all held at once.
+    """
+    docs = document_features(corpus, names, clusters, norm_config, settings)
     if vocab is None:
+        docs = list(docs)
         vocab = build_vocabulary(
-            docs, settings.min_df, include_structural=settings.use_structural
+            [feats for feats, _ in docs], settings.min_df,
+            include_structural=settings.use_structural,
         )
-    vectors = [
-        vectorize(doc, structural, vocab, binary=settings.binary)
-        for doc, structural in zip(docs, structurals)
+    rows = [
+        vectorize(feats, structural, vocab, binary=settings.binary)
+        for feats, structural in docs
     ]
-    return vectors, vocab
+    return CsrMatrix.stack(rows, vocab.dim), vocab
 
 
 @dataclass(frozen=True)
@@ -170,18 +175,12 @@ def train_from_corpus(
         )
     norm_config = cfg.normalization()
     settings = FeatureSettings.from_config(cfg)
-    vectors, vocab = featurize_corpus(corpus, names, clusters, norm_config, settings)
+    x, vocab = featurize_corpus(corpus, names, clusters, norm_config, settings)
     labels = corpus.labels()
 
     if cfg.sampler_method == "smote":
-        per_class: dict[Label, list[SparseVector]] = {}
-        for vec, label in zip(vectors, labels):
-            per_class.setdefault(label, []).append(vec)
-        augmented, report = smote(
-            per_class, k_neighbors=cfg.sampler_k_neighbors, seed=cfg.sampler_seed
-        )
-        vectors = [vec for label in LABELS for vec in augmented.get(label, [])]
-        labels = [label for label in LABELS for _ in augmented.get(label, [])]
+        x, report = smote(x, labels, k_neighbors=cfg.sampler_k_neighbors, seed=cfg.sampler_seed)
+        labels = [label for label, n in report.output_counts.items() for _ in range(n)]
 
     extras = {
         "features": settings.to_json(),
@@ -193,7 +192,6 @@ def train_from_corpus(
             {k: v for k, v in report.parameters.items() if k != "majority"}
         )
 
-    x = CsrMatrix.from_rows(vectors, vocab.dim)
     if cfg.classifier_kind == "svm":
         scaler = fit_scaler(x)
         classifier: SvmModel | NbModel = train_svm(
@@ -220,10 +218,7 @@ def predict_corpus(
             "model file lacks featurization settings "
             "(extras.features / extras.normalize)"
         ) from None
-    vectors, vocab = featurize_corpus(
-        corpus, names, clusters, norm_config, settings, vocab=stored.vocabulary
-    )
-    x = CsrMatrix.from_rows(vectors, vocab.dim)
+    x, _ = featurize_corpus(corpus, names, clusters, norm_config, settings, stored.vocabulary)
     if stored.scaler is not None:
         x = apply_scaler(stored.scaler, x)
     if isinstance(stored.classifier, SvmModel):
@@ -255,11 +250,13 @@ FEATURES_VERSION = 1
 def save_features(
     path: str | Path,
     vocabulary: Vocabulary,
-    vectors: Sequence[SparseVector],
+    x: CsrMatrix,
     ids: Sequence[str],
     labels: Sequence[Label],
     settings: FeatureSettings,
 ) -> None:
+    """Write one doc per row of `x`: its id, label, columns and values."""
+    bounds, indices, values = x.indptr.tolist(), x.indices.tolist(), x.data.tolist()
     doc = {
         "format": FEATURES_FORMAT,
         "version": FEATURES_VERSION,
@@ -269,10 +266,10 @@ def save_features(
             {
                 "id": doc_id,
                 "label": label.value,
-                "indices": list(vec.indices),
-                "values": list(vec.values),
+                "indices": indices[lo:hi],
+                "values": values[lo:hi],
             }
-            for doc_id, label, vec in zip(ids, labels, vectors)
+            for doc_id, label, lo, hi in zip(ids, labels, bounds, bounds[1:])
         ],
     }
     Path(path).write_text(
@@ -282,7 +279,9 @@ def save_features(
 
 def load_features(
     path: str | Path,
-) -> tuple[Vocabulary, list[SparseVector], list[str], list[Label], FeatureSettings]:
+) -> tuple[Vocabulary, CsrMatrix, list[str], list[Label], FeatureSettings]:
+    """The vocabulary, matrix, ids, labels and settings of a features file;
+    the docs are joined into one matrix and validated as a whole."""
     path = Path(path)
     doc = read_versioned_json(path, FEATURES_FORMAT, FEATURES_VERSION, "features")
     schema = {
@@ -292,13 +291,18 @@ def load_features(
     }
     try:
         check_json(doc, schema, "features")
+        docs = doc["docs"]
+        if any(len(d["indices"]) != len(d["values"]) for d in docs):
+            raise DataError("features: a doc's indices and values differ in length")
         vocabulary = vocabulary_from_json(doc["vocabulary"])
-        vectors = [
-            SparseVector(tuple(d["indices"]), tuple(map(float, d["values"])), vocabulary.dim)
-            for d in doc["docs"]
-        ]
-        labels = [Label(d["label"]) for d in doc["docs"]]
+        x = CsrMatrix.from_arrays(
+            np.cumsum([0] + [len(d["indices"]) for d in docs]),
+            [i for d in docs for i in d["indices"]],
+            [v for d in docs for v in d["values"]],
+            vocabulary.dim,
+        )
+        labels = [Label(d["label"]) for d in docs]
         settings = FeatureSettings.from_json(doc["settings"])
-    except (DataError, ValueError) as exc:
+    except (DataError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    return vocabulary, vectors, [d["id"] for d in doc["docs"]], labels, settings
+    return vocabulary, x, [d["id"] for d in docs], labels, settings

@@ -5,7 +5,8 @@ similarity-based removal of near-duplicate majority tweets, removal of
 majority tweets near known false negatives, random under-sampling to a
 target size, and minority over-sampling by whole-copy replication.  The
 fifth treatment, synthetic minority over-sampling (SMOTE), operates on
-feature vectors after vectorization.
+the feature matrix (a `CsrMatrix`) after vectorization and computes all
+of its synthetic rows as one array operation.
 
 Lexical similarity uses the Levenshtein ratio
 LR = (lensum - lendist) / lensum over Unicode scalars, in [0, 1].
@@ -19,21 +20,21 @@ distance is sure to be too large for LR > k; their decisions equal
 counts at INFO.  Every sampler is deterministic given its inputs and
 seed and returns a `SamplingReport` describing what it did.
 
-Only `smote` uses numpy and the feature vectors; it imports them when it
-runs, so the text samplers load without numpy.
+Only `smote` uses numpy and `CsrMatrix`; it imports them when it runs,
+so the text samplers load without numpy.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Corpus, Label, LABELS, Tweet
 from .rng import SplitMix64, derive_seed
 
 if TYPE_CHECKING:
-    from .features import SparseVector
+    from .features import CsrMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -406,40 +407,59 @@ def oversample_replacement(
 
 
 def smote(
-    per_class: Mapping[Label, Sequence[SparseVector]],
+    x: CsrMatrix,
+    labels: Sequence[Label],
     k_neighbors: int = 5,
     seed: int = 0,
     majority_label: Label | None = None,
-) -> tuple[dict[Label, list[SparseVector]], SamplingReport]:
-    """Synthesize minority vectors by interpolating toward near neighbors.
+) -> tuple[CsrMatrix, SamplingReport]:
+    """Synthesize minority rows by interpolating toward near neighbors.
 
-    Every minority vector x spawns floor((N_maj - N_c) / N_c) synthetic
-    points, each of the form x + u * (x_nn - x) with u uniform in [0, 1)
-    and x_nn one of x's k nearest same-class neighbors (Euclidean).  The
-    per-class total therefore lands within one original class size of the
-    majority count.  Randomness is partitioned per class so classes can
-    be synthesized independently yet reproducibly.
+    `labels` gives the class of each row of `x`.  Every minority row a
+    spawns floor((N_maj - N_c) / N_c) synthetic rows, each of the form
+    a + u * (b - a), computed as (a + u * b) - u * a with zeros dropped,
+    where u is uniform in [0, 1) and b is one of a's k nearest
+    same-class neighbors (Euclidean).  The per-class total therefore
+    lands within one original class size of the majority count.
+    Randomness is partitioned per class so classes can be synthesized
+    independently yet reproducibly.
+
+    The result holds the rows grouped by class in `LABELS` order: within
+    a class, the original rows in input order, then the synthetic rows
+    in the order of their seed rows.  The report's ``output_counts``
+    give the size of each group, in the same order.
     """
-    from .features import interpolate
+    import numpy as np
+
+    from .features import CsrMatrix
 
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
-    class_sizes = {label: len(vectors) for label, vectors in per_class.items()}
+    if len(labels) != x.n_rows:
+        raise ValueError("rows and labels must align")
+    members = {label: [] for label in LABELS}
+    for row, label in enumerate(labels):
+        members[label].append(row)
+    # in LABELS order, like every dict of the report
+    class_sizes = {label: len(rows) for label, rows in members.items() if rows}
     if majority_label is None:
         majority_label = max(
             class_sizes, key=lambda lbl: (class_sizes[lbl], -LABELS.index(lbl))
         )
     n_majority = class_sizes[majority_label]
-    augmented: dict[Label, list[SparseVector]] = {}
+    order: list[int] = []  # the output, as rows of x stacked on the synthetic rows
+    # per synthetic row: its seed row, its neighbor row and u
+    seeds, neighbors, fractions = [], [], []
+    output_counts: dict[Label, int] = {}
     factors: dict[str, int] = {}
     for class_index, label in enumerate(LABELS):
-        if label not in per_class:
+        if label not in class_sizes:
             continue
-        vectors = list(per_class[label])
-        augmented[label] = vectors.copy()
+        rows = members[label]
+        order.extend(rows)
+        output_counts[label] = n_class = len(rows)
         if label == majority_label:
             continue
-        n_class = len(vectors)
         if n_class < 2:
             raise ValueError(
                 f"class {label.value} has {n_class} instance(s); need >= 2 for smote"
@@ -449,19 +469,20 @@ def smote(
         if per_seed <= 0:
             continue
         kk = min(k_neighbors, n_class - 1)
-        neighbor_ids = _nearest_neighbors(vectors, kk)
+        neighbor_ids = _nearest_neighbors(x.take(np.array(rows)), kk)
         rng = SplitMix64(derive_seed(seed, class_index))
-        for i, vec in enumerate(vectors):
+        first = x.n_rows + len(seeds)
+        for row, near in zip(rows, neighbor_ids):
             for _ in range(per_seed):
-                nn = vectors[neighbor_ids[i][rng.below(kk)]]
-                augmented[label].append(interpolate(vec, nn, rng.uniform()))
-    input_counts = {
-        label: class_sizes.get(label, 0) for label in LABELS if label in per_class
-    }
-    output_counts = {label: len(vecs) for label, vecs in augmented.items()}
+                seeds.append(row)
+                neighbors.append(rows[near[rng.below(kk)]])
+                fractions.append(rng.uniform())
+        order.extend(range(first, x.n_rows + len(seeds)))
+        output_counts[label] += n_class * per_seed
+    synthetic = _segment_points(x, seeds, neighbors, fractions)
     report = SamplingReport(
         "smote",
-        input_counts,
+        class_sizes,
         output_counts,
         {
             "seed": seed,
@@ -470,20 +491,45 @@ def smote(
             "per_seed_counts": factors,
         },
     )
-    return augmented, report
+    return CsrMatrix.stack([x, synthetic], x.dim).take(np.array(order, np.intp)), report
 
 
-def _nearest_neighbors(vectors: Sequence[SparseVector], k: int) -> list[list[int]]:
-    """Indices of each vector's k nearest same-class neighbors (self excluded).
+def _segment_points(
+    x: CsrMatrix, seeds: list[int], neighbors: list[int], fractions: list[float]
+) -> CsrMatrix:
+    """Row r is (a + u * b) - u * a for a = x[seeds[r]], b = x[neighbors[r]]
+    and u = fractions[r], over the union of a's and b's columns with an
+    absent entry read as 0.0; zeros are dropped."""
+    import numpy as np
+
+    from .features import CsrMatrix, _indptr
+
+    a, b = x.take(np.array(seeds, np.intp)), x.take(np.array(neighbors, np.intp))
+    # entry keys row * dim + column
+    a_keys = a.row_ids() * x.dim + a.indices
+    b_keys = b.row_ids() * x.dim + b.indices
+    # their union; np.union1d would import numpy.ma, about 10 ms, on first use
+    keys = np.sort(np.concatenate([a_keys, b_keys]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    a_values, b_values = np.zeros(len(keys)), np.zeros(len(keys))
+    a_values[np.searchsorted(keys, a_keys)] = a.data
+    b_values[np.searchsorted(keys, b_keys)] = b.data
+    rows = keys // x.dim
+    u = np.array(fractions)[rows]
+    values = (a_values + u * b_values) - u * a_values
+    kept = values != 0.0
+    indptr = _indptr(np.bincount(rows[kept], minlength=len(seeds)))
+    return CsrMatrix(indptr, keys[kept] % x.dim, values[kept], x.dim)
+
+
+def _nearest_neighbors(x: CsrMatrix, k: int) -> list[list[int]]:
+    """Per row of `x`, the rows of its k nearest neighbors (self excluded).
 
     Squared distances come from one Gram matrix; ties break by index
     order, keeping the result deterministic.
     """
     import numpy as np
 
-    from .features import CsrMatrix
-
-    x = CsrMatrix.from_rows(vectors)
     norms = x.squared_norms()
     dists = norms[:, None] + norms[None, :] - 2.0 * x.matmul(x.transpose())
     np.fill_diagonal(dists, np.inf)

@@ -17,9 +17,9 @@ from rareclass.cli import main
 from rareclass.corpus import Label, cohens_kappa, load_corpus, stratified_split
 from rareclass.demo import packaged_data_path
 from rareclass.evaluation import evaluate_predictions, overall_f1, paired_t_test
-from rareclass.features import CsrMatrix, SparseVector, Vocabulary, fit_scaler
+from rareclass.features import Vocabulary, fit_scaler
 from rareclass.model_store import load_model, save_model
-from rareclass.sampling import levenshtein_ratio, oversample_replacement, smote
+from rareclass.sampling import levenshtein_ratio, oversample_replacement
 from rareclass.stats import student_t_two_sided_p
 from rareclass.svm import (
     KERNEL_LINEAR,
@@ -38,6 +38,7 @@ from qp_oracle import (
     random_dataset,
     solve_reference,
 )
+from sparse_oracle import SparseVector, from_rows, smote_by_class
 from test_normalize import (
     CLASSIC_GOLDEN,
     EMBEDDING_GOLDEN,
@@ -115,7 +116,7 @@ def test_c04_smo_vs_reference_qp():
         vectors = [SparseVector.from_pairs(enumerate(p), points.shape[1]) for p in points]
         labels_pm = [int(v) for v in y]
         alpha, bias, _, converged = solve_binary(
-            CsrMatrix.from_rows(vectors), labels_pm, box, kernel=kernel, gamma=gamma,
+            from_rows(vectors), labels_pm, box, kernel=kernel, gamma=gamma,
             tolerance=1e-8,
         )
         assert converged
@@ -144,7 +145,7 @@ def test_c05_smote_geometry():
         )
         minority = [make() for _ in range(n_minority)]
         majority = [make() for _ in range(n_majority)]
-        augmented, _ = smote(
+        augmented, _ = smote_by_class(
             {Label.DEFECT: minority, Label.NON_DEFECT: majority},
             k_neighbors=5,
             seed=trial,
@@ -298,13 +299,13 @@ def test_c11_model_serialization_round_trip(tmp_path):
         (Label.DEFECT, Label.POSSIBLE_DEFECT, Label.NON_DEFECT)[i % 3]
         for i in range(60)
     ]
-    model = train_svm(CsrMatrix.from_rows(vectors), labels, SvmParams(c=10.0, gamma=0.4))
+    model = train_svm(from_rows(vectors), labels, SvmParams(c=10.0, gamma=0.4))
     vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)), ("ngram",) * dim, 1)
     path = tmp_path / "model.json"
-    save_model(path, model, vocab, fit_scaler(CsrMatrix.from_rows(vectors)), extras={})
+    save_model(path, model, vocab, fit_scaler(from_rows(vectors)), extras={})
     stored = load_model(path)
     for _ in range(1000):
-        probe = CsrMatrix.from_rows([random_vector()])
+        probe = from_rows([random_vector()])
         [live_label], live_decisions = predict_svm(model, probe)
         [disk_label], disk_decisions = predict_svm(stored.classifier, probe)
         assert live_label is disk_label

@@ -12,12 +12,15 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rareclass.cli import main
+from rareclass.corpus import Label
 from rareclass.demo import packaged_data_path
-from rareclass.features import build_vocabulary, vectorize
+from rareclass.features import CsrMatrix, build_vocabulary, vectorize
 from rareclass.model_store import load_model
+from rareclass.sampling import smote
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,6 +66,20 @@ def test_vectorize_row_has_indices():
     recorder = tracer.Recorder()
     tracer.OBSERVERS["features.vectorize"](recorder, (), row)
     assert recorder.counts["features.nnz"] == len(row.indices) == 2
+
+
+def test_smote_report_counts_synthetic_rows():
+    rng = np.random.default_rng(7)
+    labels = [Label.DEFECT] * 3 + [Label.POSSIBLE_DEFECT] * 4 + [Label.NON_DEFECT] * 14
+    dense = rng.uniform(-1, 1, (len(labels), 3))
+    x = CsrMatrix.from_arrays(np.arange(0, dense.size + 1, 3), np.tile([0, 1, 2], len(labels)),
+                              dense.ravel(), 3)
+    result = smote(x, labels, k_neighbors=2, seed=1)
+    recorder = tracer.Recorder()
+    tracer.OBSERVERS["sampling.smote"](recorder, (x, labels), result)
+    synthetic = result[0].n_rows - x.n_rows
+    assert synthetic == 3 * 3 + 4 * 2
+    assert recorder.counts["sampling.synthetic_vectors"] == synthetic
 
 
 def test_pair_support_counts_support_vectors(demo_run):

@@ -345,6 +345,62 @@ class TestRankFeatures:
         assert gains and gains[0] > 0.0
 
 
+class TestFeaturesFileBoundary:
+    """`rank-features --features` on files that break the CSR rules."""
+
+    @pytest.fixture(scope="class")
+    def features(self, workspace, tmp_path_factory):
+        _, cfg, _ = workspace
+        path = tmp_path_factory.mktemp("features") / "features.json"
+        assert main(["featurize", "--config", str(cfg), "--out", str(path)]) == 0
+        return cfg, json.loads(path.read_text())
+
+    def _rank(self, features, tmp_path, mutate):
+        cfg, doc = features
+        doc = json.loads(json.dumps(doc))
+        mutate(doc["docs"], len(doc["vocabulary"]["names"]))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = ["rank-features", "--config", str(cfg), "--features", str(path)]
+        return main([*argv, "--out", str(tmp_path / "ranked.tsv")])
+
+    def test_unchanged_file_ranks(self, features, tmp_path):
+        assert self._rank(features, tmp_path, lambda docs, dim: None) == 0
+
+    def test_lengths_that_offset_each_other(self, features, tmp_path, capsys):
+        # the totals still match, so only a per-doc check sees it
+        def mutate(docs, dim):
+            first = next(d for d in docs if d["indices"] and d["indices"][-1] < dim - 1)
+            first["indices"].append(dim - 1)
+            docs[-1]["values"].append(1.0)
+        assert self._rank(features, tmp_path, mutate) == 2
+        assert "differ in length" in capsys.readouterr().err
+
+    def test_unsorted_indices(self, features, tmp_path):
+        def mutate(docs, dim):
+            doc = next(d for d in docs if len(d["indices"]) > 1)
+            doc["indices"].reverse()
+        assert self._rank(features, tmp_path, mutate) == 2
+
+    def test_index_at_dim(self, features, tmp_path):
+        def mutate(docs, dim):
+            next(d for d in docs if d["indices"])["indices"][-1] = dim
+        assert self._rank(features, tmp_path, mutate) == 2
+
+    def test_negative_index(self, features, tmp_path):
+        def mutate(docs, dim):
+            next(d for d in docs if d["indices"])["indices"][0] = -1
+        assert self._rank(features, tmp_path, mutate) == 2
+
+    @pytest.mark.parametrize(
+        "key, number", [("indices", 10**30), ("values", 10**400)], ids=["indices", "values"]
+    )
+    def test_number_beyond_the_array_type(self, features, tmp_path, key, number):
+        def mutate(docs, dim):
+            next(d for d in docs if d["indices"])[key][0] = number
+        assert self._rank(features, tmp_path, mutate) == 2
+
+
 class TestReportErrors:
     def test_error_corpus_written(self, workspace, tmp_path):
         root, cfg, _ = workspace
@@ -410,9 +466,9 @@ class TestExitCodes:
         )
         assert rc == 2
 
-    def _evaluate_mutated(self, workspace, tmp_path, mutate):
+    def _evaluate_mutated(self, workspace, tmp_path, mutate, model=None):
         root, cfg, _ = workspace
-        doc = json.loads((root / "model.json").read_text())
+        doc = json.loads((model or root / "model.json").read_text())
         mutate(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -450,6 +506,64 @@ class TestExitCodes:
         rc = self._evaluate_mutated(workspace, tmp_path, lambda d: d["svm"].update(gamma=gamma))
         assert rc == 2
         assert "svm.gamma must be" in capsys.readouterr().err
+
+    def test_scaler_min_above_max_is_data_error(self, workspace, tmp_path, capsys):
+        def mutate(doc):
+            doc["scaler"]["mins"][0] = doc["scaler"]["maxs"][0] + 1.0
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert "min is above its max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["swap", "repeat"])
+    def test_vocabulary_names_not_sorted_and_unique_is_data_error(
+        self, workspace, tmp_path, capsys, edit
+    ):
+        def mutate(doc):
+            names = doc["vocabulary"]["names"]
+            if edit == "swap":
+                names[0], names[1] = names[1], names[0]
+            else:
+                names[1] = names[0]
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert "sorted and unique" in capsys.readouterr().err
+
+    def test_unknown_vocabulary_kind_is_data_error(self, workspace, tmp_path, capsys):
+        def mutate(doc):
+            doc["vocabulary"]["kinds"][0] = "bigram"
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert "unknown feature kind" in capsys.readouterr().err
+
+    def test_nb_log_prior_above_zero_is_data_error(self, workspace, tmp_path, capsys):
+        root, cfg, _ = workspace
+        model = tmp_path / "nb.json"
+        train = str(root / "splits" / "train.tsv")
+        args = ["--config", str(cfg), "--corpus", train, "--model", str(model)]
+        assert main(["train", *args, "--classifier", "nb"]) == 0
+        def mutate(doc):
+            doc["nb"]["log_priors"][0] = 0.5
+        assert self._evaluate_mutated(workspace, tmp_path, mutate, model) == 2
+        assert "log priors" in capsys.readouterr().err
+
+    def test_min_df_below_one_is_data_error(self, workspace, tmp_path, capsys):
+        def mutate(doc):
+            doc["extras"]["features"]["min_df"] = 0
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert "min_df must be >= 1" in capsys.readouterr().err
+
+    def test_scaler_integer_beyond_int64_scores_as_float(self, workspace, tmp_path):
+        def mutate(doc):
+            doc["scaler"]["maxs"][0] = 10**30
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 0
+
+    def test_huge_n_max_scores_without_empty_passes(self, workspace, tmp_path):
+        def mutate(doc):
+            doc["extras"]["features"]["n_max"] = 10**30
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 0
+
+    def test_directory_as_input_file(self, workspace, tmp_path):
+        root, cfg, _ = workspace
+        args = ["--config", str(cfg), "--out", str(tmp_path / "x.tsv")]
+        assert main(["rank-features", *args, "--features", str(tmp_path)]) == 2
+        assert main(["featurize", *args, "--set", f"paths.name_lexicon={tmp_path}"]) == 1
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

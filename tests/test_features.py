@@ -14,18 +14,19 @@ from rareclass.errors import DataError
 from rareclass.features import (
     ClusterMap,
     CsrMatrix,
-    SparseVector,
     apply_scaler,
     build_vocabulary,
     cluster_features,
     extract_ngrams,
     fit_scaler,
     information_gain,
-    interpolate,
     load_clusters,
     structural_features,
     vectorize,
 )
+
+import sparse_oracle
+from sparse_oracle import SparseVector, from_rows, interpolate, to_rows
 
 
 class TestSparseVector:
@@ -80,7 +81,7 @@ class TestCsrMatrix:
         # same terms summed in the same column order: equal, not just close
         rnd = random.Random(3)
         left, right = random_rows(rnd, 7, 6), random_rows(rnd, 5, 6)
-        x, y = CsrMatrix.from_rows(left), CsrMatrix.from_rows(right)
+        x, y = from_rows(left), from_rows(right)
         assert x.matmul(y.transpose()).tolist() == [[a.dot(b) for b in right] for a in left]
         assert x.squared_norms().tolist() == [a.squared_norm() for a in left]
         dense = [[rnd.uniform(-1, 1) for _ in range(2)] for _ in range(6)]
@@ -91,17 +92,17 @@ class TestCsrMatrix:
 
     def test_row_selection_and_transpose(self):
         rows = random_rows(random.Random(4), 6, 5)
-        x = CsrMatrix.from_rows(rows)
-        assert x.take(np.array([4, 0, 4])) == CsrMatrix.from_rows([rows[4], rows[0], rows[4]])
-        assert x.rows(2, 5) == CsrMatrix.from_rows(rows[2:5])
+        x = from_rows(rows)
+        assert x.take(np.array([4, 0, 4])) == from_rows([rows[4], rows[0], rows[4]])
+        assert x.rows(2, 5) == from_rows(rows[2:5])
         assert x.transpose().transpose() == x
-        assert CsrMatrix.from_rows([], 5).transpose().transpose() == CsrMatrix.from_rows([], 5)
+        assert from_rows([], 5).transpose().transpose() == from_rows([], 5)
 
     def test_batch_scaling_equals_one_row_at_a_time(self):
         rows = random_rows(random.Random(5), 8, 4)
-        scaler = fit_scaler(CsrMatrix.from_rows(rows[:5]))
-        batch = apply_scaler(scaler, CsrMatrix.from_rows(rows))
-        singles = [apply_scaler(scaler, CsrMatrix.from_rows([row])) for row in rows]
+        scaler = fit_scaler(from_rows(rows[:5]))
+        batch = apply_scaler(scaler, from_rows(rows))
+        singles = [apply_scaler(scaler, from_rows([row])) for row in rows]
         assert batch.indptr.tolist() == [0] + np.cumsum([len(s.data) for s in singles]).tolist()
         assert batch.indices.tolist() == [i for s in singles for i in s.indices.tolist()]
         assert batch.data.tolist() == [v for s in singles for v in s.data.tolist()]
@@ -123,9 +124,24 @@ class TestCsrMatrix:
         with pytest.raises(ValueError):
             CsrMatrix.from_arrays(indptr, indices, data, 3)
 
+    def test_stack_equals_the_rows_joined(self):
+        rows = random_rows(random.Random(6), 9, 5)
+        singles = [from_rows([row]) for row in rows]
+        assert CsrMatrix.stack(singles, 5) == from_rows(rows)
+        blocks = [from_rows(rows[:4]), from_rows([], 5), from_rows(rows[4:])]
+        assert CsrMatrix.stack(blocks, 5) == from_rows(rows)
+        assert CsrMatrix.stack([], 5) == from_rows([], 5)
+
+    def test_stack_validates(self):
+        unsorted = CsrMatrix(np.array([0, 2]), np.array([2, 1]), np.array([1.0, 1.0]), 3)
+        with pytest.raises(ValueError):
+            CsrMatrix.stack([from_rows([SparseVector((0,), (1.0,), 3)]), unsorted], 3)
+        with pytest.raises(ValueError):
+            CsrMatrix.stack([from_rows([SparseVector((0,), (1.0,), 4)])], 3)
+
     def test_from_arrays_accepts_empty_rows(self):
         x = CsrMatrix.from_arrays([0, 0, 2, 2], [0, 2], [1.0, -1.0], 3)
-        assert x == CsrMatrix.from_rows(
+        assert x == from_rows(
             [SparseVector.from_pairs([], 3), SparseVector.from_pairs([(0, 1.0), (2, -1.0)], 3),
              SparseVector.from_pairs([], 3)]
         )
@@ -251,20 +267,26 @@ class TestVocabulary:
         assert v1.kinds[v1.index_of("a")] == "ngram"
 
 
+def vectorize_row(*args, **kwargs):
+    """`vectorize`'s one-row matrix as a `SparseVector`."""
+    [row] = to_rows(vectorize(*args, **kwargs))
+    return row
+
+
 class TestVectorize:
     def test_binary_presence(self):
         vocab = build_vocabulary([Counter({"my baby": 1})], min_df=1)
-        vec = vectorize(Counter({"my baby": 3}), None, vocab, binary=True)
+        vec = vectorize_row(Counter({"my baby": 3}), None, vocab, binary=True)
         assert vec.to_dict() == {vocab.index_of("my baby"): 1.0}
 
     def test_count_mode(self):
         vocab = build_vocabulary([Counter({"my baby": 1})], min_df=1)
-        vec = vectorize(Counter({"my baby": 3}), None, vocab, binary=False)
+        vec = vectorize_row(Counter({"my baby": 3}), None, vocab, binary=False)
         assert vec.to_dict() == {vocab.index_of("my baby"): 3.0}
 
     def test_oov_features_ignored(self):
         vocab = build_vocabulary([Counter({"kept": 1})], min_df=1, include_structural=True)
-        vec = vectorize(Counter({"unseen": 4}), (12, 3), vocab)
+        vec = vectorize_row(Counter({"unseen": 4}), (12, 3), vocab)
         assert vec.to_dict() == {
             vocab.index_of("struct:char_length"): 12.0,
             vocab.index_of("struct:word_length"): 3.0,
@@ -280,23 +302,40 @@ class TestVectorize:
         doc = Counter({"a": 2, "b": 1})
         assert vectorize(doc, None, vocab) == vectorize(doc, None, vocab)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from("abcdefg"), st.integers(-2, 4), max_size=7),
+        st.sampled_from("abcdefgh"),
+        st.one_of(st.none(), st.tuples(st.integers(0, 50), st.integers(0, 9))),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_row_equals_the_list_oracle(self, counts, cut, structural, binary, with_struct):
+        vocab = build_vocabulary(
+            [Counter(name for name in "abcdefg" if name < cut)],
+            min_df=1, include_structural=with_struct,
+        )
+        row = vectorize(Counter(counts), structural, vocab, binary=binary)
+        assert to_rows(row) == [sparse_oracle.vectorize(counts, structural, vocab, binary)]
+        assert row.indices.dtype == np.intp and row.data.dtype == float
+
 
 def scale_one(scaler, vec):
     """`vec` scaled, as a column-to-value dict."""
-    scaled = apply_scaler(scaler, CsrMatrix.from_rows([vec]))
+    scaled = apply_scaler(scaler, from_rows([vec]))
     return dict(zip(scaled.indices.tolist(), scaled.data.tolist()))
 
 
 class TestScaler:
     def test_endpoint_mapping(self):
         vecs = [SparseVector.from_pairs([(0, 2.0)], 1), SparseVector.from_pairs([(0, 4.0)], 1)]
-        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
+        scaler = fit_scaler(from_rows(vecs))
         assert scale_one(scaler, vecs[0]) == {}  # scaled 0 is dropped
         assert scale_one(scaler, vecs[1]) == {0: 1.0}
 
     def test_midpoint_and_no_clamping(self):
         vecs = [SparseVector.from_pairs([(0, 2.0)], 1), SparseVector.from_pairs([(0, 4.0)], 1)]
-        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
+        scaler = fit_scaler(from_rows(vecs))
         mid = scale_one(scaler, SparseVector.from_pairs([(0, 3.0)], 1))
         assert mid == {0: 0.5}
         outside = scale_one(scaler, SparseVector.from_pairs([(0, 6.0)], 1))
@@ -304,7 +343,7 @@ class TestScaler:
 
     def test_constant_column_maps_to_zero(self):
         vecs = [SparseVector.from_pairs([(0, 5.0)], 1)] * 3
-        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
+        scaler = fit_scaler(from_rows(vecs))
         assert scale_one(scaler, SparseVector.from_pairs([(0, 9.0)], 1)) == {}
 
     def test_implicit_zero_extends_range(self):
@@ -312,7 +351,7 @@ class TestScaler:
             SparseVector.from_pairs([(0, 4.0)], 1),
             SparseVector.from_pairs([], 1),
         ]
-        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
+        scaler = fit_scaler(from_rows(vecs))
         assert scaler.mins == (0.0,) and scaler.maxs == (4.0,)
         assert scale_one(scaler, vecs[0]) == {0: 1.0}
 
@@ -322,7 +361,7 @@ class TestScaler:
             SparseVector.from_pairs([(0, 1.0), (1, 10.0)], 2),
             SparseVector.from_pairs([(1, 30.0)], 2),
         ]
-        scaler = fit_scaler(CsrMatrix.from_rows(vecs))
+        scaler = fit_scaler(from_rows(vecs))
         for vec in vecs:
             scaled = scale_one(scaler, vec)
             assert scaled.get(0, 0.0) in (0.0, 1.0)
@@ -342,14 +381,14 @@ class TestInformationGain:
             SparseVector.from_pairs([], 1),
         ]
         labels = [Label.DEFECT, Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        ranked = information_gain(CsrMatrix.from_rows(vectors), labels, vocab)
+        ranked = information_gain(from_rows(vectors), labels, vocab)
         assert ranked == [("f", pytest.approx(1.0))]
 
     def test_constant_feature_is_zero(self):
         vocab = self._vocab(["f"])
         vectors = [SparseVector.from_pairs([(0, 1.0)], 1)] * 4
         labels = [Label.DEFECT, Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        assert information_gain(CsrMatrix.from_rows(vectors), labels, vocab)[0][1] == 0.0
+        assert information_gain(from_rows(vectors), labels, vocab)[0][1] == 0.0
 
     def test_pure_split_on_four_docs(self):
         vocab = self._vocab(["f", "g"])
@@ -361,7 +400,7 @@ class TestInformationGain:
             SparseVector.from_pairs([(gi, 1.0)], 2),
         ]
         labels = [Label.DEFECT, Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        ranked = dict(information_gain(CsrMatrix.from_rows(vectors), labels, vocab))
+        ranked = dict(information_gain(from_rows(vectors), labels, vocab))
         assert ranked["f"] == pytest.approx(1.0)
         # g is present in one doc of each class: knowing it gains nothing
         assert ranked["g"] == pytest.approx(0.0, abs=1e-12)
@@ -370,7 +409,7 @@ class TestInformationGain:
         vocab = self._vocab(["b", "a"])
         vectors = [SparseVector.from_pairs([], 2)] * 3
         labels = [Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        ranked = information_gain(CsrMatrix.from_rows(vectors), labels, vocab)
+        ranked = information_gain(from_rows(vectors), labels, vocab)
         assert [name for name, _ in ranked] == ["a", "b"]
 
     def test_bounded_by_label_entropy_and_relabel_invariant(self):
@@ -383,7 +422,7 @@ class TestInformationGain:
         labels = [Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
         swapped = [Label.NON_DEFECT, Label.DEFECT, Label.DEFECT]
         h_y = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
-        ig = information_gain(CsrMatrix.from_rows(vectors), labels, vocab)[0][1]
-        ig_swapped = information_gain(CsrMatrix.from_rows(vectors), swapped, vocab)[0][1]
+        ig = information_gain(from_rows(vectors), labels, vocab)[0][1]
+        ig_swapped = information_gain(from_rows(vectors), swapped, vocab)[0][1]
         assert 0.0 <= ig <= h_y + 1e-12
         assert ig == pytest.approx(ig_swapped)

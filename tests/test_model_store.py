@@ -7,10 +7,12 @@ import pytest
 
 from rareclass.corpus import Label
 from rareclass.errors import DataError
-from rareclass.features import CsrMatrix, SparseVector, Vocabulary, fit_scaler
+from rareclass.features import Vocabulary, fit_scaler
 from rareclass.model_store import load_model, save_model
 from rareclass.naive_bayes import predict_nb, train_nb
 from rareclass.svm import SvmParams, predict_svm, train_svm
+
+from sparse_oracle import SparseVector, from_rows
 
 
 def random_vectors(rng, n, dim, density=0.4):
@@ -35,9 +37,9 @@ def trained_svm():
         for i in range(40)
     ]
     params = SvmParams(c=10.0, gamma=0.5)
-    model = train_svm(CsrMatrix.from_rows(vectors), labels, params)
+    model = train_svm(from_rows(vectors), labels, params)
     vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)), ("ngram",) * dim, 1)
-    scaler = fit_scaler(CsrMatrix.from_rows(vectors))
+    scaler = fit_scaler(from_rows(vectors))
     return model, vocab, scaler
 
 
@@ -52,8 +54,8 @@ class TestSvmRoundTrip:
         assert stored.scaler == scaler
         rng = np.random.default_rng(7)
         for probe in random_vectors(rng, 200, model.dim):
-            before = predict_svm(model, CsrMatrix.from_rows([probe]))
-            after = predict_svm(stored.classifier, CsrMatrix.from_rows([probe]))
+            before = predict_svm(model, from_rows([probe]))
+            after = predict_svm(stored.classifier, from_rows([probe]))
             assert before[0][0] is after[0][0]
             assert before[1] == after[1]
 
@@ -89,14 +91,14 @@ class TestNbRoundTrip:
             for _ in range(12)
         ]
         labels = [(Label.DEFECT, Label.NON_DEFECT)[i % 2] for i in range(12)]
-        model = train_nb(CsrMatrix.from_rows(vectors), labels)
+        model = train_nb(from_rows(vectors), labels)
         vocab = Vocabulary(tuple(f"f{i}" for i in range(4)), ("ngram",) * 4, 1)
         path = tmp_path / "nb.json"
         save_model(path, model, vocab)
         stored = load_model(path)
         assert stored.kind == "nb" and stored.scaler is None
         for probe in vectors:
-            probe = CsrMatrix.from_rows([probe])
+            probe = from_rows([probe])
             assert predict_nb(model, probe) == predict_nb(stored.classifier, probe)
 
 
@@ -110,7 +112,7 @@ class TestFormatGating:
         ]
         labels = [(Label.DEFECT, Label.NON_DEFECT)[i % 2] for i in range(8)]
         vocab = Vocabulary(("a", "b", "c"), ("ngram",) * 3, 1)
-        save_model(model_path, train_nb(CsrMatrix.from_rows(vectors), labels), vocab)
+        save_model(model_path, train_nb(from_rows(vectors), labels), vocab)
         doc = json.loads(model_path.read_text())
         mutate(doc)
         model_path.write_text(json.dumps(doc))

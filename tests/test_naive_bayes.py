@@ -5,8 +5,9 @@ import math
 import pytest
 
 from rareclass.corpus import Label
-from rareclass.features import CsrMatrix, SparseVector
 from rareclass.naive_bayes import GAUSSIAN, predict_nb, train_nb
+
+from sparse_oracle import SparseVector, from_rows
 
 
 def vec(pairs, dim=2):
@@ -14,7 +15,7 @@ def vec(pairs, dim=2):
 
 
 def one(v):
-    return CsrMatrix.from_rows([v])
+    return from_rows([v])
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ def two_doc_model():
     # vocabulary {a: 0, b: 1}; d1 = "a a b" -> DEFECT, d2 = "b b" -> POSSIBLE
     vectors = [vec([(0, 2.0), (1, 1.0)]), vec([(1, 2.0)])]
     labels = [Label.DEFECT, Label.POSSIBLE_DEFECT]
-    return train_nb(CsrMatrix.from_rows(vectors), labels)
+    return train_nb(from_rows(vectors), labels)
 
 
 class TestMultinomial:
@@ -51,7 +52,7 @@ class TestMultinomial:
     def test_empty_document_falls_back_to_prior(self):
         vectors = [vec([(0, 1.0)]), vec([(1, 1.0)]), vec([(1, 1.0)])]
         labels = [Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        model = train_nb(CsrMatrix.from_rows(vectors), labels)
+        model = train_nb(from_rows(vectors), labels)
         [label], scores = predict_nb(model, one(vec([])))
         assert label is Label.NON_DEFECT
         assert scores[Label.NON_DEFECT] == pytest.approx(math.log(2 / 3))
@@ -69,8 +70,8 @@ class TestMultinomial:
     def test_duplicating_training_set_preserves_predictions(self):
         vectors = [vec([(0, 2.0)]), vec([(1, 3.0)]), vec([(0, 1.0), (1, 1.0)])]
         labels = [Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        model_once = train_nb(CsrMatrix.from_rows(vectors), labels)
-        model_twice = train_nb(CsrMatrix.from_rows(vectors * 2), labels * 2)
+        model_once = train_nb(from_rows(vectors), labels)
+        model_twice = train_nb(from_rows(vectors * 2), labels * 2)
         probes = [vec([]), vec([(0, 1.0)]), vec([(1, 2.0)]), vec([(0, 3.0), (1, 1.0)])]
         for probe in probes:
             probe = one(probe)
@@ -78,7 +79,7 @@ class TestMultinomial:
 
     def test_errors(self, two_doc_model):
         with pytest.raises(ValueError):
-            train_nb(CsrMatrix.from_rows([], 2), [])
+            train_nb(from_rows([], 2), [])
         with pytest.raises(ValueError):
             predict_nb(two_doc_model, one(SparseVector((0,), (1.0,), 9)))
 
@@ -88,7 +89,7 @@ class TestGaussian:
         low = [vec([(0, v)]) for v in (0.9, 1.0, 1.1)]
         high = [vec([(0, v)]) for v in (4.9, 5.0, 5.1)]
         labels = [Label.DEFECT] * 3 + [Label.NON_DEFECT] * 3
-        model = train_nb(CsrMatrix.from_rows(low + high), labels, event_model=GAUSSIAN)
+        model = train_nb(from_rows(low + high), labels, event_model=GAUSSIAN)
         assert predict_nb(model, one(vec([(0, 1.05)])))[0][0] is Label.DEFECT
         assert predict_nb(model, one(vec([(0, 4.6)])))[0][0] is Label.NON_DEFECT
 
@@ -96,9 +97,9 @@ class TestGaussian:
         rows = [vec([(0, 1.0), (2, 3.0)], 3), vec([(1, 2.0)], 3), vec([(0, 2.0)], 3)]
         rows.append(vec([(2, 1.0)], 3))
         labels = [Label.DEFECT, Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT]
-        model = train_nb(CsrMatrix.from_rows(rows), labels, event_model=GAUSSIAN)
+        model = train_nb(from_rows(rows), labels, event_model=GAUSSIAN)
         probes = [vec([], 3), vec([(1, 0.5), (2, 2.0)], 3)]
-        _, scores = predict_nb(model, CsrMatrix.from_rows(probes))
+        _, scores = predict_nb(model, from_rows(probes))
         for c, label in enumerate(model.labels):
             for p, probe in enumerate(probes):
                 x = [probe.to_dict().get(j, 0.0) for j in range(3)]

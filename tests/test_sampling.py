@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rareclass.corpus import Label, Tweet, three_way_split
+from rareclass.corpus import LABELS, Label, Tweet, three_way_split
 from rareclass.demo import build_demo_corpus
-from rareclass.features import SparseVector
 from rareclass.sampling import (
     SimilarityThreshold,
     _char_masks,
@@ -26,7 +25,9 @@ from rareclass.sampling import (
     undersample_similar_majority,
 )
 
+import sparse_oracle
 from conftest import make_corpus
+from sparse_oracle import SparseVector, smote_by_class
 
 
 def oracle_distance(a: str, b: str) -> int:
@@ -481,7 +482,7 @@ class TestSmote:
         rnd = random.Random(5)
         minority = self._vectors(rnd, 6)
         majority = self._vectors(rnd, 30)
-        augmented, report = smote(
+        augmented, report = smote_by_class(
             {Label.DEFECT: minority, Label.NON_DEFECT: majority},
             k_neighbors=3,
             seed=11,
@@ -502,7 +503,7 @@ class TestSmote:
     def test_counts_near_majority(self):
         rnd = random.Random(6)
         for n_min, n_maj in ((5, 49), (7, 70), (4, 9)):
-            augmented, _ = smote(
+            augmented, _ = smote_by_class(
                 {
                     Label.POSSIBLE_DEFECT: self._vectors(rnd, n_min),
                     Label.NON_DEFECT: self._vectors(rnd, n_maj),
@@ -516,7 +517,7 @@ class TestSmote:
     def test_singleton_minority_rejected(self):
         rnd = random.Random(7)
         with pytest.raises(ValueError, match="defect"):
-            smote(
+            smote_by_class(
                 {
                     Label.DEFECT: self._vectors(rnd, 1),
                     Label.NON_DEFECT: self._vectors(rnd, 10),
@@ -529,9 +530,9 @@ class TestSmote:
             Label.DEFECT: self._vectors(rnd, 5),
             Label.NON_DEFECT: self._vectors(rnd, 20),
         }
-        a, _ = smote(per_class, seed=3)
-        b, _ = smote(per_class, seed=3)
-        c, _ = smote(per_class, seed=4)
+        a, _ = smote_by_class(per_class, seed=3)
+        b, _ = smote_by_class(per_class, seed=3)
+        c, _ = smote_by_class(per_class, seed=4)
         assert a == b
         assert a != c
 
@@ -541,9 +542,42 @@ class TestSmote:
             Label.DEFECT: self._vectors(rnd, 4),
             Label.NON_DEFECT: self._vectors(rnd, 16),
         }
-        augmented, report = smote(per_class, seed=2)
+        augmented, report = smote_by_class(per_class, seed=2)
         assert augmented[Label.NON_DEFECT] == list(per_class[Label.NON_DEFECT])
         assert report.method == "smote"
         assert report.input_counts[Label.DEFECT] == 4
         assert report.output_counts[Label.DEFECT] == len(augmented[Label.DEFECT])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.lists(st.sampled_from(list(Label)), min_size=1, max_size=40),
+        st.randoms(use_true_random=False),
+        st.integers(1, 6),
+        st.integers(0, 2**32),
+    )
+    def test_equals_the_list_oracle(self, dim, labels, rnd, k_neighbors, seed):
+        values = (0.0, 1.0, -2.5, 3.0, rnd.uniform(-3, 3), rnd.uniform(-1e-3, 1e-3))
+        rows = [
+            SparseVector.from_pairs([(j, rnd.choice(values)) for j in range(dim)], dim)
+            for _ in labels
+        ]
+        per_class = {}
+        for row, label in zip(rows, labels):
+            per_class.setdefault(label, []).append(row)
+        try:
+            expected, expected_report = sparse_oracle.smote(per_class, k_neighbors, seed)
+        except ValueError:
+            with pytest.raises(ValueError):
+                smote(sparse_oracle.from_rows(rows), labels, k_neighbors, seed)
+            return
+        x, report = smote(sparse_oracle.from_rows(rows), labels, k_neighbors, seed)
+        assert sparse_oracle.to_rows(x) == [
+            row for label in LABELS for row in expected.get(label, [])
+        ]
+        assert report == expected_report
+        for key in ("input_counts", "output_counts"):
+            assert list(getattr(report, key).items()) == list(
+                getattr(expected_report, key).items()
+            )
 

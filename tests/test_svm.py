@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rareclass.corpus import Label
-from rareclass.features import CsrMatrix, SparseVector
 from rareclass.svm import (
     KERNEL_LINEAR,
     KERNEL_RBF,
@@ -28,6 +27,7 @@ from qp_oracle import (
     random_dataset,
     solve_reference,
 )
+from sparse_oracle import SparseVector, from_rows
 
 
 def vec(values, dim=None):
@@ -37,7 +37,7 @@ def vec(values, dim=None):
 
 
 def one(v):
-    return CsrMatrix.from_rows([v])
+    return from_rows([v])
 
 
 def rbf_kernel(x, y, gamma):
@@ -74,7 +74,7 @@ class TestBinarySolver:
         # bias 0, decision crosses zero at the midpoint
         vectors = [vec([-1.0]), vec([1.0])]
         alpha, bias, _, converged = solve_binary(
-            CsrMatrix.from_rows(vectors), [1, -1], [100.0, 100.0], kernel=KERNEL_LINEAR,
+            from_rows(vectors), [1, -1], [100.0, 100.0], kernel=KERNEL_LINEAR,
             tolerance=1e-9,
         )
         assert converged
@@ -84,7 +84,7 @@ class TestBinarySolver:
     def test_two_point_decision_signs(self):
         vectors = [vec([-1.0]), vec([1.0])]
         model = train_svm(
-            CsrMatrix.from_rows(vectors),
+            from_rows(vectors),
             [Label.DEFECT, Label.POSSIBLE_DEFECT],
             SvmParams(c=100.0, kernel=KERNEL_LINEAR, class_weights={
                 Label.DEFECT: 1.0, Label.POSSIBLE_DEFECT: 1.0,
@@ -106,7 +106,7 @@ class TestBinarySolver:
             c=100.0, kernel=KERNEL_RBF, gamma=1.0,
             class_weights={Label.DEFECT: 1.0, Label.POSSIBLE_DEFECT: 1.0},
         )
-        model = train_svm(CsrMatrix.from_rows(vectors), labels, params)
+        model = train_svm(from_rows(vectors), labels, params)
         for v, expected in zip(vectors, labels):
             assert predict_svm(model, one(v))[0][0] is expected
 
@@ -115,8 +115,8 @@ class TestBinarySolver:
         vectors = [vec(rng.uniform(-1, 1, size=3), 3) for _ in range(20)]
         labels = [Label.DEFECT if i % 3 == 0 else Label.NON_DEFECT for i in range(20)]
         params = SvmParams(c=10.0, gamma=0.8)
-        first = train_svm(CsrMatrix.from_rows(vectors), labels, params)
-        second = train_svm(CsrMatrix.from_rows(vectors), labels, params)
+        first = train_svm(from_rows(vectors), labels, params)
+        second = train_svm(from_rows(vectors), labels, params)
         assert first == second
 
     def test_equality_constraint_and_box(self):
@@ -127,7 +127,7 @@ class TestBinarySolver:
             vectors = [vec(p, points.shape[1]) for p in points]
             box = [c] * len(y)
             alpha, _, _, _ = solve_binary(
-                CsrMatrix.from_rows(vectors), [int(v) for v in y], box, kernel=KERNEL_LINEAR,
+                from_rows(vectors), [int(v) for v in y], box, kernel=KERNEL_LINEAR,
                 tolerance=1e-6,
             )
             assert abs(sum(a * v for a, v in zip(alpha, y))) < 1e-6
@@ -145,7 +145,7 @@ class TestBinarySolver:
             ref_value, _ = solve_reference(K, y, box)
             vectors = [vec(p, points.shape[1]) for p in points]
             alpha, bias, _, converged = solve_binary(
-                CsrMatrix.from_rows(vectors), [int(v) for v in y], box, kernel=kernel,
+                from_rows(vectors), [int(v) for v in y], box, kernel=kernel,
                 gamma=gamma, tolerance=1e-8,
             )
             assert converged
@@ -160,7 +160,7 @@ class TestBinarySolver:
         vectors = [vec(p, points.shape[1]) for p in points]
         box = [100.0] * len(y)
         alpha, bias, _, converged = solve_binary(
-            CsrMatrix.from_rows(vectors), [int(v) for v in y], box, kernel=KERNEL_RBF,
+            from_rows(vectors), [int(v) for v in y], box, kernel=KERNEL_RBF,
             gamma=0.7, tolerance=1e-3,
         )
         assert converged
@@ -174,7 +174,7 @@ class TestBinarySolver:
         vectors = [vec(p, points.shape[1]) for p in points]
         with caplog.at_level("WARNING"):
             _, _, iterations, converged = solve_binary(
-                CsrMatrix.from_rows(vectors), [int(v) for v in y], [100.0] * len(y),
+                from_rows(vectors), [int(v) for v in y], [100.0] * len(y),
                 max_iterations=2,
             )
         assert iterations == 2 and not converged
@@ -190,7 +190,7 @@ class TestBinarySolver:
             c = 100.0 if trial % 2 else 1.0
             vectors = [vec(p, points.shape[1]) for p in points]
             _, _, iterations, converged = solve_binary(
-                CsrMatrix.from_rows(vectors), [int(v) for v in y], np.full(len(y), c),
+                from_rows(vectors), [int(v) for v in y], np.full(len(y), c),
                 kernel=KERNEL_LINEAR, gamma=0.7, tolerance=1e-8,
             )
             assert converged
@@ -208,7 +208,7 @@ class TestDegenerateInputs:
         box = np.asarray(box, dtype=float)
         vectors = [vec(p, points.shape[1]) for p in points]
         alpha, bias, _, converged = solve_binary(
-            CsrMatrix.from_rows(vectors), [int(v) for v in y], box, kernel=kernel,
+            from_rows(vectors), [int(v) for v in y], box, kernel=kernel,
             gamma=gamma, tolerance=tolerance, max_iterations=10_000,
         )
         assert converged
@@ -246,7 +246,7 @@ class TestTrainingLog:
         vectors = [vec([-1.0]), vec([-0.9]), vec([1.0]), vec([0.9]), vec([3.0])]
         labels = [Label.DEFECT, Label.DEFECT, Label.POSSIBLE_DEFECT, Label.POSSIBLE_DEFECT,
                   Label.NON_DEFECT]
-        return CsrMatrix.from_rows(vectors), labels
+        return from_rows(vectors), labels
 
     def test_one_info_line_per_pair(self, caplog):
         x, labels = self._data()
@@ -296,7 +296,7 @@ class TestClassWeights:
                 gamma=2.0,
                 class_weights={Label.DEFECT: w, Label.NON_DEFECT: 1.0},
             )
-            model = train_svm(CsrMatrix.from_rows(vectors), labels, params)
+            model = train_svm(from_rows(vectors), labels, params)
             hits = sum(
                 predict_svm(model, one(v))[0][0] is Label.DEFECT
                 for v in vectors[: len(minority)]
@@ -311,7 +311,7 @@ class TestClassWeights:
             c=2.0, kernel=KERNEL_LINEAR,
             class_weights={Label.DEFECT: 1.0, Label.NON_DEFECT: 3.0},
         )
-        model = train_svm(CsrMatrix.from_rows(vectors), labels, params)
+        model = train_svm(from_rows(vectors), labels, params)
         pair = model.pairs[0]
         for a, y in zip(pair.alpha, pair.y):
             limit = 2.0 * (1.0 if y > 0 else 3.0)
@@ -341,7 +341,7 @@ class TestMulticlassPrediction:
             gamma=1.0,
             class_weights={l: 1.0 for l in Label},
             dim=1,
-            support_vectors=CsrMatrix.from_rows([], 1),
+            support_vectors=from_rows([], 1),
         )
 
     def test_unanimous_votes(self):

@@ -225,7 +225,10 @@ def extract_ngrams(tokens: Sequence[str], n_min: int = 1, n_max: int = 3) -> Cou
         raise ValueError("need 1 <= n_min <= n_max")
     grams: Counter = Counter()
     for n in range(n_min, min(n_max, len(tokens)) + 1):  # longer n-grams do not fit
-        grams.update([" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)])
+        if n == 1:
+            grams.update(tokens)
+        else:
+            grams.update([" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)])
     return grams
 
 
@@ -308,18 +311,20 @@ def vectorize(
     Features absent from the vocabulary and zero values are dropped.  The
     row is not validated here; `CsrMatrix.stack` validates a corpus's rows.
     """
-    pairs: list[tuple[int, float]] = []
-    for name, count in doc_features.items():
-        col = vocab.index_of(name)
-        if col is not None:
-            pairs.append((col, 1.0 if binary else float(count)))
+    index = vocab._index
+    pairs = [
+        (index[name], 1.0 if binary else float(count))
+        for name, count in doc_features.items()
+        if name in index
+    ]
     if structural is not None:
         chars, words = structural
         for name, value in ((STRUCT_CHAR_LENGTH, chars), (STRUCT_WORD_LENGTH, words)):
             col = vocab.index_of(name)
             if col is not None:
                 pairs.append((col, float(value)))
-    pairs = sorted(pair for pair in pairs if pair[1] != 0.0)
+    pairs.sort()
+    pairs = [pair for pair in pairs if pair[1] != 0.0]
     return CsrMatrix(
         np.array((0, len(pairs)), np.intp),
         np.array([col for col, _ in pairs], np.intp),

@@ -30,6 +30,7 @@ import re
 import string
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -39,8 +40,9 @@ from .porter import porter_stem
 
 USERNAME_RE = re.compile(r"@[A-Za-z0-9_]+")
 URL_RE = re.compile(r"https?://\S+")
-_ALPHA_RUN_RE = re.compile(r"[A-Za-z]+")
-_NON_LOWER_RE = re.compile(r"[^a-z]+")
+# a maximal ASCII letter run that starts with an uppercase letter
+_NAME_RUN_RE = re.compile(r"(?<![A-Za-z])[A-Z][A-Za-z]*")
+_LOWER_RUN_RE = re.compile(r"[a-z]+")
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,11 @@ def _split_atoms(parts: _Parts, literal: str, atom: str) -> _Parts:
     return out
 
 
-def _sub_atoms(parts: _Parts, pattern: re.Pattern, atom: str) -> _Parts:
+def _sub_atoms(
+    parts: _Parts, pattern: re.Pattern, atom: str, names: NameLexicon | None = None
+) -> _Parts:
+    """Replace each match of `pattern` outside the atoms by `atom`; with
+    `names`, only the matches whose lowercase form is a name."""
     out: _Parts = []
     for is_atom, content in parts:
         if is_atom:
@@ -162,6 +168,8 @@ def _sub_atoms(parts: _Parts, pattern: re.Pattern, atom: str) -> _Parts:
             continue
         pos = 0
         for match in pattern.finditer(content):
+            if names is not None and match.group().lower() not in names:
+                continue
             if match.start() > pos:
                 out.append((False, content[pos : match.start()]))
             out.append((True, atom))
@@ -169,6 +177,15 @@ def _sub_atoms(parts: _Parts, pattern: re.Pattern, atom: str) -> _Parts:
         if pos < len(content):
             out.append((False, content[pos:]))
     return out
+
+
+@lru_cache(maxsize=16)
+def _config_rules(config: NormalizationConfig) -> tuple[dict[str, str], tuple[str, ...]]:
+    """The token map of `config`, and its placeholders longest first."""
+    token_map = dict.fromkeys(config.possessive_pronouns, config.possessive_placeholder)
+    token_map.update(dict.fromkeys(config.child_terms, config.child_placeholder))
+    token_map.update(dict.fromkeys(config.third_person_pronouns, config.third_person_placeholder))
+    return token_map, tuple(sorted(config.placeholders(), key=len, reverse=True))
 
 
 def classic_normalize(
@@ -181,8 +198,15 @@ def classic_normalize(
 
     `match_span` is the (start, end) UTF-8 byte span of the lexicon match
     to collapse into the term placeholder; pass None when there is none.
+
+    A rule runs only on texts where it can match: a placeholder spelling
+    is split out only when the text contains it, the URL regex only when
+    it contains ``http`` and the user regex only when it contains ``@``,
+    and the given-name pass is skipped when ``text.islower()``, which
+    holds only for texts without an uppercase letter.
     """
     config = config or NormalizationConfig()
+    token_map, placeholders = _config_rules(config)
     text = tweet.text
     parts: _Parts
     if match_span is not None:
@@ -198,47 +222,27 @@ def classic_normalize(
 
     # Protect placeholder spellings already present (idempotency on
     # re-processed output); longest first so no placeholder nests in another.
-    for ph in sorted(config.placeholders(), key=len, reverse=True):
-        parts = _split_atoms(parts, ph, ph)
-
-    parts = _sub_atoms(parts, URL_RE, config.url_placeholder)
-    parts = _sub_atoms(parts, USERNAME_RE, config.user_placeholder)
-
+    for ph in placeholders:
+        if ph in text:
+            parts = _split_atoms(parts, ph, ph)
+    if "http" in text:
+        parts = _sub_atoms(parts, URL_RE, config.url_placeholder)
+    if "@" in text:
+        parts = _sub_atoms(parts, USERNAME_RE, config.user_placeholder)
     # Given names: capitalized alphabetic runs only, before lowercasing,
     # so common lowercase words ("will", "grace") are never eaten.
-    replaced: _Parts = []
-    for is_atom, content in parts:
-        if is_atom:
-            replaced.append((is_atom, content))
-            continue
-        pos = 0
-        for match in _ALPHA_RUN_RE.finditer(content):
-            run = match.group()
-            if run[0].isupper() and run.lower() in names:
-                if match.start() > pos:
-                    replaced.append((False, content[pos : match.start()]))
-                replaced.append((True, config.name_placeholder))
-                pos = match.end()
-        if pos < len(content):
-            replaced.append((False, content[pos:]))
-    parts = replaced
-
-    token_map = {}
-    for token in config.possessive_pronouns:
-        token_map[token] = config.possessive_placeholder
-    for token in config.child_terms:
-        token_map[token] = config.child_placeholder
-    for token in config.third_person_pronouns:
-        token_map[token] = config.third_person_placeholder
+    if not text.islower():
+        parts = _sub_atoms(parts, _NAME_RUN_RE, config.name_placeholder, names)
 
     tokens: list[str] = []
     for is_atom, content in parts:
         if is_atom:
             tokens.append(content)
-            continue
-        for word in _NON_LOWER_RE.sub(" ", content.lower()).split():
-            mapped = token_map.get(word)
-            tokens.append(mapped if mapped else porter_stem(word))
+        else:
+            tokens += [
+                token_map.get(word) or porter_stem(word)
+                for word in _LOWER_RUN_RE.findall(content.lower())
+            ]
     return NormalizedText(tuple(tokens), tweet.id)
 
 

@@ -34,6 +34,7 @@ trained models are immutable.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
@@ -93,14 +94,30 @@ def _kernel_block(
 
 
 def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, capacity: int = 512):
-    """Row i of the kernel matrix of `x`, with the last `capacity` rows cached."""
+    """Row i of the kernel matrix of `x`, with the `capacity` most recently
+    used rows cached.
+
+    Row i's dot products come from the slices of the transpose that hold
+    row i's columns, joined in increasing column order and summed by one
+    `bincount`: the term order that `CsrMatrix.matmul` documents, so the
+    row equals ``x.rows(i, i + 1).matmul(x.transpose())`` bit for bit.
+    """
     columns = x.transpose()
+    bounds = columns.indptr.tolist()
     sq = x.squared_norms()
+    no_cells, no_products = np.zeros(0, np.intp), np.zeros(0)  # so that an empty row joins
 
     @lru_cache(maxsize=capacity)
     def row(i: int) -> np.ndarray:
-        dots = x.rows(i, i + 1).matmul(columns)
-        return _kernel_block(dots, sq[i : i + 1], sq, kernel, gamma)[0]
+        lo, hi = x.indptr[i], x.indptr[i + 1]
+        cells, products = [no_cells], [no_products]
+        for col, value in zip(x.indices[lo:hi].tolist(), x.data[lo:hi].tolist()):
+            start, stop = bounds[col], bounds[col + 1]
+            cells.append(columns.indices[start:stop])
+            data = columns.data[start:stop]
+            products.append(data if value == 1.0 else data * value)  # 1.0 * v is v
+        dots = np.bincount(np.concatenate(cells), np.concatenate(products), minlength=x.n_rows)
+        return _kernel_block(dots[None, :], sq[i : i + 1], sq, kernel, gamma)[0]
 
     return row
 
@@ -130,63 +147,77 @@ def solve_binary(
     y = np.asarray(y_pm, dtype=float)
     box = np.asarray(box, dtype=float)
     n = len(y)
+    ys, boxes = y.tolist(), box.tolist()  # the loop reads its scalars as floats
     alpha = np.zeros(n)
     g = y.copy()  # y - u, with u the bias-free decision values (all 0 at alpha = 0)
     kernel_row = _kernel_rows(x, kernel, gamma)
-    diag = x.squared_norms() if kernel == KERNEL_LINEAR else np.ones(n)
+    diag = x.squared_norms() if kernel == KERNEL_LINEAR else None
     pos = y > 0
-    # the "up" and "down" sets, kept current where alpha changes
+    # the "up" and "down" sets, kept current where alpha changes, and masks that
+    # are 0 on a set and -inf/+inf off it: on the set, g + mask == g
     up = np.where(pos, alpha < box, alpha > 0.0)
     down = np.where(pos, alpha > 0.0, alpha < box)
+    up_mask = np.where(up, 0.0, -np.inf)
+    down_mask = np.where(down, 0.0, np.inf)
+    # every n-length value of an iteration is evaluated into these
+    gain, g_down, a, step = (np.empty(n) for _ in range(4))
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        if not up.any() or not down.any():
+        i = int(np.add(g, up_mask, out=gain).argmax())
+        np.add(g, down_mask, out=g_down)
+        # an empty "up" set makes the difference -inf, and so does an empty "down" set
+        if gain.item(i) - g_down.min() <= tolerance:
             converged = True
             break
-        i = int(np.argmax(np.where(up, g, -np.inf)))
-        g_down = np.where(down, g, np.inf)
-        if g[i] - g_down.min() <= tolerance:
-            converged = True
-            break
+        g_i = g.item(i)
         row_i = kernel_row(i)
         # second-order gain b^2 / a with b = g_i - g_t, zero off the down
         # set and where b <= 0; the check above leaves some gain > 0
-        b = np.maximum(g[i] - g_down, 0.0)
-        a = diag[i] + diag - 2.0 * row_i
+        np.subtract(g_i, g_down, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        gain *= gain
+        # a = K_ii + K_tt - 2 K_it, where an RBF kernel's K_ii + K_tt is 2.0
+        np.multiply(2.0, row_i, out=a)
+        np.subtract(2.0 if diag is None else diag[i] + diag, a, out=a)
         np.maximum(a, 1e-12, out=a)
-        j = int(np.argmax(b * b / a))
+        gain /= a
+        j = int(gain.argmax())
         row_j = kernel_row(j)
-        eta = row_i[i] + row_j[j] - 2.0 * row_i[j]
+        eta = row_i.item(i) + row_j.item(j) - 2.0 * row_i.item(j)
         if eta <= 0.0:
             eta = 1e-12
-        a_i, a_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
+        a_i, a_j = alpha.item(i), alpha.item(j)
+        y_i, y_j, box_i, box_j = ys[i], ys[j], boxes[i], boxes[j]
+        if y_i != y_j:
             low = max(0.0, a_j - a_i)
-            high = min(box[j], box[i] + a_j - a_i)
+            high = min(box_j, box_i + a_j - a_i)
         else:
-            low = max(0.0, a_i + a_j - box[i])
-            high = min(box[j], a_i + a_j)
+            low = max(0.0, a_i + a_j - box_i)
+            high = min(box_j, a_i + a_j)
         # E = u - y, so E_i - E_j = g_j - g_i
-        a_j_new = a_j + y[j] * (g[j] - g[i]) / eta
+        a_j_new = a_j + y_j * (g.item(j) - g_i) / eta
         a_j_new = min(max(a_j_new, low), high)
-        a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
+        a_i_new = a_i + y_i * y_j * (a_j - a_j_new)
         if a_i_new < _BOUND_SNAP:
             a_i_new = 0.0
-        elif a_i_new > box[i] - _BOUND_SNAP:
-            a_i_new = box[i]
+        elif a_i_new > box_i - _BOUND_SNAP:
+            a_i_new = box_i
         if a_j_new < _BOUND_SNAP:
             a_j_new = 0.0
-        elif a_j_new > box[j] - _BOUND_SNAP:
-            a_j_new = box[j]
-        delta_i = (a_i_new - a_i) * y[i]
-        delta_j = (a_j_new - a_j) * y[j]
-        alpha[i] = a_i_new
-        alpha[j] = a_j_new
-        for t in (i, j):
-            up[t] = alpha[t] < box[t] if pos[t] else alpha[t] > 0.0
-            down[t] = alpha[t] > 0.0 if pos[t] else alpha[t] < box[t]
-        g -= delta_i * row_i + delta_j * row_j
+        elif a_j_new > box_j - _BOUND_SNAP:
+            a_j_new = box_j
+        delta_i = (a_i_new - a_i) * y_i
+        delta_j = (a_j_new - a_j) * y_j
+        for t, a_t in ((i, a_i_new), (j, a_j_new)):  # i != j: g_j < g_i
+            alpha[t] = a_t
+            up[t] = up_t = a_t < boxes[t] if ys[t] > 0 else a_t > 0.0
+            down[t] = down_t = a_t > 0.0 if ys[t] > 0 else a_t < boxes[t]
+            up_mask[t] = 0.0 if up_t else -np.inf
+            down_mask[t] = 0.0 if down_t else np.inf
+        np.multiply(delta_i, row_i, out=step)
+        step += np.multiply(delta_j, row_j, out=a)
+        g -= step
     else:
         logger.warning(
             "smo hit the iteration cap (%d) before reaching tolerance %g",
@@ -242,12 +273,9 @@ class SvmModel:
 
 def inverse_frequency_weights(labels: Sequence[Label]) -> dict[Label, float]:
     """N / (K * N_c) per present class: the balanced weighting scheme."""
-    present = [lbl for lbl in LABELS if lbl in set(labels)]
-    n = len(labels)
-    k = len(present)
-    return {
-        lbl: n / (k * sum(1 for x in labels if x == lbl)) for lbl in present
-    }
+    counts = Counter(labels)
+    present = [lbl for lbl in LABELS if lbl in counts]
+    return {lbl: len(labels) / (len(present) * counts[lbl]) for lbl in present}
 
 
 def train_svm(
@@ -265,7 +293,8 @@ def train_svm(
         raise ValueError("training set is empty")
     if x.n_rows != len(labels):
         raise ValueError("vectors and labels must align")
-    present = tuple(lbl for lbl in LABELS if lbl in set(labels))
+    label_set = set(labels)
+    present = tuple(lbl for lbl in LABELS if lbl in label_set)
     if len(present) < 2:
         raise ValueError("need at least two classes to train")
     gamma = params.gamma if params.gamma is not None else 1.0 / max(x.dim, 1)

@@ -2,7 +2,8 @@
 
 The text-only steps (split, kappa, match, preprocess, the text samplers)
 and the benchmark's corpus generator must run without importing numpy,
-which costs more start-up time than any of them spends working.  Each
+which costs more start-up time than any of them spends working.  The
+SVM `train` and `evaluate` steps import numpy but not `numpy.ma`.  Each
 check runs in a fresh interpreter, because this test process has long
 since imported everything.
 """
@@ -21,12 +22,13 @@ from rareclass.demo import packaged_data_path
 SRC = Path(rareclass.__file__).resolve().parent.parent
 CORPUS_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_gen.py"
 
-# runs its arguments as a CLI step, then prints whether numpy was imported
+# runs its arguments as a CLI step, then prints which of numpy and
+# numpy.ma were imported
 _CLI_CHILD = """
 import sys
 from rareclass.cli import main
 code = main(sys.argv[1:])
-print("numpy" in sys.modules)
+print("imported:", *[name for name in ("numpy", "numpy.ma") if name in sys.modules])
 sys.exit(code)
 """
 
@@ -35,12 +37,12 @@ _SCRIPT_CHILD = """
 import runpy, sys
 path, sys.argv = sys.argv[1], sys.argv[1:]
 runpy.run_path(path, run_name="__main__")
-print("numpy" in sys.modules)
+print("imported:", *[name for name in ("numpy", "numpy.ma") if name in sys.modules])
 """
 
 
-def _run(child: str, args: list[str], cwd: Path) -> bool:
-    """Whether numpy was in `sys.modules` when the child finished."""
+def _run(child: str, args: list[str], cwd: Path) -> set[str]:
+    """Which of numpy and numpy.ma were in `sys.modules` when the child finished."""
     done = subprocess.run(
         [sys.executable, "-c", child, *args],
         cwd=cwd,
@@ -50,7 +52,7 @@ def _run(child: str, args: list[str], cwd: Path) -> bool:
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip().splitlines()[-1] == "True"
+    return set(done.stdout.strip().splitlines()[-1].split()[1:])
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +97,8 @@ def _steps(root: Path, pairs: Path) -> dict[str, list[str]]:
 )
 def test_text_steps_leave_numpy_unimported(demo_files, step):
     root, pairs = demo_files
-    assert not _run(_CLI_CHILD, _steps(root, pairs)[step], root), f"{step} imported numpy"
+    imported = _run(_CLI_CHILD, _steps(root, pairs)[step], root)
+    assert "numpy" not in imported, f"{step} imported numpy"
 
 
 def test_numpy_steps_still_import_it(demo_files):
@@ -107,12 +110,25 @@ def test_numpy_steps_still_import_it(demo_files):
         "--set", "features.use_clusters=false",
         "--classifier", "nb", "--model", str(root / "nb.json"),
     ]
-    assert _run(_CLI_CHILD, train, root)
+    assert "numpy" in _run(_CLI_CHILD, train, root)
+
+
+def test_svm_train_and_evaluate_leave_numpy_ma_unimported(demo_files):
+    root, _ = demo_files
+    corpus = str(packaged_data_path("demo_corpus.tsv"))
+    common = [
+        "--set", f"paths.name_lexicon={packaged_data_path('demo_names.txt')}",
+        "--set", f"paths.clusters={packaged_data_path('demo_clusters.tsv')}",
+        "--model", str(root / "svm.json"),
+    ]
+    assert _run(_CLI_CHILD, ["train", "--corpus", corpus, *common], root) == {"numpy"}
+    evaluate = ["evaluate", "--corpus", corpus, "--out", str(root / "report.tsv"), *common]
+    assert _run(_CLI_CHILD, evaluate, root) == {"numpy"}
 
 
 def test_corpus_generator_leaves_numpy_unimported(tmp_path):
     args = [str(CORPUS_GEN), "--seed", "1", "--size", "300", "--out-dir", str(tmp_path)]
-    assert not _run(_SCRIPT_CHILD, args, tmp_path)
+    assert "numpy" not in _run(_SCRIPT_CHILD, args, tmp_path)
     assert (tmp_path / "corpus.tsv").is_file()
 
 

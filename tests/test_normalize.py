@@ -6,8 +6,11 @@ is a fixed point of its pipeline (re-normalizing changes nothing).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rareclass.corpus import Tweet
+from rareclass import normalize
+from rareclass.corpus import Tweet, char_span_to_bytes
 from rareclass.errors import DataError
 from rareclass.normalize import (
     NameLexicon,
@@ -16,6 +19,8 @@ from rareclass.normalize import (
     embedding_normalize,
     load_name_lexicon,
 )
+
+import normalize_oracle
 
 NAMES = NameLexicon(frozenset({"emma", "noah", "grace", "ana", "liam"}))
 CONFIG = NormalizationConfig()
@@ -129,6 +134,61 @@ class TestClassicRules:
     def test_placeholder_collision_rejected(self):
         with pytest.raises(ValueError):
             NormalizationConfig(user_placeholder="<x>", url_placeholder="<x>")
+
+
+# a second config whose placeholders look like text the rules rewrite
+ODD_CONFIG = NormalizationConfig(
+    possessive_pronouns=frozenset({"me"}),
+    user_placeholder="@@",
+    url_placeholder="http",
+    name_placeholder="Name",
+    term_placeholder="TERM",
+)
+# fragments that each trigger or defeat one rule: placeholder spellings
+# (whole and broken), users and URLs, capitalized names alone and inside
+# words, and non-ASCII uppercase ("İ" lowercases to two characters, the
+# KELVIN SIGN to ASCII "k")
+FRAGMENTS = [
+    *CONFIG.placeholders(), *ODD_CONFIG.placeholders(), "<user", "url>", "<<name>>",
+    "@john", "@Ana_2", "@", "http://t.co/x", "https://example.com/Emma", "xhttps://a",
+    "Emma", "Noah", "Grace", "ANA", "Ana", "xAna", "Anax", "aLiam", "grace", "emma",
+    "\u00c9", "\u0130", "\u212a", "\u00c9mma", "\u0130an", "\u212aate",
+    "my", "Our", "me", "son", "twins", "she", "HIS", "diagnosed", "hydrocephalus",
+    " ", " ", "!!", "'s", "3", "#", "\U0001f64f", "-",
+]
+
+
+@st.composite
+def tweets_with_spans(draw):
+    text = draw(st.lists(st.sampled_from(FRAGMENTS), max_size=14).map("".join))
+    span = None
+    if text and draw(st.booleans()):
+        start = draw(st.integers(0, len(text) - 1))
+        span = char_span_to_bytes(text, (start, draw(st.integers(start + 1, len(text)))))
+    return text, span
+
+
+class TestGatesMatchOracle:
+    """The gated `classic_normalize` returns the tokens of the ungated
+    oracle and stems the same words."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tweets_with_spans(), st.sampled_from([CONFIG, ODD_CONFIG]))
+    def test_tokens_and_stem_calls_equal_oracle(self, tweet_span, config):
+        text, span = tweet_span
+        tweet = Tweet("t", "u", text)
+        stemmed = []
+        stem = normalize.porter_stem
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(normalize, "porter_stem", lambda word: stemmed.append(word) or stem(word))
+            expected = normalize_oracle.classic_normalize(tweet, span, NAMES, config)
+            oracle_stemmed = stemmed.copy()
+            stemmed.clear()
+            out = classic_normalize(tweet, span, NAMES, config)
+        assert out == expected
+        assert stemmed == oracle_stemmed
+        # one call per word that is not a placeholder
+        assert len(stemmed) == sum(token not in config.placeholders() for token in out.tokens)
 
 
 class TestEmbeddingRules:

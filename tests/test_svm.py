@@ -5,8 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rareclass import svm
+from rareclass.cli import main
 from rareclass.corpus import Label
+from rareclass.features import CsrMatrix
 from rareclass.svm import (
     KERNEL_LINEAR,
     KERNEL_RBF,
@@ -15,10 +20,13 @@ from rareclass.svm import (
     SvmParams,
     inverse_frequency_weights,
     _kernel_block,
+    _kernel_rows,
     predict_svm,
     solve_binary,
     train_svm,
 )
+
+import smo_oracle
 
 from qp_oracle import (
     dual_value,
@@ -386,3 +394,87 @@ class TestTrainValidation:
             SvmParams(gamma=-1.0)
         with pytest.raises(ValueError):
             SvmParams(class_weights={Label.DEFECT: 0.0})
+
+
+# order-sensitive values (1e16 + 1.0 - 1e16 depends on the order), signed zeros, and 1.0
+ORDER_SENSITIVE = [1.0, 1.0, -1.0, 3.0, 1e16, -1e16, 1e16, 3.25e-3, 0.0, -0.0]
+
+
+@st.composite
+def csr_matrices(draw, max_rows=20, max_dim=8):
+    """A matrix whose columns range from empty to full, with empty rows,
+    explicit zeros, and values whose sums depend on the order of terms."""
+    n = draw(st.integers(1, max_rows))
+    dim = draw(st.integers(1, max_dim))
+    shares = st.sampled_from([0.0, 0.15, 0.3, 0.6, 1.0])
+    density = draw(st.lists(shares, min_size=dim, max_size=dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    present = rng.random((n, dim)) < np.asarray(density)
+    present[rng.random(n) < 0.2] = False  # rows with no entries
+    values = rng.choice(ORDER_SENSITIVE, size=(n, dim))
+    rows, cols = np.nonzero(present)
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+    return CsrMatrix.from_arrays(indptr, cols, values[rows, cols], dim)
+
+
+class TestFastPathsMatchOracle:
+    """The kernel rows and the SMO loop repeat the oracle's arithmetic in
+    the oracle's order, so they agree with it bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        csr_matrices(),
+        st.sampled_from([KERNEL_RBF, KERNEL_LINEAR]),
+        st.sampled_from([0.05, 0.7, 3.0]),
+    )
+    def test_kernel_rows_equal_matmul_rows(self, x, kernel, gamma):
+        columns = x.transpose()
+        sq = x.squared_norms()
+        row = _kernel_rows(x, kernel, gamma)
+        for i in range(x.n_rows):
+            dots = x.rows(i, i + 1).matmul(columns)
+            assert np.array_equal(row(i), _kernel_block(dots, sq[i : i + 1], sq, kernel, gamma)[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        csr_matrices(max_rows=14, max_dim=4),
+        st.data(),
+        st.sampled_from([KERNEL_RBF, KERNEL_LINEAR]),
+        st.sampled_from([0.1, 0.7, 2.0]),
+        st.sampled_from([0.5, 1.0, 100.0]),
+    )
+    def test_solver_equals_oracle(self, x, data, kernel, gamma, c):
+        # duplicate points: rows repeated from the drawn matrix
+        repeats = data.draw(st.lists(st.integers(0, x.n_rows - 1), min_size=2, max_size=16))
+        x = x.take(np.asarray(repeats))
+        y = data.draw(st.lists(st.sampled_from([1, -1]), min_size=x.n_rows, max_size=x.n_rows))
+        if len(set(y)) == 1:  # both classes, often one of them a single point
+            y[0] = -y[0]
+        box = [c * (1.0 if v > 0 else 2.5) for v in y]
+        args = (x, y, box, kernel, gamma, 1e-3, 2_000)
+        alpha, bias, iterations, converged = solve_binary(*args)
+        expected = smo_oracle.solve_binary(*args)
+        assert np.array_equal(alpha, expected[0])
+        assert (bias, iterations, converged) == expected[1:]
+
+    def test_one_point_class_and_zero_rows_equal_oracle(self):
+        # rows: empty, (1, 0), (2, -1), empty, (2, -1); the +1 class is one empty row
+        x = CsrMatrix.from_arrays(
+            [0, 0, 1, 3, 3, 5], [0, 0, 1, 0, 1], [1.0, 2.0, -1.0, 2.0, -1.0], 2
+        )
+        for kernel in (KERNEL_RBF, KERNEL_LINEAR):
+            args = (x, [1, -1, -1, -1, -1], [10.0] * 5, kernel, 0.7)
+            alpha, *rest = solve_binary(*args)
+            expected = smo_oracle.solve_binary(*args)
+            assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
+
+    def test_demo_model_is_byte_identical_under_the_oracle(self, tmp_path, monkeypatch, demo_paths):
+        base = [
+            "train", "--corpus", str(demo_paths["corpus"]),
+            "--set", f"paths.name_lexicon={demo_paths['names']}",
+            "--set", f"paths.clusters={demo_paths['clusters']}",
+        ]
+        assert main([*base, "--model", str(tmp_path / "fast.json")]) == 0
+        monkeypatch.setattr(svm, "solve_binary", smo_oracle.solve_binary)
+        assert main([*base, "--model", str(tmp_path / "oracle.json")]) == 0
+        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()

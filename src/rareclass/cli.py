@@ -24,7 +24,13 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .config import PipelineConfig
+from .config import (
+    CLASSIFIER_KINDS,
+    NORMALIZE_PIPELINES,
+    SAMPLER_METHODS,
+    TEXT_SAMPLER_METHODS,
+    PipelineConfig,
+)
 from .corpus import (
     Corpus,
     Label,
@@ -92,14 +98,22 @@ def _load_corpus_logged(path: Path) -> Corpus:
     return load_corpus(path)
 
 
+# the shortcut flags, by argparse dest, and the config key each overrides
+_FLAG_KEYS = {
+    "corpus": "paths.corpus",
+    "lexicon": "paths.lexicon",
+    "model": "paths.model",
+    "classifier": "classifier.kind",
+    "sampler": "sampler.method",
+    "pipeline": "normalize.pipeline",
+}
+
+
 def _config(args) -> PipelineConfig:
+    """The config file, then --set, then the shortcut flags; later wins."""
     overrides = list(args.set or [])
-    for key, attr in (
-        ("paths.corpus", "corpus"),
-        ("paths.lexicon", "lexicon"),
-        ("paths.model", "model"),
-    ):
-        value = getattr(args, attr, None)
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
         if value:
             overrides.append(f"{key}={value}")
     return PipelineConfig.from_sources(args.config, overrides)
@@ -127,8 +141,6 @@ def _names_and_clusters(cfg: PipelineConfig, need_clusters: bool):
     if need_clusters:
         clusters_path = cfg.path("paths.clusters")
         if clusters_path is not None:
-            if not clusters_path.is_file():
-                raise ConfigError(f"paths.clusters: no such file {clusters_path}")
             _log_input("clusters", clusters_path)
             from .features import load_clusters
 
@@ -141,21 +153,10 @@ def _stored_uses_clusters(stored) -> bool:
     return bool(features.get("use_clusters", True)) if isinstance(features, dict) else True
 
 
-def _label_arg(text: str) -> Label:
-    try:
-        return Label(text)
-    except ValueError:
-        raise _UsageError(
-            f"unknown label {text!r}; expected one of "
-            + ", ".join(l.value for l in LABELS)
-        ) from None
-
-
-def _cmd_split(args) -> int:
-    cfg = _config(args)
+def _cmd_split(args, cfg: PipelineConfig) -> int:
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     result = three_way_split(
-        corpus, cfg.test_fraction, cfg.validation_fraction, cfg.split_seed
+        corpus, cfg["split.test_fraction"], cfg["split.validation_fraction"], cfg["split.seed"]
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -169,9 +170,9 @@ def _cmd_split(args) -> int:
         print(f"{name}\t{len(part)}\t{path}")
     logger.info(
         "split seed=%d fractions=%s/%s sizes=%d/%d/%d",
-        cfg.split_seed,
-        cfg.test_fraction,
-        cfg.validation_fraction,
+        cfg["split.seed"],
+        cfg["split.test_fraction"],
+        cfg["split.validation_fraction"],
         len(result.train),
         len(result.validation),
         len(result.test),
@@ -179,7 +180,7 @@ def _cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args, cfg: PipelineConfig) -> int:
     path = Path(args.pairs)
     _log_input("annotation pairs", path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -206,8 +207,7 @@ def _cmd_kappa(args) -> int:
     return EXIT_OK
 
 
-def _cmd_match(args) -> int:
-    cfg = _config(args)
+def _cmd_match(args, cfg: PipelineConfig) -> int:
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     lexicon_path = cfg.path("paths.lexicon", required=True)
     _log_input("lexicon", lexicon_path)
@@ -249,12 +249,10 @@ def _cmd_match(args) -> int:
     return EXIT_OK
 
 
-def _cmd_preprocess(args) -> int:
-    cfg = _config(args)
+def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
-    pipeline = args.pipeline or cfg.normalize_pipeline
     rows = []
-    if pipeline == "classic":
+    if cfg["normalize.pipeline"] == "classic":
         names, _ = _names_and_clusters(cfg, need_clusters=False)
         norm_config = cfg.normalization()
         for item in corpus:
@@ -271,12 +269,11 @@ def _cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _cmd_featurize(args) -> int:
+def _cmd_featurize(args, cfg: PipelineConfig) -> int:
     from .pipeline import FeatureSettings, featurize_corpus, save_features
 
-    cfg = _config(args)
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
-    names, clusters = _names_and_clusters(cfg, need_clusters=cfg.use_clusters)
+    names, clusters = _names_and_clusters(cfg, need_clusters=cfg["features.use_clusters"])
     settings = FeatureSettings.from_config(cfg)
     x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
     save_features(
@@ -293,7 +290,7 @@ def _cmd_featurize(args) -> int:
 
 def _fn_tweets(cfg: PipelineConfig):
     """The near_fn sampler's false negatives; None for any other sampler."""
-    if cfg.sampler_method != "near_fn":
+    if cfg["sampler.method"] != "near_fn":
         return None
     fn_path = cfg.path("sampler.fn_corpus", required=True)
     _log_input("false negatives", fn_path)
@@ -309,33 +306,29 @@ def apply_text_sampler(
     unchanged and no report.  The samplers are called through this
     module's names, which perfbench/tracer.py wraps.
     """
-    method = cfg.sampler_method
-    if method in ("none", "smote"):
+    method = cfg["sampler.method"]
+    if method not in TEXT_SAMPLER_METHODS:
         return corpus, None
     if method == "similar":
-        return undersample_similar_majority(corpus, cfg.sampler_k)
+        return undersample_similar_majority(corpus, cfg["sampler.k"])
     if method == "near_fn":
         if fn_tweets is None:
             raise ConfigError("sampler.fn_corpus must be set for the near_fn sampler")
-        return undersample_near_fn(corpus, fn_tweets, cfg.sampler_k)
+        return undersample_near_fn(corpus, fn_tweets, cfg["sampler.k"])
     if method == "random":
-        target = cfg.sampler_target_total
-        if target <= 0:
+        if cfg["sampler.target_total"] == 0:
             raise ConfigError("sampler.target_total must be positive for random sampling")
-        return undersample_random(corpus, target, cfg.sampler_seed)
-    if method == "replacement":
-        return oversample_replacement(corpus, cfg.sampler_seed)
-    raise ConfigError(f"unknown sampler method {method!r}")
+        return undersample_random(corpus, cfg["sampler.target_total"], cfg["sampler.seed"])
+    return oversample_replacement(corpus, cfg["sampler.seed"])
 
 
-def _cmd_sample(args) -> int:
-    cfg = _config(args)
+def _cmd_sample(args, cfg: PipelineConfig) -> int:
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(cfg))
     if report is None:
         raise ConfigError(
-            "sample requires a text-level method: similar, near_fn, random, or "
-            "replacement (smote operates on vectors inside `train`)"
+            f"sample requires a text-level method: {', '.join(TEXT_SAMPLER_METHODS)} "
+            "(smote operates on vectors inside `train`)"
         )
     save_corpus(sampled, args.out)
     report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".report.txt")
@@ -345,22 +338,21 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, cfg: PipelineConfig) -> int:
     from .pipeline import train_from_corpus
 
-    cfg = _config(args)
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus = _load_corpus_logged(corpus_path)
-    names, clusters = _names_and_clusters(cfg, need_clusters=cfg.use_clusters)
+    names, clusters = _names_and_clusters(cfg, need_clusters=cfg["features.use_clusters"])
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(cfg))
     result = train_from_corpus(sampled, cfg, names, clusters, report)
-    model_path = Path(cfg.get("paths.model"))
+    model_path = Path(cfg["paths.model"])
     extras = dict(result.extras)
     # digest only: embedding the path would break byte-reproducibility of
     # otherwise identical runs in different directories
     extras["training_corpus"] = {"sha256": _digest(corpus_path)}
     save_model(model_path, result.classifier, result.vocabulary, result.scaler, extras)
-    print(f"model\t{cfg.classifier_kind}\t{model_path}")
+    print(f"model\t{cfg['classifier.kind']}\t{model_path}")
     if result.sampling_report is not None:
         report_path = model_path.with_suffix(".sampling.txt")
         report_path.write_text(result.sampling_report.to_text(), encoding="utf-8")
@@ -368,19 +360,18 @@ def _cmd_train(args) -> int:
         print(f"sampling-report\t{report_path}")
     logger.info(
         "trained %s on %d items (vocabulary %d, sampler %s, sampler seed %d)",
-        cfg.classifier_kind,
+        cfg["classifier.kind"],
         len(corpus),
         result.vocabulary.dim,
-        cfg.sampler_method,
-        cfg.sampler_seed,
+        cfg["sampler.method"],
+        cfg["sampler.seed"],
     )
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     from .pipeline import evaluate_corpus
 
-    cfg = _config(args)
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus = _load_corpus_logged(corpus_path)
     model_path = cfg.path("paths.model", required=True)
@@ -403,18 +394,17 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rank_features(args) -> int:
+def _cmd_rank_features(args, cfg: PipelineConfig) -> int:
     from .features import information_gain
     from .pipeline import FeatureSettings, featurize_corpus, load_features
 
-    cfg = _config(args)
     if args.features:
         features_path = Path(args.features)
         _log_input("features", features_path)
         vocab, x, _ids, labels, _settings = load_features(features_path)
     else:
         corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
-        names, clusters = _names_and_clusters(cfg, need_clusters=cfg.use_clusters)
+        names, clusters = _names_and_clusters(cfg, need_clusters=cfg["features.use_clusters"])
         settings = FeatureSettings.from_config(cfg)
         x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
         labels = corpus.labels()
@@ -431,11 +421,10 @@ def _cmd_rank_features(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report_errors(args) -> int:
+def _cmd_report_errors(args, cfg: PipelineConfig) -> int:
     from .evaluation import error_report
     from .pipeline import predict_corpus
 
-    cfg = _config(args)
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus = _load_corpus_logged(corpus_path)
     model_path = cfg.path("paths.model", required=True)
@@ -445,9 +434,7 @@ def _cmd_report_errors(args) -> int:
         cfg, need_clusters=_stored_uses_clusters(stored)
     )
     predictions = predict_corpus(stored, corpus, names, clusters)
-    gold = _label_arg(args.gold)
-    predicted_as = _label_arg(args.predicted_as)
-    errors = error_report(corpus, predictions, gold, predicted_as)
+    errors = error_report(corpus, predictions, Label(args.gold), Label(args.predicted_as))
     save_corpus(Corpus(tuple(errors), provenance="error-report"), args.out)
     print(f"errors\t{len(errors)}\t{args.out}")
     return EXIT_OK
@@ -490,7 +477,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("preprocess", parents=[common], help="normalize tweets to token rows")
-    p.add_argument("--pipeline", choices=("classic", "embedding"),
+    p.add_argument("--pipeline", choices=NORMALIZE_PIPELINES,
                    help="override normalize.pipeline")
     p.add_argument("--out", default="normalized.tsv")
     p.set_defaults(func=_cmd_preprocess)
@@ -500,8 +487,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_featurize)
 
     p = sub.add_parser("sample", parents=[common], help="rebalance a corpus at the text level")
-    p.add_argument("--method", dest="sampler",
-                   choices=("similar", "near_fn", "random", "replacement"),
+    p.add_argument("--method", dest="sampler", choices=TEXT_SAMPLER_METHODS,
                    help="override sampler.method")
     p.add_argument("--out", default="sampled.tsv")
     p.add_argument("--report", help="sampling report path (default: <out>.report.txt)")
@@ -509,11 +495,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", parents=[common], help="train a classifier, persist the model")
     p.add_argument("--model", help="override paths.model (output)")
-    p.add_argument("--classifier", dest="classifier", choices=("svm", "nb"),
-                   help="override classifier.kind")
-    p.add_argument("--sampler", dest="sampler",
-                   choices=("none", "similar", "near_fn", "random", "replacement", "smote"),
-                   help="override sampler.method")
+    p.add_argument("--classifier", choices=CLASSIFIER_KINDS, help="override classifier.kind")
+    p.add_argument("--sampler", choices=SAMPLER_METHODS, help="override sampler.method")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", parents=[common], help="score a model on a corpus")
@@ -531,24 +514,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report-errors", parents=[common],
                        help="list tweets with a given gold/predicted label pair")
     p.add_argument("--model", help="override paths.model (input)")
-    p.add_argument("--gold", default=Label.DEFECT.value)
-    p.add_argument("--predicted-as", dest="predicted_as", default=Label.NON_DEFECT.value)
+    label_names = [label.value for label in LABELS]
+    p.add_argument("--gold", choices=label_names, default=Label.DEFECT.value)
+    p.add_argument("--predicted-as", choices=label_names, default=Label.NON_DEFECT.value)
     p.add_argument("--out", default="errors.tsv")
     p.set_defaults(func=_cmd_report_errors)
 
     return parser
-
-
-def _apply_cli_shortcuts(args) -> None:
-    extra = []
-    if getattr(args, "classifier", None):
-        extra.append(f"classifier.kind={args.classifier}")
-    if getattr(args, "sampler", None):
-        extra.append(f"sampler.method={args.sampler}")
-    if getattr(args, "pipeline", None):
-        extra.append(f"normalize.pipeline={args.pipeline}")
-    if extra:
-        args.set = list(args.set or []) + extra
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -559,8 +531,9 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(
             stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s"
         )
-        _apply_cli_shortcuts(args)
-        return args.func(args)
+        # every key is parsed here, before any work runs, whichever keys
+        # the subcommand reads
+        return args.func(args, _config(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

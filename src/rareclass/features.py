@@ -176,7 +176,9 @@ class CsrMatrix:
         products = np.repeat(self.data, lengths)
         products *= other.data[pos]
         size = self.n_rows * other.dim
-        return np.bincount(cells, products, minlength=size).reshape(self.n_rows, other.dim)
+        # with no terms, bincount ignores the weights and returns int64
+        dots = np.bincount(cells, products, minlength=size).astype(np.float64, copy=False)
+        return dots.reshape(self.n_rows, other.dim)
 
 
 @dataclass(frozen=True)

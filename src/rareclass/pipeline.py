@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import TEXT_SAMPLER_METHODS, PipelineConfig
 from .corpus import Corpus, Label
 from .errors import DataError
 from .evaluation import EvalReport, evaluate_predictions
@@ -65,14 +65,7 @@ class FeatureSettings:
 
     @classmethod
     def from_config(cls, cfg: PipelineConfig) -> "FeatureSettings":
-        return cls(
-            n_min=cfg.n_min,
-            n_max=cfg.n_max,
-            min_df=cfg.min_df,
-            binary=cfg.binary_features,
-            use_clusters=cfg.use_clusters,
-            use_structural=cfg.use_structural,
-        )
+        return cls(**cfg.section("features"))
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -167,10 +160,11 @@ def train_from_corpus(
     output and `report` its report.  For ``none`` and ``smote`` the
     report is None.
     """
-    text_level = cfg.sampler_method not in ("none", "smote")
+    method = cfg["sampler.method"]
+    text_level = method in TEXT_SAMPLER_METHODS
     if text_level != (report is not None):
         raise ValueError(
-            f"sampler.method {cfg.sampler_method!r} "
+            f"sampler.method {method!r} "
             f"{'needs' if text_level else 'takes no'} text-sampler report"
         )
     norm_config = cfg.normalization()
@@ -178,28 +172,29 @@ def train_from_corpus(
     x, vocab = featurize_corpus(corpus, names, clusters, norm_config, settings)
     labels = corpus.labels()
 
-    if cfg.sampler_method == "smote":
-        x, report = smote(x, labels, k_neighbors=cfg.sampler_k_neighbors, seed=cfg.sampler_seed)
+    if method == "smote":
+        k_neighbors, seed = cfg["sampler.k_neighbors"], cfg["sampler.seed"]
+        x, report = smote(x, labels, k_neighbors=k_neighbors, seed=seed)
         labels = [label for label, n in report.output_counts.items() for _ in range(n)]
 
     extras = {
         "features": settings.to_json(),
         "normalize": normalization_to_json(norm_config),
-        "sampler": {"method": cfg.sampler_method},
+        "sampler": {"method": method},
     }
     if report is not None:
         extras["sampler"].update(
             {k: v for k, v in report.parameters.items() if k != "majority"}
         )
 
-    if cfg.classifier_kind == "svm":
+    if cfg["classifier.kind"] == "svm":
         scaler = fit_scaler(x)
         classifier: SvmModel | NbModel = train_svm(
             apply_scaler(scaler, x), labels, cfg.svm_params()
         )
         return TrainResult(classifier, vocab, scaler, report, extras)
 
-    classifier = train_nb(x, labels, event_model=cfg.nb_event_model)
+    classifier = train_nb(x, labels, event_model=cfg["nb.event_model"])
     return TrainResult(classifier, vocab, None, report, extras)
 
 

@@ -34,6 +34,7 @@ trained models are immutable.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -42,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import KERNEL_LINEAR, KERNEL_RBF
+from .config import KERNEL_LINEAR, KERNEL_RBF, KERNELS
 from .corpus import Label, LABELS
 from .features import CsrMatrix
 
@@ -64,18 +65,21 @@ class SvmParams:
     max_iterations: int = 10_000_000
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
-        if self.kernel not in (KERNEL_RBF, KERNEL_LINEAR):
+        # written so that NaN fails too: NaN c, gamma or tolerance would
+        # keep SMO running to max_iterations
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
+        if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.gamma is not None and self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.class_weights is not None:
-            for label, w in self.class_weights.items():
-                if w <= 0.0:
-                    raise ValueError(f"weight for {label.value} must be positive")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        for label, w in (self.class_weights or {}).items():
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"weight for {label.value} must be positive and finite")
 
 
 # query rows per kernel block in `predict_svm`; bounds its memory
@@ -117,6 +121,7 @@ def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, capacity: int = 512):
             data = columns.data[start:stop]
             products.append(data if value == 1.0 else data * value)  # 1.0 * v is v
         dots = np.bincount(np.concatenate(cells), np.concatenate(products), minlength=x.n_rows)
+        dots = dots.astype(np.float64, copy=False)  # int64 if the row is empty
         return _kernel_block(dots[None, :], sq[i : i + 1], sq, kernel, gamma)[0]
 
     return row

@@ -441,6 +441,23 @@ class TestExitCodes:
     def test_missing_corpus_is_config_error(self, capsys):
         assert main(["featurize", "--out", "x.json"]) == 1
 
+    def test_nan_gamma_is_config_error_before_training(self, workspace, tmp_path, capsys):
+        # parsed at load: a NaN gamma used to keep SMO running to its iteration cap
+        root, cfg, _ = workspace
+        model = tmp_path / "model.json"
+        rc = main(
+            [
+                "train",
+                "--config", str(cfg),
+                "--corpus", str(root / "splits" / "train.tsv"),
+                "--model", str(model),
+                "--set", "svm.gamma=nan",
+            ]
+        )
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_nonexistent_corpus_path(self, tmp_path, capsys):
         rc = main(
             [

@@ -146,6 +146,14 @@ class TestCsrMatrix:
              SparseVector.from_pairs([], 3)]
         )
 
+    def test_product_without_terms_is_float(self):
+        # bincount returns int64 when it sums no terms
+        x = CsrMatrix.from_arrays([0, 0, 2], [0, 2], [1.0, -1.0], 3)
+        for left, right in ((x.rows(0, 1), x), (x, from_rows([], 3))):
+            product = left.matmul(right.transpose())
+            assert product.dtype == np.float64
+            assert not product.any()
+
 
 class TestNgrams:
     def test_up_to_trigrams(self):

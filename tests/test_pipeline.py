@@ -49,9 +49,21 @@ class TestConfig:
         path = tmp_path / "default.cfg"
         path.write_text(render_default_config(), encoding="utf-8")
         cfg = PipelineConfig.from_sources(path, [])
-        assert cfg.classifier_kind == "svm"
-        assert cfg.min_df == 2
+        assert cfg["classifier.kind"] == "svm"
+        assert cfg["features.min_df"] == 2
         assert cfg.svm_params().c == 100.0
+
+    def test_rendered_defaults_and_demo_config_parse_to_the_defaults(self, tmp_path):
+        from rareclass.demo import write_demo_files
+
+        defaults = PipelineConfig.from_sources(None)
+        path = tmp_path / "default.cfg"
+        path.write_text(render_default_config(), encoding="utf-8")
+        assert PipelineConfig.from_sources(path).values == defaults.values
+        write_demo_files(tmp_path / "demo")
+        demo = PipelineConfig.from_sources(tmp_path / "demo" / "demo.cfg")
+        changed = {key for key in defaults.values if demo[key] != defaults[key]}
+        assert changed == {"paths.corpus", "paths.lexicon", "paths.name_lexicon", "paths.clusters"}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -72,6 +84,22 @@ class TestConfig:
             config("features.n_min=3", "features.n_max=2")
         with pytest.raises(ConfigError):
             config("svm.kernel=poly")
+        for override in (
+            "split.test_fraction=1.5",
+            "sampler.k=1.5",
+            "sampler.k_neighbors=0",
+            "svm.c=nan",
+            "svm.c=inf",
+            "svm.gamma=nan",
+            "svm.tolerance=nan",
+            "svm.max_iterations=0",
+            "svm.class_weights=defect:nan",
+        ):
+            with pytest.raises(ConfigError, match=override.split("=")[0]):
+                config(override)
+        # keys the chosen classifier never reads are checked too
+        with pytest.raises(ConfigError, match="svm.c"):
+            config("classifier.kind=nb", "svm.c=abc")
 
     def test_explicit_class_weights(self):
         cfg = config("svm.class_weights=defect:4.0,non_defect:1.0")

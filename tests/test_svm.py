@@ -394,6 +394,14 @@ class TestTrainValidation:
             SvmParams(gamma=-1.0)
         with pytest.raises(ValueError):
             SvmParams(class_weights={Label.DEFECT: 0.0})
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            {"c": nan}, {"c": inf}, {"gamma": nan}, {"gamma": inf},
+            {"tolerance": nan}, {"tolerance": inf}, {"max_iterations": 0},
+            {"class_weights": {Label.DEFECT: nan}}, {"class_weights": {Label.DEFECT: inf}},
+        ):
+            with pytest.raises(ValueError):
+                SvmParams(**bad)
 
 
 # order-sensitive values (1e16 + 1.0 - 1e16 depends on the order), signed zeros, and 1.0
@@ -434,6 +442,13 @@ class TestFastPathsMatchOracle:
         for i in range(x.n_rows):
             dots = x.rows(i, i + 1).matmul(columns)
             assert np.array_equal(row(i), _kernel_block(dots, sq[i : i + 1], sq, kernel, gamma)[0])
+
+    @pytest.mark.parametrize("kernel", [KERNEL_LINEAR, KERNEL_RBF])
+    def test_kernel_row_of_an_empty_row_is_float(self, kernel):
+        x = CsrMatrix.from_arrays([0, 0, 1], [1], [2.0], 2)
+        row = _kernel_rows(x, kernel, 0.5)(0)
+        assert row.dtype == np.float64
+        assert row.tolist() == ([0.0, 0.0] if kernel == KERNEL_LINEAR else [1.0, math.exp(-2.0)])
 
     @settings(max_examples=150, deadline=None)
     @given(

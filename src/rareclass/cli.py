@@ -20,8 +20,9 @@ import argparse
 import hashlib
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .config import (
@@ -67,6 +68,9 @@ from .sampling import (
 # Modules that need numpy (features, model_store, pipeline) and evaluation
 # are imported inside the handlers that run them, so that split, kappa,
 # match, preprocess and the text samplers start without numpy.
+if TYPE_CHECKING:
+    from .features import FeatureSettings
+    from .model_store import StoredModel
 
 logger = logging.getLogger("rareclass")
 
@@ -121,24 +125,25 @@ def _config(args) -> PipelineConfig:
 
 # model_store needs numpy, so these two import it on call; they stay names
 # of this module because perfbench/tracer.py wraps them here
-def load_model(path: str | Path):
+def load_model(path: str | Path) -> StoredModel:
     from . import model_store
 
     return model_store.load_model(path)
 
 
-def save_model(path: str | Path, classifier, vocabulary, scaler=None, extras=None) -> None:
+def save_model(path: str | Path, model: StoredModel) -> None:
     from . import model_store
 
-    model_store.save_model(path, classifier, vocabulary, scaler, extras)
+    model_store.save_model(path, model)
 
 
-def _names_and_clusters(cfg: PipelineConfig, need_clusters: bool):
+def _names_and_clusters(cfg: PipelineConfig, settings: FeatureSettings | None = None):
+    """The name lexicon, and the clusters if `settings` use them."""
     names_path = cfg.path("paths.name_lexicon", required=True)
     _log_input("name lexicon", names_path)
     names = load_name_lexicon(names_path)
     clusters = None
-    if need_clusters:
+    if settings is not None and settings.use_clusters:
         clusters_path = cfg.path("paths.clusters")
         if clusters_path is not None:
             _log_input("clusters", clusters_path)
@@ -148,9 +153,16 @@ def _names_and_clusters(cfg: PipelineConfig, need_clusters: bool):
     return names, clusters
 
 
-def _stored_uses_clusters(stored) -> bool:
-    features = stored.extras.get("features")
-    return bool(features.get("use_clusters", True)) if isinstance(features, dict) else True
+def _featurize_configured(cfg: PipelineConfig):
+    """`paths.corpus` featurized as the config says: the corpus, its
+    matrix and vocabulary, and the settings used."""
+    from .pipeline import featurize_corpus
+
+    corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
+    settings = cfg.feature_settings()
+    names, clusters = _names_and_clusters(cfg, settings)
+    x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
+    return corpus, x, vocab, settings
 
 
 def _cmd_split(args, cfg: PipelineConfig) -> int:
@@ -253,7 +265,7 @@ def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     rows = []
     if cfg["normalize.pipeline"] == "classic":
-        names, _ = _names_and_clusters(cfg, need_clusters=False)
+        names, _ = _names_and_clusters(cfg)
         norm_config = cfg.normalization()
         for item in corpus:
             normalized = classic_normalize(
@@ -270,20 +282,10 @@ def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_featurize(args, cfg: PipelineConfig) -> int:
-    from .pipeline import FeatureSettings, featurize_corpus, save_features
+    from .model_store import save_features
 
-    corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
-    names, clusters = _names_and_clusters(cfg, need_clusters=cfg["features.use_clusters"])
-    settings = FeatureSettings.from_config(cfg)
-    x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
-    save_features(
-        args.out,
-        vocab,
-        x,
-        [item.tweet.id for item in corpus],
-        corpus.labels(),
-        settings,
-    )
+    corpus, x, vocab, settings = _featurize_configured(cfg)
+    save_features(args.out, vocab, x, corpus, settings)
     print(f"features\t{x.n_rows}x{vocab.dim}\t{args.out}")
     return EXIT_OK
 
@@ -343,26 +345,25 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
 
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus = _load_corpus_logged(corpus_path)
-    names, clusters = _names_and_clusters(cfg, need_clusters=cfg["features.use_clusters"])
+    names, clusters = _names_and_clusters(cfg, cfg.feature_settings())
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(cfg))
-    result = train_from_corpus(sampled, cfg, names, clusters, report)
+    model, report = train_from_corpus(sampled, cfg, names, clusters, report)
     model_path = Path(cfg["paths.model"])
-    extras = dict(result.extras)
     # digest only: embedding the path would break byte-reproducibility of
     # otherwise identical runs in different directories
-    extras["training_corpus"] = {"sha256": _digest(corpus_path)}
-    save_model(model_path, result.classifier, result.vocabulary, result.scaler, extras)
+    extras = {**model.extras, "training_corpus": {"sha256": _digest(corpus_path)}}
+    save_model(model_path, replace(model, extras=extras))
     print(f"model\t{cfg['classifier.kind']}\t{model_path}")
-    if result.sampling_report is not None:
+    if report is not None:
         report_path = model_path.with_suffix(".sampling.txt")
-        report_path.write_text(result.sampling_report.to_text(), encoding="utf-8")
-        sys.stdout.write(result.sampling_report.to_text())
+        report_path.write_text(report.to_text(), encoding="utf-8")
+        sys.stdout.write(report.to_text())
         print(f"sampling-report\t{report_path}")
     logger.info(
         "trained %s on %d items (vocabulary %d, sampler %s, sampler seed %d)",
         cfg["classifier.kind"],
         len(corpus),
-        result.vocabulary.dim,
+        model.vocabulary.dim,
         cfg["sampler.method"],
         cfg["sampler.seed"],
     )
@@ -377,9 +378,7 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     model_path = cfg.path("paths.model", required=True)
     _log_input("model", model_path)
     stored = load_model(model_path)
-    names, clusters = _names_and_clusters(
-        cfg, need_clusters=_stored_uses_clusters(stored)
-    )
+    names, clusters = _names_and_clusters(cfg, stored.features)
     report, _ = evaluate_corpus(
         stored,
         corpus,
@@ -396,17 +395,14 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
 
 def _cmd_rank_features(args, cfg: PipelineConfig) -> int:
     from .features import information_gain
-    from .pipeline import FeatureSettings, featurize_corpus, load_features
+    from .model_store import load_features
 
     if args.features:
         features_path = Path(args.features)
         _log_input("features", features_path)
         vocab, x, _ids, labels, _settings = load_features(features_path)
     else:
-        corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
-        names, clusters = _names_and_clusters(cfg, need_clusters=cfg["features.use_clusters"])
-        settings = FeatureSettings.from_config(cfg)
-        x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
+        corpus, x, vocab, _settings = _featurize_configured(cfg)
         labels = corpus.labels()
     ranked = information_gain(x, labels, vocab)
     if args.top:
@@ -430,9 +426,7 @@ def _cmd_report_errors(args, cfg: PipelineConfig) -> int:
     model_path = cfg.path("paths.model", required=True)
     _log_input("model", model_path)
     stored = load_model(model_path)
-    names, clusters = _names_and_clusters(
-        cfg, need_clusters=_stored_uses_clusters(stored)
-    )
+    names, clusters = _names_and_clusters(cfg, stored.features)
     predictions = predict_corpus(stored, corpus, names, clusters)
     errors = error_report(corpus, predictions, Label(args.gold), Label(args.predicted_as))
     save_corpus(Corpus(tuple(errors), provenance="error-report"), args.out)

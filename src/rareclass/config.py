@@ -26,6 +26,7 @@ from .normalize import (
 )
 
 if TYPE_CHECKING:
+    from .features import FeatureSettings
     from .svm import SvmParams
 
 # the SVM kernels; defined here so that reading a config needs no numpy
@@ -52,6 +53,8 @@ def _key_value(text: str, where: str) -> tuple[str, str]:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read raw key/value pairs; later lines override earlier ones."""
     path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file: no such file {path}")
     values: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
@@ -242,6 +245,11 @@ class PipelineConfig:
         token_sets = self.section("normalize")
         del token_sets["pipeline"]
         return NormalizationConfig(**token_sets)
+
+    def feature_settings(self) -> FeatureSettings:
+        from .features import FeatureSettings
+
+        return FeatureSettings(**self.section("features"))
 
     def svm_params(self) -> SvmParams:
         from .svm import SvmParams

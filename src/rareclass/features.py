@@ -208,6 +208,19 @@ class Vocabulary:
 
 
 @dataclass(frozen=True)
+class FeatureSettings:
+    """How documents become feature rows: the config's ``features.*`` keys,
+    saved with every model and features file."""
+
+    n_min: int = 1
+    n_max: int = 3
+    min_df: int = 2
+    binary: bool = True
+    use_clusters: bool = True
+    use_structural: bool = True
+
+
+@dataclass(frozen=True)
 class ClusterMap:
     """Token to hierarchical-cluster-path map (paths are 0/1 strings)."""
 

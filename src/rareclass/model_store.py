@@ -1,18 +1,23 @@
-"""Versioned JSON persistence for trained models.
+"""Versioned JSON files: the model file and the features file.
 
-A model file embeds everything prediction needs: classifier parameters,
-the vocabulary (names and kinds), the fitted scaler (SVM only), and
-either the Naive Bayes tables or the SVM's support vectors.  Format
-version 2 stores every support vector once, in a shared pool
-(``svm.support_vectors``: CSR ``indptr``/``indices``/``values`` arrays);
-each class pair lists its support vectors as pool indices (``support``)
-next to its own ``alpha``, ``y``, ``bias``, ``iterations`` and
-``converged``.  Version 1 files, which copied the support vectors into
-every pair, are rejected like any other unknown version.
+`StoredModel` is the one model record: `pipeline.train_from_corpus`
+returns it, `save_model` writes it and `load_model` reads it.  A model
+file embeds everything prediction needs: classifier parameters, the
+vocabulary (names and kinds), the fitted scaler (SVM only), the
+featurization settings (``extras.features`` and ``extras.normalize``,
+required), and either the Naive Bayes tables or the SVM's support
+vectors.  Format version 2 stores every support vector once, in a shared
+pool (``svm.support_vectors``: CSR ``indptr``/``indices``/``values``
+arrays); each class pair lists its support vectors as pool indices
+(``support``) next to its own ``alpha``, ``y``, ``bias``, ``iterations``
+and ``converged``.  Version 1 files, which copied the support vectors
+into every pair, are rejected like any other unknown version.
+A features file holds a vocabulary, the settings that made it, and one
+CSR row per corpus item.
 
 Floats round-trip exactly through JSON's repr encoding, so a reloaded
 model predicts bit-identically.  Files are written with sorted keys and
-fixed separators, so identical models produce identical bytes.  Loading
+fixed separators, so identical records produce identical bytes.  Loading
 checks every key and type it reads and raises `DataError` on a missing
 key, a wrong type, a bad value or a pool index out of range.
 """
@@ -21,28 +26,45 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Label
+from .corpus import Corpus, Label
 from .errors import DataError
-from .features import KIND_CLUSTER, KIND_NGRAM, KIND_STRUCTURAL, CsrMatrix, Scaler, Vocabulary
+from .features import (
+    KIND_CLUSTER,
+    KIND_NGRAM,
+    KIND_STRUCTURAL,
+    CsrMatrix,
+    FeatureSettings,
+    Scaler,
+    Vocabulary,
+)
 from .naive_bayes import GAUSSIAN, NbModel
+from .normalize import NormalizationConfig
 from .svm import PairModel, SvmModel, SvmParams
 
 FORMAT_NAME = "rareclass.model"
 FORMAT_VERSION = 2
+FEATURES_FORMAT = "rareclass.features"
+FEATURES_VERSION = 1
 
 
 @dataclass(frozen=True)
 class StoredModel:
-    """A deserialized model plus the feature machinery saved with it."""
+    """A trained classifier plus the featurization it was trained with.
+
+    `extras` holds provenance only (the sampler record and the training
+    corpus digest); the settings prediction needs are typed fields.
+    """
 
     classifier: SvmModel | NbModel
     vocabulary: Vocabulary
     scaler: Scaler | None
+    features: FeatureSettings
+    normalization: NormalizationConfig
     extras: dict
 
     @property
@@ -95,12 +117,14 @@ def check_json(value, schema, where: str) -> None:
         raise DataError(f"{where} must be a {schema.__name__}")
 
 
-VOCABULARY_SCHEMA = {"names": [str], "kinds": [str], "min_df": int}
+_VOCABULARY_SCHEMA = {"names": [str], "kinds": [str], "min_df": int}
+_FEATURES_SCHEMA = {key: type(value) for key, value in asdict(FeatureSettings()).items()}
+_NORMALIZE_KEYS = ("possessive_pronouns", "child_terms", "third_person_pronouns")
 _SCHEMAS = {
     "model": {
-        "vocabulary": VOCABULARY_SCHEMA,
+        "vocabulary": _VOCABULARY_SCHEMA,
         "scaler": ({"mins": [float], "maxs": [float]}, None),
-        "extras": dict,
+        "extras": {"features": dict, "normalize": dict},
     },
     "svm": {
         "labels": [str],
@@ -121,6 +145,29 @@ _SCHEMAS = {
 }
 
 
+def _write_json(path: str | Path, doc: dict) -> None:
+    """Write `doc` with sorted keys and fixed separators, one line."""
+    Path(path).write_text(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
+    )
+
+
+def feature_settings_from_json(obj: dict) -> FeatureSettings:
+    check_json(obj, _FEATURES_SCHEMA, "feature settings")
+    if obj["min_df"] < 1:
+        raise DataError("feature settings: min_df must be >= 1")
+    return FeatureSettings(**{key: obj[key] for key in _FEATURES_SCHEMA})
+
+
+def normalization_to_json(cfg: NormalizationConfig) -> dict:
+    return {key: sorted(getattr(cfg, key)) for key in _NORMALIZE_KEYS}
+
+
+def normalization_from_json(obj: dict) -> NormalizationConfig:
+    check_json(obj, dict.fromkeys(_NORMALIZE_KEYS, [str]), "normalization settings")
+    return NormalizationConfig(**{key: frozenset(obj[key]) for key in _NORMALIZE_KEYS})
+
+
 def vocabulary_to_json(vocabulary: Vocabulary) -> dict:
     return {
         "names": list(vocabulary.names),
@@ -130,7 +177,7 @@ def vocabulary_to_json(vocabulary: Vocabulary) -> dict:
 
 
 def vocabulary_from_json(obj: dict) -> Vocabulary:
-    """A vocabulary from an object that fits `VOCABULARY_SCHEMA`, with
+    """A vocabulary from an object that fits `_VOCABULARY_SCHEMA`, with
     sorted unique names (as `build_vocabulary` makes them) and known kinds."""
     names, kinds = obj["names"], obj["kinds"]
     if len(names) != len(kinds):
@@ -235,29 +282,24 @@ def _nb_from_json(obj: dict) -> NbModel:
     )
 
 
-def save_model(
-    path: str | Path,
-    classifier: SvmModel | NbModel,
-    vocabulary: Vocabulary,
-    scaler: Scaler | None = None,
-    extras: dict | None = None,
-) -> None:
-    kind = "svm" if isinstance(classifier, SvmModel) else "nb"
-    doc = {
+def save_model(path: str | Path, model: StoredModel) -> None:
+    kind = model.kind
+    scaler = model.scaler
+    _write_json(path, {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "kind": kind,
-        "vocabulary": vocabulary_to_json(vocabulary),
+        "vocabulary": vocabulary_to_json(model.vocabulary),
         "scaler": (
             None if scaler is None else {"mins": list(scaler.mins), "maxs": list(scaler.maxs)}
         ),
-        "extras": extras or {},
-        kind: _svm_to_json(classifier) if kind == "svm" else _nb_to_json(classifier),
-    }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+        "extras": {
+            **model.extras,
+            "features": asdict(model.features),
+            "normalize": normalization_to_json(model.normalization),
+        },
+        kind: _svm_to_json(model.classifier) if kind == "svm" else _nb_to_json(model.classifier),
+    })
 
 
 def read_versioned_json(path: Path, format_name: str, version: int, what: str) -> dict:
@@ -293,6 +335,67 @@ def load_model(path: str | Path) -> StoredModel:
         classifier = _svm_from_json(doc[kind]) if kind == "svm" else _nb_from_json(doc[kind])
         if classifier.dim != vocabulary.dim:
             raise DataError(f"{kind}: dimension differs from the vocabulary's")
+        extras = dict(doc["extras"])
+        features = feature_settings_from_json(extras.pop("features"))
+        normalization = normalization_from_json(extras.pop("normalize"))
     except (DataError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    return StoredModel(classifier, vocabulary, scaler, doc["extras"])
+    return StoredModel(classifier, vocabulary, scaler, features, normalization, extras)
+
+
+def save_features(
+    path: str | Path,
+    vocabulary: Vocabulary,
+    x: CsrMatrix,
+    corpus: Corpus,
+    settings: FeatureSettings,
+) -> None:
+    """Write one doc per row of `x`: the id and label of the corpus item it
+    was made from, its columns and its values."""
+    bounds, indices, values = x.indptr.tolist(), x.indices.tolist(), x.data.tolist()
+    _write_json(path, {
+        "format": FEATURES_FORMAT,
+        "version": FEATURES_VERSION,
+        "settings": asdict(settings),
+        "vocabulary": vocabulary_to_json(vocabulary),
+        "docs": [
+            {
+                "id": item.tweet.id,
+                "label": item.label.value,
+                "indices": indices[lo:hi],
+                "values": values[lo:hi],
+            }
+            for item, lo, hi in zip(corpus, bounds, bounds[1:])
+        ],
+    })
+
+
+def load_features(
+    path: str | Path,
+) -> tuple[Vocabulary, CsrMatrix, list[str], list[Label], FeatureSettings]:
+    """The vocabulary, matrix, ids, labels and settings of a features file;
+    the docs are joined into one matrix and validated as a whole."""
+    path = Path(path)
+    doc = read_versioned_json(path, FEATURES_FORMAT, FEATURES_VERSION, "features")
+    schema = {
+        "settings": dict,
+        "vocabulary": _VOCABULARY_SCHEMA,
+        "docs": [{"id": str, "label": str, "indices": [int], "values": [float]}],
+    }
+    try:
+        check_json(doc, schema, "features")
+        docs = doc["docs"]
+        if any(len(d["indices"]) != len(d["values"]) for d in docs):
+            raise DataError("features: a doc's indices and values differ in length")
+        vocabulary = vocabulary_from_json(doc["vocabulary"])
+        x = CsrMatrix.from_arrays(
+            np.cumsum([0] + [len(d["indices"]) for d in docs]),
+            [i for d in docs for i in d["indices"]],
+            [v for d in docs for v in d["values"]],
+            vocabulary.dim,
+        )
+        labels = [Label(d["label"]) for d in docs]
+        settings = feature_settings_from_json(doc["settings"])
+    except (DataError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return vocabulary, x, [d["id"] for d in docs], labels, settings

@@ -9,26 +9,26 @@ training, in the CLI (``rareclass.cli.apply_text_sampler``), so
 their report.  Synthetic vector over-sampling runs here, after
 vectorization and before the scaler is fitted, so the scaler sees the
 training set the classifier will see.
+
+`train_from_corpus` returns a `StoredModel`, the record that
+`model_store.save_model` writes and `model_store.load_model` reads, and
+`predict_corpus` featurizes with the settings that record carries.
+File formats live in `model_store`; this module reads and writes none.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Iterator
 
 from .config import TEXT_SAMPLER_METHODS, PipelineConfig
-from .corpus import Corpus, Label
-from .errors import DataError
+from .corpus import LABELS, Corpus, Label
+from .errors import ConfigError
 from .evaluation import EvalReport, evaluate_predictions
 from .features import (
     ClusterMap,
     CsrMatrix,
-    Scaler,
+    FeatureSettings,
     Vocabulary,
     apply_scaler,
     build_vocabulary,
@@ -38,59 +38,13 @@ from .features import (
     structural_features,
     vectorize,
 )
-from .model_store import (
-    StoredModel,
-    VOCABULARY_SCHEMA,
-    check_json,
-    read_versioned_json,
-    vocabulary_from_json,
-    vocabulary_to_json,
-)
+from .model_store import StoredModel
 from .naive_bayes import NbModel, predict_nb, train_nb
 from .normalize import NameLexicon, NormalizationConfig, classic_normalize
 from .sampling import SamplingReport, smote
 # not called here: perfbench/tracer.py wraps this name in this module
 from .sampling import undersample_similar_majority  # noqa: F401
 from .svm import SvmModel, predict_svm, train_svm
-
-
-@dataclass(frozen=True)
-class FeatureSettings:
-    n_min: int = 1
-    n_max: int = 3
-    min_df: int = 2
-    binary: bool = True
-    use_clusters: bool = True
-    use_structural: bool = True
-
-    @classmethod
-    def from_config(cls, cfg: PipelineConfig) -> "FeatureSettings":
-        return cls(**cfg.section("features"))
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FeatureSettings":
-        schema = {key: type(value) for key, value in cls().to_json().items()}
-        check_json(obj, schema, "feature settings")
-        if obj["min_df"] < 1:
-            raise DataError("feature settings: min_df must be >= 1")
-        return cls(**{key: obj[key] for key in schema})
-
-
-def normalization_to_json(cfg: NormalizationConfig) -> dict:
-    return {
-        "possessive_pronouns": sorted(cfg.possessive_pronouns),
-        "child_terms": sorted(cfg.child_terms),
-        "third_person_pronouns": sorted(cfg.third_person_pronouns),
-    }
-
-
-def normalization_from_json(obj: dict) -> NormalizationConfig:
-    keys = ("possessive_pronouns", "child_terms", "third_person_pronouns")
-    check_json(obj, dict.fromkeys(keys, [str]), "normalization settings")
-    return NormalizationConfig(**{key: frozenset(obj[key]) for key in keys})
 
 
 def document_features(
@@ -138,27 +92,19 @@ def featurize_corpus(
     return CsrMatrix.stack(rows, vocab.dim), vocab
 
 
-@dataclass(frozen=True)
-class TrainResult:
-    classifier: SvmModel | NbModel
-    vocabulary: Vocabulary
-    scaler: Scaler | None
-    sampling_report: SamplingReport | None
-    extras: dict
-
-
 def train_from_corpus(
     corpus: Corpus,
     cfg: PipelineConfig,
     names: NameLexicon,
     clusters: ClusterMap | None,
     report: SamplingReport | None = None,
-) -> TrainResult:
-    """Run featurization, SMOTE, scaling, and classifier training.
+) -> tuple[StoredModel, SamplingReport | None]:
+    """Run featurization, SMOTE, scaling, and classifier training; returns
+    the model and the sampling report.
 
     A text-level `sampler.method` must already have run: `corpus` is its
     output and `report` its report.  For ``none`` and ``smote`` the
-    report is None.
+    report is None on the way in; SMOTE makes its own.
     """
     method = cfg["sampler.method"]
     text_level = method in TEXT_SAMPLER_METHODS
@@ -167,35 +113,36 @@ def train_from_corpus(
             f"sampler.method {method!r} "
             f"{'needs' if text_level else 'takes no'} text-sampler report"
         )
-    norm_config = cfg.normalization()
-    settings = FeatureSettings.from_config(cfg)
-    x, vocab = featurize_corpus(corpus, names, clusters, norm_config, settings)
     labels = corpus.labels()
+    weights = cfg["svm.class_weights"]
+    if cfg["classifier.kind"] == "svm" and weights is not None:
+        missing = [label.value for label in LABELS if label in labels and label not in weights]
+        if missing:
+            raise ConfigError(f"svm.class_weights: no weight for {', '.join(missing)}")
+    norm_config = cfg.normalization()
+    settings = cfg.feature_settings()
+    x, vocab = featurize_corpus(corpus, names, clusters, norm_config, settings)
 
     if method == "smote":
         k_neighbors, seed = cfg["sampler.k_neighbors"], cfg["sampler.seed"]
         x, report = smote(x, labels, k_neighbors=k_neighbors, seed=seed)
         labels = [label for label, n in report.output_counts.items() for _ in range(n)]
 
-    extras = {
-        "features": settings.to_json(),
-        "normalize": normalization_to_json(norm_config),
-        "sampler": {"method": method},
-    }
+    extras = {"sampler": {"method": method}}
     if report is not None:
         extras["sampler"].update(
             {k: v for k, v in report.parameters.items() if k != "majority"}
         )
 
+    scaler = None
     if cfg["classifier.kind"] == "svm":
         scaler = fit_scaler(x)
         classifier: SvmModel | NbModel = train_svm(
             apply_scaler(scaler, x), labels, cfg.svm_params()
         )
-        return TrainResult(classifier, vocab, scaler, report, extras)
-
-    classifier = train_nb(x, labels, event_model=cfg["nb.event_model"])
-    return TrainResult(classifier, vocab, None, report, extras)
+    else:
+        classifier = train_nb(x, labels, event_model=cfg["nb.event_model"])
+    return StoredModel(classifier, vocab, scaler, settings, norm_config, extras), report
 
 
 def predict_corpus(
@@ -205,15 +152,9 @@ def predict_corpus(
     clusters: ClusterMap | None,
 ) -> list[Label]:
     """Predict every item using the featurization saved with the model."""
-    try:
-        settings = FeatureSettings.from_json(stored.extras["features"])
-        norm_config = normalization_from_json(stored.extras["normalize"])
-    except KeyError:
-        raise DataError(
-            "model file lacks featurization settings "
-            "(extras.features / extras.normalize)"
-        ) from None
-    x, _ = featurize_corpus(corpus, names, clusters, norm_config, settings, stored.vocabulary)
+    x, _ = featurize_corpus(
+        corpus, names, clusters, stored.normalization, stored.features, stored.vocabulary
+    )
     if stored.scaler is not None:
         x = apply_scaler(stored.scaler, x)
     if isinstance(stored.classifier, SvmModel):
@@ -237,67 +178,3 @@ def evaluate_corpus(
     )
     return report, predictions
 
-
-FEATURES_FORMAT = "rareclass.features"
-FEATURES_VERSION = 1
-
-
-def save_features(
-    path: str | Path,
-    vocabulary: Vocabulary,
-    x: CsrMatrix,
-    ids: Sequence[str],
-    labels: Sequence[Label],
-    settings: FeatureSettings,
-) -> None:
-    """Write one doc per row of `x`: its id, label, columns and values."""
-    bounds, indices, values = x.indptr.tolist(), x.indices.tolist(), x.data.tolist()
-    doc = {
-        "format": FEATURES_FORMAT,
-        "version": FEATURES_VERSION,
-        "settings": settings.to_json(),
-        "vocabulary": vocabulary_to_json(vocabulary),
-        "docs": [
-            {
-                "id": doc_id,
-                "label": label.value,
-                "indices": indices[lo:hi],
-                "values": values[lo:hi],
-            }
-            for doc_id, label, lo, hi in zip(ids, labels, bounds, bounds[1:])
-        ],
-    }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
-
-
-def load_features(
-    path: str | Path,
-) -> tuple[Vocabulary, CsrMatrix, list[str], list[Label], FeatureSettings]:
-    """The vocabulary, matrix, ids, labels and settings of a features file;
-    the docs are joined into one matrix and validated as a whole."""
-    path = Path(path)
-    doc = read_versioned_json(path, FEATURES_FORMAT, FEATURES_VERSION, "features")
-    schema = {
-        "settings": dict,
-        "vocabulary": VOCABULARY_SCHEMA,
-        "docs": [{"id": str, "label": str, "indices": [int], "values": [float]}],
-    }
-    try:
-        check_json(doc, schema, "features")
-        docs = doc["docs"]
-        if any(len(d["indices"]) != len(d["values"]) for d in docs):
-            raise DataError("features: a doc's indices and values differ in length")
-        vocabulary = vocabulary_from_json(doc["vocabulary"])
-        x = CsrMatrix.from_arrays(
-            np.cumsum([0] + [len(d["indices"]) for d in docs]),
-            [i for d in docs for i in d["indices"]],
-            [v for d in docs for v in d["values"]],
-            vocabulary.dim,
-        )
-        labels = [Label(d["label"]) for d in docs]
-        settings = FeatureSettings.from_json(doc["settings"])
-    except (DataError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return vocabulary, x, [d["id"] for d in docs], labels, settings

@@ -17,8 +17,9 @@ from rareclass.cli import main
 from rareclass.corpus import Label, cohens_kappa, load_corpus, stratified_split
 from rareclass.demo import packaged_data_path
 from rareclass.evaluation import evaluate_predictions, overall_f1, paired_t_test
-from rareclass.features import Vocabulary, fit_scaler
-from rareclass.model_store import load_model, save_model
+from rareclass.features import FeatureSettings, Vocabulary, fit_scaler
+from rareclass.model_store import StoredModel, load_model, save_model
+from rareclass.normalize import NormalizationConfig
 from rareclass.sampling import levenshtein_ratio, oversample_replacement
 from rareclass.stats import student_t_two_sided_p
 from rareclass.svm import (
@@ -302,7 +303,9 @@ def test_c11_model_serialization_round_trip(tmp_path):
     model = train_svm(from_rows(vectors), labels, SvmParams(c=10.0, gamma=0.4))
     vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)), ("ngram",) * dim, 1)
     path = tmp_path / "model.json"
-    save_model(path, model, vocab, fit_scaler(from_rows(vectors)), extras={})
+    save_model(path, StoredModel(
+        model, vocab, fit_scaler(from_rows(vectors)), FeatureSettings(), NormalizationConfig(), {}
+    ))
     stored = load_model(path)
     for _ in range(1000):
         probe = from_rows([random_vector()])

@@ -4,6 +4,7 @@ Each subcommand runs in-process through `main(argv)`; exit codes follow
 the documented contract (0 ok, 1 usage/config, 2 data, 3 internal).
 """
 
+import hashlib
 import json
 import re
 import shutil
@@ -333,6 +334,47 @@ class TestTrainEvaluate:
         assert json.loads(model.read_text())["kind"] == "nb"
 
 
+class TestModelRecord:
+    """A trained model survives the disk: its settings and provenance load
+    back equal, and saving the loaded record rewrites the file unchanged."""
+
+    @pytest.mark.parametrize("flags", [("--sampler", "similar"), ("--classifier", "nb")])
+    def test_cli_model_round_trips(self, workspace, tmp_path, flags):
+        from rareclass.cli import apply_text_sampler
+        from rareclass.config import PipelineConfig
+        from rareclass.features import load_clusters
+        from rareclass.model_store import load_model, save_model
+        from rareclass.normalize import load_name_lexicon
+        from rareclass.pipeline import train_from_corpus
+
+        root, cfg, paths = workspace
+        train = root / "splits" / "train.tsv"
+        model = tmp_path / "model.json"
+        args = ["--config", str(cfg), "--corpus", str(train), "--model", str(model), *flags]
+        assert main(["train", *args]) == 0
+
+        config = PipelineConfig.from_sources(
+            cfg, ["sampler.method=similar"] if "--sampler" in flags else ["classifier.kind=nb"]
+        )
+        sampled, report = apply_text_sampler(load_corpus(train), config, None)
+        expected, _ = train_from_corpus(
+            sampled,
+            config,
+            load_name_lexicon(paths["demo_names.txt"]),
+            load_clusters(paths["demo_clusters.tsv"]),
+            report,
+        )
+        loaded = load_model(model)
+        assert loaded.features == expected.features
+        assert loaded.normalization == expected.normalization
+        digest = hashlib.sha256(train.read_bytes()).hexdigest()[:12]
+        assert loaded.extras == {**expected.extras, "training_corpus": {"sha256": digest}}
+
+        rewritten = tmp_path / "rewritten.json"
+        save_model(rewritten, loaded)
+        assert rewritten.read_bytes() == model.read_bytes()
+
+
 class TestRankFeatures:
     def test_sorted_descending(self, workspace, tmp_path):
         _, cfg, _ = workspace
@@ -456,6 +498,34 @@ class TestExitCodes:
         )
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("which", ["missing", "directory"])
+    def test_config_path_not_a_file_is_config_error(self, tmp_path, capsys, which):
+        path = tmp_path / "nope.cfg" if which == "missing" else tmp_path
+        out = tmp_path / "x.tsv"
+        assert main(["split", "--config", str(path), "--out-dir", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_class_weights_missing_a_class_is_config_error_before_training(
+        self, workspace, tmp_path, capsys
+    ):
+        root, cfg, _ = workspace
+        model = tmp_path / "model.json"
+        rc = main(
+            [
+                "train",
+                "--config", str(cfg),
+                "--corpus", str(root / "splits" / "train.tsv"),
+                "--model", str(model),
+                "--set", "svm.class_weights=defect:4",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "possible_defect, non_defect" in err
         assert not model.exists()
 
     def test_nonexistent_corpus_path(self, tmp_path, capsys):

@@ -7,12 +7,18 @@ import pytest
 
 from rareclass.corpus import Label
 from rareclass.errors import DataError
-from rareclass.features import Vocabulary, fit_scaler
-from rareclass.model_store import load_model, save_model
+from rareclass.features import FeatureSettings, Vocabulary, fit_scaler
+from rareclass.model_store import StoredModel, load_model, save_model
 from rareclass.naive_bayes import predict_nb, train_nb
+from rareclass.normalize import NormalizationConfig
 from rareclass.svm import SvmParams, predict_svm, train_svm
 
 from sparse_oracle import SparseVector, from_rows
+
+
+def stored(classifier, vocab, scaler=None):
+    """A model record with default featurization settings."""
+    return StoredModel(classifier, vocab, scaler, FeatureSettings(), NormalizationConfig(), {})
 
 
 def random_vectors(rng, n, dim, density=0.4):
@@ -47,22 +53,22 @@ class TestSvmRoundTrip:
     def test_identical_predictions_on_random_vectors(self, trained_svm, tmp_path):
         model, vocab, scaler = trained_svm
         path = tmp_path / "model.json"
-        save_model(path, model, vocab, scaler, extras={"features": {"n_min": 1}})
-        stored = load_model(path)
-        assert stored.kind == "svm"
-        assert stored.vocabulary == vocab
-        assert stored.scaler == scaler
+        save_model(path, stored(model, vocab, scaler))
+        loaded = load_model(path)
+        assert loaded.kind == "svm"
+        assert loaded.vocabulary == vocab
+        assert loaded.scaler == scaler
         rng = np.random.default_rng(7)
         for probe in random_vectors(rng, 200, model.dim):
             before = predict_svm(model, from_rows([probe]))
-            after = predict_svm(stored.classifier, from_rows([probe]))
+            after = predict_svm(loaded.classifier, from_rows([probe]))
             assert before[0][0] is after[0][0]
             assert before[1] == after[1]
 
     def test_each_support_vector_stored_once(self, trained_svm, tmp_path):
         model, vocab, scaler = trained_svm
         path = tmp_path / "model.json"
-        save_model(path, model, vocab, scaler)
+        save_model(path, stored(model, vocab, scaler))
         svm = json.loads(path.read_text())["svm"]
         pool = svm["support_vectors"]
         rows = {
@@ -78,8 +84,8 @@ class TestSvmRoundTrip:
     def test_saved_bytes_deterministic(self, trained_svm, tmp_path):
         model, vocab, scaler = trained_svm
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_model(a, model, vocab, scaler)
-        save_model(b, model, vocab, scaler)
+        save_model(a, stored(model, vocab, scaler))
+        save_model(b, stored(model, vocab, scaler))
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -94,12 +100,12 @@ class TestNbRoundTrip:
         model = train_nb(from_rows(vectors), labels)
         vocab = Vocabulary(tuple(f"f{i}" for i in range(4)), ("ngram",) * 4, 1)
         path = tmp_path / "nb.json"
-        save_model(path, model, vocab)
-        stored = load_model(path)
-        assert stored.kind == "nb" and stored.scaler is None
+        save_model(path, stored(model, vocab))
+        loaded = load_model(path)
+        assert loaded.kind == "nb" and loaded.scaler is None
         for probe in vectors:
             probe = from_rows([probe])
-            assert predict_nb(model, probe) == predict_nb(stored.classifier, probe)
+            assert predict_nb(model, probe) == predict_nb(loaded.classifier, probe)
 
 
 class TestFormatGating:
@@ -112,7 +118,7 @@ class TestFormatGating:
         ]
         labels = [(Label.DEFECT, Label.NON_DEFECT)[i % 2] for i in range(8)]
         vocab = Vocabulary(("a", "b", "c"), ("ngram",) * 3, 1)
-        save_model(model_path, train_nb(from_rows(vectors), labels), vocab)
+        save_model(model_path, stored(train_nb(from_rows(vectors), labels), vocab))
         doc = json.loads(model_path.read_text())
         mutate(doc)
         model_path.write_text(json.dumps(doc))

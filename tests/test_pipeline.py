@@ -7,15 +7,12 @@ from rareclass.config import PipelineConfig, render_default_config
 from rareclass.corpus import Label, load_corpus, three_way_split
 from rareclass.errors import ConfigError
 from rareclass.features import load_clusters
-from rareclass.model_store import StoredModel, load_model, save_model
+from rareclass.model_store import load_features, load_model, save_features, save_model
 from rareclass.normalize import load_name_lexicon, load_normalized, save_normalized
 from rareclass.pipeline import (
-    FeatureSettings,
     evaluate_corpus,
     featurize_corpus,
-    load_features,
     predict_corpus,
-    save_features,
     train_from_corpus,
 )
 
@@ -112,8 +109,7 @@ class TestTraining:
     def test_svm_pipeline_beats_majority_baseline(self, demo):
         _, names, clusters, split = demo
         cfg = config()
-        result = train_from_corpus(split.train, cfg, names, clusters)
-        stored = StoredModel(result.classifier, result.vocabulary, result.scaler, result.extras)
+        stored, _ = train_from_corpus(split.train, cfg, names, clusters)
         report, predictions = evaluate_corpus(stored, split.test, names, clusters)
         majority_f1 = evaluate_corpus_baseline(split.test)
         assert report.per_class[Label.DEFECT][2] > 0.0
@@ -123,9 +119,8 @@ class TestTraining:
     def test_nb_pipeline_runs(self, demo):
         _, names, clusters, split = demo
         cfg = config("classifier.kind=nb")
-        result = train_from_corpus(split.train, cfg, names, clusters)
-        assert result.scaler is None
-        stored = StoredModel(result.classifier, result.vocabulary, None, result.extras)
+        stored, _ = train_from_corpus(split.train, cfg, names, clusters)
+        assert stored.scaler is None
         report, _ = evaluate_corpus(stored, split.test, names, clusters)
         assert 0.0 < report.overall <= 1.0
 
@@ -142,9 +137,9 @@ class TestTraining:
         _, names, clusters, split = demo
         cfg = config(*overrides)
         sampled, report = apply_text_sampler(split.train, cfg, None)
-        result = train_from_corpus(sampled, cfg, names, clusters, report)
-        assert result.sampling_report is not None
-        assert result.sampling_report.to_text().startswith("method:")
+        _, report = train_from_corpus(sampled, cfg, names, clusters, report)
+        assert report is not None
+        assert report.to_text().startswith("method:")
 
     def test_near_fn_requires_fn_corpus(self, demo):
         _, names, clusters, split = demo
@@ -166,43 +161,47 @@ class TestTraining:
         fn = [item.tweet for item in split.validation if item.label is Label.DEFECT][:5]
         cfg = config("sampler.method=near_fn", "sampler.k=0.7")
         sampled, report = apply_text_sampler(split.train, cfg, fn)
-        result = train_from_corpus(sampled, cfg, names, clusters, report)
-        assert result.sampling_report.method == "near_fn_undersample"
+        _, report = train_from_corpus(sampled, cfg, names, clusters, report)
+        assert report.method == "near_fn_undersample"
 
     def test_training_is_reproducible(self, demo, tmp_path):
         _, names, clusters, split = demo
         cfg = config("sampler.method=smote")
         paths = []
         for name in ("a.json", "b.json"):
-            result = train_from_corpus(split.train, cfg, names, clusters)
+            stored, _ = train_from_corpus(split.train, cfg, names, clusters)
             path = tmp_path / name
-            save_model(path, result.classifier, result.vocabulary, result.scaler, result.extras)
+            save_model(path, stored)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_round_trip_predictions_match(self, demo, tmp_path):
         _, names, clusters, split = demo
         cfg = config()
-        result = train_from_corpus(split.train, cfg, names, clusters)
-        stored_live = StoredModel(
-            result.classifier, result.vocabulary, result.scaler, result.extras
-        )
+        stored_live, _ = train_from_corpus(split.train, cfg, names, clusters)
         path = tmp_path / "model.json"
-        save_model(path, result.classifier, result.vocabulary, result.scaler, result.extras)
+        save_model(path, stored_live)
         stored_disk = load_model(path)
         live = predict_corpus(stored_live, split.test, names, clusters)
         disk = predict_corpus(stored_disk, split.test, names, clusters)
         assert live == disk
 
-    def test_model_without_settings_is_a_data_error(self, demo):
+    def test_model_without_settings_is_a_data_error(self, demo, tmp_path):
+        import json
+
         from rareclass.errors import DataError
 
         _, names, clusters, split = demo
-        cfg = config()
-        result = train_from_corpus(split.train, cfg, names, clusters)
-        bare = StoredModel(result.classifier, result.vocabulary, result.scaler, {})
-        with pytest.raises(DataError, match="featurization settings"):
-            predict_corpus(bare, split.test, names, clusters)
+        stored, _ = train_from_corpus(split.train, config(), names, clusters)
+        path = tmp_path / "model.json"
+        save_model(path, stored)
+        for key in ("features", "normalize"):
+            doc = json.loads(path.read_text())
+            del doc["extras"][key]
+            bare = tmp_path / f"no_{key}.json"
+            bare.write_text(json.dumps(doc))
+            with pytest.raises(DataError, match=f"missing key '{key}'"):
+                load_model(bare)
 
 
 def evaluate_corpus_baseline(corpus):
@@ -227,13 +226,13 @@ class TestArtifacts:
     def test_features_round_trip(self, demo, tmp_path):
         corpus, names, clusters, split = demo
         cfg = config()
-        settings = FeatureSettings.from_config(cfg)
+        settings = cfg.feature_settings()
         vectors, vocab = featurize_corpus(
             split.validation, names, clusters, cfg.normalization(), settings
         )
         path = tmp_path / "features.json"
         ids = [item.tweet.id for item in split.validation]
-        save_features(path, vocab, vectors, ids, split.validation.labels(), settings)
+        save_features(path, vocab, vectors, split.validation, settings)
         vocab2, vectors2, ids2, labels2, settings2 = load_features(path)
         assert vocab2 == vocab and vectors2 == vectors
         assert ids2 == ids and labels2 == split.validation.labels()
@@ -242,7 +241,7 @@ class TestArtifacts:
     def test_cluster_features_present_in_vocab(self, demo):
         corpus, names, clusters, split = demo
         cfg = config("features.min_df=1")
-        settings = FeatureSettings.from_config(cfg)
+        settings = cfg.feature_settings()
         _, vocab = featurize_corpus(
             split.train, names, clusters, cfg.normalization(), settings
         )

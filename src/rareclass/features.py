@@ -3,10 +3,10 @@ features, vocabulary construction, min-max scaling, and information-gain
 ranking.
 
 Every sparse vector is a `CsrMatrix`: numpy ``indptr``/``indices``/``data``
-arrays over a fixed dimension.  One document vectorizes to a one-row
-matrix, and `CsrMatrix.stack` joins a corpus's rows into one matrix,
-validated once.  SMOTE, scaling, information gain and the classifiers'
-training and prediction work on that matrix.
+arrays over a fixed dimension.  A corpus becomes one matrix in one pass
+(`pipeline.featurize_corpus`, through `CsrMatrix.from_entries`), validated
+once.  SMOTE, scaling, information gain and the classifiers' training and
+prediction work on that matrix.
 
 Vocabularies and scalers are immutable once fitted and are built from
 training data only.  Feature names are namespaced by kind: raw n-gram
@@ -91,6 +91,15 @@ class CsrMatrix:
         if (x.indices >= bound).any() or (first < 0).any() or not np.isfinite(x.data).all():
             raise ValueError("column indices out of order or range, or values not finite")
         return x
+
+    @classmethod
+    def from_entries(cls, keys, values, n_rows: int, dim: int) -> "CsrMatrix":
+        """Validated matrix of `values` at keys ``row * dim + column``, in any order."""
+        order = np.argsort(keys, kind="stable")
+        rows, columns = np.divmod(keys[order], dim)
+        values = values[order].astype(float)
+        del order  # freed before validation
+        return cls.from_arrays(_indptr(np.bincount(rows, minlength=n_rows)), columns, values, dim)
 
     @classmethod
     def stack(cls, blocks: Sequence["CsrMatrix"], dim: int) -> "CsrMatrix":
@@ -323,8 +332,8 @@ def vectorize(
 
     N-gram and cluster columns get 1.0 (binary mode, the default) or the
     occurrence count; structural columns always carry their raw counts.
-    Features absent from the vocabulary and zero values are dropped.  The
-    row is not validated here; `CsrMatrix.stack` validates a corpus's rows.
+    Features absent from the vocabulary and zero values are dropped.  This
+    unvalidated per-document form is kept for library callers.
     """
     index = vocab._index
     pairs = [

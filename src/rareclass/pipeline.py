@@ -8,7 +8,8 @@ training, in the CLI (``rareclass.cli.apply_text_sampler``), so
 `train_from_corpus` receives the corpus they produced together with
 their report.  Synthetic vector over-sampling runs here, after
 vectorization and before the scaler is fitted, so the scaler sees the
-training set the classifier will see.
+training set the classifier will see.  `featurize_corpus` makes a corpus's
+matrix in one pass, holding flat entry arrays, not a `Counter` per document.
 
 `train_from_corpus` returns a `StoredModel`, the record that
 `model_store.save_model` writes and `model_store.load_model` reads, and
@@ -18,14 +19,19 @@ File formats live in `model_store`; this module reads and writes none.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterator
+import logging
+from array import array
+from collections import deque
+
+import numpy as np
 
 from .config import TEXT_SAMPLER_METHODS, PipelineConfig
 from .corpus import LABELS, Corpus, Label
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate_predictions
 from .features import (
+    KIND_CLUSTER,
+    STRUCTURAL_FEATURES,
     ClusterMap,
     CsrMatrix,
     FeatureSettings,
@@ -36,32 +42,17 @@ from .features import (
     extract_ngrams,
     fit_scaler,
     structural_features,
-    vectorize,
 )
 from .model_store import StoredModel
 from .naive_bayes import NbModel, predict_nb, train_nb
 from .normalize import NameLexicon, NormalizationConfig, classic_normalize
 from .sampling import SamplingReport, smote
-# not called here: perfbench/tracer.py wraps this name in this module
+# not called here: perfbench/tracer.py wraps these names in this module
+from .features import vectorize  # noqa: F401
 from .sampling import undersample_similar_majority  # noqa: F401
 from .svm import SvmModel, predict_svm, train_svm
 
-
-def document_features(
-    corpus: Corpus,
-    names: NameLexicon,
-    clusters: ClusterMap | None,
-    norm_config: NormalizationConfig,
-    settings: FeatureSettings,
-) -> Iterator[tuple[Counter, tuple[int, int] | None]]:
-    """Per document, its feature multiset and structural counts, made as
-    they are asked for."""
-    for item in corpus:
-        normalized = classic_normalize(item.tweet, item.match_span, names, norm_config)
-        feats = extract_ngrams(normalized.tokens, settings.n_min, settings.n_max)
-        if settings.use_clusters and clusters is not None:
-            feats.update(cluster_features(normalized.tokens, clusters))
-        yield feats, structural_features(item.tweet.text) if settings.use_structural else None
+logger = logging.getLogger(__name__)
 
 
 def featurize_corpus(
@@ -72,24 +63,45 @@ def featurize_corpus(
     settings: FeatureSettings,
     vocab: Vocabulary | None = None,
 ) -> tuple[CsrMatrix, Vocabulary]:
-    """Vectorize a corpus, one `vectorize` row per document, into one matrix
-    validated once; builds the vocabulary when none is supplied.
+    """Featurize a corpus in one pass into one matrix, validated once; builds the vocabulary
+    from each document's key set when none is given.  Held at once: a column id and value
+    per document feature, and the feature names (the vocabulary, or all seen while fitting)."""
+    fitting = vocab is None
+    ids: dict[str, int] = {} if fitting else vocab._index
+    # a provisional id while fitting; a feature outside a given vocabulary gets its dim
+    lookup = ids.setdefault if fitting else ids.get
+    struct = STRUCTURAL_FEATURES if settings.use_structural else ()
+    cols, values, lengths = array("i"), array("i"), array("i")  # C ints, 4 bytes an entry
 
-    With a vocabulary given, each document's features are dropped once
-    its row is made, so they are never all held at once.
-    """
-    docs = document_features(corpus, names, clusters, norm_config, settings)
-    if vocab is None:
-        docs = list(docs)
-        vocab = build_vocabulary(
-            [feats for feats, _ in docs], settings.min_df,
-            include_structural=settings.use_structural,
-        )
-    rows = [
-        vectorize(feats, structural, vocab, binary=settings.binary)
-        for feats, structural in docs
-    ]
-    return CsrMatrix.stack(rows, vocab.dim), vocab
+    def key_sets():
+        for item in corpus:
+            normalized = classic_normalize(item.tweet, item.match_span, names, norm_config)
+            feats = extract_ngrams(normalized.tokens, settings.n_min, settings.n_max)
+            if settings.use_clusters and clusters is not None:
+                feats.update(cluster_features(normalized.tokens, clusters))
+            cols.extend([lookup(name, len(ids)) for name in (*feats, *struct)])
+            values.extend([1] * len(feats) if settings.binary else feats.values())
+            values.extend(structural_features(item.tweet.text)[: len(struct)])
+            lengths.append(len(feats) + len(struct))
+            yield feats.keys()
+
+    if fitting:
+        vocab = build_vocabulary(key_sets(), settings.min_df, settings.use_structural)
+        # provisional id -> vocabulary column, or dim below min_df
+        remap = np.fromiter((vocab._index.get(n, vocab.dim) for n in ids), np.int32, len(ids))
+        del ids, lookup  # every distinct feature name, no longer needed
+        cols = remap[cols]
+    else:
+        deque(key_sets(), maxlen=0)  # runs the pass
+        cols = np.asarray(cols)
+    n_docs, dim = len(lengths), vocab.dim
+    keep = (cols < dim) & (np.asarray(values) != 0)
+    keys = np.repeat(np.arange(n_docs) * dim, lengths)[keep] + cols[keep]
+    values = np.asarray(values)[keep]
+    del cols, keep
+    x = CsrMatrix.from_entries(keys, values, n_docs, dim)
+    logger.info("featurized %d documents: vocabulary %d, nnz %d", n_docs, dim, len(x.data))
+    return x, vocab
 
 
 def train_from_corpus(
@@ -137,9 +149,8 @@ def train_from_corpus(
     scaler = None
     if cfg["classifier.kind"] == "svm":
         scaler = fit_scaler(x)
-        classifier: SvmModel | NbModel = train_svm(
-            apply_scaler(scaler, x), labels, cfg.svm_params()
-        )
+        x = apply_scaler(scaler, x)  # the unscaled matrix is freed before SMO's cache fills
+        classifier: SvmModel | NbModel = train_svm(x, labels, cfg.svm_params())
     else:
         classifier = train_nb(x, labels, event_model=cfg["nb.event_model"])
     return StoredModel(classifier, vocab, scaler, settings, norm_config, extras), report
@@ -151,9 +162,13 @@ def predict_corpus(
     names: NameLexicon,
     clusters: ClusterMap | None,
 ) -> list[Label]:
-    """Predict every item using the featurization saved with the model."""
+    """Predict every item using the featurization saved with the model; a
+    model with cluster columns needs `clusters`."""
+    settings = stored.features
+    if settings.use_clusters and clusters is None and KIND_CLUSTER in stored.vocabulary.kinds:
+        raise ConfigError("paths.clusters must be set: the model has cluster columns")
     x, _ = featurize_corpus(
-        corpus, names, clusters, stored.normalization, stored.features, stored.vocabulary
+        corpus, names, clusters, stored.normalization, settings, stored.vocabulary
     )
     if stored.scaler is not None:
         x = apply_scaler(stored.scaler, x)

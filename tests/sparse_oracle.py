@@ -6,26 +6,33 @@ per-row validation and pure-Python arithmetic.  `from_rows` and
 `interpolate` and `smote` are the list-based forms of the library's
 vectorizer and SMOTE, kept to check the array code against.
 `smote_by_class` runs the library's `smote` on per-class lists of rows
-and splits its output back by class.
+and splits its output back by class.  `featurize_corpus` is the
+per-document form of the library's one-pass featurizer: a `Counter` per
+document, the vocabulary built over them, and one `vectorize` row per
+document joined by `CsrMatrix.stack`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from rareclass import sampling
-from rareclass.corpus import Label, LABELS
+from rareclass import features, sampling
+from rareclass.corpus import Corpus, Label, LABELS
 from rareclass.features import (
     STRUCT_CHAR_LENGTH,
     STRUCT_WORD_LENGTH,
+    ClusterMap,
     CsrMatrix,
+    FeatureSettings,
     Vocabulary,
 )
+from rareclass.normalize import NameLexicon, NormalizationConfig, classic_normalize
 from rareclass.rng import SplitMix64, derive_seed
 from rareclass.sampling import SamplingReport
 
@@ -229,3 +236,43 @@ def smote_by_class(
         augmented[label] = out[start : start + count]
         start += count
     return augmented, report
+
+
+def document_features(
+    corpus: Corpus,
+    names: NameLexicon,
+    clusters: ClusterMap | None,
+    norm_config: NormalizationConfig,
+    settings: FeatureSettings,
+) -> Iterator[tuple[Counter, tuple[int, int] | None]]:
+    """Per document, its feature multiset and structural counts."""
+    for item in corpus:
+        normalized = classic_normalize(item.tweet, item.match_span, names, norm_config)
+        feats = features.extract_ngrams(normalized.tokens, settings.n_min, settings.n_max)
+        if settings.use_clusters and clusters is not None:
+            feats.update(features.cluster_features(normalized.tokens, clusters))
+        structural = features.structural_features(item.tweet.text)
+        yield feats, structural if settings.use_structural else None
+
+
+def featurize_corpus(
+    corpus: Corpus,
+    names: NameLexicon,
+    clusters: ClusterMap | None,
+    norm_config: NormalizationConfig,
+    settings: FeatureSettings,
+    vocab: Vocabulary | None = None,
+) -> tuple[CsrMatrix, Vocabulary]:
+    """The corpus's matrix and vocabulary, one `vectorize` row per document;
+    every document's `Counter` is held until the vocabulary is built."""
+    docs = list(document_features(corpus, names, clusters, norm_config, settings))
+    if vocab is None:
+        vocab = features.build_vocabulary(
+            [feats for feats, _ in docs], settings.min_df,
+            include_structural=settings.use_structural,
+        )
+    rows = [
+        features.vectorize(feats, structural, vocab, binary=settings.binary)
+        for feats, structural in docs
+    ]
+    return CsrMatrix.stack(rows, vocab.dim), vocab

@@ -197,6 +197,66 @@ class TestFeaturize:
         assert len(doc["docs"]) == 500
 
 
+class TestFeaturizeLog:
+    LINE = re.compile(r"featurized (\d+) documents: vocabulary (\d+), nnz (\d+)")
+
+    def test_train_and_featurize_log_the_written_counts(self, workspace, tmp_path, caplog):
+        from rareclass.model_store import load_features, load_model
+
+        root, cfg, _ = workspace
+        train = str(root / "splits" / "train.tsv")
+        features, model = tmp_path / "features.json", tmp_path / "model.json"
+        with caplog.at_level("INFO", logger="rareclass"):
+            assert main(["featurize", "-v", "--config", str(cfg), "--corpus", train,
+                         "--out", str(features)]) == 0
+            assert main(["train", "-v", "--config", str(cfg), "--corpus", train,
+                         "--model", str(model)]) == 0
+        logged = [
+            tuple(map(int, match.groups()))
+            for match in (self.LINE.fullmatch(r.getMessage()) for r in caplog.records)
+            if match
+        ]
+        vocab, x, ids, _, _ = load_features(features)
+        assert logged == [(len(ids), vocab.dim, len(x.data))] * 2
+        assert len(ids) == 320 and len(x.data) > 0
+        assert load_model(model).vocabulary.dim == vocab.dim
+
+
+class TestMissingClusters:
+    @pytest.mark.parametrize("command", ["evaluate", "report-errors"])
+    def test_model_with_cluster_columns_needs_the_file(
+        self, workspace, tmp_path, capsys, caplog, command
+    ):
+        from rareclass.model_store import load_model
+
+        root, cfg, _ = workspace
+        assert "cluster" in load_model(root / "model.json").vocabulary.kinds
+        out = tmp_path / "out.tsv"
+        argv = [command, "--config", str(cfg), "--corpus", str(root / "splits" / "test.tsv"),
+                "--out", str(out), "--set", "paths.clusters="]
+        with caplog.at_level("INFO", logger="rareclass"):
+            assert main(argv) == 1
+        assert "config error: paths.clusters must be set" in capsys.readouterr().err
+        assert not out.exists()
+        assert not any(r.getMessage().startswith("featurized") for r in caplog.records)
+
+    def test_model_without_cluster_columns_needs_no_file(self, workspace, tmp_path):
+        from rareclass.model_store import load_model
+
+        root, cfg, _ = workspace
+        model = tmp_path / "model.json"
+        no_clusters = ["--config", str(cfg), "--model", str(model), "--set", "paths.clusters="]
+        train = str(root / "splits" / "train.tsv")
+        assert main(["train", "--corpus", train, *no_clusters]) == 0
+        stored = load_model(model)
+        assert stored.features.use_clusters and "cluster" not in stored.vocabulary.kinds
+        test = str(root / "splits" / "test.tsv")
+        for command in ("evaluate", "report-errors"):
+            out = tmp_path / f"{command}.tsv"
+            assert main([command, "--corpus", test, "--out", str(out), *no_clusters]) == 0
+            assert out.exists()
+
+
 class TestSample:
     def test_random_undersample(self, workspace, tmp_path):
         _, cfg, _ = workspace

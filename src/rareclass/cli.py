@@ -93,8 +93,10 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
 
-def _log_input(kind: str, path: Path) -> None:
-    logger.info("%s: %s (sha256:%s)", kind, path, _digest(path))
+def _log_input(kind: str, path: Path) -> str:
+    digest = _digest(path)
+    logger.info("%s: %s (sha256:%s)", kind, path, digest)
+    return digest
 
 
 def _load_corpus_logged(path: Path) -> Corpus:
@@ -137,20 +139,27 @@ def save_model(path: str | Path, model: StoredModel) -> None:
     model_store.save_model(path, model)
 
 
-def _names_and_clusters(cfg: PipelineConfig, settings: FeatureSettings | None = None):
-    """The name lexicon, and the clusters if `settings` use them."""
+def _names_and_clusters(
+    cfg: PipelineConfig, settings: FeatureSettings | None = None, trained: dict | None = None
+):
+    """The name lexicon, the clusters if `settings` use them, and each file's path and
+    sha256 digest by its key in a model's extras; a file whose digest differs from the
+    one `trained` (a model's extras) records is a data error."""
     names_path = cfg.path("paths.name_lexicon", required=True)
-    _log_input("name lexicon", names_path)
+    files = {"name_lexicon": (names_path, _log_input("name lexicon", names_path))}
     names = load_name_lexicon(names_path)
     clusters = None
     if settings is not None and settings.use_clusters:
         clusters_path = cfg.path("paths.clusters")
         if clusters_path is not None:
-            _log_input("clusters", clusters_path)
+            files["clusters"] = (clusters_path, _log_input("clusters", clusters_path))
             from .features import load_clusters
 
             clusters = load_clusters(clusters_path)
-    return names, clusters
+    for key, (path, digest) in files.items():
+        if key in (trained or {}) and trained[key] != {"sha256": digest}:
+            raise DataError(f"{path}: sha256:{digest} is not the {key} the model was trained with")
+    return names, clusters, files
 
 
 def _featurize_configured(cfg: PipelineConfig):
@@ -160,7 +169,7 @@ def _featurize_configured(cfg: PipelineConfig):
 
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     settings = cfg.feature_settings()
-    names, clusters = _names_and_clusters(cfg, settings)
+    names, clusters, _ = _names_and_clusters(cfg, settings)
     x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
     return corpus, x, vocab, settings
 
@@ -265,7 +274,7 @@ def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     rows = []
     if cfg["normalize.pipeline"] == "classic":
-        names, _ = _names_and_clusters(cfg)
+        names, _, _ = _names_and_clusters(cfg)
         norm_config = cfg.normalization()
         for item in corpus:
             normalized = classic_normalize(
@@ -345,13 +354,14 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
 
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus = _load_corpus_logged(corpus_path)
-    names, clusters = _names_and_clusters(cfg, cfg.feature_settings())
+    names, clusters, files = _names_and_clusters(cfg, cfg.feature_settings())
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(cfg))
     model, report = train_from_corpus(sampled, cfg, names, clusters, report)
     model_path = Path(cfg["paths.model"])
-    # digest only: embedding the path would break byte-reproducibility of
+    # digests only: embedding the paths would break byte-reproducibility of
     # otherwise identical runs in different directories
-    extras = {**model.extras, "training_corpus": {"sha256": _digest(corpus_path)}}
+    files["training_corpus"] = (corpus_path, _digest(corpus_path))
+    extras = {**model.extras, **{key: {"sha256": digest} for key, (_, digest) in files.items()}}
     save_model(model_path, replace(model, extras=extras))
     print(f"model\t{cfg['classifier.kind']}\t{model_path}")
     if report is not None:
@@ -378,7 +388,7 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     model_path = cfg.path("paths.model", required=True)
     _log_input("model", model_path)
     stored = load_model(model_path)
-    names, clusters = _names_and_clusters(cfg, stored.features)
+    names, clusters, _ = _names_and_clusters(cfg, stored.features, stored.extras)
     report, _ = evaluate_corpus(
         stored,
         corpus,
@@ -426,7 +436,7 @@ def _cmd_report_errors(args, cfg: PipelineConfig) -> int:
     model_path = cfg.path("paths.model", required=True)
     _log_input("model", model_path)
     stored = load_model(model_path)
-    names, clusters = _names_and_clusters(cfg, stored.features)
+    names, clusters, _ = _names_and_clusters(cfg, stored.features, stored.extras)
     predictions = predict_corpus(stored, corpus, names, clusters)
     errors = error_report(corpus, predictions, Label(args.gold), Label(args.predicted_as))
     save_corpus(Corpus(tuple(errors), provenance="error-report"), args.out)

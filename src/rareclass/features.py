@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -192,11 +192,12 @@ class CsrMatrix:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Feature-name-to-column map with per-feature kinds."""
+    """Feature-name-to-column map.  Each column's kind is derived from its
+    name by `feature_kind`, so only the names and `min_df` are stored."""
 
     names: tuple[str, ...]
-    kinds: tuple[str, ...]
     min_df: int
+    kinds: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -204,6 +205,7 @@ class Vocabulary:
         )
         if len(self._index) != len(self.names):
             raise ValueError("duplicate feature names")
+        object.__setattr__(self, "kinds", tuple(map(feature_kind, self.names)))
 
     @property
     def dim(self) -> int:
@@ -318,8 +320,7 @@ def build_vocabulary(
     names = {name for name, count in df.items() if count >= min_df}
     if include_structural:
         names.update(STRUCTURAL_FEATURES)
-    ordered = tuple(sorted(names))
-    return Vocabulary(ordered, tuple(feature_kind(n) for n in ordered), min_df)
+    return Vocabulary(tuple(sorted(names)), min_df)
 
 
 def vectorize(

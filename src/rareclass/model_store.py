@@ -3,23 +3,25 @@
 `StoredModel` is the one model record: `pipeline.train_from_corpus`
 returns it, `save_model` writes it and `load_model` reads it.  A model
 file embeds everything prediction needs: classifier parameters, the
-vocabulary (names and kinds), the fitted scaler (SVM only), the
-featurization settings (``extras.features`` and ``extras.normalize``,
-required), and either the Naive Bayes tables or the SVM's support
-vectors.  Format version 2 stores every support vector once, in a shared
-pool (``svm.support_vectors``: CSR ``indptr``/``indices``/``values``
-arrays); each class pair lists its support vectors as pool indices
-(``support``) next to its own ``alpha``, ``y``, ``bias``, ``iterations``
-and ``converged``.  Version 1 files, which copied the support vectors
-into every pair, are rejected like any other unknown version.
-A features file holds a vocabulary, the settings that made it, and one
-CSR row per corpus item.
+vocabulary's names, the fitted scaler (SVM only), the featurization
+settings (``extras.features`` and ``extras.normalize``, required), and
+either the Naive Bayes tables or the SVM's support vectors, each stored
+once in a CSR pool (``svm.support_vectors``) that each class pair indexes
+(``support``) next to its ``alpha``, ``y``, ``bias``, ``iterations`` and
+``converged``.  A features file holds a vocabulary, the settings that made
+it, and one sparse row per corpus item.
 
-Floats round-trip exactly through JSON's repr encoding, so a reloaded
-model predicts bit-identically.  Files are written with sorted keys and
-fixed separators, so identical records produce identical bytes.  Loading
-checks every key and type it reads and raises `DataError` on a missing
-key, a wrong type, a bad value or a pool index out of range.
+Model format 3 and features format 2 store each fact once and each number
+in its shortest exact form: no feature kinds (`feature_kind` derives
+them); a float that is integral, not -0.0 and below 2**53 in magnitude as
+a JSON integer; only the scaler columns whose (min, max) is not (0, 1);
+and, in sparse rows, each row's first column as is and each later one as
+its gap from the column before.  Any other version, model format 2
+included, is rejected: retrain.  Every value reads back bit-identical, so
+a reloaded model predicts bit-identically.  Files are written with sorted
+keys and fixed separators, so identical records produce identical bytes.
+Loading checks every key and type it reads and raises `DataError` on a
+missing key, a wrong type, a bad value or an index out of range.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ import numpy as np
 from .corpus import Corpus, Label
 from .errors import DataError
 from .features import (
-    KIND_CLUSTER,
-    KIND_NGRAM,
-    KIND_STRUCTURAL,
     CsrMatrix,
     FeatureSettings,
     Scaler,
@@ -47,9 +46,9 @@ from .normalize import NormalizationConfig
 from .svm import PairModel, SvmModel, SvmParams
 
 FORMAT_NAME = "rareclass.model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 FEATURES_FORMAT = "rareclass.features"
-FEATURES_VERSION = 1
+FEATURES_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -117,13 +116,13 @@ def check_json(value, schema, where: str) -> None:
         raise DataError(f"{where} must be a {schema.__name__}")
 
 
-_VOCABULARY_SCHEMA = {"names": [str], "kinds": [str], "min_df": int}
+_VOCABULARY_SCHEMA = {"names": [str], "min_df": int}
 _FEATURES_SCHEMA = {key: type(value) for key, value in asdict(FeatureSettings()).items()}
 _NORMALIZE_KEYS = ("possessive_pronouns", "child_terms", "third_person_pronouns")
 _SCHEMAS = {
     "model": {
         "vocabulary": _VOCABULARY_SCHEMA,
-        "scaler": ({"mins": [float], "maxs": [float]}, None),
+        "scaler": ({"columns": [int], "mins": [float], "maxs": [float]}, None),
         "extras": {"features": dict, "normalize": dict},
     },
     "svm": {
@@ -145,11 +144,62 @@ _SCHEMAS = {
 }
 
 
+def _shortest(value):
+    """`value` with every float that is integral, is not -0.0 and is below
+    2**53 in magnitude made an int, which JSON spells without ``.0``."""
+    if isinstance(value, float):
+        exact = value.is_integer() and abs(value) < 2.0**53
+        return int(value) if exact and (value or math.copysign(1.0, value) > 0) else value
+    if type(value) is dict:
+        return {key: _shortest(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_shortest(item) for item in value]
+    return value
+
+
 def _write_json(path: str | Path, doc: dict) -> None:
-    """Write `doc` with sorted keys and fixed separators, one line."""
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    """Write `doc`, its numbers at their shortest, with sorted keys and fixed separators."""
+    text = json.dumps(_shortest(doc), sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _gaps(x: CsrMatrix) -> np.ndarray:
+    """Each row's first column as is, each later one as its gap from the one before."""
+    gaps = np.diff(x.indices, prepend=0)
+    starts = x.indptr[:-1][np.diff(x.indptr) > 0]
+    gaps[starts] = x.indices[starts]
+    return gaps
+
+
+def _csr_from_gaps(indptr, gaps, values, dim: int) -> CsrMatrix:
+    """The validated matrix whose columns `_gaps` wrote; `from_arrays` rejects a gap below 1."""
+    indptr, columns = np.asarray(indptr, np.intp), np.cumsum(np.asarray(gaps, np.intp))
+    lengths = np.diff(indptr)
+    if len(indptr) and indptr[0] == 0 and indptr[-1] == len(columns) and (lengths >= 0).all():
+        # less, in every row, the sum of the gaps of the rows before it
+        columns -= np.repeat(np.concatenate(([0], columns))[indptr[:-1]], lengths)
+    return CsrMatrix.from_arrays(indptr, columns, values, dim)
+
+
+def _scaler_to_json(scaler: Scaler) -> dict:
+    mins, maxs = np.asarray(scaler.mins), np.asarray(scaler.maxs)
+    cols = np.flatnonzero((mins != 0.0) | np.signbit(mins) | (maxs != 1.0))  # not (+0.0, 1.0)
+    return {"columns": cols.tolist(), "mins": mins[cols].tolist(), "maxs": maxs[cols].tolist()}
+
+
+def _scaler_from_json(obj: dict, dim: int) -> Scaler:
+    """A dense scaler from the listed columns; every other column is (0, 1)."""
+    columns = np.asarray(obj["columns"], np.intp)
+    listed_mins, listed_maxs = (np.asarray(obj[key], float) for key in ("mins", "maxs"))
+    if not len(columns) == len(listed_mins) == len(listed_maxs):
+        raise DataError("scaler: columns, mins and maxs differ in length")
+    if not (np.diff(np.concatenate(([-1], columns, [dim]))) > 0).all():
+        raise DataError("scaler: columns must increase strictly, from 0 to below the dimension")
+    if (listed_mins > listed_maxs).any():
+        raise DataError("scaler: a column's min is above its max")
+    mins, maxs = np.zeros(dim), np.ones(dim)
+    mins[columns], maxs[columns] = listed_mins, listed_maxs
+    return Scaler(tuple(mins.tolist()), tuple(maxs.tolist()))
 
 
 def feature_settings_from_json(obj: dict) -> FeatureSettings:
@@ -169,24 +219,16 @@ def normalization_from_json(obj: dict) -> NormalizationConfig:
 
 
 def vocabulary_to_json(vocabulary: Vocabulary) -> dict:
-    return {
-        "names": list(vocabulary.names),
-        "kinds": list(vocabulary.kinds),
-        "min_df": vocabulary.min_df,
-    }
+    return {"names": list(vocabulary.names), "min_df": vocabulary.min_df}
 
 
 def vocabulary_from_json(obj: dict) -> Vocabulary:
     """A vocabulary from an object that fits `_VOCABULARY_SCHEMA`, with
-    sorted unique names (as `build_vocabulary` makes them) and known kinds."""
-    names, kinds = obj["names"], obj["kinds"]
-    if len(names) != len(kinds):
-        raise DataError("vocabulary: names and kinds differ in length")
+    sorted unique names (as `build_vocabulary` makes them)."""
+    names = obj["names"]
     if any(a >= b for a, b in zip(names, names[1:])):
         raise DataError("vocabulary: names must be sorted and unique")
-    if not set(kinds) <= {KIND_NGRAM, KIND_CLUSTER, KIND_STRUCTURAL}:
-        raise DataError("vocabulary: unknown feature kind")
-    return Vocabulary(tuple(names), tuple(kinds), obj["min_df"])
+    return Vocabulary(tuple(names), obj["min_df"])
 
 
 def _svm_to_json(model: SvmModel) -> dict:
@@ -199,7 +241,7 @@ def _svm_to_json(model: SvmModel) -> dict:
         "params": {key: getattr(model.params, key) for key in _SCHEMAS["svm"]["params"]},
         "support_vectors": {
             "indptr": pool.indptr.tolist(),
-            "indices": pool.indices.tolist(),
+            "indices": _gaps(pool).tolist(),
             "values": pool.data.tolist(),
         },
         "pairs": [
@@ -223,14 +265,14 @@ def _svm_from_json(obj: dict) -> SvmModel:
         raise DataError("svm.gamma must be positive and finite")
     labels = tuple(Label(v) for v in obj["labels"])
     class_weights = {Label(k): float(w) for k, w in obj["class_weights"].items()}
+    raw = obj["params"]
     params = SvmParams(
-        **{key: obj["params"][key] for key in _SCHEMAS["svm"]["params"]},
-        class_weights=class_weights,
+        c=float(raw["c"]), kernel=raw["kernel"], tolerance=float(raw["tolerance"]),
+        gamma=None if raw["gamma"] is None else float(raw["gamma"]),
+        max_iterations=raw["max_iterations"], class_weights=class_weights,
     )
     pool_obj = obj["support_vectors"]
-    pool = CsrMatrix.from_arrays(
-        pool_obj["indptr"], pool_obj["indices"], pool_obj["values"], obj["dim"]
-    )
+    pool = _csr_from_gaps(pool_obj["indptr"], pool_obj["indices"], pool_obj["values"], obj["dim"])
     pairs = []
     for p in obj["pairs"]:
         if not len(p["support"]) == len(p["alpha"]) == len(p["y"]):
@@ -290,9 +332,7 @@ def save_model(path: str | Path, model: StoredModel) -> None:
         "version": FORMAT_VERSION,
         "kind": kind,
         "vocabulary": vocabulary_to_json(model.vocabulary),
-        "scaler": (
-            None if scaler is None else {"mins": list(scaler.mins), "maxs": list(scaler.maxs)}
-        ),
+        "scaler": None if scaler is None else _scaler_to_json(scaler),
         "extras": {
             **model.extras,
             "features": asdict(model.features),
@@ -302,22 +342,23 @@ def save_model(path: str | Path, model: StoredModel) -> None:
     })
 
 
-def read_versioned_json(path: Path, format_name: str, version: int, what: str) -> dict:
-    """The JSON object in `path`, whose format and version must match."""
+def read_versioned_json(path: Path, format_name: str, version: int, what: str, remedy: str) -> dict:
+    """The JSON object in `path`, whose format and version must match; the
+    error for another version ends with `remedy`."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != format_name:
         raise DataError(f"{path}: not a rareclass {what} file")
-    if doc.get("version") != version:
-        raise DataError(f"{path}: unsupported {what} version {doc.get('version')!r}")
+    if (found := doc.get("version")) != version:
+        raise DataError(f"{path}: unsupported {what} version {found!r}, not {version}; {remedy}")
     return doc
 
 
 def load_model(path: str | Path) -> StoredModel:
     path = Path(path)
-    doc = read_versioned_json(path, FORMAT_NAME, FORMAT_VERSION, "model")
+    doc = read_versioned_json(path, FORMAT_NAME, FORMAT_VERSION, "model", "retrain the model")
     kind = doc.get("kind")
     if kind not in ("svm", "nb"):
         raise DataError(f"{path}: unknown classifier kind {kind!r}")
@@ -326,12 +367,7 @@ def load_model(path: str | Path) -> StoredModel:
         vocabulary = vocabulary_from_json(doc["vocabulary"])
         scaler = None
         if doc["scaler"] is not None:
-            mins, maxs = (tuple(map(float, doc["scaler"][key])) for key in ("mins", "maxs"))
-            scaler = Scaler(mins, maxs)
-            if scaler.dim != vocabulary.dim or len(scaler.maxs) != scaler.dim:
-                raise DataError("scaler: dimension differs from the vocabulary's")
-            if any(lo > hi for lo, hi in zip(scaler.mins, scaler.maxs)):
-                raise DataError("scaler: a column's min is above its max")
+            scaler = _scaler_from_json(doc["scaler"], vocabulary.dim)
         classifier = _svm_from_json(doc[kind]) if kind == "svm" else _nb_from_json(doc[kind])
         if classifier.dim != vocabulary.dim:
             raise DataError(f"{kind}: dimension differs from the vocabulary's")
@@ -351,8 +387,8 @@ def save_features(
     settings: FeatureSettings,
 ) -> None:
     """Write one doc per row of `x`: the id and label of the corpus item it
-    was made from, its columns and its values."""
-    bounds, indices, values = x.indptr.tolist(), x.indices.tolist(), x.data.tolist()
+    was made from, its columns (gap-coded as `_gaps` codes them) and its values."""
+    bounds, indices, values = x.indptr.tolist(), _gaps(x).tolist(), x.data.tolist()
     _write_json(path, {
         "format": FEATURES_FORMAT,
         "version": FEATURES_VERSION,
@@ -376,7 +412,8 @@ def load_features(
     """The vocabulary, matrix, ids, labels and settings of a features file;
     the docs are joined into one matrix and validated as a whole."""
     path = Path(path)
-    doc = read_versioned_json(path, FEATURES_FORMAT, FEATURES_VERSION, "features")
+    remedy = "featurize again"
+    doc = read_versioned_json(path, FEATURES_FORMAT, FEATURES_VERSION, "features", remedy)
     schema = {
         "settings": dict,
         "vocabulary": _VOCABULARY_SCHEMA,
@@ -388,7 +425,7 @@ def load_features(
         if any(len(d["indices"]) != len(d["values"]) for d in docs):
             raise DataError("features: a doc's indices and values differ in length")
         vocabulary = vocabulary_from_json(doc["vocabulary"])
-        x = CsrMatrix.from_arrays(
+        x = _csr_from_gaps(
             np.cumsum([0] + [len(d["indices"]) for d in docs]),
             [i for d in docs for i in d["indices"]],
             [v for d in docs for v in d["values"]],

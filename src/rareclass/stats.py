@@ -85,11 +85,3 @@ def student_t_two_sided_p(t: float, df: float) -> float:
         return 0.0
     x = df / (df + t * t)
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for a Student-t variable with `df` degrees of freedom."""
-    p_two = student_t_two_sided_p(t, df)
-    if t >= 0.0:
-        return 1.0 - p_two / 2.0
-    return p_two / 2.0

@@ -8,6 +8,7 @@ import hashlib
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from rareclass.cli import main
 from rareclass.corpus import AnnotatedTweet, Corpus, Label, load_corpus, save_corpus
 from rareclass.demo import packaged_data_path
 from rareclass.lexicon import compile_matchers, load_lexicon
+
+MODEL_V2 = Path(__file__).resolve().parent / "data" / "model_v2.json"  # written by format 2
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +260,50 @@ class TestMissingClusters:
             assert out.exists()
 
 
+class TestModelInputs:
+    """`evaluate` and `report-errors` check the name lexicon and the
+    clusters against the digests `train` recorded, before featurizing."""
+
+    FILES = [("name_lexicon", "demo_names.txt", "Zelda\n"),
+             ("clusters", "demo_clusters.tsv", "0101\tzzzz\t1\n")]
+
+    def _run(self, workspace, tmp_path, command, overrides):
+        root, cfg, _ = workspace
+        out = tmp_path / "out.tsv"
+        argv = [command, "--config", str(cfg), "--corpus", str(root / "splits" / "test.tsv"),
+                "--out", str(out)]
+        for key, path in overrides.items():
+            argv += ["--set", f"paths.{key}={path}"]
+        return main(argv), out
+
+    @pytest.mark.parametrize("command", ["evaluate", "report-errors"])
+    @pytest.mark.parametrize("key, name, extra", FILES, ids=["name_lexicon", "clusters"])
+    def test_changed_file_is_data_error(
+        self, workspace, tmp_path, capsys, caplog, command, key, name, extra
+    ):
+        _, _, paths = workspace
+        changed = tmp_path / name
+        changed.write_text(paths[name].read_text(encoding="utf-8") + extra, encoding="utf-8")
+        with caplog.at_level("INFO", logger="rareclass"):
+            code, out = self._run(workspace, tmp_path, command, {key: changed})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {changed}: sha256:" in err
+        assert f"is not the {key} the model was trained with" in err
+        assert not out.exists()
+        assert not any(r.getMessage().startswith("featurized") for r in caplog.records)
+
+    @pytest.mark.parametrize("command", ["evaluate", "report-errors"])
+    def test_same_files_at_other_paths_pass(self, workspace, tmp_path, command):
+        _, _, paths = workspace
+        copies = {}
+        for key, name, _ in self.FILES:
+            copies[key] = tmp_path / name
+            shutil.copy(paths[name], copies[key])
+        code, out = self._run(workspace, tmp_path, command, copies)
+        assert code == 0 and out.exists()
+
+
 class TestSample:
     def test_random_undersample(self, workspace, tmp_path):
         _, cfg, _ = workspace
@@ -427,8 +474,15 @@ class TestModelRecord:
         loaded = load_model(model)
         assert loaded.features == expected.features
         assert loaded.normalization == expected.normalization
-        digest = hashlib.sha256(train.read_bytes()).hexdigest()[:12]
-        assert loaded.extras == {**expected.extras, "training_corpus": {"sha256": digest}}
+        def digest(path):
+            return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()[:12]}
+
+        assert loaded.extras == {
+            **expected.extras,
+            "training_corpus": digest(train),
+            "name_lexicon": digest(paths["demo_names.txt"]),
+            "clusters": digest(paths["demo_clusters.tsv"]),
+        }
 
         rewritten = tmp_path / "rewritten.json"
         save_model(rewritten, loaded)
@@ -501,6 +555,21 @@ class TestFeaturesFileBoundary:
         def mutate(docs, dim):
             next(d for d in docs if d["indices"])[key][0] = number
         assert self._rank(features, tmp_path, mutate) == 2
+
+    @pytest.mark.parametrize("gap", [0, -1])
+    def test_gap_below_one_after_the_first_column(self, features, tmp_path, capsys, gap):
+        def mutate(docs, dim):
+            next(d for d in docs if len(d["indices"]) > 1)["indices"][1] = gap
+        assert self._rank(features, tmp_path, mutate) == 2
+        assert "column indices out of order or range" in capsys.readouterr().err
+
+    def test_features_format_1_is_data_error(self, features, tmp_path, capsys):
+        cfg, doc = features
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(dict(doc, version=1)))
+        argv = ["rank-features", "--config", str(cfg), "--features", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "ranked.tsv")]) == 2
+        assert "unsupported features version 1, not 2; featurize again" in capsys.readouterr().err
 
 
 class TestReportErrors:
@@ -673,11 +742,51 @@ class TestExitCodes:
         assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
         assert "sorted and unique" in capsys.readouterr().err
 
-    def test_unknown_vocabulary_kind_is_data_error(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["evaluate", "report-errors"])
+    def test_model_format_2_is_data_error(self, workspace, tmp_path, capsys, command):
+        root, cfg, _ = workspace
+        argv = [command, "--config", str(cfg), "--corpus", str(root / "splits" / "test.tsv"),
+                "--model", str(MODEL_V2), "--out", str(tmp_path / "out.tsv")]
+        assert main(argv) == 2
+        assert "unsupported model version 2, not 3; retrain the model" in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize("edit", ["unsorted", "duplicated", "negative", "at dim", "short"])
+    def test_scaler_columns_not_increasing_inside_the_dimension_is_data_error(
+        self, workspace, tmp_path, capsys, edit
+    ):
         def mutate(doc):
-            doc["vocabulary"]["kinds"][0] = "bigram"
+            columns = doc["scaler"]["columns"]
+            assert len(columns) >= 2
+            if edit == "unsorted":
+                columns[0], columns[1] = columns[1], columns[0]
+            elif edit == "duplicated":
+                columns[1] = columns[0]
+            elif edit == "negative":
+                columns[0] = -1
+            elif edit == "at dim":
+                columns[-1] = len(doc["vocabulary"]["names"])
+            else:
+                doc["scaler"]["mins"].pop()
         assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
-        assert "unknown feature kind" in capsys.readouterr().err
+        reason = "differ in length" if edit == "short" else "columns must increase strictly"
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gap", [0, -1])
+    def test_pool_gap_below_one_is_data_error(self, workspace, tmp_path, capsys, gap):
+        def mutate(doc):
+            pool = doc["svm"]["support_vectors"]
+            start = next(a for a, b in zip(pool["indptr"], pool["indptr"][1:]) if b - a > 1)
+            pool["indices"][start + 1] = gap
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert "column indices out of order or range" in capsys.readouterr().err
+
+    def test_pool_index_past_dim_is_data_error(self, workspace, tmp_path, capsys):
+        def mutate(doc):
+            pool = doc["svm"]["support_vectors"]
+            pool["indices"][pool["indptr"][1] - 1] += len(doc["vocabulary"]["names"])
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert "column indices out of order or range" in capsys.readouterr().err
 
     def test_nb_log_prior_above_zero_is_data_error(self, workspace, tmp_path, capsys):
         root, cfg, _ = workspace

@@ -24,7 +24,6 @@ from rareclass.features import (
     ClusterMap,
     FeatureSettings,
     Vocabulary,
-    feature_kind,
     load_clusters,
 )
 from rareclass.normalize import NameLexicon, NormalizationConfig, load_name_lexicon
@@ -97,7 +96,7 @@ class TestEqualsOracle:
     )
     def test_any_given_vocabulary(self, corpus, names, feats):
         ordered = tuple(sorted(names))
-        vocab = Vocabulary(ordered, tuple(map(feature_kind, ordered)), feats.min_df)
+        vocab = Vocabulary(ordered, feats.min_df)
         args = (corpus, NAMES, CLUSTERS, NORM, feats, vocab)
         assert_same(featurize_corpus(*args), sparse_oracle.featurize_corpus(*args))
 

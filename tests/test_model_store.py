@@ -1,17 +1,26 @@
-"""Model persistence: round-trips, byte determinism, version gating."""
+"""Model and features files: round-trips, exact numbers, byte determinism, version gating."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_corpus
 from rareclass.corpus import Label
 from rareclass.errors import DataError
-from rareclass.features import FeatureSettings, Vocabulary, fit_scaler
-from rareclass.model_store import StoredModel, load_model, save_model
-from rareclass.naive_bayes import predict_nb, train_nb
+from rareclass.features import CsrMatrix, FeatureSettings, Scaler, Vocabulary, fit_scaler
+from rareclass.model_store import (
+    StoredModel,
+    load_features,
+    load_model,
+    save_features,
+    save_model,
+)
+from rareclass.naive_bayes import GAUSSIAN, MULTINOMIAL, NbModel, predict_nb, train_nb
 from rareclass.normalize import NormalizationConfig
-from rareclass.svm import SvmParams, predict_svm, train_svm
+from rareclass.svm import PairModel, SvmModel, SvmParams, predict_svm, train_svm
 
 from sparse_oracle import SparseVector, from_rows
 
@@ -44,7 +53,7 @@ def trained_svm():
     ]
     params = SvmParams(c=10.0, gamma=0.5)
     model = train_svm(from_rows(vectors), labels, params)
-    vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)), ("ngram",) * dim, 1)
+    vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)), 1)
     scaler = fit_scaler(from_rows(vectors))
     return model, vocab, scaler
 
@@ -98,7 +107,7 @@ class TestNbRoundTrip:
         ]
         labels = [(Label.DEFECT, Label.NON_DEFECT)[i % 2] for i in range(12)]
         model = train_nb(from_rows(vectors), labels)
-        vocab = Vocabulary(tuple(f"f{i}" for i in range(4)), ("ngram",) * 4, 1)
+        vocab = Vocabulary(tuple(f"f{i}" for i in range(4)), 1)
         path = tmp_path / "nb.json"
         save_model(path, stored(model, vocab))
         loaded = load_model(path)
@@ -117,7 +126,7 @@ class TestFormatGating:
             for _ in range(8)
         ]
         labels = [(Label.DEFECT, Label.NON_DEFECT)[i % 2] for i in range(8)]
-        vocab = Vocabulary(("a", "b", "c"), ("ngram",) * 3, 1)
+        vocab = Vocabulary(("a", "b", "c"), 1)
         save_model(model_path, stored(train_nb(from_rows(vectors), labels), vocab))
         doc = json.loads(model_path.read_text())
         mutate(doc)
@@ -125,7 +134,7 @@ class TestFormatGating:
         return model_path
 
     def test_unknown_version_rejected(self, tmp_path):
-        for version in (99, 1):
+        for version in (99, 2, 1):
             path = self._minimal(tmp_path, lambda d: d.update(version=version))
             with pytest.raises(DataError, match="version"):
                 load_model(path)
@@ -140,3 +149,130 @@ class TestFormatGating:
         path.write_text("{not json")
         with pytest.raises(DataError, match="JSON"):
             load_model(path)
+
+
+# -- exactness: every float reads back with the same bits ---------------------
+
+EDGES = [
+    -0.0, 0.0, 1.0, -1.0, 3.0, 0.1, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53),
+    2.0**53 + 2, 2.0**60, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+]
+floats = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+positive = floats.map(abs).filter(lambda v: v > 0.0)
+
+
+def tables(values, dim):
+    """Two rows of `dim` values each."""
+    return st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=2, max_size=2)
+
+
+def bits(values) -> list[str]:
+    """Each value's type and exact bits; -0.0 and 0.0 differ."""
+    return [f"{type(v).__name__} {float(v).hex()}" for v in values]
+
+
+@st.composite
+def sparse_matrices(draw, dim):
+    rows = draw(st.lists(st.sets(st.integers(0, dim - 1)), max_size=5))
+    columns = [sorted(row) for row in rows]
+    nnz = sum(map(len, columns))
+    values = draw(st.lists(floats, min_size=nnz, max_size=nnz))
+    indptr = np.cumsum([0] + [len(row) for row in columns])
+    return CsrMatrix.from_arrays(indptr, [c for row in columns for c in row], values, dim)
+
+
+@st.composite
+def svm_models(draw):
+    dim = draw(st.integers(1, 9))
+    pool = draw(sparse_matrices(dim).filter(lambda x: x.n_rows > 0))
+    n = pool.n_rows
+    pair = PairModel(
+        Label.DEFECT, Label.NON_DEFECT, tuple(range(n)),
+        tuple(draw(st.lists(floats, min_size=n, max_size=n))),
+        tuple(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))),
+        draw(floats), draw(st.integers(0, 10**6)), draw(st.booleans()),
+    )
+    weights = {Label.DEFECT: draw(positive), Label.NON_DEFECT: draw(positive)}
+    params = SvmParams(
+        c=draw(positive), gamma=draw(st.one_of(st.none(), positive)), class_weights=weights,
+        tolerance=draw(positive), max_iterations=draw(st.integers(1, 10**7)),
+    )
+    model = SvmModel(
+        (Label.DEFECT, Label.NON_DEFECT), (pair,), params, draw(positive), weights, dim, pool
+    )
+    bounds = [sorted(draw(st.lists(floats, min_size=2, max_size=2))) for _ in range(dim)]
+    bounds = [draw(st.sampled_from([b, [0.0, 1.0], [-0.0, 1.0], [0.0, 0.0]])) for b in bounds]
+    scaler = Scaler(tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds))
+    return dim, model, scaler
+
+
+def svm_floats(model: SvmModel, scaler: Scaler) -> list[str]:
+    p = model.params
+    return bits([
+        model.gamma, *model.class_weights.values(), p.c, p.tolerance,
+        *([] if p.gamma is None else [p.gamma]), *model.support_vectors.data,
+        *(v for pair in model.pairs for v in (*pair.alpha, pair.bias)), *scaler.mins, *scaler.maxs,
+    ])
+
+
+def assert_rewrites_itself(path):
+    again = path.with_name("again.json")
+    save_model(again, load_model(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
+class TestExactRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(svm_models())
+    def test_svm_floats_keep_their_bits(self, tmp_path_factory, drawn):
+        dim, model, scaler = drawn
+        path = tmp_path_factory.mktemp("svm") / "model.json"
+        save_model(path, stored(model, Vocabulary(tuple(f"f{i}" for i in range(dim)), 1), scaler))
+        loaded = load_model(path)
+        assert svm_floats(loaded.classifier, loaded.scaler) == svm_floats(model, scaler)
+        assert loaded.classifier.support_vectors == model.support_vectors
+        assert loaded.classifier.pairs[0].support == model.pairs[0].support
+        assert (loaded.classifier.params.gamma is None) == (model.params.gamma is None)
+        assert_rewrites_itself(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([MULTINOMIAL, GAUSSIAN]), st.data())
+    def test_nb_floats_keep_their_bits(self, tmp_path_factory, dim, event_model, data):
+        priors = st.lists(floats.map(lambda v: -abs(v)), min_size=2, max_size=2)
+        drawn = {"log_likelihood": data.draw(tables(floats, dim))}
+        if event_model == GAUSSIAN:
+            means, variances = data.draw(tables(floats, dim)), data.draw(tables(positive, dim))
+            drawn = {"means": means, "variances": variances}
+        model = NbModel(
+            (Label.DEFECT, Label.NON_DEFECT), tuple(data.draw(priors)), event_model, dim,
+            **{key: tuple(map(tuple, rows)) for key, rows in drawn.items()},
+        )
+        path = tmp_path_factory.mktemp("nb") / "model.json"
+        save_model(path, stored(model, Vocabulary(tuple(f"f{i}" for i in range(dim)), 1)))
+        loaded = load_model(path).classifier
+        assert bits(loaded.log_priors) == bits(model.log_priors)
+        for key, rows in drawn.items():
+            assert [bits(row) for row in getattr(loaded, key)] == [bits(row) for row in rows]
+        assert_rewrites_itself(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9).flatmap(sparse_matrices))
+    def test_features_keep_their_bits(self, tmp_path_factory, x):
+        vocab = Vocabulary(tuple(f"f{i}" for i in range(x.dim)), 2)
+        corpus = make_corpus([(f"t{i}", "text", Label.DEFECT) for i in range(x.n_rows)])
+        path = tmp_path_factory.mktemp("features") / "features.json"
+        save_features(path, vocab, x, corpus, FeatureSettings())
+        loaded_vocab, loaded, ids, labels, feature_settings = load_features(path)
+        assert loaded_vocab == vocab and feature_settings == FeatureSettings()
+        assert loaded == x and bits(loaded.data) == bits(x.data)
+        assert ids == [f"t{i}" for i in range(x.n_rows)] and labels == [Label.DEFECT] * x.n_rows
+
+
+def test_integral_floats_are_written_as_integers(tmp_path):
+    x = CsrMatrix.from_arrays([0, 3], [0, 2, 5], [1.0, -0.0, 2.0**53], 6)
+    vocab = Vocabulary(tuple(f"f{i}" for i in range(6)), 1)
+    path = tmp_path / "features.json"
+    save_features(path, vocab, x, make_corpus([("t0", "text", Label.DEFECT)]), FeatureSettings())
+    assert '"indices":[0,2,3],"label":"defect","values":[1,-0.0,9007199254740992.0]' in (
+        path.read_text()
+    )

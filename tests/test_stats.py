@@ -6,11 +6,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from rareclass.stats import (
-    regularized_incomplete_beta,
-    student_t_cdf,
-    student_t_two_sided_p,
-)
+from rareclass.stats import regularized_incomplete_beta, student_t_two_sided_p
 
 
 class TestRegularizedIncompleteBeta:
@@ -40,12 +36,6 @@ class TestStudentT:
     def test_two_sided_matches_scipy(self, t, df):
         expected = 2.0 * scipy.stats.t.sf(t, df)
         assert student_t_two_sided_p(t, df) == pytest.approx(expected, abs=1e-10)
-
-    def test_cdf_matches_scipy_both_signs(self):
-        for t in (-3.2, -0.7, 0.0, 0.7, 3.2):
-            assert student_t_cdf(t, 7) == pytest.approx(
-                scipy.stats.t.cdf(t, 7), abs=1e-12
-            )
 
     def test_infinite_statistic(self):
         assert student_t_two_sided_p(math.inf, 4) == 0.0

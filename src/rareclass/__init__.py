@@ -46,7 +46,6 @@ _EXPORTS_BY_MODULE = {
         "precision_recall_f1",
     ),
     "features": (
-        "ClusterMap",
         "CsrMatrix",
         "Scaler",
         "Vocabulary",
@@ -76,7 +75,6 @@ _EXPORTS_BY_MODULE = {
     "normalize": (
         "NameLexicon",
         "NormalizationConfig",
-        "NormalizedText",
         "classic_normalize",
         "embedding_normalize",
         "load_name_lexicon",
@@ -84,10 +82,8 @@ _EXPORTS_BY_MODULE = {
     "porter": ("porter_stem",),
     "sampling": (
         "SamplingReport",
-        "SimilarityThreshold",
         "levenshtein_distance",
         "levenshtein_ratio",
-        "levenshtein_ratio_bound",
         "oversample_replacement",
         "smote",
         "undersample_near_fn",

@@ -89,12 +89,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
-
-
 def _log_input(kind: str, path: Path) -> str:
-    digest = _digest(path)
+    """Log an input file with its sha256 digest, and return the digest."""
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
     logger.info("%s: %s (sha256:%s)", kind, path, digest)
     return digest
 
@@ -277,14 +274,11 @@ def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
         names, _, _ = _names_and_clusters(cfg)
         norm_config = cfg.normalization()
         for item in corpus:
-            normalized = classic_normalize(
-                item.tweet, item.match_span, names, norm_config
-            )
-            rows.append((item.tweet.id, item.label, normalized.tokens))
+            tokens = classic_normalize(item.tweet, item.match_span, names, norm_config)
+            rows.append((item.tweet.id, item.label, tokens))
     else:
         for item in corpus:
-            normalized = embedding_normalize(item.tweet)
-            rows.append((item.tweet.id, item.label, normalized.tokens))
+            rows.append((item.tweet.id, item.label, embedding_normalize(item.tweet)))
     save_normalized(rows, args.out)
     print(f"normalized\t{len(rows)}\t{args.out}")
     return EXIT_OK
@@ -353,14 +347,15 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     from .pipeline import train_from_corpus
 
     corpus_path = cfg.path("paths.corpus", required=True)
-    corpus = _load_corpus_logged(corpus_path)
+    corpus_digest = _log_input("corpus", corpus_path)
+    corpus = load_corpus(corpus_path)
     names, clusters, files = _names_and_clusters(cfg, cfg.feature_settings())
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(cfg))
     model, report = train_from_corpus(sampled, cfg, names, clusters, report)
     model_path = Path(cfg["paths.model"])
     # digests only: embedding the paths would break byte-reproducibility of
     # otherwise identical runs in different directories
-    files["training_corpus"] = (corpus_path, _digest(corpus_path))
+    files["training_corpus"] = (corpus_path, corpus_digest)
     extras = {**model.extras, **{key: {"sha256": digest} for key, (_, digest) in files.items()}}
     save_model(model_path, replace(model, extras=extras))
     print(f"model\t{cfg['classifier.kind']}\t{model_path}")
@@ -380,23 +375,26 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _scoring_inputs(cfg: PipelineConfig):
+    """The corpus, the model, and the name lexicon and clusters it was trained
+    with, each hashed once; with the ``model_id`` and ``corpus_id`` an
+    evaluation report names them by."""
+    corpus_path = cfg.path("paths.corpus", required=True)
+    corpus_digest = _log_input("corpus", corpus_path)
+    corpus = load_corpus(corpus_path)
+    model_path = cfg.path("paths.model", required=True)
+    model_digest = _log_input("model", model_path)
+    stored = load_model(model_path)
+    names, clusters, _ = _names_and_clusters(cfg, stored.features, stored.extras)
+    ids = {"model_id": f"{model_path}#{model_digest}", "corpus_id": f"{corpus_path}#{corpus_digest}"}
+    return corpus, stored, names, clusters, ids
+
+
 def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     from .pipeline import evaluate_corpus
 
-    corpus_path = cfg.path("paths.corpus", required=True)
-    corpus = _load_corpus_logged(corpus_path)
-    model_path = cfg.path("paths.model", required=True)
-    _log_input("model", model_path)
-    stored = load_model(model_path)
-    names, clusters, _ = _names_and_clusters(cfg, stored.features, stored.extras)
-    report, _ = evaluate_corpus(
-        stored,
-        corpus,
-        names,
-        clusters,
-        model_id=f"{model_path}#{_digest(model_path)}",
-        corpus_id=f"{corpus_path}#{_digest(corpus_path)}",
-    )
+    corpus, stored, names, clusters, ids = _scoring_inputs(cfg)
+    report, _ = evaluate_corpus(stored, corpus, names, clusters, **ids)
     if args.out:
         Path(args.out).write_text(report.to_tsv(), encoding="utf-8")
     sys.stdout.write(report.to_text())
@@ -407,6 +405,8 @@ def _cmd_rank_features(args, cfg: PipelineConfig) -> int:
     from .features import information_gain
     from .model_store import load_features
 
+    if args.top is not None and args.top < 1:
+        raise _UsageError(f"--top must be at least 1, got {args.top}")
     if args.features:
         features_path = Path(args.features)
         _log_input("features", features_path)
@@ -415,7 +415,7 @@ def _cmd_rank_features(args, cfg: PipelineConfig) -> int:
         corpus, x, vocab, _settings = _featurize_configured(cfg)
         labels = corpus.labels()
     ranked = information_gain(x, labels, vocab)
-    if args.top:
+    if args.top is not None:
         ranked = ranked[: args.top]
     lines = ["feature\tkind\tinfo_gain_bits"]
     lines.extend(
@@ -431,12 +431,7 @@ def _cmd_report_errors(args, cfg: PipelineConfig) -> int:
     from .evaluation import error_report
     from .pipeline import predict_corpus
 
-    corpus_path = cfg.path("paths.corpus", required=True)
-    corpus = _load_corpus_logged(corpus_path)
-    model_path = cfg.path("paths.model", required=True)
-    _log_input("model", model_path)
-    stored = load_model(model_path)
-    names, clusters, _ = _names_and_clusters(cfg, stored.features, stored.extras)
+    corpus, stored, names, clusters, _ = _scoring_inputs(cfg)
     predictions = predict_corpus(stored, corpus, names, clusters)
     errors = error_report(corpus, predictions, Label(args.gold), Label(args.predicted_as))
     save_corpus(Corpus(tuple(errors), provenance="error-report"), args.out)

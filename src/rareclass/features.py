@@ -11,7 +11,8 @@ prediction work on that matrix.
 Vocabularies and scalers are immutable once fitted and are built from
 training data only.  Feature names are namespaced by kind: raw n-gram
 strings, ``cluster:<path>`` for word-cluster features, and ``struct:*``
-for the two structural columns.
+for the two structural columns.  Word clusters are a plain token to
+cluster-path dict, as `load_clusters` returns it.
 """
 
 from __future__ import annotations
@@ -231,20 +232,6 @@ class FeatureSettings:
     use_structural: bool = True
 
 
-@dataclass(frozen=True)
-class ClusterMap:
-    """Token to hierarchical-cluster-path map (paths are 0/1 strings)."""
-
-    mapping: dict[str, str]
-    source: str = ""
-
-    def get(self, token: str) -> str | None:
-        return self.mapping.get(token)
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-
 def extract_ngrams(tokens: Sequence[str], n_min: int = 1, n_max: int = 3) -> Counter:
     """All contiguous n-grams for n in [n_min, n_max], space-joined."""
     if not (1 <= n_min <= n_max):
@@ -258,8 +245,9 @@ def extract_ngrams(tokens: Sequence[str], n_min: int = 1, n_max: int = 3) -> Cou
     return grams
 
 
-def load_clusters(path: str | Path) -> ClusterMap:
-    """Read a cluster file of ``bitstring<TAB>token<TAB>count`` lines.
+def load_clusters(path: str | Path) -> dict[str, str]:
+    """Read a cluster file of ``bitstring<TAB>token<TAB>count`` lines into a
+    token to hierarchical-cluster-path map (paths are 0/1 strings).
 
     A token repeated on a later line overwrites the earlier entry, with a
     warning.  An empty file yields an empty map (cluster features are then
@@ -283,10 +271,10 @@ def load_clusters(path: str | Path) -> ClusterMap:
         if token in mapping:
             logger.warning("cluster file %s: token %r redefined at line %d", path, token, lineno)
         mapping[token] = bits
-    return ClusterMap(mapping, source=str(path))
+    return mapping
 
 
-def cluster_features(tokens: Sequence[str], clusters: ClusterMap) -> Counter:
+def cluster_features(tokens: Sequence[str], clusters: Mapping[str, str]) -> Counter:
     """One ``cluster:<path>`` feature per token occurrence found in the map."""
     feats: Counter = Counter()
     for token in tokens:

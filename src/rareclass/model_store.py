@@ -118,7 +118,7 @@ def check_json(value, schema, where: str) -> None:
 
 _VOCABULARY_SCHEMA = {"names": [str], "min_df": int}
 _FEATURES_SCHEMA = {key: type(value) for key, value in asdict(FeatureSettings()).items()}
-_NORMALIZE_KEYS = ("possessive_pronouns", "child_terms", "third_person_pronouns")
+_NORMALIZE_KEYS = tuple(asdict(NormalizationConfig()))
 _SCHEMAS = {
     "model": {
         "vocabulary": _VOCABULARY_SCHEMA,

@@ -19,8 +19,11 @@ Two normalizers are provided:
   (emoji and the like) are padded into their own tokens; non-ASCII
   letters stay inside words.
 
-Both functions are pure and deterministic.  `save_normalized` and
-`load_normalized` write and read their token rows, the ``preprocess``
+Both functions are pure and deterministic and return a tuple of tokens.
+The placeholder spellings are fixed (``<user>``, ``<url>``, ``<name>``,
+``<bdterm>``, ``<poss>``, ``<child>``, ``<thirdperson>``);
+`NormalizationConfig` holds only the three token sets mapped onto the
+last three.  `save_normalized` writes token rows, the ``preprocess``
 subcommand's output.
 """
 
@@ -85,55 +88,28 @@ DEFAULT_CHILD = frozenset(
 )
 DEFAULT_THIRD_PERSON = frozenset({"she", "he", "her", "him", "his", "hers"})
 
+USER_PLACEHOLDER = "<user>"
+URL_PLACEHOLDER = "<url>"
+NAME_PLACEHOLDER = "<name>"
+TERM_PLACEHOLDER = "<bdterm>"
+POSSESSIVE_PLACEHOLDER = "<poss>"
+CHILD_PLACEHOLDER = "<child>"
+THIRD_PERSON_PLACEHOLDER = "<thirdperson>"
+# all seven, longest first, so that none is split out inside another
+PLACEHOLDERS = (
+    THIRD_PERSON_PLACEHOLDER, TERM_PLACEHOLDER, CHILD_PLACEHOLDER, USER_PLACEHOLDER,
+    NAME_PLACEHOLDER, POSSESSIVE_PLACEHOLDER, URL_PLACEHOLDER,
+)
+
 
 @dataclass(frozen=True)
 class NormalizationConfig:
-    """Token sets and placeholder spellings for the classic pipeline.
-
-    Placeholders must be pairwise distinct, non-empty, and contain no
-    whitespace; the pipeline treats them as indivisible tokens.
-    """
+    """The token sets the classic pipeline replaces by placeholders; the
+    ``normalize.*`` config keys, saved with every model."""
 
     possessive_pronouns: frozenset[str] = DEFAULT_POSSESSIVE
     child_terms: frozenset[str] = DEFAULT_CHILD
     third_person_pronouns: frozenset[str] = DEFAULT_THIRD_PERSON
-    user_placeholder: str = "<user>"
-    url_placeholder: str = "<url>"
-    name_placeholder: str = "<name>"
-    term_placeholder: str = "<bdterm>"
-    possessive_placeholder: str = "<poss>"
-    child_placeholder: str = "<child>"
-    third_person_placeholder: str = "<thirdperson>"
-
-    def __post_init__(self):
-        placeholders = self.placeholders()
-        if len(set(placeholders)) != len(placeholders):
-            raise ValueError("placeholder strings must be pairwise distinct")
-        for ph in placeholders:
-            if not ph or any(ch.isspace() for ch in ph):
-                raise ValueError(f"bad placeholder {ph!r}")
-
-    def placeholders(self) -> tuple[str, ...]:
-        return (
-            self.user_placeholder,
-            self.url_placeholder,
-            self.name_placeholder,
-            self.term_placeholder,
-            self.possessive_placeholder,
-            self.child_placeholder,
-            self.third_person_placeholder,
-        )
-
-
-@dataclass(frozen=True)
-class NormalizedText:
-    """Whitespace-free token sequence produced by a normalizer."""
-
-    tokens: tuple[str, ...]
-    tweet_id: str
-
-    def joined(self) -> str:
-        return " ".join(self.tokens)
 
 
 # Internal representation while rules run: (is_atom, content).  Atoms are
@@ -180,12 +156,11 @@ def _sub_atoms(
 
 
 @lru_cache(maxsize=16)
-def _config_rules(config: NormalizationConfig) -> tuple[dict[str, str], tuple[str, ...]]:
-    """The token map of `config`, and its placeholders longest first."""
-    token_map = dict.fromkeys(config.possessive_pronouns, config.possessive_placeholder)
-    token_map.update(dict.fromkeys(config.child_terms, config.child_placeholder))
-    token_map.update(dict.fromkeys(config.third_person_pronouns, config.third_person_placeholder))
-    return token_map, tuple(sorted(config.placeholders(), key=len, reverse=True))
+def _token_map(config: NormalizationConfig) -> dict[str, str]:
+    token_map = dict.fromkeys(config.possessive_pronouns, POSSESSIVE_PLACEHOLDER)
+    token_map.update(dict.fromkeys(config.child_terms, CHILD_PLACEHOLDER))
+    token_map.update(dict.fromkeys(config.third_person_pronouns, THIRD_PERSON_PLACEHOLDER))
+    return token_map
 
 
 def classic_normalize(
@@ -193,8 +168,8 @@ def classic_normalize(
     match_span: tuple[int, int] | None,
     names: NameLexicon,
     config: NormalizationConfig | None = None,
-) -> NormalizedText:
-    """Normalize a tweet for the bag-of-words classifiers.
+) -> tuple[str, ...]:
+    """Normalize a tweet for the bag-of-words classifiers into its tokens.
 
     `match_span` is the (start, end) UTF-8 byte span of the lexicon match
     to collapse into the term placeholder; pass None when there is none.
@@ -205,8 +180,7 @@ def classic_normalize(
     and the given-name pass is skipped when ``text.islower()``, which
     holds only for texts without an uppercase letter.
     """
-    config = config or NormalizationConfig()
-    token_map, placeholders = _config_rules(config)
+    token_map = _token_map(config or NormalizationConfig())
     text = tweet.text
     parts: _Parts
     if match_span is not None:
@@ -214,25 +188,25 @@ def classic_normalize(
         parts = []
         if text[:start]:
             parts.append((False, text[:start]))
-        parts.append((True, config.term_placeholder))
+        parts.append((True, TERM_PLACEHOLDER))
         if text[end:]:
             parts.append((False, text[end:]))
     else:
         parts = [(False, text)] if text else []
 
     # Protect placeholder spellings already present (idempotency on
-    # re-processed output); longest first so no placeholder nests in another.
-    for ph in placeholders:
+    # re-processed output).
+    for ph in PLACEHOLDERS:
         if ph in text:
             parts = _split_atoms(parts, ph, ph)
     if "http" in text:
-        parts = _sub_atoms(parts, URL_RE, config.url_placeholder)
+        parts = _sub_atoms(parts, URL_RE, URL_PLACEHOLDER)
     if "@" in text:
-        parts = _sub_atoms(parts, USERNAME_RE, config.user_placeholder)
+        parts = _sub_atoms(parts, USERNAME_RE, USER_PLACEHOLDER)
     # Given names: capitalized alphabetic runs only, before lowercasing,
     # so common lowercase words ("will", "grace") are never eaten.
     if not text.islower():
-        parts = _sub_atoms(parts, _NAME_RUN_RE, config.name_placeholder, names)
+        parts = _sub_atoms(parts, _NAME_RUN_RE, NAME_PLACEHOLDER, names)
 
     tokens: list[str] = []
     for is_atom, content in parts:
@@ -243,7 +217,7 @@ def classic_normalize(
                 token_map.get(word) or porter_stem(word)
                 for word in _LOWER_RUN_RE.findall(content.lower())
             ]
-    return NormalizedText(tuple(tokens), tweet.id)
+    return tuple(tokens)
 
 
 _PUNCT_RUN_RE = re.compile(
@@ -263,8 +237,8 @@ def _pad_symbols(text: str) -> str:
     return "".join(out)
 
 
-def embedding_normalize(tweet: Tweet) -> NormalizedText:
-    """Normalize a tweet the way word-vector training corpora are cleaned.
+def embedding_normalize(tweet: Tweet) -> tuple[str, ...]:
+    """Normalize a tweet into tokens the way word-vector training corpora are cleaned.
 
     Tokenization is plain whitespace splitting after the rules run; no
     external treebank-style tokenizer is involved, which keeps the
@@ -284,7 +258,7 @@ def embedding_normalize(tweet: Tweet) -> NormalizedText:
         else:
             words.append(word)
     text = " ".join(words).replace("#", " <hashtag> ")
-    return NormalizedText(tuple(tok.lower() for tok in text.split()), tweet.id)
+    return tuple(tok.lower() for tok in text.split())
 
 
 NORMALIZED_HEADER = ("id", "label", "tokens")
@@ -297,23 +271,3 @@ def save_normalized(rows: Sequence[tuple[str, Label, Sequence[str]]], path: str 
         lines.append(f"{doc_id}\t{label.value}\t{' '.join(tokens)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def load_normalized(path: str | Path) -> list[tuple[str, Label, tuple[str, ...]]]:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or tuple(lines[0].split("\t")) != NORMALIZED_HEADER:
-        raise DataError(f"{path}: missing or malformed header line")
-    rows: list[tuple[str, Label, tuple[str, ...]]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}: expected 3 columns at line {lineno}")
-        doc_id, label_s, tokens = fields
-        try:
-            label = Label.parse(label_s)
-        except ValueError:
-            raise DataError(f"{path}: unknown label {label_s!r} at line {lineno}") from None
-        rows.append((doc_id, label, tuple(tokens.split())))
-    return rows

@@ -32,7 +32,6 @@ from .evaluation import EvalReport, evaluate_predictions
 from .features import (
     KIND_CLUSTER,
     STRUCTURAL_FEATURES,
-    ClusterMap,
     CsrMatrix,
     FeatureSettings,
     Vocabulary,
@@ -58,7 +57,7 @@ logger = logging.getLogger(__name__)
 def featurize_corpus(
     corpus: Corpus,
     names: NameLexicon,
-    clusters: ClusterMap | None,
+    clusters: dict[str, str] | None,
     norm_config: NormalizationConfig,
     settings: FeatureSettings,
     vocab: Vocabulary | None = None,
@@ -75,10 +74,10 @@ def featurize_corpus(
 
     def key_sets():
         for item in corpus:
-            normalized = classic_normalize(item.tweet, item.match_span, names, norm_config)
-            feats = extract_ngrams(normalized.tokens, settings.n_min, settings.n_max)
+            tokens = classic_normalize(item.tweet, item.match_span, names, norm_config)
+            feats = extract_ngrams(tokens, settings.n_min, settings.n_max)
             if settings.use_clusters and clusters is not None:
-                feats.update(cluster_features(normalized.tokens, clusters))
+                feats.update(cluster_features(tokens, clusters))
             cols.extend([lookup(name, len(ids)) for name in (*feats, *struct)])
             values.extend([1] * len(feats) if settings.binary else feats.values())
             values.extend(structural_features(item.tweet.text)[: len(struct)])
@@ -108,7 +107,7 @@ def train_from_corpus(
     corpus: Corpus,
     cfg: PipelineConfig,
     names: NameLexicon,
-    clusters: ClusterMap | None,
+    clusters: dict[str, str] | None,
     report: SamplingReport | None = None,
 ) -> tuple[StoredModel, SamplingReport | None]:
     """Run featurization, SMOTE, scaling, and classifier training; returns
@@ -160,7 +159,7 @@ def predict_corpus(
     stored: StoredModel,
     corpus: Corpus,
     names: NameLexicon,
-    clusters: ClusterMap | None,
+    clusters: dict[str, str] | None,
 ) -> list[Label]:
     """Predict every item using the featurization saved with the model; a
     model with cluster columns needs `clusters`."""
@@ -183,7 +182,7 @@ def evaluate_corpus(
     stored: StoredModel,
     corpus: Corpus,
     names: NameLexicon,
-    clusters: ClusterMap | None,
+    clusters: dict[str, str] | None,
     model_id: str = "",
     corpus_id: str = "",
 ) -> tuple[EvalReport, list[Label]]:

@@ -3,7 +3,8 @@
 Four text-level samplers operate on corpora before vectorization:
 similarity-based removal of near-duplicate majority tweets, removal of
 majority tweets near known false negatives, random under-sampling to a
-target size, and minority over-sampling by whole-copy replication.  The
+target size, and minority over-sampling by whole-copy replication.  For
+all four the majority is ``non_defect``, the class the paper thins.  The
 fifth treatment, synthetic minority over-sampling (SMOTE), operates on
 the feature matrix (a `CsrMatrix`) after vectorization and computes all
 of its synthetic rows as one array operation.
@@ -12,10 +13,11 @@ Lexical similarity uses the Levenshtein ratio
 LR = (lensum - lendist) / lensum over Unicode scalars, in [0, 1].
 The edit distance is exact and bit-parallel (Myers 1999, in Hyyrö's
 2001 form for edit distance), one pass over one string with the other
-held as per-character bitmasks.  The two similarity samplers build those
-masks once per retained or false-negative text, skip pairs whose length
-difference alone rules out LR > k, and stop a comparison as soon as the
-distance is sure to be too large for LR > k; their decisions equal
+held as per-character bitmasks.  The two similarity samplers take k in
+(0, 1] as a float, build those masks once per retained or false-negative
+text, turn k into an integer cutoff distance per length sum, skip pairs
+whose length difference alone reaches it, and stop a comparison as soon
+as the distance is sure to be too large for LR > k; their decisions equal
 ``levenshtein_ratio(a, b) > k`` pair for pair.  Each logs its pair
 counts at INFO.  Every sampler is deterministic given its inputs and
 seed and returns a `SamplingReport` describing what it did.
@@ -37,23 +39,6 @@ if TYPE_CHECKING:
     from .features import CsrMatrix
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SimilarityThreshold:
-    """Similarity cutoff k in (0, 1]; pairs with LR > k count as duplicates."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 < self.value <= 1.0):
-            raise ValueError("threshold must be in (0, 1]")
-
-
-def _as_threshold(k: "SimilarityThreshold | float") -> float:
-    if isinstance(k, SimilarityThreshold):
-        return k.value
-    return SimilarityThreshold(float(k)).value
 
 
 @dataclass(frozen=True)
@@ -162,19 +147,6 @@ def levenshtein_ratio(a: str, b: str) -> float:
     return (lensum - levenshtein_distance(a, b)) / lensum
 
 
-def levenshtein_ratio_bound(len_a: int, len_b: int) -> float:
-    """Upper bound on the LR of any pair with these lengths.
-
-    The distance is at least |len_a - len_b|, so
-    LR <= (lensum - |len_a - len_b|) / lensum.  Used to prune pairwise
-    scans; pairs whose bound does not exceed the threshold can be skipped.
-    """
-    lensum = len_a + len_b
-    if lensum == 0:
-        return 1.0
-    return (lensum - abs(len_a - len_b)) / lensum
-
-
 def _counts(corpus: Corpus) -> dict[Label, int]:
     counts = {label: 0 for label in LABELS}
     counts.update(corpus.class_counts())
@@ -202,14 +174,17 @@ class _PairScan:
     """Greedy LR > k tests of texts against growing lists of patterns.
 
     Each pattern's character masks are built once.  A pair is skipped
-    when `levenshtein_ratio_bound` rules it out, stopped early when the
-    distance kernel's lower bound does, and otherwise computed in full;
-    `log` reports the three counts.
+    when its length difference alone reaches the cutoff distance, stopped
+    early when the distance kernel's lower bound does, and otherwise
+    computed in full; `log` reports the three counts.
     """
 
     def __init__(self, k: float):
-        self.k = k
+        self.k = float(k)
+        if not 0.0 < self.k <= 1.0:
+            raise ValueError("threshold must be in (0, 1]")
         self.patterns: list[tuple[int, dict[str, int]]] = []
+        self.cutoffs: dict[int, int] = {}  # by length sum
         self.skipped = self.stopped = self.computed = 0
 
     def add(self, pattern: str) -> None:
@@ -217,12 +192,14 @@ class _PairScan:
 
     def near_any(self, text: str) -> bool:
         """Whether LR(text, p) > k for some pattern p, tried in order."""
-        n = len(text)
+        n, cutoffs = len(text), self.cutoffs
         for m, masks in self.patterns:
-            if levenshtein_ratio_bound(n, m) <= self.k:
+            give_up_at = cutoffs.get(n + m)
+            if give_up_at is None:
+                give_up_at = cutoffs[n + m] = _cutoff_distance(n + m, self.k)
+            if abs(n - m) >= give_up_at:  # the distance is at least |n - m|
                 self.skipped += 1
                 continue
-            give_up_at = _cutoff_distance(n + m, self.k)
             distance = _distance(masks, m, text, give_up_at)
             if distance is None:
                 self.stopped += 1
@@ -232,36 +209,31 @@ class _PairScan:
                 return True
         return False
 
-    def log(self, report: SamplingReport, majority: Label) -> None:
+    def log(self, report: SamplingReport) -> None:
         logger.info(
             "%s: majority %d in, %d kept; pairs %d skipped by length bound, "
             "%d stopped early, %d computed in full",
             report.method,
-            report.input_counts[majority],
-            report.output_counts[majority],
+            report.input_counts[Label.NON_DEFECT],
+            report.output_counts[Label.NON_DEFECT],
             self.skipped,
             self.stopped,
             self.computed,
         )
 
 
-def undersample_similar_majority(
-    train: Corpus,
-    k: "SimilarityThreshold | float",
-    majority_label: Label = Label.NON_DEFECT,
-) -> tuple[Corpus, SamplingReport]:
+def undersample_similar_majority(train: Corpus, k: float) -> tuple[Corpus, SamplingReport]:
     """Drop majority tweets lexically similar to an earlier retained one.
 
-    Majority items are scanned in corpus order; an item is removed when
-    its LR to any already-retained majority item exceeds k (greedy
-    first-keeper rule, so the earliest of a duplicate group survives).
-    Minority items are never touched.
+    Majority (``non_defect``) items are scanned in corpus order; an item
+    is removed when its LR to any already-retained majority item exceeds
+    k, for k in (0, 1] (greedy first-keeper rule, so the earliest of a
+    duplicate group survives).  Minority items are never touched.
     """
-    threshold = _as_threshold(k)
-    scan = _PairScan(threshold)
+    scan = _PairScan(k)
     keep: list[int] = []
     for i, item in enumerate(train):
-        if item.label != majority_label:
+        if item.label != Label.NON_DEFECT:
             keep.append(i)
             continue
         text = item.tweet.text
@@ -273,63 +245,46 @@ def undersample_similar_majority(
         "similar_majority_undersample",
         _counts(train),
         _counts(sampled),
-        {"k": threshold, "majority": majority_label.value},
+        {"k": scan.k, "majority": Label.NON_DEFECT.value},
     )
-    scan.log(report, majority_label)
+    scan.log(report)
     return sampled, report
 
 
 def undersample_near_fn(
-    train: Corpus,
-    fn_minority: Sequence[Tweet],
-    k: "SimilarityThreshold | float",
-    majority_label: Label = Label.NON_DEFECT,
+    train: Corpus, fn_minority: Sequence[Tweet], k: float
 ) -> tuple[Corpus, SamplingReport]:
     """Drop majority tweets lexically similar to any given false negative.
 
     `fn_minority` holds minority tweets a preliminary run misclassified
-    into the majority class; each majority training item is compared to
-    every one of them and removed when any LR exceeds k.  An empty
-    false-negative set is a warned no-op.
+    into the majority (``non_defect``) class; each majority training item
+    is compared to every one of them and removed when any LR exceeds k,
+    for k in (0, 1].  An empty false-negative set is a warned no-op.
     """
-    threshold = _as_threshold(k)
+    scan = _PairScan(k)
+    parameters = {"k": scan.k, "fn_count": len(fn_minority), "majority": Label.NON_DEFECT.value}
     if not fn_minority:
         logger.warning("empty false-negative set; corpus returned unchanged")
-        report = SamplingReport(
-            "near_fn_undersample",
-            _counts(train),
-            _counts(train),
-            {"k": threshold, "fn_count": 0, "majority": majority_label.value},
-        )
-        return train, report
-    scan = _PairScan(threshold)
+        return train, SamplingReport("near_fn_undersample", _counts(train), _counts(train), parameters)
     for tweet in fn_minority:
         scan.add(tweet.text)
     keep = [
         i
         for i, item in enumerate(train)
-        if item.label != majority_label or not scan.near_any(item.tweet.text)
+        if item.label != Label.NON_DEFECT or not scan.near_any(item.tweet.text)
     ]
     sampled = train.subset(keep)
-    report = SamplingReport(
-        "near_fn_undersample",
-        _counts(train),
-        _counts(sampled),
-        {"k": threshold, "fn_count": len(fn_minority), "majority": majority_label.value},
-    )
-    scan.log(report, majority_label)
+    report = SamplingReport("near_fn_undersample", _counts(train), _counts(sampled), parameters)
+    scan.log(report)
     return sampled, report
 
 
 def undersample_random(
-    train: Corpus,
-    target_total: int,
-    seed: int,
-    majority_label: Label = Label.NON_DEFECT,
+    train: Corpus, target_total: int, seed: int
 ) -> tuple[Corpus, SamplingReport]:
-    """Remove uniformly-chosen majority items until the corpus has
-    `target_total` items; minority items are untouched."""
-    majority = [i for i, item in enumerate(train) if item.label == majority_label]
+    """Remove uniformly-chosen majority (``non_defect``) items until the
+    corpus has `target_total` items; minority items are untouched."""
+    majority = [i for i, item in enumerate(train) if item.label == Label.NON_DEFECT]
     minority_total = len(train) - len(majority)
     if target_total < minority_total:
         raise ValueError(
@@ -344,36 +299,33 @@ def undersample_random(
     keep = [
         i
         for i, item in enumerate(train)
-        if item.label != majority_label or i in kept_majority
+        if item.label != Label.NON_DEFECT or i in kept_majority
     ]
     sampled = train.subset(keep)
     report = SamplingReport(
         "random_undersample",
         _counts(train),
         _counts(sampled),
-        {"seed": seed, "target_total": target_total, "majority": majority_label.value},
+        {"seed": seed, "target_total": target_total, "majority": Label.NON_DEFECT.value},
     )
     return sampled, report
 
 
-def oversample_replacement(
-    train: Corpus,
-    seed: int = 0,
-    majority_label: Label = Label.NON_DEFECT,
-) -> tuple[Corpus, SamplingReport]:
-    """Replicate each minority class floor(N_majority / N_class) times.
+def oversample_replacement(train: Corpus, seed: int = 0) -> tuple[Corpus, SamplingReport]:
+    """Replicate each minority class floor(N_majority / N_class) times,
+    the majority being ``non_defect``.
 
     Copies carry derived ids (``origid#2``, ``origid#3``, ...) and follow
     the originals, one full round at a time in corpus order.  The method
     is deterministic; `seed` is recorded for report uniformity only.
     """
     counts = _counts(train)
-    n_majority = counts[majority_label]
+    n_majority = counts[Label.NON_DEFECT]
     if n_majority == 0:
         raise ValueError("majority class is empty")
     factors: dict[Label, int] = {}
     for label in LABELS:
-        if label == majority_label:
+        if label == Label.NON_DEFECT:
             factors[label] = 1
         elif counts[label] == 0:
             logger.warning("minority class %s is empty; left empty", label.value)
@@ -399,7 +351,7 @@ def oversample_replacement(
         _counts(sampled),
         {
             "seed": seed,
-            "majority": majority_label.value,
+            "majority": Label.NON_DEFECT.value,
             "factors": {label.value: factors[label] for label in LABELS if factors[label]},
         },
     )
@@ -411,7 +363,6 @@ def smote(
     labels: Sequence[Label],
     k_neighbors: int = 5,
     seed: int = 0,
-    majority_label: Label | None = None,
 ) -> tuple[CsrMatrix, SamplingReport]:
     """Synthesize minority rows by interpolating toward near neighbors.
 
@@ -421,6 +372,7 @@ def smote(
     where u is uniform in [0, 1) and b is one of a's k nearest
     same-class neighbors (Euclidean).  The per-class total therefore
     lands within one original class size of the majority count.
+    The majority is the largest class, the earlier in `LABELS` on a tie.
     Randomness is partitioned per class so classes can be synthesized
     independently yet reproducibly.
 
@@ -442,10 +394,7 @@ def smote(
         members[label].append(row)
     # in LABELS order, like every dict of the report
     class_sizes = {label: len(rows) for label, rows in members.items() if rows}
-    if majority_label is None:
-        majority_label = max(
-            class_sizes, key=lambda lbl: (class_sizes[lbl], -LABELS.index(lbl))
-        )
+    majority_label = max(class_sizes, key=lambda lbl: (class_sizes[lbl], -LABELS.index(lbl)))
     n_majority = class_sizes[majority_label]
     order: list[int] = []  # the output, as rows of x stacked on the synthetic rows
     # per synthetic row: its seed row, its neighbor row and u

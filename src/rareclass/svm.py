@@ -84,6 +84,8 @@ class SvmParams:
 
 # query rows per kernel block in `predict_svm`; bounds its memory
 PREDICT_BLOCK_ROWS = 16
+# kernel rows `_kernel_rows` keeps, the most recently used
+KERNEL_CACHE_ROWS = 512
 
 
 def _kernel_block(
@@ -97,9 +99,9 @@ def _kernel_block(
     return np.exp(-gamma * sq)
 
 
-def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, capacity: int = 512):
-    """Row i of the kernel matrix of `x`, with the `capacity` most recently
-    used rows cached.
+def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float):
+    """Row i of the kernel matrix of `x`, with the `KERNEL_CACHE_ROWS` most
+    recently used rows cached.
 
     Row i's dot products come from the slices of the transpose that hold
     row i's columns, joined in increasing column order and summed by one
@@ -111,7 +113,7 @@ def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, capacity: int = 512):
     sq = x.squared_norms()
     no_cells, no_products = np.zeros(0, np.intp), np.zeros(0)  # so that an empty row joins
 
-    @lru_cache(maxsize=capacity)
+    @lru_cache(maxsize=KERNEL_CACHE_ROWS)
     def row(i: int) -> np.ndarray:
         lo, hi = x.indptr[i], x.indptr[i + 1]
         cells, products = [no_cells], [no_products]

@@ -2,7 +2,7 @@
 `rareclass.normalize.classic_normalize`.
 
 This form runs every rule on every tweet: it rebuilds the token map and
-the placeholder order per call, splits on every placeholder, runs the
+sorts the placeholders per call, splits on every placeholder, runs the
 URL and user regexes on every text and scans every ASCII letter run for
 given names.  The library's gated form must return the same tokens.
 It calls `normalize.porter_stem` through the module, once per word, so
@@ -16,11 +16,18 @@ import re
 from rareclass import normalize
 from rareclass.corpus import Tweet, byte_span_to_chars
 from rareclass.normalize import (
+    CHILD_PLACEHOLDER,
+    NAME_PLACEHOLDER,
+    PLACEHOLDERS,
+    POSSESSIVE_PLACEHOLDER,
+    TERM_PLACEHOLDER,
+    THIRD_PERSON_PLACEHOLDER,
+    URL_PLACEHOLDER,
     URL_RE,
+    USER_PLACEHOLDER,
     USERNAME_RE,
     NameLexicon,
     NormalizationConfig,
-    NormalizedText,
 )
 
 _ALPHA_RUN_RE = re.compile(r"[A-Za-z]+")
@@ -69,7 +76,7 @@ def classic_normalize(
     match_span: tuple[int, int] | None,
     names: NameLexicon,
     config: NormalizationConfig | None = None,
-) -> NormalizedText:
+) -> tuple[str, ...]:
     """Every rule on every tweet, in the documented order."""
     config = config or NormalizationConfig()
     text = tweet.text
@@ -79,7 +86,7 @@ def classic_normalize(
         parts = []
         if text[:start]:
             parts.append((False, text[:start]))
-        parts.append((True, config.term_placeholder))
+        parts.append((True, TERM_PLACEHOLDER))
         if text[end:]:
             parts.append((False, text[end:]))
     else:
@@ -87,11 +94,11 @@ def classic_normalize(
 
     # Protect placeholder spellings already present (idempotency on
     # re-processed output); longest first so no placeholder nests in another.
-    for ph in sorted(config.placeholders(), key=len, reverse=True):
+    for ph in sorted(PLACEHOLDERS, key=len, reverse=True):
         parts = _split_atoms(parts, ph, ph)
 
-    parts = _sub_atoms(parts, URL_RE, config.url_placeholder)
-    parts = _sub_atoms(parts, USERNAME_RE, config.user_placeholder)
+    parts = _sub_atoms(parts, URL_RE, URL_PLACEHOLDER)
+    parts = _sub_atoms(parts, USERNAME_RE, USER_PLACEHOLDER)
 
     # Given names: capitalized alphabetic runs only, before lowercasing,
     # so common lowercase words ("will", "grace") are never eaten.
@@ -106,7 +113,7 @@ def classic_normalize(
             if run[0].isupper() and run.lower() in names:
                 if match.start() > pos:
                     replaced.append((False, content[pos : match.start()]))
-                replaced.append((True, config.name_placeholder))
+                replaced.append((True, NAME_PLACEHOLDER))
                 pos = match.end()
         if pos < len(content):
             replaced.append((False, content[pos:]))
@@ -114,11 +121,11 @@ def classic_normalize(
 
     token_map = {}
     for token in config.possessive_pronouns:
-        token_map[token] = config.possessive_placeholder
+        token_map[token] = POSSESSIVE_PLACEHOLDER
     for token in config.child_terms:
-        token_map[token] = config.child_placeholder
+        token_map[token] = CHILD_PLACEHOLDER
     for token in config.third_person_pronouns:
-        token_map[token] = config.third_person_placeholder
+        token_map[token] = THIRD_PERSON_PLACEHOLDER
 
     tokens: list[str] = []
     for is_atom, content in parts:
@@ -128,4 +135,4 @@ def classic_normalize(
         for word in _NON_LOWER_RE.sub(" ", content.lower()).split():
             mapped = token_map.get(word)
             tokens.append(mapped if mapped else normalize.porter_stem(word))
-    return NormalizedText(tuple(tokens), tweet.id)
+    return tuple(tokens)

@@ -27,7 +27,6 @@ from rareclass.corpus import Corpus, Label, LABELS
 from rareclass.features import (
     STRUCT_CHAR_LENGTH,
     STRUCT_WORD_LENGTH,
-    ClusterMap,
     CsrMatrix,
     FeatureSettings,
     Vocabulary,
@@ -167,16 +166,12 @@ def smote(
     per_class: Mapping[Label, Sequence[SparseVector]],
     k_neighbors: int = 5,
     seed: int = 0,
-    majority_label: Label | None = None,
 ) -> tuple[dict[Label, list[SparseVector]], SamplingReport]:
     """SMOTE on per-class lists of rows, one `interpolate` per synthetic row."""
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
     class_sizes = {label: len(vectors) for label, vectors in per_class.items()}
-    if majority_label is None:
-        majority_label = max(
-            class_sizes, key=lambda lbl: (class_sizes[lbl], -LABELS.index(lbl))
-        )
+    majority_label = max(class_sizes, key=lambda lbl: (class_sizes[lbl], -LABELS.index(lbl)))
     n_majority = class_sizes[majority_label]
     augmented: dict[Label, list[SparseVector]] = {}
     factors: dict[str, int] = {}
@@ -241,16 +236,16 @@ def smote_by_class(
 def document_features(
     corpus: Corpus,
     names: NameLexicon,
-    clusters: ClusterMap | None,
+    clusters: dict[str, str] | None,
     norm_config: NormalizationConfig,
     settings: FeatureSettings,
 ) -> Iterator[tuple[Counter, tuple[int, int] | None]]:
     """Per document, its feature multiset and structural counts."""
     for item in corpus:
-        normalized = classic_normalize(item.tweet, item.match_span, names, norm_config)
-        feats = features.extract_ngrams(normalized.tokens, settings.n_min, settings.n_max)
+        tokens = classic_normalize(item.tweet, item.match_span, names, norm_config)
+        feats = features.extract_ngrams(tokens, settings.n_min, settings.n_max)
         if settings.use_clusters and clusters is not None:
-            feats.update(features.cluster_features(normalized.tokens, clusters))
+            feats.update(features.cluster_features(tokens, clusters))
         structural = features.structural_features(item.tweet.text)
         yield feats, structural if settings.use_structural else None
 
@@ -258,7 +253,7 @@ def document_features(
 def featurize_corpus(
     corpus: Corpus,
     names: NameLexicon,
-    clusters: ClusterMap | None,
+    clusters: dict[str, str] | None,
     norm_config: NormalizationConfig,
     settings: FeatureSettings,
     vocab: Vocabulary | None = None,

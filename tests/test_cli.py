@@ -5,6 +5,7 @@ the documented contract (0 ok, 1 usage/config, 2 data, 3 internal).
 """
 
 import hashlib
+import itertools
 import json
 import re
 import shutil
@@ -441,6 +442,37 @@ class TestTrainEvaluate:
         assert json.loads(model.read_text())["kind"] == "nb"
 
 
+class TestInputDigests:
+    """Each input file is hashed once per run: `train` hashes the corpus, the
+    name lexicon and the clusters, `evaluate` and `report-errors` the model too."""
+
+    @pytest.mark.parametrize(
+        "command, split, out_flag, hashed",
+        [
+            ("train", "train", "--model", 3),
+            ("evaluate", "test", "--out", 4),
+            ("report-errors", "test", "--out", 4),
+        ],
+    )
+    def test_each_input_hashed_once(
+        self, workspace, tmp_path, monkeypatch, command, split, out_flag, hashed
+    ):
+        root, cfg, _ = workspace
+        calls = []
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256(data):
+                calls.append(data)
+                return hashlib.sha256(data)
+
+        monkeypatch.setattr("rareclass.cli.hashlib", CountingHashlib)
+        corpus = root / "splits" / f"{split}.tsv"
+        argv = [command, "--config", str(cfg), "--corpus", str(corpus)]
+        assert main([*argv, out_flag, str(tmp_path / "out")]) == 0
+        assert len(calls) == hashed
+
+
 class TestModelRecord:
     """A trained model survives the disk: its settings and provenance load
     back equal, and saving the loaded record rewrites the file unchanged."""
@@ -500,6 +532,23 @@ class TestRankFeatures:
         assert gains == sorted(gains, reverse=True)
         assert gains and gains[0] > 0.0
 
+    def test_top_keeps_the_first_rows(self, workspace, tmp_path):
+        _, cfg, _ = workspace
+        every, top = tmp_path / "every.tsv", tmp_path / "top.tsv"
+        assert main(["rank-features", "--config", str(cfg), "--out", str(every)]) == 0
+        argv = ["rank-features", "--config", str(cfg), "--top", "3", "--out", str(top)]
+        assert main(argv) == 0
+        assert top.read_text().splitlines() == every.read_text().splitlines()[:4]
+
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_top_below_one_is_usage_error(self, workspace, tmp_path, capsys, top):
+        _, cfg, _ = workspace
+        out = tmp_path / "ranked.tsv"
+        argv = ["rank-features", "--config", str(cfg), "--top", top, "--out", str(out)]
+        assert main(argv) == 1
+        assert "--top must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFeaturesFileBoundary:
     """`rank-features --features` on files that break the CSR rules."""
@@ -533,9 +582,11 @@ class TestFeaturesFileBoundary:
         assert "differ in length" in capsys.readouterr().err
 
     def test_unsorted_indices(self, features, tmp_path):
+        # reversing the gaps keeps their sum, so decode, reverse and re-encode
         def mutate(docs, dim):
             doc = next(d for d in docs if len(d["indices"]) > 1)
-            doc["indices"].reverse()
+            columns = list(itertools.accumulate(doc["indices"]))[::-1]
+            doc["indices"] = [columns[0]] + [b - a for a, b in zip(columns, columns[1:])]
         assert self._rank(features, tmp_path, mutate) == 2
 
     def test_index_at_dim(self, features, tmp_path):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from rareclass.corpus import Label
 from rareclass.errors import DataError
 from rareclass.features import (
-    ClusterMap,
     CsrMatrix,
     apply_scaler,
     build_vocabulary,
@@ -206,8 +205,7 @@ class TestClusters:
     def test_load_basic(self, tmp_path):
         path = tmp_path / "clusters.tsv"
         path.write_text("0101\tbby\t384\n", encoding="utf-8")
-        cmap = load_clusters(path)
-        assert cmap.get("bby") == "0101"
+        assert load_clusters(path) == {"bby": "0101"}
 
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "clusters.tsv"
@@ -219,7 +217,7 @@ class TestClusters:
         path.write_text("0101\tbby\t1\n1111\tbby\t2\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
             cmap = load_clusters(path)
-        assert len(cmap) == 1 and cmap.get("bby") == "1111"
+        assert cmap == {"bby": "1111"}
         assert any("redefined" in rec.message for rec in caplog.records)
 
     def test_malformed_line_names_line_number(self, tmp_path):
@@ -235,13 +233,13 @@ class TestClusters:
             load_clusters(path)
 
     def test_cluster_features(self):
-        cmap = ClusterMap({"bby": "0101", "babby": "0101"})
+        cmap = {"bby": "0101", "babby": "0101"}
         assert cluster_features(["bby"], cmap) == Counter({"cluster:0101": 1})
         assert cluster_features(["zzz"], cmap) == Counter()
         assert cluster_features(["bby", "babby"], cmap) == Counter({"cluster:0101": 2})
 
     def test_shared_cluster_property(self):
-        cmap = ClusterMap({"a": "11", "b": "11"})
+        cmap = {"a": "11", "b": "11"}
         assert cluster_features(["a"], cmap) == cluster_features(["b"], cmap)
 
 

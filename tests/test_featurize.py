@@ -21,7 +21,6 @@ from conftest import make_corpus
 from rareclass.corpus import Label, load_corpus
 from rareclass.features import (
     STRUCTURAL_FEATURES,
-    ClusterMap,
     FeatureSettings,
     Vocabulary,
     load_clusters,
@@ -34,7 +33,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 NAMES = NameLexicon(frozenset({"emma", "noah"}))
 NORM = NormalizationConfig()
 WORDS = ("my", "baby", "emma", "has", "a", "rash", "Rash!", "doc", "said", "ok", "fever", "#tired")
-CLUSTERS = ClusterMap({"rash": "01", "doc": "01", "fever": "1", "ok": "001", "babi": "1"})
+CLUSTERS = {"rash": "01", "doc": "01", "fever": "1", "ok": "001", "babi": "1"}
 TEXTS = st.one_of(
     st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join),
     st.sampled_from(["", " ", "  \t ", "ok"]),
@@ -76,7 +75,7 @@ def assert_same(got, expected):
 
 class TestEqualsOracle:
     @settings(max_examples=200, deadline=None)
-    @given(corpora(), feature_settings, st.sampled_from([CLUSTERS, ClusterMap({}), None]))
+    @given(corpora(), feature_settings, st.sampled_from([CLUSTERS, {}, None]))
     def test_built_vocabulary(self, corpus, feats, clusters):
         args = (corpus, NAMES, clusters, NORM, feats)
         assert_same(featurize_corpus(*args), sparse_oracle.featurize_corpus(*args))

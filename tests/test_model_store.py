@@ -267,6 +267,25 @@ class TestExactRoundTrip:
         assert loaded == x and bits(loaded.data) == bits(x.data)
         assert ids == [f"t{i}" for i in range(x.n_rows)] and labels == [Label.DEFECT] * x.n_rows
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(
+            NormalizationConfig, *[st.frozensets(st.text(min_size=1, max_size=8), max_size=4)] * 3
+        ).filter(lambda config: config != NormalizationConfig())
+    )
+    def test_token_sets_read_back_equal(self, tmp_path_factory, normalization):
+        # the token sets are the whole normalizer config, all of it saved
+        model = NbModel(
+            (Label.DEFECT, Label.NON_DEFECT), (-0.5, -1.0), MULTINOMIAL, 1, ((-1.0,), (-2.0,))
+        )
+        record = StoredModel(
+            model, Vocabulary(("f0",), 1), None, FeatureSettings(), normalization, {}
+        )
+        path = tmp_path_factory.mktemp("normalize") / "model.json"
+        save_model(path, record)
+        assert load_model(path) == record
+        assert_rewrites_itself(path)
+
 
 def test_integral_floats_are_written_as_integers(tmp_path):
     x = CsrMatrix.from_arrays([0, 3], [0, 2, 5], [1.0, -0.0, 2.0**53], 6)

@@ -13,6 +13,7 @@ from rareclass import normalize
 from rareclass.corpus import Tweet, char_span_to_bytes
 from rareclass.errors import DataError
 from rareclass.normalize import (
+    PLACEHOLDERS,
     NameLexicon,
     NormalizationConfig,
     classic_normalize,
@@ -66,11 +67,11 @@ EMBEDDING_GOLDEN = [
 
 
 def run_classic(text, span=None):
-    return classic_normalize(Tweet("t", "u", text), span, NAMES, CONFIG).joined()
+    return " ".join(classic_normalize(Tweet("t", "u", text), span, NAMES, CONFIG))
 
 
 def run_embedding(text):
-    return embedding_normalize(Tweet("t", "u", text)).joined()
+    return " ".join(embedding_normalize(Tweet("t", "u", text)))
 
 
 @pytest.mark.parametrize("text,span,expected", CLASSIC_GOLDEN)
@@ -107,7 +108,7 @@ class TestClassicRules:
         out = classic_normalize(
             Tweet("t", "u", text), (start, start + len("spina bifida")), NAMES, CONFIG
         )
-        assert out.tokens.count("<bdterm>") == 1
+        assert out.count("<bdterm>") == 1
 
     def test_invalid_span_rejected(self):
         with pytest.raises(ValueError):
@@ -129,27 +130,17 @@ class TestClassicRules:
             third_person_pronouns=frozenset({"they"}),
         )
         out = classic_normalize(Tweet("t", "u", "me and my niece"), None, NAMES, config)
-        assert out.tokens == ("<poss>", "and", "my", "<child>")
-
-    def test_placeholder_collision_rejected(self):
-        with pytest.raises(ValueError):
-            NormalizationConfig(user_placeholder="<x>", url_placeholder="<x>")
+        assert out == ("<poss>", "and", "my", "<child>")
 
 
-# a second config whose placeholders look like text the rules rewrite
-ODD_CONFIG = NormalizationConfig(
-    possessive_pronouns=frozenset({"me"}),
-    user_placeholder="@@",
-    url_placeholder="http",
-    name_placeholder="Name",
-    term_placeholder="TERM",
-)
+# a second config with another possessive token set
+ODD_CONFIG = NormalizationConfig(possessive_pronouns=frozenset({"me"}))
 # fragments that each trigger or defeat one rule: placeholder spellings
 # (whole and broken), users and URLs, capitalized names alone and inside
 # words, and non-ASCII uppercase ("İ" lowercases to two characters, the
 # KELVIN SIGN to ASCII "k")
 FRAGMENTS = [
-    *CONFIG.placeholders(), *ODD_CONFIG.placeholders(), "<user", "url>", "<<name>>",
+    *PLACEHOLDERS, "<user", "url>", "<<name>>", "@@", "http", "Name", "TERM",
     "@john", "@Ana_2", "@", "http://t.co/x", "https://example.com/Emma", "xhttps://a",
     "Emma", "Noah", "Grace", "ANA", "Ana", "xAna", "Anax", "aLiam", "grace", "emma",
     "\u00c9", "\u0130", "\u212a", "\u00c9mma", "\u0130an", "\u212aate",
@@ -188,7 +179,7 @@ class TestGatesMatchOracle:
         assert out == expected
         assert stemmed == oracle_stemmed
         # one call per word that is not a placeholder
-        assert len(stemmed) == sum(token not in config.placeholders() for token in out.tokens)
+        assert len(stemmed) == sum(token not in PLACEHOLDERS for token in out)
 
 
 class TestEmbeddingRules:

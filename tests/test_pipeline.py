@@ -8,7 +8,7 @@ from rareclass.corpus import Label, load_corpus, three_way_split
 from rareclass.errors import ConfigError
 from rareclass.features import load_clusters
 from rareclass.model_store import load_features, load_model, save_features, save_model
-from rareclass.normalize import load_name_lexicon, load_normalized, save_normalized
+from rareclass.normalize import load_name_lexicon, save_normalized
 from rareclass.pipeline import (
     evaluate_corpus,
     featurize_corpus,
@@ -221,7 +221,9 @@ class TestArtifacts:
         ]
         path = tmp_path / "normalized.tsv"
         save_normalized(rows, path)
-        assert load_normalized(path) == [(i, l, t) for i, l, t in rows]
+        assert path.read_text(encoding="utf-8").splitlines() == ["id\tlabel\ttokens"] + [
+            f"{i}\t{l.value}\ttok1 tok2" for i, l, _ in rows
+        ]
 
     def test_features_round_trip(self, demo, tmp_path):
         corpus, names, clusters, split = demo

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from rareclass.corpus import LABELS, Label, Tweet, three_way_split
 from rareclass.demo import build_demo_corpus
 from rareclass.sampling import (
-    SimilarityThreshold,
     _char_masks,
     _cutoff_distance,
     _distance,
     levenshtein_distance,
     levenshtein_ratio,
-    levenshtein_ratio_bound,
     oversample_replacement,
     smote,
     undersample_near_fn,
@@ -78,14 +76,21 @@ class TestLevenshteinRatio:
         assert ratio == levenshtein_ratio(b, a)
         assert 0.0 <= ratio <= 1.0
         assert (ratio == 1.0) == (a == b)
-        assert ratio <= levenshtein_ratio_bound(len(a), len(b)) + 1e-12
+        # the similarity samplers skip a pair on this bound alone
+        assert dist >= abs(len(a) - len(b))
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            SimilarityThreshold(0.0)
-        with pytest.raises(ValueError):
-            SimilarityThreshold(1.1)
-        assert SimilarityThreshold(1.0).value == 1.0
+        # both similarity samplers take k in (0, 1], the near_fn one even
+        # with no false negatives to compare
+        corpus = make_corpus([("m0", "text", Label.NON_DEFECT)])
+        for k in (0.0, -0.5, 1.1, math.nan):
+            with pytest.raises(ValueError):
+                undersample_similar_majority(corpus, k)
+            for fn in ([], [Tweet("fn1", "u", "text")]):
+                with pytest.raises(ValueError):
+                    undersample_near_fn(corpus, fn, k)
+        _, report = undersample_similar_majority(corpus, 1)
+        assert report.parameters["k"] == 1.0 and isinstance(report.parameters["k"], float)
 
 
 ALPHABET = "ab \U0001f60a\u00e9"
@@ -272,20 +277,25 @@ def reference_scan(texts, k, fn_texts=None):
     """Greedy scan by the full-matrix oracle: kept indices and pairs compared.
 
     Each text is compared, in order, with every earlier kept text (or
-    with every false-negative text) until one has LR > k.
+    with every false-negative text) until one has LR > k.  Also counts
+    the pairs whose LR bound from their lengths alone,
+    (lensum - |len_a - len_b|) / lensum, is at most k.
     """
-    kept, kept_texts, pairs = [], [], 0
+    kept, kept_texts, pairs, bounded = [], [], 0, 0
     for i, text in enumerate(texts):
         near = False
         for other in kept_texts if fn_texts is None else fn_texts:
             pairs += 1
+            lensum = len(text) + len(other)
+            bound = (lensum - abs(len(text) - len(other))) / lensum if lensum else 1.0
+            bounded += bound <= k
             if oracle_ratio(text, other) > k:
                 near = True
                 break
         if not near:
             kept.append(i)
             kept_texts.append(text)
-    return kept, pairs
+    return kept, pairs, bounded
 
 
 SCAN_LOG = re.compile(
@@ -316,7 +326,7 @@ class TestSamplerEquivalence:
     def test_similar_majority(self, demo_split, k, caplog):
         train = demo_split.train
         majority = [item for item in train if item.label == Label.NON_DEFECT]
-        kept, pairs = reference_scan([item.tweet.text for item in majority], k)
+        kept, pairs, bounded = reference_scan([item.tweet.text for item in majority], k)
         with caplog.at_level("INFO", logger="rareclass.sampling"):
             sampled, report = undersample_similar_majority(train, k)
         expected = {majority[i].tweet.id for i in kept}
@@ -329,6 +339,7 @@ class TestSamplerEquivalence:
         )
         assert (majority_in, majority_kept) == (len(majority), len(kept))
         assert skipped + stopped + computed == pairs
+        assert skipped == bounded
         assert stopped > 0 and computed > 0
         assert report.output_counts[Label.NON_DEFECT] == len(kept)
 
@@ -337,7 +348,7 @@ class TestSamplerEquivalence:
         train = demo_split.train
         fn = [item.tweet for item in demo_split.validation][:8]
         majority = [item for item in train if item.label == Label.NON_DEFECT]
-        kept, pairs = reference_scan(
+        kept, pairs, bounded = reference_scan(
             [item.tweet.text for item in majority], k, [t.text for t in fn]
         )
         with caplog.at_level("INFO", logger="rareclass.sampling"):
@@ -354,6 +365,7 @@ class TestSamplerEquivalence:
         )
         assert (majority_in, majority_kept) == (len(majority), len(kept))
         assert skipped + stopped + computed == pairs
+        assert skipped == bounded
 
     def test_empty_texts_are_duplicates_below_one(self):
         sampled, _ = undersample_similar_majority(majority_corpus(["", "", "x"]), 0.9)

@@ -293,11 +293,28 @@ def _cmd_featurize(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _fn_tweets(cfg: PipelineConfig):
-    """The near_fn sampler's false negatives; None for any other sampler."""
-    if cfg["sampler.method"] != "near_fn":
+def _check_sampler(cfg: PipelineConfig, text_level: bool = False) -> Path | None:
+    """Check the sampler settings before any data is read, and return the
+    near_fn sampler's false-negative corpus (None for other samplers)."""
+    method = cfg["sampler.method"]
+    if text_level and method not in TEXT_SAMPLER_METHODS:
+        raise ConfigError(
+            f"sample requires a text-level method: {', '.join(TEXT_SAMPLER_METHODS)} "
+            "(smote operates on vectors inside `train`)"
+        )
+    if method == "random" and cfg["sampler.target_total"] == 0:
+        raise ConfigError("sampler.target_total must be positive for random sampling")
+    if method == "near_fn":
+        if not cfg["sampler.fn_corpus"]:
+            raise ConfigError("sampler.fn_corpus must be set for the near_fn sampler")
+        return cfg.path("sampler.fn_corpus")
+    return None
+
+
+def _fn_tweets(fn_path: Path | None):
+    """The near_fn sampler's false negatives, if it runs."""
+    if fn_path is None:
         return None
-    fn_path = cfg.path("sampler.fn_corpus", required=True)
     _log_input("false negatives", fn_path)
     return load_corpus(fn_path).tweets()
 
@@ -328,13 +345,9 @@ def apply_text_sampler(
 
 
 def _cmd_sample(args, cfg: PipelineConfig) -> int:
+    fn_path = _check_sampler(cfg, text_level=True)
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
-    sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(cfg))
-    if report is None:
-        raise ConfigError(
-            f"sample requires a text-level method: {', '.join(TEXT_SAMPLER_METHODS)} "
-            "(smote operates on vectors inside `train`)"
-        )
+    sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
     save_corpus(sampled, args.out)
     report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".report.txt")
     report_path.write_text(report.to_text(), encoding="utf-8")
@@ -346,11 +359,12 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
 def _cmd_train(args, cfg: PipelineConfig) -> int:
     from .pipeline import train_from_corpus
 
+    fn_path = _check_sampler(cfg)
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus_digest = _log_input("corpus", corpus_path)
     corpus = load_corpus(corpus_path)
     names, clusters, files = _names_and_clusters(cfg, cfg.feature_settings())
-    sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(cfg))
+    sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
     model, report = train_from_corpus(sampled, cfg, names, clusters, report)
     model_path = Path(cfg["paths.model"])
     # digests only: embedding the paths would break byte-reproducibility of

@@ -14,13 +14,16 @@ LR = (lensum - lendist) / lensum over Unicode scalars, in [0, 1].
 The edit distance is exact and bit-parallel (Myers 1999, in Hyyrö's
 2001 form for edit distance), one pass over one string with the other
 held as per-character bitmasks.  The two similarity samplers take k in
-(0, 1] as a float, build those masks once per retained or false-negative
-text, turn k into an integer cutoff distance per length sum, skip pairs
-whose length difference alone reaches it, and stop a comparison as soon
-as the distance is sure to be too large for LR > k; their decisions equal
-``levenshtein_ratio(a, b) > k`` pair for pair.  Each logs its pair
-counts at INFO.  Every sampler is deterministic given its inputs and
-seed and returns a `SamplingReport` describing what it did.
+(0, 1] as a float and turn it into an integer cutoff distance per length
+sum.  Before the kernel runs, a pair is pruned when an exact lower bound
+on its distance reaches the cutoff: the length difference, the
+characters the two texts do not share, or the bigram count filter.  The
+kernel then runs on the pairs left, the most alike first, and stops as
+soon as the distance is sure to be too large for LR > k.  A text equal to
+one already decided is not compared again.  Their decisions equal
+``levenshtein_ratio(a, b) > k`` pair for pair, and each logs where its
+pairs were decided at INFO.  Every sampler is deterministic given its
+inputs and seed and returns a `SamplingReport` describing what it did.
 
 Only `smote` uses numpy and `CsrMatrix`; it imports them when it runs,
 so the text samplers load without numpy.
@@ -29,7 +32,9 @@ so the text samplers load without numpy.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Corpus, Label, LABELS, Tweet
@@ -170,55 +175,159 @@ def _cutoff_distance(lensum: int, k: float) -> int:
     return d
 
 
-class _PairScan:
-    """Greedy LR > k tests of texts against growing lists of patterns.
+class _MultisetBits:
+    """Multisets as ints with one bit per copy of a key, so the size of an
+    intersection is the bit count of an ``&``.  Bits are given out as
+    patterns are added; copies in a text that no pattern holds get none,
+    since they cannot be shared."""
 
-    Each pattern's character masks are built once.  A pair is skipped
-    when its length difference alone reaches the cutoff distance, stopped
-    early when the distance kernel's lower bound does, and otherwise
-    computed in full; `log` reports the three counts.
+    def __init__(self):
+        self.copies: dict[str, list[int]] = {}  # copies[key][j]: the bits of the first j
+        self.size = 0
+
+    def add(self, counts: Counter) -> int:
+        bits = 0
+        for key, count in counts.items():
+            copies = self.copies.setdefault(key, [0])
+            for _ in range(count + 1 - len(copies)):
+                copies.append(copies[-1] | 1 << self.size)
+                self.size += 1
+            bits |= copies[count]
+        return bits
+
+    def bits(self, counts: Counter) -> int:
+        bits = 0
+        for key, count in counts.items():
+            copies = self.copies.get(key)
+            if copies:
+                bits |= copies[count] if count < len(copies) else copies[-1]
+        return bits
+
+
+def _bigrams(text: str) -> Counter:
+    return Counter(map(add, text, text[1:]))
+
+
+class _PairScan:
+    """Greedy LR > k tests of texts against a growing set of patterns.
+
+    A pair of lengths n and m is similar when its distance is below the
+    cutoff distance of n + m.  Each text first drops the patterns that
+    exact lower bounds on that distance rule out, in this order:
+    - the length difference ``|n - m|``;
+    - ``max(n, m)`` minus the characters shared (as multisets), since
+      each aligned pair left unedited shares one;
+    - ``(max(n, m) - shared bigrams) // 2``, the bigram count filter
+      (Ukkonen, TCS 92(1), 1992; Gravano et al., VLDB 2001): within
+      distance d two strings share at least ``max(n, m) - 1 - 2d``
+      bigrams.  It can prune only where ``max(n, m) >= 2 * cutoff``.
+    Patterns are grouped by length, with their character and bigram
+    counts held as `_MultisetBits`.  The kernel then runs on the
+    survivors in ascending order of their character bound, so a near
+    text tends to meet its neighbour first; the answer is the same in
+    any order.  A text seen before is answered without a scan: one found
+    near stays near as patterns are added, and one found not near is
+    forgotten when a pattern is added.  `log` reports where each pair
+    was decided.
     """
 
     def __init__(self, k: float):
         self.k = float(k)
         if not 0.0 < self.k <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        self.patterns: list[tuple[int, dict[str, int]]] = []
+        # by pattern length: character bitsets, bigram bitsets, patterns
+        self.groups: dict[int, tuple[list[int], list[int], list[str]]] = {}
+        self.chars, self.bigrams = _MultisetBits(), _MultisetBits()
+        self.masks: dict[str, dict[str, int]] = {}  # kernel masks, built on first use
+        self.near: set[str] = set()
+        self.far: set[str] = set()
         self.cutoffs: dict[int, int] = {}  # by length sum
-        self.skipped = self.stopped = self.computed = 0
+        self.repeats = self.pairs = self.by_length = self.by_chars = self.by_bigrams = 0
+        self.stopped = self.computed = self.unrun = self.size = 0
+
+    def _cutoff(self, lensum: int) -> int:
+        cutoff = self.cutoffs.get(lensum)
+        if cutoff is None:
+            cutoff = self.cutoffs[lensum] = _cutoff_distance(lensum, self.k)
+        return cutoff
 
     def add(self, pattern: str) -> None:
-        self.patterns.append((len(pattern), _char_masks(pattern)))
+        m = len(pattern)
+        chars, bigrams, patterns = self.groups.setdefault(m, ([], [], []))
+        chars.append(self.chars.add(Counter(pattern)))
+        bigrams.append(self.bigrams.add(_bigrams(pattern)))
+        patterns.append(pattern)
+        self.size += 1
+        self.far.clear()
+        if self._cutoff(2 * m) > 0:  # k < 1: a pattern is near itself
+            self.near.add(pattern)
 
     def near_any(self, text: str) -> bool:
-        """Whether LR(text, p) > k for some pattern p, tried in order."""
+        """Whether LR(text, p) > k for some pattern p."""
+        if text in self.near or text in self.far:
+            self.repeats += 1
+            return text in self.near
+        near = self._scan(text)
+        (self.near if near else self.far).add(text)
+        return near
+
+    def _scan(self, text: str) -> bool:
         n, cutoffs = len(text), self.cutoffs
-        for m, masks in self.patterns:
-            give_up_at = cutoffs.get(n + m)
-            if give_up_at is None:
-                give_up_at = cutoffs[n + m] = _cutoff_distance(n + m, self.k)
-            if abs(n - m) >= give_up_at:  # the distance is at least |n - m|
-                self.skipped += 1
+        self.pairs += self.size
+        chars = self.chars.bits(Counter(text))
+        bigrams = None  # built when first needed
+        survivors = []  # (character bound, pattern, cutoff)
+        for m, (char_sets, bigram_sets, patterns) in self.groups.items():
+            cutoff = cutoffs.get(n + m) or self._cutoff(n + m)
+            if abs(n - m) >= cutoff:
+                self.by_length += len(patterns)
                 continue
-            distance = _distance(masks, m, text, give_up_at)
+            longer = max(n, m)
+            # a pattern is kept while each bound stays below the cutoff
+            shared = list(map(int.bit_count, map(chars.__and__, char_sets)))
+            hits = [i for i, s in enumerate(shared) if longer - s < cutoff]
+            self.by_chars += len(patterns) - len(hits)
+            if hits and longer >= 2 * cutoff:
+                if bigrams is None:
+                    bigrams = self.bigrams.bits(_bigrams(text))
+                count = len(hits)
+                hits = [
+                    i for i in hits if longer - (bigrams & bigram_sets[i]).bit_count() < 2 * cutoff
+                ]
+                self.by_bigrams += count - len(hits)
+            survivors.extend((longer - shared[i], patterns[i], cutoff) for i in hits)
+        survivors.sort(key=itemgetter(0))
+        for rank, (_, pattern, cutoff) in enumerate(survivors, 1):
+            masks = self.masks.get(pattern)
+            if masks is None:
+                masks = self.masks[pattern] = _char_masks(pattern)
+            distance = _distance(masks, len(pattern), text, cutoff)
             if distance is None:
                 self.stopped += 1
-                continue
-            self.computed += 1
-            if distance < give_up_at:
-                return True
+            else:
+                self.computed += 1
+                if distance < cutoff:
+                    self.unrun += len(survivors) - rank
+                    return True
         return False
 
     def log(self, report: SamplingReport) -> None:
         logger.info(
-            "%s: majority %d in, %d kept; pairs %d skipped by length bound, "
-            "%d stopped early, %d computed in full",
+            "%s: majority %d in, %d kept; %d repeats decided without a scan; "
+            "pairs %d considered: %d pruned by length, %d by character counts, "
+            "%d by bigram counts, %d stopped early, %d computed in full, "
+            "%d not run after a match",
             report.method,
             report.input_counts[Label.NON_DEFECT],
             report.output_counts[Label.NON_DEFECT],
-            self.skipped,
+            self.repeats,
+            self.pairs,
+            self.by_length,
+            self.by_chars,
+            self.by_bigrams,
             self.stopped,
             self.computed,
+            self.unrun,
         )
 
 
@@ -258,16 +367,18 @@ def undersample_near_fn(
 
     `fn_minority` holds minority tweets a preliminary run misclassified
     into the majority (``non_defect``) class; each majority training item
-    is compared to every one of them and removed when any LR exceeds k,
-    for k in (0, 1].  An empty false-negative set is a warned no-op.
+    is compared to every distinct one of them and removed when any LR
+    exceeds k, for k in (0, 1]; a repeated majority text takes the
+    decision of its first copy.  An empty false-negative set is a warned
+    no-op.
     """
     scan = _PairScan(k)
     parameters = {"k": scan.k, "fn_count": len(fn_minority), "majority": Label.NON_DEFECT.value}
     if not fn_minority:
         logger.warning("empty false-negative set; corpus returned unchanged")
         return train, SamplingReport("near_fn_undersample", _counts(train), _counts(train), parameters)
-    for tweet in fn_minority:
-        scan.add(tweet.text)
+    for text in dict.fromkeys(tweet.text for tweet in fn_minority):
+        scan.add(text)
     keep = [
         i
         for i, item in enumerate(train)

@@ -348,6 +348,28 @@ class TestSample:
         assert rc == 1
         assert not (tmp_path / "x.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--set", "sampler.method=smote"],
+            ["sample", "--set", "sampler.method=none"],
+            ["sample", "--method", "near_fn"],
+            ["sample", "--method", "random"],
+            ["train", "--sampler", "near_fn"],
+            ["train", "--sampler", "random"],
+        ],
+    )
+    def test_sampler_config_checked_before_the_corpus(self, workspace, tmp_path, argv, caplog):
+        _, cfg, _ = workspace
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("not\ta\tcorpus\n", encoding="utf-8")
+        out = ["--out" if argv[0] == "sample" else "--model", str(tmp_path / "out")]
+        with caplog.at_level("INFO"):
+            rc = main([*argv, "--config", str(cfg), "--corpus", str(bad), *out])
+        assert rc == 1
+        assert not any(r.getMessage().startswith("corpus:") for r in caplog.records)
+        assert not (tmp_path / "out").exists()
+
     def test_method_flag_overrides_config(self, workspace, tmp_path):
         _, cfg, _ = workspace
         out = tmp_path / "sampled.tsv"

@@ -1,8 +1,11 @@
 """Imbalance samplers: Levenshtein ratio, under/over-sampling, synthesis."""
 
+import logging
 import math
 import random
 import re
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +14,12 @@ from hypothesis import strategies as st
 from rareclass.corpus import LABELS, Label, Tweet, three_way_split
 from rareclass.demo import build_demo_corpus
 from rareclass.sampling import (
+    _bigrams,
     _char_masks,
     _cutoff_distance,
     _distance,
+    _MultisetBits,
+    _PairScan,
     levenshtein_distance,
     levenshtein_ratio,
     oversample_replacement,
@@ -23,6 +29,7 @@ from rareclass.sampling import (
     undersample_similar_majority,
 )
 
+import similarity_oracle
 import sparse_oracle
 from conftest import make_corpus
 from sparse_oracle import SparseVector, smote_by_class
@@ -96,24 +103,29 @@ class TestLevenshteinRatio:
 ALPHABET = "ab \U0001f60a\u00e9"
 
 
+def edited(draw, text, alphabet=ALPHABET, max_edits=8):
+    """`text` after up to `max_edits` random edits."""
+    chars = list(text)
+    for _ in range(draw(st.integers(0, max_edits))):
+        position = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if op == "insert":
+            chars.insert(position, draw(st.sampled_from(alphabet)))
+        elif position < len(chars):
+            if op == "delete":
+                del chars[position]
+            else:
+                chars[position] = draw(st.sampled_from(alphabet))
+    return "".join(chars)
+
+
 @st.composite
 def text_pairs(draw):
     """A text up to 200 scalars and either another text or a few edits of it."""
     a = draw(st.integers(0, 200).flatmap(lambda n: st.text(ALPHABET, min_size=n, max_size=n)))
     if draw(st.booleans()):
         return a, draw(st.text(ALPHABET, max_size=200))
-    b = list(a)
-    for _ in range(draw(st.integers(0, 8))):
-        position = draw(st.integers(0, len(b)))
-        op = draw(st.sampled_from(("insert", "delete", "substitute")))
-        if op == "insert":
-            b.insert(position, draw(st.sampled_from(ALPHABET)))
-        elif position < len(b):
-            if op == "delete":
-                del b[position]
-            else:
-                b[position] = draw(st.sampled_from(ALPHABET))
-    return a, "".join(b)
+    return a, edited(draw, a)
 
 
 class TestBitParallelKernel:
@@ -273,45 +285,95 @@ def oracle_ratio(a, b):
     return 1.0 if lensum == 0 else (lensum - oracle_distance(a, b)) / lensum
 
 
-def reference_scan(texts, k, fn_texts=None):
-    """Greedy scan by the full-matrix oracle: kept indices and pairs compared.
+def shared(a_counts, b_counts):
+    return sum((a_counts & b_counts).values())
 
-    Each text is compared, in order, with every earlier kept text (or
-    with every false-negative text) until one has LR > k.  Also counts
-    the pairs whose LR bound from their lengths alone,
-    (lensum - |len_a - len_b|) / lensum, is at most k.
+
+def slice_bigrams(text):
+    return Counter(text[i : i + 2] for i in range(len(text) - 1))
+
+
+def pruning_stage(text, pattern, k):
+    """The first of the scan's bounds that reaches the pair's cutoff
+    distance (1 length, 2 characters, 3 bigrams), or 0 if none does."""
+    n, m = len(text), len(pattern)
+    cutoff = _cutoff_distance(n + m, k)
+    bounds = (
+        abs(n - m),
+        max(n, m) - shared(Counter(text), Counter(pattern)),
+        (max(n, m) - shared(slice_bigrams(text), slice_bigrams(pattern))) // 2,
+    )
+    return next((stage for stage, bound in enumerate(bounds, 1) if bound >= cutoff), 0)
+
+
+def reference_scan(texts, k, fn_texts=None):
+    """Greedy scan by the full-matrix oracle: kept indices and the counts
+    the scan must log.
+
+    Each text is compared with every earlier kept text (or with every
+    distinct false-negative text); it is kept when no LR exceeds k.  A
+    text equal to an earlier one is decided without a scan, by the
+    similar sampler only when k < 1, and so is one equal to a false
+    negative when k < 1.  The counts are the repeats, the
+    pairs of the scanned texts, and those pairs pruned by length, by
+    characters and by bigrams, each by the first bound that prunes it.
     """
-    kept, kept_texts, pairs, bounded = [], [], 0, 0
+    patterns = None if fn_texts is None else list(dict.fromkeys(fn_texts))
+    kept, kept_texts, seen = [], [], set()
+    repeats, pairs, pruned = 0, 0, [0, 0, 0, 0]
     for i, text in enumerate(texts):
-        near = False
-        for other in kept_texts if fn_texts is None else fn_texts:
-            pairs += 1
-            lensum = len(text) + len(other)
-            bound = (lensum - abs(len(text) - len(other))) / lensum if lensum else 1.0
-            bounded += bound <= k
-            if oracle_ratio(text, other) > k:
-                near = True
-                break
-        if not near:
+        others = kept_texts if patterns is None else patterns
+        if text in seen and (patterns is not None or k < 1.0) or text in (patterns or ()) and k < 1.0:
+            repeats += 1
+        else:
+            pairs += len(others)
+            for other in others:
+                pruned[pruning_stage(text, other, k)] += 1
+        seen.add(text)
+        if not any(oracle_ratio(text, other) > k for other in others):
             kept.append(i)
             kept_texts.append(text)
-    return kept, pairs, bounded
+    return kept, (repeats, pairs, *pruned[1:])
 
 
 SCAN_LOG = re.compile(
-    r"majority (\d+) in, (\d+) kept; pairs (\d+) skipped by length bound, "
-    r"(\d+) stopped early, (\d+) computed in full"
+    r"majority (\d+) in, (\d+) kept; (\d+) repeats decided without a scan; "
+    r"pairs (\d+) considered: (\d+) pruned by length, (\d+) by character counts, "
+    r"(\d+) by bigram counts, (\d+) stopped early, (\d+) computed in full, "
+    r"(\d+) not run after a match$"
 )
 
 
-def scan_counts(caplog, method):
+@contextmanager
+def sampling_log():
+    """The log records of `rareclass.sampling` at INFO, in a list."""
+    records, handler = [], logging.Handler(logging.INFO)
+    handler.emit = records.append
+    logger = logging.getLogger("rareclass.sampling")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def scan_counts(records, method):
+    """The -v line's counts: majority in and kept, the counts
+    `reference_scan` gives, and the kernel's stopped, computed and not
+    run pairs, which must make up the rest of the pairs."""
     lines = [
         rec.getMessage()
-        for rec in caplog.records
+        for rec in records
         if rec.levelname == "INFO" and rec.getMessage().startswith(method + ":")
     ]
     assert len(lines) == 1
-    return [int(v) for v in SCAN_LOG.search(lines[0]).groups()]
+    counts = [int(v) for v in SCAN_LOG.search(lines[0]).groups()]
+    pairs, pruned, kernel = counts[3], counts[4:7], counts[7:]
+    assert sum(pruned) + sum(kernel) == pairs
+    return counts[:2], tuple(counts[2:7]), kernel
 
 
 @pytest.fixture(scope="module")
@@ -320,38 +382,36 @@ def demo_split():
 
 
 class TestSamplerEquivalence:
-    """Both Levenshtein samplers keep what the oracle's greedy scan keeps."""
+    """Both Levenshtein samplers keep what the oracle's greedy scan keeps,
+    and log where each pair was decided."""
 
     @pytest.mark.parametrize("k", [0.85, 0.7])
-    def test_similar_majority(self, demo_split, k, caplog):
+    def test_similar_majority(self, demo_split, k):
         train = demo_split.train
         majority = [item for item in train if item.label == Label.NON_DEFECT]
-        kept, pairs, bounded = reference_scan([item.tweet.text for item in majority], k)
-        with caplog.at_level("INFO", logger="rareclass.sampling"):
+        kept, counts = reference_scan([item.tweet.text for item in majority], k)
+        with sampling_log() as records:
             sampled, report = undersample_similar_majority(train, k)
         expected = {majority[i].tweet.id for i in kept}
         expected |= {item.tweet.id for item in train if item.label != Label.NON_DEFECT}
         assert [item.tweet.id for item in sampled] == [
             item.tweet.id for item in train if item.tweet.id in expected
         ]
-        majority_in, majority_kept, skipped, stopped, computed = scan_counts(
-            caplog, "similar_majority_undersample"
-        )
-        assert (majority_in, majority_kept) == (len(majority), len(kept))
-        assert skipped + stopped + computed == pairs
-        assert skipped == bounded
+        sizes, logged, (stopped, computed, _) = scan_counts(records, "similar_majority_undersample")
+        assert sizes == [len(majority), len(kept)]
+        assert logged == counts
         assert stopped > 0 and computed > 0
         assert report.output_counts[Label.NON_DEFECT] == len(kept)
 
-    def test_near_fn(self, demo_split, caplog):
+    def test_near_fn(self, demo_split):
         k = 0.85
         train = demo_split.train
         fn = [item.tweet for item in demo_split.validation][:8]
         majority = [item for item in train if item.label == Label.NON_DEFECT]
-        kept, pairs, bounded = reference_scan(
+        kept, counts = reference_scan(
             [item.tweet.text for item in majority], k, [t.text for t in fn]
         )
-        with caplog.at_level("INFO", logger="rareclass.sampling"):
+        with sampling_log() as records:
             sampled, _ = undersample_near_fn(train, fn, k)
         kept_ids = {majority[i].tweet.id for i in kept}
         assert [item.tweet.id for item in sampled] == [
@@ -360,18 +420,129 @@ class TestSamplerEquivalence:
             if item.label != Label.NON_DEFECT or item.tweet.id in kept_ids
         ]
         assert 0 < len(kept) < len(majority)
-        majority_in, majority_kept, skipped, stopped, computed = scan_counts(
-            caplog, "near_fn_undersample"
-        )
-        assert (majority_in, majority_kept) == (len(majority), len(kept))
-        assert skipped + stopped + computed == pairs
-        assert skipped == bounded
+        sizes, logged, _ = scan_counts(records, "near_fn_undersample")
+        assert sizes == [len(majority), len(kept)]
+        assert logged == counts
 
     def test_empty_texts_are_duplicates_below_one(self):
         sampled, _ = undersample_similar_majority(majority_corpus(["", "", "x"]), 0.9)
         assert [item.tweet.id for item in sampled] == ["m0", "m2"]
         sampled, _ = undersample_similar_majority(majority_corpus(["", ""]), 1.0)
         assert len(sampled) == 2
+
+
+SMALL_ALPHABET = "abé "
+
+
+def near_copy(draw, text):
+    return edited(draw, text, SMALL_ALPHABET, 4)
+
+
+@st.composite
+def text_lists(draw, max_size=14):
+    """Texts over a small alphabet: fresh ones, near-duplicates of earlier
+    ones, exact repeats and empty strings."""
+    texts = []
+    for _ in range(draw(st.integers(0, max_size))):
+        kind = draw(st.sampled_from(("fresh", "edited", "repeat", "empty")))
+        if kind == "empty":
+            texts.append("")
+        elif kind == "fresh" or not texts:
+            texts.append(draw(st.text(SMALL_ALPHABET, max_size=24)))
+        else:
+            earlier = draw(st.sampled_from(texts))
+            texts.append(earlier if kind == "repeat" else near_copy(draw, earlier))
+    return texts
+
+
+@st.composite
+def thresholds(draw):
+    """k in (0, 1]: any float, 1.0, or a ratio (lensum - d) / lensum at
+    which a cutoff distance changes, or the float just below one."""
+    lensum = draw(st.integers(1, 60))
+    ratio = (lensum - draw(st.integers(0, lensum - 1))) / lensum
+    return draw(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.just(1.0),
+            st.just(ratio),
+            st.just(math.nextafter(ratio, 0.0)),
+        )
+    )
+
+
+class TestOracleScan:
+    """The filtered scan keeps what the per-pair scan of
+    `similarity_oracle` keeps, and logs the counts `reference_scan` gives."""
+
+    @given(texts=text_lists(), k=thresholds())
+    @settings(max_examples=300, deadline=None)
+    def test_similar_majority(self, texts, k):
+        with sampling_log() as records:
+            sampled, _ = undersample_similar_majority(majority_corpus(texts, ["minority"]), k)
+        kept = similarity_oracle.similar_kept(texts, k)
+        assert [item.tweet.id for item in sampled] == [f"m{i}" for i in kept] + ["p0"]
+        reference, counts = reference_scan(texts, k)
+        assert reference == kept
+        assert scan_counts(records, "similar_majority_undersample")[1] == counts
+
+    @given(texts=text_lists(), fn_texts=text_lists(max_size=6), k=thresholds(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_near_fn(self, texts, fn_texts, k, data):
+        # plant false negatives near, and equal to, some majority texts
+        planted = data.draw(st.lists(st.sampled_from(texts), max_size=3)) if texts else []
+        fn_texts = fn_texts + [t if data.draw(st.booleans()) else near_copy(data.draw, t) for t in planted]
+        fn = [Tweet(f"fn{i}", "u", text) for i, text in enumerate(fn_texts)]
+        with sampling_log() as records:
+            sampled, report = undersample_near_fn(majority_corpus(texts), fn, k)
+        kept = similarity_oracle.near_fn_kept(texts, fn_texts, k)
+        assert [item.tweet.id for item in sampled] == [f"m{i}" for i in kept]
+        assert report.parameters["fn_count"] == len(fn_texts)
+        if fn_texts:
+            reference, counts = reference_scan(texts, k, fn_texts)
+            assert reference == kept
+            assert scan_counts(records, "near_fn_undersample")[1] == counts
+
+
+class TestLowerBounds:
+    """The bounds the scan prunes by never exceed the edit distance."""
+
+    @given(pair=text_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_never_exceed_the_distance(self, pair):
+        a, b = pair
+        distance = levenshtein_distance(a, b)
+        longer = max(len(a), len(b))
+        chars, bigrams = _MultisetBits(), _MultisetBits()
+        shared_chars = (chars.add(Counter(a)) & chars.bits(Counter(b))).bit_count()
+        shared_bigrams = (bigrams.add(_bigrams(a)) & bigrams.bits(_bigrams(b))).bit_count()
+        # the bitsets count exactly the multiset intersections
+        assert shared_chars == shared(Counter(a), Counter(b))
+        assert shared_bigrams == shared(slice_bigrams(a), slice_bigrams(b))
+        assert abs(len(a) - len(b)) <= longer - shared_chars <= distance
+        assert (longer - shared_bigrams) // 2 <= distance
+
+    @given(pair=text_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_a_pair_just_inside_its_cutoff_reaches_the_kernel(self, pair):
+        a, b = pair
+        lensum, distance = len(a) + len(b), levenshtein_distance(a, b)
+        if distance + 1 >= lensum:
+            return  # only k <= 0 would put the cutoff at distance + 1
+        scan = _PairScan((lensum - distance - 1) / lensum)
+        assert scan._cutoff(lensum) == distance + 1
+        scan.add(a)
+        assert scan.near_any(b)
+        assert scan.by_length == scan.by_chars == scan.by_bigrams == 0
+        assert (scan.computed, scan.repeats) == ((1, 0) if a != b else (0, 1))
+
+    def test_bitsets_grow_with_later_patterns(self):
+        bits = _MultisetBits()
+        first = bits.add(Counter("aab"))
+        assert bits.bits(Counter("aaaac")) == first & bits.bits(Counter("aa"))
+        second = bits.add(Counter("aaaac"))
+        assert (first & second).bit_count() == 2
+        assert bits.bits(Counter("aaaaaac")).bit_count() == 5
 
 
 class TestUndersampleRandom:

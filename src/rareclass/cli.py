@@ -302,13 +302,17 @@ def _check_sampler(cfg: PipelineConfig, text_level: bool = False) -> Path | None
             f"sample requires a text-level method: {', '.join(TEXT_SAMPLER_METHODS)} "
             "(smote operates on vectors inside `train`)"
         )
+    _check_sampler_values(cfg, has_fn=bool(cfg["sampler.fn_corpus"]))
+    return cfg.path("sampler.fn_corpus") if method == "near_fn" else None
+
+
+def _check_sampler_values(cfg: PipelineConfig, has_fn: bool) -> None:
+    """random needs a positive target_total, near_fn its false negatives."""
+    method = cfg["sampler.method"]
     if method == "random" and cfg["sampler.target_total"] == 0:
         raise ConfigError("sampler.target_total must be positive for random sampling")
-    if method == "near_fn":
-        if not cfg["sampler.fn_corpus"]:
-            raise ConfigError("sampler.fn_corpus must be set for the near_fn sampler")
-        return cfg.path("sampler.fn_corpus")
-    return None
+    if method == "near_fn" and not has_fn:
+        raise ConfigError("sampler.fn_corpus must be set for the near_fn sampler")
 
 
 def _fn_tweets(fn_path: Path | None):
@@ -331,15 +335,12 @@ def apply_text_sampler(
     method = cfg["sampler.method"]
     if method not in TEXT_SAMPLER_METHODS:
         return corpus, None
+    _check_sampler_values(cfg, has_fn=fn_tweets is not None)
     if method == "similar":
         return undersample_similar_majority(corpus, cfg["sampler.k"])
     if method == "near_fn":
-        if fn_tweets is None:
-            raise ConfigError("sampler.fn_corpus must be set for the near_fn sampler")
         return undersample_near_fn(corpus, fn_tweets, cfg["sampler.k"])
     if method == "random":
-        if cfg["sampler.target_total"] == 0:
-            raise ConfigError("sampler.target_total must be positive for random sampling")
         return undersample_random(corpus, cfg["sampler.target_total"], cfg["sampler.seed"])
     return oversample_replacement(corpus, cfg["sampler.seed"])
 

@@ -19,11 +19,11 @@ sum.  Before the kernel runs, a pair is pruned when an exact lower bound
 on its distance reaches the cutoff: the length difference, the
 characters the two texts do not share, or the bigram count filter.  The
 kernel then runs on the pairs left, the most alike first, and stops as
-soon as the distance is sure to be too large for LR > k.  A text equal to
-one already decided is not compared again.  Their decisions equal
-``levenshtein_ratio(a, b) > k`` pair for pair, and each logs where its
-pairs were decided at INFO.  Every sampler is deterministic given its
-inputs and seed and returns a `SamplingReport` describing what it did.
+soon as the distance is sure to be too large for LR > k.  Their
+decisions equal ``levenshtein_ratio(a, b) > k`` pair for pair, and each
+logs where its pairs were decided at INFO.  Every sampler is
+deterministic given its inputs and seed and returns a `SamplingReport`
+describing what it did.
 
 Only `smote` uses numpy and `CsrMatrix`; it imports them when it runs,
 so the text samplers load without numpy.
@@ -225,10 +225,7 @@ class _PairScan:
     counts held as `_MultisetBits`.  The kernel then runs on the
     survivors in ascending order of their character bound, so a near
     text tends to meet its neighbour first; the answer is the same in
-    any order.  A text seen before is answered without a scan: one found
-    near stays near as patterns are added, and one found not near is
-    forgotten when a pattern is added.  `log` reports where each pair
-    was decided.
+    any order.  `log` reports where each pair was decided.
     """
 
     def __init__(self, k: float):
@@ -239,10 +236,8 @@ class _PairScan:
         self.groups: dict[int, tuple[list[int], list[int], list[str]]] = {}
         self.chars, self.bigrams = _MultisetBits(), _MultisetBits()
         self.masks: dict[str, dict[str, int]] = {}  # kernel masks, built on first use
-        self.near: set[str] = set()
-        self.far: set[str] = set()
         self.cutoffs: dict[int, int] = {}  # by length sum
-        self.repeats = self.pairs = self.by_length = self.by_chars = self.by_bigrams = 0
+        self.pairs = self.by_length = self.by_chars = self.by_bigrams = 0
         self.stopped = self.computed = self.unrun = self.size = 0
 
     def _cutoff(self, lensum: int) -> int:
@@ -258,27 +253,16 @@ class _PairScan:
         bigrams.append(self.bigrams.add(_bigrams(pattern)))
         patterns.append(pattern)
         self.size += 1
-        self.far.clear()
-        if self._cutoff(2 * m) > 0:  # k < 1: a pattern is near itself
-            self.near.add(pattern)
 
     def near_any(self, text: str) -> bool:
         """Whether LR(text, p) > k for some pattern p."""
-        if text in self.near or text in self.far:
-            self.repeats += 1
-            return text in self.near
-        near = self._scan(text)
-        (self.near if near else self.far).add(text)
-        return near
-
-    def _scan(self, text: str) -> bool:
-        n, cutoffs = len(text), self.cutoffs
+        n = len(text)
         self.pairs += self.size
         chars = self.chars.bits(Counter(text))
         bigrams = None  # built when first needed
         survivors = []  # (character bound, pattern, cutoff)
         for m, (char_sets, bigram_sets, patterns) in self.groups.items():
-            cutoff = cutoffs.get(n + m) or self._cutoff(n + m)
+            cutoff = self._cutoff(n + m)
             if abs(n - m) >= cutoff:
                 self.by_length += len(patterns)
                 continue
@@ -313,14 +297,12 @@ class _PairScan:
 
     def log(self, report: SamplingReport) -> None:
         logger.info(
-            "%s: majority %d in, %d kept; %d repeats decided without a scan; "
-            "pairs %d considered: %d pruned by length, %d by character counts, "
-            "%d by bigram counts, %d stopped early, %d computed in full, "
-            "%d not run after a match",
+            "%s: majority %d in, %d kept; pairs %d considered: %d pruned by length, "
+            "%d by character counts, %d by bigram counts, %d stopped early, "
+            "%d computed in full, %d not run after a match",
             report.method,
             report.input_counts[Label.NON_DEFECT],
             report.output_counts[Label.NON_DEFECT],
-            self.repeats,
             self.pairs,
             self.by_length,
             self.by_chars,
@@ -368,8 +350,7 @@ def undersample_near_fn(
     `fn_minority` holds minority tweets a preliminary run misclassified
     into the majority (``non_defect``) class; each majority training item
     is compared to every distinct one of them and removed when any LR
-    exceeds k, for k in (0, 1]; a repeated majority text takes the
-    decision of its first copy.  An empty false-negative set is a warned
+    exceeds k, for k in (0, 1].  An empty false-negative set is a warned
     no-op.
     """
     scan = _PairScan(k)

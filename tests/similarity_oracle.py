@@ -4,7 +4,7 @@
 were added.  It skips a pair on its length difference alone, runs the
 bit-parallel kernel with the cutoff distance on every other pair, and
 stops at the first near pattern.  It keeps no character or bigram
-counts and no memory of texts seen before.  `similar_kept` and
+counts.  `similar_kept` and
 `near_fn_kept` run the two samplers' greedy rules on plain texts with it
 and return the kept indices.
 """

@@ -311,33 +311,26 @@ def reference_scan(texts, k, fn_texts=None):
     the scan must log.
 
     Each text is compared with every earlier kept text (or with every
-    distinct false-negative text); it is kept when no LR exceeds k.  A
-    text equal to an earlier one is decided without a scan, by the
-    similar sampler only when k < 1, and so is one equal to a false
-    negative when k < 1.  The counts are the repeats, the
-    pairs of the scanned texts, and those pairs pruned by length, by
+    distinct false-negative text); it is kept when no LR exceeds k.  The
+    counts are the pairs considered and those pruned by length, by
     characters and by bigrams, each by the first bound that prunes it.
     """
     patterns = None if fn_texts is None else list(dict.fromkeys(fn_texts))
-    kept, kept_texts, seen = [], [], set()
-    repeats, pairs, pruned = 0, 0, [0, 0, 0, 0]
+    kept, kept_texts = [], []
+    pairs, pruned = 0, [0, 0, 0, 0]
     for i, text in enumerate(texts):
         others = kept_texts if patterns is None else patterns
-        if text in seen and (patterns is not None or k < 1.0) or text in (patterns or ()) and k < 1.0:
-            repeats += 1
-        else:
-            pairs += len(others)
-            for other in others:
-                pruned[pruning_stage(text, other, k)] += 1
-        seen.add(text)
+        pairs += len(others)
+        for other in others:
+            pruned[pruning_stage(text, other, k)] += 1
         if not any(oracle_ratio(text, other) > k for other in others):
             kept.append(i)
             kept_texts.append(text)
-    return kept, (repeats, pairs, *pruned[1:])
+    return kept, (pairs, *pruned[1:])
 
 
 SCAN_LOG = re.compile(
-    r"majority (\d+) in, (\d+) kept; (\d+) repeats decided without a scan; "
+    r"majority (\d+) in, (\d+) kept; "
     r"pairs (\d+) considered: (\d+) pruned by length, (\d+) by character counts, "
     r"(\d+) by bigram counts, (\d+) stopped early, (\d+) computed in full, "
     r"(\d+) not run after a match$"
@@ -371,9 +364,9 @@ def scan_counts(records, method):
     ]
     assert len(lines) == 1
     counts = [int(v) for v in SCAN_LOG.search(lines[0]).groups()]
-    pairs, pruned, kernel = counts[3], counts[4:7], counts[7:]
+    pairs, pruned, kernel = counts[2], counts[3:6], counts[6:]
     assert sum(pruned) + sum(kernel) == pairs
-    return counts[:2], tuple(counts[2:7]), kernel
+    return counts[:2], tuple(counts[2:6]), kernel
 
 
 @pytest.fixture(scope="module")
@@ -534,7 +527,7 @@ class TestLowerBounds:
         scan.add(a)
         assert scan.near_any(b)
         assert scan.by_length == scan.by_chars == scan.by_bigrams == 0
-        assert (scan.computed, scan.repeats) == ((1, 0) if a != b else (0, 1))
+        assert scan.computed == 1
 
     def test_bitsets_grow_with_later_patterns(self):
         bits = _MultisetBits()

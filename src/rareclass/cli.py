@@ -206,12 +206,19 @@ def _cmd_kappa(args, cfg: PipelineConfig) -> int:
         raise DataError(f"{path}: expected header id\\tlabel_a\\tlabel_b")
     seq_a: list[Label] = []
     seq_b: list[Label] = []
+    seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise DataError(f"{path}: expected 3 columns at line {lineno}")
+        tid = fields[0]
+        if not tid:
+            raise DataError(f"{path}: empty id at line {lineno}")
+        if tid in seen:
+            raise DataError(f"{path}: duplicate id {tid!r} at line {lineno}")
+        seen.add(tid)
         try:
             seq_a.append(Label.parse(fields[1]))
             seq_b.append(Label.parse(fields[2]))
@@ -379,13 +386,15 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
         report_path.write_text(report.to_text(), encoding="utf-8")
         sys.stdout.write(report.to_text())
         print(f"sampling-report\t{report_path}")
+    sampler = cfg["sampler.method"]
+    if sampler in ("random", "smote"):  # the samplers that read the seed
+        sampler += f", sampler seed {cfg['sampler.seed']}"
     logger.info(
-        "trained %s on %d items (vocabulary %d, sampler %s, sampler seed %d)",
+        "trained %s on %d items (vocabulary %d, sampler %s)",
         cfg["classifier.kind"],
-        len(corpus),
+        len(corpus) if report is None else sum(report.output_counts.values()),
         model.vocabulary.dim,
-        cfg["sampler.method"],
-        cfg["sampler.seed"],
+        sampler,
     )
     return EXIT_OK
 
@@ -554,7 +563,15 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (
+        DataError,
+        FileExistsError,
+        FileNotFoundError,
+        IsADirectoryError,
+        NotADirectoryError,
+        PermissionError,
+        ValueError,
+    ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SystemExit:

@@ -7,6 +7,28 @@ Conditions are expressed with the paper's measure m, counting
 vowel-consonant sequences in the stem, where ``y`` is a vowel exactly
 when it follows a consonant.
 
+How the steps run without scanning:
+
+* Each table-driven step (2, 3 and 4) is indexed once, at import, by
+  the last two letters of its suffixes (every suffix has at least two),
+  each entry holding the rules that end in them, longest suffix first.
+  So the word's last two letters are one dict lookup, which finds no
+  rule for most words and otherwise at most five, tried with
+  ``endswith`` in that order: the first that matches is the longest.
+  No call scans a step's whole table or builds one.
+* A stem's consonant/vowel pattern is one string of ``c`` and ``v``,
+  one letter each, made by ``str.translate``.  ``y`` is then resolved
+  left to right: a vowel exactly when the letter before it is a
+  consonant, so a leading ``y`` is a consonant.  The measure m is the
+  number of ``vc`` pairs in the pattern, "contains a vowel" is ``v`` in
+  it, and the *o and double-consonant conditions read its last letters.
+
+Every stem equals that of the letter-by-letter form of the 1980
+algorithm kept as the test oracle (``tests/porter_oracle.py``), which
+scans each step's suffix list and classifies one letter at a time; the
+tests compare the two on random words and on every word of the demo and
+benchmark corpora.
+
 One standard guard is applied: words of length <= 2 pass through
 unchanged, as in the author's reference implementation (the rules are
 degenerate on such inputs; e.g. bare ``s`` would otherwise stem to the
@@ -17,97 +39,87 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-_VOWELS = "aeiou"
+# "y" maps to itself: `_pattern` resolves it from the letter before it.
+_CV = str.maketrans({ch: "v" if ch in "aeiou" else "c" for ch in "abcdefghijklmnopqrstuvwxz"})
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _pattern(stem: str) -> str:
+    """One "c" (consonant) or "v" (vowel) per letter of a lowercase stem."""
+    cv = stem.translate(_CV)
+    if "y" not in cv:
+        return cv
+    letters = list(cv)
+    prev = "v"
+    for i, ch in enumerate(letters):
+        if ch == "y":
+            letters[i] = ch = "v" if prev == "c" else "c"
+        prev = ch
+    return "".join(letters)
 
 
 def _measure(stem: str) -> int:
     """Number of VC sequences: stem has the form C?(VC){m}V?."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        vowel = not _is_consonant(stem, i)
-        if prev_vowel and not vowel:
-            m += 1
-        prev_vowel = vowel
-    return m
+    return _pattern(stem).count("vc")
 
 
-def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
+def _ends_cvc(stem: str, cv: str) -> bool:
     """*o condition: ends consonant-vowel-consonant, final not w, x or y."""
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return cv.endswith("cvc") and stem[-1] not in "wxy"
 
 
 def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
+    """sses -> ss, ies -> i, ss -> ss, s -> (removed)."""
+    if not word.endswith("s") or word.endswith("ss"):
         return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
+    if word.endswith(("sses", "ies")):
+        return word[:-2]
+    return word[:-1]
 
 
 def _step1b(word: str) -> str:
-    if word.endswith("eed"):
-        if _measure(word[:-3]) > 0:
-            return word[:-1]
-        return word
-    stripped = None
-    if word.endswith("ed") and _contains_vowel(word[:-2]):
+    if word.endswith("ed"):
+        if word.endswith("eed"):
+            return word[:-1] if _measure(word[:-3]) > 0 else word
         stripped = word[:-2]
-    elif word.endswith("ing") and _contains_vowel(word[:-3]):
+    elif word.endswith("ing"):
         stripped = word[:-3]
-    if stripped is None:
+    else:
+        return word
+    cv = _pattern(stripped)
+    if "v" not in cv:
         return word
     # Cleanup pass after a successful ed/ing removal.
     if stripped.endswith(("at", "bl", "iz")):
         return stripped + "e"
-    if _ends_double_consonant(stripped) and stripped[-1] not in "lsz":
+    last = stripped[-1]
+    if len(stripped) >= 2 and stripped[-2] == last and cv[-1] == "c" and last not in "lsz":
         return stripped[:-1]
-    if _measure(stripped) == 1 and _ends_cvc(stripped):
+    if cv.count("vc") == 1 and _ends_cvc(stripped, cv):
         return stripped + "e"
     return stripped
 
 
 def _step1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
+    if word.endswith("y") and "v" in _pattern(word[:-1]):
         return word[:-1] + "i"
     return word
 
 
+_Index = dict[str, tuple[tuple[str, str], ...]]
+
+
+def _suffix_index(rules) -> _Index:
+    """The (suffix, replacement) rules grouped by the suffix's last two
+    letters, longest suffix first within each group."""
+    index: dict[str, list[tuple[str, str]]] = {}
+    for suffix, replacement in sorted(rules, key=lambda rule: -len(rule[0])):
+        index.setdefault(suffix[-2:], []).append((suffix, replacement))
+    return {end: tuple(group) for end, group in index.items()}
+
+
 # (suffix, replacement) per step; longest matching suffix wins and is the
 # only rule tried, with condition m(stem) > 0 (step 2/3) or > 1 (step 4).
-_STEP2_RULES = (
+_STEP2 = _suffix_index((
     ("ational", "ate"),
     ("tional", "tion"),
     ("enci", "ence"),
@@ -128,9 +140,9 @@ _STEP2_RULES = (
     ("aliti", "al"),
     ("iviti", "ive"),
     ("biliti", "ble"),
-)
+))
 
-_STEP3_RULES = (
+_STEP3 = _suffix_index((
     ("icate", "ic"),
     ("ative", ""),
     ("alize", "al"),
@@ -138,39 +150,39 @@ _STEP3_RULES = (
     ("ical", "ic"),
     ("ful", ""),
     ("ness", ""),
-)
+))
 
-_STEP4_SUFFIXES = (
+_STEP4 = _suffix_index((suffix, "") for suffix in (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
+))
 
 
-def _longest_suffix(word: str, suffixes) -> str | None:
-    best = None
-    for suffix in suffixes:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
-            best = suffix
-    return best
+def _longest_rule(word: str, index: _Index) -> tuple[str, str] | None:
+    for rule in index.get(word[-2:], ()):
+        if word.endswith(rule[0]):
+            return rule
+    return None
 
 
-def _apply_table(word: str, rules, min_measure: int) -> str:
-    match = _longest_suffix(word, [s for s, _ in rules])
-    if match is None:
+def _apply_table(word: str, index: _Index, min_measure: int) -> str:
+    rule = _longest_rule(word, index)
+    if rule is None:
         return word
-    replacement = dict(rules)[match]
-    stem = word[: len(word) - len(match)]
+    suffix, replacement = rule
+    stem = word[: -len(suffix)]
     if _measure(stem) > min_measure:
         return stem + replacement
     return word
 
 
 def _step4(word: str) -> str:
-    match = _longest_suffix(word, _STEP4_SUFFIXES)
-    if match is None:
+    rule = _longest_rule(word, _STEP4)
+    if rule is None:
         return word
-    stem = word[: len(word) - len(match)]
-    if match == "ion" and not stem.endswith(("s", "t")):
+    suffix = rule[0]
+    stem = word[: -len(suffix)]
+    if suffix == "ion" and not stem.endswith(("s", "t")):
         return word
     if _measure(stem) > 1:
         return stem
@@ -180,8 +192,9 @@ def _step4(word: str) -> str:
 def _step5a(word: str) -> str:
     if word.endswith("e"):
         stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+        cv = _pattern(stem)
+        m = cv.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(stem, cv)):
             return stem
     return word
 
@@ -196,7 +209,7 @@ def _step5b(word: str) -> str:
 def porter_stem(word: str) -> str:
     """Stem a lowercase ASCII word.
 
-    The caller guarantees lowercase alphabetic input (the classic
+    The caller guarantees lowercase ``a``-``z`` input (the classic
     normalizer strips everything else first).  Results are memoized for
     the life of the process: a corpus repeats a few thousand distinct
     words across tens of thousands of tokens.
@@ -206,8 +219,8 @@ def porter_stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply_table(word, _STEP2_RULES, 0)
-    word = _apply_table(word, _STEP3_RULES, 0)
+    word = _apply_table(word, _STEP2, 0)
+    word = _apply_table(word, _STEP3, 0)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

@@ -2,11 +2,32 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from rareclass.corpus import AnnotatedTweet, Corpus, Label, Tweet
 from rareclass.demo import packaged_data_path
 from rareclass.normalize import NameLexicon, NormalizationConfig
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py loaded as it is, the way the benchmark contract
+    loads perfbench, without importing perfbench as a package."""
+    qualified = f"perfbench_{name}"
+    spec = importlib.util.spec_from_file_location(qualified, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualified] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[qualified]
+    return module
 
 
 def make_corpus(rows, provenance="test"):

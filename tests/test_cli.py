@@ -92,6 +92,23 @@ class TestKappa:
         pairs.write_text("id\tlabel_a\tlabel_b\nt1\tdefect\n", encoding="utf-8")
         assert main(["kappa", "--pairs", str(pairs)]) == 2
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (["t1\tdefect\tdefect", "t2\tdefect\tnon_defect", "t1\tnon_defect\tnon_defect"],
+             "duplicate id 't1' at line 4"),
+            (["t1\tdefect\tdefect", "\tdefect\tnon_defect", "t3\tnon_defect\tnon_defect"],
+             "empty id at line 3"),
+        ],
+        ids=["repeated", "empty"],
+    )
+    def test_bad_id_is_data_error_naming_the_line(self, tmp_path, capsys, rows, message):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("\n".join(["id\tlabel_a\tlabel_b", *rows]) + "\n", encoding="utf-8")
+        assert main(["kappa", "--pairs", str(pairs)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
 
 class TestMatch:
     def test_match_writes_tsv_and_term_report(self, workspace, tmp_path):
@@ -224,6 +241,39 @@ class TestFeaturizeLog:
         assert logged == [(len(ids), vocab.dim, len(x.data))] * 2
         assert len(ids) == 320 and len(x.data) > 0
         assert load_model(model).vocabulary.dim == vocab.dim
+
+
+class TestTrainLog:
+    LINE = re.compile(r"trained svm on (\d+) items \(vocabulary \d+, sampler (.+)\)")
+
+    @pytest.mark.parametrize(
+        "sampler,items,named",
+        [
+            ("none", 320, "none"),
+            ("similar", 53, "similar"),
+            ("smote", 864, "smote, sampler seed 7"),
+        ],
+    )
+    def test_logs_what_the_classifier_trained_on(
+        self, workspace, tmp_path, caplog, sampler, items, named
+    ):
+        """The sampler's output total (the corpus read when none runs), and
+        the seed only for samplers that read it."""
+        root, cfg, _ = workspace
+        model = tmp_path / "model.json"
+        with caplog.at_level("INFO", logger="rareclass"):
+            assert main(["train", "-v", "--config", str(cfg), "--corpus",
+                         str(root / "splits" / "train.tsv"), "--model", str(model),
+                         "--sampler", sampler, "--set", "sampler.seed=7"]) == 0
+        logged = [
+            match.groups()
+            for match in (self.LINE.fullmatch(r.getMessage()) for r in caplog.records)
+            if match
+        ]
+        assert logged == [(str(items), named)]
+        if sampler != "none":
+            total = model.with_suffix(".sampling.txt").read_text().splitlines()[-1]
+            assert total.split() == ["total", "320", str(items)]
 
 
 class TestMissingClusters:
@@ -887,6 +937,21 @@ class TestExitCodes:
         def mutate(doc):
             doc["extras"]["features"]["n_max"] = 10**30
         assert self._evaluate_mutated(workspace, tmp_path, mutate) == 0
+
+    @pytest.mark.parametrize(
+        "command,flag,below",
+        [("split", "--out-dir", "sub"), ("split", "--out-dir", ""), ("match", "--out", "sub")],
+        ids=["split-under-file", "split-into-file", "match-under-file"],
+    )
+    def test_output_path_at_or_under_a_regular_file_is_data_error(
+        self, workspace, tmp_path, capsys, command, flag, below
+    ):
+        _, cfg, _ = workspace
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert main([command, "--config", str(cfg), flag, str(blocker / below)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "internal error" not in err
 
     def test_directory_as_input_file(self, workspace, tmp_path):
         root, cfg, _ = workspace

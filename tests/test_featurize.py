@@ -6,10 +6,7 @@
 memory.
 """
 
-import importlib.util
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparse_oracle
-from conftest import make_corpus
+from conftest import make_corpus, perfbench_module
 from rareclass.corpus import Label, load_corpus
 from rareclass.features import (
     STRUCTURAL_FEATURES,
@@ -28,7 +25,6 @@ from rareclass.features import (
 from rareclass.normalize import NameLexicon, NormalizationConfig, load_name_lexicon
 from rareclass.pipeline import featurize_corpus
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 NAMES = NameLexicon(frozenset({"emma", "noah"}))
 NORM = NormalizationConfig()
@@ -120,15 +116,8 @@ class TestEqualsOracle:
 def generated(tmp_path_factory):
     """A 3,000-tweet corpus from perfbench/corpus_gen.py, with its names and
     clusters files, loaded as the benchmark contract loads perfbench."""
-    name = "perfbench_corpus_gen"
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "corpus_gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        paths = module.write_inputs(module.generate(1, 3000), tmp_path_factory.mktemp("gen"))
-    finally:
-        del sys.modules[name]
+    module = perfbench_module("corpus_gen")
+    paths = module.write_inputs(module.generate(1, 3000), tmp_path_factory.mktemp("gen"))
     return (
         load_corpus(paths["corpus"]),
         load_name_lexicon(paths["names"]),

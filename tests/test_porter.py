@@ -1,9 +1,14 @@
-"""Stemmer behavior, pinned rule by rule against the published algorithm."""
+"""Stemmer behavior, pinned rule by rule against the published algorithm,
+and equal to the letter-by-letter reference in `porter_oracle`."""
 
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import porter_oracle
+from conftest import perfbench_module
 from rareclass.demo import build_demo_corpus
 from rareclass.porter import porter_stem
 
@@ -93,6 +98,8 @@ CASES = [
     ("cease", "ceas"),
     ("controll", "control"),
     ("roll", "roll"),
+    # a leading y is a consonant: yes is CVC, so 5a keeps the e
+    ("yeses", "yese"),
     # everyday words the normalizer leans on
     ("has", "ha"),
     ("was", "wa"),
@@ -142,3 +149,56 @@ def test_memoized_stems_equal_uncached_stemmer():
     for word in sorted(words):
         first = porter_stem(word)
         assert porter_stem(word) == first == porter_stem.__wrapped__(word)
+        assert first == porter_oracle.porter_stem.__wrapped__(word), word
+
+
+# Two kinds of word, cut to their last 20 letters.  Runs of pieces: single
+# letters, weighted toward vowels, y and w/x (which the *o condition
+# excludes) and the letters the rule suffixes spell; doubled consonants;
+# and the rule suffixes themselves, so long suffixes, step 1b's cleanup
+# and chains of steps come up often.  And syllables: an onset, one or two
+# vowel-consonant pairs (y on either side) and up to two rule suffixes,
+# so stems of measure 1 and 2, where the conditions decide, come up often.
+_LETTERS = "aeiouy" * 3 + "wx" * 2 + "stlnicerbzgdm" * 2 + "abcdefghijklmnopqrstuvwxyz"
+_CONSONANTS = "bcdfghjklmnpqrstvz"
+_SUFFIXES = sorted(
+    {suffix for suffix, _ in porter_oracle._STEP2_RULES + porter_oracle._STEP3_RULES}
+    | set(porter_oracle._STEP4_SUFFIXES)
+    | {"sses", "ies", "ss", "s", "eed", "ed", "ing", "y", "e", "ll", "at", "bl", "iz"}
+)
+_pieces = st.lists(
+    st.sampled_from([*_LETTERS, *(ch * 2 for ch in "lsztbd"), *_SUFFIXES]), min_size=1, max_size=5
+)
+_syllables = st.tuples(
+    st.sampled_from(["", "y", *_CONSONANTS, "st", "pr", "tr", "bl"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from([*"aeiouy", "ea", "ou"]),
+            st.sampled_from([*_CONSONANTS, "w", "x", "y", "ll", "ss", "zz", "tt", "nt"]),
+        ).map("".join),
+        min_size=1,
+        max_size=2,
+    ),
+    st.lists(st.sampled_from(_SUFFIXES), max_size=2),
+).map(lambda parts: [parts[0], *parts[1], *parts[2]])
+_words = st.one_of(_pieces, _syllables).map(lambda pieces: "".join(pieces)[-20:])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_words)
+def test_random_words_equal_oracle(word):
+    assert porter_stem.__wrapped__(word) == porter_oracle.porter_stem.__wrapped__(word)
+
+
+def test_corpus_words_equal_oracle():
+    words = set()
+    for corpus in (build_demo_corpus(), perfbench_module("corpus_gen").generate(1, 12_000).corpus):
+        for item in corpus.items:
+            words.update(re.findall("[a-z]+", item.tweet.text.lower()))
+    assert len(words) > 5000
+    mismatched = [
+        word
+        for word in sorted(words)
+        if porter_stem.__wrapped__(word) != porter_oracle.porter_stem.__wrapped__(word)
+    ]
+    assert mismatched == []

@@ -118,3 +118,21 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
+
+
+def forwarder(module: str, name: str):
+    """A function that calls `name` of ``rareclass.<module>``, importing that
+    module on its first call.
+
+    `cli` and `pipeline` hold their layer calls that perfbench/tracer.py
+    wraps as forwarders: the tracer replaces the name in the calling
+    module, so the name must exist there before its module is imported,
+    and a step that never calls it never imports that module.
+    """
+
+    def forward(*args, **kwargs):
+        return getattr(import_module(f"{__name__}.{module}"), name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    forward.__doc__ = f"Forwards to rareclass.{module}.{name}."
+    return forward

@@ -12,6 +12,19 @@ byte-identical outputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 internal error.
+
+Each step imports only the layers it runs, because start-up is most of a
+step's time on a small corpus.  Every step loads this module, `config`,
+`corpus`, `errors` and `rng`; `split` and `kappa` load nothing else,
+`match` adds `lexicon`, `normalize` and `porter`, and `sample` adds
+`sampling`.  `train` and `evaluate` add numpy, `pipeline`, `features`,
+`model_store`, `normalize`, `porter` and the classifier's module (`svm`
+or `naive_bayes`); `train` loads `sampling` only when a sampler runs, and
+only `evaluate` loads `evaluation`.  The layer functions perfbench/tracer.py
+wraps by their names in this module and in `pipeline` are forwarders
+(`rareclass.forwarder`), which import their module on the first call.
+A handler must call them by those names: a local import of the function
+itself would bypass the tracer's wrapper.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from . import __version__
+from . import __version__, forwarder
 from .config import (
     CLASSIFIER_KINDS,
     NORMALIZE_PIPELINES,
@@ -43,34 +56,18 @@ from .corpus import (
     three_way_split,
 )
 from .errors import ConfigError, DataError
-from .lexicon import (
-    MatchCounts,
-    compile_matchers,
-    load_lexicon,
-    match_corpus,
-    post_filter,
-    term_class_frequency_report,
-)
-from .normalize import (
-    classic_normalize,
-    embedding_normalize,
-    load_name_lexicon,
-    save_normalized,
-)
-from .sampling import (
-    SamplingReport,
-    oversample_replacement,
-    undersample_near_fn,
-    undersample_random,
-    undersample_similar_majority,
-)
 
-# Modules that need numpy (features, model_store, pipeline) and evaluation
-# are imported inside the handlers that run them, so that split, kappa,
-# match, preprocess and the text samplers start without numpy.
 if TYPE_CHECKING:
     from .features import FeatureSettings
-    from .model_store import StoredModel
+    from .sampling import SamplingReport
+
+# Every other layer is imported by the handler that runs it; these are the
+# layer functions perfbench/tracer.py wraps in this module (see above).
+match_corpus = forwarder("lexicon", "match_corpus")
+post_filter = forwarder("lexicon", "post_filter")
+undersample_similar_majority = forwarder("sampling", "undersample_similar_majority")
+load_model = forwarder("model_store", "load_model")
+save_model = forwarder("model_store", "save_model")
 
 logger = logging.getLogger("rareclass")
 
@@ -101,6 +98,12 @@ def _load_corpus_logged(path: Path) -> Corpus:
     return load_corpus(path)
 
 
+def _require_tweets(corpus: Corpus, path: Path) -> None:
+    """Raise DataError if `corpus`, read from `path`, has no tweets."""
+    if not len(corpus):
+        raise DataError(f"{path}: no tweets")
+
+
 # the shortcut flags, by argparse dest, and the config key each overrides
 _FLAG_KEYS = {
     "corpus": "paths.corpus",
@@ -122,26 +125,14 @@ def _config(args) -> PipelineConfig:
     return PipelineConfig.from_sources(args.config, overrides)
 
 
-# model_store needs numpy, so these two import it on call; they stay names
-# of this module because perfbench/tracer.py wraps them here
-def load_model(path: str | Path) -> StoredModel:
-    from . import model_store
-
-    return model_store.load_model(path)
-
-
-def save_model(path: str | Path, model: StoredModel) -> None:
-    from . import model_store
-
-    model_store.save_model(path, model)
-
-
 def _names_and_clusters(
     cfg: PipelineConfig, settings: FeatureSettings | None = None, trained: dict | None = None
 ):
     """The name lexicon, the clusters if `settings` use them, and each file's path and
     sha256 digest by its key in a model's extras; a file whose digest differs from the
     one `trained` (a model's extras) records is a data error."""
+    from .normalize import load_name_lexicon
+
     names_path = cfg.path("paths.name_lexicon", required=True)
     files = {"name_lexicon": (names_path, _log_input("name lexicon", names_path))}
     names = load_name_lexicon(names_path)
@@ -224,6 +215,8 @@ def _cmd_kappa(args, cfg: PipelineConfig) -> int:
             seq_b.append(Label.parse(fields[2]))
         except ValueError as exc:
             raise DataError(f"{path}: {exc} at line {lineno}") from None
+    if not seq_a:
+        raise DataError(f"{path}: no annotation pairs")
     kappa = cohens_kappa(seq_a, seq_b)
     agree = sum(1 for a, b in zip(seq_a, seq_b) if a == b)
     print(f"items\t{len(seq_a)}")
@@ -233,6 +226,8 @@ def _cmd_kappa(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_match(args, cfg: PipelineConfig) -> int:
+    from .lexicon import MatchCounts, compile_matchers, load_lexicon, term_class_frequency_report
+
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     lexicon_path = cfg.path("paths.lexicon", required=True)
     _log_input("lexicon", lexicon_path)
@@ -275,6 +270,8 @@ def _cmd_match(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
+    from .normalize import classic_normalize, embedding_normalize, save_normalized
+
     corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
     rows = []
     if cfg["normalize.pipeline"] == "classic":
@@ -336,12 +333,14 @@ def apply_text_sampler(
     """Run the text-level sampler `sampler.method` names.
 
     ``none`` and ``smote`` (which works on vectors) return the corpus
-    unchanged and no report.  The samplers are called through this
-    module's names, which perfbench/tracer.py wraps.
+    unchanged and no report.  ``similar`` is called through this module's
+    forwarder, which perfbench/tracer.py wraps.
     """
     method = cfg["sampler.method"]
     if method not in TEXT_SAMPLER_METHODS:
         return corpus, None
+    from .sampling import oversample_replacement, undersample_near_fn, undersample_random
+
     _check_sampler_values(cfg, has_fn=fn_tweets is not None)
     if method == "similar":
         return undersample_similar_majority(corpus, cfg["sampler.k"])
@@ -371,6 +370,7 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus_digest = _log_input("corpus", corpus_path)
     corpus = load_corpus(corpus_path)
+    _require_tweets(corpus, corpus_path)
     names, clusters, files = _names_and_clusters(cfg, cfg.feature_settings())
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
     model, report = train_from_corpus(sampled, cfg, names, clusters, report)
@@ -399,13 +399,16 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _scoring_inputs(cfg: PipelineConfig):
+def _scoring_inputs(cfg: PipelineConfig, empty_ok: bool):
     """The corpus, the model, and the name lexicon and clusters it was trained
     with, each hashed once; with the ``model_id`` and ``corpus_id`` an
-    evaluation report names them by."""
+    evaluation report names them by.  A corpus with no tweets is a data
+    error unless `empty_ok`."""
     corpus_path = cfg.path("paths.corpus", required=True)
     corpus_digest = _log_input("corpus", corpus_path)
     corpus = load_corpus(corpus_path)
+    if not empty_ok:
+        _require_tweets(corpus, corpus_path)
     model_path = cfg.path("paths.model", required=True)
     model_digest = _log_input("model", model_path)
     stored = load_model(model_path)
@@ -417,7 +420,7 @@ def _scoring_inputs(cfg: PipelineConfig):
 def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     from .pipeline import evaluate_corpus
 
-    corpus, stored, names, clusters, ids = _scoring_inputs(cfg)
+    corpus, stored, names, clusters, ids = _scoring_inputs(cfg, empty_ok=False)
     report, _ = evaluate_corpus(stored, corpus, names, clusters, **ids)
     if args.out:
         Path(args.out).write_text(report.to_tsv(), encoding="utf-8")
@@ -455,7 +458,7 @@ def _cmd_report_errors(args, cfg: PipelineConfig) -> int:
     from .evaluation import error_report
     from .pipeline import predict_corpus
 
-    corpus, stored, names, clusters, _ = _scoring_inputs(cfg)
+    corpus, stored, names, clusters, _ = _scoring_inputs(cfg, empty_ok=True)
     predictions = predict_corpus(stored, corpus, names, clusters)
     errors = error_report(corpus, predictions, Label(args.gold), Label(args.predicted_as))
     save_corpus(Corpus(tuple(errors), provenance="error-report"), args.out)

@@ -18,21 +18,25 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from .corpus import Label
 from .errors import ConfigError
-from .normalize import (
-    DEFAULT_CHILD,
-    DEFAULT_POSSESSIVE,
-    DEFAULT_THIRD_PERSON,
-    NormalizationConfig,
-)
 
 if TYPE_CHECKING:
     from .features import FeatureSettings
+    from .normalize import NormalizationConfig
     from .svm import SvmParams
 
 # the SVM kernels; defined here so that reading a config needs no numpy
 KERNEL_RBF = "rbf"
 KERNEL_LINEAR = "linear"
 KERNELS = (KERNEL_RBF, KERNEL_LINEAR)
+
+# the classic normalizer's default token sets, the `NormalizationConfig`
+# defaults; defined here so that reading a config loads no normalizer
+DEFAULT_POSSESSIVE = frozenset({"my", "our"})
+DEFAULT_CHILD = frozenset(
+    {"son", "daughter", "child", "baby", "kid", "boy", "girl", "twins",
+     "toddler", "newborn"}
+)
+DEFAULT_THIRD_PERSON = frozenset({"she", "he", "her", "him", "his", "hers"})
 
 # the samplers that rebalance a corpus before featurization; smote works on vectors
 TEXT_SAMPLER_METHODS = ("similar", "near_fn", "random", "replacement")
@@ -242,6 +246,8 @@ class PipelineConfig:
         return path
 
     def normalization(self) -> NormalizationConfig:
+        from .normalize import NormalizationConfig
+
         token_sets = self.section("normalize")
         del token_sets["pipeline"]
         return NormalizationConfig(**token_sets)

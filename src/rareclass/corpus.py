@@ -12,7 +12,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -295,6 +294,8 @@ def stratified_split(
     ceiling is computed exactly rather than on binary float products.
     Both parts preserve the input's item order.
     """
+    from fractions import Fraction  # only split needs it
+
     if not (0.0 < holdout_fraction < 1.0):
         raise ValueError("holdout_fraction must be in (0, 1)")
     frac = Fraction(str(holdout_fraction))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import AnnotatedTweet, Corpus, Label, LABELS, label_index
-from .stats import student_t_two_sided_p
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,8 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTest
     t = 0, p = 1; a constant nonzero difference gives p = 0 with the
     `zero_variance` flag set (the statistic is unbounded).
     """
+    from .stats import student_t_two_sided_p  # no CLI step runs the t-test
+
     if len(scores_a) != len(scores_b):
         raise ValueError("score sequences must have equal length")
     n = len(scores_a)

@@ -106,6 +106,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
             raise DataError(f"{path}: duplicate canonical term {canonical!r} at line {lineno}")
         seen.add(key)
         variants = tuple(v for v in fields[1:] if v)
+        for surface in (canonical, *variants):
+            if not _SEPARATOR_RE.sub("", surface):
+                raise DataError(f"{path}: term {surface!r} is only separators at line {lineno}")
         terms.append((canonical, variants))
     if not terms:
         raise DataError(f"{path}: no terms found")

@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,9 +42,13 @@ from .features import (
     Scaler,
     Vocabulary,
 )
-from .naive_bayes import GAUSSIAN, NbModel
 from .normalize import NormalizationConfig
-from .svm import PairModel, SvmModel, SvmParams
+
+# a model's codec imports its classifier's module, so that loading or saving
+# one kind of model leaves the other unimported
+if TYPE_CHECKING:
+    from .naive_bayes import NbModel
+    from .svm import SvmModel
 
 FORMAT_NAME = "rareclass.model"
 FORMAT_VERSION = 3
@@ -68,7 +73,8 @@ class StoredModel:
 
     @property
     def kind(self) -> str:
-        return "svm" if isinstance(self.classifier, SvmModel) else "nb"
+        """``"svm"`` or ``"nb"``: the classifier's `kind`."""
+        return self.classifier.kind
 
 
 _SCALARS = {bool: {bool}, int: {int}, float: {int, float}, str: {str}}
@@ -206,6 +212,10 @@ def feature_settings_from_json(obj: dict) -> FeatureSettings:
     check_json(obj, _FEATURES_SCHEMA, "feature settings")
     if obj["min_df"] < 1:
         raise DataError("feature settings: min_df must be >= 1")
+    if obj["n_min"] < 1:
+        raise DataError("feature settings: n_min must be >= 1")
+    if obj["n_min"] > obj["n_max"]:
+        raise DataError("feature settings: n_min must not exceed n_max")
     return FeatureSettings(**{key: obj[key] for key in _FEATURES_SCHEMA})
 
 
@@ -261,6 +271,8 @@ def _svm_to_json(model: SvmModel) -> dict:
 
 
 def _svm_from_json(obj: dict) -> SvmModel:
+    from .svm import PairModel, SvmModel, SvmParams
+
     if not 0.0 < obj["gamma"] < math.inf:
         raise DataError("svm.gamma must be positive and finite")
     labels = tuple(Label(v) for v in obj["labels"])
@@ -303,6 +315,8 @@ def _nb_to_json(model: NbModel) -> dict:
 
 
 def _nb_from_json(obj: dict) -> NbModel:
+    from .naive_bayes import GAUSSIAN, NbModel
+
     labels = tuple(Label(v) for v in obj["labels"])
     keys = ("means", "variances") if obj["event_model"] == GAUSSIAN else ("log_likelihood",)
     check_json(obj, dict.fromkeys(keys, [[float]]), "nb")

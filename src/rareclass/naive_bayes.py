@@ -35,6 +35,8 @@ class NbModel:
     non-zero entries.
     """
 
+    kind = "nb"  # a class attribute, not a field: `model_store` names the model by it
+
     labels: tuple[Label, ...]
     log_priors: tuple[float, ...]
     event_model: str

@@ -37,6 +37,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
+from .config import DEFAULT_CHILD, DEFAULT_POSSESSIVE, DEFAULT_THIRD_PERSON
 from .corpus import Label, Tweet, byte_span_to_chars
 from .errors import DataError
 from .porter import porter_stem
@@ -80,13 +81,6 @@ def load_name_lexicon(path: str | Path) -> NameLexicon:
         raise DataError(f"{path}: no names found")
     return NameLexicon(frozenset(names))
 
-
-DEFAULT_POSSESSIVE = frozenset({"my", "our"})
-DEFAULT_CHILD = frozenset(
-    {"son", "daughter", "child", "baby", "kid", "boy", "girl", "twins",
-     "toddler", "newborn"}
-)
-DEFAULT_THIRD_PERSON = frozenset({"she", "he", "her", "him", "his", "hers"})
 
 USER_PLACEHOLDER = "<user>"
 URL_PLACEHOLDER = "<url>"

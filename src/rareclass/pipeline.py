@@ -22,13 +22,14 @@ from __future__ import annotations
 import logging
 from array import array
 from collections import deque
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import forwarder
 from .config import TEXT_SAMPLER_METHODS, PipelineConfig
 from .corpus import LABELS, Corpus, Label
 from .errors import ConfigError
-from .evaluation import EvalReport, evaluate_predictions
 from .features import (
     KIND_CLUSTER,
     STRUCTURAL_FEATURES,
@@ -43,13 +44,26 @@ from .features import (
     structural_features,
 )
 from .model_store import StoredModel
-from .naive_bayes import NbModel, predict_nb, train_nb
 from .normalize import NameLexicon, NormalizationConfig, classic_normalize
-from .sampling import SamplingReport, smote
-# not called here: perfbench/tracer.py wraps these names in this module
+# not called here: perfbench/tracer.py wraps this name in this module
 from .features import vectorize  # noqa: F401
-from .sampling import undersample_similar_majority  # noqa: F401
-from .svm import SvmModel, predict_svm, train_svm
+
+if TYPE_CHECKING:
+    from .evaluation import EvalReport
+    from .naive_bayes import NbModel
+    from .sampling import SamplingReport
+    from .svm import SvmModel
+
+# The classifier, sampler and evaluation layers perfbench/tracer.py wraps
+# in this module are forwarders, so a step imports only the ones it runs.
+train_svm = forwarder("svm", "train_svm")
+predict_svm = forwarder("svm", "predict_svm")
+train_nb = forwarder("naive_bayes", "train_nb")
+predict_nb = forwarder("naive_bayes", "predict_nb")
+smote = forwarder("sampling", "smote")
+evaluate_predictions = forwarder("evaluation", "evaluate_predictions")
+# not called here either: the tracer wraps it here, as it does `vectorize`
+undersample_similar_majority = forwarder("sampling", "undersample_similar_majority")
 
 logger = logging.getLogger(__name__)
 
@@ -171,7 +185,7 @@ def predict_corpus(
     )
     if stored.scaler is not None:
         x = apply_scaler(stored.scaler, x)
-    if isinstance(stored.classifier, SvmModel):
+    if stored.kind == "svm":
         predictions, _ = predict_svm(stored.classifier, x)
     else:
         predictions, _ = predict_nb(stored.classifier, x)

@@ -269,6 +269,8 @@ class SvmModel:
     stored once, in training-row order.
     """
 
+    kind = "svm"  # a class attribute, not a field: `model_store` names the model by it
+
     labels: tuple[Label, ...]
     pairs: tuple[PairModel, ...]
     params: SvmParams

@@ -92,6 +92,13 @@ class TestKappa:
         pairs.write_text("id\tlabel_a\tlabel_b\nt1\tdefect\n", encoding="utf-8")
         assert main(["kappa", "--pairs", str(pairs)]) == 2
 
+    def test_header_only_pairs_is_data_error_naming_the_file(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("id\tlabel_a\tlabel_b\n", encoding="utf-8")
+        assert main(["kappa", "--pairs", str(pairs)]) == 2
+        captured = capsys.readouterr()
+        assert f"data error: {pairs}: no annotation pairs" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize(
         "rows,message",
         [
@@ -921,6 +928,41 @@ class TestExitCodes:
             doc["nb"]["log_priors"][0] = 0.5
         assert self._evaluate_mutated(workspace, tmp_path, mutate, model) == 2
         assert "log priors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n_min,n_max,reason",
+        [(0, 3, "n_min must be >= 1"), (3, 2, "n_min must not exceed n_max")],
+        ids=["n_min-zero", "n_min-above-n_max"],
+    )
+    def test_bad_ngram_range_is_data_error_naming_the_model(
+        self, workspace, tmp_path, capsys, n_min, n_max, reason
+    ):
+        def mutate(doc):
+            doc["extras"]["features"].update(n_min=n_min, n_max=n_max)
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert f"{tmp_path / 'bad.json'}: feature settings: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("train", []),
+            ("train", ["--classifier", "nb"]),
+            ("train", ["--sampler", "smote", "--classifier", "nb", "--set", "nb.event_model=gaussian"]),
+            ("evaluate", []),
+        ],
+        ids=["svm", "nb", "smote", "evaluate"],
+    )
+    def test_corpus_without_tweets_is_data_error_naming_it(
+        self, workspace, tmp_path, capsys, command, flags
+    ):
+        root, cfg, _ = workspace
+        empty = tmp_path / "empty.tsv"
+        save_corpus(Corpus(()), empty)
+        model = root / "model.json" if command == "evaluate" else tmp_path / "model.json"
+        argv = [command, "--config", str(cfg), "--corpus", str(empty), "--model", str(model)]
+        assert main([*argv, *flags]) == 2
+        assert f"data error: {empty}: no tweets" in capsys.readouterr().err
+        assert model.exists() == (command == "evaluate")
 
     def test_min_df_below_one_is_data_error(self, workspace, tmp_path, capsys):
         def mutate(doc):

@@ -4,11 +4,17 @@ The text-only steps (split, kappa, match, preprocess, the text samplers)
 and the benchmark's corpus generator must run without importing numpy,
 which costs more start-up time than any of them spends working.  The
 SVM `train` and `evaluate` steps import numpy but not `numpy.ma`.  Each
-check runs in a fresh interpreter, because this test process has long
-since imported everything.
+step also loads only the `rareclass` modules it runs: the classifier it
+trains or scores with, and a sampler, the lexicon or the evaluation code
+only when it runs them.  The layer functions perfbench/tracer.py wraps
+are forwarders in `cli` and `pipeline` (see `rareclass.forwarder`), and
+a traced step must still reach each wrapper.  Each check runs in a fresh
+interpreter, because this test process has long since imported
+everything.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -19,16 +25,20 @@ import pytest
 import rareclass
 from rareclass.demo import packaged_data_path
 
+from conftest import PERFBENCH, perfbench_module
+
 SRC = Path(rareclass.__file__).resolve().parent.parent
-CORPUS_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_gen.py"
+CORPUS_GEN = PERFBENCH / "corpus_gen.py"
+NUMPY = {"numpy", "numpy.ma"}
 
 # runs its arguments as a CLI step, then prints which of numpy and
-# numpy.ma were imported
+# numpy.ma, and which rareclass modules, were imported
 _CLI_CHILD = """
 import sys
 from rareclass.cli import main
 code = main(sys.argv[1:])
-print("imported:", *[name for name in ("numpy", "numpy.ma") if name in sys.modules])
+print("imported:", *[name for name in sys.modules if name in ("numpy", "numpy.ma")
+                     or name.startswith("rareclass.")])
 sys.exit(code)
 """
 
@@ -42,7 +52,8 @@ print("imported:", *[name for name in ("numpy", "numpy.ma") if name in sys.modul
 
 
 def _run(child: str, args: list[str], cwd: Path) -> set[str]:
-    """Which of numpy and numpy.ma were in `sys.modules` when the child finished."""
+    """Which of numpy and numpy.ma (and, for a CLI step, which rareclass modules)
+    were in `sys.modules` when the child finished."""
     done = subprocess.run(
         [sys.executable, "-c", child, *args],
         cwd=cwd,
@@ -121,25 +132,139 @@ def test_svm_train_and_evaluate_leave_numpy_ma_unimported(demo_files):
         "--set", f"paths.clusters={packaged_data_path('demo_clusters.tsv')}",
         "--model", str(root / "svm.json"),
     ]
-    assert _run(_CLI_CHILD, ["train", "--corpus", corpus, *common], root) == {"numpy"}
+    assert _run(_CLI_CHILD, ["train", "--corpus", corpus, *common], root) & NUMPY == {"numpy"}
     evaluate = ["evaluate", "--corpus", corpus, "--out", str(root / "report.tsv"), *common]
-    assert _run(_CLI_CHILD, evaluate, root) == {"numpy"}
+    assert _run(_CLI_CHILD, evaluate, root) & NUMPY == {"numpy"}
 
 
-def test_corpus_generator_leaves_numpy_unimported(tmp_path):
-    args = [str(CORPUS_GEN), "--seed", "1", "--size", "300", "--out-dir", str(tmp_path)]
-    assert "numpy" not in _run(_SCRIPT_CHILD, args, tmp_path)
-    assert (tmp_path / "corpus.tsv").is_file()
+# the rareclass modules each step loads; the package itself is not listed
+_TEXT = {"cli", "config", "corpus", "errors", "rng"}
+_NUMPY_STEP = _TEXT | {"features", "model_store", "normalize", "pipeline", "porter"}
+STEP_MODULES = {
+    "split": _TEXT,
+    "kappa": _TEXT,
+    "match": _TEXT | {"lexicon", "normalize", "porter"},
+    "sample similar": _TEXT | {"sampling"},
+    "train nb": _NUMPY_STEP | {"naive_bayes"},
+    "train svm": _NUMPY_STEP | {"svm"},
+    "evaluate nb": _NUMPY_STEP | {"naive_bayes", "evaluation"},
+    "evaluate svm": _NUMPY_STEP | {"svm", "evaluation"},
+}
 
 
-def test_exports_resolve_to_their_modules():
-    assert rareclass.__all__ == sorted(rareclass._EXPORTS)
-    assert set(rareclass.__all__) <= set(dir(rareclass))
-    for name, module in rareclass._EXPORTS.items():
-        defining = importlib.import_module(f"rareclass.{module}")
-        assert getattr(rareclass, name) is getattr(defining, name), name
+@pytest.fixture(scope="module")
+def step_modules(demo_files):
+    """The rareclass modules each step of `STEP_MODULES` loaded, each step in
+    a fresh interpreter; the train steps write the models the evaluate steps read."""
+    root, pairs = demo_files
+    steps = _steps(root, pairs)
+    corpus = str(packaged_data_path("demo_corpus.tsv"))
+    common = [
+        "--corpus", corpus,
+        "--set", f"paths.name_lexicon={packaged_data_path('demo_names.txt')}",
+        "--set", f"paths.clusters={packaged_data_path('demo_clusters.tsv')}",
+    ]
+    for kind in ("nb", "svm"):
+        model = ["--model", str(root / f"modules-{kind}.json")]
+        steps[f"train {kind}"] = ["train", *common, *model, "--classifier", kind]
+        steps[f"evaluate {kind}"] = ["evaluate", *common, *model]
+    return {
+        step: {name.removeprefix("rareclass.") for name in _run(_CLI_CHILD, steps[step], root)} - NUMPY
+        for step in STEP_MODULES
+    }
 
 
-def test_unknown_attribute_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'nope'"):
-        rareclass.nope  # noqa: B018
+@pytest.mark.parametrize("step", list(STEP_MODULES))
+def test_each_step_loads_only_the_modules_it_runs(step_modules, step):
+    assert step_modules[step] == STEP_MODULES[step]
+
+
+# each traced step, and the wrapped layers it must reach
+TRACED_STEPS = {
+    "match": {"corpus.load", "lexicon.match", "lexicon.post_filter", "corpus.save"},
+    "sample": {"corpus.load", "sampling.similar", "corpus.save"},
+    "train svm": {
+        "corpus.load", "normalize.classic", "porter.stem", "features.ngrams",
+        "features.vocabulary", "features.fit_scaler", "features.apply_scaler", "svm.train",
+        "model_store.save",
+    },
+    "evaluate svm": {
+        "corpus.load", "model_store.load", "normalize.classic", "porter.stem",
+        "features.ngrams", "features.apply_scaler", "svm.predict", "evaluation.evaluate",
+    },
+    "train nb": {
+        "corpus.load", "normalize.classic", "porter.stem", "features.ngrams",
+        "features.vocabulary", "sampling.smote", "naive_bayes.train", "model_store.save",
+    },
+    "evaluate nb": {
+        "corpus.load", "model_store.load", "normalize.classic", "porter.stem",
+        "features.ngrams", "naive_bayes.predict", "evaluation.evaluate",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def traced_steps(tmp_path_factory):
+    """Each step of `TRACED_STEPS` run on the demo corpus through
+    perfbench/tracer.py: its spans document, by step."""
+    root = tmp_path_factory.mktemp("traced")
+    corpus = ["--corpus", str(packaged_data_path("demo_corpus.tsv"))]
+    inputs = [
+        "--set", f"paths.name_lexicon={packaged_data_path('demo_names.txt')}",
+        "--set", f"paths.clusters={packaged_data_path('demo_clusters.tsv')}",
+    ]
+    # SMOTE and Gaussian NB, as the benchmark trains them
+    nb = ["--sampler", "smote", "--classifier", "nb", "--set", "nb.event_model=gaussian"]
+    argv = {
+        "match": [
+            "match", *corpus, "--lexicon", str(packaged_data_path("demo_lexicon.txt")),
+            "--out", "matches.tsv", "--annotate-spans", "annotated.tsv",
+        ],
+        "sample": ["sample", *corpus, "--method", "similar", "--out", "sampled.tsv"],
+        "train svm": ["train", *corpus, *inputs, "--model", "svm.json"],
+        "evaluate svm": ["evaluate", *corpus, *inputs, "--model", "svm.json"],
+        "train nb": ["train", *corpus, *inputs, "--model", "nb.json", *nb],
+        "evaluate nb": ["evaluate", *corpus, *inputs, "--model", "nb.json"],
+    }
+    docs = {}
+    for step in TRACED_STEPS:
+        spans = root / f"{step.replace(' ', '-')}.spans.json"
+        done = subprocess.run(
+            [sys.executable, str(PERFBENCH / "tracer.py"), str(spans), "--", *argv[step]],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        docs[step] = json.loads(spans.read_text(encoding="utf-8"))
+    return root, docs
+
+
+@pytest.mark.parametrize("step", list(TRACED_STEPS))
+def test_traced_steps_reach_every_wrapper(traced_steps, step):
+    _, docs = traced_steps
+    doc = docs[step]
+    assert {doc["names"][span[0]] for span in doc["spans"]} == TRACED_STEPS[step] | {"cli.main"}
+
+
+@pytest.mark.parametrize("kind", ["svm", "nb"])
+def test_traced_counters_read_the_step(traced_steps, kind):
+    root, docs = traced_steps
+    tracer = perfbench_module("tracer")
+    model = json.loads((root / f"{kind}.json").read_text(encoding="utf-8"))
+    iterations = sum(pair["iterations"] for pair in model["svm"]["pairs"]) if kind == "svm" else 0
+    assert iterations > 0 or kind == "nb"
+    train, evaluate = (tracer.summarize([docs[f"{c} {kind}"]], [1.0]) for c in ("train", "evaluate"))
+    assert train["svm.smo_iterations"] == iterations
+    assert train["features.vocab_dim"] == len(model["vocabulary"]["names"]) > 0
+    assert train["normalize.docs"] == evaluate["normalize.docs"] == 500  # the demo corpus
+
+
+def test_traced_match_and_sample_counters(traced_steps):
+    _, docs = traced_steps
+    tracer = perfbench_module("tracer")
+    assert tracer.summarize([docs["match"]], [1.0])["lexicon.matches"] > 0
+    sample = tracer.summarize([docs["sample"]], [1.0])
+    assert 0 < sample["sampling.majority_kept"] < sample["sampling.majority_in"]

@@ -69,6 +69,18 @@ class TestLoadLexicon:
         with pytest.raises(DataError, match="no terms"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize(
+        "lines,surface,lineno",
+        [(["CHD", "- -"], "- -", 2), (["club foot | -", "CHD"], "-", 1)],
+        ids=["canonical", "variant"],
+    )
+    def test_separator_only_term_names_the_file_and_line(self, tmp_path, lines, surface, lineno):
+        path = tmp_path / "lex.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"{path}: term {surface!r} is only separators at line {lineno}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_lexicon(path)
+
     def test_many_terms(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("\n".join(f"term{i:03d}" for i in range(650)), encoding="utf-8")

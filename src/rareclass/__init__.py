@@ -121,13 +121,13 @@ def __dir__() -> list[str]:
 
 
 def forwarder(module: str, name: str):
-    """A function that calls `name` of ``rareclass.<module>``, importing that
-    module on its first call.
+    """A function that calls `name` of ``rareclass.<module>``, which it
+    imports on the first call (later calls find it in `sys.modules`).
 
-    `cli` and `pipeline` hold their layer calls that perfbench/tracer.py
-    wraps as forwarders: the tracer replaces the name in the calling
-    module, so the name must exist there before its module is imported,
-    and a step that never calls it never imports that module.
+    perfbench/tracer.py wraps layer functions by their names in `cli` and
+    `pipeline`, so those names must exist there before their modules are
+    imported; made forwarders, they leave a step that never calls one
+    without its module.
     """
 
     def forward(*args, **kwargs):

@@ -137,6 +137,25 @@ def test_svm_train_and_evaluate_leave_numpy_ma_unimported(demo_files):
     assert _run(_CLI_CHILD, evaluate, root) & NUMPY == {"numpy"}
 
 
+def test_corpus_generator_leaves_numpy_unimported(tmp_path):
+    args = [str(CORPUS_GEN), "--seed", "1", "--size", "300", "--out-dir", str(tmp_path)]
+    assert "numpy" not in _run(_SCRIPT_CHILD, args, tmp_path)
+    assert (tmp_path / "corpus.tsv").is_file()
+
+
+def test_exports_resolve_to_their_modules():
+    assert rareclass.__all__ == sorted(rareclass._EXPORTS)
+    assert set(rareclass.__all__) <= set(dir(rareclass))
+    for name, module in rareclass._EXPORTS.items():
+        defining = importlib.import_module(f"rareclass.{module}")
+        assert getattr(rareclass, name) is getattr(defining, name), name
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        rareclass.nope  # noqa: B018
+
+
 # the rareclass modules each step loads; the package itself is not listed
 _TEXT = {"cli", "config", "corpus", "errors", "rng"}
 _NUMPY_STEP = _TEXT | {"features", "model_store", "normalize", "pipeline", "porter"}

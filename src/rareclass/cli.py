@@ -155,7 +155,9 @@ def _featurize_configured(cfg: PipelineConfig):
     matrix and vocabulary, and the settings used."""
     from .pipeline import featurize_corpus
 
-    corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
+    corpus_path = cfg.path("paths.corpus", required=True)
+    corpus = _load_corpus_logged(corpus_path)
+    _require_tweets(corpus, corpus_path)
     settings = cfg.feature_settings()
     names, clusters, _ = _names_and_clusters(cfg, settings)
     x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
@@ -163,7 +165,9 @@ def _featurize_configured(cfg: PipelineConfig):
 
 
 def _cmd_split(args, cfg: PipelineConfig) -> int:
-    corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
+    corpus_path = cfg.path("paths.corpus", required=True)
+    corpus = _load_corpus_logged(corpus_path)
+    _require_tweets(corpus, corpus_path)
     result = three_way_split(
         corpus, cfg["split.test_fraction"], cfg["split.validation_fraction"], cfg["split.seed"]
     )

@@ -6,7 +6,9 @@ Every sparse vector is a `CsrMatrix`: numpy ``indptr``/``indices``/``data``
 arrays over a fixed dimension.  A corpus becomes one matrix in one pass
 (`pipeline.featurize_corpus`, through `CsrMatrix.from_entries`), validated
 once.  SMOTE, scaling, information gain and the classifiers' training and
-prediction work on that matrix.
+prediction work on that matrix.  `CsrMatrix.split_at` and the in-place form
+of `CsrMatrix.matmul` let the SVM add the products of dense columns as
+vectors while keeping `matmul`'s order of terms.
 
 Vocabularies and scalers are immutable once fitted and are built from
 training data only.  Feature names are namespaced by kind: raw n-gram
@@ -167,13 +169,34 @@ class CsrMatrix:
         products = self.data * dense[self.indices].T
         return np.column_stack([self.row_sums(column) for column in products])
 
-    def matmul(self, other: "CsrMatrix") -> np.ndarray:
+    def split_at(self, columns: np.ndarray) -> tuple[list["CsrMatrix"], np.ndarray]:
+        """The entries in `columns` (increasing) as an (n_rows, len(columns))
+        array, 0.0 where unset, and the other entries as the runs between
+        those columns: before the first, between each two, after the last.
+        Each run is a matrix over the same rows and dimension."""
+        run = np.searchsorted(columns, self.indices)  # how many of `columns` lie below
+        rows = self.row_ids()
+        at = np.isin(self.indices, columns)
+        values = np.zeros((self.n_rows, len(columns)))
+        values[rows[at], run[at]] = self.data[at]
+        run[at] = -1
+        runs = []
+        for r in range(len(columns) + 1):
+            in_run = run == r
+            indptr = _indptr(np.bincount(rows[in_run], minlength=self.n_rows))
+            runs.append(CsrMatrix(indptr, self.indices[in_run], self.data[in_run], self.dim))
+        return runs, values
+
+    def matmul(self, other: "CsrMatrix", out: np.ndarray | None = None) -> np.ndarray:
         """Dense ``self @ other`` for a sparse `other` with `dim` rows.
 
         Pass ``y.transpose()`` as `other` for the dot products of every
         row of self with every row of y.  Each entry is summed term by
-        term in increasing order of the shared index, so the result does
-        not depend on how many rows are multiplied at once.
+        term in increasing order of the shared index, starting at +0.0,
+        so the result does not depend on how many rows are multiplied at
+        once.  With `out`, a C-ordered float array of the result's shape,
+        the terms are added to `out` in place, in the same order, and
+        `out` is returned.
         """
         if other.n_rows != self.dim:
             raise ValueError("dimension mismatch")
@@ -185,6 +208,9 @@ class CsrMatrix:
             cells += np.repeat(self.row_ids() * other.dim, lengths)
         products = np.repeat(self.data, lengths)
         products *= other.data[pos]
+        if out is not None:
+            np.add.at(out.reshape(-1), cells, products)
+            return out
         size = self.n_rows * other.dim
         # with no terms, bincount ignores the weights and returns int64
         dots = np.bincount(cells, products, minlength=size).astype(np.float64, copy=False)
@@ -233,16 +259,19 @@ class FeatureSettings:
 
 
 def extract_ngrams(tokens: Sequence[str], n_min: int = 1, n_max: int = 3) -> Counter:
-    """All contiguous n-grams for n in [n_min, n_max], space-joined."""
+    """All contiguous n-grams for n in [n_min, n_max], space-joined, counted
+    in order of n, then of position.  Each (n+1)-gram extends the n-gram
+    at its position by the token after it."""
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
-    grams: Counter = Counter()
-    for n in range(n_min, min(n_max, len(tokens)) + 1):  # longer n-grams do not fit
-        if n == 1:
-            grams.update(tokens)
-        else:
-            grams.update([" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)])
-    return grams
+    grams: list[str] = []
+    level = tokens
+    for n in range(1, min(n_max, len(tokens)) + 1):  # longer n-grams do not fit
+        if n > 1:
+            level = [gram + " " + token for gram, token in zip(level, tokens[n - 1 :])]
+        if n >= n_min:
+            grams += level
+    return Counter(grams)
 
 
 def load_clusters(path: str | Path) -> dict[str, str]:
@@ -277,8 +306,7 @@ def load_clusters(path: str | Path) -> dict[str, str]:
 def cluster_features(tokens: Sequence[str], clusters: Mapping[str, str]) -> Counter:
     """One ``cluster:<path>`` feature per token occurrence found in the map."""
     feats: Counter = Counter()
-    for token in tokens:
-        path = clusters.get(token)
+    for path in map(clusters.get, tokens):
         if path is not None:
             feats[CLUSTER_PREFIX + path] += 1
     return feats

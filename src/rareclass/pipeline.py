@@ -9,7 +9,8 @@ training, in the CLI (``rareclass.cli.apply_text_sampler``), so
 their report.  Synthetic vector over-sampling runs here, after
 vectorization and before the scaler is fitted, so the scaler sees the
 training set the classifier will see.  `featurize_corpus` makes a corpus's
-matrix in one pass, holding flat entry arrays, not a `Counter` per document.
+matrix in one pass, holding flat entry arrays, not a `Counter` per document,
+and looks each document's column ids up without a Python call per feature.
 
 `train_from_corpus` returns a `StoredModel`, the record that
 `model_store.save_model` writes and `model_store.load_model` reads, and
@@ -22,6 +23,7 @@ from __future__ import annotations
 import logging
 from array import array
 from collections import deque
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,6 +70,14 @@ undersample_similar_majority = forwarder("sampling", "undersample_similar_majori
 logger = logging.getLogger(__name__)
 
 
+class _ProvisionalIds(dict):
+    """Feature name -> provisional id; a name not yet seen gets the next id."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = new = len(self)
+        return new
+
+
 def featurize_corpus(
     corpus: Corpus,
     names: NameLexicon,
@@ -78,11 +88,14 @@ def featurize_corpus(
 ) -> tuple[CsrMatrix, Vocabulary]:
     """Featurize a corpus in one pass into one matrix, validated once; builds the vocabulary
     from each document's key set when none is given.  Held at once: a column id and value
-    per document feature, and the feature names (the vocabulary, or all seen while fitting)."""
+    per document feature, and the feature names (the vocabulary, or all seen while fitting).
+    A document's column ids come from one `map` over its feature names: while fitting, a
+    dict whose missing names take the next provisional id; when scoring, the vocabulary's
+    `get`, with its dim for a name it lacks."""
     fitting = vocab is None
-    ids: dict[str, int] = {} if fitting else vocab._index
     # a provisional id while fitting; a feature outside a given vocabulary gets its dim
-    lookup = ids.setdefault if fitting else ids.get
+    ids: dict[str, int] = _ProvisionalIds() if fitting else vocab._index
+    outside = repeat(len(ids))  # the given vocabulary's dim, for every feature it lacks
     struct = STRUCTURAL_FEATURES if settings.use_structural else ()
     cols, values, lengths = array("i"), array("i"), array("i")  # C ints, 4 bytes an entry
 
@@ -92,7 +105,8 @@ def featurize_corpus(
             feats = extract_ngrams(tokens, settings.n_min, settings.n_max)
             if settings.use_clusters and clusters is not None:
                 feats.update(cluster_features(tokens, clusters))
-            cols.extend([lookup(name, len(ids)) for name in (*feats, *struct)])
+            keys = chain(feats, struct)
+            cols.extend(map(ids.__getitem__, keys) if fitting else map(ids.get, keys, outside))
             values.extend([1] * len(feats) if settings.binary else feats.values())
             values.extend(structural_features(item.tweet.text)[: len(struct)])
             lengths.append(len(feats) + len(struct))
@@ -101,8 +115,8 @@ def featurize_corpus(
     if fitting:
         vocab = build_vocabulary(key_sets(), settings.min_df, settings.use_structural)
         # provisional id -> vocabulary column, or dim below min_df
-        remap = np.fromiter((vocab._index.get(n, vocab.dim) for n in ids), np.int32, len(ids))
-        del ids, lookup  # every distinct feature name, no longer needed
+        remap = np.fromiter(map(vocab._index.get, ids, repeat(vocab.dim)), np.int32, len(ids))
+        del ids  # every distinct feature name, no longer needed
         cols = remap[cols]
     else:
         deque(key_sets(), maxlen=0)  # runs the pass

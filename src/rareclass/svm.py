@@ -29,6 +29,16 @@ its decision value; vote ties break by the larger sum of winning
 block per fixed-size block of query rows against the pool, shared by
 all pairs.  Training is deterministic given the instance order, and
 trained models are immutable.
+
+Every dot product, in a kernel row of training or a kernel block of
+prediction, is summed term by term in increasing column order, as
+`CsrMatrix.matmul` sums it.  The columns set in more than half of a
+matrix's rows (with the default features, the two ``struct:*`` columns)
+are kept as dense vectors and add their products to every sum in one
+vector operation at their place in that order (the dense/sparse split of
+LIBSVM-style solvers); the sparse columns between them are gathered from
+the transpose.  The sums, and so the model and every decision value, are
+the same bit for bit as with the plain product.
 """
 
 from __future__ import annotations
@@ -94,39 +104,74 @@ def _kernel_block(
     """Kernel values from dot products and the rows' squared norms."""
     if kernel == KERNEL_LINEAR:
         return dots
-    sq = sq_left[:, None] + sq_right[None, :] - 2.0 * dots
+    sq = np.add.outer(sq_left, sq_right, dtype=np.float64)  # norms are int64 without entries
+    sq -= 2.0 * dots
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
+
+
+def _dense_columns(x: CsrMatrix, columns: CsrMatrix) -> dict[int, np.ndarray]:
+    """The columns of `x` set in more than half of its rows, in increasing
+    order, each as a dense vector over the rows (0.0 where unset);
+    `columns` is ``x.transpose()``."""
+    dense = {}
+    for col in np.flatnonzero(2 * np.diff(columns.indptr) > x.n_rows).tolist():
+        start, stop = columns.indptr[col], columns.indptr[col + 1]
+        vector = np.zeros(x.n_rows)
+        vector[columns.indices[start:stop]] = columns.data[start:stop]
+        dense[col] = vector
+    return dense
 
 
 def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float):
     """Row i of the kernel matrix of `x`, with the `KERNEL_CACHE_ROWS` most
     recently used rows cached.
 
-    Row i's dot products come from the slices of the transpose that hold
-    row i's columns, joined in increasing column order and summed by one
-    `bincount`: the term order that `CsrMatrix.matmul` documents, so the
-    row equals ``x.rows(i, i + 1).matmul(x.transpose())`` bit for bit.
+    Row i equals ``x.rows(i, i + 1).matmul(x.transpose())`` bit for bit:
+    each sum takes its terms in increasing column order.  The transpose's
+    slices for a run of sparse columns are joined and added by `_add_run`;
+    a dense column adds its products to every sum in one vector operation.
+    Each sum starts at +0.0, so it is never -0.0, and the zero product of
+    a row that lacks a dense column leaves it unchanged.
     """
     columns = x.transpose()
     bounds = columns.indptr.tolist()
     sq = x.squared_norms()
-    no_cells, no_products = np.zeros(0, np.intp), np.zeros(0)  # so that an empty row joins
+    dense = _dense_columns(x, columns)
+    no_cells, no_products = np.zeros(0, np.intp), np.zeros(0)  # so that an empty run joins
 
     @lru_cache(maxsize=KERNEL_CACHE_ROWS)
     def row(i: int) -> np.ndarray:
         lo, hi = x.indptr[i], x.indptr[i + 1]
+        dots = None
         cells, products = [no_cells], [no_products]
         for col, value in zip(x.indices[lo:hi].tolist(), x.data[lo:hi].tolist()):
-            start, stop = bounds[col], bounds[col + 1]
-            cells.append(columns.indices[start:stop])
-            data = columns.data[start:stop]
-            products.append(data if value == 1.0 else data * value)  # 1.0 * v is v
-        dots = np.bincount(np.concatenate(cells), np.concatenate(products), minlength=x.n_rows)
-        dots = dots.astype(np.float64, copy=False)  # int64 if the row is empty
+            vector = dense.get(col)
+            if vector is None:
+                start, stop = bounds[col], bounds[col + 1]
+                cells.append(columns.indices[start:stop])
+                data = columns.data[start:stop]
+                products.append(data if value == 1.0 else data * value)  # 1.0 * v is v
+                continue
+            dots = _add_run(dots, cells, products, x.n_rows)
+            cells, products = [no_cells], [no_products]
+            dots += vector if value == 1.0 else vector * value
+        dots = _add_run(dots, cells, products, x.n_rows)
         return _kernel_block(dots[None, :], sq[i : i + 1], sq, kernel, gamma)[0]
 
     return row
+
+
+def _add_run(dots: np.ndarray | None, cells: list, products: list, n: int) -> np.ndarray:
+    """`dots` with the joined products added at the joined cells, term by
+    term in order; a new float array of `n` sums when `dots` is None."""
+    if dots is None:
+        dots = np.bincount(np.concatenate(cells), np.concatenate(products), minlength=n)
+        return dots.astype(np.float64, copy=False)  # int64 if there are no terms
+    if len(cells) > 1:
+        np.add.at(dots, np.concatenate(cells), np.concatenate(products))
+    return dots
 
 
 def solve_binary(
@@ -352,22 +397,38 @@ def predict_svm(
     Each pair votes by sign (strictly positive favors the pair's positive
     label).  Vote ties break by the larger sum of |decision value| over
     the pairs a class won, then by class order.
+
+    Rows are scored `PREDICT_BLOCK_ROWS` at a time.  A block's kernel
+    values equal ``x.rows(start, stop).matmul(pool.transpose())`` bit for
+    bit: `x` is split once into its values in the pool's dense columns and
+    the sparse runs between them, and each block adds the first run by
+    `bincount`, then each dense column's products and the run after it in
+    place.  A row's kernel values thus do not depend on its block, but its
+    decision values do, in their last bits: each pair's weighted sum over
+    its support vectors is one BLAS matrix-vector product per block, whose
+    summation order depends on the number of rows.  A tweet scored alone
+    can differ from the same tweet scored with others by about 1e-13,
+    which changes its label only at a decision value that close to 0.
     """
     if x.dim != model.dim:
         raise ValueError("vector dimension does not match the model")
     pool = model.support_vectors
     pool_columns = pool.transpose()
     pool_sq = pool.squared_norms()
+    dense = _dense_columns(pool, pool_columns)
+    runs, query_dense = x.split_at(np.fromiter(dense, np.intp, len(dense)))
+    query_sq = x.squared_norms()
     supports = [np.asarray(pair.support, dtype=np.intp) for pair in model.pairs]
     coefs = [np.asarray(pair.alpha) * np.asarray(pair.y, dtype=float) for pair in model.pairs]
     values = np.empty((len(model.pairs), x.n_rows))
     for start in range(0, x.n_rows, PREDICT_BLOCK_ROWS):
         stop = min(start + PREDICT_BLOCK_ROWS, x.n_rows)
-        block = x.rows(start, stop)
-        k = _kernel_block(
-            block.matmul(pool_columns), block.squared_norms(), pool_sq,
-            model.params.kernel, model.gamma,
-        )
+        dots = runs[0].rows(start, stop).matmul(pool_columns)
+        for vector, queries, run in zip(dense.values(), query_dense[start:stop].T, runs[1:]):
+            dots += np.multiply.outer(queries, vector)
+            if run.indptr[stop] > run.indptr[start]:
+                run.rows(start, stop).matmul(pool_columns, out=dots)
+        k = _kernel_block(dots, query_sq[start:stop], pool_sq, model.params.kernel, model.gamma)
         for p, pair in enumerate(model.pairs):
             values[p, start:stop] = k[:, supports[p]] @ coefs[p] + pair.bias
     votes = np.zeros((x.n_rows, len(model.labels)))

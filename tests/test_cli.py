@@ -964,6 +964,22 @@ class TestExitCodes:
         assert f"data error: {empty}: no tweets" in capsys.readouterr().err
         assert model.exists() == (command == "evaluate")
 
+    @pytest.mark.parametrize(
+        "command,out_flag",
+        [("split", "--out-dir"), ("featurize", "--out"), ("rank-features", "--out")],
+    )
+    def test_header_only_corpus_is_data_error_before_any_output(
+        self, workspace, tmp_path, capsys, command, out_flag
+    ):
+        _, cfg, _ = workspace
+        empty = tmp_path / "empty.tsv"
+        save_corpus(Corpus(()), empty)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--corpus", str(empty), out_flag, str(out)]
+        assert main(argv) == 2
+        assert f"data error: {empty}: no tweets" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_min_df_below_one_is_data_error(self, workspace, tmp_path, capsys):
         def mutate(doc):
             doc["extras"]["features"]["min_df"] = 0

@@ -25,6 +25,7 @@ from rareclass.features import (
 )
 
 import sparse_oracle
+from matrix_strategies import csr_matrices
 from sparse_oracle import SparseVector, from_rows, interpolate, to_rows
 
 
@@ -154,6 +155,57 @@ class TestCsrMatrix:
             assert not product.any()
 
 
+def entries(x: CsrMatrix) -> list[tuple[int, int, bytes]]:
+    """Every stored entry as (row, column, value bits), in storage order."""
+    return [
+        (int(r), int(c), v.tobytes())
+        for r, c, v in zip(x.row_ids(), x.indices, x.data)
+    ]
+
+
+def columns_of(data, dim):
+    """A sorted subset of range(dim), drawn."""
+    return np.array(sorted(data.draw(st.sets(st.integers(0, dim - 1)))), np.intp)
+
+
+class TestDenseSplit:
+    """`split_at` and `matmul(out=...)`: the pieces `predict_svm` builds its
+    kernel blocks from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csr_matrices(), st.data())
+    def test_split_holds_every_entry_once(self, x, data):
+        cols = columns_of(data, x.dim)
+        runs, values = x.split_at(cols)
+        assert len(runs) == len(cols) + 1 and values.shape == (x.n_rows, len(cols))
+        bounds = [-1, *cols.tolist(), x.dim]
+        for run, low, high in zip(runs, bounds, bounds[1:]):
+            assert run.n_rows == x.n_rows and run.dim == x.dim
+            assert entries(run) == [e for e in entries(x) if low < e[1] < high]
+        expected = np.zeros((x.n_rows, len(cols)))
+        for row, col, value in entries(x):
+            if col in cols:
+                expected[row, cols.tolist().index(col)] = np.frombuffer(value)[0]
+        assert values.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(csr_matrices(max_rows=12), st.data())
+    def test_runs_and_dense_columns_in_order_equal_the_product(self, x, data):
+        """Runs added in order, each dense column's products between them,
+        give the plain product bit for bit: every sum starts at +0.0, so
+        the zero product of an unset entry leaves it unchanged."""
+        y = data.draw(csr_matrices(max_rows=12, dim=x.dim))
+        cols = columns_of(data, x.dim)
+        runs, values = x.split_at(cols)
+        y_columns = y.transpose()
+        _, y_values = y.split_at(cols)
+        dots = runs[0].matmul(y_columns)
+        for k, run in enumerate(runs[1:]):
+            dots += np.multiply.outer(values[:, k], y_values[:, k])
+            assert run.matmul(y_columns, out=dots) is dots
+        assert dots.tobytes() == x.matmul(y_columns).tobytes()
+
+
 class TestNgrams:
     def test_up_to_trigrams(self):
         grams = extract_ngrams(["my", "baby"], 1, 3)
@@ -169,13 +221,18 @@ class TestNgrams:
     def test_empty_document(self):
         assert extract_ngrams([], 1, 3) == Counter()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.sampled_from(["a", "b", "my baby", ""]), max_size=12).map(tuple),
+        st.lists(
+            st.one_of(st.sampled_from(["a", "b", "my baby", ""]), st.text(" ab\u00e9", max_size=3)),
+            max_size=12,
+        ).map(tuple),
         st.integers(1, 4),
         st.integers(0, 3),
     )
     def test_equals_index_loop(self, tokens, n_min, extra):
+        """The items of slicing and joining, in the same order, also for
+        tokens that hold spaces."""
         n_max = n_min + extra
         expected = Counter()
         for n in range(n_min, n_max + 1):

@@ -4,7 +4,7 @@ import pytest
 
 from rareclass.cli import apply_text_sampler
 from rareclass.config import PipelineConfig, render_default_config
-from rareclass.corpus import Label, load_corpus, three_way_split
+from rareclass.corpus import Corpus, Label, load_corpus, three_way_split
 from rareclass.errors import ConfigError
 from rareclass.features import load_clusters
 from rareclass.model_store import load_features, load_model, save_features, save_model
@@ -185,6 +185,15 @@ class TestTraining:
         live = predict_corpus(stored_live, split.test, names, clusters)
         disk = predict_corpus(stored_disk, split.test, names, clusters)
         assert live == disk
+
+    def test_scoring_one_tweet_at_a_time_gives_the_same_labels(self, demo):
+        # a decision value's last bits depend on how many rows are scored
+        # with it (see `predict_svm`); the labels must not
+        _, names, clusters, split = demo
+        stored, _ = train_from_corpus(split.train, config(), names, clusters)
+        whole = predict_corpus(stored, split.test, names, clusters)
+        alone = [predict_corpus(stored, Corpus((item,)), names, clusters)[0] for item in split.test]
+        assert alone == whole
 
     def test_model_without_settings_is_a_data_error(self, demo, tmp_path):
         import json

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from rareclass.svm import (
 )
 
 import smo_oracle
+from matrix_strategies import csr_matrices
 
 from qp_oracle import (
     dual_value,
@@ -404,25 +406,27 @@ class TestTrainValidation:
                 SvmParams(**bad)
 
 
-# order-sensitive values (1e16 + 1.0 - 1e16 depends on the order), signed zeros, and 1.0
-ORDER_SENSITIVE = [1.0, 1.0, -1.0, 3.0, 1e16, -1e16, 1e16, 3.25e-3, 0.0, -0.0]
-
-
 @st.composite
-def csr_matrices(draw, max_rows=20, max_dim=8):
-    """A matrix whose columns range from empty to full, with empty rows,
-    explicit zeros, and values whose sums depend on the order of terms."""
-    n = draw(st.integers(1, max_rows))
-    dim = draw(st.integers(1, max_dim))
-    shares = st.sampled_from([0.0, 0.15, 0.3, 0.6, 1.0])
-    density = draw(st.lists(shares, min_size=dim, max_size=dim))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    present = rng.random((n, dim)) < np.asarray(density)
-    present[rng.random(n) < 0.2] = False  # rows with no entries
-    values = rng.choice(ORDER_SENSITIVE, size=(n, dim))
-    rows, cols = np.nonzero(present)
-    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
-    return CsrMatrix.from_arrays(indptr, cols, values[rows, cols], dim)
+def models_and_queries(draw):
+    """A three-class model over a pool of support vectors, and query rows
+    that span up to three prediction blocks, both cut from one drawn
+    matrix so that they share its dense and sparse columns."""
+    rows = draw(csr_matrices(max_rows=24 + 3 * svm.PREDICT_BLOCK_ROWS, max_dim=6))
+    cut = draw(st.integers(1, rows.n_rows))
+    pool, x = rows.rows(0, cut), rows.rows(cut, rows.n_rows)
+    labels = (Label.DEFECT, Label.POSSIBLE_DEFECT, Label.NON_DEFECT)
+    pairs = []
+    for pos, neg in combinations(labels, 2):
+        support = tuple(sorted(draw(st.sets(st.integers(0, pool.n_rows - 1), min_size=1))))
+        n = len(support)
+        alpha = draw(st.lists(st.sampled_from([0.5, 1.0, 7.25]), min_size=n, max_size=n))
+        y = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        bias = draw(st.sampled_from([-0.5, 0.0, 0.25]))
+        pairs.append(PairModel(pos, neg, support, tuple(alpha), tuple(y), bias, 1, True))
+    gamma = draw(st.sampled_from([0.05, 0.7]))
+    params = SvmParams(kernel=draw(st.sampled_from([KERNEL_RBF, KERNEL_LINEAR])), gamma=gamma)
+    weights = {label: 1.0 for label in labels}
+    return SvmModel(labels, tuple(pairs), params, gamma, weights, pool.dim, pool), x
 
 
 class TestFastPathsMatchOracle:
@@ -442,6 +446,53 @@ class TestFastPathsMatchOracle:
         for i in range(x.n_rows):
             dots = x.rows(i, i + 1).matmul(columns)
             assert np.array_equal(row(i), _kernel_block(dots, sq[i : i + 1], sq, kernel, gamma)[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(models_and_queries())
+    def test_predict_blocks_equal_matmul_blocks(self, model_and_query):
+        """Every kernel block `predict_svm` builds is the plain product of
+        its rows with the pool, and so are its decisions."""
+        model, x = model_and_query
+        blocks = []
+
+        def recording(dots, sq_left, sq_right, kernel, gamma):
+            blocks.append((dots.copy(), sq_left.copy()))
+            return _kernel_block(dots, sq_left, sq_right, kernel, gamma)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm, "_kernel_block", recording)
+            labels, decisions = predict_svm(model, x)
+        pool_columns = model.support_vectors.transpose()
+        starts = range(0, x.n_rows, svm.PREDICT_BLOCK_ROWS)
+        assert len(blocks) == len(starts)
+        for start, (dots, sq) in zip(starts, blocks):
+            block = x.rows(start, min(start + svm.PREDICT_BLOCK_ROWS, x.n_rows))
+            assert dots.tobytes() == block.matmul(pool_columns).tobytes()
+            assert sq.tobytes() == block.squared_norms().tobytes()
+        # with no dense column, each block is the one `matmul` of its rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm, "_dense_columns", lambda x, columns: {})
+            plain_labels, plain = predict_svm(model, x)
+        assert labels == plain_labels
+        assert decisions.keys() == plain.keys()
+        assert all(decisions[key].tobytes() == plain[key].tobytes() for key in plain)
+
+    def test_dense_products_keep_their_place_in_column_order(self):
+        # column 1 is dense; 1e16 - 1e16 + 1 is 1 in column order, but 0 if
+        # the dense column's -1e16 came after the 1
+        pool = CsrMatrix.from_arrays([0, 3, 4, 5], [0, 1, 2, 1, 1], [1.0] * 5, 3)
+        x = CsrMatrix.from_arrays([0, 3, 4], [0, 1, 2, 1], [1e16, -1e16, 1.0, 2.0], 3)
+        assert list(svm._dense_columns(pool, pool.transpose())) == [1]
+        pair = PairModel(Label.DEFECT, Label.NON_DEFECT, (0,), (1.0,), (1,), 0.0, 1, True)
+        weights = {Label.DEFECT: 1.0, Label.NON_DEFECT: 1.0}
+        model = SvmModel((Label.DEFECT, Label.NON_DEFECT), (pair,),
+                         SvmParams(kernel=KERNEL_LINEAR), 1.0, weights, 3, pool)
+        _, decisions = predict_svm(model, x)
+        # the linear kernel's decision value is the dot product with pool row 0
+        assert decisions[Label.DEFECT, Label.NON_DEFECT].tolist() == [1.0, 2.0]
+        stacked = CsrMatrix.stack([pool, x], 3)
+        row = _kernel_rows(stacked, KERNEL_LINEAR, 1.0)(3)
+        assert row.tolist() == [1.0, -1e16, -1e16, 2e32, -2e16]
 
     @pytest.mark.parametrize("kernel", [KERNEL_LINEAR, KERNEL_RBF])
     def test_kernel_row_of_an_empty_row_is_float(self, kernel):

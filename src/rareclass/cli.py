@@ -93,15 +93,15 @@ def _log_input(kind: str, path: Path) -> str:
     return digest
 
 
-def _load_corpus_logged(path: Path) -> Corpus:
-    _log_input("corpus", path)
-    return load_corpus(path)
-
-
-def _require_tweets(corpus: Corpus, path: Path) -> None:
-    """Raise DataError if `corpus`, read from `path`, has no tweets."""
-    if not len(corpus):
+def _read_corpus(cfg: PipelineConfig, empty_ok: bool = False) -> tuple[Corpus, Path, str]:
+    """`paths.corpus` read, with its path and the sha256 digest logged for it.
+    A corpus with no tweets is a data error unless `empty_ok`."""
+    path = cfg.path("paths.corpus", required=True)
+    digest = _log_input("corpus", path)
+    corpus = load_corpus(path)
+    if not len(corpus) and not empty_ok:
         raise DataError(f"{path}: no tweets")
+    return corpus, path, digest
 
 
 # the shortcut flags, by argparse dest, and the config key each overrides
@@ -155,9 +155,7 @@ def _featurize_configured(cfg: PipelineConfig):
     matrix and vocabulary, and the settings used."""
     from .pipeline import featurize_corpus
 
-    corpus_path = cfg.path("paths.corpus", required=True)
-    corpus = _load_corpus_logged(corpus_path)
-    _require_tweets(corpus, corpus_path)
+    corpus, _, _ = _read_corpus(cfg)
     settings = cfg.feature_settings()
     names, clusters, _ = _names_and_clusters(cfg, settings)
     x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
@@ -165,9 +163,7 @@ def _featurize_configured(cfg: PipelineConfig):
 
 
 def _cmd_split(args, cfg: PipelineConfig) -> int:
-    corpus_path = cfg.path("paths.corpus", required=True)
-    corpus = _load_corpus_logged(corpus_path)
-    _require_tweets(corpus, corpus_path)
+    corpus, _, _ = _read_corpus(cfg)
     result = three_way_split(
         corpus, cfg["split.test_fraction"], cfg["split.validation_fraction"], cfg["split.seed"]
     )
@@ -232,7 +228,7 @@ def _cmd_kappa(args, cfg: PipelineConfig) -> int:
 def _cmd_match(args, cfg: PipelineConfig) -> int:
     from .lexicon import MatchCounts, compile_matchers, load_lexicon, term_class_frequency_report
 
-    corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
+    corpus, _, _ = _read_corpus(cfg)
     lexicon_path = cfg.path("paths.lexicon", required=True)
     _log_input("lexicon", lexicon_path)
     lexicon = load_lexicon(lexicon_path)
@@ -276,7 +272,7 @@ def _cmd_match(args, cfg: PipelineConfig) -> int:
 def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
     from .normalize import classic_normalize, embedding_normalize, save_normalized
 
-    corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
+    corpus, _, _ = _read_corpus(cfg)
     rows = []
     if cfg["normalize.pipeline"] == "classic":
         names, _, _ = _names_and_clusters(cfg)
@@ -352,15 +348,17 @@ def apply_text_sampler(
         return undersample_near_fn(corpus, fn_tweets, cfg["sampler.k"])
     if method == "random":
         return undersample_random(corpus, cfg["sampler.target_total"], cfg["sampler.seed"])
-    return oversample_replacement(corpus, cfg["sampler.seed"])
+    return oversample_replacement(corpus)
 
 
 def _cmd_sample(args, cfg: PipelineConfig) -> int:
+    report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".report.txt")
+    if report_path.resolve() == Path(args.out).resolve():
+        raise _UsageError(f"--report {report_path} is the --out path")
     fn_path = _check_sampler(cfg, text_level=True)
-    corpus = _load_corpus_logged(cfg.path("paths.corpus", required=True))
+    corpus, _, _ = _read_corpus(cfg)
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
     save_corpus(sampled, args.out)
-    report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".report.txt")
     report_path.write_text(report.to_text(), encoding="utf-8")
     sys.stdout.write(report.to_text())
     print(f"sampled\t{len(sampled)}\t{args.out}")
@@ -370,11 +368,10 @@ def _cmd_sample(args, cfg: PipelineConfig) -> int:
 def _cmd_train(args, cfg: PipelineConfig) -> int:
     from .pipeline import train_from_corpus
 
+    if not cfg["paths.model"]:
+        raise ConfigError("paths.model must be set for this subcommand")
     fn_path = _check_sampler(cfg)
-    corpus_path = cfg.path("paths.corpus", required=True)
-    corpus_digest = _log_input("corpus", corpus_path)
-    corpus = load_corpus(corpus_path)
-    _require_tweets(corpus, corpus_path)
+    corpus, corpus_path, corpus_digest = _read_corpus(cfg)
     names, clusters, files = _names_and_clusters(cfg, cfg.feature_settings())
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
     model, report = train_from_corpus(sampled, cfg, names, clusters, report)
@@ -408,11 +405,7 @@ def _scoring_inputs(cfg: PipelineConfig, empty_ok: bool):
     with, each hashed once; with the ``model_id`` and ``corpus_id`` an
     evaluation report names them by.  A corpus with no tweets is a data
     error unless `empty_ok`."""
-    corpus_path = cfg.path("paths.corpus", required=True)
-    corpus_digest = _log_input("corpus", corpus_path)
-    corpus = load_corpus(corpus_path)
-    if not empty_ok:
-        _require_tweets(corpus, corpus_path)
+    corpus, corpus_path, corpus_digest = _read_corpus(cfg, empty_ok)
     model_path = cfg.path("paths.model", required=True)
     model_digest = _log_input("model", model_path)
     stored = load_model(model_path)

@@ -9,6 +9,7 @@ fully determined by the seed argument).
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -35,12 +36,6 @@ class Label(Enum):
 
 
 LABELS: tuple[Label, ...] = tuple(Label)
-_LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
-
-
-def label_index(label: Label) -> int:
-    """Position of `label` in the fixed class order (used for tie-breaks)."""
-    return _LABEL_INDEX[label]
 
 
 def _is_utf8_boundary(raw: bytes, offset: int) -> bool:
@@ -140,19 +135,17 @@ class Corpus:
     def class_counts(self) -> Counter:
         return Counter(item.label for item in self.items)
 
-    def subset(self, indices: Iterable[int], provenance: str | None = None) -> "Corpus":
-        items = tuple(self.items[i] for i in indices)
-        return Corpus(items, self.provenance if provenance is None else provenance)
+    def subset(self, indices: Iterable[int]) -> "Corpus":
+        return Corpus(tuple(self.items[i] for i in indices), self.provenance)
 
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Three-way partition of a corpus plus the seed that produced it."""
+    """Three-way partition of a corpus."""
 
     train: Corpus
     validation: Corpus
     test: Corpus
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -175,31 +168,29 @@ def _escape(text: str) -> str:
 
 
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+# a backslash and the character after it, if any, left to right
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
+
+
+def _decode_escape(match: re.Match) -> str:
+    if match.group(1) not in _UNESCAPE:
+        raise ValueError(f"bad escape sequence at position {match.start()}")
+    return _UNESCAPE[match.group(1)]
 
 
 def _unescape(text: str) -> str:
-    if "\\" not in text:
-        return text
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in _UNESCAPE:
-                raise ValueError(f"bad escape sequence at position {i}")
-            out.append(_UNESCAPE[text[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Undo `_escape`; a trailing backslash or an unknown escape is a
+    ValueError naming the backslash's position."""
+    return _ESCAPE_RE.sub(_decode_escape, text) if "\\" in text else text
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus file (see `TSV_HEADER` for the column layout).
 
-    Span columns may be empty; when present they must form a valid byte
-    span of the (unescaped) text.  Errors name the offending line.
+    The text's escapes (``\\\\``, ``\\t``, ``\\n``, ``\\r``) are decoded in
+    one left-to-right pass; any other backslash is an error that names its
+    position.  Span columns may be empty; when present they must form a
+    valid byte span of the decoded text.  Errors name the offending line.
     """
     path = Path(path)
     # split on newline only: escaped text may contain other control
@@ -328,7 +319,7 @@ def three_way_split(
     train, validation = stratified_split(
         remainder, validation_fraction, derive_seed(seed, 1)
     )
-    return SplitResult(train=train, validation=validation, test=test, seed=seed)
+    return SplitResult(train=train, validation=validation, test=test)
 
 
 def cohens_kappa(a: Sequence, b: Sequence) -> float:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import AnnotatedTweet, Corpus, Label, LABELS, label_index
+from .corpus import AnnotatedTweet, Corpus, Label, LABELS
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def confusion_matrix(gold: Sequence[Label], pred: Sequence[Label]) -> ConfusionM
         raise ValueError("cannot build a confusion matrix from zero instances")
     counts = [[0] * len(LABELS) for _ in LABELS]
     for g, p in zip(gold, pred):
-        counts[label_index(g)][label_index(p)] += 1
+        counts[LABELS.index(g)][LABELS.index(p)] += 1
     return ConfusionMatrix(LABELS, tuple(tuple(row) for row in counts))
 
 

@@ -7,9 +7,10 @@ Two normalizers are provided:
   replacement (capitalized tokens only), lowercasing, removal of
   non-alphabetic characters, pronoun/child-word replacement, and Porter
   stemming.  Placeholder tokens are atomic throughout: they are split out
-  first, so the character strip never touches them, and a placeholder
-  already present in the input survives a second pass unchanged (both
-  pipelines are idempotent on their own output).
+  first, all seven spellings in one pass, so the character strip never
+  touches them, and a placeholder already present in the input survives a
+  second pass unchanged (both pipelines are idempotent on their own
+  output).
 
 * `embedding_normalize` mirrors the pre-processing used for social-media
   word-vector training: username/URL placeholders, space-padded slashes,
@@ -89,11 +90,12 @@ TERM_PLACEHOLDER = "<bdterm>"
 POSSESSIVE_PLACEHOLDER = "<poss>"
 CHILD_PLACEHOLDER = "<child>"
 THIRD_PERSON_PLACEHOLDER = "<thirdperson>"
-# all seven, longest first, so that none is split out inside another
 PLACEHOLDERS = (
     THIRD_PERSON_PLACEHOLDER, TERM_PLACEHOLDER, CHILD_PLACEHOLDER, USER_PLACEHOLDER,
     NAME_PLACEHOLDER, POSSESSIVE_PLACEHOLDER, URL_PLACEHOLDER,
 )
+# any of the seven spellings; none overlaps another, since each holds one "<"
+_PLACEHOLDER_RE = re.compile("|".join(map(re.escape, PLACEHOLDERS)))
 
 
 @dataclass(frozen=True)
@@ -111,26 +113,12 @@ class NormalizationConfig:
 _Parts = list[tuple[bool, str]]
 
 
-def _split_atoms(parts: _Parts, literal: str, atom: str) -> _Parts:
-    out: _Parts = []
-    for is_atom, content in parts:
-        if is_atom or literal not in content:
-            out.append((is_atom, content))
-            continue
-        pieces = content.split(literal)
-        for i, piece in enumerate(pieces):
-            if i:
-                out.append((True, atom))
-            if piece:
-                out.append((False, piece))
-    return out
-
-
 def _sub_atoms(
-    parts: _Parts, pattern: re.Pattern, atom: str, names: NameLexicon | None = None
+    parts: _Parts, pattern: re.Pattern, atom: str | None = None, names: NameLexicon | None = None
 ) -> _Parts:
-    """Replace each match of `pattern` outside the atoms by `atom`; with
-    `names`, only the matches whose lowercase form is a name."""
+    """Replace each match of `pattern` outside the atoms by `atom` (None: the
+    match itself, made an atom); with `names`, only the matches whose
+    lowercase form is a name."""
     out: _Parts = []
     for is_atom, content in parts:
         if is_atom:
@@ -142,7 +130,7 @@ def _sub_atoms(
                 continue
             if match.start() > pos:
                 out.append((False, content[pos : match.start()]))
-            out.append((True, atom))
+            out.append((True, atom or match.group()))
             pos = match.end()
         if pos < len(content):
             out.append((False, content[pos:]))
@@ -168,9 +156,10 @@ def classic_normalize(
     `match_span` is the (start, end) UTF-8 byte span of the lexicon match
     to collapse into the term placeholder; pass None when there is none.
 
-    A rule runs only on texts where it can match: a placeholder spelling
-    is split out only when the text contains it, the URL regex only when
-    it contains ``http`` and the user regex only when it contains ``@``,
+    A rule runs only on texts where it can match: the placeholder
+    spellings are split out, by one regex for all seven, only when the
+    text contains ``<``, the URL regex only when it contains ``http`` and
+    the user regex only when it contains ``@``,
     and the given-name pass is skipped when ``text.islower()``, which
     holds only for texts without an uppercase letter.
     """
@@ -190,9 +179,8 @@ def classic_normalize(
 
     # Protect placeholder spellings already present (idempotency on
     # re-processed output).
-    for ph in PLACEHOLDERS:
-        if ph in text:
-            parts = _split_atoms(parts, ph, ph)
+    if "<" in text:
+        parts = _sub_atoms(parts, _PLACEHOLDER_RE)
     if "http" in text:
         parts = _sub_atoms(parts, URL_RE, URL_PLACEHOLDER)
     if "@" in text:

@@ -22,8 +22,8 @@ kernel then runs on the pairs left, the most alike first, and stops as
 soon as the distance is sure to be too large for LR > k.  Their
 decisions equal ``levenshtein_ratio(a, b) > k`` pair for pair, and each
 logs where its pairs were decided at INFO.  Every sampler is
-deterministic given its inputs and seed and returns a `SamplingReport`
-describing what it did.
+deterministic given its inputs (and its seed: only random under-sampling
+and SMOTE take one) and returns a `SamplingReport` describing what it did.
 
 Only `smote` uses numpy and `CsrMatrix`; it imports them when it runs,
 so the text samplers load without numpy.
@@ -403,13 +403,12 @@ def undersample_random(
     return sampled, report
 
 
-def oversample_replacement(train: Corpus, seed: int = 0) -> tuple[Corpus, SamplingReport]:
+def oversample_replacement(train: Corpus) -> tuple[Corpus, SamplingReport]:
     """Replicate each minority class floor(N_majority / N_class) times,
     the majority being ``non_defect``.
 
     Copies carry derived ids (``origid#2``, ``origid#3``, ...) and follow
-    the originals, one full round at a time in corpus order.  The method
-    is deterministic; `seed` is recorded for report uniformity only.
+    the originals, one full round at a time in corpus order.
     """
     counts = _counts(train)
     n_majority = counts[Label.NON_DEFECT]
@@ -442,7 +441,6 @@ def oversample_replacement(train: Corpus, seed: int = 0) -> tuple[Corpus, Sampli
         counts,
         _counts(sampled),
         {
-            "seed": seed,
             "majority": Label.NON_DEFECT.value,
             "factors": {label.value: factors[label] for label in LABELS if factors[label]},
         },

@@ -205,12 +205,10 @@ def solve_binary(
     kernel_row = _kernel_rows(x, kernel, gamma)
     diag = x.squared_norms() if kernel == KERNEL_LINEAR else None
     pos = y > 0
-    # the "up" and "down" sets, kept current where alpha changes, and masks that
+    # the "up" and "down" sets as masks, kept current where alpha changes, that
     # are 0 on a set and -inf/+inf off it: on the set, g + mask == g
-    up = np.where(pos, alpha < box, alpha > 0.0)
-    down = np.where(pos, alpha > 0.0, alpha < box)
-    up_mask = np.where(up, 0.0, -np.inf)
-    down_mask = np.where(down, 0.0, np.inf)
+    up_mask = np.where(np.where(pos, alpha < box, alpha > 0.0), 0.0, -np.inf)
+    down_mask = np.where(np.where(pos, alpha > 0.0, alpha < box), 0.0, np.inf)
     # every n-length value of an iteration is evaluated into these
     gain, g_down, a, step = (np.empty(n) for _ in range(4))
     converged = False
@@ -263,10 +261,8 @@ def solve_binary(
         delta_j = (a_j_new - a_j) * y_j
         for t, a_t in ((i, a_i_new), (j, a_j_new)):  # i != j: g_j < g_i
             alpha[t] = a_t
-            up[t] = up_t = a_t < boxes[t] if ys[t] > 0 else a_t > 0.0
-            down[t] = down_t = a_t > 0.0 if ys[t] > 0 else a_t < boxes[t]
-            up_mask[t] = 0.0 if up_t else -np.inf
-            down_mask[t] = 0.0 if down_t else np.inf
+            up_mask[t] = 0.0 if (a_t < boxes[t] if ys[t] > 0 else a_t > 0.0) else -np.inf
+            down_mask[t] = 0.0 if (a_t > 0.0 if ys[t] > 0 else a_t < boxes[t]) else np.inf
         np.multiply(delta_i, row_i, out=step)
         step += np.multiply(delta_j, row_j, out=a)
         g -= step
@@ -277,6 +273,7 @@ def solve_binary(
             tolerance,
         )
     free = (alpha > 0.0) & (alpha < box)
+    up, down = up_mask == 0.0, down_mask == 0.0
     if free.any():
         bias = float(np.mean(g[free]))
     elif up.any() and down.any():

@@ -427,6 +427,27 @@ class TestSample:
         assert not any(r.getMessage().startswith("corpus:") for r in caplog.records)
         assert not (tmp_path / "out").exists()
 
+    def test_report_at_the_out_path_is_usage_error_before_the_corpus(
+        self, workspace, tmp_path, capsys
+    ):
+        _, cfg, _ = workspace
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("not\ta\tcorpus\n", encoding="utf-8")
+        out = tmp_path / "sampled.tsv"
+        rc = main(
+            [
+                "sample",
+                "--config", str(cfg),
+                "--corpus", str(bad),
+                "--method", "similar",
+                "--out", str(out),
+                "--report", str(tmp_path / "sub" / ".." / "sampled.tsv"),
+            ]
+        )
+        assert rc == 1
+        assert "usage error: --report" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_method_flag_overrides_config(self, workspace, tmp_path):
         _, cfg, _ = workspace
         out = tmp_path / "sampled.tsv"
@@ -966,19 +987,39 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command,out_flag",
-        [("split", "--out-dir"), ("featurize", "--out"), ("rank-features", "--out")],
+        [
+            ("split", "--out-dir"),
+            ("featurize", "--out"),
+            ("rank-features", "--out"),
+            ("match", "--out"),
+            ("preprocess", "--out"),
+            ("sample", "--out"),
+        ],
     )
     def test_header_only_corpus_is_data_error_before_any_output(
         self, workspace, tmp_path, capsys, command, out_flag
     ):
-        _, cfg, _ = workspace
+        _, cfg, paths = workspace
         empty = tmp_path / "empty.tsv"
         save_corpus(Corpus(()), empty)
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg), "--corpus", str(empty), out_flag, str(out)]
-        assert main(argv) == 2
+        extra = {
+            "match": ["--lexicon", str(paths["demo_lexicon.txt"])],
+            "sample": ["--method", "similar"],
+        }
+        assert main([*argv, *extra.get(command, [])]) == 2
         assert f"data error: {empty}: no tweets" in capsys.readouterr().err
-        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.tsv"]
+
+    def test_unset_model_path_is_config_error_before_the_corpus(self, workspace, tmp_path, capsys):
+        _, cfg, _ = workspace
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("not\ta\tcorpus\n", encoding="utf-8")
+        argv = ["train", "--config", str(cfg), "--corpus", str(bad), "--set", "paths.model="]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error: paths.model must be set for this subcommand" in err
 
     def test_min_df_below_one_is_data_error(self, workspace, tmp_path, capsys):
         def mutate(doc):

@@ -101,6 +101,37 @@ class TestLoadCorpus:
         assert loaded.labels() == corpus.labels()
         assert [item.tweet.id for item in loaded] == [r[0] for r in rows]
 
+    @given(
+        texts=st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["\\", "\t", "\n", "\r", "t", "n", "r", "x", " ", "\\t", "\\\\t", "\\\\\\"]
+                ),
+                max_size=12,
+            ).map("".join),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_escape_like_text(self, texts, tmp_path_factory):
+        corpus = make_corpus([(f"t{i}", text, Label.DEFECT) for i, text in enumerate(texts)])
+        path = tmp_path_factory.mktemp("esc") / "c.tsv"
+        save_corpus(corpus, path)
+        assert [item.tweet.text for item in load_corpus(path)] == texts
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [("ends in \\", 8), ("a \\x b", 2), ("\\\\\\", 2), ("\\\\\\x", 2)],
+        ids=["trailing", "unknown", "odd-run", "odd-run-unknown"],
+    )
+    def test_bad_escape_names_line_and_position(self, tmp_path, text, position):
+        rows = ["t1\tu1\tdefect\tok \\\\ \\t\t\t", f"t2\tu2\tdefect\t{text}\t\t"]
+        path = write_tsv(tmp_path, rows)
+        message = f": bad escape sequence at position {position} at line 3$"
+        with pytest.raises(DataError, match=message):
+            load_corpus(path)
+
     def test_round_trip_preserves_spans_and_user_ids(self, tmp_path):
         corpus = make_corpus(
             [

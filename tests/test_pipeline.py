@@ -141,6 +141,15 @@ class TestTraining:
         assert report is not None
         assert report.to_text().startswith("method:")
 
+    def test_replacement_records_no_seed(self, demo):
+        _, names, clusters, split = demo
+        cfg = config("sampler.method=replacement", "sampler.seed=5")
+        sampled, report = apply_text_sampler(split.train, cfg, None)
+        stored, report = train_from_corpus(sampled, cfg, names, clusters, report)
+        assert "seed" not in report.parameters and "seed" not in report.to_text()
+        factors = report.parameters["factors"]
+        assert stored.extras["sampler"] == {"method": "replacement", "factors": factors}
+
     def test_near_fn_requires_fn_corpus(self, demo):
         _, names, clusters, split = demo
         cfg = config("sampler.method=near_fn")

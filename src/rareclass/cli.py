@@ -104,6 +104,21 @@ def _read_corpus(cfg: PipelineConfig, empty_ok: bool = False) -> tuple[Corpus, P
     return corpus, path, digest
 
 
+def _check_outputs(
+    cfg: PipelineConfig, outputs: dict[str, str | None], inputs: Sequence[str]
+) -> None:
+    """A usage error, before any input is read, when two of `outputs` (paths
+    by flag; None when unset) resolve to one path, or one resolves to the
+    file of an input path key in `inputs`."""
+    taken = {Path(cfg[key]).resolve(): key for key in inputs if cfg[key]}
+    for flag, path in outputs.items():
+        if path:
+            resolved = Path(path).resolve()
+            if resolved in taken:
+                raise _UsageError(f"{flag} {path} is the {taken[resolved]} path")
+            taken[resolved] = flag
+
+
 # the shortcut flags, by argparse dest, and the config key each overrides
 _FLAG_KEYS = {
     "corpus": "paths.corpus",
@@ -228,6 +243,12 @@ def _cmd_kappa(args, cfg: PipelineConfig) -> int:
 def _cmd_match(args, cfg: PipelineConfig) -> int:
     from .lexicon import MatchCounts, compile_matchers, load_lexicon, term_class_frequency_report
 
+    outputs = {
+        "--out": args.out,
+        "--term-report": args.term_report,
+        "--annotate-spans": args.annotate_spans,
+    }
+    _check_outputs(cfg, outputs, ("paths.corpus", "paths.lexicon"))
     corpus, _, _ = _read_corpus(cfg)
     lexicon_path = cfg.path("paths.lexicon", required=True)
     _log_input("lexicon", lexicon_path)
@@ -353,8 +374,7 @@ def apply_text_sampler(
 
 def _cmd_sample(args, cfg: PipelineConfig) -> int:
     report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".report.txt")
-    if report_path.resolve() == Path(args.out).resolve():
-        raise _UsageError(f"--report {report_path} is the --out path")
+    _check_outputs(cfg, {"--out": args.out, "--report": str(report_path)}, ("paths.corpus",))
     fn_path = _check_sampler(cfg, text_level=True)
     corpus, _, _ = _read_corpus(cfg)
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
@@ -417,6 +437,7 @@ def _scoring_inputs(cfg: PipelineConfig, empty_ok: bool):
 def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     from .pipeline import evaluate_corpus
 
+    _check_outputs(cfg, {"--out": args.out}, ("paths.model", "paths.corpus"))
     corpus, stored, names, clusters, ids = _scoring_inputs(cfg, empty_ok=False)
     report, _ = evaluate_corpus(stored, corpus, names, clusters, **ids)
     if args.out:

@@ -3,9 +3,10 @@ features, vocabulary construction, min-max scaling, and information-gain
 ranking.
 
 Every sparse vector is a `CsrMatrix`: numpy ``indptr``/``indices``/``data``
-arrays over a fixed dimension.  A corpus becomes one matrix in one pass
-(`pipeline.featurize_corpus`, through `CsrMatrix.from_entries`), validated
-once.  SMOTE, scaling, information gain and the classifiers' training and
+arrays over a fixed dimension.  A corpus becomes one matrix from its token
+ids (`pipeline.featurize_corpus`, through `CsrMatrix.from_entries`),
+validated once; `extract_ngrams`, `cluster_features` and `build_vocabulary`
+here are the per-document forms, which the tests compare it against.  SMOTE, scaling, information gain and the classifiers' training and
 prediction work on that matrix.  `CsrMatrix.split_at` and the in-place form
 of `CsrMatrix.matmul` let the SVM add the products of dense columns as
 vectors while keeping `matmul`'s order of terms.

@@ -8,9 +8,19 @@ training, in the CLI (``rareclass.cli.apply_text_sampler``), so
 `train_from_corpus` receives the corpus they produced together with
 their report.  Synthetic vector over-sampling runs here, after
 vectorization and before the scaler is fitted, so the scaler sees the
-training set the classifier will see.  `featurize_corpus` makes a corpus's
-matrix in one pass, holding flat entry arrays, not a `Counter` per document,
-and looks each document's column ids up without a Python call per feature.
+training set the classifier will see.
+
+`featurize_corpus` makes a corpus's matrix from token ids, not from a
+`Counter` per tweet.  One pass normalizes each tweet and appends its token
+ids to one flat int32 array.  Then numpy turns the n-grams of each length
+(`extract_ngrams`) and the cluster paths into integer codes for the whole
+corpus, keeps each tweet's distinct codes with their counts, and takes a
+code's document frequency with one `bincount` (`build_vocabulary`).  Only
+the codes that need a name get one: the kept codes while fitting, every
+code a tweet has when scoring.  `extract_ngrams` and `build_vocabulary`
+here are the corpus-level forms of the `features` functions of those
+names, which stay the per-document library API; they carry those names
+because perfbench/tracer.py times the two stages under them.
 
 `train_from_corpus` returns a `StoredModel`, the record that
 `model_store.save_model` writes and `model_store.load_model` reads, and
@@ -22,9 +32,9 @@ from __future__ import annotations
 
 import logging
 from array import array
-from collections import deque
+from functools import partial
 from itertools import chain, repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -33,15 +43,13 @@ from .config import TEXT_SAMPLER_METHODS, PipelineConfig
 from .corpus import LABELS, Corpus, Label
 from .errors import ConfigError
 from .features import (
+    CLUSTER_PREFIX,
     KIND_CLUSTER,
     STRUCTURAL_FEATURES,
     CsrMatrix,
     FeatureSettings,
     Vocabulary,
     apply_scaler,
-    build_vocabulary,
-    cluster_features,
-    extract_ngrams,
     fit_scaler,
     structural_features,
 )
@@ -70,12 +78,163 @@ undersample_similar_majority = forwarder("sampling", "undersample_similar_majori
 logger = logging.getLogger(__name__)
 
 
-class _ProvisionalIds(dict):
-    """Feature name -> provisional id; a name not yet seen gets the next id."""
+# the codes named at once while their columns are looked up, so that few
+# names are alive at a time
+_NAMES_AT_ONCE = 1024
 
-    def __missing__(self, name: str) -> int:
-        self[name] = new = len(self)
+
+class _Ids(dict):
+    """Key -> id; a key not yet seen gets the next id."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = new = len(self)
         return new
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted `keys` starts."""
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
+
+
+def _kept(codes: np.ndarray, n_codes: int, min_df: int) -> np.ndarray:
+    """The codes that occur in at least `min_df` of the distinct (tweet, code)
+    pairs whose codes are `codes`, increasing: their document frequency is
+    one `bincount`."""
+    return np.flatnonzero(np.bincount(codes, minlength=n_codes) >= min_df)
+
+
+def _tweets(lengths: np.ndarray) -> np.ndarray:
+    """Each token's tweet (int32), for tweets of `lengths` tokens."""
+    return np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+
+
+def _renumber(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct `keys`, increasing, and each key's index among them
+    (int32), as `np.unique` with ``return_inverse`` gives them."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = _firsts(keys)
+    codes = np.empty(len(keys), np.int32)
+    codes[order] = np.cumsum(new, dtype=np.int32) - 1
+    return keys[new], codes
+
+
+def _distinct(docs: np.ndarray, codes: np.ndarray, n_codes: int) -> list[np.ndarray]:
+    """Each distinct (tweet, code) pair of the tweets `docs` and codes `codes`
+    once, in increasing order, and how often it occurs: tweets, codes and
+    counts, as int32."""
+    keys = docs.astype(np.int64)
+    keys *= n_codes
+    keys += codes
+    keys.sort(kind="stable")
+    first = _firsts(keys)
+    counts = np.diff(np.flatnonzero(np.append(first, True))).astype(np.int32)
+    keys = keys[first]
+    return [(keys // n_codes).astype(np.int32), (keys % n_codes).astype(np.int32), counts]
+
+
+def _gram_names(n: int, codes: np.ndarray, heads: dict, tails: dict, tokens: list) -> list[str]:
+    """The names of the n-grams `codes`: their tokens joined by single spaces.
+    An n-gram's code c extends the (n-1)-gram ``heads[n][c]`` by the token
+    ``tails[n][c]``; a unigram's code is its token id."""
+    if n == 1:
+        return [tokens[c] for c in codes.tolist()]
+    head_codes, at = _renumber(heads[n][codes])
+    head_names = _gram_names(n - 1, head_codes, heads, tails, tokens)
+    return [head_names[h] + " " + tokens[t] for h, t in zip(at.tolist(), tails[n][codes].tolist())]
+
+
+# A group is one kind of feature code: the n-grams of one length, or the
+# cluster paths.  It holds its distinct (tweet, code, count) triples, its
+# number of codes and a function that names given codes.
+_Group = tuple[list[np.ndarray], int, Callable[[np.ndarray], list[str]]]
+
+
+def extract_ngrams(
+    tok: np.ndarray, lengths: np.ndarray, tokens: list[str], n_min: int, n_max: int
+) -> list[_Group]:
+    """The n-gram groups of a corpus, one for each n in [n_min, n_max]; the
+    corpus-level form of `features.extract_ngrams`, named so that
+    perfbench/tracer.py times this stage as it timed that function.
+
+    `tok` holds the tweets' token ids one tweet after another, `lengths`
+    each tweet's number of tokens, and `tokens` each id's token.  The
+    n-grams are built one length at a time: an n-gram's code numbers the
+    distinct (code of its first n-1 tokens, last token) pairs, so no code
+    outgrows the corpus, and a length's arrays are freed once the next one
+    is built.  The lengths stop at the longest tweet."""
+    if not 1 <= n_min <= n_max:
+        raise ValueError("need 1 <= n_min <= n_max")
+    heads: dict[int, np.ndarray] = {}  # per n, each n-gram code's (n-1)-gram code
+    tails: dict[int, np.ndarray] = {}  # per n, each n-gram code's last token
+    starts = np.arange(len(tok), dtype=np.int32)  # the n-grams' first tokens
+    # the tokens after each n-gram's first one in its tweet
+    room = np.repeat(np.cumsum(lengths, dtype=np.int32), lengths) - starts - 1
+    docs = _tweets(lengths)
+    codes, n_codes = tok, len(tokens)
+    groups: list[_Group] = []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            longer = room >= n - 1  # an n-gram starts here
+            starts, room = starts[longer], room[longer]
+            pairs = codes[longer].astype(np.int64) * len(tokens) + tok[starts + n - 1]
+            del longer, codes
+            pairs, codes = _renumber(pairs)
+            heads[n], tails[n] = (a.astype(np.int32) for a in np.divmod(pairs, len(tokens)))
+            n_codes = len(pairs)
+            if not n_codes:  # longer than every tweet
+                break
+        if n >= n_min:
+            name_of = partial(_gram_names, n, heads=heads, tails=tails, tokens=tokens)
+            groups.append((_distinct(docs[starts], codes, n_codes), n_codes, name_of))
+    return groups
+
+
+def _cluster_group(
+    tok: np.ndarray, lengths: np.ndarray, tokens: list[str], clusters: dict[str, str]
+) -> _Group:
+    """The cluster-path group: a token's code comes from one token id ->
+    cluster path table."""
+    paths = _Ids()  # cluster path -> code
+    table = np.array([paths[clusters[t]] if t in clusters else -1 for t in tokens], np.int32)
+    codes = table[tok]
+    hit = codes >= 0
+    named = [CLUSTER_PREFIX + path for path in paths]
+    name_of = lambda codes: [named[c] for c in codes.tolist()]  # noqa: E731
+    return _distinct(_tweets(lengths)[hit], codes[hit], len(named)), len(named), name_of
+
+
+def build_vocabulary(groups: list[_Group], min_df: int, include_structural: bool) -> Vocabulary:
+    """`features.build_vocabulary`'s rule over feature groups: the names of the
+    codes in at least `min_df` tweets, sorted, with the structural columns
+    when asked for; named so that perfbench/tracer.py times this stage as it
+    timed that function."""
+    if min_df < 1:
+        raise ValueError("min_df must be >= 1")
+    kept = (name_of(_kept(triples[1], n_codes, min_df)) for triples, n_codes, name_of in groups)
+    struct = STRUCTURAL_FEATURES if include_structural else ()
+    return Vocabulary(tuple(sorted(chain(struct, *kept))), min_df)
+
+
+def _entries(group: _Group, vocab: Vocabulary, min_df: int, binary: bool):
+    """A group's entries in the vocabulary's columns: keys ``tweet * dim +
+    column`` and values.  Only the codes in at least `min_df` tweets are
+    named, a block at a time."""
+    (docs, codes, counts), n_codes, name_of = group
+    index, dim = vocab._index, vocab.dim
+    columns = np.full(n_codes, dim, np.int32)  # dim for a code outside the vocabulary
+    named = _kept(codes, n_codes, min_df)
+    for lo in range(0, len(named), _NAMES_AT_ONCE):
+        block = named[lo : lo + _NAMES_AT_ONCE]
+        found = map(index.get, name_of(block), repeat(dim))
+        columns[block] = np.fromiter(found, np.int32, len(block))
+    columns = columns[codes]
+    inside = columns < dim
+    keys = docs[inside] * np.int64(dim) + columns[inside]
+    return keys, np.ones(len(keys), np.int32) if binary else counts[inside]
 
 
 def featurize_corpus(
@@ -86,48 +245,52 @@ def featurize_corpus(
     settings: FeatureSettings,
     vocab: Vocabulary | None = None,
 ) -> tuple[CsrMatrix, Vocabulary]:
-    """Featurize a corpus in one pass into one matrix, validated once; builds the vocabulary
-    from each document's key set when none is given.  Held at once: a column id and value
-    per document feature, and the feature names (the vocabulary, or all seen while fitting).
-    A document's column ids come from one `map` over its feature names: while fitting, a
-    dict whose missing names take the next provisional id; when scoring, the vocabulary's
-    `get`, with its dim for a name it lacks."""
-    fitting = vocab is None
-    # a provisional id while fitting; a feature outside a given vocabulary gets its dim
-    ids: dict[str, int] = _ProvisionalIds() if fitting else vocab._index
-    outside = repeat(len(ids))  # the given vocabulary's dim, for every feature it lacks
-    struct = STRUCTURAL_FEATURES if settings.use_structural else ()
-    cols, values, lengths = array("i"), array("i"), array("i")  # C ints, 4 bytes an entry
+    """Featurize a corpus into one matrix, validated once; builds the vocabulary
+    when none is given.
 
-    def key_sets():
-        for item in corpus:
-            tokens = classic_normalize(item.tweet, item.match_span, names, norm_config)
-            feats = extract_ngrams(tokens, settings.n_min, settings.n_max)
-            if settings.use_clusters and clusters is not None:
-                feats.update(cluster_features(tokens, clusters))
-            keys = chain(feats, struct)
-            cols.extend(map(ids.__getitem__, keys) if fitting else map(ids.get, keys, outside))
-            values.extend([1] * len(feats) if settings.binary else feats.values())
-            values.extend(structural_features(item.tweet.text)[: len(struct)])
-            lengths.append(len(feats) + len(struct))
-            yield feats.keys()
+    Each tweet's tokens become int32 ids in one flat array, and its n-grams
+    and cluster paths integer codes, made in numpy for the whole corpus
+    (`extract_ngrams`, `_cluster_group`).  A code's document frequency is
+    one `bincount` over the tweets' distinct codes.  Names are made only
+    for the codes that need one: the kept codes while fitting, every code a
+    tweet has when scoring.  An n-gram's name is its tokens joined by
+    single spaces, as `features.extract_ngrams` makes it; as no token is
+    empty or holds whitespace, distinct n-grams get distinct names.  The
+    matrix is assembled by `CsrMatrix.from_entries`."""
+    token_ids = _Ids()
+    flat, lengths, struct_values = array("i"), array("i"), array("i")  # C ints, 4 bytes each
+    for item in corpus:
+        tokens = classic_normalize(item.tweet, item.match_span, names, norm_config)
+        flat.extend(map(token_ids.__getitem__, tokens))
+        lengths.append(len(tokens))
+        if settings.use_structural:
+            struct_values.extend(structural_features(item.tweet.text))
+    n_docs, tokens = len(lengths), list(token_ids)
+    del token_ids
+    tok, lengths = np.frombuffer(flat, np.int32), np.frombuffer(lengths, np.int32)
+    groups = extract_ngrams(tok, lengths, tokens, settings.n_min, settings.n_max)
+    if settings.use_clusters and clusters is not None:
+        groups.append(_cluster_group(tok, lengths, tokens, clusters))
+    del tok, flat, lengths, tokens
 
-    if fitting:
-        vocab = build_vocabulary(key_sets(), settings.min_df, settings.use_structural)
-        # provisional id -> vocabulary column, or dim below min_df
-        remap = np.fromiter(map(vocab._index.get, ids, repeat(vocab.dim)), np.int32, len(ids))
-        del ids  # every distinct feature name, no longer needed
-        cols = remap[cols]
-    else:
-        deque(key_sets(), maxlen=0)  # runs the pass
-        cols = np.asarray(cols)
-    n_docs, dim = len(lengths), vocab.dim
-    keep = (cols < dim) & (np.asarray(values) != 0)
-    keys = np.repeat(np.arange(n_docs) * dim, lengths)[keep] + cols[keep]
-    values = np.asarray(values)[keep]
-    del cols, keep
-    x = CsrMatrix.from_entries(keys, values, n_docs, dim)
-    logger.info("featurized %d documents: vocabulary %d, nnz %d", n_docs, dim, len(x.data))
+    min_df = 1  # every code a tweet has is looked up in a given vocabulary
+    if vocab is None:
+        vocab = build_vocabulary(groups, settings.min_df, settings.use_structural)
+        min_df = settings.min_df
+    # each group's arrays are freed once its entries are made
+    entries = [_entries(groups.pop(), vocab, min_df, settings.binary) for _ in range(len(groups))]
+    if settings.use_structural:
+        per_column = np.frombuffer(struct_values, np.int32).reshape(-1, 2).T
+        for column, values in zip(map(vocab.index_of, STRUCTURAL_FEATURES), per_column):
+            if column is not None:
+                nonzero = np.flatnonzero(values)
+                entries.append((nonzero * vocab.dim + column, values[nonzero]))
+    del struct_values
+    keys = np.concatenate([np.zeros(0, np.int64), *(keys for keys, _ in entries)])
+    values = np.concatenate([np.zeros(0, np.int32), *(values for _, values in entries)])
+    del entries
+    x = CsrMatrix.from_entries(keys, values, n_docs, vocab.dim)
+    logger.info("featurized %d documents: vocabulary %d, nnz %d", n_docs, vocab.dim, len(x.data))
     return x, vocab
 
 

@@ -755,6 +755,48 @@ class TestReportErrors:
         assert rc == 1
 
 
+# each step whose output resolves to another of its outputs or to an input
+OUTPUT_COLLISIONS = {
+    "match out=annotate-spans": ["match", "--out", "same.tsv", "--annotate-spans", "same.tsv"],
+    "match out=term-report": ["match", "--out", "same.tsv", "--term-report", "./same.tsv"],
+    "match term-report=annotate-spans": [
+        "match", "--term-report", "same.tsv", "--annotate-spans", "sub/../same.tsv",
+    ],
+    "match out=corpus": ["match", "--out", "corpus.tsv"],
+    "match annotate-spans=lexicon": ["match", "--annotate-spans", "lexicon.txt"],
+    "evaluate out=model": ["evaluate", "--out", "model.json"],
+    "evaluate out=corpus": ["evaluate", "--out", "corpus.tsv"],
+    "sample out=corpus": ["sample", "--method", "similar", "--out", "corpus.tsv"],
+}
+
+
+class TestOutputCollisions:
+    @pytest.mark.parametrize("argv", list(OUTPUT_COLLISIONS.values()), ids=list(OUTPUT_COLLISIONS))
+    def test_usage_error_before_any_file_is_touched(
+        self, workspace, tmp_path, monkeypatch, capsys, argv
+    ):
+        root, _, paths = workspace
+        shutil.copy(paths["demo_corpus.tsv"], tmp_path / "corpus.tsv")
+        shutil.copy(paths["demo_lexicon.txt"], tmp_path / "lexicon.txt")
+        shutil.copy(root / "model.json", tmp_path / "model.json")
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        rc = main(
+            [
+                *argv,
+                "--corpus", "corpus.tsv",
+                "--set", "paths.lexicon=lexicon.txt",
+                "--set", "paths.model=model.json",
+                "--set", f"paths.name_lexicon={paths['demo_names.txt']}",
+                "--set", f"paths.clusters={paths['demo_clusters.tsv']}",
+            ]
+        )
+        assert rc == 1
+        assert "usage error: --" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

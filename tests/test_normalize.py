@@ -182,6 +182,50 @@ class TestGatesMatchOracle:
         assert len(stemmed) == sum(token not in PLACEHOLDERS for token in out)
 
 
+# str.split's separators (Unicode spaces, line and paragraph breaks, the
+# ASCII file/group/record/unit separators and NEL)
+SPACES = [
+    " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u1680", "\u2000", "\u2007", "\u200a", "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
+]
+LINKS = [
+    "http://t.co/x", "https://example.com/a\u00a0b", "http://a.b/<url>", "@user", "@Emma_2",
+    "@@x", "<user>@a", "http://", "https://\u3000x",
+]
+
+
+@st.composite
+def any_tweets_with_spans(draw):
+    pieces = st.one_of(
+        st.text(max_size=6),
+        st.sampled_from(SPACES),
+        st.sampled_from(PLACEHOLDERS),
+        st.sampled_from(LINKS),
+        st.sampled_from(FRAGMENTS),
+    )
+    text = draw(st.lists(pieces, max_size=12).map("".join))
+    span = None
+    if text and draw(st.booleans()):
+        start = draw(st.integers(0, len(text) - 1))
+        span = char_span_to_bytes(text, (start, draw(st.integers(start + 1, len(text)))))
+    return text, span
+
+
+class TestTokenInvariant:
+    """Every classic token is non-empty and holds no whitespace, so that
+    n-gram names (tokens joined by single spaces) tell distinct token
+    tuples apart; the featurizer names n-grams on that ground."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(any_tweets_with_spans(), st.sampled_from([CONFIG, ODD_CONFIG]))
+    def test_tokens_are_non_empty_and_hold_no_whitespace(self, tweet_span, config):
+        text, span = tweet_span
+        for token in classic_normalize(Tweet("t", "u", text), span, NAMES, config):
+            assert token
+            assert not any(ch.isspace() for ch in token), token
+            assert token.split() == [token]
+
+
 class TestEmbeddingRules:
     def test_triple_letters_survive(self):
         # only runs longer than three letters are elongation-marked

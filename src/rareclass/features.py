@@ -11,10 +11,10 @@ prediction work on that matrix.  `CsrMatrix.split_at` and the in-place form
 of `CsrMatrix.matmul` let the SVM add the products of dense columns as
 vectors while keeping `matmul`'s order of terms.
 
-Vocabularies and scalers are immutable once fitted and are built from
-training data only.  Feature names are namespaced by kind: raw n-gram
-strings, ``cluster:<path>`` for word-cluster features, and ``struct:*``
-for the two structural columns.  Word clusters are a plain token to
+Vocabularies and scalers are built from training data only.  Their fields
+are frozen; a scaler's arrays are stored as computed, not copied.  Feature
+names are namespaced by kind: raw n-gram strings, ``cluster:<path>`` for
+word-cluster features, and ``struct:*`` for the two structural columns.  Word clusters are a plain token to
 cluster-path dict, as `load_clusters` returns it.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -65,8 +65,22 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+class ArrayRecord:
+    """Value equality for the frozen dataclasses, declared with ``eq=False``,
+    whose fields hold numpy arrays: arrays compare by `np.array_equal`, other
+    fields by ``==``."""
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if np.ndarray in (type(a), type(b)) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        )
+
+
 @dataclass(frozen=True, eq=False)
-class CsrMatrix:
+class CsrMatrix(ArrayRecord):
     """Compressed sparse rows over a fixed dimension (numpy arrays only).
 
     Row r holds columns ``indices[indptr[r]:indptr[r + 1]]``, strictly
@@ -126,14 +140,6 @@ class CsrMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.indptr) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CsrMatrix):
-            return NotImplemented
-        arrays = ("indptr", "indices", "data")
-        return self.dim == other.dim and all(
-            np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays
-        )
 
     def row_ids(self) -> np.ndarray:
         """The row of every stored entry."""
@@ -375,12 +381,13 @@ def vectorize(
     )
 
 
-@dataclass(frozen=True)
-class Scaler:
-    """Per-column (min, max) learned from training vectors only."""
+@dataclass(frozen=True, eq=False)
+class Scaler(ArrayRecord):
+    """Per-column (min, max) learned from training vectors only: `mins`
+    and `maxs` are float arrays of one value per column."""
 
-    mins: tuple[float, ...]
-    maxs: tuple[float, ...]
+    mins: np.ndarray
+    maxs: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -399,7 +406,7 @@ def fit_scaler(train: CsrMatrix) -> Scaler:
     implicit = np.bincount(train.indices, minlength=train.dim) < train.n_rows
     mins[implicit] = np.minimum(mins[implicit], 0.0)
     maxs[implicit] = np.maximum(maxs[implicit], 0.0)
-    return Scaler(tuple(mins.tolist()), tuple(maxs.tolist()))
+    return Scaler(mins, maxs)
 
 
 def apply_scaler(scaler: Scaler, x: CsrMatrix) -> CsrMatrix:
@@ -411,8 +418,8 @@ def apply_scaler(scaler: Scaler, x: CsrMatrix) -> CsrMatrix:
     """
     if x.dim != scaler.dim:
         raise ValueError("dimension mismatch")
-    lo = np.asarray(scaler.mins)
-    span = np.asarray(scaler.maxs) - lo
+    lo = scaler.mins
+    span = scaler.maxs - lo
     active = span > 0.0
     filled = np.flatnonzero(active & (lo != 0.0))
     keep = active[x.indices]

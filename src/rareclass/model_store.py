@@ -188,7 +188,7 @@ def _csr_from_gaps(indptr, gaps, values, dim: int) -> CsrMatrix:
 
 
 def _scaler_to_json(scaler: Scaler) -> dict:
-    mins, maxs = np.asarray(scaler.mins), np.asarray(scaler.maxs)
+    mins, maxs = scaler.mins, scaler.maxs
     cols = np.flatnonzero((mins != 0.0) | np.signbit(mins) | (maxs != 1.0))  # not (+0.0, 1.0)
     return {"columns": cols.tolist(), "mins": mins[cols].tolist(), "maxs": maxs[cols].tolist()}
 
@@ -205,7 +205,7 @@ def _scaler_from_json(obj: dict, dim: int) -> Scaler:
         raise DataError("scaler: a column's min is above its max")
     mins, maxs = np.zeros(dim), np.ones(dim)
     mins[columns], maxs[columns] = listed_mins, listed_maxs
-    return Scaler(tuple(mins.tolist()), tuple(maxs.tolist()))
+    return Scaler(mins, maxs)
 
 
 def feature_settings_from_json(obj: dict) -> FeatureSettings:
@@ -259,9 +259,9 @@ def _svm_to_json(model: SvmModel) -> dict:
                 "positive": pair.positive_label.value,
                 "negative": pair.negative_label.value,
                 "bias": pair.bias,
-                "alpha": list(pair.alpha),
-                "y": list(pair.y),
-                "support": list(pair.support),
+                "alpha": pair.alpha.tolist(),
+                "y": pair.y.tolist(),
+                "support": pair.support.tolist(),
                 "iterations": pair.iterations,
                 "converged": pair.converged,
             }
@@ -294,9 +294,9 @@ def _svm_from_json(obj: dict) -> SvmModel:
         if not set(p["y"]) <= {-1, 1} or not {p["positive"], p["negative"]} <= set(obj["labels"]):
             raise DataError("svm: a pair's y or labels are invalid")
         pairs.append(PairModel(
-            Label(p["positive"]), Label(p["negative"]), tuple(p["support"]),
-            tuple(map(float, p["alpha"])), tuple(p["y"]), float(p["bias"]), p["iterations"],
-            p["converged"],
+            Label(p["positive"]), Label(p["negative"]), np.asarray(p["support"], np.intp),
+            np.asarray(p["alpha"], float), np.asarray(p["y"], float), float(p["bias"]),
+            p["iterations"], p["converged"],
         ))
     return SvmModel(
         labels, tuple(pairs), params, float(obj["gamma"]), class_weights, obj["dim"], pool
@@ -307,10 +307,10 @@ def _nb_to_json(model: NbModel) -> dict:
     tables = {key: getattr(model, key) for key in ("log_likelihood", "means", "variances")}
     return {
         "labels": [lbl.value for lbl in model.labels],
-        "log_priors": list(model.log_priors),
+        "log_priors": model.log_priors.tolist(),
         "event_model": model.event_model,
         "dim": model.dim,
-        **{key: [list(row) for row in rows] for key, rows in tables.items() if rows is not None},
+        **{key: table.tolist() for key, table in tables.items() if table is not None},
     }
 
 
@@ -321,21 +321,16 @@ def _nb_from_json(obj: dict) -> NbModel:
     keys = ("means", "variances") if obj["event_model"] == GAUSSIAN else ("log_likelihood",)
     check_json(obj, dict.fromkeys(keys, [[float]]), "nb")
     tables = {key: np.asarray(obj[key], dtype=float) for key in keys}
-    if len(obj["log_priors"]) != len(labels) or any(
+    log_priors = np.asarray(obj["log_priors"], dtype=float)
+    if len(log_priors) != len(labels) or any(
         table.shape != (len(labels), obj["dim"]) for table in tables.values()
     ):
         raise DataError("nb: the tables do not match the labels and dimension")
     if "variances" in tables and not (tables["variances"] > 0.0).all():
         raise DataError("nb: variances must be positive")
-    if any(p > 0.0 for p in obj["log_priors"]):
+    if (log_priors > 0.0).any():
         raise DataError("nb: log priors must not be above 0")
-    return NbModel(
-        labels,
-        tuple(float(v) for v in obj["log_priors"]),
-        obj["event_model"],
-        obj["dim"],
-        **{key: tuple(map(tuple, table.tolist())) for key, table in tables.items()},
-    )
+    return NbModel(labels, log_priors, obj["event_model"], obj["dim"], **tables)
 
 
 def save_model(path: str | Path, model: StoredModel) -> None:

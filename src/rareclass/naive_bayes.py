@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Label, LABELS
-from .features import CsrMatrix
+from .features import ArrayRecord, CsrMatrix
 
 MULTINOMIAL = "multinomial"
 GAUSSIAN = "gaussian"
@@ -24,26 +24,28 @@ GAUSSIAN = "gaussian"
 _VAR_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class NbModel:
-    """Trained Naive Bayes parameters; immutable and prediction-ready.
+@dataclass(frozen=True, eq=False)
+class NbModel(ArrayRecord):
+    """Trained Naive Bayes parameters; the fields are frozen and the arrays
+    are stored as computed, not copied.
 
-    `log_likelihood` rows hold log theta per class (multinomial).  The
-    Gaussian model stores only per-class means and variances; each call
-    of `predict_nb` derives from them, once, every class's summed
-    log-density of the all-zero vector, so a row then pays only for its
-    non-zero entries.
+    `log_priors` holds one float per class, and each table one float row
+    per class with one column per feature.  `log_likelihood` holds log
+    theta (multinomial).  The Gaussian model stores only `means` and
+    `variances`; each call of `predict_nb` derives from them, once, every
+    class's summed log-density of the all-zero vector, so a row then pays
+    only for its non-zero entries.  A table the event model lacks is None.
     """
 
     kind = "nb"  # a class attribute, not a field: `model_store` names the model by it
 
     labels: tuple[Label, ...]
-    log_priors: tuple[float, ...]
+    log_priors: np.ndarray
     event_model: str
     dim: int
-    log_likelihood: tuple[tuple[float, ...], ...] | None = None
-    means: tuple[tuple[float, ...], ...] | None = None
-    variances: tuple[tuple[float, ...], ...] | None = None
+    log_likelihood: np.ndarray | None = None
+    means: np.ndarray | None = None
+    variances: np.ndarray | None = None
 
     def __post_init__(self):
         if self.event_model not in (MULTINOMIAL, GAUSSIAN):
@@ -65,7 +67,7 @@ def train_nb(
     present = tuple(lbl for lbl in LABELS if lbl in set(labels))
     row_class = np.array([present.index(lbl) for lbl in labels])
     sizes = np.bincount(row_class, minlength=len(present))
-    log_priors = tuple(math.log(int(size) / x.n_rows) for size in sizes)
+    log_priors = np.array([math.log(size / x.n_rows) for size in sizes.tolist()])
     entry_class = row_class[x.row_ids()]
 
     def column_sums(values: np.ndarray) -> list[np.ndarray]:
@@ -75,25 +77,17 @@ def train_nb(
             for c in range(len(present))
         ]
 
-    def as_tuples(rows: list[np.ndarray]) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(row.tolist()) for row in rows)
-
     if event_model == MULTINOMIAL:
         if (x.data < 0.0).any():
             raise ValueError("multinomial event model requires non-negative feature values")
         theta = [(counts + 1.0) / (counts.sum() + x.dim) for counts in column_sums(x.data)]
-        return NbModel(
-            present, log_priors, MULTINOMIAL, x.dim, log_likelihood=as_tuples(np.log(theta))
-        )
-    means = [total / size for total, size in zip(column_sums(x.data), sizes)]
-    variances = [
+        return NbModel(present, log_priors, MULTINOMIAL, x.dim, log_likelihood=np.log(theta))
+    means = np.array([total / size for total, size in zip(column_sums(x.data), sizes)])
+    variances = np.array([
         np.maximum(total_sq / size - mean * mean, _VAR_FLOOR)
         for total_sq, mean, size in zip(column_sums(x.data * x.data), means, sizes)
-    ]
-    return NbModel(
-        present, log_priors, GAUSSIAN, x.dim,
-        means=as_tuples(means), variances=as_tuples(variances),
-    )
+    ])
+    return NbModel(present, log_priors, GAUSSIAN, x.dim, means=means, variances=variances)
 
 
 def predict_nb(model: NbModel, x: CsrMatrix) -> tuple[list[Label], dict[Label, np.ndarray]]:
@@ -101,10 +95,10 @@ def predict_nb(model: NbModel, x: CsrMatrix) -> tuple[list[Label], dict[Label, n
     if x.dim != model.dim:
         raise ValueError("vector dimension does not match the model")
     if model.event_model == MULTINOMIAL:
-        scores = x.dot(np.asarray(model.log_likelihood).T) + np.asarray(model.log_priors)
+        scores = x.dot(model.log_likelihood.T) + model.log_priors
     else:
         # log N(v; m, var) = -0.5 (log(2 pi var) + (v - m)^2 / var), per class and column
-        mean, var = np.asarray(model.means), np.asarray(model.variances)
+        mean, var = model.means, model.variances
         log_norm = np.log(2.0 * math.pi * var)
         at_zero = -0.5 * (log_norm + mean**2 / var)
         base = np.array([sum(row) for row in at_zero.tolist()])  # summed in column order
@@ -117,7 +111,7 @@ def predict_nb(model: NbModel, x: CsrMatrix) -> tuple[list[Label], dict[Label, n
             gain += norm[cols]
             gain *= -0.5
             adjust.append(x.row_sums(gain - zero[cols]))
-        scores = np.asarray(model.log_priors) + (base + np.column_stack(adjust))
+        scores = model.log_priors + (base + np.column_stack(adjust))
     # ties break toward the lowest class index: argmax takes the first maximum
     best = np.argmax(scores, axis=1)
     return [model.labels[c] for c in best], {

@@ -27,8 +27,9 @@ Multi-class prediction is one-vs-one: each pair votes via the sign of
 its decision value; vote ties break by the larger sum of winning
 |decision values|, then by class order.  Prediction evaluates one kernel
 block per fixed-size block of query rows against the pool, shared by
-all pairs.  Training is deterministic given the instance order, and
-trained models are immutable.
+all pairs.  Training is deterministic given the instance order.  A
+trained model's fields are frozen; its arrays are stored as computed, not
+copied.
 
 Every dot product, in a kernel row of training or a kernel block of
 prediction, is summed term by term in increasing column order, as
@@ -55,7 +56,7 @@ import numpy as np
 
 from .config import KERNEL_LINEAR, KERNEL_RBF, KERNELS
 from .corpus import Label, LABELS
-from .features import CsrMatrix
+from .features import ArrayRecord, CsrMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -283,28 +284,29 @@ def solve_binary(
     return alpha, bias, iterations, converged
 
 
-@dataclass(frozen=True)
-class PairModel:
+@dataclass(frozen=True, eq=False)
+class PairModel(ArrayRecord):
     """One binary subproblem: its support vectors' pool indices and weights.
 
-    `y` holds +1 for `positive_label` instances and -1 for
-    `negative_label` instances; the decision value for a query q is
-    sum_i alpha_i y_i K(pool[support_i], q) + bias, voting positive when
-    > 0.
+    `support` is an intp array of pool indices; `alpha` and `y` are float
+    arrays at the same positions.  `y` holds +1.0 for `positive_label`
+    instances and -1.0 for `negative_label` instances; the decision value
+    for a query q is sum_i alpha_i y_i K(pool[support_i], q) + bias,
+    voting positive when > 0.
     """
 
     positive_label: Label
     negative_label: Label
-    support: tuple[int, ...]
-    alpha: tuple[float, ...]
-    y: tuple[int, ...]
+    support: np.ndarray
+    alpha: np.ndarray
+    y: np.ndarray
     bias: float
     iterations: int
     converged: bool
 
 
-@dataclass(frozen=True)
-class SvmModel:
+@dataclass(frozen=True, eq=False)
+class SvmModel(ArrayRecord):
     """One-vs-one multi-class model over scaled sparse vectors.
 
     `support_vectors` is the pool of every pair's support vectors, each
@@ -369,20 +371,21 @@ def train_svm(
             "svm pair %s/%s: %d iterations, %d support vectors, converged=%s",
             pos_label.value, neg_label.value, iterations, int(sv.sum()), converged,
         )
-        pairs.append(PairModel(
-            pos_label, neg_label, tuple(rows[sv].tolist()), tuple(alpha[sv].tolist()),
-            tuple(int(v) for v in y[sv]), bias, iterations, converged,
-        ))
-    pool = sorted(set().union(*(pair.support for pair in pairs)))
-    position = {row: i for i, row in enumerate(pool)}
+        pairs.append(
+            PairModel(pos_label, neg_label, rows[sv], alpha[sv], y[sv], bias, iterations, converged)
+        )
+    in_pool = np.zeros(x.n_rows, bool)
+    for pair in pairs:
+        in_pool[pair.support] = True
+    position = np.cumsum(in_pool, dtype=np.intp) - 1  # a pool row's index in the pool
     return SvmModel(
         labels=present,
-        pairs=tuple(replace(p, support=tuple(position[r] for r in p.support)) for p in pairs),
+        pairs=tuple(replace(p, support=position[p.support]) for p in pairs),
         params=params,
         gamma=gamma,
         class_weights={lbl: float(weights[lbl]) for lbl in present},
         dim=x.dim,
-        support_vectors=x.take(np.array(pool, dtype=np.intp)),
+        support_vectors=x.take(np.flatnonzero(in_pool)),
     )
 
 
@@ -400,12 +403,10 @@ def predict_svm(
     bit: `x` is split once into its values in the pool's dense columns and
     the sparse runs between them, and each block adds the first run by
     `bincount`, then each dense column's products and the run after it in
-    place.  A row's kernel values thus do not depend on its block, but its
-    decision values do, in their last bits: each pair's weighted sum over
-    its support vectors is one BLAS matrix-vector product per block, whose
-    summation order depends on the number of rows.  A tweet scored alone
-    can differ from the same tweet scored with others by about 1e-13,
-    which changes its label only at a decision value that close to 0.
+    place.  Each pair's weighted sum over its support vectors is a sum
+    along each row of a C-ordered array of products, so neither a row's
+    kernel values nor its decision values depend on its block or on how
+    many rows are scored with it.
     """
     if x.dim != model.dim:
         raise ValueError("vector dimension does not match the model")
@@ -415,8 +416,7 @@ def predict_svm(
     dense = _dense_columns(pool, pool_columns)
     runs, query_dense = x.split_at(np.fromiter(dense, np.intp, len(dense)))
     query_sq = x.squared_norms()
-    supports = [np.asarray(pair.support, dtype=np.intp) for pair in model.pairs]
-    coefs = [np.asarray(pair.alpha) * np.asarray(pair.y, dtype=float) for pair in model.pairs]
+    coefs = [pair.alpha * pair.y for pair in model.pairs]
     values = np.empty((len(model.pairs), x.n_rows))
     for start in range(0, x.n_rows, PREDICT_BLOCK_ROWS):
         stop = min(start + PREDICT_BLOCK_ROWS, x.n_rows)
@@ -426,8 +426,9 @@ def predict_svm(
             if run.indptr[stop] > run.indptr[start]:
                 run.rows(start, stop).matmul(pool_columns, out=dots)
         k = _kernel_block(dots, query_sq[start:stop], pool_sq, model.params.kernel, model.gamma)
-        for p, pair in enumerate(model.pairs):
-            values[p, start:stop] = k[:, supports[p]] @ coefs[p] + pair.bias
+        for p, (pair, coef) in enumerate(zip(model.pairs, coefs)):
+            terms = np.multiply(k[:, pair.support], coef, order="C")
+            values[p, start:stop] = terms.sum(axis=1) + pair.bias
     votes = np.zeros((x.n_rows, len(model.labels)))
     margins = np.zeros((x.n_rows, len(model.labels)))
     for pair, value in zip(model.pairs, values):

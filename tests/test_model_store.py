@@ -187,9 +187,9 @@ def svm_models(draw):
     pool = draw(sparse_matrices(dim).filter(lambda x: x.n_rows > 0))
     n = pool.n_rows
     pair = PairModel(
-        Label.DEFECT, Label.NON_DEFECT, tuple(range(n)),
-        tuple(draw(st.lists(floats, min_size=n, max_size=n))),
-        tuple(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))),
+        Label.DEFECT, Label.NON_DEFECT, np.arange(n),
+        np.array(draw(st.lists(floats, min_size=n, max_size=n))),
+        np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))),
         draw(floats), draw(st.integers(0, 10**6)), draw(st.booleans()),
     )
     weights = {Label.DEFECT: draw(positive), Label.NON_DEFECT: draw(positive)}
@@ -202,7 +202,7 @@ def svm_models(draw):
     )
     bounds = [sorted(draw(st.lists(floats, min_size=2, max_size=2))) for _ in range(dim)]
     bounds = [draw(st.sampled_from([b, [0.0, 1.0], [-0.0, 1.0], [0.0, 0.0]])) for b in bounds]
-    scaler = Scaler(tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds))
+    scaler = Scaler(np.array([lo for lo, _ in bounds]), np.array([hi for _, hi in bounds]))
     return dim, model, scaler
 
 
@@ -231,7 +231,7 @@ class TestExactRoundTrip:
         loaded = load_model(path)
         assert svm_floats(loaded.classifier, loaded.scaler) == svm_floats(model, scaler)
         assert loaded.classifier.support_vectors == model.support_vectors
-        assert loaded.classifier.pairs[0].support == model.pairs[0].support
+        assert np.array_equal(loaded.classifier.pairs[0].support, model.pairs[0].support)
         assert (loaded.classifier.params.gamma is None) == (model.params.gamma is None)
         assert_rewrites_itself(path)
 
@@ -244,15 +244,17 @@ class TestExactRoundTrip:
             means, variances = data.draw(tables(floats, dim)), data.draw(tables(positive, dim))
             drawn = {"means": means, "variances": variances}
         model = NbModel(
-            (Label.DEFECT, Label.NON_DEFECT), tuple(data.draw(priors)), event_model, dim,
-            **{key: tuple(map(tuple, rows)) for key, rows in drawn.items()},
+            (Label.DEFECT, Label.NON_DEFECT), np.array(data.draw(priors)), event_model, dim,
+            **{key: np.array(rows) for key, rows in drawn.items()},
         )
         path = tmp_path_factory.mktemp("nb") / "model.json"
         save_model(path, stored(model, Vocabulary(tuple(f"f{i}" for i in range(dim)), 1)))
         loaded = load_model(path).classifier
         assert bits(loaded.log_priors) == bits(model.log_priors)
-        for key, rows in drawn.items():
-            assert [bits(row) for row in getattr(loaded, key)] == [bits(row) for row in rows]
+        for key in drawn:
+            assert [bits(row) for row in getattr(loaded, key)] == [
+                bits(row) for row in getattr(model, key)
+            ]
         assert_rewrites_itself(path)
 
     @settings(max_examples=150, deadline=None)
@@ -276,7 +278,8 @@ class TestExactRoundTrip:
     def test_token_sets_read_back_equal(self, tmp_path_factory, normalization):
         # the token sets are the whole normalizer config, all of it saved
         model = NbModel(
-            (Label.DEFECT, Label.NON_DEFECT), (-0.5, -1.0), MULTINOMIAL, 1, ((-1.0,), (-2.0,))
+            (Label.DEFECT, Label.NON_DEFECT), np.array([-0.5, -1.0]), MULTINOMIAL, 1,
+            np.array([[-1.0], [-2.0]]),
         )
         record = StoredModel(
             model, Vocabulary(("f0",), 1), None, FeatureSettings(), normalization, {}

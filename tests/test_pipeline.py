@@ -1,20 +1,24 @@
 """Config-driven orchestration over the bundled demo corpus."""
 
+import inspect
+
 import pytest
 
 from rareclass.cli import apply_text_sampler
 from rareclass.config import PipelineConfig, render_default_config
 from rareclass.corpus import Corpus, Label, load_corpus, three_way_split
 from rareclass.errors import ConfigError
-from rareclass.features import load_clusters
+from rareclass.features import FeatureSettings, load_clusters
 from rareclass.model_store import load_features, load_model, save_features, save_model
-from rareclass.normalize import load_name_lexicon, save_normalized
+from rareclass.naive_bayes import train_nb
+from rareclass.normalize import NormalizationConfig, load_name_lexicon, save_normalized
 from rareclass.pipeline import (
     evaluate_corpus,
     featurize_corpus,
     predict_corpus,
     train_from_corpus,
 )
+from rareclass.svm import SvmParams
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,15 @@ class TestConfig:
         demo = PipelineConfig.from_sources(tmp_path / "demo" / "demo.cfg")
         changed = {key for key in defaults.values if demo[key] != defaults[key]}
         assert changed == {"paths.corpus", "paths.lexicon", "paths.name_lexicon", "paths.clusters"}
+
+    def test_config_defaults_equal_the_parameter_defaults(self):
+        # each default is written twice: as a `_KEYS` string and in the code
+        defaults = PipelineConfig.from_sources(None)
+        assert defaults.feature_settings() == FeatureSettings()
+        assert defaults.svm_params() == SvmParams()
+        assert defaults.normalization() == NormalizationConfig()
+        event_model = inspect.signature(train_nb).parameters["event_model"].default
+        assert defaults["nb.event_model"] == event_model
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from rareclass import svm
 from rareclass.cli import main
-from rareclass.corpus import Label
-from rareclass.features import CsrMatrix
+from rareclass.config import PipelineConfig
+from rareclass.corpus import Label, load_corpus, three_way_split
+from rareclass.features import CsrMatrix, apply_scaler, load_clusters
+from rareclass.normalize import load_name_lexicon
+from rareclass.pipeline import featurize_corpus, train_from_corpus
 from rareclass.svm import (
     KERNEL_LINEAR,
     KERNEL_RBF,
@@ -332,8 +335,8 @@ class TestMulticlassPrediction:
     def _three_class_model(self, biases):
         pairs = tuple(
             PairModel(
-                positive_label=pos, negative_label=neg, support=(), alpha=(), y=(),
-                bias=bias, iterations=0, converged=True,
+                positive_label=pos, negative_label=neg, support=np.zeros(0, np.intp),
+                alpha=np.zeros(0), y=np.zeros(0), bias=bias, iterations=0, converged=True,
             )
             for (pos, neg), bias in zip(
                 (
@@ -422,7 +425,9 @@ def models_and_queries(draw):
         alpha = draw(st.lists(st.sampled_from([0.5, 1.0, 7.25]), min_size=n, max_size=n))
         y = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
         bias = draw(st.sampled_from([-0.5, 0.0, 0.25]))
-        pairs.append(PairModel(pos, neg, support, tuple(alpha), tuple(y), bias, 1, True))
+        pairs.append(PairModel(
+            pos, neg, np.array(support, np.intp), np.array(alpha), np.array(y, float), bias, 1, True
+        ))
     gamma = draw(st.sampled_from([0.05, 0.7]))
     params = SvmParams(kernel=draw(st.sampled_from([KERNEL_RBF, KERNEL_LINEAR])), gamma=gamma)
     weights = {label: 1.0 for label in labels}
@@ -483,7 +488,10 @@ class TestFastPathsMatchOracle:
         pool = CsrMatrix.from_arrays([0, 3, 4, 5], [0, 1, 2, 1, 1], [1.0] * 5, 3)
         x = CsrMatrix.from_arrays([0, 3, 4], [0, 1, 2, 1], [1e16, -1e16, 1.0, 2.0], 3)
         assert list(svm._dense_columns(pool, pool.transpose())) == [1]
-        pair = PairModel(Label.DEFECT, Label.NON_DEFECT, (0,), (1.0,), (1,), 0.0, 1, True)
+        pair = PairModel(
+            Label.DEFECT, Label.NON_DEFECT, np.array([0], np.intp), np.array([1.0]), np.array([1.0]),
+            0.0, 1, True,
+        )
         weights = {Label.DEFECT: 1.0, Label.NON_DEFECT: 1.0}
         model = SvmModel((Label.DEFECT, Label.NON_DEFECT), (pair,),
                          SvmParams(kernel=KERNEL_LINEAR), 1.0, weights, 3, pool)
@@ -544,3 +552,32 @@ class TestFastPathsMatchOracle:
         monkeypatch.setattr(svm, "solve_binary", smo_oracle.solve_binary)
         assert main([*base, "--model", str(tmp_path / "oracle.json")]) == 0
         assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+
+class TestScoresDoNotDependOnTheBatch:
+    """A row's decision values are the same bit for bit whether it is
+    scored alone or in a block with other rows."""
+
+    @staticmethod
+    def assert_rows_alone_equal_the_block(model, x):
+        _, block = predict_svm(model, x)
+        for i in range(x.n_rows):
+            _, alone = predict_svm(model, x.rows(i, i + 1))
+            assert alone.keys() == block.keys()
+            assert all(alone[key].tobytes() == block[key][i : i + 1].tobytes() for key in block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(models_and_queries())
+    def test_drawn_models(self, model_and_query):
+        self.assert_rows_alone_equal_the_block(*model_and_query)
+
+    def test_demo_model(self, demo_paths):
+        corpus = load_corpus(demo_paths["corpus"])
+        names = load_name_lexicon(demo_paths["names"])
+        clusters = load_clusters(demo_paths["clusters"])
+        split = three_way_split(corpus, 0.2, 0.2, seed=13)
+        stored, _ = train_from_corpus(split.train, PipelineConfig.from_sources(None), names, clusters)
+        x, _ = featurize_corpus(
+            split.test, names, clusters, stored.normalization, stored.features, stored.vocabulary
+        )
+        self.assert_rows_alone_equal_the_block(stored.classifier, apply_scaler(stored.scaler, x))

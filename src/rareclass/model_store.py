@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -285,14 +286,19 @@ def _svm_from_json(obj: dict) -> SvmModel:
     )
     pool_obj = obj["support_vectors"]
     pool = _csr_from_gaps(pool_obj["indptr"], pool_obj["indices"], pool_obj["values"], obj["dim"])
+    # what `train_svm` writes: one pair for every two labels, in label order
+    expected = [[pos.value, neg.value] for pos, neg in combinations(labels, 2)]
+    found = [[p["positive"], p["negative"]] for p in obj["pairs"]]
+    if len(set(labels)) < len(labels) or not expected or found != expected:
+        raise DataError("svm: the pairs must be every two of two or more distinct labels, in order")
     pairs = []
     for p in obj["pairs"]:
         if not len(p["support"]) == len(p["alpha"]) == len(p["y"]):
             raise DataError("svm: a pair's support, alpha and y differ in length")
         if not all(0 <= i < pool.n_rows for i in p["support"]):
             raise DataError(f"svm: support index out of range for a pool of {pool.n_rows}")
-        if not set(p["y"]) <= {-1, 1} or not {p["positive"], p["negative"]} <= set(obj["labels"]):
-            raise DataError("svm: a pair's y or labels are invalid")
+        if not set(p["y"]) <= {-1, 1}:
+            raise DataError("svm: a pair's y values must be +1 or -1")
         pairs.append(PairModel(
             Label(p["positive"]), Label(p["negative"]), np.asarray(p["support"], np.intp),
             np.asarray(p["alpha"], float), np.asarray(p["y"], float), float(p["bias"]),

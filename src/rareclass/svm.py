@@ -18,10 +18,13 @@ most the tolerance, which bounds every KKT violation by the tolerance.
 The two-variable subproblem is solved analytically and clipped to its
 feasible segment, so the equality constraint is preserved exactly.
 
-Training runs SMO on the rows of one `CsrMatrix`, one class pair at a
-time.  A trained model keeps every support vector once, in a pool shared
-by all pairs (the LIBSVM layout); each pair refers to its support
-vectors by pool index and carries its own dual coefficients and bias.
+Training runs SMO one class pair at a time on the training matrix
+itself: the solver reads a pair's rows through their row ids, so no copy
+of them lives through the loop and the kernel row cache is its one large
+allocation, as in LIBSVM.  A trained model keeps every support vector
+once, in a pool shared by all pairs (the LIBSVM layout); each pair
+refers to its support vectors by pool index and carries its own dual
+coefficients and bias.
 
 Multi-class prediction is one-vs-one: each pair votes via the sign of
 its decision value; vote ties break by the larger sum of winning
@@ -97,6 +100,8 @@ class SvmParams:
 PREDICT_BLOCK_ROWS = 16
 # kernel rows `_kernel_rows` keeps, the most recently used
 KERNEL_CACHE_ROWS = 512
+# (rows computed, rows requested) by the row cache of the last `solve_binary`
+_row_counts = (0, 0)
 
 
 def _kernel_block(
@@ -125,26 +130,35 @@ def _dense_columns(x: CsrMatrix, columns: CsrMatrix) -> dict[int, np.ndarray]:
     return dense
 
 
-def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float):
-    """Row i of the kernel matrix of `x`, with the `KERNEL_CACHE_ROWS` most
-    recently used rows cached.
+def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, rows: np.ndarray | None = None):
+    """Row i of the kernel matrix of the rows `rows` of `x` (increasing row
+    ids; None means every row), with the `KERNEL_CACHE_ROWS` most recently
+    used rows cached.
 
-    Row i equals ``x.rows(i, i + 1).matmul(x.transpose())`` bit for bit:
-    each sum takes its terms in increasing column order.  The transpose's
-    slices for a run of sparse columns are joined and added by `_add_run`;
-    a dense column adds its products to every sum in one vector operation.
-    Each sum starts at +0.0, so it is never -0.0, and the zero product of
-    a row that lacks a dense column leaves it unchanged.
+    With ``pair = x.take(rows)``, row i equals
+    ``pair.rows(i, i + 1).matmul(pair.transpose())`` bit for bit: each sum
+    takes its terms in increasing column order.  The transpose, the squared
+    norms and the dense columns are built from that copy, which is dropped
+    before the first row; a row reads the columns and values of row
+    ``rows[i]`` from `x` itself.  The transpose's slices for a run of
+    sparse columns are joined and added by `_add_run`; a dense column adds
+    its products to every sum in one vector operation.  Each sum starts at
+    +0.0, so it is never -0.0, and the zero product of a row that lacks a
+    dense column leaves it unchanged.
     """
-    columns = x.transpose()
+    pair = x if rows is None else x.take(rows)
+    columns = pair.transpose()
+    sq = pair.squared_norms()
+    dense = _dense_columns(pair, columns)
+    n = pair.n_rows
+    del pair
     bounds = columns.indptr.tolist()
-    sq = x.squared_norms()
-    dense = _dense_columns(x, columns)
     no_cells, no_products = np.zeros(0, np.intp), np.zeros(0)  # so that an empty run joins
 
     @lru_cache(maxsize=KERNEL_CACHE_ROWS)
     def row(i: int) -> np.ndarray:
-        lo, hi = x.indptr[i], x.indptr[i + 1]
+        r = i if rows is None else rows.item(i)
+        lo, hi = x.indptr[r], x.indptr[r + 1]
         dots = None
         cells, products = [no_cells], [no_products]
         for col, value in zip(x.indices[lo:hi].tolist(), x.data[lo:hi].tolist()):
@@ -155,10 +169,10 @@ def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float):
                 data = columns.data[start:stop]
                 products.append(data if value == 1.0 else data * value)  # 1.0 * v is v
                 continue
-            dots = _add_run(dots, cells, products, x.n_rows)
+            dots = _add_run(dots, cells, products, n)
             cells, products = [no_cells], [no_products]
             dots += vector if value == 1.0 else vector * value
-        dots = _add_run(dots, cells, products, x.n_rows)
+        dots = _add_run(dots, cells, products, n)
         return _kernel_block(dots[None, :], sq[i : i + 1], sq, kernel, gamma)[0]
 
     return row
@@ -183,8 +197,14 @@ def solve_binary(
     gamma: float = 1.0,
     tolerance: float = 1e-3,
     max_iterations: int = 10_000_000,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Run SMO on one binary subproblem; `y_pm` holds +1/-1 labels.
+    """Run SMO on one binary subproblem: the rows `rows` of `x`, increasing
+    row ids (None means every row), with +1/-1 labels `y_pm` and upper
+    bounds `box` at the same positions.
+
+    The result equals that of SMO on ``x.take(rows)`` bit for bit, but no
+    copy of the rows lives through the loop (see `_kernel_rows`).
 
     The working set follows Fan, Chen & Lin (2005): i maximizes
     g = y - u over the "up" set; j is the "down" point with g_j < g_i
@@ -195,16 +215,19 @@ def solve_binary(
     over "down" is at most `tolerance`.
 
     Returns (alpha, bias, iterations, converged) with alpha over every
-    training row, support vector or not.
+    point of the subproblem, support vector or not.  The row cache's
+    counts are left in `_row_counts` for the caller's log line.
     """
+    global _row_counts
     y = np.asarray(y_pm, dtype=float)
     box = np.asarray(box, dtype=float)
     n = len(y)
-    ys, boxes = y.tolist(), box.tolist()  # the loop reads its scalars as floats
     alpha = np.zeros(n)
     g = y.copy()  # y - u, with u the bias-free decision values (all 0 at alpha = 0)
-    kernel_row = _kernel_rows(x, kernel, gamma)
-    diag = x.squared_norms() if kernel == KERNEL_LINEAR else None
+    kernel_row = _kernel_rows(x, kernel, gamma, rows)
+    diag = None
+    if kernel == KERNEL_LINEAR:
+        diag = x.squared_norms() if rows is None else x.squared_norms()[rows]
     pos = y > 0
     # the "up" and "down" sets as masks, kept current where alpha changes, that
     # are 0 on a set and -inf/+inf off it: on the set, g + mask == g
@@ -239,7 +262,7 @@ def solve_binary(
         if eta <= 0.0:
             eta = 1e-12
         a_i, a_j = alpha.item(i), alpha.item(j)
-        y_i, y_j, box_i, box_j = ys[i], ys[j], boxes[i], boxes[j]
+        y_i, y_j, box_i, box_j = y.item(i), y.item(j), box.item(i), box.item(j)
         if y_i != y_j:
             low = max(0.0, a_j - a_i)
             high = min(box_j, box_i + a_j - a_i)
@@ -260,10 +283,11 @@ def solve_binary(
             a_j_new = box_j
         delta_i = (a_i_new - a_i) * y_i
         delta_j = (a_j_new - a_j) * y_j
-        for t, a_t in ((i, a_i_new), (j, a_j_new)):  # i != j: g_j < g_i
+        # i != j: g_j < g_i
+        for t, a_t, y_t, box_t in ((i, a_i_new, y_i, box_i), (j, a_j_new, y_j, box_j)):
             alpha[t] = a_t
-            up_mask[t] = 0.0 if (a_t < boxes[t] if ys[t] > 0 else a_t > 0.0) else -np.inf
-            down_mask[t] = 0.0 if (a_t > 0.0 if ys[t] > 0 else a_t < boxes[t]) else np.inf
+            up_mask[t] = 0.0 if (a_t < box_t if y_t > 0 else a_t > 0.0) else -np.inf
+            down_mask[t] = 0.0 if (a_t > 0.0 if y_t > 0 else a_t < box_t) else np.inf
         np.multiply(delta_i, row_i, out=step)
         step += np.multiply(delta_j, row_j, out=a)
         g -= step
@@ -273,6 +297,8 @@ def solve_binary(
             max_iterations,
             tolerance,
         )
+    cache = kernel_row.cache_info()
+    _row_counts = (cache.misses, cache.hits + cache.misses)
     free = (alpha > 0.0) & (alpha < box)
     up, down = up_mask == 0.0, down_mask == 0.0
     if free.any():
@@ -338,8 +364,10 @@ def train_svm(
 ) -> SvmModel:
     """Train a one-vs-one SVM; deterministic given row order.
 
-    Each class pair logs its labels, SMO iterations, support vectors and
-    convergence: at INFO, or at WARNING when it did not converge.
+    Each class pair is solved on `x` through its row ids (see
+    `solve_binary`).  It logs its labels, SMO iterations, support
+    vectors, kernel rows computed and requested, and convergence: at
+    INFO, or at WARNING when it did not converge.
     """
     params = params or SvmParams()
     if not x.n_rows:
@@ -363,13 +391,14 @@ def train_svm(
         y = np.where(is_pos[rows], 1.0, -1.0)
         box = np.where(y > 0, params.c * weights[pos_label], params.c * weights[neg_label])
         alpha, bias, iterations, converged = solve_binary(
-            x.take(rows), y, box, params.kernel, gamma, params.tolerance, params.max_iterations
+            x, y, box, params.kernel, gamma, params.tolerance, params.max_iterations, rows=rows
         )
         sv = alpha > 0.0
         logger.log(
             logging.INFO if converged else logging.WARNING,
-            "svm pair %s/%s: %d iterations, %d support vectors, converged=%s",
-            pos_label.value, neg_label.value, iterations, int(sv.sum()), converged,
+            "svm pair %s/%s: %d iterations, %d support vectors, "
+            "%d kernel rows computed for %d requests, converged=%s",
+            pos_label.value, neg_label.value, iterations, int(sv.sum()), *_row_counts, converged,
         )
         pairs.append(
             PairModel(pos_label, neg_label, rows[sv], alpha[sv], y[sv], bias, iterations, converged)

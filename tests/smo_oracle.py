@@ -41,9 +41,13 @@ def solve_binary(
     gamma: float = 1.0,
     tolerance: float = 1e-3,
     max_iterations: int = 10_000_000,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
-    """SMO with second-order working-set selection (Fan, Chen & Lin 2005);
-    returns (alpha, bias, iterations, converged)."""
+    """SMO with second-order working-set selection (Fan, Chen & Lin 2005)
+    on ``x.take(rows)`` (every row when `rows` is None); returns (alpha,
+    bias, iterations, converged)."""
+    if rows is not None:
+        x = x.take(rows)
     y = np.asarray(y_pm, dtype=float)
     box = np.asarray(box, dtype=float)
     n = len(y)

@@ -908,6 +908,22 @@ class TestExitCodes:
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["empty", "repeated", "positive is negative"])
+    def test_svm_pairs_not_every_two_labels_in_order_is_data_error(
+        self, workspace, tmp_path, capsys, edit
+    ):
+        def mutate(doc):
+            pairs = doc["svm"]["pairs"]
+            assert len(pairs) == 3
+            if edit == "empty":
+                pairs.clear()
+            elif edit == "repeated":
+                pairs[1] = pairs[0]
+            else:
+                pairs[0]["negative"] = pairs[0]["positive"]
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert "svm: the pairs must be every two of" in capsys.readouterr().err
+
     @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("inf")])
     def test_svm_gamma_not_positive_and_finite_is_data_error(
         self, workspace, tmp_path, capsys, gamma

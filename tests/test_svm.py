@@ -2,6 +2,8 @@
 
 import logging
 import math
+import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -261,19 +263,32 @@ class TestTrainingLog:
                   Label.NON_DEFECT]
         return from_rows(vectors), labels
 
-    def test_one_info_line_per_pair(self, caplog):
+    def test_one_info_line_per_pair(self, caplog, monkeypatch):
         x, labels = self._data()
+        caches = []  # each pair's kernel row cache, whose counts the line gives
+
+        def recording(*args):
+            caches.append(_kernel_rows(*args))
+            return caches[-1]
+
+        monkeypatch.setattr(svm, "_kernel_rows", recording)
         with caplog.at_level(logging.INFO, logger="rareclass.svm"):
             model = train_svm(x, labels, SvmParams(c=10.0, gamma=1.0))
         lines = [r for r in caplog.records if r.name == "rareclass.svm"]
-        assert len(lines) == len(model.pairs) == 3
-        for record, pair in zip(lines, model.pairs):
+        assert len(lines) == len(model.pairs) == len(caches) == 3
+        for record, pair, cache in zip(lines, model.pairs, caches):
             assert record.levelno == logging.INFO
             message = record.getMessage()
             assert f"{pair.positive_label.value}/{pair.negative_label.value}" in message
             assert f"{pair.iterations} iterations" in message
             assert f"{len(pair.support)} support vectors" in message
             assert "converged=True" in message
+            counts = cache.cache_info()
+            requested = counts.hits + counts.misses
+            # two rows per step; the last iteration stops before asking for one
+            assert requested == 2 * (pair.iterations - 1)
+            assert 0 < counts.misses <= requested
+            assert f"{counts.misses} kernel rows computed for {requested} requests" in message
 
     def test_unconverged_pair_is_a_warning(self, caplog):
         x, labels = self._data()
@@ -285,6 +300,34 @@ class TestTrainingLog:
             assert not pair.converged
             assert record.levelno == logging.WARNING
             assert "converged=False" in record.getMessage()
+
+
+class TestTrainingMemory:
+    def test_no_copy_of_a_pairs_rows_beside_the_kernel_cache(self, caplog):
+        """While SMO runs, the memory beside the kernel cache is the pair's
+        transpose and arrays over its points: no copy of the pair's rows and
+        no Python list per point sit on top of it."""
+        rng = np.random.default_rng(41)
+        n, dim = 800, 800
+        present = rng.random((n, dim)) < 0.1
+        indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+        columns = np.nonzero(present)[1]
+        x = CsrMatrix.from_arrays(indptr, columns, rng.choice([1.0, -0.5, 2.0], len(columns)), dim)
+        del present, indptr, columns
+        labels = [Label.DEFECT] * 200 + [Label.POSSIBLE_DEFECT, Label.NON_DEFECT] * 300
+        matrix_bytes = x.indptr.nbytes + x.indices.nbytes + x.data.nbytes
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.INFO, logger="rareclass.svm"):
+                train_svm(x, labels, SvmParams(c=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the last pair, of 600 points, fills its cache, so the peak holds it whole
+        computed = re.search(r"(\d+) kernel rows computed", caplog.records[-1].getMessage())
+        assert int(computed.group(1)) >= svm.KERNEL_CACHE_ROWS
+        cache_bytes = svm.KERNEL_CACHE_ROWS * 600 * 8
+        assert peak - cache_bytes < 1.5 * matrix_bytes
 
 
 class TestClassWeights:
@@ -434,6 +477,17 @@ def models_and_queries(draw):
     return SvmModel(labels, tuple(pairs), params, gamma, weights, pool.dim, pool), x
 
 
+def embedded(x, others, ids):
+    """A matrix whose rows `ids` (increasing) are the rows of `x` and whose
+    other rows are those of `others`, in order."""
+    order = np.empty(x.n_rows + others.n_rows, np.intp)
+    order[ids] = np.arange(x.n_rows)
+    order[np.setdiff1d(np.arange(len(order)), ids)] = x.n_rows + np.arange(others.n_rows)
+    larger = CsrMatrix.stack([x, others], x.dim).take(order)
+    assert larger.take(ids) == x
+    return larger
+
+
 class TestFastPathsMatchOracle:
     """The kernel rows and the SMO loop repeat the oracle's arithmetic in
     the oracle's order, so they agree with it bit for bit."""
@@ -443,13 +497,22 @@ class TestFastPathsMatchOracle:
         csr_matrices(),
         st.sampled_from([KERNEL_RBF, KERNEL_LINEAR]),
         st.sampled_from([0.05, 0.7, 3.0]),
+        st.data(),
     )
-    def test_kernel_rows_equal_matmul_rows(self, x, kernel, gamma):
+    def test_kernel_rows_equal_matmul_rows(self, x, kernel, gamma, data):
         columns = x.transpose()
         sq = x.squared_norms()
         row = _kernel_rows(x, kernel, gamma)
         for i in range(x.n_rows):
             dots = x.rows(i, i + 1).matmul(columns)
+            assert np.array_equal(row(i), _kernel_block(dots, sq[i : i + 1], sq, kernel, gamma)[0])
+        # the rows of an increasing subset, read from `x` through their ids
+        ids = np.array(sorted(data.draw(st.sets(st.integers(0, x.n_rows - 1), min_size=1))))
+        pair = x.take(ids)
+        columns, sq = pair.transpose(), pair.squared_norms()
+        row = _kernel_rows(x, kernel, gamma, ids)
+        for i in range(pair.n_rows):
+            dots = pair.rows(i, i + 1).matmul(columns)
             assert np.array_equal(row(i), _kernel_block(dots, sq[i : i + 1], sq, kernel, gamma)[0])
 
     @settings(max_examples=150, deadline=None)
@@ -530,16 +593,29 @@ class TestFastPathsMatchOracle:
         expected = smo_oracle.solve_binary(*args)
         assert np.array_equal(alpha, expected[0])
         assert (bias, iterations, converged) == expected[1:]
+        # the same points as an increasing subset of a larger matrix's rows
+        others = data.draw(csr_matrices(max_rows=8, dim=x.dim))
+        slots = data.draw(st.permutations(range(x.n_rows + others.n_rows)))
+        ids = np.sort(slots[: x.n_rows])
+        larger = embedded(x, others, ids)
+        alpha, *rest = solve_binary(larger, y, box, kernel, gamma, 1e-3, 2_000, rows=ids)
+        assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
 
     def test_one_point_class_and_zero_rows_equal_oracle(self):
         # rows: empty, (1, 0), (2, -1), empty, (2, -1); the +1 class is one empty row
         x = CsrMatrix.from_arrays(
             [0, 0, 1, 3, 3, 5], [0, 0, 1, 0, 1], [1.0, 2.0, -1.0, 2.0, -1.0], 2
         )
+        # the same rows at ids 1, 2, 4, 5 and 7 of a larger matrix
+        others = CsrMatrix.from_arrays([0, 2, 2, 3], [0, 1, 1], [3.0, 5.0, -4.0], 2)
+        ids = np.array([1, 2, 4, 5, 7])
+        larger = embedded(x, others, ids)
         for kernel in (KERNEL_RBF, KERNEL_LINEAR):
             args = (x, [1, -1, -1, -1, -1], [10.0] * 5, kernel, 0.7)
             alpha, *rest = solve_binary(*args)
             expected = smo_oracle.solve_binary(*args)
+            assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
+            alpha, *rest = solve_binary(larger, *args[1:], rows=ids)
             assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
 
     def test_demo_model_is_byte_identical_under_the_oracle(self, tmp_path, monkeypatch, demo_paths):

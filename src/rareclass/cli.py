@@ -8,7 +8,11 @@ with ``kappa``, ``match``, ``preprocess``, ``featurize``, and
 ``rank-features`` usable standalone on the documented file formats.
 Every run logs its seeds, parameters, and input digests to stderr;
 artifacts contain no timestamps, so identical configs and inputs yield
-byte-identical outputs.
+byte-identical outputs.  The digests come from the interpreter's built-in
+SHA-256 (`_sha2`, `_sha256` before Python 3.12), so no step loads
+OpenSSL; `hashlib` is imported only by a build without them.  Every step
+that writes files refuses, before it reads any input, an output path that
+resolves to one of its inputs or to another of its outputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 internal error.
@@ -30,7 +34,6 @@ itself would bypass the tracer's wrapper.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import sys
 from dataclasses import replace
@@ -56,6 +59,14 @@ from .corpus import (
     three_way_split,
 )
 from .errors import ConfigError, DataError
+
+try:  # the interpreter's built-in SHA-256: hashlib would load OpenSSL
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .features import FeatureSettings
@@ -88,7 +99,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _log_input(kind: str, path: Path) -> str:
     """Log an input file with its sha256 digest, and return the digest."""
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+    digest = sha256(path.read_bytes()).hexdigest()[:12]
     logger.info("%s: %s (sha256:%s)", kind, path, digest)
     return digest
 
@@ -105,18 +116,31 @@ def _read_corpus(cfg: PipelineConfig, empty_ok: bool = False) -> tuple[Corpus, P
 
 
 def _check_outputs(
-    cfg: PipelineConfig, outputs: dict[str, str | None], inputs: Sequence[str]
+    cfg: PipelineConfig,
+    outputs: Sequence[tuple[str, str | Path | None]],
+    inputs: Sequence[str],
+    read: Sequence[tuple[str, str | None]] = (),
 ) -> None:
-    """A usage error, before any input is read, when two of `outputs` (paths
-    by flag; None when unset) resolve to one path, or one resolves to the
-    file of an input path key in `inputs`."""
-    taken = {Path(cfg[key]).resolve(): key for key in inputs if cfg[key]}
-    for flag, path in outputs.items():
+    """A usage error, before any input is read, when two of `outputs` ((flag,
+    path) pairs; the path None when unset) resolve to one path, or one
+    resolves to an input: the file of a path key in `inputs`, or a file an
+    input flag names in `read` ((flag, path) pairs)."""
+    taken = {
+        Path(path).resolve(): name
+        for name, path in [*((key, cfg[key]) for key in inputs), *read]
+        if path
+    }
+    for flag, path in outputs:
         if path:
             resolved = Path(path).resolve()
             if resolved in taken:
                 raise _UsageError(f"{flag} {path} is the {taken[resolved]} path")
             taken[resolved] = flag
+
+
+# the input path keys of the steps that featurize a corpus, and of those that score one
+_FEATURIZE_INPUTS = ("paths.corpus", "paths.name_lexicon", "paths.clusters")
+_SCORING_INPUTS = ("paths.model", *_FEATURIZE_INPUTS)
 
 
 # the shortcut flags, by argparse dest, and the config key each overrides
@@ -178,18 +202,16 @@ def _featurize_configured(cfg: PipelineConfig):
 
 
 def _cmd_split(args, cfg: PipelineConfig) -> int:
+    out_dir = Path(args.out_dir)
+    paths = {name: out_dir / f"{name}.tsv" for name in ("train", "validation", "test")}
+    _check_outputs(cfg, [("--out-dir", path) for path in paths.values()], ("paths.corpus",))
     corpus, _, _ = _read_corpus(cfg)
     result = three_way_split(
         corpus, cfg["split.test_fraction"], cfg["split.validation_fraction"], cfg["split.seed"]
     )
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, part in (
-        ("train", result.train),
-        ("validation", result.validation),
-        ("test", result.test),
-    ):
-        path = out_dir / f"{name}.tsv"
+    for name, path in paths.items():
+        part = getattr(result, name)
         save_corpus(part, path)
         print(f"{name}\t{len(part)}\t{path}")
     logger.info(
@@ -243,11 +265,11 @@ def _cmd_kappa(args, cfg: PipelineConfig) -> int:
 def _cmd_match(args, cfg: PipelineConfig) -> int:
     from .lexicon import MatchCounts, compile_matchers, load_lexicon, term_class_frequency_report
 
-    outputs = {
-        "--out": args.out,
-        "--term-report": args.term_report,
-        "--annotate-spans": args.annotate_spans,
-    }
+    outputs = [
+        ("--out", args.out),
+        ("--term-report", args.term_report),
+        ("--annotate-spans", args.annotate_spans),
+    ]
     _check_outputs(cfg, outputs, ("paths.corpus", "paths.lexicon"))
     corpus, _, _ = _read_corpus(cfg)
     lexicon_path = cfg.path("paths.lexicon", required=True)
@@ -293,6 +315,7 @@ def _cmd_match(args, cfg: PipelineConfig) -> int:
 def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
     from .normalize import classic_normalize, embedding_normalize, save_normalized
 
+    _check_outputs(cfg, [("--out", args.out)], ("paths.corpus", "paths.name_lexicon"))
     corpus, _, _ = _read_corpus(cfg)
     rows = []
     if cfg["normalize.pipeline"] == "classic":
@@ -312,6 +335,7 @@ def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
 def _cmd_featurize(args, cfg: PipelineConfig) -> int:
     from .model_store import save_features
 
+    _check_outputs(cfg, [("--out", args.out)], _FEATURIZE_INPUTS)
     corpus, x, vocab, settings = _featurize_configured(cfg)
     save_features(args.out, vocab, x, corpus, settings)
     print(f"features\t{x.n_rows}x{vocab.dim}\t{args.out}")
@@ -374,7 +398,8 @@ def apply_text_sampler(
 
 def _cmd_sample(args, cfg: PipelineConfig) -> int:
     report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".report.txt")
-    _check_outputs(cfg, {"--out": args.out, "--report": str(report_path)}, ("paths.corpus",))
+    outputs = [("--out", args.out), ("--report", report_path)]
+    _check_outputs(cfg, outputs, ("paths.corpus", "sampler.fn_corpus"))
     fn_path = _check_sampler(cfg, text_level=True)
     corpus, _, _ = _read_corpus(cfg)
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
@@ -390,12 +415,17 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
 
     if not cfg["paths.model"]:
         raise ConfigError("paths.model must be set for this subcommand")
+    model_path = Path(cfg["paths.model"])
+    report_path = model_path.with_suffix(".sampling.txt")
+    outputs = [("--model", model_path)]
+    if cfg["sampler.method"] != "none":
+        outputs.append(("--model (sampling report)", report_path))
+    _check_outputs(cfg, outputs, (*_FEATURIZE_INPUTS, "sampler.fn_corpus"))
     fn_path = _check_sampler(cfg)
     corpus, corpus_path, corpus_digest = _read_corpus(cfg)
     names, clusters, files = _names_and_clusters(cfg, cfg.feature_settings())
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
     model, report = train_from_corpus(sampled, cfg, names, clusters, report)
-    model_path = Path(cfg["paths.model"])
     # digests only: embedding the paths would break byte-reproducibility of
     # otherwise identical runs in different directories
     files["training_corpus"] = (corpus_path, corpus_digest)
@@ -403,7 +433,6 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     save_model(model_path, replace(model, extras=extras))
     print(f"model\t{cfg['classifier.kind']}\t{model_path}")
     if report is not None:
-        report_path = model_path.with_suffix(".sampling.txt")
         report_path.write_text(report.to_text(), encoding="utf-8")
         sys.stdout.write(report.to_text())
         print(f"sampling-report\t{report_path}")
@@ -437,7 +466,7 @@ def _scoring_inputs(cfg: PipelineConfig, empty_ok: bool):
 def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     from .pipeline import evaluate_corpus
 
-    _check_outputs(cfg, {"--out": args.out}, ("paths.model", "paths.corpus"))
+    _check_outputs(cfg, [("--out", args.out)], _SCORING_INPUTS)
     corpus, stored, names, clusters, ids = _scoring_inputs(cfg, empty_ok=False)
     report, _ = evaluate_corpus(stored, corpus, names, clusters, **ids)
     if args.out:
@@ -452,6 +481,8 @@ def _cmd_rank_features(args, cfg: PipelineConfig) -> int:
 
     if args.top is not None and args.top < 1:
         raise _UsageError(f"--top must be at least 1, got {args.top}")
+    inputs = () if args.features else _FEATURIZE_INPUTS
+    _check_outputs(cfg, [("--out", args.out)], inputs, read=[("--features", args.features)])
     if args.features:
         features_path = Path(args.features)
         _log_input("features", features_path)
@@ -476,6 +507,7 @@ def _cmd_report_errors(args, cfg: PipelineConfig) -> int:
     from .evaluation import error_report
     from .pipeline import predict_corpus
 
+    _check_outputs(cfg, [("--out", args.out)], _SCORING_INPUTS)
     corpus, stored, names, clusters, _ = _scoring_inputs(cfg, empty_ok=True)
     predictions = predict_corpus(stored, corpus, names, clusters)
     errors = error_report(corpus, predictions, Label(args.gold), Label(args.predicted_as))

@@ -560,13 +560,11 @@ class TestInputDigests:
         root, cfg, _ = workspace
         calls = []
 
-        class CountingHashlib:
-            @staticmethod
-            def sha256(data):
-                calls.append(data)
-                return hashlib.sha256(data)
+        def counting_sha256(data):
+            calls.append(data)
+            return hashlib.sha256(data)
 
-        monkeypatch.setattr("rareclass.cli.hashlib", CountingHashlib)
+        monkeypatch.setattr("rareclass.cli.sha256", counting_sha256)
         corpus = root / "splits" / f"{split}.tsv"
         argv = [command, "--config", str(cfg), "--corpus", str(corpus)]
         assert main([*argv, out_flag, str(tmp_path / "out")]) == 0
@@ -755,7 +753,8 @@ class TestReportErrors:
         assert rc == 1
 
 
-# each step whose output resolves to another of its outputs or to an input
+# each step whose output resolves to another of its outputs or to an input; a
+# case's own flags follow, and so override, the inputs the test sets
 OUTPUT_COLLISIONS = {
     "match out=annotate-spans": ["match", "--out", "same.tsv", "--annotate-spans", "same.tsv"],
     "match out=term-report": ["match", "--out", "same.tsv", "--term-report", "./same.tsv"],
@@ -767,29 +766,70 @@ OUTPUT_COLLISIONS = {
     "evaluate out=model": ["evaluate", "--out", "model.json"],
     "evaluate out=corpus": ["evaluate", "--out", "corpus.tsv"],
     "sample out=corpus": ["sample", "--method", "similar", "--out", "corpus.tsv"],
+    "split out-dir=corpus": ["split", "--corpus", "sub/train.tsv", "--out-dir", "sub"],
+    "train model=corpus": ["train", "--model", "corpus.tsv"],
+    "train model=name-lexicon": ["train", "--model", "names.txt"],
+    "train model=clusters": ["train", "--model", "clusters.tsv"],
+    "train model=fn-corpus": [
+        "train", "--sampler", "near_fn", "--set", "sampler.fn_corpus=fn.tsv", "--model", "fn.tsv",
+    ],
+    "train sampling-report=corpus": [
+        "train", "--sampler", "similar", "--corpus", "corpus.sampling.txt", "--model", "corpus.json",
+    ],
+    "preprocess out=corpus": ["preprocess", "--out", "corpus.tsv"],
+    "featurize out=corpus": ["featurize", "--out", "corpus.tsv"],
+    "rank-features out=corpus": ["rank-features", "--out", "corpus.tsv"],
+    "rank-features out=features": [
+        "rank-features", "--features", "features.json", "--out", "features.json",
+    ],
+    "report-errors out=model": ["report-errors", "--out", "model.json"],
+    "report-errors out=corpus": ["report-errors", "--out", "corpus.tsv"],
+    "evaluate out=name-lexicon": ["evaluate", "--out", "names.txt"],
+    "evaluate out=clusters": ["evaluate", "--out", "clusters.tsv"],
+    "sample out=fn-corpus": [
+        "sample", "--method", "near_fn", "--set", "sampler.fn_corpus=fn.tsv", "--out", "fn.tsv",
+    ],
 }
 
 
 class TestOutputCollisions:
+    @pytest.fixture(scope="class")
+    def features(self, workspace, tmp_path_factory):
+        _, cfg, _ = workspace
+        path = tmp_path_factory.mktemp("collisions") / "features.json"
+        assert main(["featurize", "--config", str(cfg), "--out", str(path)]) == 0
+        return path
+
     @pytest.mark.parametrize("argv", list(OUTPUT_COLLISIONS.values()), ids=list(OUTPUT_COLLISIONS))
     def test_usage_error_before_any_file_is_touched(
-        self, workspace, tmp_path, monkeypatch, capsys, argv
+        self, workspace, features, tmp_path, monkeypatch, capsys, argv
     ):
         root, _, paths = workspace
-        shutil.copy(paths["demo_corpus.tsv"], tmp_path / "corpus.tsv")
-        shutil.copy(paths["demo_lexicon.txt"], tmp_path / "lexicon.txt")
-        shutil.copy(root / "model.json", tmp_path / "model.json")
         (tmp_path / "sub").mkdir()
+        for source, name in (
+            (paths["demo_corpus.tsv"], "corpus.tsv"),
+            (paths["demo_corpus.tsv"], "corpus.sampling.txt"),
+            (paths["demo_corpus.tsv"], "fn.tsv"),
+            (paths["demo_corpus.tsv"], "sub/train.tsv"),
+            (paths["demo_lexicon.txt"], "lexicon.txt"),
+            (paths["demo_names.txt"], "names.txt"),
+            (paths["demo_clusters.tsv"], "clusters.tsv"),
+            (root / "model.json", "model.json"),
+            (features, "features.json"),
+        ):
+            shutil.copy(source, tmp_path / name)
         monkeypatch.chdir(tmp_path)
         before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        command, *flags = argv
         rc = main(
             [
-                *argv,
+                command,
                 "--corpus", "corpus.tsv",
                 "--set", "paths.lexicon=lexicon.txt",
                 "--set", "paths.model=model.json",
-                "--set", f"paths.name_lexicon={paths['demo_names.txt']}",
-                "--set", f"paths.clusters={paths['demo_clusters.tsv']}",
+                "--set", "paths.name_lexicon=names.txt",
+                "--set", "paths.clusters=clusters.tsv",
+                *flags,
             ]
         )
         assert rc == 1

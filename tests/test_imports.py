@@ -8,11 +8,14 @@ step also loads only the `rareclass` modules it runs: the classifier it
 trains or scores with, and a sampler, the lexicon or the evaluation code
 only when it runs them.  The layer functions perfbench/tracer.py wraps
 are forwarders in `cli` and `pipeline` (see `rareclass.forwarder`), and
-a traced step must still reach each wrapper.  Each check runs in a fresh
-interpreter, because this test process has long since imported
-everything.
+a traced step must still reach each wrapper.  No step loads OpenSSL
+(`_hashlib`): input digests come from the interpreter's built-in SHA-256,
+with `hashlib` only as the fallback for a build without it.  Each check
+runs in a fresh interpreter, because this test process has long since
+imported everything.
 """
 
+import hashlib
 import importlib
 import json
 import os
@@ -31,15 +34,27 @@ SRC = Path(rareclass.__file__).resolve().parent.parent
 CORPUS_GEN = PERFBENCH / "corpus_gen.py"
 NUMPY = {"numpy", "numpy.ma"}
 
-# runs its arguments as a CLI step, then prints which of numpy and
-# numpy.ma, and which rareclass modules, were imported
+# runs its arguments as a CLI step, then prints which of numpy, numpy.ma
+# and OpenSSL's _hashlib, and which rareclass modules, were imported
 _CLI_CHILD = """
 import sys
 from rareclass.cli import main
 code = main(sys.argv[1:])
-print("imported:", *[name for name in sys.modules if name in ("numpy", "numpy.ma")
+print("imported:", *[name for name in sys.modules if name in ("numpy", "numpy.ma", "_hashlib")
                      or name.startswith("rareclass.")])
 sys.exit(code)
+"""
+
+# logs one input's digest with the built-in SHA-256 modules made unimportable,
+# then prints whether hashlib was imported
+_FALLBACK_CHILD = """
+import logging, sys
+from pathlib import Path
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+logging.basicConfig(stream=sys.stdout, level=logging.INFO, format="%(message)s")
+from rareclass.cli import _log_input
+_log_input("corpus", Path(sys.argv[1]))
+print("imported:", *[name for name in ("hashlib",) if name in sys.modules])
 """
 
 # runs a script as __main__ with the given arguments, then the same print
@@ -52,8 +67,13 @@ print("imported:", *[name for name in ("numpy", "numpy.ma") if name in sys.modul
 
 
 def _run(child: str, args: list[str], cwd: Path) -> set[str]:
-    """Which of numpy and numpy.ma (and, for a CLI step, which rareclass modules)
-    were in `sys.modules` when the child finished."""
+    """Which of numpy and numpy.ma (and, for a CLI step, _hashlib and which
+    rareclass modules) were in `sys.modules` when the child finished."""
+    return set(_child_stdout(child, args, cwd)[-1].split()[1:])
+
+
+def _child_stdout(child: str, args: list[str], cwd: Path) -> list[str]:
+    """The lines the child printed; it must exit 0."""
     done = subprocess.run(
         [sys.executable, "-c", child, *args],
         cwd=cwd,
@@ -63,7 +83,7 @@ def _run(child: str, args: list[str], cwd: Path) -> set[str]:
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return set(done.stdout.strip().splitlines()[-1].split()[1:])
+    return done.stdout.strip().splitlines()
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +191,18 @@ STEP_MODULES = {
 }
 
 
+# every subcommand: the steps of `STEP_MODULES` and the rest
+EVERY_STEP = [
+    *STEP_MODULES, "preprocess classic", "preprocess embedding", "featurize",
+    "rank-features", "report-errors",
+]
+
+
 @pytest.fixture(scope="module")
 def step_modules(demo_files):
-    """The rareclass modules each step of `STEP_MODULES` loaded, each step in
-    a fresh interpreter; the train steps write the models the evaluate steps read."""
+    """The rareclass modules, and _hashlib if it was, each step of `EVERY_STEP`
+    loaded, each step in a fresh interpreter; the train steps write the models the
+    evaluate and report-errors steps read."""
     root, pairs = demo_files
     steps = _steps(root, pairs)
     corpus = str(packaged_data_path("demo_corpus.tsv"))
@@ -187,15 +215,34 @@ def step_modules(demo_files):
         model = ["--model", str(root / f"modules-{kind}.json")]
         steps[f"train {kind}"] = ["train", *common, *model, "--classifier", kind]
         steps[f"evaluate {kind}"] = ["evaluate", *common, *model]
+    steps["featurize"] = ["featurize", *common, "--out", str(root / "features.json")]
+    steps["rank-features"] = ["rank-features", *common, "--out", str(root / "ranked.tsv")]
+    steps["report-errors"] = [
+        "report-errors", *common, "--model", str(root / "modules-svm.json"),
+        "--out", str(root / "errors.tsv"),
+    ]
     return {
         step: {name.removeprefix("rareclass.") for name in _run(_CLI_CHILD, steps[step], root)} - NUMPY
-        for step in STEP_MODULES
+        for step in EVERY_STEP
     }
 
 
 @pytest.mark.parametrize("step", list(STEP_MODULES))
 def test_each_step_loads_only_the_modules_it_runs(step_modules, step):
     assert step_modules[step] == STEP_MODULES[step]
+
+
+@pytest.mark.parametrize("step", EVERY_STEP)
+def test_no_step_loads_openssl(step_modules, step):
+    assert "_hashlib" not in step_modules[step]
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin_modules(tmp_path):
+    path = tmp_path / "input.tsv"
+    path.write_bytes(b"id\tlabel\ttext\n")
+    log, imported = _child_stdout(_FALLBACK_CHILD, [str(path)], tmp_path)
+    assert log == f"corpus: {path} (sha256:{hashlib.sha256(path.read_bytes()).hexdigest()[:12]})"
+    assert imported.split()[1:] == ["hashlib"]
 
 
 # each traced step, and the wrapped layers it must reach

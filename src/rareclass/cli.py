@@ -58,7 +58,7 @@ from .corpus import (
     save_corpus,
     three_way_split,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_utf8
 
 try:  # the interpreter's built-in SHA-256: hashlib would load OpenSSL
     from _sha2 import sha256  # Python 3.12 and later
@@ -229,7 +229,7 @@ def _cmd_split(args, cfg: PipelineConfig) -> int:
 def _cmd_kappa(args, cfg: PipelineConfig) -> int:
     path = Path(args.pairs)
     _log_input("annotation pairs", path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or tuple(lines[0].split("\t")) != ("id", "label_a", "label_b"):
         raise DataError(f"{path}: expected header id\\tlabel_a\\tlabel_b")
     seq_a: list[Label] = []

@@ -4,6 +4,11 @@ splitting, and annotator-agreement statistics.
 All types are immutable after construction and safe to share across
 threads; every operation here is a pure function (split randomness is
 fully determined by the seed argument).
+
+A corpus is held as one slotted record per tweet.  `load_corpus` reads
+its file a line at a time rather than whole, and the rows of one user
+share one user-id string, so a loaded corpus costs little beyond its
+texts.
 """
 
 from __future__ import annotations
@@ -29,13 +34,15 @@ class Label(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Label":
+        # a dict lookup: calling the enum costs some 30 times more
         try:
-            return cls(text)
-        except ValueError:
+            return _LABEL_OF[text]
+        except KeyError:
             raise ValueError(f"unknown label {text!r}") from None
 
 
 LABELS: tuple[Label, ...] = tuple(Label)
+_LABEL_OF = {label.value: label for label in LABELS}
 
 
 def _is_utf8_boundary(raw: bytes, offset: int) -> bool:
@@ -74,7 +81,7 @@ def char_span_to_bytes(text: str, span: tuple[int, int]) -> tuple[int, int]:
     return len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tweet:
     """One raw short text; `text` is kept byte-for-byte as retrieved."""
 
@@ -87,7 +94,7 @@ class Tweet:
             raise ValueError("tweet id must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedTweet:
     """A tweet with its assigned label and, optionally, the matched span.
 
@@ -184,6 +191,32 @@ def _unescape(text: str) -> str:
     return _ESCAPE_RE.sub(_decode_escape, text) if "\\" in text else text
 
 
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of `path`, decoded one at a time.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as `Path.read_text`
+    reads them; the other breaks of `str.splitlines` stay inside a line,
+    since escaped text may hold them.  A line that is not UTF-8 is a
+    DataError naming its number.
+    """
+    lineno = 0
+    with path.open("rb") as f:
+        for raw in f:  # ends at b"\n" only
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = lineno + 1 + raw.count(b"\r", 0, exc.start)
+                raise DataError(f"{path}: not valid UTF-8 at line {bad} ({exc})") from None
+            if "\r" not in line:
+                lineno += 1
+                yield lineno, line.removesuffix("\n")
+                continue
+            line = line.replace("\r\n", "\n").replace("\r", "\n")
+            for part in line.removesuffix("\n").split("\n"):
+                lineno += 1
+                yield lineno, part
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus file (see `TSV_HEADER` for the column layout).
 
@@ -191,16 +224,20 @@ def load_corpus(path: str | Path) -> Corpus:
     one left-to-right pass; any other backslash is an error that names its
     position.  Span columns may be empty; when present they must form a
     valid byte span of the decoded text.  Errors name the offending line.
+
+    The file is read and decoded a line at a time, so neither its whole
+    text nor a list of its lines is ever held.  Rows with the same user id
+    share one string.
     """
     path = Path(path)
-    # split on newline only: escaped text may contain other control
-    # characters that str.splitlines() would treat as row boundaries
-    lines = path.read_text(encoding="utf-8").split("\n")
-    if not lines or tuple(lines[0].split("\t")) != TSV_HEADER:
+    lines = _lines(path)
+    header = next(lines, (1, ""))[1]
+    if tuple(header.split("\t")) != TSV_HEADER:
         raise DataError(f"{path}: missing or malformed header line")
     items: list[AnnotatedTweet] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    users: dict[str, str] = {}
+    for lineno, line in lines:
         if not line:
             continue
         fields = line.split("\t")
@@ -228,6 +265,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 span = (int(start_s), int(end_s))
             except ValueError:
                 raise DataError(f"{path}: non-integer span at line {lineno}") from None
+        user_id = users.setdefault(user_id, user_id)
         try:
             items.append(AnnotatedTweet(Tweet(tid, user_id, text), label, span))
         except ValueError as exc:

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Label, LABELS
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -291,7 +291,7 @@ def load_clusters(path: str | Path) -> dict[str, str]:
     """
     path = Path(path)
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split()

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus, Label, LABELS, Tweet, char_span_to_bytes, byte_span_to_chars
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .normalize import URL_RE, USERNAME_RE
 
 _SEPARATOR_RE = re.compile(r"[\s\-]+")
@@ -93,7 +93,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     path = Path(path)
     terms: list[tuple[str, tuple[str, ...]]] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

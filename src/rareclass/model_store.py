@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .corpus import Corpus, Label
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .features import (
     CsrMatrix,
     FeatureSettings,
@@ -359,10 +359,11 @@ def save_model(path: str | Path, model: StoredModel) -> None:
 
 def read_versioned_json(path: Path, format_name: str, version: int, what: str, remedy: str) -> dict:
     """The JSON object in `path`, whose format and version must match; the
-    error for another version ends with `remedy`."""
+    error for another version ends with `remedy`.  A file that is not
+    UTF-8, not JSON or nested too deep to decode is a DataError."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(read_utf8(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != format_name:
         raise DataError(f"{path}: not a rareclass {what} file")

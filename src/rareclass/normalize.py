@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .config import DEFAULT_CHILD, DEFAULT_POSSESSIVE, DEFAULT_THIRD_PERSON
 from .corpus import Label, Tweet, byte_span_to_chars
-from .errors import DataError
+from .errors import DataError, read_utf8
 from .porter import porter_stem
 
 USERNAME_RE = re.compile(r"@[A-Za-z0-9_]+")
@@ -71,7 +71,7 @@ def load_name_lexicon(path: str | Path) -> NameLexicon:
     """Read a one-name-per-line file (``#`` starts a comment line)."""
     path = Path(path)
     names: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

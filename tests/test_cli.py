@@ -1165,3 +1165,79 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestUndecodableInputs:
+    """A file that is not UTF-8, or JSON nested too deep to decode, is a
+    data error naming the file (a corpus also names the line); a config
+    file that is not UTF-8 is a configuration error naming it."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, workspace, tmp_path_factory):
+        root, cfg, paths = workspace
+        features = tmp_path_factory.mktemp("undecodable") / "features.json"
+        assert main(["featurize", "--config", str(cfg), "--out", str(features)]) == 0
+        pairs = features.with_name("pairs.tsv")
+        pairs.write_text("id\tlabel_a\tlabel_b\nt1\tdefect\tdefect\nt2\tdefect\tnon_defect\n")
+        return {
+            "corpus": paths["demo_corpus.tsv"],
+            "lexicon": paths["demo_lexicon.txt"],
+            "names": paths["demo_names.txt"],
+            "clusters": paths["demo_clusters.tsv"],
+            "pairs": pairs,
+            "model": root / "model.json",
+            "features": features,
+        }
+
+    @staticmethod
+    def _argv(workspace, kind, path, out):
+        """The step that reads a file of this kind from `path`."""
+        root, cfg, _ = workspace
+        base = ["--config", str(cfg)]
+        return {
+            "corpus": ["split", *base, "--corpus", str(path), "--out-dir", str(out)],
+            "lexicon": ["match", *base, "--lexicon", str(path), "--out", str(out)],
+            "names": ["featurize", *base, "--set", f"paths.name_lexicon={path}", "--out", str(out)],
+            "clusters": ["featurize", *base, "--set", f"paths.clusters={path}", "--out", str(out)],
+            "pairs": ["kappa", "--pairs", str(path)],
+            "model": ["evaluate", *base, "--corpus", str(root / "splits" / "test.tsv"),
+                      "--model", str(path), "--out", str(out)],
+            "features": ["rank-features", *base, "--features", str(path), "--out", str(out)],
+        }[kind]
+
+    @pytest.mark.parametrize(
+        "kind", ["corpus", "lexicon", "names", "clusters", "pairs", "model", "features"]
+    )
+    def test_byte_not_utf8_names_the_file(self, workspace, valid, tmp_path, capsys, kind):
+        data = valid[kind].read_bytes()
+        # at the start of line 3, or amid a one-line JSON file
+        at = len(data) // 2
+        if data.count(b"\n") > 2:
+            at = data.index(b"\n", data.index(b"\n") + 1) + 1
+        bad = tmp_path / f"bad{valid[kind].suffix}"
+        bad.write_bytes(data[:at] + b"\xff" + data[at:])
+        out = tmp_path / "out"
+        assert main(self._argv(workspace, kind, bad, out)) == 2
+        captured = capsys.readouterr()
+        line = " at line 3" if kind == "corpus" else ""
+        message = f"data error: {bad}: not valid UTF-8{line} ('utf-8' codec can't decode"
+        assert message in captured.err
+        assert not out.exists() and captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["model", "features"])
+    def test_json_nested_too_deep_is_data_error(self, workspace, tmp_path, capsys, kind):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out"
+        assert main(self._argv(workspace, kind, deep, out)) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {deep}: not valid JSON (maximum recursion depth exceeded" in err
+        assert not out.exists()
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"split.seed = 3\n# caf\xe9\n")
+        out = tmp_path / "splits"
+        assert main(["split", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"config error: {cfg}: not valid UTF-8 (" in capsys.readouterr().err
+        assert not out.exists()

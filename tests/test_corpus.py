@@ -1,5 +1,6 @@
 """Corpus model: TSV round-trips, distributions, splits, kappa, merging."""
 
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from rareclass.corpus import (
     Corpus,
     Label,
     LABELS,
+    TSV_HEADER,
     Tweet,
     byte_span_to_chars,
     char_span_to_bytes,
@@ -158,6 +160,124 @@ class TestLoadCorpus:
         loaded = load_corpus(path)
         assert [item.match_span for item in loaded] == [None, (6, 9), None]
         assert [item.tweet for item in loaded] == corpus.tweets()
+
+
+def reference_load_corpus(path):
+    """The whole-file reader: the text read at once (text mode, so a line
+    ends at \\n, \\r\\n or \\r) and split at newlines.  It makes the checks
+    that the files below reach, with `load_corpus`'s messages."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if tuple(lines[0].split("\t")) != TSV_HEADER:
+        raise DataError(f"{path}: missing or malformed header line")
+    items = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(TSV_HEADER):
+            raise DataError(
+                f"{path}: expected {len(TSV_HEADER)} columns at line {lineno}, got {len(fields)}"
+            )
+        tid, user_id, label_s, text, start_s, end_s = fields
+        try:
+            label = Label(label_s)
+        except ValueError:
+            raise DataError(f"{path}: unknown label {label_s!r} at line {lineno}") from None
+        span = (int(start_s), int(end_s)) if start_s else None
+        items.append(AnnotatedTweet(Tweet(tid, user_id, text), label, span))
+    return Corpus(tuple(items), provenance=str(path))
+
+
+def load_outcome(load, path):
+    try:
+        corpus = load(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return corpus.items, corpus.provenance
+
+
+HEADER = "\t".join(TSV_HEADER)
+
+# corpus files, and how many rows each holds (None: a DataError)
+LINE_BREAK_FILES = {
+    "no trailing newline": (f"{HEADER}\nt1\tuser-1\tdefect\tmy baby has chd\t12\t15", 1),
+    "blank lines": (
+        f"{HEADER}\n\nt1\tuser-1\tdefect\ta\t\t\n\n\nt2\tuser-1\tnon_defect\tb\t\t\n\n", 2
+    ),
+    "blank first line": (f"\n{HEADER}\nt1\tuser-1\tdefect\ta\t\t\n", None),
+    "header and no rows": (f"{HEADER}\n", 0),
+    "header alone": (HEADER, 0),
+    "empty file": ("", None),
+    "raw \\r inside the text": (f"{HEADER}\nt1\tuser-1\tdefect\tab\rcd\t\t\n", None),
+    "raw \\r ending the spans": (f"{HEADER}\nt1\tuser-1\tdefect\tmy chd\t3\t6\r\n", 1),
+    "crlf line ends": (
+        f"{HEADER}\r\nt1\tuser-1\tdefect\ta\t\t\r\nt2\tuser-2\tdefect\tb\t0\t1\r\n", 2
+    ),
+    "lone \\r line ends": (
+        f"{HEADER}\rt1\tuser-1\tdefect\ta\t\t\r\rt2\tuser-2\tdefect\tb\t\t\r", 2
+    ),
+    "\\r line ends then a bad row": (
+        f"{HEADER}\r\n\r\rt1\tuser-1\tdefect\ta\t\t\rt2\tuser-2\tnope\tb\t\t\n", None
+    ),
+    "other control characters": (
+        f"{HEADER}\nt1\tuser-1\tdefect\ta\x0bb\x1cc\x85d\u2028e\x0cf\t\t\n", 1
+    ),
+    "non-ascii text with byte spans": (
+        f"{HEADER}\nt1\tuser-é\tdefect\tbébé a la chd ❤\t12\t15\n"
+        "t2\tuser-é\tpossible_defect\t❤❤ chd\t7\t10\nt3\tuser-1\tnon_defect\tnaïve\t\t\n",
+        3,
+    ),
+}
+
+
+class TestStreamedLoad:
+    """`load_corpus` reads a line at a time; it reads every file as the
+    whole-file reader does, and names the line of a byte that is not UTF-8."""
+
+    @pytest.mark.parametrize("name", LINE_BREAK_FILES)
+    def test_same_outcome_as_the_whole_file_reader(self, tmp_path, name):
+        content, rows = LINE_BREAK_FILES[name]
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(content.encode("utf-8"))
+        outcome = load_outcome(load_corpus, path)
+        assert outcome == load_outcome(reference_load_corpus, path)
+        assert (None if outcome[0] == "error" else len(outcome[0])) == rows
+
+    @pytest.mark.parametrize(
+        "prefix, bad, line",
+        [
+            (b"", b"\xff" + HEADER.encode(), 1),
+            (b"t1\tuser-1\tdefect\ta\t\t\n", b"t2\tuser-1\tdefect\tb\xffc\t\t", 3),
+            (
+                b"".join(b"t%d\tuser-1\tdefect\ta\t\t\n" % i for i in range(4)),
+                b"t9\tu\tdefect\t\xc3\t\t",
+                6,
+            ),
+            (
+                b"t1\tuser-1\tdefect\ta\t\t\r\rt2\tuser-1\tdefect\tb\t\t\r",
+                b"t3\tu\tdefect\t\xe2\x9d\t\t",
+                5,
+            ),
+        ],
+        ids=["header", "line 3", "line 6", "after lone \\r ends"],
+    )
+    def test_bad_byte_names_its_line(self, tmp_path, prefix, bad, line):
+        path = tmp_path / "corpus.tsv"
+        head = b"" if line == 1 else HEADER.encode() + b"\n"
+        path.write_bytes(head + prefix + bad + b"\nt8\tuser-1\tdefect\tz\t\t\n")
+        with pytest.raises(DataError) as info:
+            load_corpus(path)
+        assert str(info.value).startswith(f"{path}: not valid UTF-8 at line {line} (")
+
+    def test_rows_of_one_user_share_one_string(self, tmp_path):
+        rows = [f"t{i}\tuser-{i % 3}\tdefect\ttext {i}\t\t" for i in range(9)]
+        corpus = load_corpus(write_tsv(tmp_path, rows))
+        by_user = {}
+        for item in corpus:
+            by_user.setdefault(item.tweet.user_id, []).append(item.tweet.user_id)
+        assert sorted(by_user) == ["user-0", "user-1", "user-2"]
+        for same in by_user.values():
+            assert len(same) == 3 and all(user_id is same[0] for user_id in same)
 
 
 class TestClassDistribution:
@@ -324,6 +444,31 @@ class TestDomainTypes:
     def test_tweet_requires_id(self):
         with pytest.raises(ValueError):
             Tweet("", "u", "x")
+
+    def test_records_are_slotted(self):
+        tweet = Tweet("t1", "u", "abc")
+        item = AnnotatedTweet(tweet, Label.DEFECT, (0, 3))
+        for record in (tweet, item):
+            assert not hasattr(record, "__dict__")
+            # FrozenInstanceError is an AttributeError; Python 3.11's frozen
+            # slotted __setattr__ raises TypeError for a name that is not a field
+            with pytest.raises((AttributeError, TypeError)):
+                record.extra = 1
+
+    def test_replace_equality_and_hashing(self):
+        tweet = Tweet("t1", "u", "abc")
+        item = AnnotatedTweet(tweet, Label.DEFECT, (0, 3))
+        assert dataclasses.replace(tweet, text="xyz") == Tweet("t1", "u", "xyz")
+        assert dataclasses.replace(item, match_span=None) == AnnotatedTweet(tweet, Label.DEFECT)
+        with pytest.raises(ValueError):
+            dataclasses.replace(item, match_span=(0, 9))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            item.label = Label.NON_DEFECT
+        twin = AnnotatedTweet(Tweet("t1", "u", "abc"), Label.DEFECT, (0, 3))
+        assert twin == item and hash(twin) == hash(item) and len({twin, item}) == 1
+        assert hash(tweet) == hash(("t1", "u", "abc"))
+        assert item != AnnotatedTweet(tweet, Label.NON_DEFECT, (0, 3))
+        assert tweet != ("t1", "u", "abc")
 
     def test_span_bounds_checked(self):
         t = Tweet("t1", "u", "abc")

@@ -10,9 +10,15 @@ Every run logs its seeds, parameters, and input digests to stderr;
 artifacts contain no timestamps, so identical configs and inputs yield
 byte-identical outputs.  The digests come from the interpreter's built-in
 SHA-256 (`_sha2`, `_sha256` before Python 3.12), so no step loads
-OpenSSL; `hashlib` is imported only by a build without them.  Every step
-that writes files refuses, before it reads any input, an output path that
-resolves to one of its inputs or to another of its outputs.
+OpenSSL; `hashlib` is imported only by a build without them.
+
+Each subcommand declares its inputs and outputs once, beside its parser
+entry, and `main` checks every output before any input is read: one that
+resolves to an input or to another output is a usage error, and one that
+exists but is not a regular file a data error.  The handler writes each
+output to a temporary sibling, ``.<name>.<pid>.tmp``, which `main` renames
+onto the output only if the step succeeds, so a failed step leaves no
+output behind, partial or replaced (a killed one can leave a ``.tmp``).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 internal error.
@@ -35,10 +41,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import __version__, forwarder
 from .config import (
@@ -115,32 +122,36 @@ def _read_corpus(cfg: PipelineConfig, empty_ok: bool = False) -> tuple[Corpus, P
     return corpus, path, digest
 
 
-def _check_outputs(
-    cfg: PipelineConfig,
-    outputs: Sequence[tuple[str, str | Path | None]],
-    inputs: Sequence[str],
-    read: Sequence[tuple[str, str | None]] = (),
-) -> None:
-    """A usage error, before any input is read, when two of `outputs` ((flag,
-    path) pairs; the path None when unset) resolve to one path, or one
-    resolves to an input: the file of a path key in `inputs`, or a file an
-    input flag names in `read` ((flag, path) pairs)."""
-    taken = {
-        Path(path).resolve(): name
-        for name, path in [*((key, cfg[key]) for key in inputs), *read]
-        if path
+class _Output(NamedTuple):
+    path: str | Path  # as the command line or config gives it
+    tmp: Path  # the temporary sibling of `final` the handler writes
+    final: Path  # resolved, so an output that is a symlink is written through it
+
+
+def _stage(args, cfg: PipelineConfig) -> dict[str, _Output]:
+    """The step's outputs by name, as its table entry in `build_parser`
+    declares them, checked (see above) before any input is read."""
+    declared = args.outputs(args, cfg) if callable(args.outputs) else {
+        dest: ("--" + dest.replace("_", "-"), getattr(args, dest)) for dest in args.outputs
     }
-    for flag, path in outputs:
+    taken = {}
+    for name in args.inputs:
+        path = getattr(args, name[2:]) if name.startswith("--") else cfg[name]
         if path:
-            resolved = Path(path).resolve()
-            if resolved in taken:
-                raise _UsageError(f"{flag} {path} is the {taken[resolved]} path")
-            taken[resolved] = flag
-
-
-# the input path keys of the steps that featurize a corpus, and of those that score one
-_FEATURIZE_INPUTS = ("paths.corpus", "paths.name_lexicon", "paths.clusters")
-_SCORING_INPUTS = ("paths.model", *_FEATURIZE_INPUTS)
+            taken[Path(path).resolve()] = name
+    out = {}
+    for name, (flag, path) in declared.items():
+        if path is not None:
+            final = Path(path).resolve()
+            if final in taken:
+                raise _UsageError(f"{flag} {path} is the {taken[final]} path")
+            taken[final] = flag
+            tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+            out[name] = _Output(path, tmp, final)
+    for output in out.values():
+        if output.final.exists() and not output.final.is_file():
+            raise DataError(f"{output.path}: output exists and is not a regular file")
+    return out
 
 
 # the shortcut flags, by argparse dest, and the config key each overrides
@@ -201,32 +212,24 @@ def _featurize_configured(cfg: PipelineConfig):
     return corpus, x, vocab, settings
 
 
-def _cmd_split(args, cfg: PipelineConfig) -> int:
-    out_dir = Path(args.out_dir)
-    paths = {name: out_dir / f"{name}.tsv" for name in ("train", "validation", "test")}
-    _check_outputs(cfg, [("--out-dir", path) for path in paths.values()], ("paths.corpus",))
+def _cmd_split(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     corpus, _, _ = _read_corpus(cfg)
     result = three_way_split(
         corpus, cfg["split.test_fraction"], cfg["split.validation_fraction"], cfg["split.seed"]
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, path in paths.items():
+    out["train"].tmp.parent.mkdir(parents=True, exist_ok=True)
+    for name, output in out.items():
         part = getattr(result, name)
-        save_corpus(part, path)
-        print(f"{name}\t{len(part)}\t{path}")
+        save_corpus(part, output.tmp)
+        print(f"{name}\t{len(part)}\t{output.path}")
     logger.info(
-        "split seed=%d fractions=%s/%s sizes=%d/%d/%d",
-        cfg["split.seed"],
-        cfg["split.test_fraction"],
-        cfg["split.validation_fraction"],
-        len(result.train),
-        len(result.validation),
-        len(result.test),
+        "split seed=%d fractions=%s/%s sizes=%d/%d/%d", cfg["split.seed"],
+        cfg["split.test_fraction"], cfg["split.validation_fraction"],
+        len(result.train), len(result.validation), len(result.test),
     )
-    return EXIT_OK
 
 
-def _cmd_kappa(args, cfg: PipelineConfig) -> int:
+def _cmd_kappa(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     path = Path(args.pairs)
     _log_input("annotation pairs", path)
     lines = read_utf8(path).splitlines()
@@ -259,18 +262,11 @@ def _cmd_kappa(args, cfg: PipelineConfig) -> int:
     print(f"items\t{len(seq_a)}")
     print(f"agreement\t{agree / len(seq_a):.6f}")
     print(f"kappa\t{kappa:.6f}")
-    return EXIT_OK
 
 
-def _cmd_match(args, cfg: PipelineConfig) -> int:
+def _cmd_match(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     from .lexicon import MatchCounts, compile_matchers, load_lexicon, term_class_frequency_report
 
-    outputs = [
-        ("--out", args.out),
-        ("--term-report", args.term_report),
-        ("--annotate-spans", args.annotate_spans),
-    ]
-    _check_outputs(cfg, outputs, ("paths.corpus", "paths.lexicon"))
     corpus, _, _ = _read_corpus(cfg)
     lexicon_path = cfg.path("paths.lexicon", required=True)
     _log_input("lexicon", lexicon_path)
@@ -291,31 +287,29 @@ def _cmd_match(args, cfg: PipelineConfig) -> int:
         f"{m.tweet_id}\t{m.term}\t{m.span[0]}\t{m.span[1]}\t{m.surface}"
         for m in matches
     )
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out["out"].tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"matches\t{len(matches)}\t{args.out}")
-    if args.term_report:
+    if "term_report" in out:
         report = term_class_frequency_report(corpus, lexicon, found)
         rows = ["term\t" + "\t".join(l.value for l in LABELS)]
         rows.extend(
             term + "\t" + "\t".join(str(counts[l]) for l in LABELS)
             for term, counts in report
         )
-        Path(args.term_report).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out["term_report"].tmp.write_text("\n".join(rows) + "\n", encoding="utf-8")
         print(f"term-report\t{len(report)}\t{args.term_report}")
-    if args.annotate_spans:
+    if "annotate_spans" in out:
         first = {}
         for m in matches:
             first.setdefault(m.tweet_id, m.span)
         # the spans come from match_text, which only emits valid ones
-        save_corpus(corpus, args.annotate_spans, spans=first)
+        save_corpus(corpus, out["annotate_spans"].tmp, spans=first)
         print(f"annotated\t{len(corpus)}\t{args.annotate_spans}")
-    return EXIT_OK
 
 
-def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
+def _cmd_preprocess(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     from .normalize import classic_normalize, embedding_normalize, save_normalized
 
-    _check_outputs(cfg, [("--out", args.out)], ("paths.corpus", "paths.name_lexicon"))
     corpus, _, _ = _read_corpus(cfg)
     rows = []
     if cfg["normalize.pipeline"] == "classic":
@@ -327,19 +321,16 @@ def _cmd_preprocess(args, cfg: PipelineConfig) -> int:
     else:
         for item in corpus:
             rows.append((item.tweet.id, item.label, embedding_normalize(item.tweet)))
-    save_normalized(rows, args.out)
+    save_normalized(rows, out["out"].tmp)
     print(f"normalized\t{len(rows)}\t{args.out}")
-    return EXIT_OK
 
 
-def _cmd_featurize(args, cfg: PipelineConfig) -> int:
+def _cmd_featurize(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     from .model_store import save_features
 
-    _check_outputs(cfg, [("--out", args.out)], _FEATURIZE_INPUTS)
     corpus, x, vocab, settings = _featurize_configured(cfg)
-    save_features(args.out, vocab, x, corpus, settings)
+    save_features(out["out"].tmp, vocab, x, corpus, settings)
     print(f"features\t{x.n_rows}x{vocab.dim}\t{args.out}")
-    return EXIT_OK
 
 
 def _check_sampler(cfg: PipelineConfig, text_level: bool = False) -> Path | None:
@@ -396,31 +387,30 @@ def apply_text_sampler(
     return oversample_replacement(corpus)
 
 
-def _cmd_sample(args, cfg: PipelineConfig) -> int:
-    report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".report.txt")
-    outputs = [("--out", args.out), ("--report", report_path)]
-    _check_outputs(cfg, outputs, ("paths.corpus", "sampler.fn_corpus"))
+def _cmd_sample(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     fn_path = _check_sampler(cfg, text_level=True)
     corpus, _, _ = _read_corpus(cfg)
     sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
-    save_corpus(sampled, args.out)
-    report_path.write_text(report.to_text(), encoding="utf-8")
+    save_corpus(sampled, out["out"].tmp)
+    out["report"].tmp.write_text(report.to_text(), encoding="utf-8")
     sys.stdout.write(report.to_text())
     print(f"sampled\t{len(sampled)}\t{args.out}")
-    return EXIT_OK
 
 
-def _cmd_train(args, cfg: PipelineConfig) -> int:
-    from .pipeline import train_from_corpus
-
+def _train_outputs(args, cfg: PipelineConfig) -> dict:
+    """The model, and its sampling report when a sampler runs."""
     if not cfg["paths.model"]:
         raise ConfigError("paths.model must be set for this subcommand")
-    model_path = Path(cfg["paths.model"])
-    report_path = model_path.with_suffix(".sampling.txt")
-    outputs = [("--model", model_path)]
+    model = Path(cfg["paths.model"])
+    outputs = {"model": ("--model", model)}
     if cfg["sampler.method"] != "none":
-        outputs.append(("--model (sampling report)", report_path))
-    _check_outputs(cfg, outputs, (*_FEATURIZE_INPUTS, "sampler.fn_corpus"))
+        outputs["sampling"] = ("--model (sampling report)", model.with_suffix(".sampling.txt"))
+    return outputs
+
+
+def _cmd_train(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
+    from .pipeline import train_from_corpus
+
     fn_path = _check_sampler(cfg)
     corpus, corpus_path, corpus_digest = _read_corpus(cfg)
     names, clusters, files = _names_and_clusters(cfg, cfg.feature_settings())
@@ -430,23 +420,20 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     # otherwise identical runs in different directories
     files["training_corpus"] = (corpus_path, corpus_digest)
     extras = {**model.extras, **{key: {"sha256": digest} for key, (_, digest) in files.items()}}
-    save_model(model_path, replace(model, extras=extras))
-    print(f"model\t{cfg['classifier.kind']}\t{model_path}")
+    save_model(out["model"].tmp, replace(model, extras=extras))
+    print(f"model\t{cfg['classifier.kind']}\t{out['model'].path}")
     if report is not None:
-        report_path.write_text(report.to_text(), encoding="utf-8")
+        out["sampling"].tmp.write_text(report.to_text(), encoding="utf-8")
         sys.stdout.write(report.to_text())
-        print(f"sampling-report\t{report_path}")
+        print(f"sampling-report\t{out['sampling'].path}")
     sampler = cfg["sampler.method"]
     if sampler in ("random", "smote"):  # the samplers that read the seed
         sampler += f", sampler seed {cfg['sampler.seed']}"
     logger.info(
-        "trained %s on %d items (vocabulary %d, sampler %s)",
-        cfg["classifier.kind"],
+        "trained %s on %d items (vocabulary %d, sampler %s)", cfg["classifier.kind"],
         len(corpus) if report is None else sum(report.output_counts.values()),
-        model.vocabulary.dim,
-        sampler,
+        model.vocabulary.dim, sampler,
     )
-    return EXIT_OK
 
 
 def _scoring_inputs(cfg: PipelineConfig, empty_ok: bool):
@@ -463,26 +450,22 @@ def _scoring_inputs(cfg: PipelineConfig, empty_ok: bool):
     return corpus, stored, names, clusters, ids
 
 
-def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
+def _cmd_evaluate(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     from .pipeline import evaluate_corpus
 
-    _check_outputs(cfg, [("--out", args.out)], _SCORING_INPUTS)
     corpus, stored, names, clusters, ids = _scoring_inputs(cfg, empty_ok=False)
     report, _ = evaluate_corpus(stored, corpus, names, clusters, **ids)
-    if args.out:
-        Path(args.out).write_text(report.to_tsv(), encoding="utf-8")
+    if "out" in out:
+        out["out"].tmp.write_text(report.to_tsv(), encoding="utf-8")
     sys.stdout.write(report.to_text())
-    return EXIT_OK
 
 
-def _cmd_rank_features(args, cfg: PipelineConfig) -> int:
+def _cmd_rank_features(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     from .features import information_gain
     from .model_store import load_features
 
     if args.top is not None and args.top < 1:
         raise _UsageError(f"--top must be at least 1, got {args.top}")
-    inputs = () if args.features else _FEATURIZE_INPUTS
-    _check_outputs(cfg, [("--out", args.out)], inputs, read=[("--features", args.features)])
     if args.features:
         features_path = Path(args.features)
         _log_input("features", features_path)
@@ -498,50 +481,48 @@ def _cmd_rank_features(args, cfg: PipelineConfig) -> int:
         f"{name}\t{vocab.kinds[vocab.index_of(name)]}\t{gain:.6f}"
         for name, gain in ranked
     )
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out["out"].tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"ranked\t{len(ranked)}\t{args.out}")
-    return EXIT_OK
 
 
-def _cmd_report_errors(args, cfg: PipelineConfig) -> int:
+def _cmd_report_errors(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     from .evaluation import error_report
     from .pipeline import predict_corpus
 
-    _check_outputs(cfg, [("--out", args.out)], _SCORING_INPUTS)
     corpus, stored, names, clusters, _ = _scoring_inputs(cfg, empty_ok=True)
     predictions = predict_corpus(stored, corpus, names, clusters)
     errors = error_report(corpus, predictions, Label(args.gold), Label(args.predicted_as))
-    save_corpus(Corpus(tuple(errors), provenance="error-report"), args.out)
+    save_corpus(Corpus(tuple(errors), provenance="error-report"), out["out"].tmp)
     print(f"errors\t{len(errors)}\t{args.out}")
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="rareclass",
-        description="rare-class short-text classification pipeline",
-    )
+    parser = _Parser(prog="rareclass", description="rare-class short-text classification pipeline")
     parser.add_argument("--version", action="version", version=f"rareclass {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="pipeline config file (section.key = value lines)")
-    common.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable)",
-    )
+    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override one config key (repeatable)")
     common.add_argument("-v", "--verbose", action="count", default=0)
     common.add_argument("--corpus", help="override paths.corpus")
 
+    # Each step's table entry, in `set_defaults`: its handler; its `inputs`, as
+    # config path keys and the flags that name an input file; and its `outputs`,
+    # as the dests of the flags that name one (unset, it is not written), or a
+    # function of the args and config giving {name: (flag, path)}.  The handler
+    # writes each output only to the temporary path `main` hands it (`_Output`).
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", parents=[common], help="stratified train/validation/test split")
     p.add_argument("--out-dir", default=".", help="directory for the three TSVs")
-    p.set_defaults(func=_cmd_split)
+    p.set_defaults(func=_cmd_split, inputs=("paths.corpus",), outputs=lambda args, cfg: {
+        name: ("--out-dir", Path(args.out_dir) / f"{name}.tsv")
+        for name in ("train", "validation", "test")
+    })
 
     p = sub.add_parser("kappa", parents=[common], help="inter-annotator agreement")
     p.add_argument("--pairs", required=True, help="TSV of id, label_a, label_b")
-    p.set_defaults(func=_cmd_kappa)
+    p.set_defaults(func=_cmd_kappa, inputs=("--pairs",), outputs=())
 
     p = sub.add_parser("match", parents=[common], help="scan a corpus with the term lexicon")
     p.add_argument("--lexicon", help="override paths.lexicon")
@@ -550,42 +531,50 @@ def build_parser() -> _Parser:
                    help="keep matches in retweets and inside @user/URL tokens")
     p.add_argument("--term-report", help="write per-term class frequencies here")
     p.add_argument("--annotate-spans", help="write the corpus with first-match spans here")
-    p.set_defaults(func=_cmd_match)
+    p.set_defaults(func=_cmd_match, inputs=("paths.corpus", "paths.lexicon"),
+                   outputs=("out", "term_report", "annotate_spans"))
 
     p = sub.add_parser("preprocess", parents=[common], help="normalize tweets to token rows")
     p.add_argument("--pipeline", choices=NORMALIZE_PIPELINES,
                    help="override normalize.pipeline")
     p.add_argument("--out", default="normalized.tsv")
-    p.set_defaults(func=_cmd_preprocess)
+    p.set_defaults(func=_cmd_preprocess, inputs=("paths.corpus", "paths.name_lexicon"),
+                   outputs=("out",))
 
     p = sub.add_parser("featurize", parents=[common], help="build vocabulary and vectors")
     p.add_argument("--out", default="features.json")
-    p.set_defaults(func=_cmd_featurize)
+    p.set_defaults(func=_cmd_featurize, outputs=("out",),
+                   inputs=("paths.corpus", "paths.name_lexicon", "paths.clusters"))
 
     p = sub.add_parser("sample", parents=[common], help="rebalance a corpus at the text level")
     p.add_argument("--method", dest="sampler", choices=TEXT_SAMPLER_METHODS,
                    help="override sampler.method")
     p.add_argument("--out", default="sampled.tsv")
     p.add_argument("--report", help="sampling report path (default: <out>.report.txt)")
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, inputs=("paths.corpus", "sampler.fn_corpus"),
+                   outputs=lambda args, cfg: {"out": ("--out", args.out), "report": (
+                       "--report", args.report or Path(args.out).with_suffix(".report.txt"))})
 
     p = sub.add_parser("train", parents=[common], help="train a classifier, persist the model")
     p.add_argument("--model", help="override paths.model (output)")
     p.add_argument("--classifier", choices=CLASSIFIER_KINDS, help="override classifier.kind")
     p.add_argument("--sampler", choices=SAMPLER_METHODS, help="override sampler.method")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, outputs=_train_outputs, inputs=(
+        "paths.corpus", "paths.name_lexicon", "paths.clusters", "sampler.fn_corpus"))
 
     p = sub.add_parser("evaluate", parents=[common], help="score a model on a corpus")
     p.add_argument("--model", help="override paths.model (input)")
     p.add_argument("--out", help="write the machine-readable report TSV here")
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, outputs=("out",),
+                   inputs=("paths.model", "paths.corpus", "paths.name_lexicon", "paths.clusters"))
 
     p = sub.add_parser("rank-features", parents=[common],
                        help="rank features by information gain")
     p.add_argument("--features", help="reuse a featurize artifact instead of a corpus")
     p.add_argument("--out", default="ranked_features.tsv")
     p.add_argument("--top", type=int, help="keep only the top N rows")
-    p.set_defaults(func=_cmd_rank_features)
+    p.set_defaults(func=_cmd_rank_features, outputs=("out",),
+                   inputs=("paths.corpus", "paths.name_lexicon", "paths.clusters", "--features"))
 
     p = sub.add_parser("report-errors", parents=[common],
                        help="list tweets with a given gold/predicted label pair")
@@ -594,13 +583,15 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", choices=label_names, default=Label.DEFECT.value)
     p.add_argument("--predicted-as", choices=label_names, default=Label.NON_DEFECT.value)
     p.add_argument("--out", default="errors.tsv")
-    p.set_defaults(func=_cmd_report_errors)
+    p.set_defaults(func=_cmd_report_errors, outputs=("out",),
+                   inputs=("paths.model", "paths.corpus", "paths.name_lexicon", "paths.clusters"))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    out: dict[str, _Output] = {}
     try:
         args = parser.parse_args(argv)
         level = logging.WARNING - 10 * min(args.verbose, 2)
@@ -609,22 +600,23 @@ def main(argv: list[str] | None = None) -> int:
         )
         # every key is parsed here, before any work runs, whichever keys
         # the subcommand reads
-        return args.func(args, _config(args))
+        cfg = _config(args)
+        out = _stage(args, cfg)
+        args.func(args, cfg, out)  # a step fails by raising
+        unwritten = [str(output.path) for output in out.values() if not output.tmp.is_file()]
+        if unwritten:
+            raise RuntimeError(f"{args.command} did not write {', '.join(unwritten)}")
+        for output in out.values():
+            os.replace(output.tmp, output.final)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        DataError,
-        FileExistsError,
-        FileNotFoundError,
-        IsADirectoryError,
-        NotADirectoryError,
-        PermissionError,
-        ValueError,
-    ) as exc:
+    except (DataError, FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SystemExit:
@@ -633,6 +625,10 @@ def main(argv: list[str] | None = None) -> int:
         logging.getLogger("rareclass").exception("internal error")
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:  # a failed step's outputs; a committed one's are gone already
+        for output in out.values():
+            if output.tmp.is_file():
+                output.tmp.unlink()
 
 
 if __name__ == "__main__":

@@ -282,23 +282,23 @@ def save_corpus(
     the item's own match span, written as given: the caller vouches that
     every span is valid for its text.
     """
-    path = Path(path)
-    rows = ["\t".join(TSV_HEADER)]
-    for item in corpus:
-        span = item.match_span if spans is None else spans.get(item.tweet.id)
-        rows.append(
-            "\t".join(
-                (
-                    item.tweet.id,
-                    item.tweet.user_id,
-                    item.label.value,
-                    _escape(item.tweet.text),
-                    "" if span is None else str(span[0]),
-                    "" if span is None else str(span[1]),
+    with Path(path).open("w", encoding="utf-8") as f:  # each row as built, no whole-file str
+        f.write("\t".join(TSV_HEADER) + "\n")
+        for item in corpus:
+            span = item.match_span if spans is None else spans.get(item.tweet.id)
+            f.write(
+                "\t".join(
+                    (
+                        item.tweet.id,
+                        item.tweet.user_id,
+                        item.label.value,
+                        _escape(item.tweet.text),
+                        "" if span is None else str(span[0]),
+                        "" if span is None else str(span[1]),
+                    )
                 )
+                + "\n"
             )
-        )
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def class_distribution(corpus: Corpus) -> ClassDistribution:

@@ -4,16 +4,18 @@ Each subcommand runs in-process through `main(argv)`; exit codes follow
 the documented contract (0 ok, 1 usage/config, 2 data, 3 internal).
 """
 
+import argparse
 import hashlib
 import itertools
 import json
+import os
 import re
 import shutil
 from pathlib import Path
 
 import pytest
 
-from rareclass.cli import main
+from rareclass.cli import _config, _stage, build_parser, main
 from rareclass.corpus import AnnotatedTweet, Corpus, Label, load_corpus, save_corpus
 from rareclass.demo import packaged_data_path
 from rareclass.lexicon import compile_matchers, load_lexicon
@@ -835,6 +837,143 @@ class TestOutputCollisions:
         assert rc == 1
         assert "usage error: --" in capsys.readouterr().err
         assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+def _tree(root: Path) -> dict:
+    """Every path under `root`: a file's bytes, a directory as None."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+# each step with an output that exists and is not a regular file, beside older
+# outputs of the same step; `{t}` is the test's directory
+OUTPUT_DIRECTORIES = {
+    "sample report=directory": (
+        ["sample", "--method", "similar", "--out", "{t}/sampled.tsv", "--report", "{t}/report"],
+        ["sampled.tsv"], ["report"],
+    ),
+    "split test=directory": (
+        ["split", "--out-dir", "{t}/splits"],
+        ["splits/train.tsv", "splits/validation.tsv"], ["splits/test.tsv"],
+    ),
+    "train sampling-report=directory": (
+        ["train", "--sampler", "smote", "--model", "{t}/m.json"], ["m.json"], ["m.sampling.txt"],
+    ),
+}
+
+
+class TestStagedOutputs:
+    """A failed step leaves no output: its outputs are written to temporary
+    siblings, and renamed onto their paths only when the step succeeds."""
+
+    @pytest.mark.parametrize(
+        "argv,old_files,directories",
+        list(OUTPUT_DIRECTORIES.values()),
+        ids=list(OUTPUT_DIRECTORIES),
+    )
+    def test_output_that_is_a_directory_is_data_error_before_any_write(
+        self, workspace, tmp_path, capsys, argv, old_files, directories
+    ):
+        _, cfg, _ = workspace
+        for name in directories:
+            (tmp_path / name).mkdir(parents=True)
+        for name in old_files:
+            (tmp_path / name).write_text(f"old {name}\n", encoding="utf-8")
+        before = _tree(tmp_path)
+        command, *flags = argv
+        assert main([command, "--config", str(cfg), *(f.format(t=tmp_path) for f in flags)]) == 2
+        assert _tree(tmp_path) == before
+        assert "output exists and is not a regular file" in capsys.readouterr().err
+
+    def test_handler_failing_after_its_first_output_leaves_none(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        _, cfg, _ = workspace
+
+        def fail(*args):
+            assert [path.name for path in tmp_path.iterdir()] == [f".m.tsv.{os.getpid()}.tmp"]
+            raise RuntimeError("term report failed")
+
+        monkeypatch.setattr("rareclass.lexicon.term_class_frequency_report", fail)
+        argv = ["match", "--config", str(cfg), "--out", str(tmp_path / "m.tsv")]
+        assert main([*argv, "--term-report", str(tmp_path / "r.tsv")]) == 3
+        assert "internal error: term report failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_declared_output_not_written_is_internal_error(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        _, cfg, _ = workspace
+        monkeypatch.setattr("rareclass.cli.save_corpus", lambda *args, **kwargs: None)
+        assert main(["split", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+        assert "internal error: split did not write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlinked_output_is_written_through_the_link(self, workspace, tmp_path):
+        _, cfg, _ = workspace
+        target, link, plain = tmp_path / "target.tsv", tmp_path / "link.tsv", tmp_path / "plain.tsv"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target)
+        assert main(["match", "--config", str(cfg), "--out", str(link)]) == 0
+        assert main(["match", "--config", str(cfg), "--out", str(plain)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "link.tsv", "plain.tsv", "target.tsv",
+        ]
+
+
+# every writing step, with each output it can write, and the files it writes in
+# an empty directory `{t}`
+WRITING_STEPS = {
+    "split": (["split", "--out-dir", "{t}"], ["test.tsv", "train.tsv", "validation.tsv"]),
+    "match": (
+        ["match", "--out", "{t}/m.tsv", "--term-report", "{t}/r.tsv",
+         "--annotate-spans", "{t}/a.tsv"],
+        ["a.tsv", "m.tsv", "r.tsv"],
+    ),
+    "preprocess": (["preprocess", "--out", "{t}/n.tsv"], ["n.tsv"]),
+    "featurize": (["featurize", "--out", "{t}/f.json"], ["f.json"]),
+    "sample": (["sample", "--method", "random", "--set", "sampler.target_total=100",
+                "--out", "{t}/s.tsv"], ["s.report.txt", "s.tsv"]),
+    "sample report": (["sample", "--method", "similar", "--out", "{t}/s.tsv",
+                       "--report", "{t}/report.txt"], ["report.txt", "s.tsv"]),
+    "train": (["train", "--model", "{t}/m.json"], ["m.json"]),
+    "train sampler": (["train", "--sampler", "similar", "--model", "{t}/m.json"],
+                      ["m.json", "m.sampling.txt"]),
+    "evaluate": (["evaluate", "--out", "{t}/report.tsv"], ["report.tsv"]),
+    "rank-features": (["rank-features", "--out", "{t}/ranked.tsv"], ["ranked.tsv"]),
+    "report-errors": (["report-errors", "--out", "{t}/errors.tsv"], ["errors.tsv"]),
+}
+
+
+class TestOutputTable:
+    def test_every_subcommand_has_a_table_entry(self):
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        for name, parser in subparsers.choices.items():
+            assert parser.get_default("func") is not None, name
+            assert isinstance(parser.get_default("inputs"), tuple), name
+            outputs = parser.get_default("outputs")
+            assert isinstance(outputs, tuple) or callable(outputs), name
+
+    @pytest.mark.parametrize("argv,written", list(WRITING_STEPS.values()), ids=list(WRITING_STEPS))
+    def test_step_writes_exactly_its_declared_outputs(self, workspace, tmp_path, argv, written):
+        root, cfg, _ = workspace
+        command, *flags = argv
+        argv = [command, "--config", str(cfg), *(f.format(t=tmp_path) for f in flags)]
+        if command in ("evaluate", "report-errors"):
+            argv += ["--corpus", str(root / "splits" / "test.tsv")]
+        args = build_parser().parse_args(argv)
+        declared = {output.final for output in _stage(args, _config(args)).values()}
+        mask = os.umask(0)
+        os.umask(mask)
+        assert main(argv) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == written
+        assert {path.resolve() for path in tmp_path.iterdir()} == declared
+        for path in declared:
+            assert path.stat().st_mode & 0o777 == 0o666 & ~mask
 
 
 class TestExitCodes:

@@ -15,10 +15,10 @@ OpenSSL; `hashlib` is imported only by a build without them.
 Each subcommand declares its inputs and outputs once, beside its parser
 entry, and `main` checks every output before any input is read: one that
 resolves to an input or to another output is a usage error, and one that
-exists but is not a regular file a data error.  The handler writes each
-output to a temporary sibling, ``.<name>.<pid>.tmp``, which `main` renames
-onto the output only if the step succeeds, so a failed step leaves no
-output behind, partial or replaced (a killed one can leave a ``.tmp``).
+exists but is not a regular file, or whose name is too long, a data error.
+The handler writes output i to ``.rareclass.<pid>.<i>.tmp`` beside it, and
+`main` renames that onto the output only if the step succeeds, so a failed
+step leaves no output, partial or replaced (a killed one can leave a .tmp).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 internal error.
@@ -40,6 +40,7 @@ itself would bypass the tracer's wrapper.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -146,10 +147,16 @@ def _stage(args, cfg: PipelineConfig) -> dict[str, _Output]:
             if final in taken:
                 raise _UsageError(f"{flag} {path} is the {taken[final]} path")
             taken[final] = flag
-            tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+            tmp = final.with_name(f".rareclass.{os.getpid()}.{len(out)}.tmp")
             out[name] = _Output(path, tmp, final)
     for output in out.values():
-        if output.final.exists() and not output.final.is_file():
+        try:
+            output.final.stat()
+        except (FileNotFoundError, NotADirectoryError):
+            continue  # writing it names what is missing
+        except OSError as exc:  # a name too long for the file system, say
+            raise DataError(f"{output.path}: {exc.strerror}") from None
+        if not output.final.is_file():
             raise DataError(f"{output.path}: output exists and is not a regular file")
     return out
 
@@ -627,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     finally:  # a failed step's outputs; a committed one's are gone already
         for output in out.values():
-            if output.tmp.is_file():
+            with contextlib.suppress(OSError):
                 output.tmp.unlink()
 
 

@@ -226,11 +226,11 @@ class CsrMatrix(ArrayRecord):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Feature-name-to-column map.  Each column's kind is derived from its
-    name by `feature_kind`, so only the names and `min_df` are stored."""
+    """Feature-name-to-column map: the names are the whole record.  Each
+    column's kind is derived from its name by `feature_kind`, and the
+    `min_df` that chose the names is `FeatureSettings.min_df`."""
 
     names: tuple[str, ...]
-    min_df: int
     kinds: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -343,7 +343,7 @@ def build_vocabulary(
     names = {name for name, count in df.items() if count >= min_df}
     if include_structural:
         names.update(STRUCTURAL_FEATURES)
-    return Vocabulary(tuple(sorted(names)), min_df)
+    return Vocabulary(tuple(sorted(names)))
 
 
 def vectorize(

@@ -11,17 +11,19 @@ once in a CSR pool (``svm.support_vectors``) that each class pair indexes
 ``converged``.  A features file holds a vocabulary, the settings that made
 it, and one sparse row per corpus item.
 
-Model format 3 and features format 2 store each fact once and each number
-in its shortest exact form: no feature kinds (`feature_kind` derives
-them); a float that is integral, not -0.0 and below 2**53 in magnitude as
-a JSON integer; only the scaler columns whose (min, max) is not (0, 1);
-and, in sparse rows, each row's first column as is and each later one as
-its gap from the column before.  Any other version, model format 2
-included, is rejected: retrain.  Every value reads back bit-identical, so
-a reloaded model predicts bit-identically.  Files are written with sorted
-keys and fixed separators, so identical records produce identical bytes.
-Loading checks every key and type it reads and raises `DataError` on a
-missing key, a wrong type, a bad value or an index out of range.
+Model format 4 and features format 3 store each fact once: `min_df` in the
+feature settings, the dimension as the vocabulary's length, the SVM's
+gamma and class weights as the values training used, and no feature kinds
+(`feature_kind` derives them).  Each number is in its shortest exact form:
+a float that is integral, not -0.0 and below 2**53 in magnitude as a JSON
+integer; only the scaler columns whose (min, max) is not (0, 1); and, in
+sparse rows, each row's first column as is and each later one as its gap
+from the column before.  Any other version is rejected: retrain.  Every
+value reads back bit-identical, so a loaded record equals the saved one.
+Files are written with sorted keys and fixed separators, so identical
+records produce identical bytes.  Loading checks every key and type it
+reads and raises `DataError` on a missing key, a wrong type, a bad value
+or an index out of range.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ if TYPE_CHECKING:
     from .svm import SvmModel
 
 FORMAT_NAME = "rareclass.model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 FEATURES_FORMAT = "rareclass.features"
-FEATURES_VERSION = 2
+FEATURES_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def check_json(value, schema, where: str) -> None:
         raise DataError(f"{where} must be a {schema.__name__}")
 
 
-_VOCABULARY_SCHEMA = {"names": [str], "min_df": int}
+_VOCABULARY_SCHEMA = {"names": [str]}
 _FEATURES_SCHEMA = {key: type(value) for key, value in asdict(FeatureSettings()).items()}
 _NORMALIZE_KEYS = tuple(asdict(NormalizationConfig()))
 _SCHEMAS = {
@@ -134,20 +136,16 @@ _SCHEMAS = {
     },
     "svm": {
         "labels": [str],
-        "dim": int,
-        "gamma": float,
         "class_weights": {str: float},
-        "params": {
-            "c": float, "kernel": str, "gamma": (float, None), "tolerance": float,
-            "max_iterations": int,
-        },
+        "params": {"c": float, "kernel": str, "gamma": float, "tolerance": float,
+                   "max_iterations": int},
         "support_vectors": {"indptr": [int], "indices": [int], "values": [float]},
         "pairs": [{
             "positive": str, "negative": str, "bias": float, "alpha": [float], "y": [int],
             "support": [int], "iterations": int, "converged": bool,
         }],
     },
-    "nb": {"labels": [str], "log_priors": [float], "event_model": str, "dim": int},
+    "nb": {"labels": [str], "log_priors": [float], "event_model": str},
 }
 
 
@@ -230,7 +228,7 @@ def normalization_from_json(obj: dict) -> NormalizationConfig:
 
 
 def vocabulary_to_json(vocabulary: Vocabulary) -> dict:
-    return {"names": list(vocabulary.names), "min_df": vocabulary.min_df}
+    return {"names": list(vocabulary.names)}
 
 
 def vocabulary_from_json(obj: dict) -> Vocabulary:
@@ -239,16 +237,14 @@ def vocabulary_from_json(obj: dict) -> Vocabulary:
     names = obj["names"]
     if any(a >= b for a, b in zip(names, names[1:])):
         raise DataError("vocabulary: names must be sorted and unique")
-    return Vocabulary(tuple(names), obj["min_df"])
+    return Vocabulary(tuple(names))
 
 
 def _svm_to_json(model: SvmModel) -> dict:
     pool = model.support_vectors
     return {
         "labels": [lbl.value for lbl in model.labels],
-        "dim": model.dim,
-        "gamma": model.gamma,
-        "class_weights": {lbl.value: w for lbl, w in model.class_weights.items()},
+        "class_weights": {lbl.value: w for lbl, w in model.params.class_weights.items()},
         "params": {key: getattr(model.params, key) for key in _SCHEMAS["svm"]["params"]},
         "support_vectors": {
             "indptr": pool.indptr.tolist(),
@@ -271,21 +267,18 @@ def _svm_to_json(model: SvmModel) -> dict:
     }
 
 
-def _svm_from_json(obj: dict) -> SvmModel:
+def _svm_from_json(obj: dict, dim: int) -> SvmModel:
     from .svm import PairModel, SvmModel, SvmParams
 
-    if not 0.0 < obj["gamma"] < math.inf:
-        raise DataError("svm.gamma must be positive and finite")
     labels = tuple(Label(v) for v in obj["labels"])
-    class_weights = {Label(k): float(w) for k, w in obj["class_weights"].items()}
     raw = obj["params"]
     params = SvmParams(
-        c=float(raw["c"]), kernel=raw["kernel"], tolerance=float(raw["tolerance"]),
-        gamma=None if raw["gamma"] is None else float(raw["gamma"]),
-        max_iterations=raw["max_iterations"], class_weights=class_weights,
+        c=float(raw["c"]), kernel=raw["kernel"], gamma=float(raw["gamma"]),
+        tolerance=float(raw["tolerance"]), max_iterations=raw["max_iterations"],
+        class_weights={Label(k): float(w) for k, w in obj["class_weights"].items()},
     )
     pool_obj = obj["support_vectors"]
-    pool = _csr_from_gaps(pool_obj["indptr"], pool_obj["indices"], pool_obj["values"], obj["dim"])
+    pool = _csr_from_gaps(pool_obj["indptr"], pool_obj["indices"], pool_obj["values"], dim)
     # what `train_svm` writes: one pair for every two labels, in label order
     expected = [[pos.value, neg.value] for pos, neg in combinations(labels, 2)]
     found = [[p["positive"], p["negative"]] for p in obj["pairs"]]
@@ -304,9 +297,7 @@ def _svm_from_json(obj: dict) -> SvmModel:
             np.asarray(p["alpha"], float), np.asarray(p["y"], float), float(p["bias"]),
             p["iterations"], p["converged"],
         ))
-    return SvmModel(
-        labels, tuple(pairs), params, float(obj["gamma"]), class_weights, obj["dim"], pool
-    )
+    return SvmModel(labels, tuple(pairs), params, pool)
 
 
 def _nb_to_json(model: NbModel) -> dict:
@@ -315,12 +306,11 @@ def _nb_to_json(model: NbModel) -> dict:
         "labels": [lbl.value for lbl in model.labels],
         "log_priors": model.log_priors.tolist(),
         "event_model": model.event_model,
-        "dim": model.dim,
         **{key: table.tolist() for key, table in tables.items() if table is not None},
     }
 
 
-def _nb_from_json(obj: dict) -> NbModel:
+def _nb_from_json(obj: dict, dim: int) -> NbModel:
     from .naive_bayes import GAUSSIAN, NbModel
 
     labels = tuple(Label(v) for v in obj["labels"])
@@ -329,14 +319,14 @@ def _nb_from_json(obj: dict) -> NbModel:
     tables = {key: np.asarray(obj[key], dtype=float) for key in keys}
     log_priors = np.asarray(obj["log_priors"], dtype=float)
     if len(log_priors) != len(labels) or any(
-        table.shape != (len(labels), obj["dim"]) for table in tables.values()
+        table.shape != (len(labels), dim) for table in tables.values()
     ):
         raise DataError("nb: the tables do not match the labels and dimension")
     if "variances" in tables and not (tables["variances"] > 0.0).all():
         raise DataError("nb: variances must be positive")
     if (log_priors > 0.0).any():
         raise DataError("nb: log priors must not be above 0")
-    return NbModel(labels, log_priors, obj["event_model"], obj["dim"], **tables)
+    return NbModel(labels, log_priors, obj["event_model"], dim, **tables)
 
 
 def save_model(path: str | Path, model: StoredModel) -> None:
@@ -384,9 +374,7 @@ def load_model(path: str | Path) -> StoredModel:
         scaler = None
         if doc["scaler"] is not None:
             scaler = _scaler_from_json(doc["scaler"], vocabulary.dim)
-        classifier = _svm_from_json(doc[kind]) if kind == "svm" else _nb_from_json(doc[kind])
-        if classifier.dim != vocabulary.dim:
-            raise DataError(f"{kind}: dimension differs from the vocabulary's")
+        classifier = (_svm_from_json if kind == "svm" else _nb_from_json)(doc[kind], vocabulary.dim)
         extras = dict(doc["extras"])
         features = feature_settings_from_json(extras.pop("features"))
         normalization = normalization_from_json(extras.pop("normalize"))

@@ -216,7 +216,7 @@ def build_vocabulary(groups: list[_Group], min_df: int, include_structural: bool
         raise ValueError("min_df must be >= 1")
     kept = (name_of(_kept(triples[1], n_codes, min_df)) for triples, n_codes, name_of in groups)
     struct = STRUCTURAL_FEATURES if include_structural else ()
-    return Vocabulary(tuple(sorted(chain(struct, *kept))), min_df)
+    return Vocabulary(tuple(sorted(chain(struct, *kept))))
 
 
 def _entries(group: _Group, vocab: Vocabulary, min_df: int, binary: bool):

@@ -69,7 +69,8 @@ _BOUND_SNAP = 1e-12
 @dataclass(frozen=True)
 class SvmParams:
     """Hyperparameters; `gamma=None` means 1/dim, `class_weights=None`
-    means inverse-frequency weights N / (K * N_c)."""
+    means inverse-frequency weights N / (K * N_c); a trained model's
+    params hold the values training resolved them to."""
 
     c: float = 100.0
     kernel: str = KERNEL_RBF
@@ -335,8 +336,9 @@ class PairModel(ArrayRecord):
 class SvmModel(ArrayRecord):
     """One-vs-one multi-class model over scaled sparse vectors.
 
-    `support_vectors` is the pool of every pair's support vectors, each
-    stored once, in training-row order.
+    `params` are the values training used.  `support_vectors` is the pool
+    of every pair's support vectors, each stored once, in training-row
+    order, over the model's dimension.
     """
 
     kind = "svm"  # a class attribute, not a field: `model_store` names the model by it
@@ -344,10 +346,11 @@ class SvmModel(ArrayRecord):
     labels: tuple[Label, ...]
     pairs: tuple[PairModel, ...]
     params: SvmParams
-    gamma: float
-    class_weights: dict[Label, float]
-    dim: int
     support_vectors: CsrMatrix
+
+    @property
+    def dim(self) -> int:
+        return self.support_vectors.dim
 
 
 def inverse_frequency_weights(labels: Sequence[Label]) -> dict[Label, float]:
@@ -410,10 +413,9 @@ def train_svm(
     return SvmModel(
         labels=present,
         pairs=tuple(replace(p, support=position[p.support]) for p in pairs),
-        params=params,
-        gamma=gamma,
-        class_weights={lbl: float(weights[lbl]) for lbl in present},
-        dim=x.dim,
+        params=replace(
+            params, gamma=gamma, class_weights={lbl: float(weights[lbl]) for lbl in present}
+        ),
         support_vectors=x.take(np.flatnonzero(in_pool)),
     )
 
@@ -446,6 +448,7 @@ def predict_svm(
     runs, query_dense = x.split_at(np.fromiter(dense, np.intp, len(dense)))
     query_sq = x.squared_norms()
     coefs = [pair.alpha * pair.y for pair in model.pairs]
+    kernel, gamma = model.params.kernel, model.params.gamma
     values = np.empty((len(model.pairs), x.n_rows))
     for start in range(0, x.n_rows, PREDICT_BLOCK_ROWS):
         stop = min(start + PREDICT_BLOCK_ROWS, x.n_rows)
@@ -454,7 +457,7 @@ def predict_svm(
             dots += np.multiply.outer(queries, vector)
             if run.indptr[stop] > run.indptr[start]:
                 run.rows(start, stop).matmul(pool_columns, out=dots)
-        k = _kernel_block(dots, query_sq[start:stop], pool_sq, model.params.kernel, model.gamma)
+        k = _kernel_block(dots, query_sq[start:stop], pool_sq, kernel, gamma)
         for p, (pair, coef) in enumerate(zip(model.pairs, coefs)):
             terms = np.multiply(k[:, pair.support], coef, order="C")
             values[p, start:stop] = terms.sum(axis=1) + pair.bias

@@ -301,7 +301,7 @@ def test_c11_model_serialization_round_trip(tmp_path):
         for i in range(60)
     ]
     model = train_svm(from_rows(vectors), labels, SvmParams(c=10.0, gamma=0.4))
-    vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)), 1)
+    vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)))
     path = tmp_path / "model.json"
     save_model(path, StoredModel(
         model, vocab, fit_scaler(from_rows(vectors)), FeatureSettings(), NormalizationConfig(), {}

@@ -8,6 +8,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -20,7 +21,8 @@ from rareclass.corpus import AnnotatedTweet, Corpus, Label, load_corpus, save_co
 from rareclass.demo import packaged_data_path
 from rareclass.lexicon import compile_matchers, load_lexicon
 
-MODEL_V2 = Path(__file__).resolve().parent / "data" / "model_v2.json"  # written by format 2
+# small NB models written by the writers of retired model formats, by version
+RETIRED_MODELS = {v: Path(__file__).resolve().parent / "data" / f"model_v{v}.json" for v in (2, 3)}
 
 
 @pytest.fixture(scope="module")
@@ -714,13 +716,20 @@ class TestFeaturesFileBoundary:
         assert self._rank(features, tmp_path, mutate) == 2
         assert "column indices out of order or range" in capsys.readouterr().err
 
-    def test_features_format_1_is_data_error(self, features, tmp_path, capsys):
+    def _rank_version(self, features, tmp_path, version):
         cfg, doc = features
         path = tmp_path / "old.json"
-        path.write_text(json.dumps(dict(doc, version=1)))
+        path.write_text(json.dumps(dict(doc, version=version)))
         argv = ["rank-features", "--config", str(cfg), "--features", str(path)]
-        assert main([*argv, "--out", str(tmp_path / "ranked.tsv")]) == 2
-        assert "unsupported features version 1, not 2; featurize again" in capsys.readouterr().err
+        return main([*argv, "--out", str(tmp_path / "ranked.tsv")])
+
+    def test_features_format_1_is_data_error(self, features, tmp_path, capsys):
+        assert self._rank_version(features, tmp_path, 1) == 2
+        assert "unsupported features version 1, not 3; featurize again" in capsys.readouterr().err
+
+    def test_features_format_2_is_data_error(self, features, tmp_path, capsys):
+        assert self._rank_version(features, tmp_path, 2) == 2
+        assert "unsupported features version 2, not 3; featurize again" in capsys.readouterr().err
 
 
 class TestReportErrors:
@@ -890,13 +899,28 @@ class TestStagedOutputs:
         _, cfg, _ = workspace
 
         def fail(*args):
-            assert [path.name for path in tmp_path.iterdir()] == [f".m.tsv.{os.getpid()}.tmp"]
+            assert [path.name for path in tmp_path.iterdir()] == [f".rareclass.{os.getpid()}.0.tmp"]
             raise RuntimeError("term report failed")
 
         monkeypatch.setattr("rareclass.lexicon.term_class_frequency_report", fail)
         argv = ["match", "--config", str(cfg), "--out", str(tmp_path / "m.tsv")]
         assert main([*argv, "--term-report", str(tmp_path / "r.tsv")]) == 3
         assert "internal error: term report failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("length", [245, 255])
+    def test_output_name_up_to_the_limit_is_written(self, workspace, tmp_path, length):
+        _, cfg, _ = workspace
+        out = tmp_path / ("a" * (length - 4) + ".tsv")
+        assert main(["match", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == [out.name]
+
+    def test_output_name_past_the_limit_is_data_error_naming_it(self, workspace, tmp_path, capsys):
+        _, cfg, _ = workspace
+        out = tmp_path / ("a" * 252 + ".tsv")
+        assert main(["match", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {out}: File name too long" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_declared_output_not_written_is_internal_error(
@@ -1103,13 +1127,18 @@ class TestExitCodes:
         assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
         assert "svm: the pairs must be every two of" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("inf")])
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("inf"), None])
     def test_svm_gamma_not_positive_and_finite_is_data_error(
         self, workspace, tmp_path, capsys, gamma
     ):
-        rc = self._evaluate_mutated(workspace, tmp_path, lambda d: d["svm"].update(gamma=gamma))
-        assert rc == 2
-        assert "svm.gamma must be" in capsys.readouterr().err
+        def mutate(doc):
+            doc["svm"]["params"]["gamma"] = gamma
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        # `SvmParams` rejects a finite gamma; the file's schema, infinity and null
+        expected = "model.svm.params.gamma must be a float"
+        if gamma is not None and math.isfinite(gamma):
+            expected = "gamma must be positive and finite"
+        assert expected in capsys.readouterr().err
 
     def test_scaler_min_above_max_is_data_error(self, workspace, tmp_path, capsys):
         def mutate(doc):
@@ -1131,12 +1160,14 @@ class TestExitCodes:
         assert "sorted and unique" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "report-errors"])
-    def test_model_format_2_is_data_error(self, workspace, tmp_path, capsys, command):
+    @pytest.mark.parametrize("version", list(RETIRED_MODELS))
+    def test_model_format_2_is_data_error(self, workspace, tmp_path, capsys, version, command):
         root, cfg, _ = workspace
         argv = [command, "--config", str(cfg), "--corpus", str(root / "splits" / "test.tsv"),
-                "--model", str(MODEL_V2), "--out", str(tmp_path / "out.tsv")]
+                "--model", str(RETIRED_MODELS[version]), "--out", str(tmp_path / "out.tsv")]
         assert main(argv) == 2
-        assert "unsupported model version 2, not 3; retrain the model" in capsys.readouterr().err
+        expected = f"unsupported model version {version}, not 4; retrain the model"
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "out.tsv").exists()
 
     @pytest.mark.parametrize("edit", ["unsorted", "duplicated", "negative", "at dim", "short"])

@@ -66,7 +66,6 @@ def assert_same(got, expected):
         assert np.array_equal(array, oracle), name
     assert vocab.names == vocab_oracle.names
     assert vocab.kinds == vocab_oracle.kinds
-    assert vocab.min_df == vocab_oracle.min_df
 
 
 class TestEqualsOracle:
@@ -91,7 +90,7 @@ class TestEqualsOracle:
     )
     def test_any_given_vocabulary(self, corpus, names, feats):
         ordered = tuple(sorted(names))
-        vocab = Vocabulary(ordered, feats.min_df)
+        vocab = Vocabulary(ordered)
         args = (corpus, NAMES, CLUSTERS, NORM, feats, vocab)
         assert_same(featurize_corpus(*args), sparse_oracle.featurize_corpus(*args))
 

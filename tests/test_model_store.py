@@ -1,6 +1,7 @@
 """Model and features files: round-trips, exact numbers, byte determinism, version gating."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from rareclass.corpus import Label
 from rareclass.errors import DataError
 from rareclass.features import CsrMatrix, FeatureSettings, Scaler, Vocabulary, fit_scaler
 from rareclass.model_store import (
+    FEATURES_FORMAT,
+    FEATURES_VERSION,
+    FORMAT_NAME,
+    FORMAT_VERSION,
     StoredModel,
     load_features,
     load_model,
@@ -53,12 +58,29 @@ def trained_svm():
     ]
     params = SvmParams(c=10.0, gamma=0.5)
     model = train_svm(from_rows(vectors), labels, params)
-    vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)), 1)
+    vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)))
     scaler = fit_scaler(from_rows(vectors))
     return model, vocab, scaler
 
 
 class TestSvmRoundTrip:
+    def test_loads_back_equal_storing_each_fact_once(self, tmp_path):
+        # gamma and class weights left to training: 1/dim and N / (K * N_c)
+        rng = np.random.default_rng(5)
+        vectors = random_vectors(rng, 30, 5)
+        labels = [(Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT)[i % 3] for i in range(30)]
+        model = train_svm(from_rows(vectors), labels, SvmParams(c=10.0))
+        vocab, scaler = Vocabulary(tuple(f"f{i}" for i in range(5))), fit_scaler(from_rows(vectors))
+        record = stored(model, vocab, scaler)
+        path = tmp_path / "model.json"
+        save_model(path, record)
+        assert load_model(path) == record
+        doc = json.loads(path.read_text())
+        assert doc["vocabulary"].keys() == {"names"}
+        assert not {"dim", "gamma"} & doc["svm"].keys()
+        assert doc["svm"]["params"]["gamma"] == 0.2
+        assert doc["svm"]["class_weights"] == {"defect": 1.5, "non_defect": 0.75}
+
     def test_identical_predictions_on_random_vectors(self, trained_svm, tmp_path):
         model, vocab, scaler = trained_svm
         path = tmp_path / "model.json"
@@ -107,11 +129,13 @@ class TestNbRoundTrip:
         ]
         labels = [(Label.DEFECT, Label.NON_DEFECT)[i % 2] for i in range(12)]
         model = train_nb(from_rows(vectors), labels)
-        vocab = Vocabulary(tuple(f"f{i}" for i in range(4)), 1)
+        record = stored(model, Vocabulary(tuple(f"f{i}" for i in range(4))))
         path = tmp_path / "nb.json"
-        save_model(path, stored(model, vocab))
+        save_model(path, record)
         loaded = load_model(path)
-        assert loaded.kind == "nb" and loaded.scaler is None
+        assert loaded == record and loaded.kind == "nb" and loaded.scaler is None
+        doc = json.loads(path.read_text())
+        assert doc["vocabulary"].keys() == {"names"} and "dim" not in doc["nb"]
         for probe in vectors:
             probe = from_rows([probe])
             assert predict_nb(model, probe) == predict_nb(loaded.classifier, probe)
@@ -126,7 +150,7 @@ class TestFormatGating:
             for _ in range(8)
         ]
         labels = [(Label.DEFECT, Label.NON_DEFECT)[i % 2] for i in range(8)]
-        vocab = Vocabulary(("a", "b", "c"), 1)
+        vocab = Vocabulary(("a", "b", "c"))
         save_model(model_path, stored(train_nb(from_rows(vectors), labels), vocab))
         doc = json.loads(model_path.read_text())
         mutate(doc)
@@ -134,7 +158,7 @@ class TestFormatGating:
         return model_path
 
     def test_unknown_version_rejected(self, tmp_path):
-        for version in (99, 2, 1):
+        for version in (99, 3, 2, 1):
             path = self._minimal(tmp_path, lambda d: d.update(version=version))
             with pytest.raises(DataError, match="version"):
                 load_model(path)
@@ -194,12 +218,10 @@ def svm_models(draw):
     )
     weights = {Label.DEFECT: draw(positive), Label.NON_DEFECT: draw(positive)}
     params = SvmParams(
-        c=draw(positive), gamma=draw(st.one_of(st.none(), positive)), class_weights=weights,
+        c=draw(positive), gamma=draw(positive), class_weights=weights,
         tolerance=draw(positive), max_iterations=draw(st.integers(1, 10**7)),
     )
-    model = SvmModel(
-        (Label.DEFECT, Label.NON_DEFECT), (pair,), params, draw(positive), weights, dim, pool
-    )
+    model = SvmModel((Label.DEFECT, Label.NON_DEFECT), (pair,), params, pool)
     bounds = [sorted(draw(st.lists(floats, min_size=2, max_size=2))) for _ in range(dim)]
     bounds = [draw(st.sampled_from([b, [0.0, 1.0], [-0.0, 1.0], [0.0, 0.0]])) for b in bounds]
     scaler = Scaler(np.array([lo for lo, _ in bounds]), np.array([hi for _, hi in bounds]))
@@ -209,8 +231,7 @@ def svm_models(draw):
 def svm_floats(model: SvmModel, scaler: Scaler) -> list[str]:
     p = model.params
     return bits([
-        model.gamma, *model.class_weights.values(), p.c, p.tolerance,
-        *([] if p.gamma is None else [p.gamma]), *model.support_vectors.data,
+        *p.class_weights.values(), p.c, p.tolerance, p.gamma, *model.support_vectors.data,
         *(v for pair in model.pairs for v in (*pair.alpha, pair.bias)), *scaler.mins, *scaler.maxs,
     ])
 
@@ -227,12 +248,13 @@ class TestExactRoundTrip:
     def test_svm_floats_keep_their_bits(self, tmp_path_factory, drawn):
         dim, model, scaler = drawn
         path = tmp_path_factory.mktemp("svm") / "model.json"
-        save_model(path, stored(model, Vocabulary(tuple(f"f{i}" for i in range(dim)), 1), scaler))
+        record = stored(model, Vocabulary(tuple(f"f{i}" for i in range(dim))), scaler)
+        save_model(path, record)
         loaded = load_model(path)
         assert svm_floats(loaded.classifier, loaded.scaler) == svm_floats(model, scaler)
         assert loaded.classifier.support_vectors == model.support_vectors
         assert np.array_equal(loaded.classifier.pairs[0].support, model.pairs[0].support)
-        assert (loaded.classifier.params.gamma is None) == (model.params.gamma is None)
+        assert loaded == record
         assert_rewrites_itself(path)
 
     @settings(max_examples=100, deadline=None)
@@ -248,7 +270,7 @@ class TestExactRoundTrip:
             **{key: np.array(rows) for key, rows in drawn.items()},
         )
         path = tmp_path_factory.mktemp("nb") / "model.json"
-        save_model(path, stored(model, Vocabulary(tuple(f"f{i}" for i in range(dim)), 1)))
+        save_model(path, stored(model, Vocabulary(tuple(f"f{i}" for i in range(dim)))))
         loaded = load_model(path).classifier
         assert bits(loaded.log_priors) == bits(model.log_priors)
         for key in drawn:
@@ -260,12 +282,14 @@ class TestExactRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 9).flatmap(sparse_matrices))
     def test_features_keep_their_bits(self, tmp_path_factory, x):
-        vocab = Vocabulary(tuple(f"f{i}" for i in range(x.dim)), 2)
+        vocab = Vocabulary(tuple(f"f{i}" for i in range(x.dim)))
         corpus = make_corpus([(f"t{i}", "text", Label.DEFECT) for i in range(x.n_rows)])
         path = tmp_path_factory.mktemp("features") / "features.json"
-        save_features(path, vocab, x, corpus, FeatureSettings())
-        loaded_vocab, loaded, ids, labels, feature_settings = load_features(path)
-        assert loaded_vocab == vocab and feature_settings == FeatureSettings()
+        feature_settings = FeatureSettings(n_max=2, min_df=3, binary=False)
+        save_features(path, vocab, x, corpus, feature_settings)
+        assert json.loads(path.read_text())["vocabulary"].keys() == {"names"}
+        loaded_vocab, loaded, ids, labels, loaded_settings = load_features(path)
+        assert loaded_vocab == vocab and loaded_settings == feature_settings
         assert loaded == x and bits(loaded.data) == bits(x.data)
         assert ids == [f"t{i}" for i in range(x.n_rows)] and labels == [Label.DEFECT] * x.n_rows
 
@@ -282,7 +306,7 @@ class TestExactRoundTrip:
             np.array([[-1.0], [-2.0]]),
         )
         record = StoredModel(
-            model, Vocabulary(("f0",), 1), None, FeatureSettings(), normalization, {}
+            model, Vocabulary(("f0",)), None, FeatureSettings(), normalization, {}
         )
         path = tmp_path_factory.mktemp("normalize") / "model.json"
         save_model(path, record)
@@ -292,9 +316,20 @@ class TestExactRoundTrip:
 
 def test_integral_floats_are_written_as_integers(tmp_path):
     x = CsrMatrix.from_arrays([0, 3], [0, 2, 5], [1.0, -0.0, 2.0**53], 6)
-    vocab = Vocabulary(tuple(f"f{i}" for i in range(6)), 1)
+    vocab = Vocabulary(tuple(f"f{i}" for i in range(6)))
     path = tmp_path / "features.json"
     save_features(path, vocab, x, make_corpus([("t0", "text", Label.DEFECT)]), FeatureSettings())
     assert '"indices":[0,2,3],"label":"defect","values":[1,-0.0,9007199254740992.0]' in (
         path.read_text()
     )
+
+
+def test_readme_format_sections_name_the_current_versions():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for text in (
+        f"(`{FORMAT_NAME}`, version {FORMAT_VERSION})",
+        f"Version {FORMAT_VERSION} stores each fact once",
+        f"retrain to get a version {FORMAT_VERSION} file",
+        f"(`{FEATURES_FORMAT}`, version {FEATURES_VERSION})",
+    ):
+        assert text in readme

@@ -393,10 +393,7 @@ class TestMulticlassPrediction:
         return SvmModel(
             labels=(Label.DEFECT, Label.POSSIBLE_DEFECT, Label.NON_DEFECT),
             pairs=pairs,
-            params=SvmParams(),
-            gamma=1.0,
-            class_weights={l: 1.0 for l in Label},
-            dim=1,
+            params=SvmParams(gamma=1.0, class_weights={l: 1.0 for l in Label}),
             support_vectors=from_rows([], 1),
         )
 
@@ -472,9 +469,10 @@ def models_and_queries(draw):
             pos, neg, np.array(support, np.intp), np.array(alpha), np.array(y, float), bias, 1, True
         ))
     gamma = draw(st.sampled_from([0.05, 0.7]))
-    params = SvmParams(kernel=draw(st.sampled_from([KERNEL_RBF, KERNEL_LINEAR])), gamma=gamma)
     weights = {label: 1.0 for label in labels}
-    return SvmModel(labels, tuple(pairs), params, gamma, weights, pool.dim, pool), x
+    kernel = draw(st.sampled_from([KERNEL_RBF, KERNEL_LINEAR]))
+    params = SvmParams(kernel=kernel, gamma=gamma, class_weights=weights)
+    return SvmModel(labels, tuple(pairs), params, pool), x
 
 
 def embedded(x, others, ids):
@@ -557,7 +555,7 @@ class TestFastPathsMatchOracle:
         )
         weights = {Label.DEFECT: 1.0, Label.NON_DEFECT: 1.0}
         model = SvmModel((Label.DEFECT, Label.NON_DEFECT), (pair,),
-                         SvmParams(kernel=KERNEL_LINEAR), 1.0, weights, 3, pool)
+                         SvmParams(kernel=KERNEL_LINEAR, gamma=1.0, class_weights=weights), pool)
         _, decisions = predict_svm(model, x)
         # the linear kernel's decision value is the dot product with pool row 0
         assert decisions[Label.DEFECT, Label.NON_DEFECT].tolist() == [1.0, 2.0]

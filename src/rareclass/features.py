@@ -423,11 +423,13 @@ def apply_scaler(scaler: Scaler, x: CsrMatrix) -> CsrMatrix:
     active = span > 0.0
     filled = np.flatnonzero(active & (lo != 0.0))
     keep = active[x.indices]
-    # entry keys row * dim + column; an explicit entry wins over a filled zero
-    keys = (x.row_ids() * x.dim + x.indices)[keep]
-    zeros = (np.arange(x.n_rows)[:, None] * x.dim + filled).ravel()
-    keys, first = np.unique(np.concatenate([keys, zeros]), return_index=True)
-    values = np.concatenate([x.data[keep], np.zeros(len(zeros))])[first]
+    # entry keys row * dim + column, increasing; an explicit entry wins over a
+    # filled zero, so there is none to fill when each row has every filled column
+    keys, values = (x.row_ids() * x.dim + x.indices)[keep], x.data[keep]
+    if (np.bincount(x.indices, minlength=x.dim)[filled] < x.n_rows).any():
+        zeros = (np.arange(x.n_rows)[:, None] * x.dim + filled).ravel()
+        keys, first = np.unique(np.concatenate([keys, zeros]), return_index=True)
+        values = np.concatenate([values, np.zeros(len(zeros))])[first]
     cols = keys % x.dim
     scaled = (values - lo[cols]) / span[cols]
     nonzero = scaled != 0.0

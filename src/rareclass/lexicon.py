@@ -77,7 +77,7 @@ class MatchCounts:
     dropped_in_tokens: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MatchResult:
     """One lexicon hit: canonical term plus the byte span it covers."""
 
@@ -85,6 +85,18 @@ class MatchResult:
     term: str
     span: tuple[int, int]
     surface: str
+
+    def __init__(self, tweet_id: str, term: str, span: tuple[int, int], surface: str):
+        _SET_TWEET_ID(self, tweet_id)
+        _SET_TERM(self, term)
+        _SET_SPAN(self, span)
+        _SET_SURFACE(self, surface)
+
+
+# the slots are set through their member descriptors, as `corpus.Tweet` sets its own
+_SET_TWEET_ID, _SET_TERM, _SET_SPAN, _SET_SURFACE = (
+    getattr(MatchResult, f).__set__ for f in ("tweet_id", "term", "span", "surface")
+)
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

@@ -34,7 +34,6 @@ import re
 import string
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -107,6 +106,16 @@ class NormalizationConfig:
     child_terms: frozenset[str] = DEFAULT_CHILD
     third_person_pronouns: frozenset[str] = DEFAULT_THIRD_PERSON
 
+    def __post_init__(self):
+        # each token's placeholder, built once, as `Vocabulary` keeps `_index`
+        token_map = dict.fromkeys(self.possessive_pronouns, POSSESSIVE_PLACEHOLDER)
+        token_map.update(dict.fromkeys(self.child_terms, CHILD_PLACEHOLDER))
+        token_map.update(dict.fromkeys(self.third_person_pronouns, THIRD_PERSON_PLACEHOLDER))
+        object.__setattr__(self, "_token_map", token_map)
+
+
+_DEFAULT_CONFIG = NormalizationConfig()
+
 
 # Internal representation while rules run: (is_atom, content).  Atoms are
 # placeholder tokens that later passes must not rewrite.
@@ -137,14 +146,6 @@ def _sub_atoms(
     return out
 
 
-@lru_cache(maxsize=16)
-def _token_map(config: NormalizationConfig) -> dict[str, str]:
-    token_map = dict.fromkeys(config.possessive_pronouns, POSSESSIVE_PLACEHOLDER)
-    token_map.update(dict.fromkeys(config.child_terms, CHILD_PLACEHOLDER))
-    token_map.update(dict.fromkeys(config.third_person_pronouns, THIRD_PERSON_PLACEHOLDER))
-    return token_map
-
-
 def classic_normalize(
     tweet: Tweet,
     match_span: tuple[int, int] | None,
@@ -163,7 +164,7 @@ def classic_normalize(
     and the given-name pass is skipped when ``text.islower()``, which
     holds only for texts without an uppercase letter.
     """
-    token_map = _token_map(config or NormalizationConfig())
+    token_map = (config or _DEFAULT_CONFIG)._token_map
     text = tweet.text
     parts: _Parts
     if match_span is not None:

@@ -16,11 +16,11 @@ ids to one flat int32 array.  Then numpy turns the n-grams of each length
 (`extract_ngrams`) and the cluster paths into integer codes for the whole
 corpus, keeps each tweet's distinct codes with their counts, and takes a
 code's document frequency with one `bincount` (`build_vocabulary`).  Only
-the codes that need a name get one: the kept codes while fitting, every
-code a tweet has when scoring.  `extract_ngrams` and `build_vocabulary`
-here are the corpus-level forms of the `features` functions of those
-names, which stay the per-document library API; they carry those names
-because perfbench/tracer.py times the two stages under them.
+the kept codes get a name, to fit a vocabulary, whose names are then
+found among the codes.  `extract_ngrams` and `build_vocabulary` here are
+the corpus-level forms of the `features` functions of those names, which
+stay the per-document library API; they carry those names because
+perfbench/tracer.py times the two stages under them.
 
 `train_from_corpus` returns a `StoredModel`, the record that
 `model_store.save_model` writes and `model_store.load_model` reads, and
@@ -78,11 +78,6 @@ undersample_similar_majority = forwarder("sampling", "undersample_similar_majori
 logger = logging.getLogger(__name__)
 
 
-# the codes named at once while their columns are looked up, so that few
-# names are alive at a time
-_NAMES_AT_ONCE = 1024
-
-
 class _Ids(dict):
     """Key -> id; a key not yet seen gets the next id."""
 
@@ -97,13 +92,6 @@ def _firsts(keys: np.ndarray) -> np.ndarray:
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     return new
-
-
-def _kept(codes: np.ndarray, n_codes: int, min_df: int) -> np.ndarray:
-    """The codes that occur in at least `min_df` of the distinct (tweet, code)
-    pairs whose codes are `codes`, increasing: their document frequency is
-    one `bincount`."""
-    return np.flatnonzero(np.bincount(codes, minlength=n_codes) >= min_df)
 
 
 def _tweets(lengths: np.ndarray) -> np.ndarray:
@@ -147,10 +135,40 @@ def _gram_names(n: int, codes: np.ndarray, heads: dict, tails: dict, tokens: lis
     return [head_names[h] + " " + tokens[t] for h, t in zip(at.tolist(), tails[n][codes].tolist())]
 
 
+def _gram_codes(n: int, split: tuple, heads: dict, tails: dict, tokens: list) -> np.ndarray:
+    """The inverse of `_gram_names`: the code of each name of a `_split`
+    vocabulary, -1 for a name that is no n-gram of the corpus.  A name's
+    code at each length is found among that length's sorted (head code,
+    last token) pairs, with one `searchsorted` per length."""
+    _, ids, starts, n_words = split
+    rows = np.flatnonzero(n_words == n)
+    tok = ids[starts[rows, None] + np.arange(n)]
+    codes = tok[:, 0]
+    for k in range(2, n + 1):
+        pairs = heads[k] * np.int64(len(tokens)) + tails[k]
+        keys = codes * len(tokens) + tok[:, k - 1]  # < 0 where the head is no code
+        found = np.searchsorted(pairs, keys).clip(max=len(pairs) - 1)
+        codes = np.where((tok[:, k - 1] >= 0) & (pairs[found] == keys), found, -1)
+    out = np.full(len(n_words), -1, np.int64)
+    out[rows] = codes
+    return out
+
+
+def _split(names: tuple[str, ...], token_ids: dict[str, int]) -> tuple:
+    """Feature names as a group finds their codes: the names, their words'
+    token ids (-1 for no token) one name after another, and where each
+    name's words start and how many there are."""
+    n_words = np.fromiter(map(str.count, names, repeat(" ")), np.intp, len(names)) + 1
+    words = chain.from_iterable(map(str.split, names, repeat(" ")))  # one name's at a time
+    ids = np.fromiter(map(token_ids.get, words, repeat(-1)), np.int64, int(n_words.sum()))
+    return names, ids, np.cumsum(n_words) - n_words, n_words
+
+
 # A group is one kind of feature code: the n-grams of one length, or the
 # cluster paths.  It holds its distinct (tweet, code, count) triples, its
-# number of codes and a function that names given codes.
-_Group = tuple[list[np.ndarray], int, Callable[[np.ndarray], list[str]]]
+# number of codes, and functions that name given codes and that find the
+# code of each name of a `_split` vocabulary (-1 for none).
+_Group = tuple[list[np.ndarray], int, Callable[[np.ndarray], list[str]], Callable]
 
 
 def extract_ngrams(
@@ -189,7 +207,8 @@ def extract_ngrams(
                 break
         if n >= n_min:
             name_of = partial(_gram_names, n, heads=heads, tails=tails, tokens=tokens)
-            groups.append((_distinct(docs[starts], codes, n_codes), n_codes, name_of))
+            code_of = partial(_gram_codes, n, heads=heads, tails=tails, tokens=tokens)
+            groups.append((_distinct(docs[starts], codes, n_codes), n_codes, name_of, code_of))
     return groups
 
 
@@ -198,13 +217,15 @@ def _cluster_group(
 ) -> _Group:
     """The cluster-path group: a token's code comes from one token id ->
     cluster path table."""
-    paths = _Ids()  # cluster path -> code
-    table = np.array([paths[clusters[t]] if t in clusters else -1 for t in tokens], np.int32)
-    codes = table[tok]
+    paths = _Ids()  # cluster feature name -> code
+    table = [paths[CLUSTER_PREFIX + clusters[t]] if t in clusters else -1 for t in tokens]
+    codes = np.array(table, np.int32)[tok]
     hit = codes >= 0
-    named = [CLUSTER_PREFIX + path for path in paths]
+    named = list(paths)
     name_of = lambda codes: [named[c] for c in codes.tolist()]  # noqa: E731
-    return _distinct(_tweets(lengths)[hit], codes[hit], len(named)), len(named), name_of
+    code_of = lambda split: np.fromiter(map(paths.get, split[0], repeat(-1)), int)  # noqa: E731
+    triples = _distinct(_tweets(lengths)[hit], codes[hit], len(named))
+    return triples, len(named), name_of, code_of
 
 
 def build_vocabulary(groups: list[_Group], min_df: int, include_structural: bool) -> Vocabulary:
@@ -214,26 +235,26 @@ def build_vocabulary(groups: list[_Group], min_df: int, include_structural: bool
     timed that function."""
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
-    kept = (name_of(_kept(triples[1], n_codes, min_df)) for triples, n_codes, name_of in groups)
+    # a code's document frequency is one `bincount` of its distinct (tweet, code) pairs
+    kept = (
+        name_of(np.flatnonzero(np.bincount(triples[1], minlength=n_codes) >= min_df))
+        for triples, n_codes, name_of, _ in groups
+    )
     struct = STRUCTURAL_FEATURES if include_structural else ()
     return Vocabulary(tuple(sorted(chain(struct, *kept))))
 
 
-def _entries(group: _Group, vocab: Vocabulary, min_df: int, binary: bool):
+def _entries(group: _Group, vocab: Vocabulary, split: tuple, binary: bool):
     """A group's entries in the vocabulary's columns: keys ``tweet * dim +
-    column`` and values.  Only the codes in at least `min_df` tweets are
-    named, a block at a time."""
-    (docs, codes, counts), n_codes, name_of = group
-    index, dim = vocab._index, vocab.dim
-    columns = np.full(n_codes, dim, np.int32)  # dim for a code outside the vocabulary
-    named = _kept(codes, n_codes, min_df)
-    for lo in range(0, len(named), _NAMES_AT_ONCE):
-        block = named[lo : lo + _NAMES_AT_ONCE]
-        found = map(index.get, name_of(block), repeat(dim))
-        columns[block] = np.fromiter(found, np.int32, len(block))
+    column`` and values.  `split` is the vocabulary's names as `_split`
+    gives them, whose codes are looked up among the group's."""
+    (docs, codes, counts), n_codes, _, code_of = group
+    found = code_of(split)
+    columns = np.full(n_codes, vocab.dim, np.int32)  # dim for a code outside the vocabulary
+    columns[found[found >= 0]] = np.flatnonzero(found >= 0)
     columns = columns[codes]
-    inside = columns < dim
-    keys = docs[inside] * np.int64(dim) + columns[inside]
+    inside = columns < vocab.dim
+    keys = docs[inside] * np.int64(vocab.dim) + columns[inside]
     return keys, np.ones(len(keys), np.int32) if binary else counts[inside]
 
 
@@ -251,9 +272,9 @@ def featurize_corpus(
     Each tweet's tokens become int32 ids in one flat array, and its n-grams
     and cluster paths integer codes, made in numpy for the whole corpus
     (`extract_ngrams`, `_cluster_group`).  A code's document frequency is
-    one `bincount` over the tweets' distinct codes.  Names are made only
-    for the codes that need one: the kept codes while fitting, every code a
-    tweet has when scoring.  An n-gram's name is its tokens joined by
+    one `bincount` over the tweets' distinct codes.  Only the codes kept for
+    a new vocabulary are named; the vocabulary's names are then found among
+    the codes (`_gram_codes`).  An n-gram's name is its tokens joined by
     single spaces, as `features.extract_ngrams` makes it; as no token is
     empty or holds whitespace, distinct n-grams get distinct names.  The
     matrix is assembled by `CsrMatrix.from_entries`."""
@@ -266,19 +287,18 @@ def featurize_corpus(
         if settings.use_structural:
             struct_values.extend(structural_features(item.tweet.text))
     n_docs, tokens = len(lengths), list(token_ids)
-    del token_ids
     tok, lengths = np.frombuffer(flat, np.int32), np.frombuffer(lengths, np.int32)
     groups = extract_ngrams(tok, lengths, tokens, settings.n_min, settings.n_max)
     if settings.use_clusters and clusters is not None:
         groups.append(_cluster_group(tok, lengths, tokens, clusters))
     del tok, flat, lengths, tokens
 
-    min_df = 1  # every code a tweet has is looked up in a given vocabulary
     if vocab is None:
         vocab = build_vocabulary(groups, settings.min_df, settings.use_structural)
-        min_df = settings.min_df
+    split = _split(vocab.names, token_ids)
+    del token_ids
     # each group's arrays are freed once its entries are made
-    entries = [_entries(groups.pop(), vocab, min_df, settings.binary) for _ in range(len(groups))]
+    entries = [_entries(groups.pop(), vocab, split, settings.binary) for _ in range(len(groups))]
     if settings.use_structural:
         per_column = np.frombuffer(struct_values, np.int32).reshape(-1, 2).T
         for column, values in zip(map(vocab.index_of, STRUCTURAL_FEATURES), per_column):

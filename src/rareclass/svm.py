@@ -11,10 +11,13 @@ using the second-order working-set selection of Fan, Chen & Lin
 SVM", JMLR 6, 2005), the rule LIBSVM uses.  With u_t the bias-free
 decision value at training point t and g_t = y_t - u_t, i maximizes g_i
 over the "up" set, and j is the "down" point with g_j < g_i that
-maximizes (g_i - g_j)^2 / (K_ii + K_jj - 2 K_ij), twice the decrease of
-the objective that an unclipped step on the pair would give.
-Optimization stops when max g over "up" minus min g over "down" is at
-most the tolerance, which bounds every KKT violation by the tolerance.
+maximizes the gain (g_i - g_j)^2 / a_ij, a_ij = K_ii + K_jj - 2 K_ij (at
+least 1e-12), twice the decrease of the objective that an unclipped step
+on the pair would give.  Optimization stops when max g over "up" minus
+min g over "down" is at most the tolerance, which bounds every KKT
+violation by the tolerance.  The solver keeps g as two views, on "up"
+and on "down" (-inf and +inf off them), and with an RBF kernel ranks j
+by twice the gain, which keeps the argmax (see `solve_binary`).
 The two-variable subproblem is solved analytically and clipped to its
 feasible segment, so the equality constraint is preserved exactly.
 
@@ -108,11 +111,13 @@ _row_counts = (0, 0)
 def _kernel_block(
     dots: np.ndarray, sq_left: np.ndarray, sq_right: np.ndarray, kernel: str, gamma: float
 ) -> np.ndarray:
-    """Kernel values from dot products and the rows' squared norms."""
+    """Kernel values from dot products and the rows' squared norms; an RBF
+    kernel overwrites `dots`."""
     if kernel == KERNEL_LINEAR:
         return dots
     sq = np.add.outer(sq_left, sq_right, dtype=np.float64)  # norms are int64 without entries
-    sq -= 2.0 * dots
+    dots *= 2.0
+    sq -= dots
     np.maximum(sq, 0.0, out=sq)
     sq *= -gamma
     return np.exp(sq, out=sq)
@@ -207,13 +212,17 @@ def solve_binary(
     The result equals that of SMO on ``x.take(rows)`` bit for bit, but no
     copy of the rows lives through the loop (see `_kernel_rows`).
 
-    The working set follows Fan, Chen & Lin (2005): i maximizes
-    g = y - u over the "up" set; j is the "down" point with g_j < g_i
-    that maximizes the second-order gain (g_i - g_j)^2 / a_ij, where
-    a_ij = K_ii + K_jj - 2 K_ij (at least 1e-12).  The gradient g is
-    the solver's state and is updated in place from the two kernel rows
-    of each step.  Optimization stops when max g over "up" minus min g
-    over "down" is at most `tolerance`.
+    The working set and the stop rule are the module's.  The solver's
+    state is g as two views: `g_up`, g on the "up" set and -inf off it,
+    and `g_down`, g on the "down" set and +inf off it (each point is in
+    one set or both, as each bound is > 0).  Each step subtracts its
+    update from both, which keeps -inf and +inf, and resets the two
+    changed points.  With an RBF kernel the gain divides by
+    max(1 - K_ij, 5e-13), a_ij and its floor halved: that doubles every
+    gain exactly, as halving is exact in binary floating point, and keeps
+    the argmax while the largest gain is a normal float.  That gain is at
+    least tolerance^2 and at most about 1e13 (1 + sum(box))^2, so a_ij / 2
+    is used only when tolerance >= 1e-150 and sum(box) < 1e140.
 
     Returns (alpha, bias, iterations, converged) with alpha over every
     point of the subproblem, support vector or not.  The row cache's
@@ -224,40 +233,41 @@ def solve_binary(
     box = np.asarray(box, dtype=float)
     n = len(y)
     alpha = np.zeros(n)
-    g = y.copy()  # y - u, with u the bias-free decision values (all 0 at alpha = 0)
     kernel_row = _kernel_rows(x, kernel, gamma, rows)
     diag = None
     if kernel == KERNEL_LINEAR:
         diag = x.squared_norms() if rows is None else x.squared_norms()[rows]
-    pos = y > 0
-    # the "up" and "down" sets as masks, kept current where alpha changes, that
-    # are 0 on a set and -inf/+inf off it: on the set, g + mask == g
-    up_mask = np.where(np.where(pos, alpha < box, alpha > 0.0), 0.0, -np.inf)
-    down_mask = np.where(np.where(pos, alpha > 0.0, alpha < box), 0.0, np.inf)
+    # g = y - u, with u the bias-free decision values (all 0 at alpha = 0), held
+    # as g_up (-inf off the up set) and g_down (+inf off the down set)
+    g_up, g_down = np.where(y > 0, y, -np.inf), np.where(y > 0, np.inf, y)
+    g_at = lambda t: g_down.item(t) if g_up.item(t) == -np.inf else g_up.item(t)  # noqa: E731
+    # a_ij / 2 for an RBF kernel where the largest gain is a normal float (see above)
+    half = diag is None and tolerance >= 1e-150 and box.sum() < 1e140
     # every n-length value of an iteration is evaluated into these
-    gain, g_down, a, step = (np.empty(n) for _ in range(4))
+    gain, a, step = (np.empty(n) for _ in range(3))
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        i = int(np.add(g, up_mask, out=gain).argmax())
-        np.add(g, down_mask, out=g_down)
+        i = int(g_up.argmax())
+        g_i = g_up.item(i)
         # an empty "up" set makes the difference -inf, and so does an empty "down" set
-        if gain.item(i) - g_down.min() <= tolerance:
+        if g_i - g_down.min() <= tolerance:
             converged = True
             break
-        g_i = g.item(i)
         row_i = kernel_row(i)
         # second-order gain b^2 / a with b = g_i - g_t, zero off the down
         # set and where b <= 0; the check above leaves some gain > 0
         np.subtract(g_i, g_down, out=gain)
         np.maximum(gain, 0.0, out=gain)
         gain *= gain
-        # a = K_ii + K_tt - 2 K_it, where an RBF kernel's K_ii + K_tt is 2.0
-        np.multiply(2.0, row_i, out=a)
-        np.subtract(2.0 if diag is None else diag[i] + diag, a, out=a)
-        np.maximum(a, 1e-12, out=a)
+        if half:  # a / 2 = 1 - K_it
+            np.subtract(1.0, row_i, out=a)
+        else:  # a = K_ii + K_tt - 2 K_it, where an RBF kernel's K_ii + K_tt is 2.0
+            np.multiply(2.0, row_i, out=a)
+            np.subtract(2.0 if diag is None else diag[i] + diag, a, out=a)
+        np.maximum(a, 5e-13 if half else 1e-12, out=a)
         gain /= a
-        j = int(gain.argmax())
+        j = int(gain.argmax())  # off the down set only if every gain is 0
         row_j = kernel_row(j)
         eta = row_i.item(i) + row_j.item(j) - 2.0 * row_i.item(j)
         if eta <= 0.0:
@@ -271,7 +281,7 @@ def solve_binary(
             low = max(0.0, a_i + a_j - box_i)
             high = min(box_j, a_i + a_j)
         # E = u - y, so E_i - E_j = g_j - g_i
-        a_j_new = a_j + y_j * (g.item(j) - g_i) / eta
+        a_j_new = a_j + y_j * (g_at(j) - g_i) / eta
         a_j_new = min(max(a_j_new, low), high)
         a_i_new = a_i + y_i * y_j * (a_j - a_j_new)
         if a_i_new < _BOUND_SNAP:
@@ -284,14 +294,15 @@ def solve_binary(
             a_j_new = box_j
         delta_i = (a_i_new - a_i) * y_i
         delta_j = (a_j_new - a_j) * y_j
-        # i != j: g_j < g_i
-        for t, a_t, y_t, box_t in ((i, a_i_new, y_i, box_i), (j, a_j_new, y_j, box_j)):
-            alpha[t] = a_t
-            up_mask[t] = 0.0 if (a_t < box_t if y_t > 0 else a_t > 0.0) else -np.inf
-            down_mask[t] = 0.0 if (a_t > 0.0 if y_t > 0 else a_t < box_t) else np.inf
         np.multiply(delta_i, row_i, out=step)
         step += np.multiply(delta_j, row_j, out=a)
-        g -= step
+        g_up -= step  # -inf and +inf off the sets stay as they are
+        g_down -= step
+        # i != j: g_j < g_i
+        for t, a_t, y_t, box_t in ((i, a_i_new, y_i, box_i), (j, a_j_new, y_j, box_j)):
+            alpha[t], g_t = a_t, g_at(t)
+            g_up[t] = g_t if (a_t < box_t if y_t > 0 else a_t > 0.0) else -np.inf
+            g_down[t] = g_t if (a_t > 0.0 if y_t > 0 else a_t < box_t) else np.inf
     else:
         logger.warning(
             "smo hit the iteration cap (%d) before reaching tolerance %g",
@@ -300,12 +311,12 @@ def solve_binary(
         )
     cache = kernel_row.cache_info()
     _row_counts = (cache.misses, cache.hits + cache.misses)
+    g = np.where(g_up > -np.inf, g_up, g_down)  # the full gradient, for the bias
     free = (alpha > 0.0) & (alpha < box)
-    up, down = up_mask == 0.0, down_mask == 0.0
     if free.any():
         bias = float(np.mean(g[free]))
-    elif up.any() and down.any():
-        bias = float((g[up].max() + g[down].min()) / 2.0)
+    elif g_up.max() > -np.inf and g_down.min() < np.inf:  # neither set is empty
+        bias = float((g_up.max() + g_down.min()) / 2.0)
     else:
         bias = float(np.mean(g))
     return alpha, bias, iterations, converged

@@ -470,6 +470,34 @@ class TestDomainTypes:
         assert item != AnnotatedTweet(tweet, Label.NON_DEFECT, (0, 3))
         assert tweet != ("t1", "u", "abc")
 
+    def test_loaded_records_equal_and_hash_like_constructed_ones(self, tmp_path):
+        path = write_tsv(
+            tmp_path,
+            [
+                "t1\tu1\tdefect\tmy baby has chd\t12\t15",
+                "t2\tu1\tpossible_defect\tb\u00e9b\u00e9 chd\t7\t10",
+                "t3\tu3\tnon_defect\tchd awareness day\t\t",
+            ],
+        )
+        built = [
+            AnnotatedTweet(Tweet("t1", "u1", "my baby has chd"), Label.DEFECT, (12, 15)),
+            AnnotatedTweet(Tweet("t2", "u1", "b\u00e9b\u00e9 chd"), Label.POSSIBLE_DEFECT, (7, 10)),
+            AnnotatedTweet(Tweet("t3", "u3", "chd awareness day"), Label.NON_DEFECT),
+        ]
+        loaded = load_corpus(path).items
+        assert list(loaded) == built
+        assert [hash(item) for item in loaded] == [hash(item) for item in built]
+        assert [hash(item.tweet) for item in loaded] == [hash(item.tweet) for item in built]
+        assert all(type(a) is type(b) for a, b in zip(loaded, built))
+        assert set(loaded) == set(built)
+
+    def test_bad_span_names_its_line(self, tmp_path):
+        path = write_tsv(
+            tmp_path, ["t1\tu1\tdefect\tmy chd\t3\t6", "t2\tu2\tdefect\tb\u00e9b\u00e9\t2\t4"]
+        )
+        with pytest.raises(DataError, match="does not fall on character boundaries at line 3"):
+            load_corpus(path)
+
     def test_span_bounds_checked(self):
         t = Tweet("t1", "u", "abc")
         with pytest.raises(ValueError):

@@ -431,6 +431,51 @@ class TestScaler:
             assert 0.0 <= scaled.get(1, 0.0) <= 1.0
 
 
+    def test_fill_is_skipped_only_when_no_filled_entry_is_missing(self, monkeypatch):
+        """Rows that hold every filled column (active, min != 0) are scaled
+        without the fill, and bit for bit as in a batch where a row lacks
+        one; both equal a dense reference."""
+        train = from_rows(
+            [
+                SparseVector.from_pairs([(0, 2.0), (1, 1.0), (3, 5.0)], 4),
+                SparseVector.from_pairs([(0, 3.5), (2, 1.0), (3, 7.0)], 4),
+                SparseVector.from_pairs([(0, 9.0), (3, 6.0)], 4),
+            ]
+        )
+        scaler = fit_scaler(train)
+        assert np.flatnonzero(scaler.mins != 0.0).tolist() == [0, 3]
+        rows = [
+            SparseVector.from_pairs([(0, 4.0), (1, 1.0), (3, 5.5)], 4),
+            SparseVector.from_pairs([(0, 2.5), (2, 1.0)], 4),  # lacks filled column 3
+            SparseVector.from_pairs([(0, 11.0), (3, 0.1)], 4),
+        ]
+        unique_calls = []
+        real_unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **k: unique_calls.append(1) or real_unique(*a, **k)
+        )
+        batch = apply_scaler(scaler, from_rows(rows))
+        assert len(unique_calls) == 1
+        whole = apply_scaler(scaler, from_rows([rows[0], rows[2]]))
+        fitted = apply_scaler(scaler, train)  # fitting leaves no filled entry missing
+        assert len(unique_calls) == 1
+        span = scaler.maxs - scaler.mins
+        for x, scaled in ((from_rows(rows), batch), (from_rows([rows[0], rows[2]]), whole),
+                          (train, fitted)):
+            dense = np.zeros((x.n_rows, 4))
+            dense[x.row_ids(), x.indices] = x.data
+            expected = (dense - scaler.mins) / span
+            got = np.zeros_like(expected)
+            got[scaled.row_ids(), scaled.indices] = scaled.data
+            assert got.tobytes() == expected.tobytes()
+            assert (scaled.data != 0.0).all()
+        for r, w in ((0, 0), (2, 1)):
+            lo, hi = batch.indptr[r], batch.indptr[r + 1]
+            wlo, whi = whole.indptr[w], whole.indptr[w + 1]
+            assert batch.indices[lo:hi].tobytes() == whole.indices[wlo:whi].tobytes()
+            assert batch.data[lo:hi].tobytes() == whole.data[wlo:whi].tobytes()
+
+
 class TestInformationGain:
     def _vocab(self, names):
         return build_vocabulary([Counter(dict.fromkeys(names, 1))] * 2, min_df=1)

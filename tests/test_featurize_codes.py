@@ -61,7 +61,7 @@ def test_ngram_lengths_stop_at_the_longest_tweet():
     lengths = np.array([2, 0, 5, 1], np.int32)
     tok = np.array([0, 1, 2, 2, 2, 1, 0, 1], np.int32)
     groups = pipeline.extract_ngrams(tok, lengths, tokens, 2, 10**6)
-    assert [name_of(np.arange(n_codes)) for _, n_codes, name_of in groups] == [
+    assert [name_of(np.arange(n_codes)) for _, n_codes, name_of, _ in groups] == [
         ["a b", "b a", "c b", "c c"],
         ["c b a", "c c b", "c c c"],
         ["c c b a", "c c c b"],

@@ -256,6 +256,31 @@ class TestDegenerateInputs:
         self._check(points, y, box, KERNEL_RBF)
 
 
+def degenerate_input(case):
+    """(points, y, box) of `TestDegenerateInputs`' three inputs, and of a
+    pair whose classes have unequal boxes."""
+    rng = np.random.default_rng({"duplicates": 31, "one_against_fifty_nine": 37}.get(case, 41))
+    if case == "duplicates":
+        points = rng.uniform(-1.0, 1.0, size=(10, 2))
+        points[1] = points[0]
+        points[5] = points[4]
+        return points, np.array([1, -1] * 5), np.full(10, 100.0)
+    if case == "collinear":
+        t = np.linspace(-1.0, 1.0, 16)
+        y = np.where(t > 0.0, 1, -1)
+        y[[6, 9]] *= -1
+        return np.outer(t, [1.0, -2.0, 0.5]), y, np.full(16, 100.0)
+    if case == "one_against_fifty_nine":
+        y = np.full(60, -1)
+        y[17] = 1
+        box = np.where(y > 0, 100.0 * 60 / 2, 100.0 * 60 / (2 * 59))
+        return rng.uniform(-1.0, 1.0, size=(60, 3)), y, box
+    points = rng.uniform(-1.0, 1.0, size=(30, 2))
+    y = np.where(points[:, 0] + 0.5 * points[:, 1] > 0.4, 1, -1)  # overlapping classes
+    y[[3, 11]] *= -1
+    return points, y, np.where(y > 0, 2.0, 0.5)
+
+
 class TestTrainingLog:
     def _data(self):
         vectors = [vec([-1.0]), vec([-0.9]), vec([1.0]), vec([0.9]), vec([3.0])]
@@ -615,6 +640,50 @@ class TestFastPathsMatchOracle:
             assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
             alpha, *rest = solve_binary(larger, *args[1:], rows=ids)
             assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
+
+    @pytest.mark.parametrize("kernel", [KERNEL_RBF, KERNEL_LINEAR])
+    @pytest.mark.parametrize(
+        "case", ["duplicates", "collinear", "one_against_fifty_nine", "unequal_boxes"]
+    )
+    def test_degenerate_inputs_equal_oracle(self, case, kernel):
+        """`TestDegenerateInputs`' inputs and a pair with unequal class
+        boxes, under both kernels: points enter and leave both sets."""
+        points, y, box = degenerate_input(case)
+        x = from_rows([vec(p, points.shape[1]) for p in points])
+        args = (x, [int(v) for v in y], box, kernel, 0.7, 1e-6, 10_000)
+        alpha, *rest = solve_binary(*args)
+        expected = smo_oracle.solve_binary(*args)
+        assert rest[2]  # converged
+        assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
+        if case == "unequal_boxes":  # some multipliers reach their box, of either size
+            assert {0.5, 2.0} <= set(alpha[alpha == box].tolist())
+
+    @pytest.mark.parametrize("kernel", [KERNEL_RBF, KERNEL_LINEAR])
+    @pytest.mark.parametrize("tolerance, c", [(1e-160, 100.0), (1e-3, 1e141)])
+    def test_outside_the_halved_gains_range_equals_oracle(self, kernel, tolerance, c):
+        """Below tolerance 1e-150, or with boxes summing past 1e140, the RBF
+        solver divides by a_ij itself, as the oracle does."""
+        points, y, _ = degenerate_input("duplicates")
+        x = from_rows([vec(p, points.shape[1]) for p in points])
+        args = (x, [int(v) for v in y], [c] * len(y), kernel, 0.7, tolerance, 300)
+        alpha, *rest = solve_binary(*args)
+        expected = smo_oracle.solve_binary(*args)
+        assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
+
+    def test_gain_over_half_a_is_twice_the_gain(self):
+        """b^2 / max(1 - K, 5e-13) is exactly twice b^2 / max(2 - 2K, 1e-12)
+        while the gain is a normal float, so the argmax is the same."""
+        rng = np.random.default_rng(3)
+        k = np.concatenate(
+            [rng.uniform(0.0, 1.0, 900), np.ones(50), 1.0 - rng.uniform(0.0, 1e-12, 50)]
+        )
+        for scale in (1e-150, 1e-75, 1.0, 1e60):
+            b = np.maximum(rng.uniform(-0.2, 1.0, len(k)) * scale, 0.0)
+            full = b * b / np.maximum(2.0 - 2.0 * k, 1e-12)
+            half = b * b / np.maximum(1.0 - k, 5e-13)
+            assert half.argmax() == full.argmax()
+            normal = full >= np.finfo(float).tiny
+            assert normal.sum() > 800 and np.array_equal(half[normal], 2.0 * full[normal])
 
     def test_demo_model_is_byte_identical_under_the_oracle(self, tmp_path, monkeypatch, demo_paths):
         base = [

@@ -26,15 +26,15 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 Each step imports only the layers it runs, because start-up is most of a
 step's time on a small corpus.  Every step loads this module, `config`,
 `corpus`, `errors` and `rng`; `split` and `kappa` load nothing else,
-`match` adds `lexicon`, `normalize` and `porter`, and `sample` adds
-`sampling`.  `train` and `evaluate` add numpy, `pipeline`, `features`,
-`model_store`, `normalize`, `porter` and the classifier's module (`svm`
-or `naive_bayes`); `train` loads `sampling` only when a sampler runs, and
-only `evaluate` loads `evaluation`.  The layer functions perfbench/tracer.py
-wraps by their names in this module and in `pipeline` are forwarders
-(`rareclass.forwarder`), which import their module on the first call.
-A handler must call them by those names: a local import of the function
-itself would bypass the tracer's wrapper.
+`match` adds `lexicon`, and `sample` adds `sampling`.  `train` and
+`evaluate` add numpy, `pipeline`, `features`, `model_store`, `normalize`,
+`porter` and the classifier's module (`svm` or `naive_bayes`); `train`
+loads `sampling` only when a sampler runs, and only `evaluate` loads
+`evaluation`.  The layer functions perfbench/tracer.py wraps by their
+names in this module and in `pipeline` are forwarders (`rareclass.forwarder`),
+which import their module on the first call.  A handler must call them by
+those names: a local import of the function itself would bypass the
+tracer's wrapper.
 """
 
 from __future__ import annotations

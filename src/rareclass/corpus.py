@@ -44,6 +44,10 @@ class Label(Enum):
 LABELS: tuple[Label, ...] = tuple(Label)
 _LABEL_OF = {label.value: label for label in LABELS}
 
+# username and URL tokens, which `normalize` replaces and `lexicon` skips
+USERNAME_RE = re.compile(r"@[A-Za-z0-9_]+")
+URL_RE = re.compile(r"https?://\S+")
+
 
 def _is_utf8_boundary(raw: bytes, offset: int) -> bool:
     return offset == len(raw) or (raw[offset] & 0xC0) != 0x80

@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus, Label, LABELS, Tweet, char_span_to_bytes, byte_span_to_chars
+from .corpus import URL_RE, USERNAME_RE
 from .errors import DataError, read_utf8
-from .normalize import URL_RE, USERNAME_RE
 
 _SEPARATOR_RE = re.compile(r"[\s\-]+")
 _BOUNDARY_CLASS = "[a-zA-Z0-9]"

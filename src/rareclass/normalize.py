@@ -38,12 +38,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import DEFAULT_CHILD, DEFAULT_POSSESSIVE, DEFAULT_THIRD_PERSON
-from .corpus import Label, Tweet, byte_span_to_chars
+from .corpus import URL_RE, USERNAME_RE, Label, Tweet, byte_span_to_chars
 from .errors import DataError, read_utf8
 from .porter import porter_stem
 
-USERNAME_RE = re.compile(r"@[A-Za-z0-9_]+")
-URL_RE = re.compile(r"https?://\S+")
 # a maximal ASCII letter run that starts with an uppercase letter
 _NAME_RUN_RE = re.compile(r"(?<![A-Za-z])[A-Z][A-Za-z]*")
 _LOWER_RUN_RE = re.compile(r"[a-z]+")

@@ -22,9 +22,10 @@ The two-variable subproblem is solved analytically and clipped to its
 feasible segment, so the equality constraint is preserved exactly.
 
 Training runs SMO one class pair at a time on the training matrix
-itself: the solver reads a pair's rows through their row ids, so no copy
-of them lives through the loop and the kernel row cache is its one large
-allocation, as in LIBSVM.  A trained model keeps every support vector
+itself: the solver is given a pair's row ids and reads its rows through
+them, so no copy of them lives through the loop and the kernel row cache
+is its one large allocation, as in LIBSVM; it also returns that cache's
+counts, which training logs.  A trained model keeps every support vector
 once, in a pool shared by all pairs (the LIBSVM layout); each pair
 refers to its support vectors by pool index and carries its own dual
 coefficients and bias.
@@ -104,8 +105,6 @@ class SvmParams:
 PREDICT_BLOCK_ROWS = 16
 # kernel rows `_kernel_rows` keeps, the most recently used
 KERNEL_CACHE_ROWS = 512
-# (rows computed, rows requested) by the row cache of the last `solve_binary`
-_row_counts = (0, 0)
 
 
 def _kernel_block(
@@ -136,10 +135,10 @@ def _dense_columns(x: CsrMatrix, columns: CsrMatrix) -> dict[int, np.ndarray]:
     return dense
 
 
-def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, rows: np.ndarray | None = None):
-    """Row i of the kernel matrix of the rows `rows` of `x` (increasing row
-    ids; None means every row), with the `KERNEL_CACHE_ROWS` most recently
-    used rows cached.
+def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, *, rows: np.ndarray):
+    """The function giving row i of the kernel matrix of the rows `rows` of
+    `x` (increasing row ids), with the `KERNEL_CACHE_ROWS` most recently
+    used rows cached, and those rows' squared norms.
 
     With ``pair = x.take(rows)``, row i equals
     ``pair.rows(i, i + 1).matmul(pair.transpose())`` bit for bit: each sum
@@ -152,7 +151,7 @@ def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, rows: np.ndarray | Non
     +0.0, so it is never -0.0, and the zero product of a row that lacks a
     dense column leaves it unchanged.
     """
-    pair = x if rows is None else x.take(rows)
+    pair = x.take(rows)
     columns = pair.transpose()
     sq = pair.squared_norms()
     dense = _dense_columns(pair, columns)
@@ -163,7 +162,7 @@ def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, rows: np.ndarray | Non
 
     @lru_cache(maxsize=KERNEL_CACHE_ROWS)
     def row(i: int) -> np.ndarray:
-        r = i if rows is None else rows.item(i)
+        r = rows.item(i)
         lo, hi = x.indptr[r], x.indptr[r + 1]
         dots = None
         cells, products = [no_cells], [no_products]
@@ -181,7 +180,7 @@ def _kernel_rows(x: CsrMatrix, kernel: str, gamma: float, rows: np.ndarray | Non
         dots = _add_run(dots, cells, products, n)
         return _kernel_block(dots[None, :], sq[i : i + 1], sq, kernel, gamma)[0]
 
-    return row
+    return row, sq
 
 
 def _add_run(dots: np.ndarray | None, cells: list, products: list, n: int) -> np.ndarray:
@@ -203,11 +202,12 @@ def solve_binary(
     gamma: float = 1.0,
     tolerance: float = 1e-3,
     max_iterations: int = 10_000_000,
-    rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, int, bool]:
+    *,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, float, int, bool, int, int]:
     """Run SMO on one binary subproblem: the rows `rows` of `x`, increasing
-    row ids (None means every row), with +1/-1 labels `y_pm` and upper
-    bounds `box` at the same positions.
+    row ids, with +1/-1 labels `y_pm` and upper bounds `box` at the same
+    positions.
 
     The result equals that of SMO on ``x.take(rows)`` bit for bit, but no
     copy of the rows lives through the loop (see `_kernel_rows`).
@@ -224,19 +224,17 @@ def solve_binary(
     least tolerance^2 and at most about 1e13 (1 + sum(box))^2, so a_ij / 2
     is used only when tolerance >= 1e-150 and sum(box) < 1e140.
 
-    Returns (alpha, bias, iterations, converged) with alpha over every
-    point of the subproblem, support vector or not.  The row cache's
-    counts are left in `_row_counts` for the caller's log line.
+    Returns (alpha, bias, iterations, converged, rows_computed,
+    rows_requested) with alpha over every point of the subproblem, support
+    vector or not, and the kernel rows the row cache computed and was asked
+    for.
     """
-    global _row_counts
     y = np.asarray(y_pm, dtype=float)
     box = np.asarray(box, dtype=float)
     n = len(y)
     alpha = np.zeros(n)
-    kernel_row = _kernel_rows(x, kernel, gamma, rows)
-    diag = None
-    if kernel == KERNEL_LINEAR:
-        diag = x.squared_norms() if rows is None else x.squared_norms()[rows]
+    kernel_row, sq = _kernel_rows(x, kernel, gamma, rows=rows)
+    diag = sq if kernel == KERNEL_LINEAR else None  # a linear kernel's K_tt
     # g = y - u, with u the bias-free decision values (all 0 at alpha = 0), held
     # as g_up (-inf off the up set) and g_down (+inf off the down set)
     g_up, g_down = np.where(y > 0, y, -np.inf), np.where(y > 0, np.inf, y)
@@ -309,8 +307,6 @@ def solve_binary(
             max_iterations,
             tolerance,
         )
-    cache = kernel_row.cache_info()
-    _row_counts = (cache.misses, cache.hits + cache.misses)
     g = np.where(g_up > -np.inf, g_up, g_down)  # the full gradient, for the bias
     free = (alpha > 0.0) & (alpha < box)
     if free.any():
@@ -319,7 +315,8 @@ def solve_binary(
         bias = float((g_up.max() + g_down.min()) / 2.0)
     else:
         bias = float(np.mean(g))
-    return alpha, bias, iterations, converged
+    cache = kernel_row.cache_info()
+    return alpha, bias, iterations, converged, cache.misses, cache.hits + cache.misses
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +401,7 @@ def train_svm(
         rows = np.flatnonzero(is_pos | (label_ids == LABELS.index(neg_label)))
         y = np.where(is_pos[rows], 1.0, -1.0)
         box = np.where(y > 0, params.c * weights[pos_label], params.c * weights[neg_label])
-        alpha, bias, iterations, converged = solve_binary(
+        alpha, bias, iterations, converged, *row_counts = solve_binary(
             x, y, box, params.kernel, gamma, params.tolerance, params.max_iterations, rows=rows
         )
         sv = alpha > 0.0
@@ -412,7 +409,7 @@ def train_svm(
             logging.INFO if converged else logging.WARNING,
             "svm pair %s/%s: %d iterations, %d support vectors, "
             "%d kernel rows computed for %d requests, converged=%s",
-            pos_label.value, neg_label.value, iterations, int(sv.sum()), *_row_counts, converged,
+            pos_label.value, neg_label.value, iterations, int(sv.sum()), *row_counts, converged,
         )
         pairs.append(
             PairModel(pos_label, neg_label, rows[sv], alpha[sv], y[sv], bias, iterations, converged)

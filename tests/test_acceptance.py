@@ -116,9 +116,9 @@ def test_c04_smo_vs_reference_qp():
         reference_value, _ = solve_reference(kernel_matrix(points, kernel, gamma), y, box)
         vectors = [SparseVector.from_pairs(enumerate(p), points.shape[1]) for p in points]
         labels_pm = [int(v) for v in y]
-        alpha, bias, _, converged = solve_binary(
+        alpha, bias, _, converged, *_ = solve_binary(
             from_rows(vectors), labels_pm, box, kernel=kernel, gamma=gamma,
-            tolerance=1e-8,
+            tolerance=1e-8, rows=np.arange(len(y)),
         )
         assert converged
         smo_value = dual_value(

@@ -182,7 +182,7 @@ _NUMPY_STEP = _TEXT | {"features", "model_store", "normalize", "pipeline", "port
 STEP_MODULES = {
     "split": _TEXT,
     "kappa": _TEXT,
-    "match": _TEXT | {"lexicon", "normalize", "porter"},
+    "match": _TEXT | {"lexicon"},
     "sample similar": _TEXT | {"sampling"},
     "train nb": _NUMPY_STEP | {"naive_bayes"},
     "train svm": _NUMPY_STEP | {"svm"},

@@ -88,9 +88,9 @@ class TestBinarySolver:
         # one point per side at -1 and +1, linear kernel: alpha = (1/2, 1/2),
         # bias 0, decision crosses zero at the midpoint
         vectors = [vec([-1.0]), vec([1.0])]
-        alpha, bias, _, converged = solve_binary(
+        alpha, bias, _, converged, *_ = solve_binary(
             from_rows(vectors), [1, -1], [100.0, 100.0], kernel=KERNEL_LINEAR,
-            tolerance=1e-9,
+            tolerance=1e-9, rows=np.arange(2),
         )
         assert converged
         assert alpha == pytest.approx([0.5, 0.5], abs=1e-9)
@@ -141,9 +141,9 @@ class TestBinarySolver:
             c = 100.0 if trial % 2 else 1.0
             vectors = [vec(p, points.shape[1]) for p in points]
             box = [c] * len(y)
-            alpha, _, _, _ = solve_binary(
+            alpha, *_ = solve_binary(
                 from_rows(vectors), [int(v) for v in y], box, kernel=KERNEL_LINEAR,
-                tolerance=1e-6,
+                tolerance=1e-6, rows=np.arange(len(y)),
             )
             assert abs(sum(a * v for a, v in zip(alpha, y))) < 1e-6
             assert all(-1e-12 <= a <= c + 1e-12 for a in alpha)
@@ -159,9 +159,9 @@ class TestBinarySolver:
             K = kernel_matrix(points, kernel, gamma)
             ref_value, _ = solve_reference(K, y, box)
             vectors = [vec(p, points.shape[1]) for p in points]
-            alpha, bias, _, converged = solve_binary(
+            alpha, bias, _, converged, *_ = solve_binary(
                 from_rows(vectors), [int(v) for v in y], box, kernel=kernel,
-                gamma=gamma, tolerance=1e-8,
+                gamma=gamma, tolerance=1e-8, rows=np.arange(len(y)),
             )
             assert converged
             smo_value = dual_value(np.asarray(alpha), y, K)
@@ -174,9 +174,9 @@ class TestBinarySolver:
         points, y = random_dataset(rng, max_points=8)
         vectors = [vec(p, points.shape[1]) for p in points]
         box = [100.0] * len(y)
-        alpha, bias, _, converged = solve_binary(
+        alpha, bias, _, converged, *_ = solve_binary(
             from_rows(vectors), [int(v) for v in y], box, kernel=KERNEL_RBF,
-            gamma=0.7, tolerance=1e-3,
+            gamma=0.7, tolerance=1e-3, rows=np.arange(len(y)),
         )
         assert converged
         assert kkt_violation(
@@ -188,9 +188,9 @@ class TestBinarySolver:
         points, y = random_dataset(rng)
         vectors = [vec(p, points.shape[1]) for p in points]
         with caplog.at_level("WARNING"):
-            _, _, iterations, converged = solve_binary(
+            _, _, iterations, converged, *_ = solve_binary(
                 from_rows(vectors), [int(v) for v in y], [100.0] * len(y),
-                max_iterations=2,
+                max_iterations=2, rows=np.arange(len(y)),
             )
         assert iterations == 2 and not converged
         assert any("iteration cap" in rec.message for rec in caplog.records)
@@ -204,9 +204,9 @@ class TestBinarySolver:
             points, y = random_dataset(rng)
             c = 100.0 if trial % 2 else 1.0
             vectors = [vec(p, points.shape[1]) for p in points]
-            _, _, iterations, converged = solve_binary(
+            _, _, iterations, converged, *_ = solve_binary(
                 from_rows(vectors), [int(v) for v in y], np.full(len(y), c),
-                kernel=KERNEL_LINEAR, gamma=0.7, tolerance=1e-8,
+                kernel=KERNEL_LINEAR, gamma=0.7, tolerance=1e-8, rows=np.arange(len(y)),
             )
             assert converged
             total += iterations
@@ -222,9 +222,9 @@ class TestDegenerateInputs:
         y = np.asarray(y, dtype=float)
         box = np.asarray(box, dtype=float)
         vectors = [vec(p, points.shape[1]) for p in points]
-        alpha, bias, _, converged = solve_binary(
+        alpha, bias, _, converged, *_ = solve_binary(
             from_rows(vectors), [int(v) for v in y], box, kernel=kernel,
-            gamma=gamma, tolerance=tolerance, max_iterations=10_000,
+            gamma=gamma, tolerance=tolerance, max_iterations=10_000, rows=np.arange(len(y)),
         )
         assert converged
         K = kernel_matrix(points, kernel, gamma)
@@ -292,9 +292,10 @@ class TestTrainingLog:
         x, labels = self._data()
         caches = []  # each pair's kernel row cache, whose counts the line gives
 
-        def recording(*args):
-            caches.append(_kernel_rows(*args))
-            return caches[-1]
+        def recording(*args, **kwargs):
+            row, sq = _kernel_rows(*args, **kwargs)
+            caches.append(row)
+            return row, sq
 
         monkeypatch.setattr(svm, "_kernel_rows", recording)
         with caplog.at_level(logging.INFO, logger="rareclass.svm"):
@@ -317,14 +318,19 @@ class TestTrainingLog:
 
     def test_unconverged_pair_is_a_warning(self, caplog):
         x, labels = self._data()
+        max_iterations = 1
         with caplog.at_level(logging.INFO, logger="rareclass.svm"):
-            model = train_svm(x, labels, SvmParams(c=10.0, gamma=1.0, max_iterations=1))
+            model = train_svm(
+                x, labels, SvmParams(c=10.0, gamma=1.0, max_iterations=max_iterations)
+            )
         pair_lines = [r for r in caplog.records if "svm pair" in r.getMessage()]
         assert len(pair_lines) == 3
         for record, pair in zip(pair_lines, model.pairs):
             assert not pair.converged
             assert record.levelno == logging.WARNING
             assert "converged=False" in record.getMessage()
+            # every step asks for two rows, and the cap ends the loop after a step
+            assert f"for {2 * max_iterations} requests" in record.getMessage()
 
 
 class TestTrainingMemory:
@@ -525,7 +531,8 @@ class TestFastPathsMatchOracle:
     def test_kernel_rows_equal_matmul_rows(self, x, kernel, gamma, data):
         columns = x.transpose()
         sq = x.squared_norms()
-        row = _kernel_rows(x, kernel, gamma)
+        row, row_sq = _kernel_rows(x, kernel, gamma, rows=np.arange(x.n_rows))
+        assert row_sq.tobytes() == sq.tobytes()
         for i in range(x.n_rows):
             dots = x.rows(i, i + 1).matmul(columns)
             assert np.array_equal(row(i), _kernel_block(dots, sq[i : i + 1], sq, kernel, gamma)[0])
@@ -533,7 +540,9 @@ class TestFastPathsMatchOracle:
         ids = np.array(sorted(data.draw(st.sets(st.integers(0, x.n_rows - 1), min_size=1))))
         pair = x.take(ids)
         columns, sq = pair.transpose(), pair.squared_norms()
-        row = _kernel_rows(x, kernel, gamma, ids)
+        row, row_sq = _kernel_rows(x, kernel, gamma, rows=ids)
+        # the linear kernel's diagonal, the same as the norms of all of `x` at `ids`
+        assert row_sq.tobytes() == sq.tobytes() == x.squared_norms()[ids].tobytes()
         for i in range(pair.n_rows):
             dots = pair.rows(i, i + 1).matmul(columns)
             assert np.array_equal(row(i), _kernel_block(dots, sq[i : i + 1], sq, kernel, gamma)[0])
@@ -585,13 +594,13 @@ class TestFastPathsMatchOracle:
         # the linear kernel's decision value is the dot product with pool row 0
         assert decisions[Label.DEFECT, Label.NON_DEFECT].tolist() == [1.0, 2.0]
         stacked = CsrMatrix.stack([pool, x], 3)
-        row = _kernel_rows(stacked, KERNEL_LINEAR, 1.0)(3)
+        row = _kernel_rows(stacked, KERNEL_LINEAR, 1.0, rows=np.arange(stacked.n_rows))[0](3)
         assert row.tolist() == [1.0, -1e16, -1e16, 2e32, -2e16]
 
     @pytest.mark.parametrize("kernel", [KERNEL_LINEAR, KERNEL_RBF])
     def test_kernel_row_of_an_empty_row_is_float(self, kernel):
         x = CsrMatrix.from_arrays([0, 0, 1], [1], [2.0], 2)
-        row = _kernel_rows(x, kernel, 0.5)(0)
+        row = _kernel_rows(x, kernel, 0.5, rows=np.arange(x.n_rows))[0](0)
         assert row.dtype == np.float64
         assert row.tolist() == ([0.0, 0.0] if kernel == KERNEL_LINEAR else [1.0, math.exp(-2.0)])
 
@@ -612,7 +621,7 @@ class TestFastPathsMatchOracle:
             y[0] = -y[0]
         box = [c * (1.0 if v > 0 else 2.5) for v in y]
         args = (x, y, box, kernel, gamma, 1e-3, 2_000)
-        alpha, bias, iterations, converged = solve_binary(*args)
+        alpha, bias, iterations, converged, *_ = solve_binary(*args, rows=np.arange(x.n_rows))
         expected = smo_oracle.solve_binary(*args)
         assert np.array_equal(alpha, expected[0])
         assert (bias, iterations, converged) == expected[1:]
@@ -621,7 +630,7 @@ class TestFastPathsMatchOracle:
         slots = data.draw(st.permutations(range(x.n_rows + others.n_rows)))
         ids = np.sort(slots[: x.n_rows])
         larger = embedded(x, others, ids)
-        alpha, *rest = solve_binary(larger, y, box, kernel, gamma, 1e-3, 2_000, rows=ids)
+        alpha, *rest = solve_binary(larger, y, box, kernel, gamma, 1e-3, 2_000, rows=ids)[:4]
         assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
 
     def test_one_point_class_and_zero_rows_equal_oracle(self):
@@ -635,10 +644,10 @@ class TestFastPathsMatchOracle:
         larger = embedded(x, others, ids)
         for kernel in (KERNEL_RBF, KERNEL_LINEAR):
             args = (x, [1, -1, -1, -1, -1], [10.0] * 5, kernel, 0.7)
-            alpha, *rest = solve_binary(*args)
+            alpha, *rest = solve_binary(*args, rows=np.arange(x.n_rows))[:4]
             expected = smo_oracle.solve_binary(*args)
             assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
-            alpha, *rest = solve_binary(larger, *args[1:], rows=ids)
+            alpha, *rest = solve_binary(larger, *args[1:], rows=ids)[:4]
             assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
 
     @pytest.mark.parametrize("kernel", [KERNEL_RBF, KERNEL_LINEAR])
@@ -651,7 +660,7 @@ class TestFastPathsMatchOracle:
         points, y, box = degenerate_input(case)
         x = from_rows([vec(p, points.shape[1]) for p in points])
         args = (x, [int(v) for v in y], box, kernel, 0.7, 1e-6, 10_000)
-        alpha, *rest = solve_binary(*args)
+        alpha, *rest = solve_binary(*args, rows=np.arange(x.n_rows))[:4]
         expected = smo_oracle.solve_binary(*args)
         assert rest[2]  # converged
         assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
@@ -666,7 +675,7 @@ class TestFastPathsMatchOracle:
         points, y, _ = degenerate_input("duplicates")
         x = from_rows([vec(p, points.shape[1]) for p in points])
         args = (x, [int(v) for v in y], [c] * len(y), kernel, 0.7, tolerance, 300)
-        alpha, *rest = solve_binary(*args)
+        alpha, *rest = solve_binary(*args, rows=np.arange(x.n_rows))[:4]
         expected = smo_oracle.solve_binary(*args)
         assert np.array_equal(alpha, expected[0]) and tuple(rest) == expected[1:]
 
@@ -692,7 +701,8 @@ class TestFastPathsMatchOracle:
             "--set", f"paths.clusters={demo_paths['clusters']}",
         ]
         assert main([*base, "--model", str(tmp_path / "fast.json")]) == 0
-        monkeypatch.setattr(svm, "solve_binary", smo_oracle.solve_binary)
+        oracle = lambda *a, **k: (*smo_oracle.solve_binary(*a, **k), 0, 0)  # noqa: E731
+        monkeypatch.setattr(svm, "solve_binary", oracle)
         assert main([*base, "--model", str(tmp_path / "oracle.json")]) == 0
         assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
 

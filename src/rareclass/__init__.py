@@ -51,8 +51,6 @@ _EXPORTS_BY_MODULE = {
         "Vocabulary",
         "apply_scaler",
         "build_vocabulary",
-        "cluster_features",
-        "extract_ngrams",
         "fit_scaler",
         "information_gain",
         "load_clusters",

@@ -1,21 +1,23 @@
-"""Sparse feature engineering: n-grams, word-cluster features, structural
-features, vocabulary construction, min-max scaling, and information-gain
-ranking.
+"""Sparse feature engineering: the sparse matrix, word-cluster files,
+structural features, vocabulary construction, min-max scaling, and
+information-gain ranking.
 
 Every sparse vector is a `CsrMatrix`: numpy ``indptr``/``indices``/``data``
 arrays over a fixed dimension.  A corpus becomes one matrix from its token
 ids (`pipeline.featurize_corpus`, through `CsrMatrix.from_entries`),
-validated once; `extract_ngrams`, `cluster_features` and `build_vocabulary`
-here are the per-document forms, which the tests compare it against.  SMOTE, scaling, information gain and the classifiers' training and
-prediction work on that matrix.  `CsrMatrix.split_at` and the in-place form
-of `CsrMatrix.matmul` let the SVM add the products of dense columns as
-vectors while keeping `matmul`'s order of terms.
+validated once; no step runs the per-document `build_vocabulary` and
+`vectorize` here.  SMOTE, scaling, information gain and the classifiers'
+training and prediction work on that matrix.  `CsrMatrix.split_at` and the
+in-place form of `CsrMatrix.matmul` let the SVM add the products of dense
+columns as vectors while keeping `matmul`'s order of terms.
 
 Vocabularies and scalers are built from training data only.  Their fields
 are frozen; a scaler's arrays are stored as computed, not copied.  Feature
-names are namespaced by kind: raw n-gram strings, ``cluster:<path>`` for
-word-cluster features, and ``struct:*`` for the two structural columns.  Word clusters are a plain token to
-cluster-path dict, as `load_clusters` returns it.
+names are namespaced by kind: an n-gram is named by its tokens joined by
+single spaces, a word-cluster feature by ``cluster:<path>`` (counted once
+per token that the cluster map puts on that path), and the two structural
+columns by ``struct:*``.  Word clusters are a plain token to cluster-path dict, as
+`load_clusters` returns it.
 """
 
 from __future__ import annotations
@@ -265,22 +267,6 @@ class FeatureSettings:
     use_structural: bool = True
 
 
-def extract_ngrams(tokens: Sequence[str], n_min: int = 1, n_max: int = 3) -> Counter:
-    """All contiguous n-grams for n in [n_min, n_max], space-joined, counted
-    in order of n, then of position.  Each (n+1)-gram extends the n-gram
-    at its position by the token after it."""
-    if not (1 <= n_min <= n_max):
-        raise ValueError("need 1 <= n_min <= n_max")
-    grams: list[str] = []
-    level = tokens
-    for n in range(1, min(n_max, len(tokens)) + 1):  # longer n-grams do not fit
-        if n > 1:
-            level = [gram + " " + token for gram, token in zip(level, tokens[n - 1 :])]
-        if n >= n_min:
-            grams += level
-    return Counter(grams)
-
-
 def load_clusters(path: str | Path) -> dict[str, str]:
     """Read a cluster file of ``bitstring<TAB>token<TAB>count`` lines into a
     token to hierarchical-cluster-path map (paths are 0/1 strings).
@@ -308,15 +294,6 @@ def load_clusters(path: str | Path) -> dict[str, str]:
             logger.warning("cluster file %s: token %r redefined at line %d", path, token, lineno)
         mapping[token] = bits
     return mapping
-
-
-def cluster_features(tokens: Sequence[str], clusters: Mapping[str, str]) -> Counter:
-    """One ``cluster:<path>`` feature per token occurrence found in the map."""
-    feats: Counter = Counter()
-    for path in map(clusters.get, tokens):
-        if path is not None:
-            feats[CLUSTER_PREFIX + path] += 1
-    return feats
 
 
 def structural_features(raw_text: str) -> tuple[int, int]:

@@ -23,7 +23,9 @@ value reads back bit-identical, so a loaded record equals the saved one.
 Files are written with sorted keys and fixed separators, so identical
 records produce identical bytes.  Loading checks every key and type it
 reads and raises `DataError` on a missing key, a wrong type, a bad value
-or an index out of range.
+or an index out of range.  An SVM pair must hold what training writes: a
+strictly increasing ``support``, each ``alpha`` above 0 and at most ``c``
+times the class weight of its ``y``'s label, and ``iterations`` >= 1.
 """
 
 from __future__ import annotations
@@ -284,18 +286,32 @@ def _svm_from_json(obj: dict, dim: int) -> SvmModel:
     found = [[p["positive"], p["negative"]] for p in obj["pairs"]]
     if len(set(labels)) < len(labels) or not expected or found != expected:
         raise DataError("svm: the pairs must be every two of two or more distinct labels, in order")
+    weights = params.class_weights
+    if missing := [label.value for label in labels if label not in weights]:
+        raise DataError(f"svm: class_weights has no weight for {', '.join(missing)}")
     pairs = []
-    for p in obj["pairs"]:
+    for k, p in enumerate(obj["pairs"]):
         if not len(p["support"]) == len(p["alpha"]) == len(p["y"]):
             raise DataError("svm: a pair's support, alpha and y differ in length")
         if not all(0 <= i < pool.n_rows for i in p["support"]):
             raise DataError(f"svm: support index out of range for a pool of {pool.n_rows}")
         if not set(p["y"]) <= {-1, 1}:
             raise DataError("svm: a pair's y values must be +1 or -1")
+        positive, negative = Label(p["positive"]), Label(p["negative"])
+        support = np.asarray(p["support"], np.intp)
+        alpha = np.asarray(p["alpha"], float)
+        y = np.asarray(p["y"], float)
+        if (np.diff(support) <= 0).any():
+            raise DataError(f"svm: pairs[{k}].support must increase strictly")
+        # the bounds `train_svm` gave SMO, which leaves each support vector's alpha in (0, box]
+        box = np.where(y > 0, params.c * weights[positive], params.c * weights[negative])
+        if not ((alpha > 0.0) & (alpha <= box)).all():
+            raise DataError(f"svm: pairs[{k}].alpha must lie in (0, c * its y's class weight]")
+        if p["iterations"] < 1:
+            raise DataError(f"svm: pairs[{k}].iterations must be >= 1")
         pairs.append(PairModel(
-            Label(p["positive"]), Label(p["negative"]), np.asarray(p["support"], np.intp),
-            np.asarray(p["alpha"], float), np.asarray(p["y"], float), float(p["bias"]),
-            p["iterations"], p["converged"],
+            positive, negative, support, alpha, y, float(p["bias"]), p["iterations"],
+            p["converged"],
         ))
     return SvmModel(labels, tuple(pairs), params, pool)
 
@@ -316,6 +332,8 @@ def _nb_from_json(obj: dict, dim: int) -> NbModel:
     labels = tuple(Label(v) for v in obj["labels"])
     keys = ("means", "variances") if obj["event_model"] == GAUSSIAN else ("log_likelihood",)
     check_json(obj, dict.fromkeys(keys, [[float]]), "nb")
+    if any(len(row) != dim for key in keys for row in obj[key]):  # numpy rejects ragged rows
+        raise DataError("nb: the tables do not match the labels and dimension")
     tables = {key: np.asarray(obj[key], dtype=float) for key in keys}
     log_priors = np.asarray(obj["log_priors"], dtype=float)
     if len(log_priors) != len(labels) or any(

@@ -17,10 +17,11 @@ ids to one flat int32 array.  Then numpy turns the n-grams of each length
 corpus, keeps each tweet's distinct codes with their counts, and takes a
 code's document frequency with one `bincount` (`build_vocabulary`).  Only
 the kept codes get a name, to fit a vocabulary, whose names are then
-found among the codes.  `extract_ngrams` and `build_vocabulary` here are
-the corpus-level forms of the `features` functions of those names, which
-stay the per-document library API; they carry those names because
-perfbench/tracer.py times the two stages under them.
+found among the codes.  An n-gram of n contiguous tokens, for n in
+[n_min, n_max], is named by its tokens joined by single spaces; a token
+in the cluster map adds one to ``cluster:<path>``.  `extract_ngrams` and
+`build_vocabulary` carry those names because perfbench/tracer.py times the
+two stages under them.
 
 `train_from_corpus` returns a `StoredModel`, the record that
 `model_store.save_model` writes and `model_store.load_model` reads, and
@@ -174,9 +175,8 @@ _Group = tuple[list[np.ndarray], int, Callable[[np.ndarray], list[str]], Callabl
 def extract_ngrams(
     tok: np.ndarray, lengths: np.ndarray, tokens: list[str], n_min: int, n_max: int
 ) -> list[_Group]:
-    """The n-gram groups of a corpus, one for each n in [n_min, n_max]; the
-    corpus-level form of `features.extract_ngrams`, named so that
-    perfbench/tracer.py times this stage as it timed that function.
+    """The n-gram groups of a corpus, one for each n in [n_min, n_max]; named
+    so that perfbench/tracer.py times this stage as ``features.ngrams``.
 
     `tok` holds the tweets' token ids one tweet after another, `lengths`
     each tweet's number of tokens, and `tokens` each id's token.  The
@@ -275,9 +275,9 @@ def featurize_corpus(
     one `bincount` over the tweets' distinct codes.  Only the codes kept for
     a new vocabulary are named; the vocabulary's names are then found among
     the codes (`_gram_codes`).  An n-gram's name is its tokens joined by
-    single spaces, as `features.extract_ngrams` makes it; as no token is
-    empty or holds whitespace, distinct n-grams get distinct names.  The
-    matrix is assembled by `CsrMatrix.from_entries`."""
+    single spaces; as no token is empty or holds whitespace, distinct
+    n-grams get distinct names.  The matrix is assembled by
+    `CsrMatrix.from_entries`."""
     token_ids = _Ids()
     flat, lengths, struct_values = array("i"), array("i"), array("i")  # C ints, 4 bytes each
     for item in corpus:

@@ -8,8 +8,9 @@ vectorizer and SMOTE, kept to check the array code against.
 `smote_by_class` runs the library's `smote` on per-class lists of rows
 and splits its output back by class.  `featurize_corpus` is the
 per-document form of the library's one-pass featurizer: a `Counter` per
-document, the vocabulary built over them, and one `vectorize` row per
-document joined by `CsrMatrix.stack`.
+document (`extract_ngrams` and `cluster_features`), the vocabulary built
+over them, and one `vectorize` row per document joined by
+`CsrMatrix.stack`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from rareclass import features, sampling
 from rareclass.corpus import Corpus, Label, LABELS
 from rareclass.features import (
+    CLUSTER_PREFIX,
     STRUCT_CHAR_LENGTH,
     STRUCT_WORD_LENGTH,
     CsrMatrix,
@@ -233,6 +235,31 @@ def smote_by_class(
     return augmented, report
 
 
+def extract_ngrams(tokens: Sequence[str], n_min: int = 1, n_max: int = 3) -> Counter:
+    """All contiguous n-grams for n in [n_min, n_max], space-joined, counted
+    in order of n, then of position.  Each (n+1)-gram extends the n-gram
+    at its position by the token after it."""
+    if not (1 <= n_min <= n_max):
+        raise ValueError("need 1 <= n_min <= n_max")
+    grams: list[str] = []
+    level = tokens
+    for n in range(1, min(n_max, len(tokens)) + 1):  # longer n-grams do not fit
+        if n > 1:
+            level = [gram + " " + token for gram, token in zip(level, tokens[n - 1 :])]
+        if n >= n_min:
+            grams += level
+    return Counter(grams)
+
+
+def cluster_features(tokens: Sequence[str], clusters: Mapping[str, str]) -> Counter:
+    """One ``cluster:<path>`` feature per token occurrence found in the map."""
+    feats: Counter = Counter()
+    for path in map(clusters.get, tokens):
+        if path is not None:
+            feats[CLUSTER_PREFIX + path] += 1
+    return feats
+
+
 def document_features(
     corpus: Corpus,
     names: NameLexicon,
@@ -243,9 +270,9 @@ def document_features(
     """Per document, its feature multiset and structural counts."""
     for item in corpus:
         tokens = classic_normalize(item.tweet, item.match_span, names, norm_config)
-        feats = features.extract_ngrams(tokens, settings.n_min, settings.n_max)
+        feats = extract_ngrams(tokens, settings.n_min, settings.n_max)
         if settings.use_clusters and clusters is not None:
-            feats.update(features.cluster_features(tokens, clusters))
+            feats.update(cluster_features(tokens, clusters))
         structural = features.structural_features(item.tweet.text)
         yield feats, structural if settings.use_structural else None
 

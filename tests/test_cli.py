@@ -12,6 +12,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,9 @@ from rareclass.cli import _config, _stage, build_parser, main
 from rareclass.corpus import AnnotatedTweet, Corpus, Label, load_corpus, save_corpus
 from rareclass.demo import packaged_data_path
 from rareclass.lexicon import compile_matchers, load_lexicon
+
+# the package's source, for the PYTHONPATH of a step run as its own process
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # small NB models written by the writers of retired model formats, by version
 RETIRED_MODELS = {v: Path(__file__).resolve().parent / "data" / f"model_v{v}.json" for v in (2, 3)}
@@ -119,6 +124,24 @@ class TestKappa:
         assert main(["kappa", "--pairs", str(pairs)]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("t1\tdefect\tdefect\n", "expected header id\\tlabel_a\\tlabel_b"),
+            ("id\tlabel_b\tlabel_a\nt1\tdefect\tdefect\n", "expected header id\\tlabel_a"),
+            ("id\tlabel_a\tlabel_b\nt1\tdefect\tdefect\nt2\tdefect\tdefekt\n",
+             "unknown label 'defekt' at line 3"),
+        ],
+        ids=["no-header", "header-out-of-order", "unknown-label"],
+    )
+    def test_bad_header_or_label_is_data_error_naming_it(self, tmp_path, capsys, text, message):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(text, encoding="utf-8")
+        assert main(["kappa", "--pairs", str(pairs)]) == 2
+        captured = capsys.readouterr()
+        assert f"data error: {pairs}: {message}" in captured.err and captured.out == ""
 
 
 class TestMatch:
@@ -544,6 +567,42 @@ class TestTrainEvaluate:
         )
         assert rc == 0
         assert json.loads(model.read_text())["kind"] == "nb"
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, workspace, tmp_path):
+        """`split`, `train` and `evaluate` write the same files, stdout and
+        stderr, byte for byte, under two `PYTHONHASHSEED` values.  Each step
+        is its own process, as a hash seed is fixed for a process's life."""
+        _, cfg, _ = workspace
+        steps = [
+            ["split", "--out-dir", "splits"],
+            ["train", "--corpus", "splits/train.tsv", "--model", "model.json"],
+            ["evaluate", "--corpus", "splits/test.tsv", "--model", "model.json",
+             "--out", "report.tsv"],
+        ]
+        runs = {}
+        for seed in ("1", "12345"):
+            run_dir = tmp_path / seed
+            run_dir.mkdir()
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            logs = []
+            for command, *args in steps:
+                done = subprocess.run(
+                    [sys.executable, "-m", "rareclass.cli", command, "-v", "--config", str(cfg),
+                     *args],
+                    cwd=run_dir, env=env, capture_output=True, timeout=120,
+                )
+                assert done.returncode == 0, done.stderr
+                logs.append((done.stdout, done.stderr))
+            files = {
+                str(path.relative_to(run_dir)): path.read_bytes()
+                for path in sorted(run_dir.rglob("*")) if path.is_file()
+            }
+            runs[seed] = logs, files
+        written = ["model.json", "report.tsv", "splits/test.tsv", "splits/train.tsv",
+                   "splits/validation.tsv"]
+        assert sorted(runs["1"][1]) == written
+        assert b"svm pair defect/non_defect" in runs["1"][0][1][1]  # the -v log of `train`
+        assert runs["1"] == runs["12345"]
 
 
 class TestInputDigests:
@@ -1217,6 +1276,110 @@ class TestExitCodes:
             doc["nb"]["log_priors"][0] = 0.5
         assert self._evaluate_mutated(workspace, tmp_path, mutate, model) == 2
         assert "log priors" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def nb_models(self, workspace, tmp_path_factory):
+        """A multinomial and a Gaussian NB model trained on the demo split."""
+        root, cfg, _ = workspace
+        models = {}
+        for event_model in ("multinomial", "gaussian"):
+            models[event_model] = tmp_path_factory.mktemp("nb") / "model.json"
+            argv = ["train", "--config", str(cfg), "--corpus", str(root / "splits" / "train.tsv"),
+                    "--model", str(models[event_model]), "--classifier", "nb",
+                    "--set", f"nb.event_model={event_model}"]
+            assert main(argv) == 0
+        return models
+
+    @pytest.mark.parametrize(
+        "event_model,edit,message",
+        [
+            ("multinomial", "short row", "nb: the tables do not match the labels and dimension"),
+            ("multinomial", "short rows", "nb: the tables do not match the labels and dimension"),
+            ("multinomial", "extra prior", "nb: the tables do not match the labels and dimension"),
+            ("gaussian", "missing row", "nb: the tables do not match the labels and dimension"),
+            ("gaussian", "zero variance", "nb: variances must be positive"),
+            ("gaussian", "negative variance", "nb: variances must be positive"),
+        ],
+        ids=["short-row", "short-rows", "extra-prior", "missing-row", "zero-variance",
+             "negative-variance"],
+    )
+    def test_nb_tables_out_of_shape_or_range_is_data_error(
+        self, workspace, tmp_path, capsys, nb_models, event_model, edit, message
+    ):
+        def mutate(doc):
+            nb = doc["nb"]
+            if edit == "short row":  # one row: the table is ragged
+                nb["log_likelihood"][1].pop()
+            elif edit == "short rows":
+                for row in nb["log_likelihood"]:
+                    row.pop()
+            elif edit == "extra prior":
+                nb["log_priors"].append(-1.0)
+            elif edit == "missing row":
+                nb["means"].pop()
+            else:
+                nb["variances"][0][0] = 0.0 if edit == "zero variance" else -1.0
+        assert self._evaluate_mutated(workspace, tmp_path, mutate, nb_models[event_model]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ("alpha -1", "svm: pairs[0].alpha must lie in (0, c * its y's class weight]"),
+            ("alpha 0", "svm: pairs[0].alpha must lie in (0, c * its y's class weight]"),
+            ("alpha past its bound", "svm: pairs[1].alpha must lie in (0, c * its y's class"),
+            ("support repeated", "svm: pairs[0].support must increase strictly"),
+            ("support decreasing", "svm: pairs[2].support must increase strictly"),
+            ("iterations 0", "svm: pairs[0].iterations must be >= 1"),
+            ("iterations -5", "svm: pairs[0].iterations must be >= 1"),
+            ("class weight missing", "svm: class_weights has no weight for possible_defect"),
+            ("lengths differ", "svm: a pair's support, alpha and y differ in length"),
+            ("y 0", "svm: a pair's y values must be +1 or -1"),
+        ],
+        ids=["alpha-negative", "alpha-zero", "alpha-past-its-bound", "support-repeated",
+             "support-decreasing", "iterations-zero", "iterations-negative",
+             "class-weight-missing", "lengths-differ", "y-zero"],
+    )
+    def test_svm_pair_unlike_what_training_writes_is_data_error(
+        self, workspace, tmp_path, capsys, edit, message
+    ):
+        def mutate(doc):
+            svm = doc["svm"]
+            pair = svm["pairs"][0]
+            if edit.startswith("alpha"):
+                if edit == "alpha past its bound":
+                    pair = svm["pairs"][1]
+                    label = pair["positive"] if pair["y"][0] > 0 else pair["negative"]
+                    bound = svm["params"]["c"] * svm["class_weights"][label]
+                    pair["alpha"][0] = math.nextafter(bound, math.inf)
+                else:
+                    pair["alpha"] = [-1.0 if edit == "alpha -1" else 0.0] * len(pair["alpha"])
+            elif edit == "support repeated":
+                pair["support"][1] = pair["support"][0]
+            elif edit == "support decreasing":
+                support = svm["pairs"][2]["support"]
+                support[0], support[1] = support[1], support[0]
+            elif edit.startswith("iterations"):
+                pair["iterations"] = int(edit.split()[1])
+            elif edit == "class weight missing":
+                del svm["class_weights"]["possible_defect"]
+            elif edit == "lengths differ":
+                pair["alpha"].pop()
+            else:
+                pair["y"][0] = 0
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert message in capsys.readouterr().err
+
+    def test_svm_alpha_at_its_bound_scores(self, workspace, tmp_path):
+        """The bound is the product `train_svm` gave SMO, from the stored c
+        and class weight, so an alpha SMO left at its bound loads."""
+        def mutate(doc):
+            svm = doc["svm"]
+            for pair in svm["pairs"]:
+                for k, y in enumerate(pair["y"]):
+                    label = pair["positive"] if y > 0 else pair["negative"]
+                    pair["alpha"][k] = svm["params"]["c"] * svm["class_weights"][label]
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 0
 
     @pytest.mark.parametrize(
         "n_min,n_max,reason",

@@ -61,6 +61,18 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "start,end,problem",
+        [("5", "", "half-empty span"), ("", "9", "half-empty span"),
+         ("5", "nine", "non-integer span"), ("5.0", "9", "non-integer span")],
+        ids=["no-end", "no-start", "word", "decimal"],
+    )
+    def test_bad_span_columns_name_the_line(self, tmp_path, start, end, problem):
+        rows = ["t1\tu1\tdefect\tsome text here\t5\t9", f"t2\tu2\tdefect\tmore\t{start}\t{end}"]
+        path = write_tsv(tmp_path, rows)
+        with pytest.raises(DataError, match=f": {problem} at line 3$"):
+            load_corpus(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = write_tsv(
             tmp_path,

@@ -1,4 +1,5 @@
-"""Feature engineering: n-grams, clusters, vocabulary, scaling, info gain."""
+"""Feature engineering: clusters, vocabulary, scaling, info gain; and the
+per-document oracle's rows, n-grams and cluster features (`sparse_oracle`)."""
 
 import math
 import random
@@ -15,8 +16,6 @@ from rareclass.features import (
     CsrMatrix,
     apply_scaler,
     build_vocabulary,
-    cluster_features,
-    extract_ngrams,
     fit_scaler,
     information_gain,
     load_clusters,
@@ -26,7 +25,14 @@ from rareclass.features import (
 
 import sparse_oracle
 from matrix_strategies import csr_matrices
-from sparse_oracle import SparseVector, from_rows, interpolate, to_rows
+from sparse_oracle import (
+    SparseVector,
+    cluster_features,
+    extract_ngrams,
+    from_rows,
+    interpolate,
+    to_rows,
+)
 
 
 class TestSparseVector:
@@ -207,6 +213,9 @@ class TestDenseSplit:
 
 
 class TestNgrams:
+    """`sparse_oracle.extract_ngrams`: the per-document n-grams that
+    `tests/test_featurize.py` compares `pipeline.featurize_corpus` against."""
+
     def test_up_to_trigrams(self):
         grams = extract_ngrams(["my", "baby"], 1, 3)
         assert grams == Counter({"my": 1, "baby": 1, "my baby": 1})
@@ -289,6 +298,8 @@ class TestClusters:
         with pytest.raises(DataError, match="cluster path"):
             load_clusters(path)
 
+    # this test and the next: `sparse_oracle.cluster_features`, the oracle's
+    # per-document cluster counts
     def test_cluster_features(self):
         cmap = {"bby": "0101", "babby": "0101"}
         assert cluster_features(["bby"], cmap) == Counter({"cluster:0101": 1})

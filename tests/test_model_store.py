@@ -1,11 +1,12 @@
 """Model and features files: round-trips, exact numbers, byte determinism, version gating."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
@@ -210,16 +211,26 @@ def svm_models(draw):
     dim = draw(st.integers(1, 9))
     pool = draw(sparse_matrices(dim).filter(lambda x: x.n_rows > 0))
     n = pool.n_rows
-    pair = PairModel(
-        Label.DEFECT, Label.NON_DEFECT, np.arange(n),
-        np.array(draw(st.lists(floats, min_size=n, max_size=n))),
-        np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))),
-        draw(floats), draw(st.integers(0, 10**6)), draw(st.booleans()),
-    )
     weights = {Label.DEFECT: draw(positive), Label.NON_DEFECT: draw(positive)}
     params = SvmParams(
         c=draw(positive), gamma=draw(positive), class_weights=weights,
         tolerance=draw(positive), max_iterations=draw(st.integers(1, 10**7)),
+    )
+    y = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    # each alpha in (0, c * w], as training leaves it: the edge values inside,
+    # the bound itself, or any float between
+    boxes = [params.c * weights[Label.DEFECT if v > 0 else Label.NON_DEFECT] for v in y]
+    assume(min(boxes) > 0.0)  # c * w may underflow
+    alpha = [
+        draw(st.one_of(
+            st.sampled_from([v for v in (*EDGES, box) if 0.0 < v <= box and v < math.inf]),
+            st.floats(0.0, box, exclude_min=True, allow_infinity=False),
+        ))
+        for box in boxes
+    ]
+    pair = PairModel(
+        Label.DEFECT, Label.NON_DEFECT, np.arange(n), np.array(alpha), np.array(y),
+        draw(floats), draw(st.integers(1, 10**6)), draw(st.booleans()),
     )
     model = SvmModel((Label.DEFECT, Label.NON_DEFECT), (pair,), params, pool)
     bounds = [sorted(draw(st.lists(floats, min_size=2, max_size=2))) for _ in range(dim)]

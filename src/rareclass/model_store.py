@@ -11,21 +11,24 @@ once in a CSR pool (``svm.support_vectors``) that each class pair indexes
 ``converged``.  A features file holds a vocabulary, the settings that made
 it, and one sparse row per corpus item.
 
-Model format 4 and features format 3 store each fact once: `min_df` in the
+Model format 5 and features format 3 store each fact once: `min_df` in the
 feature settings, the dimension as the vocabulary's length, the SVM's
 gamma and class weights as the values training used, and no feature kinds
 (`feature_kind` derives them).  Each number is in its shortest exact form:
 a float that is integral, not -0.0 and below 2**53 in magnitude as a JSON
-integer; only the scaler columns whose (min, max) is not (0, 1); and, in
-sparse rows, each row's first column as is and each later one as its gap
-from the column before.  Any other version is rejected: retrain.  Every
-value reads back bit-identical, so a loaded record equals the saved one.
-Files are written with sorted keys and fixed separators, so identical
-records produce identical bytes.  Loading checks every key and type it
-reads and raises `DataError` on a missing key, a wrong type, a bad value
-or an index out of range.  An SVM pair must hold what training writes: a
-strictly increasing ``support``, each ``alpha`` above 0 and at most ``c``
-times the class weight of its ``y``'s label, and ``iterations`` >= 1.
+integer; only the scaler columns whose (min, max) is not (0, 1); only the
+pool values in the columns that hold a value other than 1.0
+(``valued_columns``), every other pool entry being 1.0; and, in sparse
+rows, each row's first column as is and each later one as its gap from the
+column before.  Any other version is rejected: retrain.  Every value reads
+back bit-identical, so a loaded record equals the saved one.  Files are
+written with sorted keys and fixed separators, so identical records
+produce identical bytes.  Loading checks every key and type it reads and
+raises `DataError` on a missing key, a wrong type, a bad value or an index
+out of range.  An SVM pair must hold what training writes: a strictly
+increasing ``support``, each ``alpha`` above 0 and at most ``c`` times the
+class weight of its ``y``'s label, ``iterations`` from 1 to
+``max_iterations``, and ``converged`` false only at ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ if TYPE_CHECKING:
     from .svm import SvmModel
 
 FORMAT_NAME = "rareclass.model"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 FEATURES_FORMAT = "rareclass.features"
 FEATURES_VERSION = 3
 
@@ -141,7 +144,9 @@ _SCHEMAS = {
         "class_weights": {str: float},
         "params": {"c": float, "kernel": str, "gamma": float, "tolerance": float,
                    "max_iterations": int},
-        "support_vectors": {"indptr": [int], "indices": [int], "values": [float]},
+        "support_vectors": {
+            "indptr": [int], "indices": [int], "valued_columns": [int], "values": [float],
+        },
         "pairs": [{
             "positive": str, "negative": str, "bias": float, "alpha": [float], "y": [int],
             "support": [int], "iterations": int, "converged": bool,
@@ -188,6 +193,12 @@ def _csr_from_gaps(indptr, gaps, values, dim: int) -> CsrMatrix:
     return CsrMatrix.from_arrays(indptr, columns, values, dim)
 
 
+def _check_columns(columns: np.ndarray, dim: int, where: str) -> None:
+    """Raise DataError unless `columns` increase strictly within [0, dim)."""
+    if not (np.diff(np.concatenate(([-1], columns, [dim]))) > 0).all():
+        raise DataError(f"{where} must increase strictly, from 0 to below the dimension")
+
+
 def _scaler_to_json(scaler: Scaler) -> dict:
     mins, maxs = scaler.mins, scaler.maxs
     cols = np.flatnonzero((mins != 0.0) | np.signbit(mins) | (maxs != 1.0))  # not (+0.0, 1.0)
@@ -200,8 +211,7 @@ def _scaler_from_json(obj: dict, dim: int) -> Scaler:
     listed_mins, listed_maxs = (np.asarray(obj[key], float) for key in ("mins", "maxs"))
     if not len(columns) == len(listed_mins) == len(listed_maxs):
         raise DataError("scaler: columns, mins and maxs differ in length")
-    if not (np.diff(np.concatenate(([-1], columns, [dim]))) > 0).all():
-        raise DataError("scaler: columns must increase strictly, from 0 to below the dimension")
+    _check_columns(columns, dim, "scaler: columns")
     if (listed_mins > listed_maxs).any():
         raise DataError("scaler: a column's min is above its max")
     mins, maxs = np.zeros(dim), np.ones(dim)
@@ -244,6 +254,7 @@ def vocabulary_from_json(obj: dict) -> Vocabulary:
 
 def _svm_to_json(model: SvmModel) -> dict:
     pool = model.support_vectors
+    valued = np.bincount(pool.indices[pool.data != 1.0], minlength=pool.dim) > 0  # per column
     return {
         "labels": [lbl.value for lbl in model.labels],
         "class_weights": {lbl.value: w for lbl, w in model.params.class_weights.items()},
@@ -251,7 +262,8 @@ def _svm_to_json(model: SvmModel) -> dict:
         "support_vectors": {
             "indptr": pool.indptr.tolist(),
             "indices": _gaps(pool).tolist(),
-            "values": pool.data.tolist(),
+            "valued_columns": np.flatnonzero(valued).tolist(),
+            "values": pool.data[valued[pool.indices]].tolist(),
         },
         "pairs": [
             {
@@ -280,7 +292,17 @@ def _svm_from_json(obj: dict, dim: int) -> SvmModel:
         class_weights={Label(k): float(w) for k, w in obj["class_weights"].items()},
     )
     pool_obj = obj["support_vectors"]
-    pool = _csr_from_gaps(pool_obj["indptr"], pool_obj["indices"], pool_obj["values"], dim)
+    gaps = pool_obj["indices"]
+    pool = _csr_from_gaps(pool_obj["indptr"], gaps, np.ones(len(gaps)), dim)
+    columns = np.asarray(pool_obj["valued_columns"], np.intp)
+    _check_columns(columns, dim, "svm: support_vectors.valued_columns")
+    # the entries in the valued columns take the listed values, in order; the rest stay 1.0
+    valued = np.zeros(dim, bool)
+    valued[columns] = True
+    in_valued = valued[pool.indices]
+    if np.count_nonzero(in_valued) != len(pool_obj["values"]):
+        raise DataError("svm: support_vectors.values must hold one value per entry in valued_columns")
+    pool.data[in_valued] = np.asarray(pool_obj["values"], float)
     # what `train_svm` writes: one pair for every two labels, in label order
     expected = [[pos.value, neg.value] for pos, neg in combinations(labels, 2)]
     found = [[p["positive"], p["negative"]] for p in obj["pairs"]]
@@ -307,8 +329,13 @@ def _svm_from_json(obj: dict, dim: int) -> SvmModel:
         box = np.where(y > 0, params.c * weights[positive], params.c * weights[negative])
         if not ((alpha > 0.0) & (alpha <= box)).all():
             raise DataError(f"svm: pairs[{k}].alpha must lie in (0, c * its y's class weight]")
+        # SMO stops when it converges or after max_iterations, whichever comes first
         if p["iterations"] < 1:
             raise DataError(f"svm: pairs[{k}].iterations must be >= 1")
+        if p["iterations"] > params.max_iterations:
+            raise DataError(f"svm: pairs[{k}].iterations must not exceed params.max_iterations")
+        if not p["converged"] and p["iterations"] != params.max_iterations:
+            raise DataError(f"svm: pairs[{k}].converged may be false only at params.max_iterations")
         pairs.append(PairModel(
             positive, negative, support, alpha, y, float(p["bias"]), p["iterations"],
             p["converged"],

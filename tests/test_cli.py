@@ -27,7 +27,7 @@ from rareclass.lexicon import compile_matchers, load_lexicon
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # small NB models written by the writers of retired model formats, by version
-RETIRED_MODELS = {v: Path(__file__).resolve().parent / "data" / f"model_v{v}.json" for v in (2, 3)}
+RETIRED_MODELS = {v: Path(__file__).resolve().parent / "data" / f"model_v{v}.json" for v in (2, 3, 4)}
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +224,15 @@ class TestMatch:
         assert 0 < run < skipped
         written = len(out.read_text().strip().split("\n")) - 1
         assert found - retweets - in_tokens == written
+
+    def test_empty_canonical_term_is_data_error_naming_the_line(self, workspace, tmp_path, capsys):
+        _, cfg, _ = workspace
+        lexicon, out = tmp_path / "lexicon.txt", tmp_path / "matches.tsv"
+        lexicon.write_text("| variant\n", encoding="utf-8")
+        argv = ["match", "--config", str(cfg), "--lexicon", str(lexicon), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"data error: {lexicon}: empty canonical term at line 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPreprocess:
@@ -491,6 +500,48 @@ class TestSample:
         assert (tmp_path / "sampled.report.txt").read_text().startswith(
             "method: replacement_oversample"
         )
+
+    @staticmethod
+    def without(paths, label, path):
+        """The demo corpus less its `label` rows, saved at `path`."""
+        corpus = load_corpus(paths["demo_corpus.tsv"])
+        save_corpus(corpus.subset([i for i, item in enumerate(corpus) if item.label != label]), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("target above the corpus", "data error: target_total 100000 above corpus size 500"),
+            ("no majority rows", "data error: majority class is empty"),
+        ],
+        ids=["target-above-the-corpus", "no-majority-rows"],
+    )
+    def test_corpus_the_sampler_cannot_use_is_data_error(
+        self, workspace, tmp_path, capsys, case, message
+    ):
+        _, cfg, paths = workspace
+        out = tmp_path / "sampled.tsv"
+        argv = ["sample", "--config", str(cfg), "--out", str(out)]
+        if case == "target above the corpus":
+            argv += ["--method", "random", "--set", "sampler.target_total=100000"]
+        else:
+            corpus = self.without(paths, Label.NON_DEFECT, tmp_path / "corpus.tsv")
+            argv += ["--method", "replacement", "--corpus", str(corpus)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replacement_leaves_an_empty_minority_class_empty(self, workspace, tmp_path, caplog):
+        _, cfg, paths = workspace
+        corpus = self.without(paths, Label.POSSIBLE_DEFECT, tmp_path / "corpus.tsv")
+        out = tmp_path / "sampled.tsv"
+        argv = ["sample", "--config", str(cfg), "--corpus", str(corpus), "--method", "replacement",
+                "--out", str(out)]
+        with caplog.at_level("WARNING"):
+            assert main(argv) == 0
+        assert "minority class possible_defect is empty; left empty" in caplog.text
+        labels = [item.label for item in load_corpus(out)]
+        assert Label.POSSIBLE_DEFECT not in labels and Label.DEFECT in labels
 
     def test_near_fn_reads_fn_corpus(self, workspace, tmp_path):
         root, cfg, _ = workspace
@@ -1225,7 +1276,7 @@ class TestExitCodes:
         argv = [command, "--config", str(cfg), "--corpus", str(root / "splits" / "test.tsv"),
                 "--model", str(RETIRED_MODELS[version]), "--out", str(tmp_path / "out.tsv")]
         assert main(argv) == 2
-        expected = f"unsupported model version {version}, not 4; retrain the model"
+        expected = f"unsupported model version {version}, not 5; retrain the model"
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "out.tsv").exists()
 
@@ -1332,12 +1383,16 @@ class TestExitCodes:
             ("support decreasing", "svm: pairs[2].support must increase strictly"),
             ("iterations 0", "svm: pairs[0].iterations must be >= 1"),
             ("iterations -5", "svm: pairs[0].iterations must be >= 1"),
+            ("iterations 1000000000",
+             "svm: pairs[0].iterations must not exceed params.max_iterations"),
+            ("converged false", "svm: pairs[1].converged may be false only at params.max_iterations"),
             ("class weight missing", "svm: class_weights has no weight for possible_defect"),
             ("lengths differ", "svm: a pair's support, alpha and y differ in length"),
             ("y 0", "svm: a pair's y values must be +1 or -1"),
         ],
         ids=["alpha-negative", "alpha-zero", "alpha-past-its-bound", "support-repeated",
              "support-decreasing", "iterations-zero", "iterations-negative",
+             "iterations-past-the-cap", "unconverged-below-the-cap",
              "class-weight-missing", "lengths-differ", "y-zero"],
     )
     def test_svm_pair_unlike_what_training_writes_is_data_error(
@@ -1361,6 +1416,9 @@ class TestExitCodes:
                 support[0], support[1] = support[1], support[0]
             elif edit.startswith("iterations"):
                 pair["iterations"] = int(edit.split()[1])
+            elif edit == "converged false":
+                assert svm["pairs"][1]["iterations"] < svm["params"]["max_iterations"]
+                svm["pairs"][1]["converged"] = False
             elif edit == "class weight missing":
                 del svm["class_weights"]["possible_defect"]
             elif edit == "lengths differ":
@@ -1380,6 +1438,37 @@ class TestExitCodes:
                     label = pair["positive"] if y > 0 else pair["negative"]
                     pair["alpha"][k] = svm["params"]["c"] * svm["class_weights"][label]
         assert self._evaluate_mutated(workspace, tmp_path, mutate) == 0
+
+    def test_svm_pairs_at_the_iteration_cap_score(self, workspace, tmp_path):
+        """A pair may use every allowed iteration, converged or not."""
+        def mutate(doc):
+            svm = doc["svm"]
+            cap = max(pair["iterations"] for pair in svm["pairs"])
+            svm["params"]["max_iterations"] = cap
+            for pair in svm["pairs"]:
+                pair["converged"] = pair["iterations"] < cap
+            assert not all(pair["converged"] for pair in svm["pairs"])
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 0
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("features.binary=maybe", "features.binary: expected a boolean, got 'maybe'"),
+            ("svm.class_weights=foo:1", "svm.class_weights: unknown class 'foo'"),
+            ("svm.class_weights=,", "svm.class_weights: no weights given"),
+        ],
+        ids=["binary-not-a-boolean", "weight-of-an-unknown-class", "no-weights"],
+    )
+    def test_bad_set_value_is_config_error_naming_the_key(
+        self, workspace, tmp_path, capsys, override, message
+    ):
+        root, cfg, _ = workspace
+        model = tmp_path / "model.json"
+        argv = ["train", "--config", str(cfg), "--corpus", str(root / "splits" / "train.tsv"),
+                "--model", str(model), "--set", override]
+        assert main(argv) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize(
         "n_min,n_max,reason",

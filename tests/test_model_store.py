@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
-from rareclass.corpus import Label
+from rareclass.config import PipelineConfig
+from rareclass.corpus import Label, load_corpus, three_way_split
 from rareclass.errors import DataError
-from rareclass.features import CsrMatrix, FeatureSettings, Scaler, Vocabulary, fit_scaler
+from rareclass.features import (
+    CsrMatrix,
+    FeatureSettings,
+    Scaler,
+    Vocabulary,
+    fit_scaler,
+    load_clusters,
+)
 from rareclass.model_store import (
     FEATURES_FORMAT,
     FEATURES_VERSION,
@@ -25,7 +34,8 @@ from rareclass.model_store import (
     save_model,
 )
 from rareclass.naive_bayes import GAUSSIAN, MULTINOMIAL, NbModel, predict_nb, train_nb
-from rareclass.normalize import NormalizationConfig
+from rareclass.normalize import NormalizationConfig, load_name_lexicon
+from rareclass.pipeline import train_from_corpus
 from rareclass.svm import PairModel, SvmModel, SvmParams, predict_svm, train_svm
 
 from sparse_oracle import SparseVector, from_rows
@@ -121,6 +131,100 @@ class TestSvmRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestPoolValues:
+    """The pool lists only the values of the columns that hold one other than 1.0."""
+
+    # column 2 mixes 1.0 with other values, row 1 is empty, column 0 holds only 1.0
+    MIXED = CsrMatrix.from_arrays(
+        [0, 2, 2, 5, 6], [0, 2, 0, 1, 2, 2], [1.0, 0.5, 1.0, 1.0, 1.0, -0.0], 3
+    )
+
+    def saved(self, tmp_path, pool):
+        """A one-pair SVM over every row of `pool`, saved; its path and record."""
+        n, labels = pool.n_rows, (Label.DEFECT, Label.NON_DEFECT)
+        pair = PairModel(*labels, np.arange(n), np.full(n, 0.5), np.ones(n), 0.25, 3, True)
+        params = SvmParams(gamma=0.5, class_weights=dict.fromkeys(labels, 1.0))
+        vocab = Vocabulary(tuple(f"f{i}" for i in range(pool.dim)))
+        scaler = Scaler(np.zeros(pool.dim), np.ones(pool.dim))
+        record = stored(SvmModel(labels, (pair,), params, pool), vocab, scaler)
+        path = tmp_path / "model.json"
+        save_model(path, record)
+        return path, record
+
+    @pytest.mark.parametrize(
+        "pool,valued,values",
+        [
+            (MIXED, [2], [0.5, 1, -0.0]),  # 1.0 written as an integer
+            (CsrMatrix.from_arrays([0, 2, 2, 3], [0, 3, 1], [1.0, 1.0, 1.0], 4), [], []),
+            (CsrMatrix.from_arrays([0, 0], [], [], 2), [], []),
+        ],
+        ids=["mixed-column", "all-ones", "one-empty-row"],
+    )
+    def test_only_valued_columns_are_written(self, tmp_path, pool, valued, values):
+        path, record = self.saved(tmp_path, pool)
+        written = json.loads(path.read_text())["svm"]["support_vectors"]
+        assert written["valued_columns"] == valued
+        assert bits(written["values"]) == bits(values)
+        loaded = load_model(path)
+        assert loaded == record
+        assert bits(loaded.classifier.support_vectors.data) == bits(pool.data)
+        assert_rewrites_itself(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ("missing", "missing key 'valued_columns'"),
+            ("unsorted", "svm: support_vectors.valued_columns must increase strictly"),
+            ("repeated", "svm: support_vectors.valued_columns must increase strictly"),
+            ("negative", "svm: support_vectors.valued_columns must increase strictly"),
+            ("at dim", "svm: support_vectors.valued_columns must increase strictly"),
+            ("values too long", "svm: support_vectors.values must hold one value per entry"),
+            ("values too short", "svm: support_vectors.values must hold one value per entry"),
+        ],
+        ids=["missing", "unsorted", "repeated", "negative", "at-dim", "values-too-long",
+             "values-too-short"],
+    )
+    def test_bad_valued_columns_or_values_rejected(self, tmp_path, edit, message):
+        # columns 1 and 2 are valued; column 0 holds only 1.0
+        pool = CsrMatrix.from_arrays([0, 3, 5], [0, 1, 2, 0, 2], [1.0, 2.0, 1.0, 1.0, 3.0], 3)
+        path, _ = self.saved(tmp_path, pool)
+        doc = json.loads(path.read_text())
+        written = doc["svm"]["support_vectors"]
+        assert written["valued_columns"] == [1, 2] and written["values"] == [2, 1, 3]
+        valued, values = written["valued_columns"], written["values"]
+        if edit == "missing":
+            del written["valued_columns"]
+        elif edit == "unsorted":
+            valued.reverse()
+        elif edit == "repeated":
+            valued[0] = valued[1]
+        elif edit == "negative":
+            valued[0] = -1
+        elif edit == "at dim":
+            valued[1] = 3
+        elif edit == "values too long":
+            values.append(4.0)
+        else:
+            values.pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_model(path)
+
+    def test_demo_model_values_only_the_structural_columns(self, tmp_path, demo_paths):
+        corpus = load_corpus(demo_paths["corpus"])
+        names = load_name_lexicon(demo_paths["names"])
+        clusters = load_clusters(demo_paths["clusters"])
+        split = three_way_split(corpus, 0.2, 0.2, seed=13)
+        record, _ = train_from_corpus(split.train, PipelineConfig.from_sources(None), names, clusters)
+        path = tmp_path / "model.json"
+        save_model(path, record)
+        written = json.loads(path.read_text())["svm"]["support_vectors"]
+        vocab = record.vocabulary
+        structural = [vocab.index_of("struct:char_length"), vocab.index_of("struct:word_length")]
+        assert written["valued_columns"] == sorted(structural)
+        assert load_model(path) == record
+
+
 class TestNbRoundTrip:
     def test_identical_predictions(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -159,7 +263,7 @@ class TestFormatGating:
         return model_path
 
     def test_unknown_version_rejected(self, tmp_path):
-        for version in (99, 3, 2, 1):
+        for version in (99, 4, 3, 2, 1):
             path = self._minimal(tmp_path, lambda d: d.update(version=version))
             with pytest.raises(DataError, match="version"):
                 load_model(path)
@@ -197,11 +301,11 @@ def bits(values) -> list[str]:
 
 
 @st.composite
-def sparse_matrices(draw, dim):
+def sparse_matrices(draw, dim, values=floats):
     rows = draw(st.lists(st.sets(st.integers(0, dim - 1)), max_size=5))
     columns = [sorted(row) for row in rows]
     nnz = sum(map(len, columns))
-    values = draw(st.lists(floats, min_size=nnz, max_size=nnz))
+    values = draw(st.lists(values, min_size=nnz, max_size=nnz))
     indptr = np.cumsum([0] + [len(row) for row in columns])
     return CsrMatrix.from_arrays(indptr, [c for row in columns for c in row], values, dim)
 
@@ -209,13 +313,19 @@ def sparse_matrices(draw, dim):
 @st.composite
 def svm_models(draw):
     dim = draw(st.integers(1, 9))
-    pool = draw(sparse_matrices(dim).filter(lambda x: x.n_rows > 0))
+    # pool values as binary features leave them, nothing but 1.0, or 1.0
+    # mixed with any float, so that a column can hold both
+    values = draw(st.sampled_from([st.just(1.0), st.one_of(st.just(1.0), floats), floats]))
+    pool = draw(sparse_matrices(dim, values).filter(lambda x: x.n_rows > 0))
     n = pool.n_rows
     weights = {Label.DEFECT: draw(positive), Label.NON_DEFECT: draw(positive)}
     params = SvmParams(
         c=draw(positive), gamma=draw(positive), class_weights=weights,
         tolerance=draw(positive), max_iterations=draw(st.integers(1, 10**7)),
     )
+    # as SMO leaves them: at most max_iterations, and all of them unless converged
+    converged = draw(st.booleans())
+    iterations = draw(st.integers(1, params.max_iterations)) if converged else params.max_iterations
     y = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
     # each alpha in (0, c * w], as training leaves it: the edge values inside,
     # the bound itself, or any float between
@@ -230,7 +340,7 @@ def svm_models(draw):
     ]
     pair = PairModel(
         Label.DEFECT, Label.NON_DEFECT, np.arange(n), np.array(alpha), np.array(y),
-        draw(floats), draw(st.integers(1, 10**6)), draw(st.booleans()),
+        draw(floats), iterations, converged,
     )
     model = SvmModel((Label.DEFECT, Label.NON_DEFECT), (pair,), params, pool)
     bounds = [sorted(draw(st.lists(floats, min_size=2, max_size=2))) for _ in range(dim)]

@@ -19,15 +19,12 @@ __version__ = "0.1.0"
 _EXPORTS_BY_MODULE = {
     "corpus": (
         "AnnotatedTweet",
-        "ClassDistribution",
         "Corpus",
         "Label",
         "LABELS",
         "SplitResult",
         "Tweet",
-        "class_distribution",
         "cohens_kappa",
-        "filter_disagreements",
         "load_corpus",
         "save_corpus",
         "stratified_split",

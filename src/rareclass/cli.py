@@ -309,7 +309,7 @@ def _cmd_match(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
         first = {}
         for m in matches:
             first.setdefault(m.tweet_id, m.span)
-        # the spans come from match_text, which only emits valid ones
+        # the spans come from match_corpus, which only emits valid ones
         save_corpus(corpus, out["annotate_spans"].tmp, spans=first)
         print(f"annotated\t{len(corpus)}\t{args.annotate_spans}")
 
@@ -468,7 +468,7 @@ def _cmd_evaluate(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
 
 
 def _cmd_rank_features(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
-    from .features import information_gain
+    from .features import feature_kind, information_gain
     from .model_store import load_features
 
     if args.top is not None and args.top < 1:
@@ -485,7 +485,7 @@ def _cmd_rank_features(args, cfg: PipelineConfig, out: dict[str, _Output]) -> No
         ranked = ranked[: args.top]
     lines = ["feature\tkind\tinfo_gain_bits"]
     lines.extend(
-        f"{name}\t{vocab.kinds[vocab.index_of(name)]}\t{gain:.6f}"
+        f"{name}\t{feature_kind(name)}\t{gain:.6f}"
         for name, gain in ranked
     )
     out["out"].tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")

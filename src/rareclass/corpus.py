@@ -173,13 +173,6 @@ class SplitResult:
     test: Corpus
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    counts: dict[Label, int]
-    proportions: dict[Label, float]
-    total: int
-
-
 TSV_HEADER = ("id", "user_id", "label", "text", "span_start", "span_end")
 
 
@@ -319,17 +312,6 @@ def save_corpus(
             )
 
 
-def class_distribution(corpus: Corpus) -> ClassDistribution:
-    """Per-class counts and unrounded proportions (zeros on an empty corpus)."""
-    counts = {label: 0 for label in LABELS}
-    counts.update(corpus.class_counts())
-    total = len(corpus)
-    proportions = {
-        label: (counts[label] / total if total else 0.0) for label in LABELS
-    }
-    return ClassDistribution(counts, proportions, total)
-
-
 def stratified_split(
     corpus: Corpus, holdout_fraction: float, seed: int
 ) -> tuple[Corpus, Corpus]:
@@ -399,21 +381,3 @@ def cohens_kappa(a: Sequence, b: Sequence) -> float:
     if marginal == n * n:
         return 1.0
     return (n * agreements - marginal) / (n * n - marginal)
-
-
-def filter_disagreements(a: Corpus, b: Corpus) -> Corpus:
-    """Merge two annotation passes, dropping tweets the passes label differently.
-
-    Doubly-annotated tweets are kept when the labels agree; tweets seen by
-    only one annotator are kept with their sole label.  Output order is
-    `a`'s order followed by the `b`-only items in `b`'s order.
-    """
-    b_by_id = {item.tweet.id: item for item in b}
-    kept: list[AnnotatedTweet] = []
-    for item in a:
-        other = b_by_id.get(item.tweet.id)
-        if other is None or other.label == item.label:
-            kept.append(item)
-    a_ids = {item.tweet.id for item in a}
-    kept.extend(item for item in b if item.tweet.id not in a_ids)
-    return Corpus(tuple(kept), provenance="agreement-filtered")

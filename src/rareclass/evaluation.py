@@ -33,12 +33,6 @@ class ConfusionMatrix:
         j = self.labels.index(predicted)
         return sum(row[j] for row in self.counts)
 
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def trace(self) -> int:
-        return sum(self.counts[i][i] for i in range(len(self.labels)))
-
 
 def confusion_matrix(gold: Sequence[Label], pred: Sequence[Label]) -> ConfusionMatrix:
     if len(gold) != len(pred):

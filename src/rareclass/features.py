@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -233,7 +233,6 @@ class Vocabulary:
     `min_df` that chose the names is `FeatureSettings.min_df`."""
 
     names: tuple[str, ...]
-    kinds: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -241,7 +240,6 @@ class Vocabulary:
         )
         if len(self._index) != len(self.names):
             raise ValueError("duplicate feature names")
-        object.__setattr__(self, "kinds", tuple(map(feature_kind, self.names)))
 
     @property
     def dim(self) -> int:
@@ -249,9 +247,6 @@ class Vocabulary:
 
     def index_of(self, name: str) -> int | None:
         return self._index.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,17 @@ def compile_matchers(lexicon: Lexicon) -> MatcherSet:
 
 
 def _match(tweet: Tweet, matchers: MatcherSet) -> tuple[list[MatchResult], int]:
-    """`match_text`'s result, and the number of patterns that ran."""
+    """Non-overlapping matches in one tweet, left to right, longest first,
+    and the number of patterns that ran.
+
+    Candidates from all patterns are pooled; at each position the longest
+    match wins (ties broken by canonical term, then pattern order), and
+    overlapping later candidates are discarded.  On an ASCII tweet a
+    pattern whose required literal (see `MatcherSet`) does not occur in
+    the lowercased text is not run, since it cannot match there; on any
+    other tweet every pattern runs.  The matches equal a scan with every
+    pattern.
+    """
     text = tweet.text
     patterns = matchers.patterns
     if text.isascii():
@@ -175,24 +185,11 @@ def _match(tweet: Tweet, matchers: MatcherSet) -> tuple[list[MatchResult], int]:
     return results, len(patterns)
 
 
-def match_text(tweet: Tweet, matchers: MatcherSet) -> list[MatchResult]:
-    """Non-overlapping matches in one tweet, left to right, longest first.
-
-    Candidates from all patterns are pooled; at each position the longest
-    match wins (ties broken by canonical term, then pattern order), and
-    overlapping later candidates are discarded.  On an ASCII tweet a
-    pattern whose required literal (see `MatcherSet`) does not occur in
-    the lowercased text is not run, since it cannot match there; on any
-    other tweet every pattern runs.  The result equals a scan with every
-    pattern.
-    """
-    return _match(tweet, matchers)[0]
-
-
 def match_corpus(
     tweets: Sequence[Tweet], matchers: MatcherSet, counts: MatchCounts | None = None
 ) -> list[MatchResult]:
-    """Scan tweets in order; tweets without matches contribute nothing.
+    """Scan tweets in order, each as `_match` does; tweets without matches
+    contribute nothing.
 
     When `counts` is given, the tweets, pattern scans run and skipped, and
     matches found are added to it.

@@ -45,7 +45,6 @@ from .corpus import LABELS, Corpus, Label
 from .errors import ConfigError
 from .features import (
     CLUSTER_PREFIX,
-    KIND_CLUSTER,
     STRUCTURAL_FEATURES,
     CsrMatrix,
     FeatureSettings,
@@ -375,8 +374,9 @@ def predict_corpus(
     """Predict every item using the featurization saved with the model; a
     model with cluster columns needs `clusters`."""
     settings = stored.features
-    if settings.use_clusters and clusters is None and KIND_CLUSTER in stored.vocabulary.kinds:
-        raise ConfigError("paths.clusters must be set: the model has cluster columns")
+    if settings.use_clusters and clusters is None:
+        if any(name.startswith(CLUSTER_PREFIX) for name in stored.vocabulary.names):
+            raise ConfigError("paths.clusters must be set: the model has cluster columns")
     x, _ = featurize_corpus(
         corpus, names, clusters, stored.normalization, settings, stored.vocabulary
     )

@@ -324,20 +324,23 @@ class TestMissingClusters:
     def test_model_with_cluster_columns_needs_the_file(
         self, workspace, tmp_path, capsys, caplog, command
     ):
+        from rareclass.features import feature_kind
         from rareclass.model_store import load_model
 
         root, cfg, _ = workspace
-        assert "cluster" in load_model(root / "model.json").vocabulary.kinds
+        assert "cluster" in map(feature_kind, load_model(root / "model.json").vocabulary.names)
         out = tmp_path / "out.tsv"
         argv = [command, "--config", str(cfg), "--corpus", str(root / "splits" / "test.tsv"),
                 "--out", str(out), "--set", "paths.clusters="]
         with caplog.at_level("INFO", logger="rareclass"):
             assert main(argv) == 1
-        assert "config error: paths.clusters must be set" in capsys.readouterr().err
+        message = "config error: paths.clusters must be set: the model has cluster columns"
+        assert message in capsys.readouterr().err
         assert not out.exists()
         assert not any(r.getMessage().startswith("featurized") for r in caplog.records)
 
     def test_model_without_cluster_columns_needs_no_file(self, workspace, tmp_path):
+        from rareclass.features import feature_kind
         from rareclass.model_store import load_model
 
         root, cfg, _ = workspace
@@ -346,7 +349,8 @@ class TestMissingClusters:
         train = str(root / "splits" / "train.tsv")
         assert main(["train", "--corpus", train, *no_clusters]) == 0
         stored = load_model(model)
-        assert stored.features.use_clusters and "cluster" not in stored.vocabulary.kinds
+        assert stored.features.use_clusters
+        assert "cluster" not in map(feature_kind, stored.vocabulary.names)
         test = str(root / "splits" / "test.tsv")
         for command in ("evaluate", "report-errors"):
             out = tmp_path / f"{command}.tsv"
@@ -441,6 +445,14 @@ class TestSample:
         assert rc == 1
         assert not (tmp_path / "x.tsv").exists()
 
+    # the config error each sampler setting below raises, by its last argument
+    SAMPLER_ERRORS = {
+        "sampler.method=smote": "sample requires a text-level method: ",
+        "sampler.method=none": "sample requires a text-level method: ",
+        "near_fn": "sampler.fn_corpus must be set for the near_fn sampler",
+        "random": "sampler.target_total must be positive for random sampling",
+    }
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -452,7 +464,9 @@ class TestSample:
             ["train", "--sampler", "random"],
         ],
     )
-    def test_sampler_config_checked_before_the_corpus(self, workspace, tmp_path, argv, caplog):
+    def test_sampler_config_checked_before_the_corpus(
+        self, workspace, tmp_path, capsys, argv, caplog
+    ):
         _, cfg, _ = workspace
         bad = tmp_path / "bad.tsv"
         bad.write_text("not\ta\tcorpus\n", encoding="utf-8")
@@ -460,6 +474,7 @@ class TestSample:
         with caplog.at_level("INFO"):
             rc = main([*argv, "--config", str(cfg), "--corpus", str(bad), *out])
         assert rc == 1
+        assert f"config error: {self.SAMPLER_ERRORS[argv[-1]]}" in capsys.readouterr().err
         assert not any(r.getMessage().startswith("corpus:") for r in caplog.records)
         assert not (tmp_path / "out").exists()
 
@@ -1140,7 +1155,7 @@ class TestExitCodes:
         path = tmp_path / "nope.cfg" if which == "missing" else tmp_path
         out = tmp_path / "x.tsv"
         assert main(["split", "--config", str(path), "--out-dir", str(out)]) == 1
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: config file: no such file {path}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_class_weights_missing_a_class_is_config_error_before_training(
@@ -1163,16 +1178,24 @@ class TestExitCodes:
         assert "possible_defect, non_defect" in err
         assert not model.exists()
 
-    def test_nonexistent_corpus_path(self, tmp_path, capsys):
+    def test_nonexistent_corpus_path(self, workspace, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
         rc = main(
             [
                 "featurize",
-                "--corpus", str(tmp_path / "missing.tsv"),
+                "--corpus", str(missing),
                 "--set", f"paths.name_lexicon={packaged_data_path('demo_names.txt')}",
                 "--out", str(tmp_path / "x.json"),
             ]
         )
         assert rc == 1  # path existence is validated as configuration
+        assert f"config error: paths.corpus: no such file {missing}" in capsys.readouterr().err
+        _, cfg, _ = workspace
+        lexicon = tmp_path / "nope.txt"
+        rc = main(["match", "--config", str(cfg), "--lexicon", str(lexicon),
+                   "--out", str(tmp_path / "matches.tsv")])
+        assert rc == 1
+        assert f"config error: paths.lexicon: no such file {lexicon}" in capsys.readouterr().err
 
     def test_malformed_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -1213,15 +1236,24 @@ class TestExitCodes:
         assert rc == 2
         assert "missing key 'vocabulary'" in capsys.readouterr().err
 
-    def test_pool_index_out_of_range_is_data_error(self, workspace, tmp_path, capsys):
-        def mutate(doc):
-            pool_size = len(doc["svm"]["support_vectors"]["indptr"]) - 1
-            doc["svm"]["pairs"][0]["support"][0] = pool_size
-        rc = self._evaluate_mutated(workspace, tmp_path, mutate)
+    def test_unknown_classifier_kind_is_data_error(self, workspace, tmp_path, capsys):
+        rc = self._evaluate_mutated(workspace, tmp_path, lambda d: d.update(kind="knn"))
         assert rc == 2
-        assert "out of range" in capsys.readouterr().err
+        assert "unknown classifier kind 'knn'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["empty", "repeated", "positive is negative"])
+    def test_pool_index_out_of_range_is_data_error(self, workspace, tmp_path, capsys):
+        root, _, _ = workspace
+        pool = json.loads((root / "model.json").read_text())["svm"]["support_vectors"]
+        pool_size = len(pool["indptr"]) - 1
+        for index in (pool_size, 10**6):
+            def mutate(doc):
+                doc["svm"]["pairs"][0]["support"][0] = index
+            rc = self._evaluate_mutated(workspace, tmp_path, mutate)
+            assert rc == 2
+            message = f"svm: support index out of range for a pool of {pool_size}"
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["empty", "repeated", "positive is negative", "reversed"])
     def test_svm_pairs_not_every_two_labels_in_order_is_data_error(
         self, workspace, tmp_path, capsys, edit
     ):
@@ -1232,10 +1264,13 @@ class TestExitCodes:
                 pairs.clear()
             elif edit == "repeated":
                 pairs[1] = pairs[0]
+            elif edit == "reversed":
+                pairs.reverse()
             else:
                 pairs[0]["negative"] = pairs[0]["positive"]
         assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
-        assert "svm: the pairs must be every two of" in capsys.readouterr().err
+        message = "svm: the pairs must be every two of two or more distinct labels, in order"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("inf"), None])
     def test_svm_gamma_not_positive_and_finite_is_data_error(

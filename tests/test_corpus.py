@@ -1,4 +1,4 @@
-"""Corpus model: TSV round-trips, distributions, splits, kappa, merging."""
+"""Corpus model: TSV round-trips, splits, kappa, domain types."""
 
 import dataclasses
 import math
@@ -16,9 +16,7 @@ from rareclass.corpus import (
     Tweet,
     byte_span_to_chars,
     char_span_to_bytes,
-    class_distribution,
     cohens_kappa,
-    filter_disagreements,
     load_corpus,
     save_corpus,
     stratified_split,
@@ -292,31 +290,6 @@ class TestStreamedLoad:
             assert len(same) == 3 and all(user_id is same[0] for user_id in same)
 
 
-class TestClassDistribution:
-    def test_reference_corpus_proportions(self):
-        corpus = counted_corpus(1192, 1196, 20611)
-        dist = class_distribution(corpus)
-        assert dist.total == 22999
-        assert dist.counts[Label.DEFECT] == 1192
-        assert abs(dist.proportions[Label.DEFECT] - 1192 / 22999) < 1e-15
-        assert abs(dist.proportions[Label.DEFECT] - 0.05183) < 5e-6
-        assert abs(dist.proportions[Label.POSSIBLE_DEFECT] - 0.05200) < 5e-6
-        assert abs(dist.proportions[Label.NON_DEFECT] - 0.89617) < 5e-6
-        assert abs(sum(dist.proportions.values()) - 1.0) < 1e-9
-
-    def test_exact_quarters(self):
-        dist = class_distribution(counted_corpus(1, 1, 2))
-        assert dist.proportions[Label.DEFECT] == 0.25
-        assert dist.proportions[Label.POSSIBLE_DEFECT] == 0.25
-        assert dist.proportions[Label.NON_DEFECT] == 0.5
-
-    def test_empty_corpus(self):
-        dist = class_distribution(Corpus(()))
-        assert dist.total == 0
-        assert all(c == 0 for c in dist.counts.values())
-        assert all(p == 0.0 for p in dist.proportions.values())
-
-
 class TestStratifiedSplit:
     def test_ceiling_rule_per_class(self):
         corpus = counted_corpus(5, 5, 90)
@@ -409,42 +382,6 @@ class TestCohensKappa:
         assert cohens_kappa(seq_a, seq_b) == pytest.approx(
             cohens_kappa(seq_b, seq_a), abs=1e-12
         )
-
-
-class TestFilterDisagreements:
-    def test_full_agreement(self):
-        a = counted_corpus(2, 2, 1)
-        assert len(filter_disagreements(a, a)) == 5
-
-    def test_mixed_overlap(self):
-        a = make_corpus(
-            [
-                ("t1", "x", Label.DEFECT),
-                ("t2", "x", Label.DEFECT),
-                ("t3", "x", Label.NON_DEFECT),
-                ("t4", "x", Label.NON_DEFECT),
-                ("t5", "x", Label.DEFECT),
-                ("t6", "x", Label.POSSIBLE_DEFECT),  # only annotator a
-            ]
-        )
-        b = make_corpus(
-            [
-                ("t1", "x", Label.DEFECT),
-                ("t2", "x", Label.DEFECT),
-                ("t3", "x", Label.NON_DEFECT),
-                ("t4", "x", Label.NON_DEFECT),
-                ("t5", "x", Label.NON_DEFECT),  # disagreement
-                ("t7", "x", Label.DEFECT),  # only annotator b
-            ]
-        )
-        merged = filter_disagreements(a, b)
-        assert {i.tweet.id for i in merged} == {"t1", "t2", "t3", "t4", "t6", "t7"}
-        assert len(merged) == 6
-
-    def test_total_disagreement(self):
-        a = make_corpus([("t1", "x", Label.DEFECT), ("t2", "x", Label.DEFECT)])
-        b = make_corpus([("t1", "x", Label.NON_DEFECT), ("t2", "x", Label.POSSIBLE_DEFECT)])
-        assert len(filter_disagreements(a, b)) == 0
 
 
 class TestDomainTypes:

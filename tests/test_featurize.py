@@ -65,7 +65,6 @@ def assert_same(got, expected):
         assert array.dtype == oracle.dtype, name
         assert np.array_equal(array, oracle), name
     assert vocab.names == vocab_oracle.names
-    assert vocab.kinds == vocab_oracle.kinds
 
 
 class TestEqualsOracle:

@@ -17,7 +17,6 @@ from rareclass.lexicon import (
     compile_matchers,
     load_lexicon,
     match_corpus,
-    match_text,
     post_filter,
     term_class_frequency_report,
 )
@@ -89,24 +88,24 @@ class TestLoadLexicon:
 
 class TestMatcherSemantics:
     def test_case_insensitive_whitespace_run(self, matchers):
-        hits = match_text(Tweet("t", "u", "Club  Foot story"), matchers)
+        hits = match_corpus([Tweet("t", "u", "Club  Foot story")], matchers)
         assert [h.term for h in hits] == ["club foot"]
         assert hits[0].surface == "Club  Foot"
 
     def test_word_boundary_blocks_embedding(self, matchers):
-        assert match_text(Tweet("t", "u", "CHDexpo opens"), matchers) == []
-        assert [h.term for h in match_text(Tweet("t", "u", "has CHD."), matchers)] == ["CHD"]
+        assert match_corpus([Tweet("t", "u", "CHDexpo opens")], matchers) == []
+        assert [h.term for h in match_corpus([Tweet("t", "u", "has CHD.")], matchers)] == ["CHD"]
 
     def test_longest_match_precedence(self, matchers):
-        hits = match_text(Tweet("t", "u", "trisomy 18 diagnosis"), matchers)
+        hits = match_corpus([Tweet("t", "u", "trisomy 18 diagnosis")], matchers)
         assert [h.term for h in hits] == ["trisomy 18"]
 
     def test_hyphen_matches_space_separator(self, matchers):
-        hits = match_text(Tweet("t", "u", "a club-foot case"), matchers)
+        hits = match_corpus([Tweet("t", "u", "a club-foot case")], matchers)
         assert [h.term for h in hits] == ["club foot"]
 
     def test_variant_maps_to_canonical(self, matchers):
-        hits = match_text(Tweet("t", "u", "down sindrome walk"), matchers)
+        hits = match_corpus([Tweet("t", "u", "down sindrome walk")], matchers)
         assert [h.term for h in hits] == ["down syndrome"]
 
     def test_empty_pattern_rejected(self):
@@ -115,7 +114,7 @@ class TestMatcherSemantics:
 
     def test_spans_are_byte_offsets(self, matchers):
         text = "éé CHD"  # two 2-byte characters then a space
-        hits = match_text(Tweet("t", "u", text), matchers)
+        hits = match_corpus([Tweet("t", "u", text)], matchers)
         assert hits[0].span == (5, 8)
         raw = text.encode("utf-8")
         assert raw[5:8].decode("utf-8") == "CHD"
@@ -221,14 +220,14 @@ class TestTermClassFrequencyReport:
         matchers = compile_matchers(lex)
         expected = {term: {label: 0 for label in Label} for term in lex.canonical_terms()}
         for item in corpus:
-            for term in {m.term for m in match_text(item.tweet, matchers)}:
+            for term in {m.term for m in match_corpus([item.tweet], matchers)}:
                 expected[term][item.label] += 1
         report = term_class_frequency_report(corpus, lex, scan(corpus, lex))
         assert report == [(term, expected[term]) for term in lex.canonical_terms()]
         assert sum(c for _, counts in report for c in counts.values()) > 400
 
 
-def reference_match_text(tweet, matchers):
+def reference_matches(tweet, matchers):
     """Every pattern scanned, as before the literal check: the oracle."""
     candidates = []
     for order, (pattern, canonical, _literal) in enumerate(matchers.patterns):
@@ -296,22 +295,22 @@ SPECIAL_TEXTS = (
 
 
 class TestLiteralPrefilter:
-    """`match_text` with the literal check equals a scan with every pattern."""
+    """`match_corpus` with the literal check equals a scan with every pattern."""
 
     @settings(max_examples=300, deadline=None)
     @given(texts, lexicons)
     def test_equals_full_scan(self, text, lexicon):
         matchers = compile_matchers(lexicon)
         tweet = Tweet("t", "u", text)
-        assert match_text(tweet, matchers) == reference_match_text(tweet, matchers)
+        assert match_corpus([tweet], matchers) == reference_matches(tweet, matchers)
 
     @pytest.mark.parametrize("text", SPECIAL_TEXTS)
     def test_equals_full_scan_on_folded_and_separated_text(self, text):
         matchers = compile_matchers(Lexicon(PREFILTER_TERMS))
         tweet = Tweet("t", "u", text)
-        expected = reference_match_text(tweet, matchers)
+        expected = reference_matches(tweet, matchers)
         assert expected
-        assert match_text(tweet, matchers) == expected
+        assert match_corpus([tweet], matchers) == expected
 
     def test_literal_is_lowercased_longest_chunk(self):
         matchers = compile_matchers(Lexicon(PREFILTER_TERMS))
@@ -330,7 +329,7 @@ class TestLiteralPrefilter:
     def test_entry_without_literal_always_runs(self):
         pattern = re.compile(r"(?<![a-zA-Z0-9])(?:foot)(?![a-zA-Z0-9])", re.IGNORECASE)
         matchers = MatcherSet(((pattern, "foot", None),))
-        assert [m.term for m in match_text(Tweet("t", "u", "my FOOT"), matchers)] == ["foot"]
+        assert [m.term for m in match_corpus([Tweet("t", "u", "my FOOT")], matchers)] == ["foot"]
 
     def test_pair_entries_rejected(self):
         pattern = re.compile("foot", re.IGNORECASE)

@@ -8,7 +8,7 @@ from rareclass.cli import apply_text_sampler
 from rareclass.config import PipelineConfig, render_default_config
 from rareclass.corpus import Corpus, Label, load_corpus, three_way_split
 from rareclass.errors import ConfigError
-from rareclass.features import FeatureSettings, load_clusters
+from rareclass.features import FeatureSettings, feature_kind, load_clusters
 from rareclass.model_store import load_features, load_model, save_features, save_model
 from rareclass.naive_bayes import train_nb
 from rareclass.normalize import NormalizationConfig, load_name_lexicon, save_normalized
@@ -278,5 +278,5 @@ class TestArtifacts:
         _, vocab = featurize_corpus(
             split.train, names, clusters, cfg.normalization(), settings
         )
-        assert any(kind == "cluster" for kind in vocab.kinds)
-        assert any(kind == "structural" for kind in vocab.kinds)
+        assert any(feature_kind(name) == "cluster" for name in vocab.names)
+        assert any(feature_kind(name) == "structural" for name in vocab.names)

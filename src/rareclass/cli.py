@@ -62,11 +62,13 @@ from .corpus import (
     LABELS,
     Tweet,
     cohens_kappa,
+    escape_field,
     load_corpus,
+    read_table,
     save_corpus,
     three_way_split,
 )
-from .errors import ConfigError, DataError, read_utf8
+from .errors import ConfigError, DataError
 
 try:  # the interpreter's built-in SHA-256: hashlib would load OpenSSL
     from _sha2 import sha256  # Python 3.12 and later
@@ -239,27 +241,18 @@ def _cmd_split(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
 def _cmd_kappa(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     path = Path(args.pairs)
     _log_input("annotation pairs", path)
-    lines = read_utf8(path).splitlines()
-    if not lines or tuple(lines[0].split("\t")) != ("id", "label_a", "label_b"):
-        raise DataError(f"{path}: expected header id\\tlabel_a\\tlabel_b")
     seq_a: list[Label] = []
     seq_b: list[Label] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}: expected 3 columns at line {lineno}")
-        tid = fields[0]
+    for lineno, (tid, label_a, label_b) in read_table(path, ("id", "label_a", "label_b")):
         if not tid:
             raise DataError(f"{path}: empty id at line {lineno}")
         if tid in seen:
             raise DataError(f"{path}: duplicate id {tid!r} at line {lineno}")
         seen.add(tid)
         try:
-            seq_a.append(Label.parse(fields[1]))
-            seq_b.append(Label.parse(fields[2]))
+            seq_a.append(Label.parse(label_a))
+            seq_b.append(Label.parse(label_b))
         except ValueError as exc:
             raise DataError(f"{path}: {exc} at line {lineno}") from None
     if not seq_a:
@@ -291,7 +284,8 @@ def _cmd_match(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     )
     lines = ["id\tterm\tspan_start\tspan_end\tsurface"]
     lines.extend(
-        f"{m.tweet_id}\t{m.term}\t{m.span[0]}\t{m.span[1]}\t{m.surface}"
+        f"{m.tweet_id}\t{escape_field(m.term)}\t{m.span[0]}\t{m.span[1]}\t"
+        f"{escape_field(m.surface)}"
         for m in matches
     )
     out["out"].tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -300,7 +294,7 @@ def _cmd_match(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
         report = term_class_frequency_report(corpus, lexicon, found)
         rows = ["term\t" + "\t".join(l.value for l in LABELS)]
         rows.extend(
-            term + "\t" + "\t".join(str(counts[l]) for l in LABELS)
+            escape_field(term) + "\t" + "\t".join(str(counts[l]) for l in LABELS)
             for term, counts in report
         )
         out["term_report"].tmp.write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -434,8 +428,8 @@ def _cmd_train(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
         sys.stdout.write(report.to_text())
         print(f"sampling-report\t{out['sampling'].path}")
     sampler = cfg["sampler.method"]
-    if sampler in ("random", "smote"):  # the samplers that read the seed
-        sampler += f", sampler seed {cfg['sampler.seed']}"
+    if report is not None and "seed" in report.parameters:
+        sampler += f", sampler seed {report.parameters['seed']}"
     logger.info(
         "trained %s on %d items (vocabulary %d, sampler %s)", cfg["classifier.kind"],
         len(corpus) if report is None else sum(report.output_counts.values()),

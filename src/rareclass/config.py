@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from .corpus import Label
-from .errors import ConfigError, read_utf8
+from .errors import ConfigError, read_lines
 
 if TYPE_CHECKING:
     from .features import FeatureSettings
@@ -60,7 +60,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file: no such file {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(read_utf8(path, ConfigError).splitlines(), 1):
+    for lineno, line in read_lines(path, ConfigError):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             key, value = _key_value(stripped, f"{path} line {lineno}")

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DataError
+from .errors import DataError, read_lines
 from .rng import SplitMix64, derive_seed
 
 
@@ -176,7 +176,9 @@ class SplitResult:
 TSV_HEADER = ("id", "user_id", "label", "text", "span_start", "span_end")
 
 
-def _escape(text: str) -> str:
+def escape_field(text: str) -> str:
+    """`text` as a TSV field: backslash, tab, newline and carriage return
+    written as ``\\\\``, ``\\t``, ``\\n`` and ``\\r``."""
     return (
         text.replace("\\", "\\\\")
         .replace("\t", "\\t")
@@ -197,35 +199,30 @@ def _decode_escape(match: re.Match) -> str:
 
 
 def _unescape(text: str) -> str:
-    """Undo `_escape`; a trailing backslash or an unknown escape is a
+    """Undo `escape_field`; a trailing backslash or an unknown escape is a
     ValueError naming the backslash's position."""
     return _ESCAPE_RE.sub(_decode_escape, text) if "\\" in text else text
 
 
-def _lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each line of `path`, decoded one at a time.
+def read_table(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-empty row of a tab-separated file
+    whose first line is `header`, read by `read_lines`.
 
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as `Path.read_text`
-    reads them; the other breaks of `str.splitlines` stay inside a line,
-    since escaped text may hold them.  A line that is not UTF-8 is a
-    DataError naming its number.
+    A first line other than `header` is a DataError naming the expected
+    header; a row with another number of fields is one naming its line.
     """
-    lineno = 0
-    with path.open("rb") as f:
-        for raw in f:  # ends at b"\n" only
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                bad = lineno + 1 + raw.count(b"\r", 0, exc.start)
-                raise DataError(f"{path}: not valid UTF-8 at line {bad} ({exc})") from None
-            if "\r" not in line:
-                lineno += 1
-                yield lineno, line.removesuffix("\n")
-                continue
-            line = line.replace("\r\n", "\n").replace("\r", "\n")
-            for part in line.removesuffix("\n").split("\n"):
-                lineno += 1
-                yield lineno, part
+    lines = read_lines(path)
+    if tuple(next(lines, (1, ""))[1].split("\t")) != header:
+        raise DataError(f"{path}: expected header " + "\\t".join(header))
+    for lineno, line in lines:
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise DataError(
+                f"{path}: expected {len(header)} columns at line {lineno}, got {len(fields)}"
+            )
+        yield lineno, fields
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -241,27 +238,16 @@ def load_corpus(path: str | Path) -> Corpus:
     share one string.
     """
     path = Path(path)
-    lines = _lines(path)
-    header = next(lines, (1, ""))[1]
-    if tuple(header.split("\t")) != TSV_HEADER:
-        raise DataError(f"{path}: missing or malformed header line")
     items: list[AnnotatedTweet] = []
     seen: set[str] = set()
     users: dict[str, str] = {}
-    for lineno, line in lines:
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(TSV_HEADER):
-            raise DataError(
-                f"{path}: expected {len(TSV_HEADER)} columns at line {lineno}, got {len(fields)}"
-            )
-        tid, user_id, label_s, text_s, start_s, end_s = fields
+    parse_label = Label.parse  # found once: an attribute of an enum costs more than the call
+    for lineno, (tid, user_id, label_s, text_s, start_s, end_s) in read_table(path, TSV_HEADER):
         if tid in seen:
             raise DataError(f"{path}: duplicate tweet id {tid!r} at line {lineno}")
         seen.add(tid)
         try:
-            label = Label.parse(label_s)
+            label = parse_label(label_s)
         except ValueError:
             raise DataError(f"{path}: unknown label {label_s!r} at line {lineno}") from None
         try:
@@ -303,7 +289,7 @@ def save_corpus(
                         item.tweet.id,
                         item.tweet.user_id,
                         item.label.value,
-                        _escape(item.tweet.text),
+                        escape_field(item.tweet.text),
                         "" if span is None else str(span[0]),
                         "" if span is None else str(span[1]),
                     )

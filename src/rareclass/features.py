@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Label, LABELS
-from .errors import DataError, read_utf8
+from .errors import DataError, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -272,7 +272,7 @@ def load_clusters(path: str | Path) -> dict[str, str]:
     """
     path = Path(path)
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         fields = line.split()

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .corpus import Corpus, Label, LABELS, Tweet, char_span_to_bytes, byte_span_to_chars
 from .corpus import URL_RE, USERNAME_RE
-from .errors import DataError, read_utf8
+from .errors import DataError, read_lines
 
 _SEPARATOR_RE = re.compile(r"[\s\-]+")
 _BOUNDARY_CLASS = "[a-zA-Z0-9]"
@@ -105,7 +105,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     path = Path(path)
     terms: list[tuple[str, tuple[str, ...]]] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+    for lineno, line in read_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

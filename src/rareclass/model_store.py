@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .corpus import Corpus, Label
-from .errors import DataError, read_utf8
+from .errors import DataError, read_lines
 from .features import (
     CsrMatrix,
     FeatureSettings,
@@ -396,8 +396,8 @@ def read_versioned_json(path: Path, format_name: str, version: int, what: str, r
     """The JSON object in `path`, whose format and version must match; the
     error for another version ends with `remedy`.  A file that is not
     UTF-8, not JSON or nested too deep to decode is a DataError."""
-    try:
-        doc = json.loads(read_utf8(path))
+    try:  # the text `read_text` gives, but for a final newline, which JSON ignores
+        doc = json.loads("\n".join(line for _, line in read_lines(path)))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != format_name:

@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .config import DEFAULT_CHILD, DEFAULT_POSSESSIVE, DEFAULT_THIRD_PERSON
 from .corpus import URL_RE, USERNAME_RE, Label, Tweet, byte_span_to_chars
-from .errors import DataError, read_utf8
+from .errors import DataError, read_lines
 from .porter import porter_stem
 
 # a maximal ASCII letter run that starts with an uppercase letter
@@ -68,7 +68,7 @@ def load_name_lexicon(path: str | Path) -> NameLexicon:
     """Read a one-name-per-line file (``#`` starts a comment line)."""
     path = Path(path)
     names: set[str] = set()
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+    for lineno, line in read_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -19,15 +19,22 @@ from pathlib import Path
 import pytest
 
 from rareclass.cli import _config, _stage, build_parser, main
-from rareclass.corpus import AnnotatedTweet, Corpus, Label, load_corpus, save_corpus
+from rareclass.corpus import TSV_HEADER, AnnotatedTweet, Corpus, Label, load_corpus, save_corpus
 from rareclass.demo import packaged_data_path
 from rareclass.lexicon import compile_matchers, load_lexicon
+
+from conftest import make_corpus
 
 # the package's source, for the PYTHONPATH of a step run as its own process
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # small NB models written by the writers of retired model formats, by version
 RETIRED_MODELS = {v: Path(__file__).resolve().parent / "data" / f"model_v{v}.json" for v in (2, 3, 4)}
+
+
+def unescape(field: str) -> str:
+    """A field written with the corpus TSV's escapes, decoded."""
+    return re.sub(r"\\(.)", lambda m: {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}[m[1]], field)
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +231,33 @@ class TestMatch:
         assert 0 < run < skipped
         written = len(out.read_text().strip().split("\n")) - 1
         assert found - retweets - in_tokens == written
+
+    def test_text_fields_are_escaped(self, workspace, tmp_path):
+        """`term` and `surface` are escaped as the corpus escapes `text`, so
+        a match across a tab or a newline, or a term with a backslash,
+        keeps its row whole."""
+        _, cfg, _ = workspace
+        corpus, lexicon = tmp_path / "corpus.tsv", tmp_path / "lexicon.txt"
+        texts = {"t1": "my son has club\tfoot", "t2": "my son has club\nfoot",
+                 "t3": "our baby has a\\b today"}
+        save_corpus(make_corpus([(tid, text, Label.DEFECT) for tid, text in texts.items()]), corpus)
+        lexicon.write_text("club foot\na\\b\n", encoding="utf-8")
+        out, report = tmp_path / "matches.tsv", tmp_path / "terms.tsv"
+        assert main(["match", "--config", str(cfg), "--corpus", str(corpus), "--lexicon",
+                     str(lexicon), "--out", str(out), "--term-report", str(report)]) == 0
+        header, *rows = out.read_text(encoding="utf-8").removesuffix("\n").split("\n")
+        assert header == "id\tterm\tspan_start\tspan_end\tsurface"
+        fields = [row.split("\t") for row in rows]
+        assert [len(f) for f in fields] == [5, 5, 5]
+        for tid, term, start, end, surface in fields:
+            raw = texts[tid].encode("utf-8")[int(start):int(end)]
+            assert unescape(surface) == raw.decode("utf-8")
+        assert [(tid, unescape(term)) for tid, term, *_ in fields] == [
+            ("t1", "club foot"), ("t2", "club foot"), ("t3", "a\\b")
+        ]
+        assert report.read_text(encoding="utf-8").split("\n")[1:] == [
+            "club foot\t2\t0\t0", "a\\\\b\t1\t0\t0", ""
+        ]
 
     def test_empty_canonical_term_is_data_error_naming_the_line(self, workspace, tmp_path, capsys):
         _, cfg, _ = workspace
@@ -1626,8 +1660,9 @@ class TestExitCodes:
 
 class TestUndecodableInputs:
     """A file that is not UTF-8, or JSON nested too deep to decode, is a
-    data error naming the file (a corpus also names the line); a config
-    file that is not UTF-8 is a configuration error naming it."""
+    data error naming the file (and the line, for a byte that is not
+    UTF-8); a config file that is not UTF-8 is a configuration error
+    naming it and the line."""
 
     @pytest.fixture(scope="class")
     def valid(self, workspace, tmp_path_factory):
@@ -1676,8 +1711,8 @@ class TestUndecodableInputs:
         out = tmp_path / "out"
         assert main(self._argv(workspace, kind, bad, out)) == 2
         captured = capsys.readouterr()
-        line = " at line 3" if kind == "corpus" else ""
-        message = f"data error: {bad}: not valid UTF-8{line} ('utf-8' codec can't decode"
+        line = 3 if data.count(b"\n") > 2 else 1
+        message = f"data error: {bad}: not valid UTF-8 at line {line} ('utf-8' codec can't decode"
         assert message in captured.err
         assert not out.exists() and captured.out == ""
 
@@ -1696,5 +1731,52 @@ class TestUndecodableInputs:
         cfg.write_bytes(b"split.seed = 3\n# caf\xe9\n")
         out = tmp_path / "splits"
         assert main(["split", "--config", str(cfg), "--out-dir", str(out)]) == 1
-        assert f"config error: {cfg}: not valid UTF-8 (" in capsys.readouterr().err
+        assert f"config error: {cfg}: not valid UTF-8 at line 2 (" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLineRule:
+    """Every text input ends a line at \\n, \\r\\n or a lone \\r, and only
+    there: the other breaks of `str.splitlines` stay inside their line.
+    A byte that is not UTF-8 is reported with its line."""
+
+    # each kind's three lines: {c} stands for a character inside a field,
+    # and line 3 is the first one reading must fail on, with this message
+    # (so line 2 is read whole: a pairs id "t{c}1" stays one id)
+    FILES = {
+        "corpus": ("\t".join(TSV_HEADER), "t1\tu\tdefect\ta{c}b\t\t", "t2\tu\tnope\tb\t\t",
+                   "{path}: unknown label 'nope' at line {n}"),
+        "pairs": ("id\tlabel_a\tlabel_b", "t{c}1\tdefect\tdefect", "t2\tdefect\tnope",
+                  "{path}: unknown label 'nope' at line {n}"),
+        "lexicon": ("club foot", "cleft{c}palate | cleft lip", "| variant",
+                    "{path}: empty canonical term at line {n}"),
+        "names": ("Mary", "Ann", "Emma{c}Olivia", "{path}: name with whitespace at line {n}"),
+        "clusters": ("0\tfoo\t1", "10{c}bar{c}2", "x\tbaz\t3",
+                     "{path}: bad cluster path 'x' at line {n}"),
+        "config": ("split.seed = 3", "# a{c}comment", "bogus",
+                   "{path} line {n}: expected 'section.key = value', got 'bogus'"),
+    }
+    # breaks that `str.splitlines` ends a line at, and the line rule does not
+    BREAKS = {"x0b": "\x0b", "x0c": "\x0c", "x1c": "\x1c", "x85": "\x85", "u2028": "\u2028"}
+
+    @pytest.mark.parametrize("kind", FILES)
+    @pytest.mark.parametrize("case", [*BREAKS, "crlf", "lone-cr", "not-utf-8"])
+    def test_lines_end_at_newlines_only(self, workspace, tmp_path, capsys, kind, case):
+        *lines, message = self.FILES[kind]
+        end = {"crlf": b"\r\n", "lone-cr": b"\r"}.get(case, b"\n")
+        data = [line.replace("{c}", self.BREAKS.get(case, " ")).encode("utf-8") for line in lines]
+        if case == "not-utf-8":
+            data[2] = b"\xff" + data[2]
+            message = "{path}: not valid UTF-8 at line {n} ('utf-8' codec can't decode byte 0xff"
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(end.join(data) + end)
+        out = tmp_path / "out"
+        if kind == "config":
+            argv = ["split", "--config", str(path), "--out-dir", str(out)]
+            assert main(argv) == 1
+        else:
+            assert main(TestUndecodableInputs._argv(workspace, kind, path, out)) == 2
+        captured = capsys.readouterr()
+        error = "config error" if kind == "config" else "data error"
+        assert f"{error}: {message.format(path=path, n=3)}" in captured.err
+        assert not out.exists() and captured.out == ""

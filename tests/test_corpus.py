@@ -178,7 +178,7 @@ def reference_load_corpus(path):
     that the files below reach, with `load_corpus`'s messages."""
     lines = path.read_text(encoding="utf-8").split("\n")
     if tuple(lines[0].split("\t")) != TSV_HEADER:
-        raise DataError(f"{path}: missing or malformed header line")
+        raise DataError(f"{path}: expected header " + "\\t".join(TSV_HEADER))
     items = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:

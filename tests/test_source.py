@@ -8,6 +8,11 @@ No public function or class is unreachable: each is used by code in the
 package, or named where the package is used from outside it (README's
 examples and the benchmark), so code that nothing runs is deleted rather
 than kept.
+
+Every text file is read by `errors.read_lines`, so one line rule holds
+for every input: no other module calls `read_text`, and none splits a
+file's text with `str.splitlines`, which also ends a line at breaks
+such as U+2028 that the line rule keeps inside it.
 """
 
 import ast
@@ -72,3 +77,28 @@ def test_every_public_function_and_class_is_used():
             if not re.search(rf"\b{re.escape(node.name)}\b", mentioned):
                 found.append(f"{module}.py:{node.lineno}: {node.name}")
     assert not found, "used nowhere else:\n" + "\n".join(found)
+
+
+def _call_name(node: ast.AST) -> str | None:
+    """The name a call calls: `f` for ``f(...)`` and ``x.f(...)``."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name):
+            return node.func.id
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr
+    return None
+
+
+def test_text_files_are_read_by_the_line_reader():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            name = _call_name(node)
+            if name == "read_text" and path.stem != "errors":
+                found.append(f"{path.name}:{node.lineno}: read_text")
+            # `x.splitlines()` on what a reading call returns: `read_text`, `read`, ...
+            if name == "splitlines" and isinstance(node.func, ast.Attribute):
+                reader = _call_name(node.func.value) or ""
+                if reader.startswith("read"):
+                    found.append(f"{path.name}:{node.lineno}: {reader}(...).splitlines()")
+    assert not found, "text read outside errors.read_lines:\n" + "\n".join(found)

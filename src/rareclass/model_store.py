@@ -11,24 +11,27 @@ once in a CSR pool (``svm.support_vectors``) that each class pair indexes
 ``converged``.  A features file holds a vocabulary, the settings that made
 it, and one sparse row per corpus item.
 
-Model format 5 and features format 3 store each fact once: `min_df` in the
+Model format 6 and features format 3 store each fact once: `min_df` in the
 feature settings, the dimension as the vocabulary's length, the SVM's
-gamma and class weights as the values training used, and no feature kinds
-(`feature_kind` derives them).  Each number is in its shortest exact form:
-a float that is integral, not -0.0 and below 2**53 in magnitude as a JSON
-integer; only the scaler columns whose (min, max) is not (0, 1); only the
-pool values in the columns that hold a value other than 1.0
-(``valued_columns``), every other pool entry being 1.0; and, in sparse
-rows, each row's first column as is and each later one as its gap from the
-column before.  Any other version is rejected: retrain.  Every value reads
-back bit-identical, so a loaded record equals the saved one.  Files are
-written with sorted keys and fixed separators, so identical records
-produce identical bytes.  Loading checks every key and type it reads and
-raises `DataError` on a missing key, a wrong type, a bad value or an index
-out of range.  An SVM pair must hold what training writes: a strictly
-increasing ``support``, each ``alpha`` above 0 and at most ``c`` times the
-class weight of its ``y``'s label, ``iterations`` from 1 to
-``max_iterations``, and ``converged`` false only at ``max_iterations``.
+gamma and class weights as the values training used, the SVM's pool as
+the feature values before scaling (the stored scaler maps them), and no
+feature kinds (`feature_kind` derives them).  Each number is in its
+shortest exact form: a float that is integral, not -0.0 and below 2**53 in
+magnitude as a JSON integer; only the scaler columns whose (min, max) is
+not (0, 1); only the unscaled pool values in the columns that hold a value
+other than 1.0 (``valued_columns``), every other pool entry being 1.0;
+and, in sparse rows, each row's first column as is and each later one as
+its gap from the column before.  Any other version is rejected: retrain.
+Every value reads back bit-identical, the pool through the stored scaler,
+so a loaded record equals the saved one.  Files are written with sorted
+keys and fixed separators, so identical records produce identical bytes.
+Loading checks every key and type it reads and raises `DataError` on a
+missing key, a wrong type, a bad value or an index out of range.  An SVM
+model has a scaler and an NB model none, as training makes them.  An SVM
+pair must hold what training writes: a strictly increasing ``support``,
+each ``alpha`` above 0 and at most ``c`` times the class weight of its
+``y``'s label, ``iterations`` from 1 to ``max_iterations``, and
+``converged`` false only at ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .features import (
     FeatureSettings,
     Scaler,
     Vocabulary,
+    apply_scaler,
 )
 from .normalize import NormalizationConfig
 
@@ -59,7 +63,7 @@ if TYPE_CHECKING:
     from .svm import SvmModel
 
 FORMAT_NAME = "rareclass.model"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 FEATURES_FORMAT = "rareclass.features"
 FEATURES_VERSION = 3
 
@@ -252,8 +256,65 @@ def vocabulary_from_json(obj: dict) -> Vocabulary:
     return Vocabulary(tuple(names))
 
 
-def _svm_to_json(model: SvmModel) -> dict:
-    pool = model.support_vectors
+# how many ulps either side of v * span + min `_unscaled` tries
+_ULPS = 4
+
+
+def _unscaled(pool: CsrMatrix, scaler: Scaler) -> CsrMatrix:
+    """The matrix that `apply_scaler` maps onto `pool`, bit for bit.
+
+    An entry of value v takes the first of ``rint(v * span + min)``,
+    ``v * span + min`` and that value's neighbours up to `_ULPS` ulps out
+    that scales back to v; SMOTE's interpolations need more than the
+    rounded count.  A row without an entry in a column whose minimum is not
+    0 gets one at that minimum, which scales to a dropped 0.  A pool that
+    `apply_scaler` cannot make is an internal error naming its entry.
+    """
+    rows, cols, v = pool.row_ids(), pool.indices, pool.data
+    lo, span = scaler.mins, scaler.maxs - scaler.mins
+    guess = v * span[cols] + lo[cols]
+    raw = np.rint(guess)
+
+    def misses(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Which of entries `k` the values `r` do not scale back to bit for bit."""
+        c = cols[k]
+        return ((r - lo[c]) / span[c]).view(np.int64) != v[k].view(np.int64)
+
+    k = np.flatnonzero(misses(np.arange(len(v)), raw))  # those rint misses
+    candidates, below, above = [guess[k]], guess[k], guess[k]
+    for _ in range(_ULPS):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        candidates += [below, above]
+    left = np.ones(len(k), bool)
+    for r in candidates:
+        hit = left & ~misses(k, r)
+        raw[k[hit]], left[hit] = r[hit], False
+    if left.any():
+        e = k[np.argmax(left)]
+        raise RuntimeError(f"svm: support vector {rows[e]}, column {cols[e]}: "
+                           f"no unscaled value scales to {float(v[e])!r}")
+    # which rows lack each column with a non-zero minimum, as a table with one
+    # more column for the rest; `np.unique` and `np.isin` would load numpy.ma
+    filled = np.flatnonzero((span > 0.0) & (lo != 0.0))
+    slot = np.full(pool.dim, len(filled))
+    slot[filled] = np.arange(len(filled))
+    present = np.zeros((pool.n_rows, len(filled) + 1), bool)
+    present[rows, slot[cols]] = True
+    lacking, at = np.nonzero(~present[:, :-1])
+    unscaled = CsrMatrix.from_entries(
+        np.concatenate((rows * pool.dim + cols, lacking * pool.dim + filled[at])),
+        np.concatenate((raw, lo[filled[at]])), pool.n_rows, pool.dim,
+    )
+    back = apply_scaler(scaler, unscaled)
+    if back != pool:
+        r = next(r for r in range(pool.n_rows) if back.rows(r, r + 1) != pool.rows(r, r + 1))
+        raise RuntimeError(f"svm: support vector {r} does not scale back from its unscaled values")
+    return unscaled
+
+
+def _svm_to_json(model: SvmModel, scaler: Scaler) -> dict:
+    with np.errstate(all="ignore"):  # a span too wide or too narrow, which training never makes
+        pool = _unscaled(model.support_vectors, scaler)
     valued = np.bincount(pool.indices[pool.data != 1.0], minlength=pool.dim) > 0  # per column
     return {
         "labels": [lbl.value for lbl in model.labels],
@@ -281,7 +342,7 @@ def _svm_to_json(model: SvmModel) -> dict:
     }
 
 
-def _svm_from_json(obj: dict, dim: int) -> SvmModel:
+def _svm_from_json(obj: dict, scaler: Scaler) -> SvmModel:
     from .svm import PairModel, SvmModel, SvmParams
 
     labels = tuple(Label(v) for v in obj["labels"])
@@ -291,7 +352,7 @@ def _svm_from_json(obj: dict, dim: int) -> SvmModel:
         tolerance=float(raw["tolerance"]), max_iterations=raw["max_iterations"],
         class_weights={Label(k): float(w) for k, w in obj["class_weights"].items()},
     )
-    pool_obj = obj["support_vectors"]
+    pool_obj, dim = obj["support_vectors"], scaler.dim
     gaps = pool_obj["indices"]
     pool = _csr_from_gaps(pool_obj["indptr"], gaps, np.ones(len(gaps)), dim)
     columns = np.asarray(pool_obj["valued_columns"], np.intp)
@@ -303,6 +364,10 @@ def _svm_from_json(obj: dict, dim: int) -> SvmModel:
     if np.count_nonzero(in_valued) != len(pool_obj["values"]):
         raise DataError("svm: support_vectors.values must hold one value per entry in valued_columns")
     pool.data[in_valued] = np.asarray(pool_obj["values"], float)
+    with np.errstate(all="ignore"):  # a span too wide or too narrow gives inf or nan
+        pool = apply_scaler(scaler, pool)
+    if not np.isfinite(pool.data).all():
+        raise DataError("svm: support_vectors.values must scale to finite numbers")
     # what `train_svm` writes: one pair for every two labels, in label order
     expected = [[pos.value, neg.value] for pos, neg in combinations(labels, 2)]
     found = [[p["positive"], p["negative"]] for p in obj["pairs"]]
@@ -388,7 +453,8 @@ def save_model(path: str | Path, model: StoredModel) -> None:
             "features": asdict(model.features),
             "normalize": normalization_to_json(model.normalization),
         },
-        kind: _svm_to_json(model.classifier) if kind == "svm" else _nb_to_json(model.classifier),
+        kind: _svm_to_json(model.classifier, scaler) if kind == "svm"
+        else _nb_to_json(model.classifier),
     })
 
 
@@ -416,10 +482,14 @@ def load_model(path: str | Path) -> StoredModel:
     try:
         check_json(doc, dict(_SCHEMAS["model"], **{kind: _SCHEMAS[kind]}), "model")
         vocabulary = vocabulary_from_json(doc["vocabulary"])
-        scaler = None
-        if doc["scaler"] is not None:
+        if (doc["scaler"] is None) != (kind == "nb"):  # as training makes them
+            raise DataError(f"model.scaler must {'' if kind == 'nb' else 'not '}be null "
+                            f"in an {kind} model")
+        if kind == "svm":
             scaler = _scaler_from_json(doc["scaler"], vocabulary.dim)
-        classifier = (_svm_from_json if kind == "svm" else _nb_from_json)(doc[kind], vocabulary.dim)
+            classifier = _svm_from_json(doc["svm"], scaler)
+        else:
+            scaler, classifier = None, _nb_from_json(doc["nb"], vocabulary.dim)
         extras = dict(doc["extras"])
         features = feature_settings_from_json(extras.pop("features"))
         normalization = normalization_from_json(extras.pop("normalize"))

@@ -17,7 +17,7 @@ from rareclass.cli import main
 from rareclass.corpus import Label, cohens_kappa, load_corpus, stratified_split
 from rareclass.demo import packaged_data_path
 from rareclass.evaluation import evaluate_predictions, overall_f1, paired_t_test
-from rareclass.features import FeatureSettings, Vocabulary, fit_scaler
+from rareclass.features import FeatureSettings, Vocabulary, apply_scaler, fit_scaler
 from rareclass.model_store import StoredModel, load_model, save_model
 from rareclass.normalize import NormalizationConfig
 from rareclass.sampling import levenshtein_ratio, oversample_replacement
@@ -300,12 +300,14 @@ def test_c11_model_serialization_round_trip(tmp_path):
         (Label.DEFECT, Label.POSSIBLE_DEFECT, Label.NON_DEFECT)[i % 3]
         for i in range(60)
     ]
-    model = train_svm(from_rows(vectors), labels, SvmParams(c=10.0, gamma=0.4))
+    # trained on the scaled vectors, as `train_from_corpus` trains it
+    scaler = fit_scaler(from_rows(vectors))
+    x = apply_scaler(scaler, from_rows(vectors))
+    model = train_svm(x, labels, SvmParams(c=10.0, gamma=0.4))
     vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)))
     path = tmp_path / "model.json"
-    save_model(path, StoredModel(
-        model, vocab, fit_scaler(from_rows(vectors)), FeatureSettings(), NormalizationConfig(), {}
-    ))
+    record = StoredModel(model, vocab, scaler, FeatureSettings(), NormalizationConfig(), {})
+    save_model(path, record)
     stored = load_model(path)
     for _ in range(1000):
         probe = from_rows([random_vector()])

@@ -28,8 +28,11 @@ from conftest import make_corpus
 # the package's source, for the PYTHONPATH of a step run as its own process
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# small NB models written by the writers of retired model formats, by version
-RETIRED_MODELS = {v: Path(__file__).resolve().parent / "data" / f"model_v{v}.json" for v in (2, 3, 4)}
+# small models written by the writers of retired model formats, by version:
+# NB models for 2 to 4, an SVM model for 5
+RETIRED_MODELS = {
+    v: Path(__file__).resolve().parent / "data" / f"model_v{v}.json" for v in (2, 3, 4, 5)
+}
 
 
 def unescape(field: str) -> str:
@@ -1345,7 +1348,7 @@ class TestExitCodes:
         argv = [command, "--config", str(cfg), "--corpus", str(root / "splits" / "test.tsv"),
                 "--model", str(RETIRED_MODELS[version]), "--out", str(tmp_path / "out.tsv")]
         assert main(argv) == 2
-        expected = f"unsupported model version {version}, not 5; retrain the model"
+        expected = f"unsupported model version {version}, not 6; retrain the model"
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "out.tsv").exists()
 
@@ -1385,6 +1388,20 @@ class TestExitCodes:
             pool["indices"][pool["indptr"][1] - 1] += len(doc["vocabulary"]["names"])
         assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
         assert "column indices out of order or range" in capsys.readouterr().err
+
+    def test_svm_model_without_scaler_is_data_error(self, workspace, tmp_path, capsys):
+        assert self._evaluate_mutated(workspace, tmp_path, lambda d: d.update(scaler=None)) == 2
+        bad = tmp_path / "bad.json"
+        expected = f"data error: {bad}: model.scaler must not be null in an svm model"
+        assert expected in capsys.readouterr().err.splitlines()
+
+    def test_nb_model_with_scaler_is_data_error(self, workspace, tmp_path, capsys, nb_models):
+        def mutate(doc):
+            doc["scaler"] = {"columns": [0], "mins": [0], "maxs": [1000]}
+        assert self._evaluate_mutated(workspace, tmp_path, mutate, nb_models["multinomial"]) == 2
+        bad = tmp_path / "bad.json"
+        expected = f"data error: {bad}: model.scaler must be null in an nb model"
+        assert expected in capsys.readouterr().err.splitlines()
 
     def test_nb_log_prior_above_zero_is_data_error(self, workspace, tmp_path, capsys):
         root, cfg, _ = workspace

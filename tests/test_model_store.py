@@ -19,6 +19,7 @@ from rareclass.features import (
     FeatureSettings,
     Scaler,
     Vocabulary,
+    apply_scaler,
     fit_scaler,
     load_clusters,
 )
@@ -68,9 +69,9 @@ def trained_svm():
         for i in range(40)
     ]
     params = SvmParams(c=10.0, gamma=0.5)
-    model = train_svm(from_rows(vectors), labels, params)
-    vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)))
     scaler = fit_scaler(from_rows(vectors))
+    model = train_svm(apply_scaler(scaler, from_rows(vectors)), labels, params)
+    vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)))
     return model, vocab, scaler
 
 
@@ -80,8 +81,9 @@ class TestSvmRoundTrip:
         rng = np.random.default_rng(5)
         vectors = random_vectors(rng, 30, 5)
         labels = [(Label.DEFECT, Label.NON_DEFECT, Label.NON_DEFECT)[i % 3] for i in range(30)]
-        model = train_svm(from_rows(vectors), labels, SvmParams(c=10.0))
-        vocab, scaler = Vocabulary(tuple(f"f{i}" for i in range(5))), fit_scaler(from_rows(vectors))
+        scaler = fit_scaler(from_rows(vectors))
+        model = train_svm(apply_scaler(scaler, from_rows(vectors)), labels, SvmParams(c=10.0))
+        vocab = Vocabulary(tuple(f"f{i}" for i in range(5)))
         record = stored(model, vocab, scaler)
         path = tmp_path / "model.json"
         save_model(path, record)
@@ -131,21 +133,36 @@ class TestSvmRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+def demo_record(demo_paths, *overrides):
+    """The model trained on the demo corpus's default training split, with
+    the default config but for `overrides` (``key=value`` strings)."""
+    corpus = load_corpus(demo_paths["corpus"])
+    names = load_name_lexicon(demo_paths["names"])
+    clusters = load_clusters(demo_paths["clusters"])
+    split = three_way_split(corpus, 0.2, 0.2, seed=13)
+    cfg = PipelineConfig.from_sources(None, list(overrides))
+    return train_from_corpus(split.train, cfg, names, clusters)[0]
+
+
 class TestPoolValues:
     """The pool lists only the values of the columns that hold one other than 1.0."""
 
     # column 2 mixes 1.0 with other values, row 1 is empty, column 0 holds only 1.0
     MIXED = CsrMatrix.from_arrays(
-        [0, 2, 2, 5, 6], [0, 2, 0, 1, 2, 2], [1.0, 0.5, 1.0, 1.0, 1.0, -0.0], 3
+        [0, 2, 2, 5, 6], [0, 2, 0, 1, 2, 2], [1.0, 0.5, 1.0, 1.0, 1.0, -0.5], 3
     )
 
-    def saved(self, tmp_path, pool):
-        """A one-pair SVM over every row of `pool`, saved; its path and record."""
+    @staticmethod
+    def saved(tmp_path, pool, scaler=None):
+        """A one-pair SVM over every row of `pool`, saved with `scaler` (by
+        default (0, 1) in every column, which leaves the values as they are);
+        its path and record."""
         n, labels = pool.n_rows, (Label.DEFECT, Label.NON_DEFECT)
         pair = PairModel(*labels, np.arange(n), np.full(n, 0.5), np.ones(n), 0.25, 3, True)
         params = SvmParams(gamma=0.5, class_weights=dict.fromkeys(labels, 1.0))
         vocab = Vocabulary(tuple(f"f{i}" for i in range(pool.dim)))
-        scaler = Scaler(np.zeros(pool.dim), np.ones(pool.dim))
+        if scaler is None:
+            scaler = Scaler(np.zeros(pool.dim), np.ones(pool.dim))
         record = stored(SvmModel(labels, (pair,), params, pool), vocab, scaler)
         path = tmp_path / "model.json"
         save_model(path, record)
@@ -154,7 +171,7 @@ class TestPoolValues:
     @pytest.mark.parametrize(
         "pool,valued,values",
         [
-            (MIXED, [2], [0.5, 1, -0.0]),  # 1.0 written as an integer
+            (MIXED, [2], [0.5, 1, -0.5]),  # 1.0 written as an integer
             (CsrMatrix.from_arrays([0, 2, 2, 3], [0, 3, 1], [1.0, 1.0, 1.0], 4), [], []),
             (CsrMatrix.from_arrays([0, 0], [], [], 2), [], []),
         ],
@@ -180,9 +197,10 @@ class TestPoolValues:
             ("at dim", "svm: support_vectors.valued_columns must increase strictly"),
             ("values too long", "svm: support_vectors.values must hold one value per entry"),
             ("values too short", "svm: support_vectors.values must hold one value per entry"),
+            ("span too small", "svm: support_vectors.values must scale to finite numbers"),
         ],
         ids=["missing", "unsorted", "repeated", "negative", "at-dim", "values-too-long",
-             "values-too-short"],
+             "values-too-short", "span-too-small"],
     )
     def test_bad_valued_columns_or_values_rejected(self, tmp_path, edit, message):
         # columns 1 and 2 are valued; column 0 holds only 1.0
@@ -204,18 +222,16 @@ class TestPoolValues:
             valued[1] = 3
         elif edit == "values too long":
             values.append(4.0)
-        else:
+        elif edit == "values too short":
             values.pop()
+        else:  # column 1's values, 2.0 and 1.0, over a span of 5e-324
+            doc["scaler"] = {"columns": [1], "mins": [0], "maxs": [5e-324]}
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=re.escape(message)):
             load_model(path)
 
     def test_demo_model_values_only_the_structural_columns(self, tmp_path, demo_paths):
-        corpus = load_corpus(demo_paths["corpus"])
-        names = load_name_lexicon(demo_paths["names"])
-        clusters = load_clusters(demo_paths["clusters"])
-        split = three_way_split(corpus, 0.2, 0.2, seed=13)
-        record, _ = train_from_corpus(split.train, PipelineConfig.from_sources(None), names, clusters)
+        record = demo_record(demo_paths)
         path = tmp_path / "model.json"
         save_model(path, record)
         written = json.loads(path.read_text())["svm"]["support_vectors"]
@@ -223,6 +239,89 @@ class TestPoolValues:
         structural = [vocab.index_of("struct:char_length"), vocab.index_of("struct:word_length")]
         assert written["valued_columns"] == sorted(structural)
         assert load_model(path) == record
+
+
+class TestUnscaledPool:
+    """The pool is written as the feature values before scaling, which the
+    stored scaler maps back onto the trained pool bit for bit."""
+
+    @staticmethod
+    def saved_demo(tmp_path, demo_paths, *overrides):
+        """A demo SVM model trained with `overrides`, saved; its record and written pool."""
+        record = demo_record(demo_paths, *overrides)
+        path = tmp_path / "model.json"
+        save_model(path, record)
+        assert load_model(path) == record
+        assert_rewrites_itself(path)
+        return record, json.loads(path.read_text())["svm"]["support_vectors"]
+
+    def test_smote_interpolations_read_back_equal(self, tmp_path, demo_paths):
+        # SMOTE runs before the scaler, so the values it makes are not counts
+        _, written = self.saved_demo(tmp_path, demo_paths, "sampler.method=smote")
+        assert any(type(v) is float for v in written["values"])
+
+    def test_counts_are_written_as_integers(self, tmp_path, demo_paths):
+        record, written = self.saved_demo(tmp_path, demo_paths, "features.binary=false")
+        names = [record.vocabulary.names[c] for c in written["valued_columns"]]
+        assert any(not name.startswith("struct:") for name in names)  # an n-gram count above 1
+        assert all(type(v) is int for v in written["values"])
+
+    @pytest.mark.parametrize(
+        "unscaled,mins,maxs,written",
+        [
+            # column 0's minimum, 2, scales to 0, which the pool drops: written
+            # back; 15 scales to a v whose v * 23 + 2 is 14.999999999999998
+            (
+                CsrMatrix.from_arrays(
+                    [0, 2, 3, 5], [0, 1, 0, 0, 1], [2.0, 1.0, 25.0, 15.0, 1.0], 2
+                ),
+                [2.0, 0.0], [25.0, 1.0],
+                {"indptr": [0, 2, 3, 5], "indices": [0, 1, 0, 0, 1], "valued_columns": [0],
+                 "values": [2, 25, 15]},
+            ),
+            # v * 23 + 2 is one ulp below 3.725 and one above 8.382, and
+            # neither scales back to v
+            (
+                CsrMatrix.from_arrays([0, 1, 2], [0, 0], [3.725, 8.382], 1), [2.0], [25.0],
+                {"indptr": [0, 1, 2], "indices": [0, 0], "valued_columns": [0],
+                 "values": [3.725, 8.382]},
+            ),
+            # column 0 is constant, so neither the pool nor the file holds it;
+            # column 1 holds values that are not counts
+            (
+                CsrMatrix.from_arrays(
+                    [0, 2, 4, 6], [0, 1, 0, 1, 0, 1], [3.0, 0.1, 3.0, 0.7, 3.0, 0.35], 2
+                ),
+                [3.0, 0.1], [3.0, 0.7],
+                {"indptr": [0, 1, 2, 3], "indices": [1, 1, 1], "valued_columns": [1],
+                 "values": [0.1, 0.7, 0.35]},
+            ),
+        ],
+        ids=["minimum-filled", "within-ulps", "constant-column"],
+    )
+    def test_pool_written_before_scaling(self, tmp_path, unscaled, mins, maxs, written):
+        scaler = Scaler(np.array(mins), np.array(maxs))
+        path, record = TestPoolValues.saved(tmp_path, apply_scaler(scaler, unscaled), scaler)
+        assert json.loads(path.read_text())["svm"]["support_vectors"] == written
+        assert load_model(path) == record
+        assert_rewrites_itself(path)
+
+    @pytest.mark.parametrize(
+        "pool,message",
+        [
+            # an entry in column 1, whose (min, max) is (3, 3)
+            (CsrMatrix.from_arrays([0, 1, 2], [1, 0], [1.0, 0.5], 2),
+             "svm: support vector 0, column 1: no unscaled value scales to 1.0"),
+            # an entry of 0, which scaling drops
+            (CsrMatrix.from_arrays([0, 1, 2], [0, 0], [0.5, 0.0], 2),
+             "svm: support vector 1 does not scale back from its unscaled values"),
+        ],
+        ids=["constant-column", "zero"],
+    )
+    def test_pool_scaling_cannot_make_is_internal_error(self, tmp_path, pool, message):
+        scaler = Scaler(np.array([0.0, 3.0]), np.array([1.0, 3.0]))
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            TestPoolValues.saved(tmp_path, pool, scaler)
 
 
 class TestNbRoundTrip:
@@ -263,7 +362,7 @@ class TestFormatGating:
         return model_path
 
     def test_unknown_version_rejected(self, tmp_path):
-        for version in (99, 4, 3, 2, 1):
+        for version in (99, 5, 4, 3, 2, 1):
             path = self._minimal(tmp_path, lambda d: d.update(version=version))
             with pytest.raises(DataError, match="version"):
                 load_model(path)
@@ -313,10 +412,24 @@ def sparse_matrices(draw, dim, values=floats):
 @st.composite
 def svm_models(draw):
     dim = draw(st.integers(1, 9))
-    # pool values as binary features leave them, nothing but 1.0, or 1.0
+    # unscaled values as binary features leave them, nothing but 1.0, or 1.0
     # mixed with any float, so that a column can hold both
     values = draw(st.sampled_from([st.just(1.0), st.one_of(st.just(1.0), floats), floats]))
-    pool = draw(sparse_matrices(dim, values).filter(lambda x: x.n_rows > 0))
+    unscaled = draw(sparse_matrices(dim, values).filter(lambda x: x.n_rows > 0))
+    # a scaler that covers each column's values and implicit zeros, as
+    # `fit_scaler`'s does: that range, widened by up to two drawn values, or
+    # (0, 1), (-0.0, 1) or (0, 0) where one of those covers it
+    fitted = fit_scaler(unscaled)
+    bounds = []
+    for lo, hi in zip(fitted.mins.tolist(), fitted.maxs.tolist()):
+        wider = draw(st.lists(floats, max_size=2))
+        options = [[min([lo, *wider]), max([hi, *wider])]]
+        options += [b for b in ([0.0, 1.0], [-0.0, 1.0], [0.0, 0.0]) if b[0] <= lo and hi <= b[1]]
+        bounds.append(draw(st.sampled_from(options)))
+    scaler = Scaler(np.array([lo for lo, _ in bounds]), np.array([hi for _, hi in bounds]))
+    with np.errstate(all="ignore"):
+        pool = apply_scaler(scaler, unscaled)  # the pool training keeps
+    assume(np.isfinite(pool.data).all())  # a span past the largest float gives nan
     n = pool.n_rows
     weights = {Label.DEFECT: draw(positive), Label.NON_DEFECT: draw(positive)}
     params = SvmParams(
@@ -343,9 +456,6 @@ def svm_models(draw):
         draw(floats), iterations, converged,
     )
     model = SvmModel((Label.DEFECT, Label.NON_DEFECT), (pair,), params, pool)
-    bounds = [sorted(draw(st.lists(floats, min_size=2, max_size=2))) for _ in range(dim)]
-    bounds = [draw(st.sampled_from([b, [0.0, 1.0], [-0.0, 1.0], [0.0, 0.0]])) for b in bounds]
-    scaler = Scaler(np.array([lo for lo, _ in bounds]), np.array([hi for _, hi in bounds]))
     return dim, model, scaler
 
 

@@ -234,7 +234,7 @@ class PipelineConfig:
         }
 
     def path(self, key: str, required: bool = False) -> Path | None:
-        """The file a path key names, which must exist; None if unset."""
+        """The regular file a path key names, which must exist; None if unset."""
         raw = self.values[key]
         if not raw:
             if required:
@@ -242,6 +242,8 @@ class PipelineConfig:
             return None
         path = Path(raw)
         if not path.is_file():
+            if path.exists():  # a directory, say
+                raise ConfigError(f"{key}: {path} exists and is not a regular file")
             raise ConfigError(f"{key}: no such file {path}")
         return path
 

@@ -12,7 +12,9 @@ in-place form of `CsrMatrix.matmul` let the SVM add the products of dense
 columns as vectors while keeping `matmul`'s order of terms.
 
 Vocabularies and scalers are built from training data only.  Their fields
-are frozen; a scaler's arrays are stored as computed, not copied.  Feature
+are frozen; a scaler's arrays are stored as computed, not copied.
+`unscale` is `apply_scaler`'s exact inverse on the matrices it makes, and
+both fill a row's missing cells by one rule (`_lacking`).  Feature
 names are namespaced by kind: an n-gram is named by its tokens joined by
 single spaces, a word-cluster feature by ``cluster:<path>`` (counted once
 per token that the cluster map puts on that path), and the two structural
@@ -381,6 +383,18 @@ def fit_scaler(train: CsrMatrix) -> Scaler:
     return Scaler(mins, maxs)
 
 
+def _lacking(x: CsrMatrix, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column of each cell of `columns` (increasing) where `x`
+    has no entry, in row order; the fill rule of `apply_scaler` and
+    `unscale`.  `np.unique` and `np.isin` would load numpy.ma."""
+    slot = np.full(x.dim, len(columns))
+    slot[columns] = np.arange(len(columns))
+    present = np.zeros((x.n_rows, len(columns) + 1), bool)  # one more column for the rest
+    present[x.row_ids(), slot[x.indices]] = True
+    rows, at = np.nonzero(~present[:, :-1])
+    return rows, columns[at]
+
+
 def apply_scaler(scaler: Scaler, x: CsrMatrix) -> CsrMatrix:
     """Map column value v to (v - min) / (max - min); constant columns to 0.
 
@@ -395,18 +409,68 @@ def apply_scaler(scaler: Scaler, x: CsrMatrix) -> CsrMatrix:
     active = span > 0.0
     filled = np.flatnonzero(active & (lo != 0.0))
     keep = active[x.indices]
-    # entry keys row * dim + column, increasing; an explicit entry wins over a
-    # filled zero, so there is none to fill when each row has every filled column
+    # entry keys row * dim + column, increasing; there is no zero to fill
+    # when each row has every filled column
     keys, values = (x.row_ids() * x.dim + x.indices)[keep], x.data[keep]
     if (np.bincount(x.indices, minlength=x.dim)[filled] < x.n_rows).any():
-        zeros = (np.arange(x.n_rows)[:, None] * x.dim + filled).ravel()
-        keys, first = np.unique(np.concatenate([keys, zeros]), return_index=True)
-        values = np.concatenate([values, np.zeros(len(zeros))])[first]
+        rows, columns = _lacking(x, filled)
+        keys = np.concatenate([keys, rows * x.dim + columns])
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], np.concatenate([values, np.zeros(len(rows))])[order]
     cols = keys % x.dim
     scaled = (values - lo[cols]) / span[cols]
     nonzero = scaled != 0.0
     indptr = _indptr(np.bincount(keys[nonzero] // x.dim, minlength=x.n_rows))
     return CsrMatrix(indptr, cols[nonzero], scaled[nonzero], x.dim)
+
+
+# how many ulps either side of v * span + min `unscale` tries
+_ULPS = 4
+
+
+def unscale(scaler: Scaler, x: CsrMatrix) -> CsrMatrix:
+    """The matrix that `apply_scaler` maps onto `x`, bit for bit: its inverse.
+
+    An entry of value v takes the first of ``rint(v * span + min)``,
+    ``v * span + min`` and that value's neighbours up to `_ULPS` ulps out
+    that scales back to v; SMOTE's interpolations need more than the
+    rounded count.  A row without an entry in a column whose minimum is not
+    0 gets one at that minimum, which scales to a dropped 0.  A matrix that
+    `apply_scaler` cannot make is a ValueError naming its row.
+    """
+    rows, cols, v = x.row_ids(), x.indices, x.data
+    lo, span = scaler.mins, scaler.maxs - scaler.mins
+    guess = v * span[cols] + lo[cols]
+    raw = np.rint(guess)
+
+    def misses(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Which of entries `k` the values `r` do not scale back to bit for bit."""
+        c = cols[k]
+        return ((r - lo[c]) / span[c]).view(np.int64) != v[k].view(np.int64)
+
+    k = np.flatnonzero(misses(np.arange(len(v)), raw))  # those rint misses
+    candidates, below, above = [guess[k]], guess[k], guess[k]
+    for _ in range(_ULPS):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        candidates += [below, above]
+    left = np.ones(len(k), bool)
+    for r in candidates:
+        hit = left & ~misses(k, r)
+        raw[k[hit]], left[hit] = r[hit], False
+    if left.any():
+        e = k[np.argmax(left)]
+        raise ValueError(f"row {rows[e]}, column {cols[e]}: "
+                         f"no unscaled value scales to {float(v[e])!r}")
+    fill_rows, fill_cols = _lacking(x, np.flatnonzero((span > 0.0) & (lo != 0.0)))
+    unscaled = CsrMatrix.from_entries(
+        np.concatenate((rows * x.dim + cols, fill_rows * x.dim + fill_cols)),
+        np.concatenate((raw, lo[fill_cols])), x.n_rows, x.dim,
+    )
+    back = apply_scaler(scaler, unscaled)
+    if back != x:
+        r = next(r for r in range(x.n_rows) if back.rows(r, r + 1) != x.rows(r, r + 1))
+        raise ValueError(f"row {r} does not scale back from its unscaled values")
+    return unscaled
 
 
 def _entropy(counts: Sequence[int]) -> float:

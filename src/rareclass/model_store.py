@@ -6,32 +6,37 @@ file embeds everything prediction needs: classifier parameters, the
 vocabulary's names, the fitted scaler (SVM only), the featurization
 settings (``extras.features`` and ``extras.normalize``, required), and
 either the Naive Bayes tables or the SVM's support vectors, each stored
-once in a CSR pool (``svm.support_vectors``) that each class pair indexes
-(``support``) next to its ``alpha``, ``y``, ``bias``, ``iterations`` and
-``converged``.  A features file holds a vocabulary, the settings that made
-it, and one sparse row per corpus item.
+once in a sparse pool (``svm.support_vectors``) that each class pair
+indexes (``support``) next to its ``alpha``, ``y``, ``bias``,
+``iterations`` and ``converged``.  A features file holds the settings that
+made it, a vocabulary, the corpus items' ``ids`` and ``labels``, and their
+rows as one ``matrix``.
 
-Model format 6 and features format 3 store each fact once: `min_df` in the
+Both files write a `CsrMatrix` in one encoding (`_csr_to_json`,
+`_csr_from_json`): ``indptr``; ``indices``, each row's first column as is
+and each later one as its gap from the one before; the columns that hold
+a value other than 1.0 (``valued_columns``); and those columns' values in
+entry order (``values``), every other entry being 1.0.  The pool holds
+the feature values before scaling, which `features.unscale` finds and the
+stored scaler maps back; this module holds no scaling arithmetic.
+
+Model format 6 and features format 4 store each fact once: `min_df` in the
 feature settings, the dimension as the vocabulary's length, the SVM's
-gamma and class weights as the values training used, the SVM's pool as
-the feature values before scaling (the stored scaler maps them), and no
-feature kinds (`feature_kind` derives them).  Each number is in its
-shortest exact form: a float that is integral, not -0.0 and below 2**53 in
-magnitude as a JSON integer; only the scaler columns whose (min, max) is
-not (0, 1); only the unscaled pool values in the columns that hold a value
-other than 1.0 (``valued_columns``), every other pool entry being 1.0;
-and, in sparse rows, each row's first column as is and each later one as
-its gap from the column before.  Any other version is rejected: retrain.
-Every value reads back bit-identical, the pool through the stored scaler,
-so a loaded record equals the saved one.  Files are written with sorted
-keys and fixed separators, so identical records produce identical bytes.
-Loading checks every key and type it reads and raises `DataError` on a
-missing key, a wrong type, a bad value or an index out of range.  An SVM
-model has a scaler and an NB model none, as training makes them.  An SVM
-pair must hold what training writes: a strictly increasing ``support``,
-each ``alpha`` above 0 and at most ``c`` times the class weight of its
-``y``'s label, ``iterations`` from 1 to ``max_iterations``, and
-``converged`` false only at ``max_iterations``.
+gamma and class weights as the values training used, and no feature kinds
+(`feature_kind` derives them).  Each number is in its shortest exact form:
+a float that is integral, not -0.0 and below 2**53 in magnitude as a JSON
+integer; and only the scaler columns whose (min, max) is not (0, 1).  Any
+other version is rejected: retrain, or featurize again.  Every value reads
+back bit-identical, the pool through the stored scaler, so a loaded record
+equals the saved one.  Files are written with sorted keys and fixed
+separators, so identical records produce identical bytes.  Loading checks
+every key and type it reads and raises `DataError` on a missing key, a
+wrong type, a bad value or an index out of range.  An SVM model has a
+scaler and an NB model none, as training makes them.  An SVM pair must
+hold what training writes: a strictly increasing ``support``, each
+``alpha`` above 0 and at most ``c`` times the class weight of its ``y``'s
+label, ``iterations`` from 1 to ``max_iterations``, and ``converged``
+false only at ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .features import (
     Scaler,
     Vocabulary,
     apply_scaler,
+    unscale,
 )
 from .normalize import NormalizationConfig
 
@@ -65,7 +71,7 @@ if TYPE_CHECKING:
 FORMAT_NAME = "rareclass.model"
 FORMAT_VERSION = 6
 FEATURES_FORMAT = "rareclass.features"
-FEATURES_VERSION = 3
+FEATURES_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,7 @@ def check_json(value, schema, where: str) -> None:
 
 
 _VOCABULARY_SCHEMA = {"names": [str]}
+_CSR_SCHEMA = {"indptr": [int], "indices": [int], "valued_columns": [int], "values": [float]}
 _FEATURES_SCHEMA = {key: type(value) for key, value in asdict(FeatureSettings()).items()}
 _NORMALIZE_KEYS = tuple(asdict(NormalizationConfig()))
 _SCHEMAS = {
@@ -148,9 +155,7 @@ _SCHEMAS = {
         "class_weights": {str: float},
         "params": {"c": float, "kernel": str, "gamma": float, "tolerance": float,
                    "max_iterations": int},
-        "support_vectors": {
-            "indptr": [int], "indices": [int], "valued_columns": [int], "values": [float],
-        },
+        "support_vectors": _CSR_SCHEMA,
         "pairs": [{
             "positive": str, "negative": str, "bias": float, "alpha": [float], "y": [int],
             "support": [int], "iterations": int, "converged": bool,
@@ -179,22 +184,42 @@ def _write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _gaps(x: CsrMatrix) -> np.ndarray:
-    """Each row's first column as is, each later one as its gap from the one before."""
+def _csr_to_json(x: CsrMatrix) -> dict:
+    """`x` as its ``indptr``; its ``indices``, each row's first column as is
+    and each later one as its gap from the column before; the columns that
+    hold a value other than 1.0 (``valued_columns``); and the values of the
+    entries in those columns, in entry order (``values``)."""
     gaps = np.diff(x.indices, prepend=0)
     starts = x.indptr[:-1][np.diff(x.indptr) > 0]
     gaps[starts] = x.indices[starts]
-    return gaps
+    valued = np.bincount(x.indices[x.data != 1.0], minlength=x.dim) > 0  # per column
+    return {
+        "indptr": x.indptr.tolist(),
+        "indices": gaps.tolist(),
+        "valued_columns": np.flatnonzero(valued).tolist(),
+        "values": x.data[valued[x.indices]].tolist(),
+    }
 
 
-def _csr_from_gaps(indptr, gaps, values, dim: int) -> CsrMatrix:
-    """The validated matrix whose columns `_gaps` wrote; `from_arrays` rejects a gap below 1."""
-    indptr, columns = np.asarray(indptr, np.intp), np.cumsum(np.asarray(gaps, np.intp))
+def _csr_from_json(obj: dict, dim: int, where: str) -> CsrMatrix:
+    """The validated matrix that `_csr_to_json` wrote, from an object that
+    fits `_CSR_SCHEMA`; `from_arrays` rejects a gap below 1."""
+    indptr, columns = np.asarray(obj["indptr"], np.intp), np.cumsum(np.asarray(obj["indices"], np.intp))
     lengths = np.diff(indptr)
     if len(indptr) and indptr[0] == 0 and indptr[-1] == len(columns) and (lengths >= 0).all():
         # less, in every row, the sum of the gaps of the rows before it
         columns -= np.repeat(np.concatenate(([0], columns))[indptr[:-1]], lengths)
-    return CsrMatrix.from_arrays(indptr, columns, values, dim)
+    x = CsrMatrix.from_arrays(indptr, columns, np.ones(len(columns)), dim)
+    valued_columns = np.asarray(obj["valued_columns"], np.intp)
+    _check_columns(valued_columns, dim, f"{where}.valued_columns")
+    # the entries in the valued columns take the listed values, in order; the rest stay 1.0
+    valued = np.zeros(dim, bool)
+    valued[valued_columns] = True
+    in_valued = valued[x.indices]
+    if np.count_nonzero(in_valued) != len(obj["values"]):
+        raise DataError(f"{where}.values must hold one value per entry in valued_columns")
+    x.data[in_valued] = np.asarray(obj["values"], float)
+    return x
 
 
 def _check_columns(columns: np.ndarray, dim: int, where: str) -> None:
@@ -256,76 +281,17 @@ def vocabulary_from_json(obj: dict) -> Vocabulary:
     return Vocabulary(tuple(names))
 
 
-# how many ulps either side of v * span + min `_unscaled` tries
-_ULPS = 4
-
-
-def _unscaled(pool: CsrMatrix, scaler: Scaler) -> CsrMatrix:
-    """The matrix that `apply_scaler` maps onto `pool`, bit for bit.
-
-    An entry of value v takes the first of ``rint(v * span + min)``,
-    ``v * span + min`` and that value's neighbours up to `_ULPS` ulps out
-    that scales back to v; SMOTE's interpolations need more than the
-    rounded count.  A row without an entry in a column whose minimum is not
-    0 gets one at that minimum, which scales to a dropped 0.  A pool that
-    `apply_scaler` cannot make is an internal error naming its entry.
-    """
-    rows, cols, v = pool.row_ids(), pool.indices, pool.data
-    lo, span = scaler.mins, scaler.maxs - scaler.mins
-    guess = v * span[cols] + lo[cols]
-    raw = np.rint(guess)
-
-    def misses(k: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Which of entries `k` the values `r` do not scale back to bit for bit."""
-        c = cols[k]
-        return ((r - lo[c]) / span[c]).view(np.int64) != v[k].view(np.int64)
-
-    k = np.flatnonzero(misses(np.arange(len(v)), raw))  # those rint misses
-    candidates, below, above = [guess[k]], guess[k], guess[k]
-    for _ in range(_ULPS):
-        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
-        candidates += [below, above]
-    left = np.ones(len(k), bool)
-    for r in candidates:
-        hit = left & ~misses(k, r)
-        raw[k[hit]], left[hit] = r[hit], False
-    if left.any():
-        e = k[np.argmax(left)]
-        raise RuntimeError(f"svm: support vector {rows[e]}, column {cols[e]}: "
-                           f"no unscaled value scales to {float(v[e])!r}")
-    # which rows lack each column with a non-zero minimum, as a table with one
-    # more column for the rest; `np.unique` and `np.isin` would load numpy.ma
-    filled = np.flatnonzero((span > 0.0) & (lo != 0.0))
-    slot = np.full(pool.dim, len(filled))
-    slot[filled] = np.arange(len(filled))
-    present = np.zeros((pool.n_rows, len(filled) + 1), bool)
-    present[rows, slot[cols]] = True
-    lacking, at = np.nonzero(~present[:, :-1])
-    unscaled = CsrMatrix.from_entries(
-        np.concatenate((rows * pool.dim + cols, lacking * pool.dim + filled[at])),
-        np.concatenate((raw, lo[filled[at]])), pool.n_rows, pool.dim,
-    )
-    back = apply_scaler(scaler, unscaled)
-    if back != pool:
-        r = next(r for r in range(pool.n_rows) if back.rows(r, r + 1) != pool.rows(r, r + 1))
-        raise RuntimeError(f"svm: support vector {r} does not scale back from its unscaled values")
-    return unscaled
-
-
 def _svm_to_json(model: SvmModel, scaler: Scaler) -> dict:
-    with np.errstate(all="ignore"):  # a span too wide or too narrow, which training never makes
-        pool = _unscaled(model.support_vectors, scaler)
-    valued = np.bincount(pool.indices[pool.data != 1.0], minlength=pool.dim) > 0  # per column
+    try:
+        with np.errstate(all="ignore"):  # a span too wide or too narrow, which training never makes
+            pool = unscale(scaler, model.support_vectors)
+    except ValueError as exc:  # only a pool that training did not make
+        raise RuntimeError(f"svm: support_vectors: {exc}") from None
     return {
         "labels": [lbl.value for lbl in model.labels],
         "class_weights": {lbl.value: w for lbl, w in model.params.class_weights.items()},
         "params": {key: getattr(model.params, key) for key in _SCHEMAS["svm"]["params"]},
-        "support_vectors": {
-            "indptr": pool.indptr.tolist(),
-            "indices": _gaps(pool).tolist(),
-            "valued_columns": np.flatnonzero(valued).tolist(),
-            "values": pool.data[valued[pool.indices]].tolist(),
-        },
+        "support_vectors": _csr_to_json(pool),
         "pairs": [
             {
                 "positive": pair.positive_label.value,
@@ -352,18 +318,7 @@ def _svm_from_json(obj: dict, scaler: Scaler) -> SvmModel:
         tolerance=float(raw["tolerance"]), max_iterations=raw["max_iterations"],
         class_weights={Label(k): float(w) for k, w in obj["class_weights"].items()},
     )
-    pool_obj, dim = obj["support_vectors"], scaler.dim
-    gaps = pool_obj["indices"]
-    pool = _csr_from_gaps(pool_obj["indptr"], gaps, np.ones(len(gaps)), dim)
-    columns = np.asarray(pool_obj["valued_columns"], np.intp)
-    _check_columns(columns, dim, "svm: support_vectors.valued_columns")
-    # the entries in the valued columns take the listed values, in order; the rest stay 1.0
-    valued = np.zeros(dim, bool)
-    valued[columns] = True
-    in_valued = valued[pool.indices]
-    if np.count_nonzero(in_valued) != len(pool_obj["values"]):
-        raise DataError("svm: support_vectors.values must hold one value per entry in valued_columns")
-    pool.data[in_valued] = np.asarray(pool_obj["values"], float)
+    pool = _csr_from_json(obj["support_vectors"], scaler.dim, "svm: support_vectors")
     with np.errstate(all="ignore"):  # a span too wide or too narrow gives inf or nan
         pool = apply_scaler(scaler, pool)
     if not np.isfinite(pool.data).all():
@@ -498,60 +453,39 @@ def load_model(path: str | Path) -> StoredModel:
     return StoredModel(classifier, vocabulary, scaler, features, normalization, extras)
 
 
-def save_features(
-    path: str | Path,
-    vocabulary: Vocabulary,
-    x: CsrMatrix,
-    corpus: Corpus,
-    settings: FeatureSettings,
-) -> None:
-    """Write one doc per row of `x`: the id and label of the corpus item it
-    was made from, its columns (gap-coded as `_gaps` codes them) and its values."""
-    bounds, indices, values = x.indptr.tolist(), _gaps(x).tolist(), x.data.tolist()
+def save_features(path: str | Path, vocabulary: Vocabulary, x: CsrMatrix, corpus: Corpus,
+                  settings: FeatureSettings) -> None:
+    """Write `x`, encoded as the SVM's pool is, with the id and label of the
+    corpus item each row was made from."""
     _write_json(path, {
         "format": FEATURES_FORMAT,
         "version": FEATURES_VERSION,
         "settings": asdict(settings),
         "vocabulary": vocabulary_to_json(vocabulary),
-        "docs": [
-            {
-                "id": item.tweet.id,
-                "label": item.label.value,
-                "indices": indices[lo:hi],
-                "values": values[lo:hi],
-            }
-            for item, lo, hi in zip(corpus, bounds, bounds[1:])
-        ],
+        "ids": [item.tweet.id for item in corpus],
+        "labels": [item.label.value for item in corpus],
+        "matrix": _csr_to_json(x),
     })
 
 
 def load_features(
     path: str | Path,
 ) -> tuple[Vocabulary, CsrMatrix, list[str], list[Label], FeatureSettings]:
-    """The vocabulary, matrix, ids, labels and settings of a features file;
-    the docs are joined into one matrix and validated as a whole."""
+    """The vocabulary, matrix, ids, labels and settings of a features file."""
     path = Path(path)
-    remedy = "featurize again"
-    doc = read_versioned_json(path, FEATURES_FORMAT, FEATURES_VERSION, "features", remedy)
+    doc = read_versioned_json(path, FEATURES_FORMAT, FEATURES_VERSION, "features", "featurize again")
     schema = {
-        "settings": dict,
-        "vocabulary": _VOCABULARY_SCHEMA,
-        "docs": [{"id": str, "label": str, "indices": [int], "values": [float]}],
+        "settings": dict, "vocabulary": _VOCABULARY_SCHEMA, "ids": [str], "labels": [str],
+        "matrix": _CSR_SCHEMA,
     }
     try:
         check_json(doc, schema, "features")
-        docs = doc["docs"]
-        if any(len(d["indices"]) != len(d["values"]) for d in docs):
-            raise DataError("features: a doc's indices and values differ in length")
         vocabulary = vocabulary_from_json(doc["vocabulary"])
-        x = _csr_from_gaps(
-            np.cumsum([0] + [len(d["indices"]) for d in docs]),
-            [i for d in docs for i in d["indices"]],
-            [v for d in docs for v in d["values"]],
-            vocabulary.dim,
-        )
-        labels = [Label(d["label"]) for d in docs]
+        x = _csr_from_json(doc["matrix"], vocabulary.dim, "features: matrix")
+        ids, labels = doc["ids"], [Label(value) for value in doc["labels"]]
+        if not len(ids) == len(labels) == x.n_rows:
+            raise DataError("features: ids, labels and matrix rows differ in number")
         settings = feature_settings_from_json(doc["settings"])
     except (DataError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    return vocabulary, x, [d["id"] for d in docs], labels, settings
+    return vocabulary, x, ids, labels, settings

@@ -295,7 +295,7 @@ class TestFeaturize:
         assert main(["featurize", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["format"] == "rareclass.features"
-        assert len(doc["docs"]) == 500
+        assert len(doc["ids"]) == len(doc["labels"]) == len(doc["matrix"]["indptr"]) - 1 == 500
 
 
 class TestFeaturizeLog:
@@ -827,54 +827,70 @@ class TestFeaturesFileBoundary:
     def _rank(self, features, tmp_path, mutate):
         cfg, doc = features
         doc = json.loads(json.dumps(doc))
-        mutate(doc["docs"], len(doc["vocabulary"]["names"]))
+        mutate(doc["matrix"], len(doc["vocabulary"]["names"]))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         argv = ["rank-features", "--config", str(cfg), "--features", str(path)]
         return main([*argv, "--out", str(tmp_path / "ranked.tsv")])
 
-    def test_unchanged_file_ranks(self, features, tmp_path):
-        assert self._rank(features, tmp_path, lambda docs, dim: None) == 0
+    @staticmethod
+    def _row(matrix, min_entries=1):
+        """The entry range (lo, hi) of the first row with `min_entries` or more."""
+        bounds = matrix["indptr"]
+        return next((lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi - lo >= min_entries)
 
-    def test_lengths_that_offset_each_other(self, features, tmp_path, capsys):
-        # the totals still match, so only a per-doc check sees it
-        def mutate(docs, dim):
-            first = next(d for d in docs if d["indices"] and d["indices"][-1] < dim - 1)
-            first["indices"].append(dim - 1)
-            docs[-1]["values"].append(1.0)
-        assert self._rank(features, tmp_path, mutate) == 2
-        assert "differ in length" in capsys.readouterr().err
+    def test_unchanged_file_ranks(self, features, tmp_path):
+        assert self._rank(features, tmp_path, lambda matrix, dim: None) == 0
+
+    @pytest.mark.parametrize("part", ["ids", "labels", "rows"])
+    def test_ids_labels_and_rows_differ_in_number(self, features, tmp_path, capsys, part):
+        cfg, doc = features
+        doc = json.loads(json.dumps(doc))
+        if part == "rows":  # one more, empty row
+            doc["matrix"]["indptr"].append(doc["matrix"]["indptr"][-1])
+        else:
+            doc[part].pop()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = ["rank-features", "--config", str(cfg), "--features", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "ranked.tsv")]) == 2
+        assert "features: ids, labels and matrix rows differ in number" in capsys.readouterr().err
+
+    def test_values_not_one_per_valued_entry(self, features, tmp_path, capsys):
+        assert self._rank(features, tmp_path, lambda matrix, dim: matrix["values"].pop()) == 2
+        message = "features: matrix.values must hold one value per entry in valued_columns"
+        assert message in capsys.readouterr().err
 
     def test_unsorted_indices(self, features, tmp_path):
         # reversing the gaps keeps their sum, so decode, reverse and re-encode
-        def mutate(docs, dim):
-            doc = next(d for d in docs if len(d["indices"]) > 1)
-            columns = list(itertools.accumulate(doc["indices"]))[::-1]
-            doc["indices"] = [columns[0]] + [b - a for a, b in zip(columns, columns[1:])]
+        def mutate(matrix, dim):
+            lo, hi = self._row(matrix, 2)
+            columns = list(itertools.accumulate(matrix["indices"][lo:hi]))[::-1]
+            matrix["indices"][lo:hi] = [columns[0]] + [b - a for a, b in zip(columns, columns[1:])]
         assert self._rank(features, tmp_path, mutate) == 2
 
     def test_index_at_dim(self, features, tmp_path):
-        def mutate(docs, dim):
-            next(d for d in docs if d["indices"])["indices"][-1] = dim
+        def mutate(matrix, dim):
+            matrix["indices"][self._row(matrix)[1] - 1] = dim
         assert self._rank(features, tmp_path, mutate) == 2
 
     def test_negative_index(self, features, tmp_path):
-        def mutate(docs, dim):
-            next(d for d in docs if d["indices"])["indices"][0] = -1
+        def mutate(matrix, dim):
+            matrix["indices"][self._row(matrix)[0]] = -1
         assert self._rank(features, tmp_path, mutate) == 2
 
     @pytest.mark.parametrize(
         "key, number", [("indices", 10**30), ("values", 10**400)], ids=["indices", "values"]
     )
     def test_number_beyond_the_array_type(self, features, tmp_path, key, number):
-        def mutate(docs, dim):
-            next(d for d in docs if d["indices"])[key][0] = number
+        def mutate(matrix, dim):
+            matrix[key][0] = number
         assert self._rank(features, tmp_path, mutate) == 2
 
     @pytest.mark.parametrize("gap", [0, -1])
     def test_gap_below_one_after_the_first_column(self, features, tmp_path, capsys, gap):
-        def mutate(docs, dim):
-            next(d for d in docs if len(d["indices"]) > 1)["indices"][1] = gap
+        def mutate(matrix, dim):
+            matrix["indices"][self._row(matrix, 2)[0] + 1] = gap
         assert self._rank(features, tmp_path, mutate) == 2
         assert "column indices out of order or range" in capsys.readouterr().err
 
@@ -887,11 +903,15 @@ class TestFeaturesFileBoundary:
 
     def test_features_format_1_is_data_error(self, features, tmp_path, capsys):
         assert self._rank_version(features, tmp_path, 1) == 2
-        assert "unsupported features version 1, not 3; featurize again" in capsys.readouterr().err
+        assert "unsupported features version 1, not 4; featurize again" in capsys.readouterr().err
 
     def test_features_format_2_is_data_error(self, features, tmp_path, capsys):
         assert self._rank_version(features, tmp_path, 2) == 2
-        assert "unsupported features version 2, not 3; featurize again" in capsys.readouterr().err
+        assert "unsupported features version 2, not 4; featurize again" in capsys.readouterr().err
+
+    def test_features_format_3_is_data_error(self, features, tmp_path, capsys):
+        assert self._rank_version(features, tmp_path, 3) == 2
+        assert "unsupported features version 3, not 4; featurize again" in capsys.readouterr().err
 
 
 class TestReportErrors:
@@ -1233,6 +1253,15 @@ class TestExitCodes:
                    "--out", str(tmp_path / "matches.tsv")])
         assert rc == 1
         assert f"config error: paths.lexicon: no such file {lexicon}" in capsys.readouterr().err
+
+    def test_directory_as_corpus_path_is_config_error(self, workspace, tmp_path, capsys):
+        _, cfg, _ = workspace
+        out = tmp_path / "splits"
+        assert main(["split", "--config", str(cfg), "--corpus", str(tmp_path),
+                     "--out-dir", str(out)]) == 1
+        message = f"config error: paths.corpus: {tmp_path} exists and is not a regular file"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"

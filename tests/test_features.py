@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rareclass import features
 from rareclass.corpus import Label
 from rareclass.errors import DataError
 from rareclass.features import (
@@ -21,6 +22,7 @@ from rareclass.features import (
     information_gain,
     load_clusters,
     structural_features,
+    unscale,
     vectorize,
 )
 
@@ -402,7 +404,43 @@ def scale_one(scaler, vec):
     return dict(zip(scaled.indices.tolist(), scaled.data.tolist()))
 
 
+@st.composite
+def unscaled_matrices(draw):
+    """Rows of counts and of SMOTE's interpolations between counts, by
+    column: set in some rows (``sparse``), set in every row with counts
+    from 1 up, so that the minimum is not 0 (``full``), or one value in
+    every row (``constant``)."""
+    n = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(["sparse", "full", "constant"]), min_size=1, max_size=5))
+
+    def value(low):
+        a, b = draw(st.integers(low, 60)), draw(st.integers(low, 60))
+        g = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+        # `a + g (b - a)`, or `sampling._segment_points`'s `(a + g b) - g a`
+        return float(draw(st.sampled_from([a, a + g * (b - a), (a + g * b) - g * a])))
+
+    rows = [[] for _ in range(n)]
+    for c, kind in enumerate(kinds):
+        constant = value(1) if kind == "constant" else None
+        for row in rows:
+            if kind == "constant":
+                row.append((c, constant))
+            elif kind == "full" or draw(st.booleans()):
+                row.append((c, value(1 if kind == "full" else 0)))
+    return from_rows([SparseVector.from_pairs(row, len(kinds)) for row in rows])
+
+
 class TestScaler:
+    @settings(max_examples=200, deadline=None)
+    @given(unscaled_matrices(), st.data())
+    def test_unscale_inverts_apply_scaler(self, x, data):
+        # the pool keeps some of the scaled training rows
+        scaler = fit_scaler(x)
+        kept = data.draw(st.lists(st.integers(0, x.n_rows - 1), unique=True).map(sorted))
+        scaled = apply_scaler(scaler, x).take(np.array(kept, np.intp))
+        back = apply_scaler(scaler, unscale(scaler, scaled))
+        assert back == scaled and back.data.tobytes() == scaled.data.tobytes()
+
     def test_endpoint_mapping(self):
         vecs = [SparseVector.from_pairs([(0, 2.0)], 1), SparseVector.from_pairs([(0, 4.0)], 1)]
         scaler = fit_scaler(from_rows(vecs))
@@ -462,16 +500,16 @@ class TestScaler:
             SparseVector.from_pairs([(0, 2.5), (2, 1.0)], 4),  # lacks filled column 3
             SparseVector.from_pairs([(0, 11.0), (3, 0.1)], 4),
         ]
-        unique_calls = []
-        real_unique = np.unique
+        fill_calls = []  # of the fill that `apply_scaler` shares with `unscale`
+        real_lacking = features._lacking
         monkeypatch.setattr(
-            np, "unique", lambda *a, **k: unique_calls.append(1) or real_unique(*a, **k)
+            features, "_lacking", lambda *a, **k: fill_calls.append(1) or real_lacking(*a, **k)
         )
         batch = apply_scaler(scaler, from_rows(rows))
-        assert len(unique_calls) == 1
+        assert len(fill_calls) == 1
         whole = apply_scaler(scaler, from_rows([rows[0], rows[2]]))
         fitted = apply_scaler(scaler, train)  # fitting leaves no filled entry missing
-        assert len(unique_calls) == 1
+        assert len(fill_calls) == 1
         span = scaler.maxs - scaler.mins
         for x, scaled in ((from_rows(rows), batch), (from_rows([rows[0], rows[2]]), whole),
                           (train, fitted)):

@@ -311,10 +311,10 @@ class TestUnscaledPool:
         [
             # an entry in column 1, whose (min, max) is (3, 3)
             (CsrMatrix.from_arrays([0, 1, 2], [1, 0], [1.0, 0.5], 2),
-             "svm: support vector 0, column 1: no unscaled value scales to 1.0"),
+             "svm: support_vectors: row 0, column 1: no unscaled value scales to 1.0"),
             # an entry of 0, which scaling drops
             (CsrMatrix.from_arrays([0, 1, 2], [0, 0], [0.5, 0.0], 2),
-             "svm: support vector 1 does not scale back from its unscaled values"),
+             "svm: support_vectors: row 1 does not scale back from its unscaled values"),
         ],
         ids=["constant-column", "zero"],
     )
@@ -546,13 +546,16 @@ class TestExactRoundTrip:
 
 
 def test_integral_floats_are_written_as_integers(tmp_path):
-    x = CsrMatrix.from_arrays([0, 3], [0, 2, 5], [1.0, -0.0, 2.0**53], 6)
+    # column 0 is valued, by its 3.0, so its 1.0 is written too
+    x = CsrMatrix.from_arrays([0, 3, 4], [0, 2, 5, 0], [1.0, -0.0, 2.0**53, 3.0], 6)
     vocab = Vocabulary(tuple(f"f{i}" for i in range(6)))
     path = tmp_path / "features.json"
-    save_features(path, vocab, x, make_corpus([("t0", "text", Label.DEFECT)]), FeatureSettings())
-    assert '"indices":[0,2,3],"label":"defect","values":[1,-0.0,9007199254740992.0]' in (
-        path.read_text()
-    )
+    corpus = make_corpus([("t0", "text", Label.DEFECT), ("t1", "text", Label.NON_DEFECT)])
+    save_features(path, vocab, x, corpus, FeatureSettings())
+    text = path.read_text()
+    assert '"ids":["t0","t1"],"labels":["defect","non_defect"],"matrix":{' in text
+    assert ('"indices":[0,2,3,0],"indptr":[0,3,4],"valued_columns":[0,2,5],'
+            '"values":[1,-0.0,9007199254740992.0,3]}') in text
 
 
 def test_readme_format_sections_name_the_current_versions():

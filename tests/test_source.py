@@ -13,6 +13,9 @@ Every text file is read by `errors.read_lines`, so one line rule holds
 for every input: no other module calls `read_text`, and none splits a
 file's text with `str.splitlines`, which also ends a line at breaks
 such as U+2028 that the line rule keeps inside it.
+
+Only `model_store` imports `json`, so every JSON file format (the model
+and features files) is written and read in that one module.
 """
 
 import ast
@@ -102,3 +105,18 @@ def test_text_files_are_read_by_the_line_reader():
                 if reader.startswith("read"):
                     found.append(f"{path.name}:{node.lineno}: {reader}(...).splitlines()")
     assert not found, "text read outside errors.read_lines:\n" + "\n".join(found)
+
+
+def test_only_model_store_imports_json():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if path.stem != "model_store" and any(n.partition(".")[0] == "json" for n in names):
+                found.append(f"{path.name}:{node.lineno}: imports json")
+    assert not found, "JSON handled outside model_store:\n" + "\n".join(found)

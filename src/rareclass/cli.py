@@ -46,7 +46,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, forwarder
 from .config import (
@@ -60,7 +60,6 @@ from .corpus import (
     Corpus,
     Label,
     LABELS,
-    Tweet,
     cohens_kappa,
     escape_field,
     load_corpus,
@@ -335,63 +334,54 @@ def _cmd_featurize(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
 
 
 def _check_sampler(cfg: PipelineConfig, text_level: bool = False) -> Path | None:
-    """Check the sampler settings before any data is read, and return the
-    near_fn sampler's false-negative corpus (None for other samplers)."""
+    """Check the sampler settings, which a handler does before it reads any
+    data, and return the near_fn sampler's false-negative corpus (None for
+    other samplers).  `text_level` admits only a text-level method."""
     method = cfg["sampler.method"]
     if text_level and method not in TEXT_SAMPLER_METHODS:
         raise ConfigError(
             f"sample requires a text-level method: {', '.join(TEXT_SAMPLER_METHODS)} "
             "(smote operates on vectors inside `train`)"
         )
-    _check_sampler_values(cfg, has_fn=bool(cfg["sampler.fn_corpus"]))
-    return cfg.path("sampler.fn_corpus") if method == "near_fn" else None
-
-
-def _check_sampler_values(cfg: PipelineConfig, has_fn: bool) -> None:
-    """random needs a positive target_total, near_fn its false negatives."""
-    method = cfg["sampler.method"]
     if method == "random" and cfg["sampler.target_total"] == 0:
         raise ConfigError("sampler.target_total must be positive for random sampling")
-    if method == "near_fn" and not has_fn:
-        raise ConfigError("sampler.fn_corpus must be set for the near_fn sampler")
-
-
-def _fn_tweets(fn_path: Path | None):
-    """The near_fn sampler's false negatives, if it runs."""
-    if fn_path is None:
+    if method != "near_fn":
         return None
-    _log_input("false negatives", fn_path)
-    return load_corpus(fn_path).tweets()
+    if not cfg["sampler.fn_corpus"]:
+        raise ConfigError("sampler.fn_corpus must be set for the near_fn sampler")
+    return cfg.path("sampler.fn_corpus")
 
 
 def apply_text_sampler(
-    corpus: Corpus, cfg: PipelineConfig, fn_tweets: Sequence[Tweet] | None
+    corpus: Corpus, cfg: PipelineConfig
 ) -> tuple[Corpus, SamplingReport | None]:
     """Run the text-level sampler `sampler.method` names.
 
     ``none`` and ``smote`` (which works on vectors) return the corpus
-    unchanged and no report.  ``similar`` is called through this module's
-    forwarder, which perfbench/tracer.py wraps.
+    unchanged and no report.  ``near_fn`` reads its false negatives from
+    `sampler.fn_corpus` and logs that file's digest.  ``similar`` is called
+    through this module's forwarder, which perfbench/tracer.py wraps.
     """
     method = cfg["sampler.method"]
     if method not in TEXT_SAMPLER_METHODS:
         return corpus, None
     from .sampling import oversample_replacement, undersample_near_fn, undersample_random
 
-    _check_sampler_values(cfg, has_fn=fn_tweets is not None)
+    fn_path = _check_sampler(cfg)
     if method == "similar":
         return undersample_similar_majority(corpus, cfg["sampler.k"])
     if method == "near_fn":
-        return undersample_near_fn(corpus, fn_tweets, cfg["sampler.k"])
+        _log_input("false negatives", fn_path)
+        return undersample_near_fn(corpus, load_corpus(fn_path).tweets(), cfg["sampler.k"])
     if method == "random":
         return undersample_random(corpus, cfg["sampler.target_total"], cfg["sampler.seed"])
     return oversample_replacement(corpus)
 
 
 def _cmd_sample(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
-    fn_path = _check_sampler(cfg, text_level=True)
+    _check_sampler(cfg, text_level=True)
     corpus, _, _ = _read_corpus(cfg)
-    sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
+    sampled, report = apply_text_sampler(corpus, cfg)
     save_corpus(sampled, out["out"].tmp)
     out["report"].tmp.write_text(report.to_text(), encoding="utf-8")
     sys.stdout.write(report.to_text())
@@ -412,10 +402,10 @@ def _train_outputs(args, cfg: PipelineConfig) -> dict:
 def _cmd_train(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     from .pipeline import train_from_corpus
 
-    fn_path = _check_sampler(cfg)
+    _check_sampler(cfg)
     corpus, corpus_path, corpus_digest = _read_corpus(cfg)
     names, clusters, files = _names_and_clusters(cfg, cfg.feature_settings())
-    sampled, report = apply_text_sampler(corpus, cfg, _fn_tweets(fn_path))
+    sampled, report = apply_text_sampler(corpus, cfg)
     model, report = train_from_corpus(sampled, cfg, names, clusters, report)
     # digests only: embedding the paths would break byte-reproducibility of
     # otherwise identical runs in different directories

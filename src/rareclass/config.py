@@ -54,11 +54,18 @@ def _key_value(text: str, where: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _regular_file(path: Path, what: str) -> Path:
+    """`path`, which must name an existing regular file; `what` leads the error."""
+    if not path.is_file():
+        if path.exists():  # a directory, say
+            raise ConfigError(f"{what}: {path} exists and is not a regular file")
+        raise ConfigError(f"{what}: no such file {path}")
+    return path
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read raw key/value pairs; later lines override earlier ones."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file: no such file {path}")
+    path = _regular_file(Path(path), "config file")
     values: dict[str, str] = {}
     for lineno, line in read_lines(path, ConfigError):
         stripped = line.strip()
@@ -240,12 +247,7 @@ class PipelineConfig:
             if required:
                 raise ConfigError(f"{key} must be set for this subcommand")
             return None
-        path = Path(raw)
-        if not path.is_file():
-            if path.exists():  # a directory, say
-                raise ConfigError(f"{key}: {path} exists and is not a regular file")
-            raise ConfigError(f"{key}: no such file {path}")
-        return path
+        return _regular_file(Path(raw), key)
 
     def normalization(self) -> NormalizationConfig:
         from .normalize import NormalizationConfig
@@ -265,8 +267,10 @@ class PipelineConfig:
         return SvmParams(**self.section("svm"))
 
 
-def render_default_config() -> str:
-    """A commented config file with every key at its default."""
+def render_default_config(values: dict[str, str] | None = None) -> str:
+    """A commented config file with every key at its default, or at the
+    value `values` gives it, spelled as the file spells it."""
+    values = values or {}
     lines = [
         "# rareclass pipeline configuration",
         "# every key mirrors one documented module parameter;",
@@ -280,5 +284,5 @@ def render_default_config() -> str:
             if section:
                 lines.append("")
             section = head
-        lines.append(f"{key} = {default}")
+        lines.append(f"{key} = {values.get(key, default)}")
     return "\n".join(lines) + "\n"

@@ -27,8 +27,6 @@ DEMO_SEED = 20260801
 DEMO_SIZE = 500
 _CLASS_COUNTS = {Label.DEFECT: 25, Label.POSSIBLE_DEFECT: 25, Label.NON_DEFECT: 450}
 
-DEMO_FILES = ("demo_corpus.tsv", "demo_lexicon.txt", "demo_names.txt", "demo_clusters.tsv")
-
 _TERMS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("CHD", ()),
     ("club foot", ("clubfoot", "club-foot")),
@@ -184,17 +182,12 @@ def demo_clusters_text() -> str:
 
 def demo_config_text(out_dir: str) -> str:
     prefix = f"{out_dir.rstrip('/')}/" if out_dir else ""
-    overrides = {
+    return render_default_config({
         "paths.corpus": f"{prefix}demo_corpus.tsv",
         "paths.lexicon": f"{prefix}demo_lexicon.txt",
         "paths.name_lexicon": f"{prefix}demo_names.txt",
         "paths.clusters": f"{prefix}demo_clusters.tsv",
-    }
-    lines = []
-    for line in render_default_config().splitlines():
-        key = line.split(" = ")[0]
-        lines.append(f"{key} = {overrides[key]}" if key in overrides else line)
-    return "\n".join(lines) + "\n"
+    })
 
 
 def write_demo_files(out_dir: str | Path) -> list[Path]:

@@ -4,11 +4,11 @@ The classifier path always consumes the classic normalizer (the
 embedding-style normalizer is exposed through the ``preprocess``
 subcommand for corpora destined for sequence models, which are out of
 this toolkit's training scope).  Text-level samplers run before
-training, in the CLI (``rareclass.cli.apply_text_sampler``), so
-`train_from_corpus` receives the corpus they produced together with
-their report.  Synthetic vector over-sampling runs here, after
-vectorization and before the scaler is fitted, so the scaler sees the
-training set the classifier will see.
+training, in the CLI (``rareclass.cli.apply_text_sampler``, which reads
+every input they need from the config), so `train_from_corpus` receives
+the corpus they produced together with their report.  Synthetic vector
+over-sampling runs here, after vectorization and before the scaler is
+fitted, so the scaler sees the training set the classifier will see.
 
 `featurize_corpus` makes a corpus's matrix from token ids, not from a
 `Counter` per tweet.  One pass normalizes each tweet and appends its token

@@ -313,6 +313,27 @@ class _PairScan:
         )
 
 
+def _drop_near(
+    train: Corpus, scan: _PairScan, method: str, parameters: dict, greedy: bool
+) -> tuple[Corpus, SamplingReport]:
+    """`train` without the majority (``non_defect``) items that `scan` finds
+    near a pattern, scanned in corpus order, and its report; with `greedy`,
+    each majority item kept becomes a pattern for the items after it."""
+    keep: list[int] = []
+    for i, item in enumerate(train):
+        if item.label == Label.NON_DEFECT:
+            text = item.tweet.text
+            if scan.near_any(text):
+                continue
+            if greedy:
+                scan.add(text)
+        keep.append(i)
+    sampled = train.subset(keep)
+    report = SamplingReport(method, _counts(train), _counts(sampled), parameters)
+    scan.log(report)
+    return sampled, report
+
+
 def undersample_similar_majority(train: Corpus, k: float) -> tuple[Corpus, SamplingReport]:
     """Drop majority tweets lexically similar to an earlier retained one.
 
@@ -322,24 +343,8 @@ def undersample_similar_majority(train: Corpus, k: float) -> tuple[Corpus, Sampl
     duplicate group survives).  Minority items are never touched.
     """
     scan = _PairScan(k)
-    keep: list[int] = []
-    for i, item in enumerate(train):
-        if item.label != Label.NON_DEFECT:
-            keep.append(i)
-            continue
-        text = item.tweet.text
-        if not scan.near_any(text):
-            keep.append(i)
-            scan.add(text)
-    sampled = train.subset(keep)
-    report = SamplingReport(
-        "similar_majority_undersample",
-        _counts(train),
-        _counts(sampled),
-        {"k": scan.k, "majority": Label.NON_DEFECT.value},
-    )
-    scan.log(report)
-    return sampled, report
+    parameters = {"k": scan.k, "majority": Label.NON_DEFECT.value}
+    return _drop_near(train, scan, "similar_majority_undersample", parameters, greedy=True)
 
 
 def undersample_near_fn(
@@ -360,15 +365,7 @@ def undersample_near_fn(
         return train, SamplingReport("near_fn_undersample", _counts(train), _counts(train), parameters)
     for text in dict.fromkeys(tweet.text for tweet in fn_minority):
         scan.add(text)
-    keep = [
-        i
-        for i, item in enumerate(train)
-        if item.label != Label.NON_DEFECT or not scan.near_any(item.tweet.text)
-    ]
-    sampled = train.subset(keep)
-    report = SamplingReport("near_fn_undersample", _counts(train), _counts(sampled), parameters)
-    scan.log(report)
-    return sampled, report
+    return _drop_near(train, scan, "near_fn_undersample", parameters, greedy=False)
 
 
 def undersample_random(
@@ -385,9 +382,8 @@ def undersample_random(
     if target_total > len(train):
         raise ValueError(f"target_total {target_total} above corpus size {len(train)}")
     keep_majority = target_total - minority_total
-    pool = list(majority)
-    SplitMix64(seed).shuffle(pool)
-    kept_majority = set(pool[:keep_majority])
+    SplitMix64(seed).shuffle(majority)
+    kept_majority = set(majority[:keep_majority])
     keep = [
         i
         for i, item in enumerate(train)

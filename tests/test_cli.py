@@ -759,7 +759,7 @@ class TestModelRecord:
         config = PipelineConfig.from_sources(
             cfg, ["sampler.method=similar"] if "--sampler" in flags else ["classifier.kind=nb"]
         )
-        sampled, report = apply_text_sampler(load_corpus(train), config, None)
+        sampled, report = apply_text_sampler(load_corpus(train), config)
         expected, _ = train_from_corpus(
             sampled,
             config,
@@ -1212,7 +1212,8 @@ class TestExitCodes:
         path = tmp_path / "nope.cfg" if which == "missing" else tmp_path
         out = tmp_path / "x.tsv"
         assert main(["split", "--config", str(path), "--out-dir", str(out)]) == 1
-        assert f"config error: config file: no such file {path}" in capsys.readouterr().err
+        message = "no such file {}" if which == "missing" else "{} exists and is not a regular file"
+        assert f"config error: config file: {message.format(path)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_class_weights_missing_a_class_is_config_error_before_training(

@@ -6,7 +6,7 @@ import pytest
 
 from rareclass.cli import apply_text_sampler
 from rareclass.config import PipelineConfig, render_default_config
-from rareclass.corpus import Corpus, Label, load_corpus, three_way_split
+from rareclass.corpus import Corpus, Label, load_corpus, save_corpus, three_way_split
 from rareclass.errors import ConfigError
 from rareclass.features import FeatureSettings, feature_kind, load_clusters
 from rareclass.model_store import load_features, load_model, save_features, save_model
@@ -18,6 +18,7 @@ from rareclass.pipeline import (
     predict_corpus,
     train_from_corpus,
 )
+from rareclass.sampling import undersample_near_fn
 from rareclass.svm import SvmParams
 
 
@@ -149,7 +150,7 @@ class TestTraining:
     def test_samplers_produce_reports(self, demo, overrides):
         _, names, clusters, split = demo
         cfg = config(*overrides)
-        sampled, report = apply_text_sampler(split.train, cfg, None)
+        sampled, report = apply_text_sampler(split.train, cfg)
         _, report = train_from_corpus(sampled, cfg, names, clusters, report)
         assert report is not None
         assert report.to_text().startswith("method:")
@@ -157,7 +158,7 @@ class TestTraining:
     def test_replacement_records_no_seed(self, demo):
         _, names, clusters, split = demo
         cfg = config("sampler.method=replacement", "sampler.seed=5")
-        sampled, report = apply_text_sampler(split.train, cfg, None)
+        sampled, report = apply_text_sampler(split.train, cfg)
         stored, report = train_from_corpus(sampled, cfg, names, clusters, report)
         assert "seed" not in report.parameters and "seed" not in report.to_text()
         factors = report.parameters["factors"]
@@ -166,23 +167,37 @@ class TestTraining:
     def test_near_fn_requires_fn_corpus(self, demo):
         _, names, clusters, split = demo
         cfg = config("sampler.method=near_fn")
-        with pytest.raises(ConfigError):
-            apply_text_sampler(split.train, cfg, None)
+        with pytest.raises(
+            ConfigError, match="^sampler.fn_corpus must be set for the near_fn sampler$"
+        ):
+            apply_text_sampler(split.train, cfg)
+
+    def test_random_requires_a_positive_target_total(self, demo):
+        _, _, _, split = demo
+        cfg = config("sampler.method=random", "sampler.target_total=0")
+        with pytest.raises(
+            ConfigError, match="^sampler.target_total must be positive for random sampling$"
+        ):
+            apply_text_sampler(split.train, cfg)
 
     def test_sampler_report_must_match_the_method(self, demo):
         _, names, clusters, split = demo
         with pytest.raises(ValueError, match="needs text-sampler report"):
             train_from_corpus(split.train, config("sampler.method=random"), names, clusters)
         cfg = config("sampler.method=replacement")
-        _, report = apply_text_sampler(split.train, cfg, None)
+        _, report = apply_text_sampler(split.train, cfg)
         with pytest.raises(ValueError, match="takes no text-sampler report"):
             train_from_corpus(split.train, config("sampler.method=smote"), names, clusters, report)
 
-    def test_near_fn_with_tweets(self, demo):
+    def test_near_fn_with_tweets(self, demo, tmp_path):
         _, names, clusters, split = demo
-        fn = [item.tweet for item in split.validation if item.label is Label.DEFECT][:5]
-        cfg = config("sampler.method=near_fn", "sampler.k=0.7")
-        sampled, report = apply_text_sampler(split.train, cfg, fn)
+        fn = [item for item in split.validation if item.label is Label.DEFECT][:5]
+        fn_path = tmp_path / "fn.tsv"
+        save_corpus(Corpus(tuple(fn)), fn_path)
+        cfg = config("sampler.method=near_fn", "sampler.k=0.7", f"sampler.fn_corpus={fn_path}")
+        sampled, report = apply_text_sampler(split.train, cfg)
+        expected = undersample_near_fn(split.train, [item.tweet for item in fn], 0.7)
+        assert (sampled, report) == expected
         _, report = train_from_corpus(sampled, cfg, names, clusters, report)
         assert report.method == "near_fn_undersample"
 

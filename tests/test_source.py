@@ -55,6 +55,18 @@ def _used_names(node: ast.AST) -> set[str]:
     return used
 
 
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class, or
+    the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_every_public_function_and_class_is_used():
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -71,14 +83,16 @@ def test_every_public_function_and_class_is_used():
             continue
         used = set().union(*(u for m, us in uses.items() if m != module for u in us))
         for i, node in enumerate(tree.body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            public = [name for name in _bound_names(node) if not name.startswith("_")]
+            if not public:
                 continue
             # a use inside its own definition (a recursive call) does not count
             own = set().union(*(u for j, u in enumerate(uses[module]) if j != i))
-            if node.name in used or node.name in own:
-                continue
-            if not re.search(rf"\b{re.escape(node.name)}\b", mentioned):
-                found.append(f"{module}.py:{node.lineno}: {node.name}")
+            for name in public:
+                if name not in used and name not in own and not re.search(
+                    rf"\b{re.escape(name)}\b", mentioned
+                ):
+                    found.append(f"{module}.py:{node.lineno}: {name}")
     assert not found, "used nowhere else:\n" + "\n".join(found)
 
 

@@ -69,7 +69,6 @@ _EXPORTS_BY_MODULE = {
     "naive_bayes": ("NbModel", "predict_nb", "train_nb"),
     "normalize": (
         "NameLexicon",
-        "NormalizationConfig",
         "classic_normalize",
         "embedding_normalize",
         "load_name_lexicon",

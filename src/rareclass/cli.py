@@ -216,7 +216,7 @@ def _featurize_configured(cfg: PipelineConfig):
     corpus, _, _ = _read_corpus(cfg)
     settings = cfg.feature_settings()
     names, clusters, _ = _names_and_clusters(cfg, settings)
-    x, vocab = featurize_corpus(corpus, names, clusters, cfg.normalization(), settings)
+    x, vocab = featurize_corpus(corpus, names, clusters, settings)
     return corpus, x, vocab, settings
 
 
@@ -314,9 +314,8 @@ def _cmd_preprocess(args, cfg: PipelineConfig, out: dict[str, _Output]) -> None:
     rows = []
     if cfg["normalize.pipeline"] == "classic":
         names, _, _ = _names_and_clusters(cfg)
-        norm_config = cfg.normalization()
         for item in corpus:
-            tokens = classic_normalize(item.tweet, item.match_span, names, norm_config)
+            tokens = classic_normalize(item.tweet, item.match_span, names)
             rows.append((item.tweet.id, item.label, tokens))
     else:
         for item in corpus:

@@ -21,22 +21,12 @@ from .errors import ConfigError, read_lines
 
 if TYPE_CHECKING:
     from .features import FeatureSettings
-    from .normalize import NormalizationConfig
     from .svm import SvmParams
 
 # the SVM kernels; defined here so that reading a config needs no numpy
 KERNEL_RBF = "rbf"
 KERNEL_LINEAR = "linear"
 KERNELS = (KERNEL_RBF, KERNEL_LINEAR)
-
-# the classic normalizer's default token sets, the `NormalizationConfig`
-# defaults; defined here so that reading a config loads no normalizer
-DEFAULT_POSSESSIVE = frozenset({"my", "our"})
-DEFAULT_CHILD = frozenset(
-    {"son", "daughter", "child", "baby", "kid", "boy", "girl", "twins",
-     "toddler", "newborn"}
-)
-DEFAULT_THIRD_PERSON = frozenset({"she", "he", "her", "him", "his", "hers"})
 
 # the samplers that rebalance a corpus before featurization; smote works on vectors
 TEXT_SAMPLER_METHODS = ("similar", "near_fn", "random", "replacement")
@@ -131,13 +121,8 @@ _fraction = _number(1.0)
 _positive = _number(math.inf)
 
 
-def _tokens(raw: str) -> frozenset[str]:
-    return frozenset(tok.strip().lower() for tok in raw.split(",") if tok.strip())
-
-
 def _gamma(raw: str) -> float | None:
-    # None means 1/dim; "" and "0" are accepted spellings of auto
-    return None if raw in ("auto", "", "0") else _positive(raw)
+    return None if raw == "auto" else _positive(raw)  # None means 1/dim
 
 
 def _weights(raw: str) -> dict[Label, float] | None:
@@ -152,6 +137,8 @@ def _weights(raw: str) -> dict[Label, float] | None:
             label = Label(name.strip())
         except ValueError:
             raise ValueError(f"unknown class {name.strip()!r}") from None
+        if label in weights:
+            raise ValueError(f"class {label.value!r} given twice")
         weights[label] = _positive(value.strip())
     if not weights:
         raise ValueError("no weights given")
@@ -159,8 +146,8 @@ def _weights(raw: str) -> dict[Label, float] | None:
 
 
 # Every key: its default, as the config file spells it, and its parser.
-# A section's keys other than `normalize.pipeline` are the fields of the
-# object built from it: `SvmParams`, `NormalizationConfig`, `FeatureSettings`.
+# The keys of the `features` and `svm` sections are the fields of the
+# objects built from them: `FeatureSettings` and `SvmParams`.
 _KEYS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "paths.corpus": ("", str),
     "paths.lexicon": ("", str),
@@ -171,9 +158,6 @@ _KEYS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "split.validation_fraction": ("0.2", _fraction),
     "split.seed": ("13", _integer()),
     "normalize.pipeline": ("classic", _one_of(NORMALIZE_PIPELINES)),
-    "normalize.possessive_pronouns": (",".join(sorted(DEFAULT_POSSESSIVE)), _tokens),
-    "normalize.child_terms": (",".join(sorted(DEFAULT_CHILD)), _tokens),
-    "normalize.third_person_pronouns": (",".join(sorted(DEFAULT_THIRD_PERSON)), _tokens),
     "features.n_min": ("1", _integer(1)),
     "features.n_max": ("3", _integer(1)),
     "features.min_df": ("2", _integer(1)),
@@ -248,13 +232,6 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be set for this subcommand")
             return None
         return _regular_file(Path(raw), key)
-
-    def normalization(self) -> NormalizationConfig:
-        from .normalize import NormalizationConfig
-
-        token_sets = self.section("normalize")
-        del token_sets["pipeline"]
-        return NormalizationConfig(**token_sets)
 
     def feature_settings(self) -> FeatureSettings:
         from .features import FeatureSettings

@@ -3,12 +3,12 @@
 `StoredModel` is the one model record: `pipeline.train_from_corpus`
 returns it, `save_model` writes it and `load_model` reads it.  A model
 file embeds everything prediction needs: classifier parameters, the
-vocabulary's names, the fitted scaler (SVM only), the featurization
-settings (``extras.features`` and ``extras.normalize``, required), and
-either the Naive Bayes tables or the SVM's support vectors, each stored
-once in a sparse pool (``svm.support_vectors``) that each class pair
-indexes (``support``) next to its ``alpha``, ``y``, ``bias``,
-``iterations`` and ``converged``.  A features file holds the settings that
+vocabulary's names, the fitted scaler (SVM only), the feature settings
+(``extras.features``, required), and either the Naive Bayes tables or
+the SVM's support vectors, each stored once in a sparse pool
+(``svm.support_vectors``) that each class pair indexes (``support``)
+next to its ``alpha``, ``y``, ``bias``, ``iterations`` and
+``converged``.  A features file holds the settings that
 made it, a vocabulary, the corpus items' ``ids`` and ``labels``, and their
 rows as one ``matrix``.
 
@@ -20,7 +20,7 @@ entry order (``values``), every other entry being 1.0.  The pool holds
 the feature values before scaling, which `features.unscale` finds and the
 stored scaler maps back; this module holds no scaling arithmetic.
 
-Model format 6 and features format 4 store each fact once: `min_df` in the
+Model format 7 and features format 4 store each fact once: `min_df` in the
 feature settings, the dimension as the vocabulary's length, the SVM's
 gamma and class weights as the values training used, and no feature kinds
 (`feature_kind` derives them).  Each number is in its shortest exact form:
@@ -32,11 +32,12 @@ equals the saved one.  Files are written with sorted keys and fixed
 separators, so identical records produce identical bytes.  Loading checks
 every key and type it reads and raises `DataError` on a missing key, a
 wrong type, a bad value or an index out of range.  An SVM model has a
-scaler and an NB model none, as training makes them.  An SVM pair must
-hold what training writes: a strictly increasing ``support``, each
-``alpha`` above 0 and at most ``c`` times the class weight of its ``y``'s
-label, ``iterations`` from 1 to ``max_iterations``, and ``converged``
-false only at ``max_iterations``.
+scaler and an NB model none, as training makes them.  The SVM's scaler
+maps every pool value into [0, 1], as it maps the rows it was fitted on.
+An SVM pair must hold what training writes: a strictly increasing
+``support``, each ``alpha`` above 0 and at most ``c`` times the class
+weight of its ``y``'s label, ``iterations`` from 1 to ``max_iterations``,
+and ``converged`` false only at ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .features import (
     apply_scaler,
     unscale,
 )
-from .normalize import NormalizationConfig
 
 # a model's codec imports its classifier's module, so that loading or saving
 # one kind of model leaves the other unimported
@@ -69,7 +69,7 @@ if TYPE_CHECKING:
     from .svm import SvmModel
 
 FORMAT_NAME = "rareclass.model"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 FEATURES_FORMAT = "rareclass.features"
 FEATURES_VERSION = 4
 
@@ -86,7 +86,6 @@ class StoredModel:
     vocabulary: Vocabulary
     scaler: Scaler | None
     features: FeatureSettings
-    normalization: NormalizationConfig
     extras: dict
 
     @property
@@ -143,12 +142,11 @@ def check_json(value, schema, where: str) -> None:
 _VOCABULARY_SCHEMA = {"names": [str]}
 _CSR_SCHEMA = {"indptr": [int], "indices": [int], "valued_columns": [int], "values": [float]}
 _FEATURES_SCHEMA = {key: type(value) for key, value in asdict(FeatureSettings()).items()}
-_NORMALIZE_KEYS = tuple(asdict(NormalizationConfig()))
 _SCHEMAS = {
     "model": {
         "vocabulary": _VOCABULARY_SCHEMA,
         "scaler": ({"columns": [int], "mins": [float], "maxs": [float]}, None),
-        "extras": {"features": dict, "normalize": dict},
+        "extras": {"features": dict},
     },
     "svm": {
         "labels": [str],
@@ -259,15 +257,6 @@ def feature_settings_from_json(obj: dict) -> FeatureSettings:
     return FeatureSettings(**{key: obj[key] for key in _FEATURES_SCHEMA})
 
 
-def normalization_to_json(cfg: NormalizationConfig) -> dict:
-    return {key: sorted(getattr(cfg, key)) for key in _NORMALIZE_KEYS}
-
-
-def normalization_from_json(obj: dict) -> NormalizationConfig:
-    check_json(obj, dict.fromkeys(_NORMALIZE_KEYS, [str]), "normalization settings")
-    return NormalizationConfig(**{key: frozenset(obj[key]) for key in _NORMALIZE_KEYS})
-
-
 def vocabulary_to_json(vocabulary: Vocabulary) -> dict:
     return {"names": list(vocabulary.names)}
 
@@ -321,8 +310,9 @@ def _svm_from_json(obj: dict, scaler: Scaler) -> SvmModel:
     pool = _csr_from_json(obj["support_vectors"], scaler.dim, "svm: support_vectors")
     with np.errstate(all="ignore"):  # a span too wide or too narrow gives inf or nan
         pool = apply_scaler(scaler, pool)
-    if not np.isfinite(pool.data).all():
-        raise DataError("svm: support_vectors.values must scale to finite numbers")
+    # training fits the scaler on the rows the pool comes from; nan fails both tests
+    if not ((pool.data >= 0.0) & (pool.data <= 1.0)).all():
+        raise DataError("svm: support_vectors.values must scale into [0, 1]")
     # what `train_svm` writes: one pair for every two labels, in label order
     expected = [[pos.value, neg.value] for pos, neg in combinations(labels, 2)]
     found = [[p["positive"], p["negative"]] for p in obj["pairs"]]
@@ -403,11 +393,7 @@ def save_model(path: str | Path, model: StoredModel) -> None:
         "kind": kind,
         "vocabulary": vocabulary_to_json(model.vocabulary),
         "scaler": None if scaler is None else _scaler_to_json(scaler),
-        "extras": {
-            **model.extras,
-            "features": asdict(model.features),
-            "normalize": normalization_to_json(model.normalization),
-        },
+        "extras": {**model.extras, "features": asdict(model.features)},
         kind: _svm_to_json(model.classifier, scaler) if kind == "svm"
         else _nb_to_json(model.classifier),
     })
@@ -447,10 +433,9 @@ def load_model(path: str | Path) -> StoredModel:
             scaler, classifier = None, _nb_from_json(doc["nb"], vocabulary.dim)
         extras = dict(doc["extras"])
         features = feature_settings_from_json(extras.pop("features"))
-        normalization = normalization_from_json(extras.pop("normalize"))
     except (DataError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    return StoredModel(classifier, vocabulary, scaler, features, normalization, extras)
+    return StoredModel(classifier, vocabulary, scaler, features, extras)
 
 
 def save_features(path: str | Path, vocabulary: Vocabulary, x: CsrMatrix, corpus: Corpus,

@@ -22,10 +22,11 @@ Two normalizers are provided:
 
 Both functions are pure and deterministic and return a tuple of tokens.
 The placeholder spellings are fixed (``<user>``, ``<url>``, ``<name>``,
-``<bdterm>``, ``<poss>``, ``<child>``, ``<thirdperson>``);
-`NormalizationConfig` holds only the three token sets mapped onto the
-last three.  `save_normalized` writes token rows, the ``preprocess``
-subcommand's output.
+``<bdterm>``, ``<poss>``, ``<child>``, ``<thirdperson>``), and so are
+the words mapped onto the last three (`_TOKEN_MAP`): the possessive
+pronouns, child words and third-person pronouns by which the paper finds
+a parent reporting on their own child.  `save_normalized` writes token
+rows, the ``preprocess`` subcommand's output.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .config import DEFAULT_CHILD, DEFAULT_POSSESSIVE, DEFAULT_THIRD_PERSON
 from .corpus import URL_RE, USERNAME_RE, Label, Tweet, byte_span_to_chars
 from .errors import DataError, read_lines
 from .porter import porter_stem
@@ -95,24 +95,15 @@ PLACEHOLDERS = (
 _PLACEHOLDER_RE = re.compile("|".join(map(re.escape, PLACEHOLDERS)))
 
 
-@dataclass(frozen=True)
-class NormalizationConfig:
-    """The token sets the classic pipeline replaces by placeholders; the
-    ``normalize.*`` config keys, saved with every model."""
-
-    possessive_pronouns: frozenset[str] = DEFAULT_POSSESSIVE
-    child_terms: frozenset[str] = DEFAULT_CHILD
-    third_person_pronouns: frozenset[str] = DEFAULT_THIRD_PERSON
-
-    def __post_init__(self):
-        # each token's placeholder, built once, as `Vocabulary` keeps `_index`
-        token_map = dict.fromkeys(self.possessive_pronouns, POSSESSIVE_PLACEHOLDER)
-        token_map.update(dict.fromkeys(self.child_terms, CHILD_PLACEHOLDER))
-        token_map.update(dict.fromkeys(self.third_person_pronouns, THIRD_PERSON_PLACEHOLDER))
-        object.__setattr__(self, "_token_map", token_map)
-
-
-_DEFAULT_CONFIG = NormalizationConfig()
+# each word the classic pipeline replaces, with its placeholder
+_TOKEN_MAP = {
+    **dict.fromkeys(("my", "our"), POSSESSIVE_PLACEHOLDER),
+    **dict.fromkeys(
+        ("son", "daughter", "child", "baby", "kid", "boy", "girl", "twins", "toddler", "newborn"),
+        CHILD_PLACEHOLDER,
+    ),
+    **dict.fromkeys(("she", "he", "her", "him", "his", "hers"), THIRD_PERSON_PLACEHOLDER),
+}
 
 
 # Internal representation while rules run: (is_atom, content).  Atoms are
@@ -145,10 +136,7 @@ def _sub_atoms(
 
 
 def classic_normalize(
-    tweet: Tweet,
-    match_span: tuple[int, int] | None,
-    names: NameLexicon,
-    config: NormalizationConfig | None = None,
+    tweet: Tweet, match_span: tuple[int, int] | None, names: NameLexicon
 ) -> tuple[str, ...]:
     """Normalize a tweet for the bag-of-words classifiers into its tokens.
 
@@ -162,7 +150,6 @@ def classic_normalize(
     and the given-name pass is skipped when ``text.islower()``, which
     holds only for texts without an uppercase letter.
     """
-    token_map = (config or _DEFAULT_CONFIG)._token_map
     text = tweet.text
     parts: _Parts
     if match_span is not None:
@@ -195,7 +182,7 @@ def classic_normalize(
             tokens.append(content)
         else:
             tokens += [
-                token_map.get(word) or porter_stem(word)
+                _TOKEN_MAP.get(word) or porter_stem(word)
                 for word in _LOWER_RUN_RE.findall(content.lower())
             ]
     return tuple(tokens)

@@ -54,7 +54,7 @@ from .features import (
     structural_features,
 )
 from .model_store import StoredModel
-from .normalize import NameLexicon, NormalizationConfig, classic_normalize
+from .normalize import NameLexicon, classic_normalize
 # not called here: perfbench/tracer.py wraps this name in this module
 from .features import vectorize  # noqa: F401
 
@@ -261,7 +261,6 @@ def featurize_corpus(
     corpus: Corpus,
     names: NameLexicon,
     clusters: dict[str, str] | None,
-    norm_config: NormalizationConfig,
     settings: FeatureSettings,
     vocab: Vocabulary | None = None,
 ) -> tuple[CsrMatrix, Vocabulary]:
@@ -280,7 +279,7 @@ def featurize_corpus(
     token_ids = _Ids()
     flat, lengths, struct_values = array("i"), array("i"), array("i")  # C ints, 4 bytes each
     for item in corpus:
-        tokens = classic_normalize(item.tweet, item.match_span, names, norm_config)
+        tokens = classic_normalize(item.tweet, item.match_span, names)
         flat.extend(map(token_ids.__getitem__, tokens))
         lengths.append(len(tokens))
         if settings.use_structural:
@@ -340,9 +339,8 @@ def train_from_corpus(
         missing = [label.value for label in LABELS if label in labels and label not in weights]
         if missing:
             raise ConfigError(f"svm.class_weights: no weight for {', '.join(missing)}")
-    norm_config = cfg.normalization()
     settings = cfg.feature_settings()
-    x, vocab = featurize_corpus(corpus, names, clusters, norm_config, settings)
+    x, vocab = featurize_corpus(corpus, names, clusters, settings)
 
     if method == "smote":
         k_neighbors, seed = cfg["sampler.k_neighbors"], cfg["sampler.seed"]
@@ -362,7 +360,7 @@ def train_from_corpus(
         classifier: SvmModel | NbModel = train_svm(x, labels, cfg.svm_params())
     else:
         classifier = train_nb(x, labels, event_model=cfg["nb.event_model"])
-    return StoredModel(classifier, vocab, scaler, settings, norm_config, extras), report
+    return StoredModel(classifier, vocab, scaler, settings, extras), report
 
 
 def predict_corpus(
@@ -377,9 +375,7 @@ def predict_corpus(
     if settings.use_clusters and clusters is None:
         if any(name.startswith(CLUSTER_PREFIX) for name in stored.vocabulary.names):
             raise ConfigError("paths.clusters must be set: the model has cluster columns")
-    x, _ = featurize_corpus(
-        corpus, names, clusters, stored.normalization, settings, stored.vocabulary
-    )
+    x, _ = featurize_corpus(corpus, names, clusters, settings, stored.vocabulary)
     if stored.scaler is not None:
         x = apply_scaler(stored.scaler, x)
     if stored.kind == "svm":

@@ -10,7 +10,7 @@ import pytest
 
 from rareclass.corpus import AnnotatedTweet, Corpus, Label, Tweet
 from rareclass.demo import packaged_data_path
-from rareclass.normalize import NameLexicon, NormalizationConfig
+from rareclass.normalize import NameLexicon
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,11 +57,6 @@ def counted_corpus(n_defect, n_possible, n_non, text="tweet {i}"):
 @pytest.fixture
 def names():
     return NameLexicon(frozenset({"emma", "noah", "grace", "ana", "liam"}))
-
-
-@pytest.fixture
-def norm_config():
-    return NormalizationConfig()
 
 
 @pytest.fixture

@@ -1,12 +1,13 @@
 """`classic_normalize` as it was before its gates: the test oracle for
 `rareclass.normalize.classic_normalize`.
 
-This form runs every rule on every tweet: it rebuilds the token map and
-sorts the placeholders per call, splits on every placeholder, runs the
-URL and user regexes on every text and scans every ASCII letter run for
-given names.  The library's gated form must return the same tokens.
-It calls `normalize.porter_stem` through the module, once per word, so
-a test that replaces that name counts the calls of both forms alike.
+This form runs every rule on every tweet: it rebuilds the token map from
+its own copy of the paper's word lists and sorts the placeholders per
+call, splits on every placeholder, runs the URL and user regexes on
+every text and scans every ASCII letter run for given names.  The
+library's gated form must return the same tokens.  It calls
+`normalize.porter_stem` through the module, once per word, so a test
+that replaces that name counts the calls of both forms alike.
 """
 
 from __future__ import annotations
@@ -27,11 +28,17 @@ from rareclass.normalize import (
     USER_PLACEHOLDER,
     USERNAME_RE,
     NameLexicon,
-    NormalizationConfig,
 )
 
 _ALPHA_RUN_RE = re.compile(r"[A-Za-z]+")
 _NON_LOWER_RE = re.compile(r"[^a-z]+")
+
+# the words replaced by placeholders, kept apart from the library's table
+POSSESSIVE_PRONOUNS = ("my", "our")
+CHILD_TERMS = (
+    "son", "daughter", "child", "baby", "kid", "boy", "girl", "twins", "toddler", "newborn",
+)
+THIRD_PERSON_PRONOUNS = ("she", "he", "her", "him", "his", "hers")
 
 
 # Internal representation while rules run: (is_atom, content).  Atoms are
@@ -75,10 +82,8 @@ def classic_normalize(
     tweet: Tweet,
     match_span: tuple[int, int] | None,
     names: NameLexicon,
-    config: NormalizationConfig | None = None,
 ) -> tuple[str, ...]:
     """Every rule on every tweet, in the documented order."""
-    config = config or NormalizationConfig()
     text = tweet.text
     parts: _Parts
     if match_span is not None:
@@ -120,11 +125,11 @@ def classic_normalize(
     parts = replaced
 
     token_map = {}
-    for token in config.possessive_pronouns:
+    for token in POSSESSIVE_PRONOUNS:
         token_map[token] = POSSESSIVE_PLACEHOLDER
-    for token in config.child_terms:
+    for token in CHILD_TERMS:
         token_map[token] = CHILD_PLACEHOLDER
-    for token in config.third_person_pronouns:
+    for token in THIRD_PERSON_PRONOUNS:
         token_map[token] = THIRD_PERSON_PLACEHOLDER
 
     tokens: list[str] = []

@@ -33,7 +33,7 @@ from rareclass.features import (
     FeatureSettings,
     Vocabulary,
 )
-from rareclass.normalize import NameLexicon, NormalizationConfig, classic_normalize
+from rareclass.normalize import NameLexicon, classic_normalize
 from rareclass.rng import SplitMix64, derive_seed
 from rareclass.sampling import SamplingReport
 
@@ -264,12 +264,11 @@ def document_features(
     corpus: Corpus,
     names: NameLexicon,
     clusters: dict[str, str] | None,
-    norm_config: NormalizationConfig,
     settings: FeatureSettings,
 ) -> Iterator[tuple[Counter, tuple[int, int] | None]]:
     """Per document, its feature multiset and structural counts."""
     for item in corpus:
-        tokens = classic_normalize(item.tweet, item.match_span, names, norm_config)
+        tokens = classic_normalize(item.tweet, item.match_span, names)
         feats = extract_ngrams(tokens, settings.n_min, settings.n_max)
         if settings.use_clusters and clusters is not None:
             feats.update(cluster_features(tokens, clusters))
@@ -281,13 +280,12 @@ def featurize_corpus(
     corpus: Corpus,
     names: NameLexicon,
     clusters: dict[str, str] | None,
-    norm_config: NormalizationConfig,
     settings: FeatureSettings,
     vocab: Vocabulary | None = None,
 ) -> tuple[CsrMatrix, Vocabulary]:
     """The corpus's matrix and vocabulary, one `vectorize` row per document;
     every document's `Counter` is held until the vocabulary is built."""
-    docs = list(document_features(corpus, names, clusters, norm_config, settings))
+    docs = list(document_features(corpus, names, clusters, settings))
     if vocab is None:
         vocab = features.build_vocabulary(
             [feats for feats, _ in docs], settings.min_df,

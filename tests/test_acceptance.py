@@ -19,7 +19,6 @@ from rareclass.demo import packaged_data_path
 from rareclass.evaluation import evaluate_predictions, overall_f1, paired_t_test
 from rareclass.features import FeatureSettings, Vocabulary, apply_scaler, fit_scaler
 from rareclass.model_store import StoredModel, load_model, save_model
-from rareclass.normalize import NormalizationConfig
 from rareclass.sampling import levenshtein_ratio, oversample_replacement
 from rareclass.stats import student_t_two_sided_p
 from rareclass.svm import (
@@ -306,7 +305,7 @@ def test_c11_model_serialization_round_trip(tmp_path):
     model = train_svm(x, labels, SvmParams(c=10.0, gamma=0.4))
     vocab = Vocabulary(tuple(f"f{i}" for i in range(dim)))
     path = tmp_path / "model.json"
-    record = StoredModel(model, vocab, scaler, FeatureSettings(), NormalizationConfig(), {})
+    record = StoredModel(model, vocab, scaler, FeatureSettings(), {})
     save_model(path, record)
     stored = load_model(path)
     for _ in range(1000):

@@ -29,9 +29,9 @@ from conftest import make_corpus
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # small models written by the writers of retired model formats, by version:
-# NB models for 2 to 4, an SVM model for 5
+# NB models for 2 to 4, SVM models for 5 and 6
 RETIRED_MODELS = {
-    v: Path(__file__).resolve().parent / "data" / f"model_v{v}.json" for v in (2, 3, 4, 5)
+    v: Path(__file__).resolve().parent / "data" / f"model_v{v}.json" for v in (2, 3, 4, 5, 6)
 }
 
 
@@ -769,7 +769,6 @@ class TestModelRecord:
         )
         loaded = load_model(model)
         assert loaded.features == expected.features
-        assert loaded.normalization == expected.normalization
         def digest(path):
             return {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()[:12]}
 
@@ -1378,7 +1377,7 @@ class TestExitCodes:
         argv = [command, "--config", str(cfg), "--corpus", str(root / "splits" / "test.tsv"),
                 "--model", str(RETIRED_MODELS[version]), "--out", str(tmp_path / "out.tsv")]
         assert main(argv) == 2
-        expected = f"unsupported model version {version}, not 6; retrain the model"
+        expected = f"unsupported model version {version}, not 7; retrain the model"
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "out.tsv").exists()
 
@@ -1418,6 +1417,13 @@ class TestExitCodes:
             pool["indices"][pool["indptr"][1] - 1] += len(doc["vocabulary"]["names"])
         assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
         assert "column indices out of order or range" in capsys.readouterr().err
+
+    def test_pool_value_scaled_past_one_is_data_error(self, workspace, tmp_path, capsys):
+        # training scales the pool into [0, 1]; squares of 1e200 overflow in prediction
+        def mutate(doc):
+            doc["svm"]["support_vectors"]["values"][0] = 1e200
+        assert self._evaluate_mutated(workspace, tmp_path, mutate) == 2
+        assert "svm: support_vectors.values must scale into [0, 1]" in capsys.readouterr().err
 
     def test_svm_model_without_scaler_is_data_error(self, workspace, tmp_path, capsys):
         assert self._evaluate_mutated(workspace, tmp_path, lambda d: d.update(scaler=None)) == 2

@@ -22,12 +22,11 @@ from rareclass.features import (
     Vocabulary,
     load_clusters,
 )
-from rareclass.normalize import NameLexicon, NormalizationConfig, load_name_lexicon
+from rareclass.normalize import NameLexicon, load_name_lexicon
 from rareclass.pipeline import featurize_corpus
 
 
 NAMES = NameLexicon(frozenset({"emma", "noah"}))
-NORM = NormalizationConfig()
 WORDS = ("my", "baby", "emma", "has", "a", "rash", "Rash!", "doc", "said", "ok", "fever", "#tired")
 CLUSTERS = {"rash": "01", "doc": "01", "fever": "1", "ok": "001", "babi": "1"}
 TEXTS = st.one_of(
@@ -71,14 +70,14 @@ class TestEqualsOracle:
     @settings(max_examples=200, deadline=None)
     @given(corpora(), feature_settings, st.sampled_from([CLUSTERS, {}, None]))
     def test_built_vocabulary(self, corpus, feats, clusters):
-        args = (corpus, NAMES, clusters, NORM, feats)
+        args = (corpus, NAMES, clusters, feats)
         assert_same(featurize_corpus(*args), sparse_oracle.featurize_corpus(*args))
 
     @settings(max_examples=200, deadline=None)
     @given(corpora(), corpora(), feature_settings, st.sampled_from([CLUSTERS, None]))
     def test_given_vocabulary_drops_unseen_features(self, train, corpus, feats, clusters):
-        _, vocab = sparse_oracle.featurize_corpus(train, NAMES, clusters, NORM, feats)
-        args = (corpus, NAMES, clusters, NORM, feats, vocab)
+        _, vocab = sparse_oracle.featurize_corpus(train, NAMES, clusters, feats)
+        args = (corpus, NAMES, clusters, feats, vocab)
         assert_same(featurize_corpus(*args), sparse_oracle.featurize_corpus(*args))
 
     @settings(max_examples=100, deadline=None)
@@ -90,20 +89,20 @@ class TestEqualsOracle:
     def test_any_given_vocabulary(self, corpus, names, feats):
         ordered = tuple(sorted(names))
         vocab = Vocabulary(ordered)
-        args = (corpus, NAMES, CLUSTERS, NORM, feats, vocab)
+        args = (corpus, NAMES, CLUSTERS, feats, vocab)
         assert_same(featurize_corpus(*args), sparse_oracle.featurize_corpus(*args))
 
     @pytest.mark.parametrize("use_structural", [False, True])
     def test_empty_corpus(self, use_structural):
         feats = FeatureSettings(use_structural=use_structural)
-        args = (make_corpus([]), NAMES, CLUSTERS, NORM, feats)
+        args = (make_corpus([]), NAMES, CLUSTERS, feats)
         got = featurize_corpus(*args)
         assert_same(got, sparse_oracle.featurize_corpus(*args))
         assert got[0].n_rows == 0
 
     def test_zero_structural_values_are_dropped(self):
         corpus = make_corpus([("a", "", Label.DEFECT), ("b", " \t ", Label.DEFECT)])
-        args = (corpus, NAMES, CLUSTERS, NORM, FeatureSettings(min_df=1))
+        args = (corpus, NAMES, CLUSTERS, FeatureSettings(min_df=1))
         x, vocab = featurize_corpus(*args)
         assert_same((x, vocab), sparse_oracle.featurize_corpus(*args))
         assert x.indptr.tolist() == [0, 0, 1]
@@ -134,7 +133,7 @@ def traced_peak(function, *args):
 
 def test_peak_memory_is_well_below_the_oracle(generated):
     corpus, names, clusters = generated
-    args = (corpus, names, clusters, NORM, FeatureSettings())
+    args = (corpus, names, clusters, FeatureSettings())
     featurize_corpus(*args)  # fills the stemmer's memo, which neither run should count
     oracle = traced_peak(sparse_oracle.featurize_corpus, *args)
     assert traced_peak(featurize_corpus, *args) <= 0.6 * oracle

@@ -15,7 +15,7 @@ from rareclass import pipeline
 from rareclass.corpus import Label
 from rareclass.features import FeatureSettings, feature_kind
 from rareclass.pipeline import featurize_corpus
-from test_featurize import NAMES, NORM, assert_same, generated, traced_peak  # noqa: F401
+from test_featurize import NAMES, assert_same, generated, traced_peak  # noqa: F401
 
 # 1,125 consonant-vowel-consonant words, each its own Porter stem
 WORDS = ["".join(w) for w in itertools.product("bcdfgklmnprstvz", "aeiou", "bcdfgklmnprstvz")]
@@ -45,14 +45,14 @@ def wide_corpora():
 def test_long_ngrams_equal_the_oracle(wide_corpora, n_max, binary):
     train, test, clusters = wide_corpora
     feats = FeatureSettings(n_min=1, n_max=n_max, binary=binary)
-    got = featurize_corpus(train, NAMES, clusters, NORM, feats)
-    assert_same(got, sparse_oracle.featurize_corpus(train, NAMES, clusters, NORM, feats))
+    got = featurize_corpus(train, NAMES, clusters, feats)
+    assert_same(got, sparse_oracle.featurize_corpus(train, NAMES, clusters, feats))
     vocab = got[1]
     grams = [name.count(" ") + 1 for name in vocab.names if feature_kind(name) == "ngram"]
     # codes numbered in base V at these lengths would not fit in an int64
     assert grams.count(1) ** 12 > 2**63
     assert max(grams) == min(n_max, LONGEST)
-    args = (test, NAMES, clusters, NORM, feats, vocab)
+    args = (test, NAMES, clusters, feats, vocab)
     assert_same(featurize_corpus(*args), sparse_oracle.featurize_corpus(*args))
 
 
@@ -72,8 +72,8 @@ def test_ngram_lengths_stop_at_the_longest_tweet():
 def test_scoring_peak_memory_is_well_below_the_oracle(generated):  # noqa: F811
     corpus, names, clusters = generated
     feats = FeatureSettings()
-    _, vocab = featurize_corpus(corpus.subset(range(0, 3000, 2)), names, clusters, NORM, feats)
-    args = (corpus, names, clusters, NORM, feats, vocab)
+    _, vocab = featurize_corpus(corpus.subset(range(0, 3000, 2)), names, clusters, feats)
+    args = (corpus, names, clusters, feats, vocab)
     featurize_corpus(*args)  # fills the stemmer's memo, which neither run should count
     oracle = traced_peak(sparse_oracle.featurize_corpus, *args)
     assert traced_peak(featurize_corpus, *args) <= 0.6 * oracle

@@ -24,7 +24,9 @@ LEAF_CASES = 30  # per JSON kind
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """Valid small inputs: a 40-tweet corpus, the demo lexicons, a config,
-    an SVM model and a features file."""
+    an SVM model and a features file.  The config's paths are relative to
+    the files' directory, the working directory of every run, so that no
+    input's bytes, and no case drawn from them, depend on where it is."""
     root = tmp_path_factory.mktemp("fuzz")
     header, *rows = packaged_data_path("demo_corpus.tsv").read_text(encoding="utf-8").splitlines()
     quota = {"defect": 6, "possible_defect": 6, "non_defect": 28}
@@ -45,16 +47,18 @@ def inputs(tmp_path_factory):
         files[kind].write_bytes(packaged_data_path(name).read_bytes())
     files["config"] = root / "run.cfg"
     files["config"].write_text(
-        f"paths.name_lexicon = {files['names']}\n"
-        f"paths.clusters = {files['clusters']}\n"
+        f"paths.name_lexicon = {files['names'].name}\n"
+        f"paths.clusters = {files['clusters'].name}\n"
         "features.min_df = 1\n",
         encoding="utf-8",
     )
     files["model"] = root / "model.json"
     files["features"] = root / "features.json"
     base = ["--config", str(files["config"]), "--corpus", str(files["corpus"])]
-    assert main(["train", *base, "--model", str(files["model"])]) == 0
-    assert main(["featurize", *base, "--out", str(files["features"])]) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        assert main(["train", *base, "--model", str(files["model"])]) == 0
+        assert main(["featurize", *base, "--out", str(files["features"])]) == 0
     return files
 
 
@@ -112,8 +116,9 @@ def _mutate_leaf(rnd, doc):
     return doc
 
 
-def test_mutated_inputs_never_exit_internal(inputs, tmp_path):
+def test_mutated_inputs_never_exit_internal(inputs, tmp_path, monkeypatch):
     files = inputs
+    monkeypatch.chdir(files["config"].parent)
     rnd = random.Random(SEED)
     cases = []
     for kind, path in files.items():

@@ -35,7 +35,7 @@ from rareclass.model_store import (
     save_model,
 )
 from rareclass.naive_bayes import GAUSSIAN, MULTINOMIAL, NbModel, predict_nb, train_nb
-from rareclass.normalize import NormalizationConfig, load_name_lexicon
+from rareclass.normalize import load_name_lexicon
 from rareclass.pipeline import train_from_corpus
 from rareclass.svm import PairModel, SvmModel, SvmParams, predict_svm, train_svm
 
@@ -44,7 +44,7 @@ from sparse_oracle import SparseVector, from_rows
 
 def stored(classifier, vocab, scaler=None):
     """A model record with default featurization settings."""
-    return StoredModel(classifier, vocab, scaler, FeatureSettings(), NormalizationConfig(), {})
+    return StoredModel(classifier, vocab, scaler, FeatureSettings(), {})
 
 
 def random_vectors(rng, n, dim, density=0.4):
@@ -149,7 +149,7 @@ class TestPoolValues:
 
     # column 2 mixes 1.0 with other values, row 1 is empty, column 0 holds only 1.0
     MIXED = CsrMatrix.from_arrays(
-        [0, 2, 2, 5, 6], [0, 2, 0, 1, 2, 2], [1.0, 0.5, 1.0, 1.0, 1.0, -0.5], 3
+        [0, 2, 2, 5, 6], [0, 2, 0, 1, 2, 2], [1.0, 0.5, 1.0, 1.0, 1.0, 0.25], 3
     )
 
     @staticmethod
@@ -171,7 +171,7 @@ class TestPoolValues:
     @pytest.mark.parametrize(
         "pool,valued,values",
         [
-            (MIXED, [2], [0.5, 1, -0.5]),  # 1.0 written as an integer
+            (MIXED, [2], [0.5, 1, 0.25]),  # 1.0 written as an integer
             (CsrMatrix.from_arrays([0, 2, 2, 3], [0, 3, 1], [1.0, 1.0, 1.0], 4), [], []),
             (CsrMatrix.from_arrays([0, 0], [], [], 2), [], []),
         ],
@@ -197,16 +197,20 @@ class TestPoolValues:
             ("at dim", "svm: support_vectors.valued_columns must increase strictly"),
             ("values too long", "svm: support_vectors.values must hold one value per entry"),
             ("values too short", "svm: support_vectors.values must hold one value per entry"),
-            ("span too small", "svm: support_vectors.values must scale to finite numbers"),
+            ("span too small", "svm: support_vectors.values must scale into [0, 1]"),
+            ("max too small", "svm: support_vectors.values must scale into [0, 1]"),
+            ("min too large", "svm: support_vectors.values must scale into [0, 1]"),
         ],
         ids=["missing", "unsorted", "repeated", "negative", "at-dim", "values-too-long",
-             "values-too-short", "span-too-small"],
+             "values-too-short", "span-too-small", "max-too-small", "min-too-large"],
     )
     def test_bad_valued_columns_or_values_rejected(self, tmp_path, edit, message):
         # columns 1 and 2 are valued; column 0 holds only 1.0
-        pool = CsrMatrix.from_arrays([0, 3, 5], [0, 1, 2, 0, 2], [1.0, 2.0, 1.0, 1.0, 3.0], 3)
-        path, _ = self.saved(tmp_path, pool)
+        unscaled = CsrMatrix.from_arrays([0, 3, 5], [0, 1, 2, 0, 2], [1.0, 2.0, 1.0, 1.0, 3.0], 3)
+        scaler = Scaler(np.zeros(3), np.array([1.0, 2.0, 3.0]))  # each column's range, and 0
+        path, _ = self.saved(tmp_path, apply_scaler(scaler, unscaled), scaler)
         doc = json.loads(path.read_text())
+        assert doc["scaler"] == {"columns": [1, 2], "mins": [0, 0], "maxs": [2, 3]}
         written = doc["svm"]["support_vectors"]
         assert written["valued_columns"] == [1, 2] and written["values"] == [2, 1, 3]
         valued, values = written["valued_columns"], written["values"]
@@ -224,8 +228,12 @@ class TestPoolValues:
             values.append(4.0)
         elif edit == "values too short":
             values.pop()
-        else:  # column 1's values, 2.0 and 1.0, over a span of 5e-324
-            doc["scaler"] = {"columns": [1], "mins": [0], "maxs": [5e-324]}
+        elif edit == "span too small":  # column 1's value, 2.0, over a span of 5e-324
+            doc["scaler"]["maxs"][0] = 5e-324
+        elif edit == "max too small":  # column 2's 3.0 scales to 1.5
+            doc["scaler"]["maxs"][1] = 2
+        else:  # column 2's 1.0 scales to -1
+            doc["scaler"]["mins"][1] = 2
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=re.escape(message)):
             load_model(path)
@@ -362,7 +370,7 @@ class TestFormatGating:
         return model_path
 
     def test_unknown_version_rejected(self, tmp_path):
-        for version in (99, 5, 4, 3, 2, 1):
+        for version in (99, 6, 5, 4, 3, 2, 1):
             path = self._minimal(tmp_path, lambda d: d.update(version=version))
             with pytest.raises(DataError, match="version"):
                 load_model(path)
@@ -523,26 +531,6 @@ class TestExactRoundTrip:
         assert loaded_vocab == vocab and loaded_settings == feature_settings
         assert loaded == x and bits(loaded.data) == bits(x.data)
         assert ids == [f"t{i}" for i in range(x.n_rows)] and labels == [Label.DEFECT] * x.n_rows
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.builds(
-            NormalizationConfig, *[st.frozensets(st.text(min_size=1, max_size=8), max_size=4)] * 3
-        ).filter(lambda config: config != NormalizationConfig())
-    )
-    def test_token_sets_read_back_equal(self, tmp_path_factory, normalization):
-        # the token sets are the whole normalizer config, all of it saved
-        model = NbModel(
-            (Label.DEFECT, Label.NON_DEFECT), np.array([-0.5, -1.0]), MULTINOMIAL, 1,
-            np.array([[-1.0], [-2.0]]),
-        )
-        record = StoredModel(
-            model, Vocabulary(("f0",)), None, FeatureSettings(), normalization, {}
-        )
-        path = tmp_path_factory.mktemp("normalize") / "model.json"
-        save_model(path, record)
-        assert load_model(path) == record
-        assert_rewrites_itself(path)
 
 
 def test_integral_floats_are_written_as_integers(tmp_path):

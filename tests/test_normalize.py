@@ -15,7 +15,6 @@ from rareclass.errors import DataError
 from rareclass.normalize import (
     PLACEHOLDERS,
     NameLexicon,
-    NormalizationConfig,
     classic_normalize,
     embedding_normalize,
     load_name_lexicon,
@@ -24,7 +23,6 @@ from rareclass.normalize import (
 import normalize_oracle
 
 NAMES = NameLexicon(frozenset({"emma", "noah", "grace", "ana", "liam"}))
-CONFIG = NormalizationConfig()
 
 # (raw text, byte span or None, expected space-joined tokens)
 CLASSIC_GOLDEN = [
@@ -67,7 +65,7 @@ EMBEDDING_GOLDEN = [
 
 
 def run_classic(text, span=None):
-    return " ".join(classic_normalize(Tweet("t", "u", text), span, NAMES, CONFIG))
+    return " ".join(classic_normalize(Tweet("t", "u", text), span, NAMES))
 
 
 def run_embedding(text):
@@ -106,13 +104,13 @@ class TestClassicRules:
         text = "baby has spina bifida today"
         start = text.index("spina")
         out = classic_normalize(
-            Tweet("t", "u", text), (start, start + len("spina bifida")), NAMES, CONFIG
+            Tweet("t", "u", text), (start, start + len("spina bifida")), NAMES
         )
         assert out.count("<bdterm>") == 1
 
     def test_invalid_span_rejected(self):
         with pytest.raises(ValueError):
-            classic_normalize(Tweet("t", "u", "abc"), (2, 1), NAMES, CONFIG)
+            classic_normalize(Tweet("t", "u", "abc"), (2, 1), NAMES)
 
     def test_lowercase_names_not_eaten(self):
         assert run_classic("grace and will") == "grace and will"
@@ -123,18 +121,7 @@ class TestClassicRules:
                 assert all(ch.isalpha() or ch in "<>" for ch in token)
                 assert token == token.lower()
 
-    def test_custom_token_sets(self):
-        config = NormalizationConfig(
-            possessive_pronouns=frozenset({"me"}),
-            child_terms=frozenset({"niece"}),
-            third_person_pronouns=frozenset({"they"}),
-        )
-        out = classic_normalize(Tweet("t", "u", "me and my niece"), None, NAMES, config)
-        assert out == ("<poss>", "and", "my", "<child>")
 
-
-# a second config with another possessive token set
-ODD_CONFIG = NormalizationConfig(possessive_pronouns=frozenset({"me"}))
 # fragments that each trigger or defeat one rule: placeholder spellings
 # (whole and broken), users and URLs, capitalized names alone and inside
 # words, and non-ASCII uppercase ("İ" lowercases to two characters, the
@@ -164,18 +151,18 @@ class TestGatesMatchOracle:
     oracle and stems the same words."""
 
     @settings(max_examples=400, deadline=None)
-    @given(tweets_with_spans(), st.sampled_from([CONFIG, ODD_CONFIG]))
-    def test_tokens_and_stem_calls_equal_oracle(self, tweet_span, config):
+    @given(tweets_with_spans())
+    def test_tokens_and_stem_calls_equal_oracle(self, tweet_span):
         text, span = tweet_span
         tweet = Tweet("t", "u", text)
         stemmed = []
         stem = normalize.porter_stem
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(normalize, "porter_stem", lambda word: stemmed.append(word) or stem(word))
-            expected = normalize_oracle.classic_normalize(tweet, span, NAMES, config)
+            expected = normalize_oracle.classic_normalize(tweet, span, NAMES)
             oracle_stemmed = stemmed.copy()
             stemmed.clear()
-            out = classic_normalize(tweet, span, NAMES, config)
+            out = classic_normalize(tweet, span, NAMES)
         assert out == expected
         assert stemmed == oracle_stemmed
         # one call per word that is not a placeholder
@@ -217,10 +204,10 @@ class TestTokenInvariant:
     tuples apart; the featurizer names n-grams on that ground."""
 
     @settings(max_examples=500, deadline=None)
-    @given(any_tweets_with_spans(), st.sampled_from([CONFIG, ODD_CONFIG]))
-    def test_tokens_are_non_empty_and_hold_no_whitespace(self, tweet_span, config):
+    @given(any_tweets_with_spans())
+    def test_tokens_are_non_empty_and_hold_no_whitespace(self, tweet_span):
         text, span = tweet_span
-        for token in classic_normalize(Tweet("t", "u", text), span, NAMES, config):
+        for token in classic_normalize(Tweet("t", "u", text), span, NAMES):
             assert token
             assert not any(ch.isspace() for ch in token), token
             assert token.split() == [token]

@@ -11,7 +11,7 @@ from rareclass.errors import ConfigError
 from rareclass.features import FeatureSettings, feature_kind, load_clusters
 from rareclass.model_store import load_features, load_model, save_features, save_model
 from rareclass.naive_bayes import train_nb
-from rareclass.normalize import NormalizationConfig, load_name_lexicon, save_normalized
+from rareclass.normalize import load_name_lexicon, save_normalized
 from rareclass.pipeline import (
     evaluate_corpus,
     featurize_corpus,
@@ -72,7 +72,6 @@ class TestConfig:
         defaults = PipelineConfig.from_sources(None)
         assert defaults.feature_settings() == FeatureSettings()
         assert defaults.svm_params() == SvmParams()
-        assert defaults.normalization() == NormalizationConfig()
         event_model = inspect.signature(train_nb).parameters["event_model"].default
         assert defaults["nb.event_model"] == event_model
 
@@ -81,6 +80,13 @@ class TestConfig:
         path.write_text("features.min_fd = 3\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="unknown config key"):
             PipelineConfig.from_sources(path, [])
+        # the classic normalizer's word lists are fixed, not configured
+        for key in (
+            "normalize.possessive_pronouns", "normalize.child_terms",
+            "normalize.third_person_pronouns",
+        ):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                PipelineConfig.from_sources(None, [f"{key}=my"])
 
     def test_override_precedence(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -102,12 +108,16 @@ class TestConfig:
             "svm.c=nan",
             "svm.c=inf",
             "svm.gamma=nan",
+            "svm.gamma=0",
+            "svm.gamma=",
             "svm.tolerance=nan",
             "svm.max_iterations=0",
             "svm.class_weights=defect:nan",
         ):
             with pytest.raises(ConfigError, match=override.split("=")[0]):
                 config(override)
+        with pytest.raises(ConfigError, match="svm.class_weights: class 'defect' given twice"):
+            config("svm.class_weights=defect:1,defect:2")
         # keys the chosen classifier never reads are checked too
         with pytest.raises(ConfigError, match="svm.c"):
             config("classifier.kind=nb", "svm.c=abc")
@@ -241,13 +251,12 @@ class TestTraining:
         stored, _ = train_from_corpus(split.train, config(), names, clusters)
         path = tmp_path / "model.json"
         save_model(path, stored)
-        for key in ("features", "normalize"):
-            doc = json.loads(path.read_text())
-            del doc["extras"][key]
-            bare = tmp_path / f"no_{key}.json"
-            bare.write_text(json.dumps(doc))
-            with pytest.raises(DataError, match=f"missing key '{key}'"):
-                load_model(bare)
+        doc = json.loads(path.read_text())
+        del doc["extras"]["features"]
+        bare = tmp_path / "no_features.json"
+        bare.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="missing key 'features'"):
+            load_model(bare)
 
 
 def evaluate_corpus_baseline(corpus):
@@ -275,9 +284,7 @@ class TestArtifacts:
         corpus, names, clusters, split = demo
         cfg = config()
         settings = cfg.feature_settings()
-        vectors, vocab = featurize_corpus(
-            split.validation, names, clusters, cfg.normalization(), settings
-        )
+        vectors, vocab = featurize_corpus(split.validation, names, clusters, settings)
         path = tmp_path / "features.json"
         ids = [item.tweet.id for item in split.validation]
         save_features(path, vocab, vectors, split.validation, settings)
@@ -290,8 +297,6 @@ class TestArtifacts:
         corpus, names, clusters, split = demo
         cfg = config("features.min_df=1")
         settings = cfg.feature_settings()
-        _, vocab = featurize_corpus(
-            split.train, names, clusters, cfg.normalization(), settings
-        )
+        _, vocab = featurize_corpus(split.train, names, clusters, settings)
         assert any(feature_kind(name) == "cluster" for name in vocab.names)
         assert any(feature_kind(name) == "structural" for name in vocab.names)

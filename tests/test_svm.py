@@ -730,7 +730,5 @@ class TestScoresDoNotDependOnTheBatch:
         clusters = load_clusters(demo_paths["clusters"])
         split = three_way_split(corpus, 0.2, 0.2, seed=13)
         stored, _ = train_from_corpus(split.train, PipelineConfig.from_sources(None), names, clusters)
-        x, _ = featurize_corpus(
-            split.test, names, clusters, stored.normalization, stored.features, stored.vocabulary
-        )
+        x, _ = featurize_corpus(split.test, names, clusters, stored.features, stored.vocabulary)
         self.assert_rows_alone_equal_the_block(stored.classifier, apply_scaler(stored.scaler, x))
